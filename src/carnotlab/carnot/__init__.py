@@ -1,14 +1,7 @@
 """Carnot group structure: group law, dilations, gauge metric, polynomials,
 horizontal derivatives, test-function catalog, and volume constants."""
 
-from .constants import (
-    ConstantsCache,
-    VolumeEntry,
-    ball_volume,
-    default_cache,
-    estimate_volume_constant,
-    volume_constant,
-)
+from .constants import ball_volume, volume_constant
 from .derivatives import (
     generator_coefficients,
     horizontal_derivative,
@@ -70,10 +63,6 @@ __all__ = [
     "DilatedArgument",
     "random_bump",
     "random_polynomial",
-    "ConstantsCache",
-    "VolumeEntry",
     "ball_volume",
-    "default_cache",
-    "estimate_volume_constant",
     "volume_constant",
 ]

@@ -1,131 +1,41 @@
-"""Unit gauge-ball volume constants c_d with a file-backed cache.
+"""Unit gauge-ball volume constant c_d = |B(0, 1)| in closed form.
 
-|B(x, r)| = c_d r^Q holds exactly for gauge balls, so one constant per
-(group, gauge) pair fixes all ball volumes.  Euclidean and Heisenberg
-constants have closed forms under the layered gauge; generic step-2
-groups are estimated once by Monte Carlo rejection and persisted.
+|B(x, r)| = c_d r^Q holds exactly for gauge balls, so c_d fixes all ball
+volumes.  Under the layered gauge the unit ball of every supported group is
+{|x^(1)|^4 + |x^(2)|^2 < 1}, whatever its forms, so with n = n1 + n2
+
+    c_d = pi^(n/2) Gamma(n1/4) / (2 Gamma(n1/2) Gamma(n1/4 + n2/2 + 1)),
+
+which is w_{n2} |S^{n1-1}| (1/4) B(n1/4, n2/2 + 1), with w_{n2} the volume
+of the unit ball of R^{n2}: the slice over x^(1) is an n2-ball of radius
+(1 - |x^(1)|^4)^(1/2), and s = |x^(1)|^4 turns the radial integral into a
+Beta function.  With n2 = 0 it reduces to the Euclidean pi^(n/2) /
+Gamma(n/2 + 1).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from ..errors import DomainError
-from ..rng import stream
-from .group import centered_box_extents
-
-SCHEMA_VERSION = 1
-GAUGE_ID = "layered"
 
 
-@dataclass
-class VolumeEntry:
-    value: float
-    std_error: float
-    samples: int
-    method: str  # "closed-form" | "monte-carlo"
-
-    def ci95(self):
-        return (self.value - 1.96 * self.std_error, self.value + 1.96 * self.std_error)
-
-
-def _closed_form(group):
-    """Exact c_d where known: Euclidean balls and Heisenberg Koranyi balls."""
-    kind = group.ident.split(":")[0]
-    if group.step == 1:
-        n = group.n
-        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    if kind == "heisenberg":
-        k = group.n1 // 2
-        # 2 |S^(2k-1)| * int_0^1 r^(2k-1) sqrt(1 - r^4) dr, via a Beta integral
-        beta = math.gamma(k / 2.0) * math.gamma(1.5) / math.gamma(k / 2.0 + 1.5)
-        return math.pi**k / math.factorial(k - 1) * beta
-    return None
+def volume_constant(group):
+    """c_d of the group's layered gauge (step 1: n2 = 0)."""
+    n1, n2 = group.n1, group.n2
+    # In this order the result equals the direct Euclidean and Heisenberg
+    # formulas bit for bit on R^1 and H^1..H^5, so seeded outputs there are
+    # independent of which form is used.
+    return (
+        math.pi ** ((n1 + n2) / 2)
+        * math.gamma(n1 / 4)
+        / math.gamma(n1 / 4 + n2 / 2 + 1)
+        / (2 * math.gamma(n1 / 2))
+    )
 
 
-class ConstantsCache:
-    """In-memory map (group ident, gauge) -> VolumeEntry, JSON-persistable."""
-
-    def __init__(self):
-        self.entries = {}
-
-    @staticmethod
-    def _key(group):
-        return f"{group.ident}|{GAUGE_ID}"
-
-    def get(self, group):
-        return self.entries.get(self._key(group))
-
-    def put(self, group, entry):
-        self.entries[self._key(group)] = entry
-
-    def load(self, path):
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise DomainError(f"unsupported constants file version in {path}")
-        for key, raw in data.get("entries", {}).items():
-            self.entries[key] = VolumeEntry(**raw)
-        return self
-
-    def save(self, path):
-        data = {
-            "schema_version": SCHEMA_VERSION,
-            "entries": {k: asdict(v) for k, v in sorted(self.entries.items())},
-        }
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-_DEFAULT_CACHE = ConstantsCache()
-
-
-def default_cache():
-    return _DEFAULT_CACHE
-
-
-def estimate_volume_constant(group, samples=10_000_000, seed=20240601):
-    """Monte Carlo estimate of c_d by rejection from the unit coordinate box."""
-    if samples < 1000:
-        raise DomainError("need at least 1e3 samples")
-    rng = stream(seed, f"volume-constant/{group.ident}")
-    ext = centered_box_extents(group, 1.0)
-    box_volume = float(np.prod(2.0 * ext))
-    accepted = 0
-    remaining = int(samples)
-    chunk = 1_000_000
-    while remaining > 0:
-        take = min(chunk, remaining)
-        pts = (rng.random((take, group.n)) * 2.0 - 1.0) * ext
-        accepted += int(np.count_nonzero(group.gauge_norm(pts) < 1.0))
-        remaining -= take
-    phat = accepted / samples
-    value = box_volume * phat
-    std_error = box_volume * math.sqrt(max(phat * (1.0 - phat), 0.0) / samples)
-    return VolumeEntry(value=value, std_error=std_error, samples=int(samples), method="monte-carlo")
-
-
-def volume_constant(group, cache=None, *, samples=2_000_000, seed=20240601):
-    """c_d for the group's gauge; closed form when known, cached MC otherwise."""
-    cache = cache if cache is not None else _DEFAULT_CACHE
-    entry = cache.get(group)
-    if entry is None:
-        exact = _closed_form(group)
-        if exact is not None:
-            entry = VolumeEntry(value=exact, std_error=0.0, samples=0, method="closed-form")
-        else:
-            entry = estimate_volume_constant(group, samples=samples, seed=seed)
-        cache.put(group, entry)
-    return entry.value
-
-
-def ball_volume(group, r, cache=None):
+def ball_volume(group, r):
     """|B(x, r)| = c_d r^Q; independent of the center by left invariance."""
     if not r > 0:
         raise DomainError(f"ball radius must be positive, got {r}")
-    return volume_constant(group, cache) * r**group.homogeneous_dimension
+    return volume_constant(group) * r**group.homogeneous_dimension

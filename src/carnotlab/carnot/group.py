@@ -69,11 +69,18 @@ class CarnotGroup:
     def __repr__(self):
         return f"CarnotGroup({self.ident!r}, layers={self.layers})"
 
+    # Identity is the structure, layers and forms; `ident` only labels reports.
     def __eq__(self, other):
-        return isinstance(other, CarnotGroup) and other.ident == self.ident
+        if other is self:
+            return True
+        return (
+            isinstance(other, CarnotGroup)
+            and other.layers == self.layers
+            and (self.forms is None or np.array_equal(other.forms, self.forms))
+        )
 
     def __hash__(self):
-        return hash(self.ident)
+        return hash(self.layers)
 
     # -- coordinates ---------------------------------------------------------
 

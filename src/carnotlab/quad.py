@@ -151,15 +151,20 @@ def sample_ball(group, ball, count, rng):
     out = np.empty((count, group.n))
     filled = 0
     drawn = 0
+    accepted = 0
     chunk = max(2048, 2 * count)
     while filled < count:
         u = (rng.random((chunk, group.n)) * 2.0 - 1.0) * ext
         drawn += chunk
         keep = u[group.gauge_norm(u) < ball.radius]
+        accepted += keep.shape[0]
         take = min(count - filled, keep.shape[0])
         out[filled : filled + take] = keep[:take]
         filled += take
-    log.debug("sample_ball: %d/%d accepted (%.1f%%)", count, drawn, 100.0 * count / drawn)
+    log.debug(
+        "sample_ball: %d/%d drawn points accepted (%.1f%%), %d kept",
+        accepted, drawn, 100.0 * accepted / drawn, count,
+    )
     return group.compose(ball.center, out)
 
 

@@ -8,7 +8,6 @@ from carnotlab.carnot import (
     GaugeBump,
     HomogeneousPolynomial,
     ball_volume,
-    estimate_volume_constant,
     euclidean_group,
     heisenberg_group,
     horizontal_derivative,
@@ -170,14 +169,23 @@ def test_heisenberg_volume_constant_vs_mc_oracle(h1):
     # closed form pi^2/2 checked against a 1e7-sample MC oracle
     exact = math.pi**2 / 2.0
     assert volume_constant(h1) == pytest.approx(exact, rel=1e-12)
-    entry = estimate_volume_constant(h1, samples=10_000_000, seed=77)
-    assert abs(entry.value - exact) < 4.0 * entry.std_error
-    lo, hi = entry.ci95()
-    assert lo < exact < hi
+    est = mc_ball_volume(h1, 1.0, 10_000_000, seed=77)
+    assert abs(est.value - exact) < 4.0 * est.std_error
+    assert est.value - 1.96 * est.std_error < exact < est.value + 1.96 * est.std_error
 
 
 def test_h2_volume_constant_closed_form(h2):
     assert volume_constant(h2) == pytest.approx(2.0 * math.pi**2 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2), (4, 3)])
+def test_step2_volume_constant_vs_mc_oracle(shape):
+    # the closed form holds whatever the forms: random skew forms, 2e6-sample oracle
+    n1, n2 = shape
+    a = stream(3, f"random-forms/{n1}x{n2}").normal(size=(n2, n1, n1))
+    group = step_two_group(a - np.transpose(a, (0, 2, 1)))
+    est = mc_ball_volume(group, 1.0, 2_000_000, seed=19)
+    assert abs(est.value - volume_constant(group)) < 4.0 * est.std_error
 
 
 def test_volume_exponent_fit(h1, e2):
@@ -335,7 +343,7 @@ def test_bump_gradient_matches_euclidean_formula():
     assert bump.gradient(x)[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
-# -- constants cache and group ids ---------------------------------------------------
+# -- group identity and ids ---------------------------------------------------
 
 
 def test_q_at_least_n_with_equality_iff_euclidean(e2, e3, h1, h2):
@@ -343,32 +351,6 @@ def test_q_at_least_n_with_equality_iff_euclidean(e2, e3, h1, h2):
         assert group.homogeneous_dimension == group.n
     for group in (h1, h2):
         assert group.homogeneous_dimension > group.n
-
-
-def test_constants_cache_round_trip(tmp_path, h1):
-    from carnotlab.carnot import ConstantsCache, VolumeEntry
-
-    cache = ConstantsCache()
-    entry = VolumeEntry(value=4.93, std_error=0.002, samples=1_000_000, method="monte-carlo")
-    cache.put(h1, entry)
-    path = tmp_path / "constants.json"
-    cache.save(path)
-    loaded = ConstantsCache().load(path)
-    got = loaded.get(h1)
-    assert got == entry
-    lo, hi = got.ci95()
-    assert lo < 4.93 < hi
-
-
-def test_constants_cache_rejects_unknown_version(tmp_path, h1):
-    import json
-
-    path = tmp_path / "constants.json"
-    path.write_text(json.dumps({"schema_version": 99, "entries": {}}))
-    from carnotlab.carnot import ConstantsCache
-
-    with pytest.raises(DomainError):
-        ConstantsCache().load(path)
 
 
 def test_group_from_id(tmp_path):
@@ -387,18 +369,14 @@ def test_group_from_id(tmp_path):
         group_from_id("octonion:1")
 
 
-def test_step2_generic_volume_constant_estimated(tmp_path):
-    # generic step-2 group: c_d comes from MC and is persisted with its CI
-    from carnotlab.carnot import ConstantsCache, step_two_group, volume_constant
-
-    forms = np.zeros((1, 2, 2))
-    forms[0] = [[0.0, 2.0], [-2.0, 0.0]]
-    group = step_two_group(forms, ident="step2:test-double")
-    cache = ConstantsCache()
-    value = volume_constant(group, cache, samples=400_000, seed=5)
-    entry = cache.get(group)
-    assert entry.method == "monte-carlo"
-    assert entry.samples == 400_000
-    assert value == entry.value > 0
-    # second lookup is served from the cache (no re-estimation)
-    assert volume_constant(group, cache) == value
+def test_group_identity_is_structure(h1):
+    form = np.array([[[0.0, 1.0], [-1.0, 0.0]]])
+    g, g3 = step_two_group(form), step_two_group(3.0 * form)
+    assert g.ident == g3.ident
+    assert np.allclose(g.compose([1, 0, 0], [0, 1, 0]), [1.0, 1.0, 0.5])
+    assert np.allclose(g3.compose([1, 0, 0], [0, 1, 0]), [1.0, 1.0, 1.5])
+    assert g != g3
+    with pytest.raises(StructureError):
+        HomogeneousPolynomial.constant(g, 1.0) + HomogeneousPolynomial.constant(g3, 1.0)
+    assert h1 == g and hash(h1) == hash(g)
+    assert euclidean_group(3) != h1

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -22,6 +23,21 @@ def test_group_info_euclidean(capsys):
     assert run(["group-info", "euclidean:2"]) == 0
     out = capsys.readouterr().out
     assert "Q = 2" in out
+
+
+def test_group_info_step2_file_prints_closed_form(tmp_path, capsys):
+    # shape (3, 2): c_d = w_2 |S^2| (1/4) B(3/4, 2) = pi * 4 pi * (1/4) * 16/21
+    forms = [
+        [[0.0, 1.0, 0.5], [-1.0, 0.0, 2.0], [-0.5, -2.0, 0.0]],
+        [[0.0, -3.0, 0.0], [3.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+    ]
+    spec = tmp_path / "forms.json"
+    spec.write_text(json.dumps({"forms": forms}))
+    assert run(["group-info", f"step2:{spec}"]) == 0
+    out = capsys.readouterr().out
+    assert "layers = (3, 2)" in out
+    c_d = float(out.split("c_d = ")[1].split()[0])
+    assert c_d == pytest.approx(math.pi**2 * 16.0 / 21.0, rel=1e-12)
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -140,6 +141,20 @@ def test_sample_ball_inside_and_uniform(h1):
     inner = GaugeBall(ball.center, 0.7 / 2.0)
     frac = float(np.mean(inner.contains(h1, pts)))
     assert abs(frac - 2.0**-h1.homogeneous_dimension) < 0.02
+
+
+def test_sample_ball_logs_accepted_draws(h1, caplog):
+    # replay the stream: one chunk of 2048 draws, of which more than the
+    # requested 100 pass the gauge test
+    ball = GaugeBall([0.5, -0.3, 0.2], 0.7)
+    u = (stream(4, "sample-ball-log").random((2048, 3)) * 2.0 - 1.0) * 0.7**h1.weights
+    keep = u[h1.gauge_norm(u) < 0.7]
+    accepted = keep.shape[0]
+    assert accepted != 100
+    with caplog.at_level(logging.DEBUG, logger="carnotlab.quad"):
+        pts = sample_ball(h1, ball, 100, stream(4, "sample-ball-log"))
+    assert f"{accepted}/2048 drawn points accepted" in caplog.text
+    assert np.array_equal(pts, h1.compose(ball.center, keep[:100]))
 
 
 def test_quadrature_nodes_reproducible(e2, mc_scheme):
