@@ -7,7 +7,8 @@ accepted for interface compatibility; execution is sequential vectorized
 numpy, so results never depend on it.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure (flagged
-estimates / violation candidates), 64 usage error.
+estimates / violation candidates, a non-finite integrand, a rank-deficient
+basis), 64 usage error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ import sys
 
 from . import __version__
 from .carnot import GaugeBall, GaugeBump, HomogeneousPolynomial, group_from_id, volume_constant
-from .errors import CarnotLabError, DomainError, ValidationError
+from .errors import (
+    CarnotLabError,
+    ConditioningError,
+    DomainError,
+    IntegrationError,
+    ValidationError,
+)
 from .lab.counterexample import counterexample_report, fit_scaling_slope
 from .lab.reports import dump_json, write_csv
 from .lab.sweeps import (
@@ -581,6 +588,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (IntegrationError, ConditioningError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValidationError, DomainError, CarnotLabError) as exc:
         kind = "validation error" if isinstance(exc, (ValidationError, DomainError)) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)

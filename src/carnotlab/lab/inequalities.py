@@ -152,7 +152,12 @@ def representation_check(group, fs, ball, k, num_points, scheme, *, op_id="repfo
     """Pointwise bound |prod f_i(x) - P(x)| <= C * sum I_k(|X^a f| chi_B)(x).
 
     P is the L^2-minimizing polynomial on the ball (a stand-in that can
-    only decrease the lhs).  Returns per-point records and the max ratio.
+    only decrease the lhs).  Each derivative tuple makes one MFI call over
+    all `num_points` target points, under op_id f"{op_id}/t{t_idx}": the
+    points share that tuple's product node set, so their standard errors
+    are correlated, while different tuples draw independent node sets and
+    the per-point sum over tuples is a sum of independent terms.  Returns
+    per-point records and the max ratio.
     """
     m = len(fs)
     mq = m * group.homogeneous_dimension
@@ -165,31 +170,29 @@ def representation_check(group, fs, ball, k, num_points, scheme, *, op_id="repfo
     poly_scheme = scheme if scheme.kind in ("uniform", "grid") else scheme.with_(kind="uniform")
     poly, _ = best_polynomial(group, product, one, 2.0, ball, k, poly_scheme, op_id=f"{op_id}/poly")
     pts = sample_ball(group, ball, num_points, stream(scheme.seed, f"{op_id}/points"))
-    tuples = derivative_tuples(m, k, group.n1)
+    lhs = np.abs(product(pts) - poly(pts))
+    per_tuple = []
+    for t_idx, tup in enumerate(derivative_tuples(m, k, group.n1)):
+        slot_fns = [
+            HorizontalDerivativeMagnitude(group, fs[i], alpha, restrict_to=ball)
+            for i, alpha in enumerate(tup)
+        ]
+        per_tuple.append(
+            multilinear_fractional_integral(
+                group, slot_fns, k, pts, scheme, op_id=f"{op_id}/t{t_idx}"
+            )
+        )
     records = []
     for idx in range(num_points):
-        x = pts[idx]
-        lhs = abs(float(product(x)) - float(poly(x)))
-        parts = []
-        for t_idx, tup in enumerate(tuples):
-            slot_fns = [
-                HorizontalDerivativeMagnitude(group, fs[i], alpha, restrict_to=ball)
-                for i, alpha in enumerate(tup)
-            ]
-            parts.append(
-                multilinear_fractional_integral(
-                    group, slot_fns, k, x, scheme, op_id=f"{op_id}/x{idx}/t{t_idx}"
-                )
-            )
-        rhs = estimate_sum(parts)
-        ratio = lhs / rhs.value if rhs.value > 0 else float("inf")
+        rhs = estimate_sum(parts[idx] for parts in per_tuple)
+        ratio = lhs[idx] / rhs.value if rhs.value > 0 else float("inf")
         records.append(
             {
-                "point": x.tolist(),
-                "lhs": lhs,
+                "point": pts[idx].tolist(),
+                "lhs": float(lhs[idx]),
                 "rhs": rhs.value,
                 "rhs_std_error": rhs.std_error,
-                "ratio": ratio,
+                "ratio": float(ratio),
             }
         )
     finite = [r["ratio"] for r in records if np.isfinite(r["ratio"])]

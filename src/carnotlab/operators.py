@@ -85,7 +85,13 @@ def derivative_tuples(m, k, n1):
 
 
 def multilinear_fractional_integral(group, fs, tau, x, scheme, *, op_id="mfi"):
-    """I_tau(f_vec)(x) with each slot restricted to its declared support ball."""
+    """I_tau(f_vec)(x) with each slot restricted to its declared support ball.
+
+    `x` is one point of shape (n,), which returns an Estimate, or a batch
+    of shape (P, n), which returns a list of P Estimates.  Under the
+    uniform and grid schemes a batch shares one product node set and one
+    evaluation of the slot functions; see `integrate_singular_product`.
+    """
     supports = []
     for i, f in enumerate(fs):
         sup = getattr(f, "support", None)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .carnot.constants import ball_volume
 from .carnot.group import GaugeBall, ball_box, centered_box_extents
-from .errors import DomainError, HypothesisError, IntegrationError
+from .errors import DomainError, HypothesisError, IntegrationError, StructureError
 from .rng import stream
 
 log = logging.getLogger(__name__)
@@ -211,12 +211,23 @@ def _check_finite(vals, pts):
 
 
 def _mean_estimate(vals, volume, seed):
-    n = vals.shape[0]
-    value = volume * float(np.mean(vals))
+    return _row_estimates(vals[None], volume, seed)[0]
+
+
+def _row_estimates(rows, volume, seed):
+    """One `volume * mean` Estimate per row of a (rows, nodes) array."""
+    n = rows.shape[1]
+    values = volume * np.mean(rows, axis=1)
     # near-overflow integrand values may push the variance to inf; report it
     with np.errstate(over="ignore"):
-        std = volume * float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return Estimate(value=value, std_error=std, samples=n, seed=seed)
+        if n > 1:
+            stds = volume * np.std(rows, axis=1, ddof=1) / math.sqrt(n)
+        else:
+            stds = np.zeros(rows.shape[0])
+    return [
+        Estimate(value=float(v), std_error=float(e), samples=n, seed=seed)
+        for v, e in zip(values, stds)
+    ]
 
 
 def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularity=None):
@@ -320,14 +331,20 @@ def _integrate_ball_annuli(group, f, ball, scheme, op_id, singularity):
 
 
 def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm", singularity=None):
-    """(int_B (|f| w)^p dx)^(1/p); a quasi-norm is allowed for p < 1."""
+    """(int_B (|f| w)^p dx)^(1/p); a quasi-norm is allowed for p < 1.
+
+    The integrand is 0 wherever f = 0, even where w is infinite (the
+    measure-theory convention 0 * inf = 0); any other non-finite value
+    still raises IntegrationError.
+    """
     if not p > 0:
         raise DomainError(f"norm exponent must be positive, got {p}")
 
     def integrand(pts):
         vals = np.abs(np.asarray(f(pts), dtype=float).reshape(pts.shape[0]))
         wv = np.asarray(w(pts), dtype=float).reshape(pts.shape[0])
-        return (vals * wv) ** p
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.where(vals == 0.0, 0.0, (vals * wv) ** p)
 
     raw = integrate_ball(
         group, integrand, ball, scheme, op_id=op_id, singularity=singularity
@@ -339,11 +356,21 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm", singularity=N
 # -- singular product-domain integrals ----------------------------------------
 
 
+# Kernel entries per row block of the (points x nodes) matrix in the uniform
+# and grid paths; bounds the peak memory whatever the number of points.
+_KERNEL_BLOCK = 1 << 16
+
+
 def product_distance(group, x, pts):
-    """d(x, y_vec) = sum_i d(x, y_i) for pts of shape (N, m, n)."""
-    return np.sum(
-        group.gauge_norm(group.compose(group.inverse(x), pts)), axis=-1
-    )
+    """d(x, y_vec) = sum_i d(x, y_i) for pts of shape (N, m, n).
+
+    x of shape (n,) gives shape (N,); a batch of shape (P, n) gives (P, N).
+    """
+    xinv = group.inverse(x)[..., None, :]
+    dist = group.gauge_norm(group.compose(xinv, pts[:, 0, :]))
+    for i in range(1, pts.shape[1]):
+        dist = dist + group.gauge_norm(group.compose(xinv, pts[:, i, :]))
+    return dist
 
 
 def _kernel(dist, exponent):
@@ -359,11 +386,22 @@ def integrate_singular_product(
 ):
     """Estimate of int f(y_vec) / d(x, y_vec)^(mQ - tau) over product supports.
 
+    `x` is one target point of shape (n,), which returns an Estimate, or a
+    batch of shape (P, n), which returns a list of P Estimates.
+
+    The uniform and grid schemes build one product node set for the whole
+    batch and evaluate the integrand on it once; the kernel then acts as a
+    (points x nodes) matrix, formed in row blocks of at most 2^16 entries.
+    Row p equals the single-point result at x[p] bit for bit.
+    Every point's standard error is valid on its own, but the points share
+    nodes, so their errors are correlated.
+
     The annuli scheme stratifies the product domain by dyadic shells
     d(x, y_vec) in [2^-(j+1), 2^-j) * r0 and samples each shell uniformly
     from the intersection of the per-slot support boxes with the shell's
     bounding box; the inner region below 2^-levels * r0 is dropped (its
     contribution decays geometrically since the kernel exponent is < mQ).
+    Its shells are centred at x, so it integrates one point at a time.
     """
     scheme.validate()
     Q = group.homogeneous_dimension
@@ -374,18 +412,26 @@ def integrate_singular_product(
     supports = list(supports)
     if len(supports) != m:
         raise DomainError("need one support ball per slot")
-    x = np.asarray(x, dtype=float).reshape(-1)
+    single = np.ndim(x) < 2
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    if xs.ndim != 2 or xs.shape[1] != group.n:
+        raise StructureError(
+            f"target points need shape (n,) or (P, n) with n = {group.n}, got {np.shape(x)}"
+        )
     exponent = m * Q - tau
 
     if scheme.kind == "grid":
-        return _singular_product_grid(group, m, integrand, x, exponent, supports, scheme)
-    if scheme.kind == "uniform":
-        return _singular_product_uniform(
-            group, m, integrand, x, exponent, supports, scheme, op_id
+        out = _singular_product_grid(group, m, integrand, xs, exponent, supports, scheme)
+    elif scheme.kind == "uniform":
+        out = _singular_product_uniform(
+            group, m, integrand, xs, exponent, supports, scheme, op_id
         )
-    return _singular_product_annuli(
-        group, m, integrand, x, exponent, supports, scheme, op_id
-    )
+    else:
+        out = [
+            _singular_product_annuli(group, m, integrand, xp, exponent, supports, scheme, op_id)
+            for xp in xs
+        ]
+    return out[0] if single else out
 
 
 def _eval_product_integrand(integrand, pts):
@@ -393,21 +439,30 @@ def _eval_product_integrand(integrand, pts):
     return vals
 
 
-def _singular_product_uniform(group, m, integrand, x, exponent, supports, scheme, op_id):
+def _kernel_rows(group, xs, pts, vals, exponent):
+    """Yield row blocks of the (points x nodes) matrix vals / d(x_p, y_vec)^exponent,
+    with the entries at d = 0 set to 0."""
+    rows = max(1, _KERNEL_BLOCK // pts.shape[0])
+    for start in range(0, xs.shape[0], rows):
+        dist = product_distance(group, xs[start : start + rows], pts)
+        with np.errstate(invalid="ignore"):
+            yield np.where(dist > 0.0, vals * _kernel(dist, exponent), 0.0)
+
+
+def _singular_product_uniform(group, m, integrand, xs, exponent, supports, scheme, op_id):
     count = scheme.samples
     slots = [
         sample_ball(group, supports[i], count, stream(scheme.seed, op_id, index=i))
         for i in range(m)
     ]
     pts = np.stack(slots, axis=1)  # (N, m, n)
-    dist = product_distance(group, x, pts)
     vals = _eval_product_integrand(integrand, pts)
     _check_finite(vals, pts.reshape(count, -1))
-    kern = _kernel(dist, exponent)
-    positive = dist > 0.0
-    combined = np.where(positive, vals * kern, 0.0)
     volume = math.prod(ball_volume(group, b.radius) for b in supports)
-    return _mean_estimate(combined, volume, scheme.seed)
+    out = []
+    for block in _kernel_rows(group, xs, pts, vals, exponent):
+        out.extend(_row_estimates(block, volume, scheme.seed))
+    return out
 
 
 def _singular_product_annuli(group, m, integrand, x, exponent, supports, scheme, op_id):
@@ -469,7 +524,7 @@ def _singular_product_annuli(group, m, integrand, x, exponent, supports, scheme,
     return out
 
 
-def _singular_product_grid(group, m, integrand, x, exponent, supports, scheme):
+def _singular_product_grid(group, m, integrand, xs, exponent, supports, scheme):
     pp = scheme.points_per_axis
     dims = m * group.n
     if pp**dims > 20_000_000:
@@ -483,26 +538,29 @@ def _singular_product_grid(group, m, integrand, x, exponent, supports, scheme):
             axes.append((np.arange(pp) + 0.5) / pp * 2.0 * e - e)
     mesh = np.meshgrid(*axes, indexing="ij")
     u = np.stack([mm.ravel() for mm in mesh], axis=-1).reshape(-1, m, group.n)
+    total = u.shape[0]
     pts = np.empty_like(u)
-    inside = np.ones(u.shape[0], dtype=bool)
+    inside = np.ones(total, dtype=bool)
     for i, ball in enumerate(supports):
         inside &= group.gauge_norm(u[:, i, :]) < ball.radius
         pts[:, i, :] = group.compose(ball.center, u[:, i, :])
-    dist = product_distance(group, x, pts)
-    inside &= dist > 0.0
-    vals = np.zeros(u.shape[0])
-    if np.any(inside):
-        inner = _eval_product_integrand(integrand, pts[inside])
-        _check_finite(inner, pts[inside].reshape(inner.shape[0], -1))
-        vals[inside] = inner * _kernel(dist[inside], exponent)
+    pts = pts[inside]
+    vals = _eval_product_integrand(integrand, pts)
+    _check_finite(vals, pts.reshape(pts.shape[0], -1))
     box_volume = math.prod(float(np.prod(2.0 * e)) for e in exts)
-    return Estimate(
-        value=box_volume * float(np.mean(vals)),
-        std_error=0.0,
-        samples=int(u.shape[0]),
-        seed=scheme.seed,
-        note="tensor-grid",
-    )
+    out = []
+    for block in _kernel_rows(group, xs, pts, vals, exponent):
+        out.extend(
+            Estimate(
+                value=box_volume * float(s / total),
+                std_error=0.0,
+                samples=int(total),
+                seed=scheme.seed,
+                note="tensor-grid",
+            )
+            for s in np.sum(block, axis=1)
+        )
+    return out
 
 
 def product_integrand(fs):

@@ -104,6 +104,16 @@ def test_poincare_inconsistent_explicit_p_exit_1(tmp_path, capsys):
     assert "1/p = 1/p_1" in capsys.readouterr().err
 
 
+def test_poincare_non_finite_integrand_exit_2(tmp_path, capsys):
+    # v = d^-400 overflows where the RHS integrand is nonzero: a numerical failure
+    cfg = tmp_path / "cfg.json"
+    pole = {"kind": "power", "beta": -400}
+    cfg.write_text(json.dumps({"v": [pole, pole], "trials": 2}))
+    code = run(["poincare", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert "non-finite integrand" in capsys.readouterr().err
+
+
 def test_poincare_runs_and_echoes_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     payload = {"trials": 3, "samples": 1024, "k": 1, "q": 2.0}

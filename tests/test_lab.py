@@ -30,7 +30,9 @@ from carnotlab.lab import (
     sobolev_sublaplacian_test,
     sobolev_test,
 )
+from carnotlab.lab import inequalities
 from carnotlab.lab.bestpoly import _weighted_lstsq
+from carnotlab.operators import derivative_tuples
 from carnotlab.quad import QuadratureScheme
 from carnotlab.rng import stream
 from carnotlab.weights import BallSampler, ExponentSystem, Weight
@@ -353,6 +355,25 @@ def test_representation_h1_bounded(h1):
     scheme = QuadratureScheme(kind="annuli", samples=12000, levels=12, seed=61)
     records, summary = representation_check(h1, fs, ball, 2, 10, scheme)
     assert math.isfinite(summary["max_ratio"])
+
+
+def test_representation_one_mfi_call_per_tuple(e1, small_scheme, monkeypatch):
+    calls = []
+    original = inequalities.multilinear_fractional_integral
+
+    def counting(group, fs, tau, x, scheme, *, op_id="mfi"):
+        calls.append((np.shape(x), op_id))
+        return original(group, fs, tau, x, scheme, op_id=op_id)
+
+    monkeypatch.setattr(inequalities, "multilinear_fractional_integral", counting)
+    fs = [GaugeBump(e1, [0.1], 1.0), GaugeBump(e1, [-0.2], 1.2)]
+    records, _ = representation_check(
+        e1, fs, GaugeBall([0.0], 1.0), 2, 30, small_scheme, op_id="rep"
+    )
+    tuples = derivative_tuples(2, 2, e1.n1)
+    assert len(calls) == len(tuples) == 3
+    assert calls == [((30, 1), f"rep/t{t}") for t in range(len(tuples))]
+    assert len(records) == 30
 
 
 def test_representation_hypothesis(e1, small_scheme):

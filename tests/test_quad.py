@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from carnotlab.carnot import GaugeBall, GaugeBump, ball_volume
-from carnotlab.errors import DomainError, HypothesisError, IntegrationError
+from carnotlab import quad
+from carnotlab.errors import DomainError, HypothesisError, IntegrationError, StructureError
 from carnotlab.quad import (
     Estimate,
     QuadratureScheme,
@@ -202,6 +203,22 @@ def test_lp_norm_monotone_on_dominated_pair(e2, mc_scheme):
         assert a.value > b.value
 
 
+def test_lp_norm_zero_times_infinite_weight(e1, mc_scheme, recwarn):
+    # d^-400 overflows to inf for |x| below about 0.17, where f vanishes: 0 * inf = 0.
+    # Off the hole, f w = (2|x|)^-400 <= 1, so int_B f w = (1 - 2^-399) / 399.
+    ball = GaugeBall([0.0], 1.0)
+    w = Weight.power(e1, -400.0)
+    f = lambda p: np.where(np.abs(p[:, 0]) >= 0.5, 2.0**-400, 0.0)
+    assert np.isinf(w(np.array([[0.1]])))[0]
+    mc = lp_norm_ball(e1, f, w, 1.0, ball, mc_scheme)
+    assert math.isfinite(mc.value) and math.isfinite(mc.std_error)
+    grid = lp_norm_ball(
+        e1, f, w, 1.0, ball, QuadratureScheme(kind="grid", points_per_axis=200_000)
+    )
+    assert grid.value == pytest.approx((1.0 - 2.0**-399) / 399.0, rel=1e-3)
+    assert not [r for r in recwarn if issubclass(r.category, RuntimeWarning)]
+
+
 def test_lp_norm_invalid_exponent(e1, mc_scheme):
     with pytest.raises(DomainError):
         lp_norm_ball(e1, ONE, Weight.one(e1), 0.0, GaugeBall([0.0], 1.0), mc_scheme)
@@ -286,6 +303,72 @@ def test_singular_h1_bump_vs_grid(h1):
         QuadratureScheme(kind="annuli", samples=60000, levels=24, seed=12),
     )
     assert abs(mc.value - grid.value) <= 3.0 * max(mc.std_error, 0.02 * grid.value)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "grid"])
+def test_singular_product_batch_rows_match_single_points(e1, h1, kind):
+    cases = [
+        (e1, [GaugeBump(e1, [0.2], 0.9), GaugeBump(e1, [-0.3], 1.1)], 1.5, 40),
+        (h1, [GaugeBump(h1, [0.1, -0.1, 0.0], 1.0)], 2.0, 24),
+    ]
+    for group, fs, tau, pp in cases:
+        scheme = QuadratureScheme(kind=kind, samples=3000, points_per_axis=pp, seed=21)
+        supports = [f.support for f in fs]
+        xs = stream(22, "batch-rows").uniform(-0.8, 0.8, size=(7, group.n))
+        batch = integrate_singular_product(
+            group, len(fs), product_integrand(fs), xs, tau, supports, scheme, op_id="rows"
+        )
+        assert isinstance(batch, list) and len(batch) == len(xs)
+        for x, row in zip(xs, batch):
+            one = integrate_singular_product(
+                group, len(fs), product_integrand(fs), x, tau, supports, scheme, op_id="rows"
+            )
+            assert isinstance(one, Estimate)
+            assert one.to_dict() == row.to_dict() and one.note == row.note
+
+
+@pytest.mark.parametrize("kind", ["uniform", "grid"])
+def test_singular_product_row_blocks_do_not_change_values(e1, monkeypatch, kind):
+    fs = [GaugeBump(e1, [0.2], 0.9), GaugeBump(e1, [-0.3], 1.1)]
+    supports = [f.support for f in fs]
+    scheme = QuadratureScheme(kind=kind, samples=3000, points_per_axis=60, seed=23)
+    xs = np.linspace(-1.0, 1.0, 50)[:, None]  # several row blocks at the default size
+
+    def run():
+        est = integrate_singular_product(
+            e1, 2, product_integrand(fs), xs, 1.0, supports, scheme, op_id="blocks"
+        )
+        return [e.to_dict() for e in est]
+
+    default = run()
+    for block in (1, 1 << 40):
+        monkeypatch.setattr(quad, "_KERNEL_BLOCK", block)
+        assert run() == default
+
+
+def test_singular_product_annuli_batch_is_per_point_loop(e1):
+    fs = [GaugeBump(e1, [0.2], 0.9), GaugeBump(e1, [-0.3], 1.1)]
+    supports = [f.support for f in fs]
+    scheme = QuadratureScheme(kind="annuli", samples=6000, levels=8, seed=25)
+    xs = np.array([[-0.5], [0.0], [0.4]])
+    batch = integrate_singular_product(
+        e1, 2, product_integrand(fs), xs, 1.0, supports, scheme, op_id="ann"
+    )
+    loop = [
+        integrate_singular_product(
+            e1, 2, product_integrand(fs), x, 1.0, supports, scheme, op_id="ann"
+        )
+        for x in xs
+    ]
+    assert [e.to_dict() for e in batch] == [e.to_dict() for e in loop]
+
+
+def test_singular_product_rejects_wrong_point_shape(h1, mc_scheme):
+    bump = GaugeBump(h1, [0.0, 0.0, 0.0], 1.0)
+    with pytest.raises(StructureError):
+        integrate_singular_product(
+            h1, 1, product_integrand([bump]), np.zeros((4, 2)), 2.0, [bump.support], mc_scheme
+        )
 
 
 # -- estimate algebra -----------------------------------------------------------
