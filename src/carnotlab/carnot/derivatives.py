@@ -8,7 +8,10 @@ left-invariant fields with affine coefficients.  X^alpha applies the
 generators in the order X_1^{a_1}(X_2^{a_2}(... X_l^{a_l} f)), innermost
 last generator first.
 
-Three evaluation paths, chosen per function:
+`JetTable` holds one function's jets on one node set and serves every
+X^alpha f and L f from them; `horizontal_derivative` and `sub_laplacian`
+are one-key lookups into a table.  Three evaluation paths, chosen per
+function:
   * polynomials: exact symbolic application (generators map polynomials
     to polynomials);
   * analytic jets: for |alpha| <= 2 when the function exposes gradient
@@ -104,17 +107,13 @@ def _function_value(f, pts):
     return np.asarray(vals, dtype=float).reshape(pts.shape[0])
 
 
-def _first_order_jet(group, f, a, pts):
-    coef = generator_coefficients(group, pts)
-    grad = np.asarray(f.gradient(pts), dtype=float)
+def _first_order_jet(coef, grad, a):
+    """X_a f from the cached generator coefficients and gradient."""
     return np.einsum("nu,nu->n", coef[:, a, :], grad)
 
 
-def _second_order_jet(group, f, a, b, pts):
-    coef = generator_coefficients(group, pts)
-    jac = coefficient_jacobian(group)
-    grad = np.asarray(f.gradient(pts), dtype=float)
-    hess = np.asarray(f.hessian(pts), dtype=float)
+def _second_order_jet(coef, jac, grad, hess, a, b):
+    """X_a X_b f from the cached coefficients, their Jacobian, gradient and Hessian."""
     first = np.einsum("nv,uv,nu->n", coef[:, a, :], jac[b], grad)
     second = np.einsum("nv,nu,nvu->n", coef[:, a, :], coef[:, b, :], hess)
     return first + second
@@ -139,66 +138,108 @@ def _fd_along_generator(group, evaluate, a, pts, total_order):
     return (16.0 * stencil(h / 2) - stencil(h)) / 15.0
 
 
-def _derivative_eval(group, f, seq, pts, total_order):
-    if not seq:
-        return _function_value(f, pts)
-    if len(seq) == 1 and getattr(f, "gradient", None) is not None:
-        return _first_order_jet(group, f, seq[0], pts)
-    if (
-        len(seq) == 2
-        and getattr(f, "gradient", None) is not None
-        and getattr(f, "hessian", None) is not None
-    ):
-        return _second_order_jet(group, f, seq[0], seq[1], pts)
-    a, rest = seq[0], seq[1:]
+class JetTable:
+    """X^alpha f and L f for one function on one (N, n) node set.
 
-    def inner(xs):
-        return _derivative_eval(group, f, rest, xs, total_order)
+    The value, the generator coefficients, the gradient and the Hessian
+    are each computed at most once, on first use, and every key is served
+    from them: a multi-index alpha, or "L" for the sub-Laplacian.
+    Polynomials take the symbolic path.  Otherwise |alpha| <= 2 is
+    assembled from the analytic jets the function exposes, and the rest
+    (|alpha| > 2, or a missing jet) by finite differences along the
+    outermost generator, each shifted node set getting its own table.
+    """
 
-    return _fd_along_generator(group, inner, a, pts, total_order)
+    def __init__(self, group, f, pts):
+        self.group = group
+        self.f = f
+        self.pts = pts
+        self._jets = {}
+
+    def _jet(self, name):
+        if name not in self._jets:
+            pts = self.pts
+            if name == "value":
+                out = _function_value(self.f, pts)
+            elif name == "coef":
+                out = generator_coefficients(self.group, pts)
+            elif name == "jac":
+                out = coefficient_jacobian(self.group)
+            else:
+                out = np.asarray(getattr(self.f, name)(pts), dtype=float)
+            self._jets[name] = out
+        return self._jets[name]
+
+    def _has(self, name):
+        return getattr(self.f, name, None) is not None
+
+    def __getitem__(self, key):
+        if isinstance(key, str) and key == "L":
+            return self._laplacian()
+        return self._derivative(_check_alpha(self.group, key))
+
+    def _laplacian(self):
+        n1 = self.group.n1
+        total = np.zeros(self.pts.shape[0])
+        for a in range(n1):
+            total += self[tuple(2 if i == a else 0 for i in range(n1))]
+        return total
+
+    def _derivative(self, alpha):
+        if isinstance(self.f, HomogeneousPolynomial):
+            return np.atleast_1d(polynomial_horizontal_derivative(self.f, alpha)(self.pts))
+        order = sum(alpha)
+        smoothness = getattr(self.f, "smoothness", np.inf)
+        if order > smoothness:
+            raise CapabilityError(
+                f"derivative order {order} exceeds declared smoothness {smoothness}"
+            )
+        return self._sequence(_expand_sequence(alpha), order)
+
+    def _sequence(self, seq, total_order):
+        if not seq:
+            return self._jet("value")
+        if len(seq) == 1 and self._has("gradient"):
+            return _first_order_jet(self._jet("coef"), self._jet("gradient"), seq[0])
+        if len(seq) == 2 and self._has("gradient") and self._has("hessian"):
+            return _second_order_jet(
+                self._jet("coef"), self._jet("jac"), self._jet("gradient"),
+                self._jet("hessian"), seq[0], seq[1],
+            )
+        a, rest = seq[0], seq[1:]
+
+        def inner(xs):
+            return JetTable(self.group, self.f, xs)._sequence(rest, total_order)
+
+        return _fd_along_generator(self.group, inner, a, self.pts, total_order)
+
+
+def _points(group, x):
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    if pts.shape[-1] != group.n:
+        raise StructureError("point dimension mismatch")
+    return pts, x.ndim == 1
 
 
 def horizontal_derivative(group, f, alpha, x, *, force_fd=False):
     """Evaluate X^alpha f at x (a point or an (N, n) batch)."""
     alpha = _check_alpha(group, alpha)
-    order = sum(alpha)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[-1] != group.n:
-        raise StructureError("point dimension mismatch")
-
-    if isinstance(f, HomogeneousPolynomial) and not force_fd:
-        out = polynomial_horizontal_derivative(f, alpha)(pts)
-        out = np.atleast_1d(out)
-        return out[0] if single else out
-
-    smoothness = getattr(f, "smoothness", np.inf)
-    if order > smoothness:
-        raise CapabilityError(
-            f"derivative order {order} exceeds declared smoothness {smoothness}"
-        )
-    if order == 0:
-        out = _function_value(f, pts)
-        return out[0] if single else out
-
-    seq = _expand_sequence(alpha)
-    if force_fd:
-        bare = _Bare(f)
-        out = _derivative_eval(group, bare, seq, pts, order)
-    else:
-        out = _derivative_eval(group, f, seq, pts, order)
+    pts, single = _points(group, x)
+    out = JetTable(group, _Bare(f) if force_fd else f, pts)[alpha]
     return out[0] if single else out
 
 
 class _Bare:
-    """Wrapper hiding analytic jets, forcing the finite-difference path."""
+    """Wrapper hiding analytic jets (and the polynomial path), forcing
+    finite differences."""
 
     gradient = None
     hessian = None
 
     def __init__(self, f):
         self._f = f
+        self.smoothness = getattr(f, "smoothness", np.inf)
 
     def __call__(self, pts):
         return self._f(pts)
@@ -206,11 +247,6 @@ class _Bare:
 
 def sub_laplacian(group, f, x, *, force_fd=False):
     """Sum of squares of the generators: L f = sum_a X_a^2 f."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    total = np.zeros(pts.shape[0])
-    for a in range(group.n1):
-        alpha = tuple(2 if i == a else 0 for i in range(group.n1))
-        total += np.atleast_1d(horizontal_derivative(group, f, alpha, pts, force_fd=force_fd))
-    return total[0] if single else total
+    pts, single = _points(group, x)
+    out = JetTable(group, _Bare(f) if force_fd else f, pts)["L"]
+    return out[0] if single else out

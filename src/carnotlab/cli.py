@@ -247,20 +247,69 @@ def cmd_counterexample(args):
     return EXIT_OK
 
 
-def _sweep_command(args, command, runner, defaults):
+# command -> (sweep, default group, default k, sub-Laplacian form)
+_SWEEPS = {
+    "poincare": (poincare_sweep, "euclidean:1", 1, False),
+    "sobolev": (sobolev_sweep, "euclidean:1", 1, False),
+    "sobolev-sublaplacian": (sobolev_sweep, "euclidean:2", 2, True),
+}
+
+
+def cmd_sweep(args):
+    """poincare, sobolev and sobolev-sublaplacian: a weight check, then the trials.
+
+    A numerical failure still writes <command>.json, with the failing stage,
+    trial index, point and seed under results.error, and then propagates
+    (exit 2).
+    """
+    command = args.command
+    sweep, default_group, default_k, sublaplacian = _SWEEPS[command]
+    defaults = {
+        "group": default_group,
+        "m": 2,
+        "k": default_k,
+        "p_list": [4.0 / 3.0, 4.0 / 3.0],
+        "p": None,
+        "q": 2.0,
+        "t": 2.0,
+        "trials": 25,
+        "samples": 4096,
+        "u": None,
+        "v": None,
+    }
     cfg = _load_config(args.config, defaults, {"samples": args.samples})
     group = group_from_id(cfg["group"])
     system = _system_from_cfg(cfg)
     u = weight_from_spec(group, cfg.get("u"))
     vs = [weight_from_spec(group, spec) for spec in (cfg.get("v") or [None] * system.m)]
     scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
-    reports, extras = runner(group, system, u, vs, scheme, cfg)
+    stage = "weight-check"
+    try:
+        check = check_weight_condition(group, u, vs, system, scheme)
+        stage = "trials"
+        extra = {"sublaplacian": True} if sublaplacian else {}
+        reports = sweep(
+            group, system, u, vs, scheme, trials=int(cfg["trials"]), seed=args.seed,
+            weight_check=check, **extra,
+        )
+    except (IntegrationError, ConditioningError) as exc:
+        point = getattr(exc, "point", None)
+        error = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "stage": stage,
+            "trial": getattr(exc, "trial", None),
+            "point": None if point is None else point.tolist(),
+            "seed": args.seed,
+        }
+        _write_report(cfg, args, command, {"error": error})
+        raise
     summary = sweep_summary(reports)
     results = {
         "summary": summary,
         "trials": [r.to_dict() for r in reports],
+        "weight_check": check,
     }
-    results.update(extras)
     header = ["trial", "lhs", "rhs", "ratio"]
     csv_rows = [
         [i, r.lhs.value, r.rhs.value, r.ratio if math.isfinite(r.ratio) else ""]
@@ -272,84 +321,6 @@ def _sweep_command(args, command, runner, defaults):
         f"flags: {len(summary['flags'])}"
     )
     return _sweep_exit_code(summary)
-
-
-def cmd_poincare(args):
-    defaults = {
-        "group": "euclidean:1",
-        "m": 2,
-        "k": 1,
-        "p_list": [4.0 / 3.0, 4.0 / 3.0],
-        "p": None,
-        "q": 2.0,
-        "t": 2.0,
-        "trials": 25,
-        "samples": 4096,
-        "u": None,
-        "v": None,
-    }
-
-    def runner(group, system, u, vs, scheme, cfg):
-        check = check_weight_condition(group, u, vs, system, scheme)
-        reports = poincare_sweep(
-            group, system, u, vs, scheme, trials=int(cfg["trials"]), seed=args.seed,
-            weight_check=check,
-        )
-        return reports, {"weight_check": check}
-
-    return _sweep_command(args, "poincare", runner, defaults)
-
-
-def cmd_sobolev(args):
-    defaults = {
-        "group": "euclidean:1",
-        "m": 2,
-        "k": 1,
-        "p_list": [4.0 / 3.0, 4.0 / 3.0],
-        "p": None,
-        "q": 2.0,
-        "t": 2.0,
-        "trials": 25,
-        "samples": 4096,
-        "u": None,
-        "v": None,
-    }
-
-    def runner(group, system, u, vs, scheme, cfg):
-        check = check_weight_condition(group, u, vs, system, scheme)
-        reports = sobolev_sweep(
-            group, system, u, vs, scheme, trials=int(cfg["trials"]), seed=args.seed,
-            weight_check=check,
-        )
-        return reports, {"weight_check": check}
-
-    return _sweep_command(args, "sobolev", runner, defaults)
-
-
-def cmd_sobolev_sublaplacian(args):
-    defaults = {
-        "group": "euclidean:2",
-        "m": 2,
-        "k": 2,
-        "p_list": [4.0 / 3.0, 4.0 / 3.0],
-        "p": None,
-        "q": 2.0,
-        "t": 2.0,
-        "trials": 25,
-        "samples": 4096,
-        "u": None,
-        "v": None,
-    }
-
-    def runner(group, system, u, vs, scheme, cfg):
-        check = check_weight_condition(group, u, vs, system, scheme)
-        reports = sobolev_sweep(
-            group, system, u, vs, scheme, trials=int(cfg["trials"]), seed=args.seed,
-            weight_check=check, sublaplacian=True,
-        )
-        return reports, {"weight_check": check}
-
-    return _sweep_command(args, "sobolev-sublaplacian", runner, defaults)
 
 
 def cmd_weights_check(args):
@@ -557,9 +528,7 @@ def build_parser():
     p.set_defaults(func=cmd_counterexample)
 
     for name, fn in (
-        ("poincare", cmd_poincare),
-        ("sobolev", cmd_sobolev),
-        ("sobolev-sublaplacian", cmd_sobolev_sublaplacian),
+        *((name, cmd_sweep) for name in _SWEEPS),
         ("weights-check", cmd_weights_check),
         ("repformula", cmd_repformula),
         ("morrey", cmd_morrey),

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..carnot.functions import random_bump
 from ..carnot.group import GaugeBall
+from ..errors import ConditioningError, IntegrationError
 from ..rng import stream
 from ..weights import BallSampler, weight_condition_sup
 from .inequalities import (
@@ -45,53 +46,64 @@ def check_weight_condition(group, u, vs, system, scheme, *, count=24, r_min=0.25
     }
 
 
+def _run_trials(trials, run):
+    """[run(i) for i < trials]; a numerical error raised by trial i leaves
+    with `exc.trial = i`, so a partial report can name it."""
+    reports = []
+    for i in range(trials):
+        try:
+            reports.append(run(i))
+        except (IntegrationError, ConditioningError) as exc:
+            exc.trial = i
+            raise
+    return reports
+
+
 def poincare_sweep(group, system, u, vs, scheme, *, trials=100, seed=0, weight_check=None):
     """Randomized (f_vec, B) trials of the local inequality."""
     if weight_check is None:
         weight_check = check_weight_condition(group, u, vs, system, scheme)
-    reports = []
-    for i in range(trials):
+
+    def trial(i):
         rng = stream(seed, f"poincare-sweep/{i}")
         fs = [random_bump(group, rng) for _ in range(system.m)]
         ball = _random_trial_ball(rng, group)
-        reports.append(
-            poincare_test(
-                group,
-                fs,
-                u,
-                vs,
-                system,
-                ball,
-                scheme,
-                weight_verdict=weight_check["verdict"],
-                op_id=f"poincare-sweep/{i}",
-            )
+        return poincare_test(
+            group,
+            fs,
+            u,
+            vs,
+            system,
+            ball,
+            scheme,
+            weight_verdict=weight_check["verdict"],
+            op_id=f"poincare-sweep/{i}",
         )
-    return reports
+
+    return _run_trials(trials, trial)
 
 
 def sobolev_sweep(group, system, u, vs, scheme, *, trials=50, seed=0, weight_check=None, sublaplacian=False):
     """Randomized compactly supported tuples for the global inequality."""
     if weight_check is None:
         weight_check = check_weight_condition(group, u, vs, system, scheme)
-    reports = []
-    for i in range(trials):
+    test = sobolev_sublaplacian_test if sublaplacian else sobolev_test
+
+    def trial(i):
         rng = stream(seed, f"sobolev-sweep/{i}")
         fs = [random_bump(group, rng) for _ in range(system.m)]
-        test = sobolev_sublaplacian_test if sublaplacian else sobolev_test
-        reports.append(
-            test(
-                group,
-                fs,
-                u,
-                vs,
-                system,
-                scheme,
-                weight_verdict=weight_check["verdict"],
-                op_id=f"sobolev-sweep/{i}",
-            )
+        return test(
+            group,
+            fs,
+            u,
+            vs,
+            system,
+            scheme,
+            weight_verdict=weight_check["verdict"],
+            op_id=f"sobolev-sweep/{i}",
         )
-    return reports
+
+    return _run_trials(trials, trial)
 
 
 def repformula_sweep(group, k, m, scheme, *, pairs=10, points=50, seed=0, ball=None):

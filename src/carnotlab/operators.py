@@ -7,22 +7,27 @@ The operator of order tau acts on an m-tuple of functions by
 
 with d(x, y_vec) = sum_i d(x, y_i).  Compact supports make every integral
 finite-domain: each slot integrates over its declared support ball.
+
+The three right-hand sides (local Poincare, global Sobolev, sub-Laplacian)
+are thin wrappers over one builder.  Each slot draws one node set under
+op_id f"{op_id}/f{i}", evaluates its jets once, and takes every norm the
+terms need from it in one batched `lp_norm_ball` call.  The terms share
+those nodes, so the total's standard error comes from the delta method
+over each slot's covariance of the raw integrals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .carnot.functions import (
-    HorizontalDerivativeMagnitude,
-    SubLaplacianMagnitude,
-)
+from .carnot.derivatives import JetTable
 from .errors import DomainError
 from .quad import (
+    Estimate,
     estimate_product,
-    estimate_sum,
     integrate_singular_product,
     lp_norm_ball,
     product_integrand,
@@ -112,58 +117,79 @@ def multilinear_fractional_integral(group, fs, tau, x, scheme, *, op_id="mfi"):
     )
 
 
+def _rhs(group, fs, vs, ps, domains, terms, scheme, op_id):
+    """sum_t prod_i ||K_{t,i} f_i * v_i||_{L^p_i(domains[i])} and its terms.
+
+    `terms` lists one key per slot for each term: a multi-index alpha for
+    |X^alpha f_i|, or "L" for |L f_i|.  Slot i draws one node set on
+    domains[i] under op_id f"{op_id}/f{i}", evaluates its jets once
+    (`JetTable`) and takes the norms of every key it needs in one batched
+    `lp_norm_ball` call; each term is a product of those memoised norms.
+    Slots draw independent node sets, so each term's product error is
+    valid.  The terms share each slot's nodes, so the total's standard
+    error is the delta method over each slot's covariance of the raw
+    integrals, not a sum of independent term variances.
+    """
+    m = len(fs)
+    if not (len(vs) == len(ps) == len(domains) == m):
+        raise DomainError("need one weight and one exponent per function slot")
+    norms = []  # per slot: key -> norm Estimate
+    covs = []
+    samples = 0
+    for i in range(m):
+        keys = list(dict.fromkeys(term[i] for term in terms))
+
+        def rows(pts, f=fs[i], keys=keys):
+            table = JetTable(group, f, pts)
+            return np.stack([np.abs(table[key]) for key in keys])
+
+        ests, cov = lp_norm_ball(
+            group, rows, vs[i], ps[i], domains[i], scheme, op_id=f"{op_id}/f{i}"
+        )
+        norms.append(dict(zip(keys, ests)))
+        covs.append(cov)
+        samples += ests[0].samples
+    products = [estimate_product(norms[i][key] for i, key in enumerate(term)) for term in terms]
+    var = 0.0
+    for i, (slot, cov) in enumerate(zip(norms, covs)):
+        grad = dict.fromkeys(slot, 0.0)  # d total / d norm
+        for term in terms:
+            grad[term[i]] += math.prod(norms[j][key].value for j, key in enumerate(term) if j != i)
+        # chain through norm = raw^(1/p): d norm / d raw = norm^(1-p) / p, 0 at norm 0
+        h = np.array(
+            [g * slot[key].value ** (1.0 - ps[i]) / ps[i] if slot[key].value > 0.0 else 0.0
+             for key, g in grad.items()]
+        )
+        live = h != 0.0
+        var += float(h[live] @ cov[np.ix_(live, live)] @ h[live])
+    total = Estimate(
+        value=sum(t.value for t in products),
+        std_error=math.sqrt(max(var, 0.0)),
+        samples=samples,
+        seed=scheme.seed,
+        flagged=any(t.flagged for t in products),
+    )
+    return total, products
+
+
 def poincare_rhs(group, fs, vs, ps, ball, k, scheme, *, op_id="poincare-rhs", return_terms=False):
     """RHS of the local inequality: sum over tuples of products of
     weighted L^p norms of horizontal derivatives over the ball."""
-    m = len(fs)
-    if not (len(vs) == len(ps) == m):
-        raise DomainError("need one weight and one exponent per function slot")
-    terms = []
-    breakdown = []
-    for t_idx, tup in enumerate(derivative_tuples(m, k, group.n1)):
-        factors = []
-        for i, alpha in enumerate(tup):
-            g = HorizontalDerivativeMagnitude(group, fs[i], alpha)
-            factors.append(
-                lp_norm_ball(
-                    group, g, vs[i], ps[i], ball, scheme, op_id=f"{op_id}/t{t_idx}/f{i}"
-                )
-            )
-        term = estimate_product(factors)
-        terms.append(term)
-        breakdown.append(
-            {"alphas": [list(a) for a in tup], "value": term.value, "std_error": term.std_error}
-        )
-    total = estimate_sum(terms)
-    if return_terms:
-        return total, breakdown
-    return total
+    tuples = derivative_tuples(len(fs), k, group.n1)
+    total, products = _rhs(
+        group, fs, vs, ps, [ball] * len(fs), [t.alphas for t in tuples], scheme, op_id
+    )
+    return _with_breakdown(total, products, tuples, return_terms)
 
 
 def sobolev_rhs(group, fs, vs, ps, k, scheme, *, op_id="sobolev-rhs", return_terms=False):
     """Global analog: each factor integrates over its own support ball."""
-    m = len(fs)
     supports = [_require_support(f, i) for i, f in enumerate(fs)]
-    terms = []
-    breakdown = []
-    for t_idx, tup in enumerate(derivative_tuples(m, k, group.n1)):
-        factors = []
-        for i, alpha in enumerate(tup):
-            g = HorizontalDerivativeMagnitude(group, fs[i], alpha)
-            factors.append(
-                lp_norm_ball(
-                    group, g, vs[i], ps[i], supports[i], scheme, op_id=f"{op_id}/t{t_idx}/f{i}"
-                )
-            )
-        term = estimate_product(factors)
-        terms.append(term)
-        breakdown.append(
-            {"alphas": [list(a) for a in tup], "value": term.value, "std_error": term.std_error}
-        )
-    total = estimate_sum(terms)
-    if return_terms:
-        return total, breakdown
-    return total
+    tuples = derivative_tuples(len(fs), k, group.n1)
+    total, products = _rhs(
+        group, fs, vs, ps, supports, [t.alphas for t in tuples], scheme, op_id
+    )
+    return _with_breakdown(total, products, tuples, return_terms)
 
 
 def sobolev_sublaplacian_rhs(
@@ -172,27 +198,26 @@ def sobolev_sublaplacian_rhs(
     """sum_i ||L f_i v_i||_{p_i} prod_{j != i} ||f_j v_j||_{p_j} over supports."""
     m = len(fs)
     supports = [_require_support(f, i) for i, f in enumerate(fs)]
-    terms = []
-    breakdown = []
-    for i in range(m):
-        factors = []
-        for j in range(m):
-            if j == i:
-                g = SubLaplacianMagnitude(group, fs[j])
-            else:
-                g = _AbsFunction(fs[j])
-            factors.append(
-                lp_norm_ball(
-                    group, g, vs[j], ps[j], supports[j], scheme, op_id=f"{op_id}/i{i}/f{j}"
-                )
-            )
-        term = estimate_product(factors)
-        terms.append(term)
-        breakdown.append({"laplacian_slot": i, "value": term.value, "std_error": term.std_error})
-    total = estimate_sum(terms)
-    if return_terms:
-        return total, breakdown
-    return total
+    value = (0,) * group.n1
+    terms = [tuple("L" if j == i else value for j in range(m)) for i in range(m)]
+    total, products = _rhs(group, fs, vs, ps, supports, terms, scheme, op_id)
+    if not return_terms:
+        return total
+    breakdown = [
+        {"laplacian_slot": i, "value": t.value, "std_error": t.std_error}
+        for i, t in enumerate(products)
+    ]
+    return total, breakdown
+
+
+def _with_breakdown(total, products, tuples, return_terms):
+    if not return_terms:
+        return total
+    breakdown = [
+        {"alphas": [list(a) for a in tup], "value": t.value, "std_error": t.std_error}
+        for tup, t in zip(tuples, products)
+    ]
+    return total, breakdown
 
 
 def _require_support(f, i):
@@ -200,12 +225,3 @@ def _require_support(f, i):
     if sup is None:
         raise DomainError(f"slot {i} needs a declared support ball for a global integral")
     return sup
-
-
-class _AbsFunction:
-    def __init__(self, f):
-        self._f = f
-        self.support = getattr(f, "support", None)
-
-    def __call__(self, pts):
-        return np.abs(np.asarray(self._f(pts), dtype=float))

@@ -202,11 +202,15 @@ def mc_ball_volume(group, r, samples, seed, op_id="mc-ball-volume"):
 
 
 def _check_finite(vals, pts):
-    bad = ~np.isfinite(vals)
+    """Raise IntegrationError at the first non-finite value of a (nodes,) or
+    (rows, nodes) array; `pts` holds the nodes."""
+    rows = np.atleast_2d(vals)
+    bad = ~np.isfinite(rows)
     if np.any(bad):
-        idx = int(np.argmax(bad))
+        row, idx = divmod(int(np.argmax(bad)), rows.shape[1])
         raise IntegrationError(
-            f"non-finite integrand value {vals[idx]!r} at a sampled point", point=pts[idx].copy()
+            f"non-finite integrand value {float(rows[row, idx])!r} at a sampled point",
+            point=pts[idx].copy(),
         )
 
 
@@ -230,6 +234,23 @@ def _row_estimates(rows, volume, seed):
     ]
 
 
+def _row_covariance(rows, volume):
+    """Covariance of the `volume * mean` estimates of a (rows, nodes) array."""
+    n = rows.shape[1]
+    if n < 2:
+        return np.zeros((rows.shape[0], rows.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return volume**2 * np.atleast_2d(np.cov(rows)) / n
+
+
+def _eval_rows(f, pts):
+    """f on a node set as a (rows, nodes) array, and whether f returned rows."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.ndim == 2:
+        return vals, True
+    return vals.reshape(1, pts.shape[0]), False
+
+
 def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularity=None):
     """Estimate of int_B f dx.
 
@@ -239,16 +260,28 @@ def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularit
     annuli:  stratified over dyadic gauge shells around `singularity`
              (default: the ball center); controls integrable point
              singularities of f.
+
+    `f` maps an (N, n) node set to N values, and the result is one
+    Estimate.  It may instead return A rows, shape (A, N): every row is
+    integrated on the same nodes, and the result is a list of A Estimates
+    with the A x A covariance of those estimates (0 for the grid, summed
+    over strata for annuli).  Each row equals the single-function result
+    bit for bit.  `f` is called on every node set the scheme forms, also
+    on one with no nodes.
     """
     scheme.validate()
     if scheme.kind == "uniform":
         pts = sample_ball(group, ball, scheme.samples, stream(scheme.seed, op_id))
-        vals = np.asarray(f(pts), dtype=float).reshape(pts.shape[0])
-        _check_finite(vals, pts)
-        return _mean_estimate(vals, ball_volume(group, ball.radius), scheme.seed)
-    if scheme.kind == "grid":
-        return _integrate_ball_grid(group, f, ball, scheme)
-    return _integrate_ball_annuli(group, f, ball, scheme, op_id, singularity)
+        rows, batch = _eval_rows(f, pts)
+        _check_finite(rows, pts)
+        volume = ball_volume(group, ball.radius)
+        ests = _row_estimates(rows, volume, scheme.seed)
+        cov = _row_covariance(rows, volume) if batch else None
+    elif scheme.kind == "grid":
+        ests, cov, batch = _integrate_ball_grid(group, f, ball, scheme)
+    else:
+        ests, cov, batch = _integrate_ball_annuli(group, f, ball, scheme, op_id, singularity)
+    return (ests, cov) if batch else ests[0]
 
 
 def _integrate_ball_grid(group, f, ball, scheme):
@@ -261,19 +294,22 @@ def _integrate_ball_grid(group, f, ball, scheme):
     u = np.stack([m.ravel() for m in mesh], axis=-1)
     inside = group.gauge_norm(u) < ball.radius
     pts = group.compose(ball.center, u)
-    vals = np.zeros(pts.shape[0])
-    if np.any(inside):
-        inner = np.asarray(f(pts[inside]), dtype=float).reshape(-1)
-        _check_finite(inner, pts[inside])
-        vals[inside] = inner
+    inner, batch = _eval_rows(f, pts[inside])
+    _check_finite(inner, pts[inside])
+    rows = np.zeros((inner.shape[0], pts.shape[0]))
+    rows[:, inside] = inner
     box_volume = float(np.prod(2.0 * ext))
-    return Estimate(
-        value=box_volume * float(np.mean(vals)),
-        std_error=0.0,
-        samples=int(pts.shape[0]),
-        seed=scheme.seed,
-        note="tensor-grid",
-    )
+    ests = [
+        Estimate(
+            value=box_volume * float(mean),
+            std_error=0.0,
+            samples=int(pts.shape[0]),
+            seed=scheme.seed,
+            note="tensor-grid",
+        )
+        for mean in np.mean(rows, axis=1)
+    ]
+    return ests, np.zeros((len(ests), len(ests))), batch
 
 
 def _box_intersection(lo1, hi1, lo2, hi2):
@@ -292,7 +328,20 @@ def _integrate_ball_annuli(group, f, ball, scheme, op_id, singularity):
     levels = scheme.levels
     per = max(scheme.samples // (levels + 1), 256)
     lo_b, hi_b = ball_box(group, ball)
-    parts = []
+    parts = []  # per stratum: one Estimate per row
+    cov = 0.0
+    batch = False
+
+    def stratum(pts, mask, volume):
+        nonlocal cov, batch
+        inner, batch = _eval_rows(f, pts[mask])
+        _check_finite(inner, pts[mask])
+        rows = np.zeros((inner.shape[0], per))
+        rows[:, mask] = inner
+        parts.append(_row_estimates(rows, volume, scheme.seed))
+        if batch:
+            cov = cov + _row_covariance(rows, volume)
+
     for j in range(levels):
         b = r0 * 2.0 ** (-j)
         a = b / 2.0
@@ -304,27 +353,18 @@ def _integrate_ball_annuli(group, f, ball, scheme, op_id, singularity):
         pts = lo + rng.random((per, group.n)) * (hi - lo)
         dist = group.distance(pole, pts)
         mask = (ball.contains(group, pts)) & (dist >= a) & (dist < b)
-        vals = np.zeros(per)
-        if np.any(mask):
-            inner = np.asarray(f(pts[mask]), dtype=float).reshape(-1)
-            _check_finite(inner, pts[mask])
-            vals[mask] = inner
-        parts.append(_mean_estimate(vals, float(np.prod(hi - lo)), scheme.seed))
+        stratum(pts, mask, float(np.prod(hi - lo)))
     # top stratum d >= r0 (nonempty only if the quasi-triangle constant bites)
     rng = stream(scheme.seed, op_id, index=levels)
     pts = sample_ball(group, ball, per, rng)
-    dist = group.distance(pole, pts)
-    vals = np.zeros(per)
-    mask = dist >= r0
-    if np.any(mask):
-        inner = np.asarray(f(pts[mask]), dtype=float).reshape(-1)
-        _check_finite(inner, pts[mask])
-        vals[mask] = inner
-    parts.append(_mean_estimate(vals, ball_volume(group, ball.radius), scheme.seed))
-    out = estimate_sum(parts)
-    out.seed = scheme.seed
-    out.note = f"annuli truncated below 2^-{levels} * r0"
-    return out
+    stratum(pts, group.distance(pole, pts) >= r0, ball_volume(group, ball.radius))
+    ests = []
+    for row_parts in zip(*parts):
+        out = estimate_sum(row_parts)
+        out.seed = scheme.seed
+        out.note = f"annuli truncated below 2^-{levels} * r0"
+        ests.append(out)
+    return ests, (cov if batch else None), batch
 
 
 # -- weighted norms ----------------------------------------------------------
@@ -336,19 +376,31 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm", singularity=N
     The integrand is 0 wherever f = 0, even where w is infinite (the
     measure-theory convention 0 * inf = 0); any other non-finite value
     still raises IntegrationError.
+
+    If `f` returns A rows, shape (A, N), all A norms are taken on one node
+    set: the result is a list of A norm Estimates and the A x A covariance
+    of the raw integrals int_B (|f_a| w)^p (see `integrate_ball`).  Each
+    row equals the single-function call with the same op_id bit for bit.
     """
     if not p > 0:
         raise DomainError(f"norm exponent must be positive, got {p}")
 
     def integrand(pts):
-        vals = np.abs(np.asarray(f(pts), dtype=float).reshape(pts.shape[0]))
+        vals = np.abs(np.asarray(f(pts), dtype=float))
+        if vals.ndim != 2:
+            vals = vals.reshape(pts.shape[0])
         wv = np.asarray(w(pts), dtype=float).reshape(pts.shape[0])
         with np.errstate(invalid="ignore", over="ignore"):
             return np.where(vals == 0.0, 0.0, (vals * wv) ** p)
 
-    raw = integrate_ball(
-        group, integrand, ball, scheme, op_id=op_id, singularity=singularity
-    )
+    out = integrate_ball(group, integrand, ball, scheme, op_id=op_id, singularity=singularity)
+    if isinstance(out, Estimate):
+        return _lp_root(out, p)
+    raws, cov = out
+    return [_lp_root(raw, p) for raw in raws], cov
+
+
+def _lp_root(raw, p):
     raw.value = max(raw.value, 0.0)
     return raw.powered(1.0 / p)
 

@@ -7,6 +7,9 @@ from carnotlab.carnot import (
     CustomFunction,
     GaugeBump,
     HomogeneousPolynomial,
+    JetTable,
+    PolynomialBump,
+    TranslatedFunction,
     ball_volume,
     euclidean_group,
     heisenberg_group,
@@ -309,6 +312,35 @@ def test_third_order_fd_path(h1):
     fd = horizontal_derivative(h1, f, (3, 0), pts, force_fd=True)
     assert sym[0] == pytest.approx(6.0, abs=1e-12)
     assert fd[0] == pytest.approx(6.0, rel=1e-5)
+
+
+def _jet_table_groups():
+    a = stream(12, "jet-table/forms").standard_normal((2, 3, 3))
+    return [heisenberg_group(1), step_two_group(a - np.transpose(a, (0, 2, 1)))]
+
+
+@pytest.mark.parametrize("group", _jet_table_groups(), ids=["heisenberg:1", "step2:3x2"])
+def test_jet_table_rows_match_single_key_paths(group):
+    # one table serving every key gives the same bits as a fresh evaluation per key
+    rng = stream(13, f"jet-table/{group.ident}")
+    bump = random_bump(group, rng, center_box=0.3, radius_range=(0.8, 1.2))
+    poly = HomogeneousPolynomial(group, {(1,) + (0,) * (group.n - 1): 1.5, (0,) * group.n: 0.5})
+    shift = 0.3 * rng.standard_normal(group.n)
+    catalog = [bump, PolynomialBump(poly, bump), TranslatedFunction(group, shift, bump)]
+    pts = bump.support.center + 0.3 * rng.standard_normal((16, group.n))
+    n1 = group.n1
+    keys = [(0,) * n1] + [
+        tuple(int(i == a) + int(i == b) for i in range(n1))
+        for a in range(n1)
+        for b in range(a, n1)
+    ]
+    keys += [tuple(int(i == a) for i in range(n1)) for a in range(n1)]
+    third = (2, 1) + (0,) * (n1 - 2)  # |alpha| = 3: finite differences over the jets
+    for f in catalog:
+        table = JetTable(group, f, pts)
+        for alpha in keys + [third]:
+            np.testing.assert_array_equal(table[alpha], horizontal_derivative(group, f, alpha, pts))
+        np.testing.assert_array_equal(table["L"], sub_laplacian(group, f, pts))
 
 
 def test_capability_error():

@@ -109,9 +109,49 @@ def test_poincare_non_finite_integrand_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     pole = {"kind": "power", "beta": -400}
     cfg.write_text(json.dumps({"v": [pole, pole], "trials": 2}))
-    code = run(["poincare", "--config", str(cfg), "--out", str(tmp_path)])
+    code = run(["poincare", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "non-finite integrand" in capsys.readouterr().err
+    assert "non-finite integrand value inf at" in capsys.readouterr().err
+    # the failure still leaves a partial report naming the stage, trial, point and seed
+    data = json.loads((tmp_path / "out" / "poincare.json").read_text())
+    error = data["results"]["error"]
+    assert error["type"] == "IntegrationError"
+    assert error["stage"] == "trials" and error["trial"] == 0
+    assert error["seed"] == data["seed"] == 20240801
+    point = error["point"]
+    assert len(point) == 1 and math.isfinite(point[0])
+    # (|X f| d^-400)^(4/3) overflows only where |X f| d^-400 > 1e231: near the pole
+    assert abs(point[0]) < 0.3
+    assert not (tmp_path / "out" / "poincare.csv").exists()
+
+
+_SWEEP_DEFAULTS = {
+    "m": 2,
+    "p_list": [4.0 / 3.0, 4.0 / 3.0],
+    "p": None,
+    "q": 2.0,
+    "t": 2.0,
+    "trials": 25,
+    "samples": 4096,
+    "u": None,
+    "v": None,
+}
+
+
+@pytest.mark.parametrize(
+    "command,group,k",
+    [("poincare", "euclidean:1", 1), ("sobolev", "euclidean:1", 1),
+     ("sobolev-sublaplacian", "euclidean:2", 2)],
+)
+def test_sweep_commands_echo_defaults(tmp_path, command, group, k):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 1}))
+    code = run([command, "--config", str(cfg), "--samples", "1024", "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads((tmp_path / f"{command}.json").read_text())
+    expected = dict(_SWEEP_DEFAULTS, group=group, k=k, trials=1, samples=1024)
+    assert data["config"] == expected
+    assert data["results"]["summary"]["trials"] == 1
 
 
 def test_poincare_runs_and_echoes_config(tmp_path, capsys):

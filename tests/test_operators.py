@@ -9,6 +9,8 @@ from carnotlab.carnot import (
     GaugeBall,
     GaugeBump,
     HomogeneousPolynomial,
+    euclidean_group,
+    heisenberg_group,
 )
 from carnotlab.errors import DomainError
 from carnotlab.operators import (
@@ -233,7 +235,7 @@ def test_sublaplacian_rhs_single_slot(e1, mc_scheme):
 
     direct = lp_norm_ball(
         e1, SubLaplacianMagnitude(e1, bump), w, 2.0, bump.support, mc_scheme,
-        op_id="sublap-rhs/i0/f0",
+        op_id="sublap-rhs/f0",
     )
     assert est.value == pytest.approx(direct.value, rel=1e-12)
 
@@ -280,3 +282,70 @@ def test_rhs_monotone_under_domination(e1, mc_scheme):
     b = poincare_rhs(e1, [small], [w], [2.0], ball, 1, mc_scheme)
     assert a.value == pytest.approx(2.0 * b.value, rel=1e-12)
     assert a.value > b.value
+
+
+def test_rhs_zero_slot_standard_error_finite(e1, e2, mc_scheme):
+    # a slot whose norms are all 0 has an infinite d norm / d raw at 0; its
+    # delta-method weight is 0, so the total's standard error stays finite
+    zero = HomogeneousPolynomial.zero(e1)
+    f = HomogeneousPolynomial(e1, {(2,): 1.0})
+    w = Weight.one(e1)
+    ball = GaugeBall([0.0], 1.0)
+    for k in (1, 2):
+        est, terms = poincare_rhs(
+            e1, [f, zero], [w, w], [2.0, 2.0], ball, k, mc_scheme, return_terms=True
+        )
+        assert est.value == 0.0 and math.isfinite(est.std_error)
+        assert all(math.isfinite(t["std_error"]) for t in terms)
+    bump = GaugeBump(e2, [0.0, 0.0], 1.0)
+    zero2 = _WithSupport(HomogeneousPolynomial.zero(e2), bump.support)
+    w2 = Weight.one(e2)
+    est = sobolev_sublaplacian_rhs(e2, [bump, zero2], [w2, w2], [4.0 / 3.0, 4.0 / 3.0], mc_scheme)
+    assert est.value == 0.0 and est.std_error == 0.0
+
+
+def _calibration(call, seeds=120):
+    values, reported, independent = [], [], []
+    for seed in range(seeds):
+        est, terms = call(QuadratureScheme(samples=2048, seed=seed))
+        values.append(est.value)
+        reported.append(est.std_error)
+        independent.append(math.sqrt(sum(t["std_error"] ** 2 for t in terms)))
+    spread = float(np.std(values, ddof=1))
+    return float(np.mean(reported)) / spread, float(np.mean(independent)) / spread
+
+
+_H1 = heisenberg_group(1)
+_E2 = euclidean_group(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda scheme: poincare_rhs(
+            _H1,
+            [GaugeBump(_H1, [0.1, -0.1, 0.0], 1.0), GaugeBump(_H1, [-0.2, 0.1, 0.05], 0.8, 1.5)],
+            [Weight.power(_H1, 0.25)] * 2,
+            [4.0 / 3.0, 4.0 / 3.0],
+            GaugeBall([0.0, 0.0, 0.0], 1.0),
+            2,
+            scheme,
+            return_terms=True,
+        ),
+        lambda scheme: sobolev_sublaplacian_rhs(
+            _E2,
+            [GaugeBump(_E2, [0.1, -0.1], 1.0), GaugeBump(_E2, [-0.2, 0.1], 0.8, 1.5)],
+            [Weight.one(_E2)] * 2,
+            [4.0 / 3.0, 4.0 / 3.0],
+            scheme,
+            return_terms=True,
+        ),
+    ],
+    ids=["poincare-h1-k2", "sublaplacian-e2"],
+)
+def test_rhs_standard_error_calibrated(call):
+    # the terms share each slot's nodes: the delta-method standard error matches
+    # the spread over seeds, while treating the terms as independent does not
+    delta, independent = _calibration(call)
+    assert abs(delta - 1.0) <= 0.25
+    assert abs(independent - 1.0) > 0.25

@@ -219,6 +219,50 @@ def test_lp_norm_zero_times_infinite_weight(e1, mc_scheme, recwarn):
     assert not [r for r in recwarn if issubclass(r.category, RuntimeWarning)]
 
 
+_BATCH_SCHEMES = {
+    "uniform": QuadratureScheme(kind="uniform", samples=4096, seed=31),
+    "grid": QuadratureScheme(kind="grid", points_per_axis=24),
+    "annuli": QuadratureScheme(kind="annuli", samples=6000, levels=12, seed=31),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BATCH_SCHEMES))
+def test_lp_norm_batch_rows_match_single_calls(h1, kind):
+    # A rows on one node set: each row is the single-function call with the same
+    # op_id bit for bit, and the covariance diagonal is each row's raw variance
+    scheme = _BATCH_SCHEMES[kind]
+    ball = GaugeBall([0.1, -0.2, 0.05], 0.9)
+    bump = GaugeBump(h1, [0.2, 0.0, 0.1], 0.8, height=1.5)
+    fs = [bump, lambda p: p[:, 0] * bump(p), lambda p: np.zeros(p.shape[0])]
+    w = Weight.power(h1, 0.25)
+    p = 4.0 / 3.0
+    norms, cov = lp_norm_ball(
+        h1, lambda pts: np.stack([f(pts) for f in fs]), w, p, ball, scheme, op_id="batch"
+    )
+    assert len(norms) == len(fs) and cov.shape == (len(fs), len(fs))
+    for a, f in enumerate(fs):
+        single = lp_norm_ball(h1, f, w, p, ball, scheme, op_id="batch")
+        assert norms[a].to_dict() == single.to_dict()
+        assert norms[a].note == single.note
+        raw = integrate_ball(
+            h1, lambda pts, f=f: (np.abs(f(pts)) * w(pts)) ** p, ball, scheme, op_id="batch"
+        )
+        assert cov[a, a] == pytest.approx(raw.std_error**2, rel=1e-12, abs=0.0)
+    if kind == "grid":
+        assert not np.any(cov)
+    else:
+        assert cov[0, 1] > 0.0  # the rows share nodes
+
+
+def test_integrate_ball_single_row_shape_kept(e1, mc_scheme):
+    # an integrand returning one (N,) row still gives one Estimate
+    assert isinstance(integrate_ball(e1, ONE, GaugeBall([0.0], 1.0), mc_scheme), Estimate)
+    ests, cov = integrate_ball(
+        e1, lambda p: ONE(p)[None], GaugeBall([0.0], 1.0), mc_scheme
+    )
+    assert len(ests) == 1 and cov.shape == (1, 1)
+
+
 def test_lp_norm_invalid_exponent(e1, mc_scheme):
     with pytest.raises(DomainError):
         lp_norm_ball(e1, ONE, Weight.one(e1), 0.0, GaugeBall([0.0], 1.0), mc_scheme)
