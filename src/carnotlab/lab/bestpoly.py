@@ -18,8 +18,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from ..carnot.constants import ball_volume
-from ..carnot.group import centered_box_extents
 from ..carnot.polynomials import (
     HomogeneousPolynomial,
     left_translation_polys,
@@ -27,31 +25,21 @@ from ..carnot.polynomials import (
     vandermonde,
 )
 from ..errors import ConditioningError, DomainError
-from ..quad import Estimate, sample_ball
-from ..rng import stream
+from ..quad import Estimate, _strata
 
 _IRLS_TOL = 1e-8
 _IRLS_MAX_ITER = 200
 
 
 def _nodes_and_weights(group, ball, scheme, op_id):
+    """The ball's nodes and quadrature weights: the one stratum of a uniform
+    or grid scheme, restricted to its live nodes."""
     scheme.validate()
-    if scheme.kind == "uniform":
-        nodes = sample_ball(group, ball, scheme.samples, stream(scheme.seed, op_id))
-        w = ball_volume(group, ball.radius) / scheme.samples
-        return nodes, np.full(scheme.samples, w)
-    if scheme.kind == "grid":
-        pp = scheme.points_per_axis
-        ext = centered_box_extents(group, ball.radius)
-        axes = [(np.arange(pp) + 0.5) / pp * 2.0 * e - e for e in ext]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        u = np.stack([m.ravel() for m in mesh], axis=-1)
-        total = u.shape[0]
-        inside = group.gauge_norm(u) < ball.radius
-        nodes = group.compose(ball.center, u[inside])
-        w = float(np.prod(2.0 * ext)) / total
-        return nodes, np.full(nodes.shape[0], w)
-    raise DomainError("best_polynomial needs a uniform or grid scheme")
+    if scheme.kind == "annuli":
+        raise DomainError("best_polynomial needs a uniform or grid scheme")
+    ((pts, live, volume),) = _strata(group, [ball], scheme, op_id)
+    nodes = pts[:, 0] if live is None else pts[:, 0][live]
+    return nodes, np.full(nodes.shape[0], volume / pts.shape[0])
 
 
 def _objective(resid, wvals, node_w, q):

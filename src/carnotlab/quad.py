@@ -1,6 +1,27 @@
-"""Integration engines: seeded Monte Carlo on gauge balls, dyadic-annuli
-importance sampling for singular kernels on product domains, tensor grids
-for low-dimensional oracles, and weighted L^p (quasi-)norms.
+"""Integration on gauge balls and on products of them, by one engine.
+
+Every integral here is one formula over the product of m support balls,
+
+    int g(y_vec) / d(x, y_vec)^(mQ - tau) dy_vec,   d(x, y_vec) = sum_i d(x, y_i).
+
+The multilinear fractional integral is the general case; a ball integral
+int_B f dx is the m = 1 case without a kernel.  Both run through two
+private pieces:
+
+* `_strata` builds a scheme's node sets as strata (nodes of shape
+  (N, m, n), live mask or None, volume):
+    uniform  one stratum of uniform samples, slot i drawn by `sample_ball`
+             under stream(seed, op_id, index=i);
+    grid     one stratum: the product midpoint grid on the slots' centered
+             boxes, live where every slot lies in its ball;
+    annuli   dyadic shells d(pole, y_vec) in [2^-(j+1), 2^-j) * r0, shell j
+             drawn under index j from the slot boxes cut to the shell's
+             reach, then the top stratum d >= r0 of uniform samples with
+             slot i under index levels + i.  The region below
+             2^-levels * r0 is dropped.
+* `_estimate` evaluates the integrand once per stratum on its live nodes,
+  zero-fills the rest, applies the (points x nodes) kernel in row blocks
+  when there is one, and sums volume * mean over the strata.
 
 All Monte Carlo paths are unbiased, deterministic given (seed, op_id), and
 carry a standard error.  Uniform ball samples are drawn by rejection from
@@ -144,21 +165,27 @@ def estimate_sum(estimates):
 def sample_ball(group, ball, count, rng):
     """`count` uniform points in a gauge ball, by centered-box rejection.
 
-    The chunk size is fixed up front so the accepted prefix is a
-    deterministic function of the generator stream alone.
+    The result is the first `count` accepted rows of one long draw from
+    `rng`: Philox draws concatenate, so splitting the draw into chunks does
+    not move the nodes.  Each chunk is sized from the closed-form acceptance
+    ratio |B(0, r)| / box = c_d / 2^n, plus a margin of 4 sqrt(need) for
+    the binomial spread, so one chunk nearly always suffices and few draws
+    are thrown away.
     """
     ext = centered_box_extents(group, ball.radius)
+    accept = ball_volume(group, ball.radius) / float(np.prod(2.0 * ext))
     out = np.empty((count, group.n))
     filled = 0
     drawn = 0
     accepted = 0
-    chunk = max(2048, 2 * count)
     while filled < count:
+        need = count - filled
+        chunk = math.ceil((need + 4.0 * math.sqrt(need)) / accept)
         u = (rng.random((chunk, group.n)) * 2.0 - 1.0) * ext
         drawn += chunk
         keep = u[group.gauge_norm(u) < ball.radius]
         accepted += keep.shape[0]
-        take = min(count - filled, keep.shape[0])
+        take = min(need, keep.shape[0])
         out[filled : filled + take] = keep[:take]
         filled += take
     log.debug(
@@ -198,24 +225,132 @@ def mc_ball_volume(group, r, samples, seed, op_id="mc-ball-volume"):
     )
 
 
-# -- ball integrals ----------------------------------------------------------
+# -- the engine: strata and one estimator --------------------------------------
+
+
+# Kernel entries per row block of the (points x nodes) matrix; bounds the
+# peak memory whatever the number of points.
+_KERNEL_BLOCK = 1 << 16
+
+
+def _slot_samples(group, balls, count, seed, op_id, first):
+    """Uniform samples on every ball, slot i under stream index first + i,
+    as nodes of shape (count, m, n), and the product volume."""
+    slots = [
+        sample_ball(group, ball, count, stream(seed, op_id, index=first + i))
+        for i, ball in enumerate(balls)
+    ]
+    pts = slots[0][:, None] if len(slots) == 1 else np.stack(slots, axis=1)
+    return pts, math.prod(ball_volume(group, ball.radius) for ball in balls)
+
+
+def _box_intersection(lo1, hi1, lo2, hi2):
+    lo = np.maximum(lo1, lo2)
+    hi = np.minimum(hi1, hi2)
+    if np.any(hi <= lo):
+        return None
+    return lo, hi
+
+
+def _strata(group, balls, scheme, op_id, pole=None):
+    """Yield the scheme's strata on the product of `balls` (one per slot):
+    (nodes of shape (N, m, n), live mask or None, volume).  The annuli
+    shells are centred at `pole`; see the module docstring."""
+    m = len(balls)
+    if scheme.kind == "uniform":
+        pts, volume = _slot_samples(group, balls, scheme.samples, scheme.seed, op_id, 0)
+        yield pts, None, volume
+        return
+    if scheme.kind == "grid":
+        pp = scheme.points_per_axis
+        if pp ** (m * group.n) > 20_000_000:
+            raise DomainError("tensor grid too large; reduce points_per_axis")
+        exts = [centered_box_extents(group, ball.radius) for ball in balls]
+        axes = [(np.arange(pp) + 0.5) / pp * 2.0 * e - e for ext in exts for e in ext]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=-1).reshape(-1, m, group.n)
+        live = np.ones(pts.shape[0], dtype=bool)
+        for i, ball in enumerate(balls):
+            live &= group.gauge_norm(pts[:, i]) < ball.radius
+            pts[:, i] = group.compose(ball.center, pts[:, i])
+        yield pts, live, math.prod(float(np.prod(2.0 * ext)) for ext in exts)
+        return
+    levels = scheme.levels
+    per = max(scheme.samples // (levels + 1), 256)
+    pole = np.asarray(pole, dtype=float).reshape(-1)
+    r0 = sum(float(group.distance(pole, ball.center)) + ball.radius for ball in balls)
+    boxes = [ball_box(group, ball) for ball in balls]
+    for j in range(levels):
+        outer = r0 * 2.0 ** (-j)
+        reach = ball_box(group, GaugeBall(pole, outer))
+        cut = [_box_intersection(*box, *reach) for box in boxes]
+        if any(c is None for c in cut):
+            continue
+        lo = np.stack([c[0] for c in cut])
+        hi = np.stack([c[1] for c in cut])
+        u = stream(scheme.seed, op_id, index=j).random((per, m, group.n))
+        pts = lo[None] + u * (hi - lo)[None]
+        dist = product_distance(group, pole, pts)
+        live = (dist >= outer / 2.0) & (dist < outer)
+        for i, ball in enumerate(balls):
+            live &= ball.contains(group, pts[:, i])
+        yield pts, live, float(np.prod(hi - lo))
+    # top stratum d(pole, y_vec) >= r0 (the quasi-triangle constant can push
+    # a sliver of the supports beyond r0)
+    pts, volume = _slot_samples(group, balls, per, scheme.seed, op_id, levels)
+    yield pts, product_distance(group, pole, pts) >= r0, volume
+
+
+def product_distance(group, x, pts):
+    """d(x, y_vec) = sum_i d(x, y_i) for pts of shape (N, m, n).
+
+    x of shape (n,) gives shape (N,); a batch of shape (P, n) gives (P, N).
+    """
+    xinv = group.inverse(x)[..., None, :]
+    dist = group.gauge_norm(group.compose(xinv, pts[:, 0, :]))
+    for i in range(1, pts.shape[1]):
+        dist = dist + group.gauge_norm(group.compose(xinv, pts[:, i, :]))
+    return dist
+
+
+def _kernel_rows(group, kernel, pts, vals, width):
+    """Yield row blocks of the (points x nodes) matrix vals / d(x_p, y_vec)^exponent,
+    0 where d = 0, for kernel = (points, exponent); without a kernel, the rows
+    of vals as one block.  Zero-filled to `width` nodes, a block holds at most
+    _KERNEL_BLOCK entries."""
+    if kernel is None:
+        yield vals
+        return
+    xs, exponent = kernel
+    rows = max(1, _KERNEL_BLOCK // width)
+    for start in range(0, xs.shape[0], rows):
+        dist = product_distance(group, xs[start : start + rows], pts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kern = np.where(dist > 0.0, dist, np.inf) ** (-exponent)
+            block = np.where(dist > 0.0, vals * kern, 0.0)
+        yield block
 
 
 def _check_finite(vals, pts):
     """Raise IntegrationError at the first non-finite value of a (nodes,) or
-    (rows, nodes) array; `pts` holds the nodes."""
+    (rows, nodes) array; `pts` holds the nodes, and the point is reported
+    flattened."""
     rows = np.atleast_2d(vals)
     bad = ~np.isfinite(rows)
     if np.any(bad):
         row, idx = divmod(int(np.argmax(bad)), rows.shape[1])
         raise IntegrationError(
             f"non-finite integrand value {float(rows[row, idx])!r} at a sampled point",
-            point=pts[idx].copy(),
+            point=pts[idx].reshape(-1).copy(),
         )
 
 
-def _mean_estimate(vals, volume, seed):
-    return _row_estimates(vals[None], volume, seed)[0]
+def _eval_rows(f, pts):
+    """f on a node set as a (rows, nodes) array, and whether f returned rows."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.ndim == 2:
+        return vals, True
+    return vals.reshape(1, pts.shape[0]), False
 
 
 def _row_estimates(rows, volume, seed):
@@ -243,12 +378,43 @@ def _row_covariance(rows, volume):
         return volume**2 * np.atleast_2d(np.cov(rows)) / n
 
 
-def _eval_rows(f, pts):
-    """f on a node set as a (rows, nodes) array, and whether f returned rows."""
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.ndim == 2:
-        return vals, True
-    return vals.reshape(1, pts.shape[0]), False
+def _estimate(group, strata, f, scheme, kernel=None):
+    """Sum over strata of volume * mean(f * kernel), one Estimate per row.
+
+    `f` maps live nodes (N, m, n) to N values or to A rows (A, N).  Without
+    a kernel there is one Estimate per row of f; with kernel = (points,
+    exponent) f gives one row and there is one Estimate per point.  Returns
+    the Estimates and, when f gave rows, their covariance summed over the
+    strata (0 for the grid), else None.
+    """
+    parts = []  # per stratum: one Estimate per row
+    cov = 0.0
+    for pts, live, volume in strata:
+        nodes = pts if live is None else pts[live]
+        vals, batch = _eval_rows(f, nodes)
+        _check_finite(vals, nodes)
+        ests = []
+        for block in _kernel_rows(group, kernel, nodes, vals, pts.shape[0]):
+            if live is not None:
+                full = np.zeros((block.shape[0], pts.shape[0]))
+                full[:, live] = block
+                block = full
+            ests.extend(_row_estimates(block, volume, scheme.seed))
+        if batch:  # rows come without a kernel, so as one block
+            cov = cov + _row_covariance(block, volume)
+        parts.append(ests)
+    if scheme.kind == "grid":
+        ests = [replace(e, std_error=0.0, note="tensor-grid") for e in parts[0]]
+        cov = np.zeros((len(ests), len(ests)))
+    elif scheme.kind == "annuli":
+        note = f"annuli truncated below 2^-{scheme.levels} * r0"
+        ests = [replace(estimate_sum(row), seed=scheme.seed, note=note) for row in zip(*parts)]
+    else:
+        ests = parts[0]
+    return ests, (cov if batch else None)
+
+
+# -- ball integrals ----------------------------------------------------------
 
 
 def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularity=None):
@@ -270,101 +436,10 @@ def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularit
     on one with no nodes.
     """
     scheme.validate()
-    if scheme.kind == "uniform":
-        pts = sample_ball(group, ball, scheme.samples, stream(scheme.seed, op_id))
-        rows, batch = _eval_rows(f, pts)
-        _check_finite(rows, pts)
-        volume = ball_volume(group, ball.radius)
-        ests = _row_estimates(rows, volume, scheme.seed)
-        cov = _row_covariance(rows, volume) if batch else None
-    elif scheme.kind == "grid":
-        ests, cov, batch = _integrate_ball_grid(group, f, ball, scheme)
-    else:
-        ests, cov, batch = _integrate_ball_annuli(group, f, ball, scheme, op_id, singularity)
-    return (ests, cov) if batch else ests[0]
-
-
-def _integrate_ball_grid(group, f, ball, scheme):
-    pp = scheme.points_per_axis
-    if pp**group.n > 20_000_000:
-        raise DomainError("tensor grid too large; reduce points_per_axis")
-    ext = centered_box_extents(group, ball.radius)
-    axes = [(np.arange(pp) + 0.5) / pp * 2.0 * e - e for e in ext]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    u = np.stack([m.ravel() for m in mesh], axis=-1)
-    inside = group.gauge_norm(u) < ball.radius
-    pts = group.compose(ball.center, u)
-    inner, batch = _eval_rows(f, pts[inside])
-    _check_finite(inner, pts[inside])
-    rows = np.zeros((inner.shape[0], pts.shape[0]))
-    rows[:, inside] = inner
-    box_volume = float(np.prod(2.0 * ext))
-    ests = [
-        Estimate(
-            value=box_volume * float(mean),
-            std_error=0.0,
-            samples=int(pts.shape[0]),
-            seed=scheme.seed,
-            note="tensor-grid",
-        )
-        for mean in np.mean(rows, axis=1)
-    ]
-    return ests, np.zeros((len(ests), len(ests))), batch
-
-
-def _box_intersection(lo1, hi1, lo2, hi2):
-    lo = np.maximum(lo1, lo2)
-    hi = np.minimum(hi1, hi2)
-    if np.any(hi <= lo):
-        return None
-    return lo, hi
-
-
-def _integrate_ball_annuli(group, f, ball, scheme, op_id, singularity):
-    pole = np.asarray(
-        singularity if singularity is not None else ball.center, dtype=float
-    ).reshape(-1)
-    r0 = float(group.distance(pole, ball.center)) + ball.radius
-    levels = scheme.levels
-    per = max(scheme.samples // (levels + 1), 256)
-    lo_b, hi_b = ball_box(group, ball)
-    parts = []  # per stratum: one Estimate per row
-    cov = 0.0
-    batch = False
-
-    def stratum(pts, mask, volume):
-        nonlocal cov, batch
-        inner, batch = _eval_rows(f, pts[mask])
-        _check_finite(inner, pts[mask])
-        rows = np.zeros((inner.shape[0], per))
-        rows[:, mask] = inner
-        parts.append(_row_estimates(rows, volume, scheme.seed))
-        if batch:
-            cov = cov + _row_covariance(rows, volume)
-
-    for j in range(levels):
-        b = r0 * 2.0 ** (-j)
-        a = b / 2.0
-        shell_box = _box_intersection(lo_b, hi_b, *ball_box(group, GaugeBall(pole, b)))
-        if shell_box is None:
-            continue
-        lo, hi = shell_box
-        rng = stream(scheme.seed, op_id, index=j)
-        pts = lo + rng.random((per, group.n)) * (hi - lo)
-        dist = group.distance(pole, pts)
-        mask = (ball.contains(group, pts)) & (dist >= a) & (dist < b)
-        stratum(pts, mask, float(np.prod(hi - lo)))
-    # top stratum d >= r0 (nonempty only if the quasi-triangle constant bites)
-    rng = stream(scheme.seed, op_id, index=levels)
-    pts = sample_ball(group, ball, per, rng)
-    stratum(pts, group.distance(pole, pts) >= r0, ball_volume(group, ball.radius))
-    ests = []
-    for row_parts in zip(*parts):
-        out = estimate_sum(row_parts)
-        out.seed = scheme.seed
-        out.note = f"annuli truncated below 2^-{levels} * r0"
-        ests.append(out)
-    return ests, (cov if batch else None), batch
+    pole = ball.center if singularity is None else singularity
+    strata = _strata(group, [ball], scheme, op_id, pole)
+    ests, cov = _estimate(group, strata, lambda pts: f(pts[:, 0]), scheme)
+    return ests[0] if cov is None else (ests, cov)
 
 
 # -- weighted norms ----------------------------------------------------------
@@ -408,31 +483,6 @@ def _lp_root(raw, p):
 # -- singular product-domain integrals ----------------------------------------
 
 
-# Kernel entries per row block of the (points x nodes) matrix in the uniform
-# and grid paths; bounds the peak memory whatever the number of points.
-_KERNEL_BLOCK = 1 << 16
-
-
-def product_distance(group, x, pts):
-    """d(x, y_vec) = sum_i d(x, y_i) for pts of shape (N, m, n).
-
-    x of shape (n,) gives shape (N,); a batch of shape (P, n) gives (P, N).
-    """
-    xinv = group.inverse(x)[..., None, :]
-    dist = group.gauge_norm(group.compose(xinv, pts[:, 0, :]))
-    for i in range(1, pts.shape[1]):
-        dist = dist + group.gauge_norm(group.compose(xinv, pts[:, i, :]))
-    return dist
-
-
-def _kernel(dist, exponent):
-    if exponent == 0.0:
-        return np.ones_like(dist)
-    with np.errstate(divide="ignore"):
-        out = np.where(dist > 0.0, dist, np.inf) ** (-exponent)
-    return out
-
-
 def integrate_singular_product(
     group, m, integrand, x, tau, supports, scheme, *, op_id="singular-product"
 ):
@@ -444,9 +494,11 @@ def integrate_singular_product(
     The uniform and grid schemes build one product node set for the whole
     batch and evaluate the integrand on it once; the kernel then acts as a
     (points x nodes) matrix, formed in row blocks of at most 2^16 entries.
-    Row p equals the single-point result at x[p] bit for bit.
-    Every point's standard error is valid on its own, but the points share
-    nodes, so their errors are correlated.
+    At tau = mQ the kernel is the constant 1: no distance is formed, and
+    one kernel-free estimate serves every point.  Row p equals the
+    single-point result at x[p] bit for bit.  Every point's standard error
+    is valid on its own, but the points share nodes, so their errors are
+    correlated.
 
     The annuli scheme stratifies the product domain by dyadic shells
     d(x, y_vec) in [2^-(j+1), 2^-j) * r0 and samples each shell uniformly
@@ -472,147 +524,20 @@ def integrate_singular_product(
         )
     exponent = m * Q - tau
 
-    if scheme.kind == "grid":
-        out = _singular_product_grid(group, m, integrand, xs, exponent, supports, scheme)
-    elif scheme.kind == "uniform":
-        out = _singular_product_uniform(
-            group, m, integrand, xs, exponent, supports, scheme, op_id
-        )
+    def f(pts):
+        return np.asarray(integrand(pts), dtype=float).reshape(pts.shape[0])
+
+    def estimate(points, pole=None):
+        kernel = None if exponent == 0.0 else (points, exponent)
+        ests, _ = _estimate(group, _strata(group, supports, scheme, op_id, pole), f, scheme, kernel)
+        # without a kernel the one estimate serves every point
+        return ests if len(ests) == len(points) else [replace(ests[0]) for _ in points]
+
+    if scheme.kind == "annuli":
+        out = [estimate(xp[None], xp)[0] for xp in xs]
     else:
-        out = [
-            _singular_product_annuli(group, m, integrand, xp, exponent, supports, scheme, op_id)
-            for xp in xs
-        ]
+        out = estimate(xs)
     return out[0] if single else out
-
-
-def _eval_product_integrand(integrand, pts):
-    vals = np.asarray(integrand(pts), dtype=float).reshape(pts.shape[0])
-    return vals
-
-
-def _kernel_rows(group, xs, pts, vals, exponent):
-    """Yield row blocks of the (points x nodes) matrix vals / d(x_p, y_vec)^exponent,
-    with the entries at d = 0 set to 0."""
-    rows = max(1, _KERNEL_BLOCK // pts.shape[0])
-    for start in range(0, xs.shape[0], rows):
-        dist = product_distance(group, xs[start : start + rows], pts)
-        with np.errstate(invalid="ignore"):
-            yield np.where(dist > 0.0, vals * _kernel(dist, exponent), 0.0)
-
-
-def _singular_product_uniform(group, m, integrand, xs, exponent, supports, scheme, op_id):
-    count = scheme.samples
-    slots = [
-        sample_ball(group, supports[i], count, stream(scheme.seed, op_id, index=i))
-        for i in range(m)
-    ]
-    pts = np.stack(slots, axis=1)  # (N, m, n)
-    vals = _eval_product_integrand(integrand, pts)
-    _check_finite(vals, pts.reshape(count, -1))
-    volume = math.prod(ball_volume(group, b.radius) for b in supports)
-    out = []
-    for block in _kernel_rows(group, xs, pts, vals, exponent):
-        out.extend(_row_estimates(block, volume, scheme.seed))
-    return out
-
-
-def _singular_product_annuli(group, m, integrand, x, exponent, supports, scheme, op_id):
-    r0 = sum(float(group.distance(x, b.center)) + b.radius for b in supports)
-    levels = scheme.levels
-    per = max(scheme.samples // (levels + 1), 256)
-    slot_boxes = [ball_box(group, b) for b in supports]
-    parts = []
-    for j in range(levels):
-        b_out = r0 * 2.0 ** (-j)
-        a_in = b_out / 2.0
-        reach = ball_box(group, GaugeBall(x, b_out))
-        boxes = []
-        empty = False
-        for lo_s, hi_s in slot_boxes:
-            inter = _box_intersection(lo_s, hi_s, *reach)
-            if inter is None:
-                empty = True
-                break
-            boxes.append(inter)
-        if empty:
-            continue
-        rng = stream(scheme.seed, op_id, index=j)
-        u = rng.random((per, m, group.n))
-        lo = np.stack([bx[0] for bx in boxes])
-        hi = np.stack([bx[1] for bx in boxes])
-        pts = lo[None] + u * (hi - lo)[None]
-        dist = product_distance(group, x, pts)
-        in_balls = np.ones(per, dtype=bool)
-        for i, ball in enumerate(supports):
-            in_balls &= ball.contains(group, pts[:, i, :])
-        mask = in_balls & (dist >= a_in) & (dist < b_out)
-        vals = np.zeros(per)
-        if np.any(mask):
-            inner = _eval_product_integrand(integrand, pts[mask])
-            _check_finite(inner, pts[mask].reshape(inner.shape[0], -1))
-            vals[mask] = inner * _kernel(dist[mask], exponent)
-        volume = float(np.prod(hi - lo))
-        parts.append(_mean_estimate(vals, volume, scheme.seed))
-    # top stratum: d(x, y_vec) >= r0 (the quasi-triangle constant can push
-    # a sliver of the product supports beyond r0)
-    slots = [
-        sample_ball(group, supports[i], per, stream(scheme.seed, op_id, index=levels + 1 + i))
-        for i in range(m)
-    ]
-    pts = np.stack(slots, axis=1)
-    dist = product_distance(group, x, pts)
-    mask = dist >= r0
-    vals = np.zeros(per)
-    if np.any(mask):
-        inner = _eval_product_integrand(integrand, pts[mask])
-        _check_finite(inner, pts[mask].reshape(inner.shape[0], -1))
-        vals[mask] = inner * _kernel(dist[mask], exponent)
-    volume = math.prod(ball_volume(group, b.radius) for b in supports)
-    parts.append(_mean_estimate(vals, volume, scheme.seed))
-    out = estimate_sum(parts)
-    out.seed = scheme.seed
-    out.note = f"annuli truncated below 2^-{levels} * r0"
-    return out
-
-
-def _singular_product_grid(group, m, integrand, xs, exponent, supports, scheme):
-    pp = scheme.points_per_axis
-    dims = m * group.n
-    if pp**dims > 20_000_000:
-        raise DomainError("tensor grid too large for the product domain")
-    axes = []
-    exts = []
-    for ball in supports:
-        ext = centered_box_extents(group, ball.radius)
-        exts.append(ext)
-        for e in ext:
-            axes.append((np.arange(pp) + 0.5) / pp * 2.0 * e - e)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    u = np.stack([mm.ravel() for mm in mesh], axis=-1).reshape(-1, m, group.n)
-    total = u.shape[0]
-    pts = np.empty_like(u)
-    inside = np.ones(total, dtype=bool)
-    for i, ball in enumerate(supports):
-        inside &= group.gauge_norm(u[:, i, :]) < ball.radius
-        pts[:, i, :] = group.compose(ball.center, u[:, i, :])
-    pts = pts[inside]
-    vals = _eval_product_integrand(integrand, pts)
-    _check_finite(vals, pts.reshape(pts.shape[0], -1))
-    box_volume = math.prod(float(np.prod(2.0 * e)) for e in exts)
-    out = []
-    for block in _kernel_rows(group, xs, pts, vals, exponent):
-        out.extend(
-            Estimate(
-                value=box_volume * float(s / total),
-                std_error=0.0,
-                samples=int(total),
-                seed=scheme.seed,
-                note="tensor-grid",
-            )
-            for s in np.sum(block, axis=1)
-        )
-    return out
 
 
 def product_integrand(fs):

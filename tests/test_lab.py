@@ -157,6 +157,15 @@ def test_best_poly_validation(e1):
         )
 
 
+def test_best_poly_rejects_oversized_grid(h1):
+    # 272^3 = 2.01e7 nodes: refused before the grid is formed, as in integrate_ball
+    with pytest.raises(DomainError, match="tensor grid too large"):
+        best_polynomial(
+            h1, lambda p: p[:, 0], W1(h1), 2.0, GaugeBall([0.0, 0.0, 0.0], 1.0), 2,
+            QuadratureScheme(kind="grid", points_per_axis=272),
+        )
+
+
 # -- poincare_test ---------------------------------------------------------------
 
 

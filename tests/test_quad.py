@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,18 +145,41 @@ def test_sample_ball_inside_and_uniform(h1):
     assert abs(frac - 2.0**-h1.homogeneous_dimension) < 0.02
 
 
+def _drawn_and_accepted(caplog):
+    match = re.search(r"sample_ball: (\d+)/(\d+) drawn points accepted", caplog.text)
+    return int(match.group(2)), int(match.group(1))
+
+
 def test_sample_ball_logs_accepted_draws(h1, caplog):
-    # replay the stream: one chunk of 2048 draws, of which more than the
-    # requested 100 pass the gauge test
+    # replay the draws the log reports: that many rows of the stream hold
+    # the reported number of points that pass the gauge test
     ball = GaugeBall([0.5, -0.3, 0.2], 0.7)
-    u = (stream(4, "sample-ball-log").random((2048, 3)) * 2.0 - 1.0) * 0.7**h1.weights
-    keep = u[h1.gauge_norm(u) < 0.7]
-    accepted = keep.shape[0]
-    assert accepted != 100
     with caplog.at_level(logging.DEBUG, logger="carnotlab.quad"):
         pts = sample_ball(h1, ball, 100, stream(4, "sample-ball-log"))
-    assert f"{accepted}/2048 drawn points accepted" in caplog.text
+    drawn, accepted = _drawn_and_accepted(caplog)
+    u = (stream(4, "sample-ball-log").random((drawn, 3)) * 2.0 - 1.0) * 0.7**h1.weights
+    keep = u[h1.gauge_norm(u) < 0.7]
+    assert keep.shape[0] == accepted >= 100
     assert np.array_equal(pts, h1.compose(ball.center, keep[:100]))
+
+
+@pytest.mark.parametrize("group_id", ["e1", "h1"])
+def test_sample_ball_is_prefix_of_one_long_draw(group_id, request, caplog):
+    # the nodes are the first `count` accepted rows of one long draw, whatever
+    # the chunks; on R^1, where the box is the ball, few draws are thrown away
+    group = request.getfixturevalue(group_id)
+    ball = GaugeBall(np.full(group.n, 0.2), 0.8)
+    ext = 0.8**group.weights
+    for count in (100, 1000, 4096):
+        with caplog.at_level(logging.DEBUG, logger="carnotlab.quad"):
+            caplog.clear()
+            pts = sample_ball(group, ball, count, stream(6, f"prefix/{count}"))
+        u = (stream(6, f"prefix/{count}").random((8 * count, group.n)) * 2.0 - 1.0) * ext
+        keep = u[group.gauge_norm(u) < 0.8][:count]
+        assert np.array_equal(pts, group.compose(ball.center, keep))
+        drawn, _ = _drawn_and_accepted(caplog)
+        if group_id == "e1" and count >= 1000:
+            assert drawn <= 1.25 * count
 
 
 def test_quadrature_nodes_reproducible(e2, mc_scheme):
@@ -354,6 +378,8 @@ def test_singular_product_batch_rows_match_single_points(e1, h1, kind):
     cases = [
         (e1, [GaugeBump(e1, [0.2], 0.9), GaugeBump(e1, [-0.3], 1.1)], 1.5, 40),
         (h1, [GaugeBump(h1, [0.1, -0.1, 0.0], 1.0)], 2.0, 24),
+        # tau = mQ: the kernel is the constant 1
+        (e1, [GaugeBump(e1, [0.2], 0.9), GaugeBump(e1, [-0.3], 1.1)], 2.0, 40),
     ]
     for group, fs, tau, pp in cases:
         scheme = QuadratureScheme(kind=kind, samples=3000, points_per_axis=pp, seed=21)
@@ -405,6 +431,23 @@ def test_singular_product_annuli_batch_is_per_point_loop(e1):
         for x in xs
     ]
     assert [e.to_dict() for e in batch] == [e.to_dict() for e in loop]
+
+
+@pytest.mark.parametrize("kind", sorted(_BATCH_SCHEMES))
+def test_ball_integral_is_singular_product_with_one_slot(e1, h1, kind):
+    # a ball integral is the m = 1, tau = Q case of the product integral:
+    # the two public paths run the same engine and agree bit for bit
+    scheme = _BATCH_SCHEMES[kind]
+    for group in (e1, h1):
+        ball = GaugeBall(np.full(group.n, 0.1), 0.9)
+        f = GaugeBump(group, np.full(group.n, 0.2), 0.8, height=1.5)
+        for x in (np.full(group.n, 0.15), np.full(group.n, 2.5)):  # inside, outside
+            ball_est = integrate_ball(group, f, ball, scheme, op_id="one", singularity=x)
+            mfi = integrate_singular_product(
+                group, 1, lambda Y: f(Y[:, 0, :]), x, group.homogeneous_dimension, [ball],
+                scheme, op_id="one",
+            )
+            assert mfi.to_dict() == ball_est.to_dict() and mfi.note == ball_est.note
 
 
 def test_singular_product_rejects_wrong_point_shape(h1, mc_scheme):
