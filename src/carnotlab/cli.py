@@ -226,12 +226,10 @@ def cmd_group_info(args):
 
 
 def cmd_counterexample(args):
-    defaults = {"p": 0.5, "q": 1.0, "eps": "2^-2..2^-8", "coarse": 200, "tol": 1e-6}
+    defaults = {"p": 0.5, "q": 1.0, "eps": "2^-2..2^-8", "tol": 1e-6}
     cfg = _load_config(args.config, defaults, {"p": args.p, "q": args.q, "eps": args.eps})
     eps_list = _parse_eps_expr(cfg["eps"])
-    rows = counterexample_report(
-        cfg["p"], cfg["q"], eps_list, coarse=int(cfg["coarse"]), tol=float(cfg["tol"])
-    )
+    rows = counterexample_report(cfg["p"], cfg["q"], eps_list, tol=float(cfg["tol"]))
     slope = fit_scaling_slope(rows)
     target = 1.0 - cfg["p"]
     results = {"rows": rows, "slope": slope, "slope_target": target}

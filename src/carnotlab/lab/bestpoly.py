@@ -37,7 +37,7 @@ def _nodes_and_weights(group, ball, scheme, op_id):
     scheme.validate()
     if scheme.kind == "annuli":
         raise DomainError("best_polynomial needs a uniform or grid scheme")
-    ((pts, live, volume),) = _strata(group, [ball], scheme, op_id)
+    ((pts, live, volume, _),) = _strata(group, [ball], scheme, op_id)
     nodes = pts[:, 0] if live is None else pts[:, 0][live]
     return nodes, np.full(nodes.shape[0], volume / pts.shape[0])
 

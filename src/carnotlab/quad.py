@@ -9,7 +9,7 @@ int_B f dx is the m = 1 case without a kernel.  Both run through two
 private pieces:
 
 * `_strata` builds a scheme's node sets as strata (nodes of shape
-  (N, m, n), live mask or None, volume):
+  (N, m, n), live mask or None, volume, distances d(pole, y_vec) or None):
     uniform  one stratum of uniform samples, slot i drawn by `sample_ball`
              under stream(seed, op_id, index=i);
     grid     one stratum: the product midpoint grid on the slots' centered
@@ -18,10 +18,12 @@ private pieces:
              drawn under index j from the slot boxes cut to the shell's
              reach, then the top stratum d >= r0 of uniform samples with
              slot i under index levels + i.  The region below
-             2^-levels * r0 is dropped.
+             2^-levels * r0 is dropped.  These strata carry the pole
+             distances that chose their live nodes.
 * `_estimate` evaluates the integrand once per stratum on its live nodes,
   zero-fills the rest, applies the (points x nodes) kernel in row blocks
-  when there is one, and sums volume * mean over the strata.
+  when there is one (from a stratum's pole distances when the pole is
+  the one kernel point), and sums volume * mean over the strata.
 
 All Monte Carlo paths are unbiased, deterministic given (seed, op_id), and
 carry a standard error.  Uniform ball samples are drawn by rejection from
@@ -172,6 +174,8 @@ def sample_ball(group, ball, count, rng):
     the binomial spread, so one chunk nearly always suffices and few draws
     are thrown away.
     """
+    if count == 0:
+        return np.empty((0, group.n))
     ext = centered_box_extents(group, ball.radius)
     accept = ball_volume(group, ball.radius) / float(np.prod(2.0 * ext))
     out = np.empty((count, group.n))
@@ -254,12 +258,13 @@ def _box_intersection(lo1, hi1, lo2, hi2):
 
 def _strata(group, balls, scheme, op_id, pole=None):
     """Yield the scheme's strata on the product of `balls` (one per slot):
-    (nodes of shape (N, m, n), live mask or None, volume).  The annuli
-    shells are centred at `pole`; see the module docstring."""
+    (nodes of shape (N, m, n), live mask or None, volume, d(pole, y_vec)
+    or None).  The annuli shells are centred at `pole`; see the module
+    docstring."""
     m = len(balls)
     if scheme.kind == "uniform":
         pts, volume = _slot_samples(group, balls, scheme.samples, scheme.seed, op_id, 0)
-        yield pts, None, volume
+        yield pts, None, volume, None
         return
     if scheme.kind == "grid":
         pp = scheme.points_per_axis
@@ -273,7 +278,7 @@ def _strata(group, balls, scheme, op_id, pole=None):
         for i, ball in enumerate(balls):
             live &= group.gauge_norm(pts[:, i]) < ball.radius
             pts[:, i] = group.compose(ball.center, pts[:, i])
-        yield pts, live, math.prod(float(np.prod(2.0 * ext)) for ext in exts)
+        yield pts, live, math.prod(float(np.prod(2.0 * ext)) for ext in exts), None
         return
     levels = scheme.levels
     per = max(scheme.samples // (levels + 1), 256)
@@ -294,11 +299,12 @@ def _strata(group, balls, scheme, op_id, pole=None):
         live = (dist >= outer / 2.0) & (dist < outer)
         for i, ball in enumerate(balls):
             live &= ball.contains(group, pts[:, i])
-        yield pts, live, float(np.prod(hi - lo))
+        yield pts, live, float(np.prod(hi - lo)), dist
     # top stratum d(pole, y_vec) >= r0 (the quasi-triangle constant can push
     # a sliver of the supports beyond r0)
     pts, volume = _slot_samples(group, balls, per, scheme.seed, op_id, levels)
-    yield pts, product_distance(group, pole, pts) >= r0, volume
+    dist = product_distance(group, pole, pts)
+    yield pts, dist >= r0, volume, dist
 
 
 def product_distance(group, x, pts):
@@ -313,18 +319,19 @@ def product_distance(group, x, pts):
     return dist
 
 
-def _kernel_rows(group, kernel, pts, vals, width):
+def _kernel_rows(group, kernel, pts, vals, width, near=None):
     """Yield row blocks of the (points x nodes) matrix vals / d(x_p, y_vec)^exponent,
     0 where d = 0, for kernel = (points, exponent); without a kernel, the rows
     of vals as one block.  Zero-filled to `width` nodes, a block holds at most
-    _KERNEL_BLOCK entries."""
+    _KERNEL_BLOCK entries.  `near`, if given, is the (1, nodes) distance row
+    of a kernel with one point."""
     if kernel is None:
         yield vals
         return
     xs, exponent = kernel
     rows = max(1, _KERNEL_BLOCK // width)
     for start in range(0, xs.shape[0], rows):
-        dist = product_distance(group, xs[start : start + rows], pts)
+        dist = product_distance(group, xs[start : start + rows], pts) if near is None else near
         with np.errstate(divide="ignore", invalid="ignore"):
             kern = np.where(dist > 0.0, dist, np.inf) ** (-exponent)
             block = np.where(dist > 0.0, vals * kern, 0.0)
@@ -385,16 +392,18 @@ def _estimate(group, strata, f, scheme, kernel=None):
     a kernel there is one Estimate per row of f; with kernel = (points,
     exponent) f gives one row and there is one Estimate per point.  Returns
     the Estimates and, when f gave rows, their covariance summed over the
-    strata (0 for the grid), else None.
+    strata (0 for the grid), else None.  A stratum that carries pole
+    distances (annuli) comes with a kernel whose one point is the pole.
     """
     parts = []  # per stratum: one Estimate per row
     cov = 0.0
-    for pts, live, volume in strata:
+    for pts, live, volume, dist in strata:
         nodes = pts if live is None else pts[live]
         vals, batch = _eval_rows(f, nodes)
         _check_finite(vals, nodes)
         ests = []
-        for block in _kernel_rows(group, kernel, nodes, vals, pts.shape[0]):
+        near = None if dist is None else dist[live][None]
+        for block in _kernel_rows(group, kernel, nodes, vals, pts.shape[0], near):
             if live is not None:
                 full = np.zeros((block.shape[0], pts.shape[0]))
                 full[:, live] = block

@@ -78,6 +78,22 @@ def test_counterexample_outputs(tmp_path, capsys):
     assert min(l_vals) > 0.2
 
 
+def test_counterexample_below_one_is_certified(tmp_path, capsys):
+    code = run(["counterexample", "--p", "0.5", "--q", "0.5", "--eps", "2^-2..2^-4",
+                "--out", str(tmp_path)])
+    assert code == 0
+    rows = json.loads((tmp_path / "counterexample.json").read_text())["results"]["rows"]
+    assert [r["method"] for r in rows] == ["vertex-bnb"] * 3
+    assert all(r["converged"] for r in rows)
+
+
+def test_counterexample_coarse_key_is_gone(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 0.5, "coarse": 200}))
+    assert run(["counterexample", "--config", str(cfg), "--out", str(tmp_path)]) == 64
+    assert "coarse" in capsys.readouterr().err
+
+
 def test_counterexample_invalid_p_is_validation_error(tmp_path, capsys):
     code = run(["counterexample", "--p", "1.5", "--out", str(tmp_path)])
     assert code == 1

@@ -411,6 +411,8 @@ def test_family_construction_and_linearity():
     fam = counterexample_family(0.25)
     xs = np.array([0.25, 0.3, 0.9, 1.0])
     assert np.allclose(fam.value(xs), xs)  # f_eps(x) = x for x >= eps
+    xs = np.linspace(0.3, 1.0, 101)
+    assert np.array_equal(counterexample_family(0.3).value(xs), xs)  # exactly, any eps
     assert np.allclose(fam.value(-xs), 0.0)
     assert np.allclose(fam.first(xs), 1.0)
     assert np.allclose(fam.second(xs), 0.0)
@@ -471,6 +473,102 @@ def test_affine_infimum_limit_value():
     out = affine_infimum(fam, 1.0)
     assert out["value"] == pytest.approx(0.25, rel=0.005)
     assert out["a"] == pytest.approx(0.5, abs=0.01)
+
+
+def _three_piece_nodes(eps, n):
+    # the affine_infimum node set, built here independently
+    t, w = np.polynomial.legendre.leggauss(n)
+    pieces = [(-1.0, -eps), (-eps, eps), (eps, 1.0)]
+    x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * t for a, b in pieces])
+    return x, np.concatenate([0.5 * (b - a) * w for a, b in pieces])
+
+
+def test_affine_infimum_q2_is_weighted_least_squares():
+    fam = counterexample_family(0.25)
+    x, w = _three_piece_nodes(0.25, 400)
+    f = fam.value(x)
+    design = np.stack([x, np.ones_like(x)], axis=1) * np.sqrt(w)[:, None]
+    (a, b), *_ = np.linalg.lstsq(design, f * np.sqrt(w), rcond=None)
+    value = float(np.dot(w, (f - a * x - b) ** 2))
+    out = affine_infimum(fam, 2.0)
+    assert out["method"] == "symmetric-convex" and out["converged"]
+    assert out["a"] == 0.5 and a == pytest.approx(0.5, abs=1e-12)
+    assert out["b"] == pytest.approx(b, abs=1e-12)
+    assert out["value"] == pytest.approx(value, rel=1e-12)
+
+
+def test_affine_infimum_q1_matches_lp():
+    # min sum_i w_i t_i over (a, b, t) subject to -t_i <= f_i - a x_i - b <= t_i
+    from scipy.optimize import linprog
+
+    rule = np.polynomial.legendre.leggauss(60)
+    for eps in (0.25, 2.0**-5):
+        fam = counterexample_family(eps)
+        x, w = _three_piece_nodes(eps, 60)
+        f = fam.value(x)
+        eye = np.eye(x.size)
+        ab = np.stack([x, np.ones_like(x)], axis=1)
+        a_ub = np.block([[-ab, -eye], [ab, -eye]])
+        res = linprog(
+            np.concatenate([[0.0, 0.0], w]), A_ub=a_ub, b_ub=np.concatenate([-f, f]),
+            bounds=[(None, None)] * 2 + [(0.0, None)] * x.size, method="highs",
+        )
+        assert res.status == 0
+        out = affine_infimum(fam, 1.0, nodes=rule)
+        assert out["value"] <= res.fun * (1.0 + 1e-9)
+        assert out["value"] == pytest.approx(res.fun, rel=1e-7)
+
+
+def _all_lines_brute_force(fam, q, n):
+    # the least F over the line through every pair of nodes
+    x, w = _three_piece_nodes(fam.eps, n)
+    f = fam.value(x)
+    i, j = np.triu_indices(x.size, k=1)
+    a = (f[i] - f[j]) / (x[i] - x[j])
+    b = f[i] - a * x[i]
+    resid = f - a[:, None] * x - b[:, None]
+    resid[np.arange(i.size), i] = 0.0
+    resid[np.arange(i.size), j] = 0.0
+    return float((np.abs(resid) ** q @ w).min())
+
+
+@pytest.mark.parametrize("q", [0.5, 0.1, 0.9])
+def test_affine_infimum_below_one_is_best_line_through_two_nodes(q):
+    # 25 nodes per piece: the middle one is its own mirror image
+    rule = np.polynomial.legendre.leggauss(25)
+    for eps in (0.25, 0.3, 2.0**-4):
+        fam = counterexample_family(eps)
+        out = affine_infimum(fam, q, nodes=rule)
+        assert out["method"] == "vertex-bnb" and out["converged"]
+        assert out["value"] == pytest.approx(_all_lines_brute_force(fam, q, 25), rel=1e-12)
+        x, w = _three_piece_nodes(eps, 25)
+        resid = fam.value(x) - out["a"] * x - out["b"]
+        assert float(np.dot(w, np.abs(resid) ** q)) == pytest.approx(out["value"], rel=1e-6)
+
+
+def test_affine_infimum_below_one_is_not_above_known_line():
+    # at eps = 1/4 the line a = 1/2 through two mirror-image nodes gives
+    # 0.65973279; the earlier grid search reported 0.659793
+    out = affine_infimum(counterexample_family(0.25), 0.5)
+    assert out["value"] <= 0.6597328 + 1e-9
+
+
+def test_counterexample_rows_are_certified():
+    eps = [2.0**-e for e in range(2, 9)]
+    for q, method in ((0.5, "vertex-bnb"), (1.0, "symmetric-convex")):
+        rows = counterexample_report(0.5, q, eps)
+        assert all(row["converged"] and row["method"] == method for row in rows)
+
+
+def test_affine_distance_floor_closed_form():
+    from scipy.integrate import quad as integrate
+
+    assert affine_distance_floor(2.0) == pytest.approx(1.0 / 96.0, rel=1e-15)
+    for q in (0.5, 0.75, 1.0, 2.0):
+        at = [integrate(lambda x: abs(x - c) ** q, 0.5, 1.0, points=[c])[0]
+              for c in (0.7, 0.75, 0.8)]
+        assert at[1] == pytest.approx(affine_distance_floor(q), rel=1e-9)
+        assert at[1] < min(at[0], at[2])
 
 
 def test_ramp_testfunction_jets_and_smoothness(e2):

@@ -182,6 +182,12 @@ def test_sample_ball_is_prefix_of_one_long_draw(group_id, request, caplog):
             assert drawn <= 1.25 * count
 
 
+def test_sample_ball_zero_count_is_empty(e1, h1):
+    # the debug log's acceptance percentage once divided by zero draws
+    assert sample_ball(e1, GaugeBall([0.0], 1.0), 0, stream(0, "z")).shape == (0, 1)
+    assert sample_ball(h1, GaugeBall([0.0, 0.0, 0.0], 1.0), 0, stream(0, "z")).shape == (0, 3)
+
+
 def test_quadrature_nodes_reproducible(e2, mc_scheme):
     ball = GaugeBall([0.0, 0.0], 1.0)
     a = quadrature_nodes(e2, ball, mc_scheme, "shared")
@@ -431,6 +437,36 @@ def test_singular_product_annuli_batch_is_per_point_loop(e1):
         for x in xs
     ]
     assert [e.to_dict() for e in batch] == [e.to_dict() for e in loop]
+
+
+def test_singular_product_annuli_reuses_shell_distances(h1, monkeypatch):
+    # each shell's distances d(x, y_vec) pick its live nodes and then form
+    # the kernel: one product_distance per shell, not two; the values are
+    # those of the two-pass code, bit for bit
+    fs = [GaugeBump(h1, [0.1, 0.0, 0.0], 0.9), GaugeBump(h1, [-0.2, 0.1, 0.0], 1.1)]
+    supports = [f.support for f in fs]
+    scheme = QuadratureScheme(kind="annuli", samples=24000, levels=24, seed=1234)
+    xs = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [-0.4, 0.2, 0.05], [0.2, 0.5, -0.3]])
+    calls = {"compose": 0, "gauge_norm": 0}
+    for name in calls:
+        original = getattr(type(h1), name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(type(h1), name, counted)
+    est = integrate_singular_product(
+        h1, 2, product_integrand(fs), xs, 2.0, supports, scheme, op_id="ann"
+    )
+    assert calls == {"compose": 408, "gauge_norm": 408}  # 608 each with two passes
+    expected = [
+        ("0x1.40f61921c5820p+0", "0x1.06955f2c509b9p-2"),
+        ("0x1.160235cb023b2p+0", "0x1.1b768b141452cp-2"),
+        ("0x1.dd6727b212a86p-1", "0x1.a9c54499c4081p-3"),
+        ("0x1.2ee0046fc9771p-1", "0x1.e7e04b9abcfdfp-4"),
+    ]
+    assert [(e.value.hex(), e.std_error.hex()) for e in est] == expected
 
 
 @pytest.mark.parametrize("kind", sorted(_BATCH_SCHEMES))
