@@ -8,12 +8,14 @@ numpy, so results never depend on it.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure (flagged
 estimates / violation candidates, a non-finite integrand, a rank-deficient
-basis), 64 usage error.
+basis), 64 usage error.  A numerical error raised by a computation still
+writes <command>.json, with the failure under results.error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -204,6 +206,27 @@ def _write_report(cfg, args, command, results, csv_payload=None):
     return report
 
 
+@contextlib.contextmanager
+def _partial_report(cfg, args, command, stage):
+    """On a numerical error, write <command>.json whose results.error names
+    the error, the stage, the trial (or pair) index when there is one, the
+    sampled point and the seed; the error then propagates (exit 2)."""
+    try:
+        yield
+    except (IntegrationError, ConditioningError) as exc:
+        point = getattr(exc, "point", None)
+        error = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "stage": stage,
+            "trial": getattr(exc, "trial", None),
+            "point": None if point is None else point.tolist(),
+            "seed": args.seed,
+        }
+        _write_report(cfg, args, command, {"error": error})
+        raise
+
+
 def _sweep_exit_code(summary):
     return EXIT_NUMERICAL if summary["flags"] else EXIT_OK
 
@@ -254,12 +277,7 @@ _SWEEPS = {
 
 
 def cmd_sweep(args):
-    """poincare, sobolev and sobolev-sublaplacian: a weight check, then the trials.
-
-    A numerical failure still writes <command>.json, with the failing stage,
-    trial index, point and seed under results.error, and then propagates
-    (exit 2).
-    """
+    """poincare, sobolev and sobolev-sublaplacian: a weight check, then the trials."""
     command = args.command
     sweep, default_group, default_k, sublaplacian = _SWEEPS[command]
     defaults = {
@@ -281,27 +299,14 @@ def cmd_sweep(args):
     u = weight_from_spec(group, cfg.get("u"))
     vs = [weight_from_spec(group, spec) for spec in (cfg.get("v") or [None] * system.m)]
     scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
-    stage = "weight-check"
-    try:
+    with _partial_report(cfg, args, command, "weight-check"):
         check = check_weight_condition(group, u, vs, system, scheme)
-        stage = "trials"
-        extra = {"sublaplacian": True} if sublaplacian else {}
+    extra = {"sublaplacian": True} if sublaplacian else {}
+    with _partial_report(cfg, args, command, "trials"):
         reports = sweep(
             group, system, u, vs, scheme, trials=int(cfg["trials"]), seed=args.seed,
             weight_check=check, **extra,
         )
-    except (IntegrationError, ConditioningError) as exc:
-        point = getattr(exc, "point", None)
-        error = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "stage": stage,
-            "trial": getattr(exc, "trial", None),
-            "point": None if point is None else point.tolist(),
-            "seed": args.seed,
-        }
-        _write_report(cfg, args, command, {"error": error})
-        raise
     summary = sweep_summary(reports)
     results = {
         "summary": summary,
@@ -343,9 +348,10 @@ def cmd_weights_check(args):
     vs = [weight_from_spec(group, spec) for spec in (cfg.get("v") or [None] * system.m)]
     sampler = _sampler_from_cfg(group, cfg.get("sampler") or {})
     scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
-    report = weight_condition_sup(
-        group, u, vs, system, sampler, scheme, t_grid=tuple(cfg["t_grid"])
-    )
+    with _partial_report(cfg, args, "weights-check", "weight-check"):
+        report = weight_condition_sup(
+            group, u, vs, system, sampler, scheme, t_grid=tuple(cfg["t_grid"])
+        )
     results = report.to_dict()
     header = ["t", "sup", "slope", "verdict"]
     csv_rows = [[row["t"], row["sup"], row["slope"], row["verdict"]] for row in report.per_t]
@@ -371,16 +377,11 @@ def cmd_repformula(args):
     center = ball_cfg.get("center") or [0.0] * group.n
     ball = GaugeBall(center, ball_cfg.get("radius", 1.0))
     scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
-    records, summaries = repformula_sweep(
-        group,
-        int(cfg["k"]),
-        int(cfg["m"]),
-        scheme,
-        pairs=int(cfg["pairs"]),
-        points=int(cfg["points"]),
-        seed=args.seed,
-        ball=ball,
-    )
+    with _partial_report(cfg, args, "repformula", "pairs"):
+        records, summaries = repformula_sweep(
+            group, int(cfg["k"]), int(cfg["m"]), scheme, pairs=int(cfg["pairs"]),
+            points=int(cfg["points"]), seed=args.seed, ball=ball,
+        )
     max_ratio = max(s["max_ratio"] for s in summaries)
     results = {"summaries": summaries, "max_ratio": max_ratio, "records": records}
     header = ["pair", "point_index", "lhs", "rhs", "ratio"]
@@ -400,7 +401,8 @@ def _norm_command(args, command, defaults, compute):
     w = weight_from_spec(group, cfg.get("w"))
     sampler = _sampler_from_cfg(group, cfg.get("sampler") or {})
     scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
-    est, details = compute(group, f, w, sampler, scheme, cfg)
+    with _partial_report(cfg, args, command, "balls"):
+        est, details = compute(group, f, w, sampler, scheme, cfg)
     results = {"norm": est.to_dict(), "note": est.note, "per_ball": details}
     header = ["radius", "value"]
     csv_rows = [[d["radius"], d["value"]] for d in details]
@@ -424,7 +426,7 @@ def cmd_morrey(args):
     def compute(group, f, w, sampler, scheme, cfg):
         return morrey_norm(
             group, f, w, float(cfg["p"]), float(cfg["lam"]), sampler, scheme,
-            normalization=cfg["normalization"], return_details=True,
+            normalization=cfg["normalization"],
         )
 
     return _norm_command(args, "morrey", defaults, compute)
@@ -446,7 +448,7 @@ def cmd_campanato(args):
     def compute(group, f, w, sampler, scheme, cfg):
         return campanato_norm(
             group, f, w, float(cfg["p"]), float(cfg["lam"]), int(cfg["k"]), sampler, scheme,
-            normalization=cfg["normalization"], return_details=True,
+            normalization=cfg["normalization"],
         )
 
     return _norm_command(args, "campanato", defaults, compute)
@@ -479,10 +481,11 @@ def cmd_leibniz(args):
     v2 = weight_from_spec(group, cfg.get("v2"))
     sampler = _sampler_from_cfg(group, cfg.get("sampler") or {})
     scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
-    reports = leibniz_sweep(
-        group, system, u, v1, v2, float(cfg["lam"]), float(cfg["lam1"]), float(cfg["lam2"]),
-        sampler, scheme, configs=int(cfg["configs"]), seed=args.seed,
-    )
+    with _partial_report(cfg, args, "leibniz", "trials"):
+        reports = leibniz_sweep(
+            group, system, u, v1, v2, float(cfg["lam"]), float(cfg["lam1"]), float(cfg["lam2"]),
+            sampler, scheme, configs=int(cfg["configs"]), seed=args.seed,
+        )
     summary = sweep_summary(reports)
     results = {"summary": summary, "trials": [r.to_dict() for r in reports]}
     header = ["trial", "lhs", "rhs", "ratio"]

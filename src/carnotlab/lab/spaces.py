@@ -1,22 +1,31 @@
 """Weighted Morrey and Campanato norms and the Leibniz-rule experiment.
 
-Norms are sups over sampled balls and therefore lower estimates of the
-true sups; reports echo the sampler's radius range.  The ball-volume
-normalization |B|^(lambda/n) uses the ambient dimension n as written,
-with a switch to the homogeneous dimension Q for exploration.
+Both norms are one sup over sampled balls (drawn under f"{op_id}-balls",
+ball b estimated under f"{op_id}/b{b}") of estimates scaled by
+|B|^(-lambda/(dim p)), and return (sup, per-ball details).  A sampled sup
+is a lower estimate of the true sup.  dim is the ambient n as written, or
+the homogeneous dimension Q for exploration.  A Morrey integrand may return
+A rows: each ball then takes all A norms from one node set, and each row of
+the sup equals the single-row call with the same op_id bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..carnot.constants import ball_volume
-from ..carnot.functions import HorizontalDerivativeMagnitude, ProductFunction
+from ..carnot.functions import ProductFunction
 from ..errors import DomainError, HypothesisError, ValidationError
-from ..operators import derivative_tuples
-from ..quad import estimate_product, estimate_sum, lp_norm_ball
+from ..operators import derivative_tuples, jet_rows
+from ..quad import Estimate, estimate_product, estimate_sum, lp_norm_ball
 from .bestpoly import best_polynomial
 from .inequalities import _base_config, _finish
 
 _SUP_NOTE = "sup over sampled balls: lower estimate at sampled scales"
+_RHS_NOTE = (
+    "terms share each slot's nodes: std_error is the sum of the terms' errors, "
+    "an upper bound under any correlation"
+)
 
 
 def _norm_dimension(group, normalization):
@@ -27,71 +36,64 @@ def _norm_dimension(group, normalization):
     raise DomainError(f"unknown normalization {normalization!r}")
 
 
-def morrey_norm(
-    group,
-    f,
-    w,
-    p,
-    lam,
-    sampler,
-    scheme,
-    *,
-    normalization="ambient",
-    op_id="morrey",
-    return_details=False,
-):
-    """sup_B (|B|^(-lambda/n) int_B (|f| w)^p)^(1/p) over sampled balls."""
-    if not (p > 0 and lam > 0):
-        raise DomainError("Morrey norms need p > 0 and lambda > 0")
+def _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, estimate):
+    """Per-row sup over sampled balls of |B|^(-lam/(dim p)) * estimate(ball, ball_op_id).
+
+    `estimate` returns an Estimate, or a list of A Estimates (rows).  Returns
+    the sup (same shape) and per-ball details, whose "value" is a float or a
+    list of A floats.
+    """
     dim = _norm_dimension(group, normalization)
     best = None
     details = []
     for b_idx, ball in enumerate(sampler.generate(scheme.seed, label=f"{op_id}-balls")):
-        norm = lp_norm_ball(group, f, w, p, ball, scheme, op_id=f"{op_id}/b{b_idx}")
+        out = estimate(ball, f"{op_id}/b{b_idx}")
+        rows = isinstance(out, list)
         scale = ball_volume(group, ball.radius) ** (-lam / (dim * p))
-        est = norm.scaled(scale)
-        details.append({"radius": ball.radius, "center": ball.center.tolist(), "value": est.value})
-        if best is None or est.value > best.value:
-            best = est
-    best.note = _SUP_NOTE
-    if return_details:
-        return best, details
-    return best
+        ests = [e.scaled(scale) for e in (out if rows else [out])]
+        values = [e.value for e in ests]
+        details.append(
+            {"radius": ball.radius, "center": ball.center.tolist(),
+             "value": values if rows else values[0]}
+        )
+        best = ests if best is None else [e if e.value > b.value else b for e, b in zip(ests, best)]
+    for e in best:
+        e.note = _SUP_NOTE
+    return (best if rows else best[0]), details
+
+
+def morrey_norm(group, f, w, p, lam, sampler, scheme, *, normalization="ambient", op_id="morrey"):
+    """sup_B (|B|^(-lambda/n) int_B (|f| w)^p)^(1/p) over sampled balls.
+
+    Returns (sup, details).  If `f` returns A rows, the sup is a list of A
+    Estimates, all taken per ball from one node set.
+    """
+    if not (p > 0 and lam > 0):
+        raise DomainError("Morrey norms need p > 0 and lambda > 0")
+
+    def norm(ball, ball_id):
+        out = lp_norm_ball(group, f, w, p, ball, scheme, op_id=ball_id)
+        return out if isinstance(out, Estimate) else out[0]
+
+    return _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, norm)
 
 
 def campanato_norm(
-    group,
-    f,
-    w,
-    p,
-    lam,
-    k,
-    sampler,
-    scheme,
-    *,
-    normalization="ambient",
-    op_id="campanato",
-    return_details=False,
+    group, f, w, p, lam, k, sampler, scheme, *, normalization="ambient", op_id="campanato"
 ):
-    """Like Morrey but measuring the best-polynomial distance of degree < k."""
+    """Like Morrey but measuring the best-polynomial distance of degree < k.
+
+    Returns (sup, details).
+    """
     if not (p > 0 and lam > 0):
         raise DomainError("Campanato norms need p > 0 and lambda > 0")
     if k < 1:
         raise DomainError("Campanato order k must be >= 1")
-    dim = _norm_dimension(group, normalization)
-    best = None
-    details = []
-    for b_idx, ball in enumerate(sampler.generate(scheme.seed, label=f"{op_id}-balls")):
-        _, value = best_polynomial(group, f, w, p, ball, k, scheme, op_id=f"{op_id}/b{b_idx}")
-        scale = ball_volume(group, ball.radius) ** (-lam / (dim * p))
-        est = value.scaled(scale)
-        details.append({"radius": ball.radius, "center": ball.center.tolist(), "value": est.value})
-        if best is None or est.value > best.value:
-            best = est
-    best.note = _SUP_NOTE
-    if return_details:
-        return best, details
-    return best
+
+    def distance(ball, ball_id):
+        return best_polynomial(group, f, w, p, ball, k, scheme, op_id=ball_id)[1]
+
+    return _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, distance)
 
 
 def leibniz_test(
@@ -114,6 +116,13 @@ def leibniz_test(
 ):
     """Campanato norm of fg against sums of Morrey-norm products.
 
+    The lhs is one Campanato norm under f"{op_id}/lhs".  Each slot makes one
+    Morrey call, under f"{op_id}/f" or f"{op_id}/g", whose rows are the
+    slot's distinct derivative keys, so each ball evaluates the slot's jets
+    once; each term is a product of those memoised sups.  The terms share
+    each slot's nodes, so the rhs standard error is the sum of the terms'
+    errors, an upper bound under any correlation.
+
     Requires the scaling relation lambda/q = lambda_1/p_1 + lambda_2/p_2
     and k <= 2Q.
     """
@@ -129,7 +138,7 @@ def leibniz_test(
     if k > 2 * group.homogeneous_dimension:
         raise HypothesisError(f"needs k <= 2Q = {2 * group.homogeneous_dimension}, got k = {k}")
     product = ProductFunction(group, [f, g])
-    lhs = campanato_norm(
+    lhs, _ = campanato_norm(
         group,
         product,
         u,
@@ -141,42 +150,23 @@ def leibniz_test(
         normalization=normalization,
         op_id=f"{op_id}/lhs",
     )
-    terms = []
-    breakdown = []
-    for t_idx, tup in enumerate(derivative_tuples(2, k, group.n1)):
-        a1, a2 = tup.alphas
-        m1 = morrey_norm(
-            group,
-            HorizontalDerivativeMagnitude(group, f, a1),
-            v1,
-            p1,
-            lam1,
-            sampler,
-            scheme,
-            normalization=normalization,
-            op_id=f"{op_id}/t{t_idx}/f",
+    tuples = derivative_tuples(2, k, group.n1)
+    sups = []  # per slot: key -> sup Estimate
+    for i, (h, v, p, lam_i, name) in enumerate(((f, v1, p1, lam1, "f"), (g, v2, p2, lam2, "g"))):
+        keys = list(dict.fromkeys(tup.alphas[i] for tup in tuples))
+        ests, _ = morrey_norm(
+            group, jet_rows(group, h, keys), v, p, lam_i, sampler, scheme,
+            normalization=normalization, op_id=f"{op_id}/{name}",
         )
-        m2 = morrey_norm(
-            group,
-            HorizontalDerivativeMagnitude(group, g, a2),
-            v2,
-            p2,
-            lam2,
-            sampler,
-            scheme,
-            normalization=normalization,
-            op_id=f"{op_id}/t{t_idx}/g",
-        )
-        term = estimate_product([m1, m2])
-        terms.append(term)
-        breakdown.append(
-            {
-                "alphas": [list(a1), list(a2)],
-                "value": term.value,
-                "std_error": term.std_error,
-            }
-        )
-    rhs = estimate_sum(terms)
+        sups.append(dict(zip(keys, ests)))
+    terms = [estimate_product(sups[i][a] for i, a in enumerate(tup.alphas)) for tup in tuples]
+    breakdown = [
+        {"alphas": [list(a) for a in tup.alphas], "value": t.value, "std_error": t.std_error}
+        for tup, t in zip(tuples, terms)
+    ]
+    rhs = replace(
+        estimate_sum(terms), std_error=sum(t.std_error for t in terms), note=_RHS_NOTE
+    )
     config = _base_config(
         group,
         system,

@@ -109,9 +109,8 @@ def sobolev_sweep(group, system, u, vs, scheme, *, trials=50, seed=0, weight_che
 def repformula_sweep(group, k, m, scheme, *, pairs=10, points=50, seed=0, ball=None):
     """Pointwise representation-bound ratios over random function tuples."""
     ball = ball if ball is not None else GaugeBall(group.identity(), 1.0)
-    all_records = []
-    summaries = []
-    for i in range(pairs):
+
+    def pair(i):
         rng = stream(seed, f"repformula-sweep/{i}")
         fs = [
             random_bump(group, rng, center_box=0.4, radius_range=(0.8, 1.6))
@@ -121,38 +120,27 @@ def repformula_sweep(group, k, m, scheme, *, pairs=10, points=50, seed=0, ball=N
             group, fs, ball, k, points, scheme, op_id=f"repformula-sweep/{i}"
         )
         summary["pair"] = i
-        all_records.append(records)
-        summaries.append(summary)
-    return all_records, summaries
+        return records, summary
+
+    results = _run_trials(pairs, pair)
+    return [r for r, _ in results], [s for _, s in results]
 
 
 def leibniz_sweep(
     group, system, u, v1, v2, lam, lam1, lam2, sampler, scheme, *, configs=50, seed=0
 ):
     """Randomized bilinear Campanato-Morrey Leibniz trials."""
-    reports = []
-    for i in range(configs):
+
+    def config(i):
         rng = stream(seed, f"leibniz-sweep/{i}")
         f = random_bump(group, rng)
         g = random_bump(group, rng)
-        reports.append(
-            leibniz_test(
-                group,
-                f,
-                g,
-                u,
-                v1,
-                v2,
-                system,
-                lam,
-                lam1,
-                lam2,
-                sampler,
-                scheme,
-                op_id=f"leibniz-sweep/{i}",
-            )
+        return leibniz_test(
+            group, f, g, u, v1, v2, system, lam, lam1, lam2, sampler, scheme,
+            op_id=f"leibniz-sweep/{i}",
         )
-    return reports
+
+    return _run_trials(configs, config)
 
 
 def sweep_summary(reports):

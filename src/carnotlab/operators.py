@@ -117,6 +117,18 @@ def multilinear_fractional_integral(group, fs, tau, x, scheme, *, op_id="mfi"):
     )
 
 
+def jet_rows(group, f, keys):
+    """Integrand giving |K f| for each key as one row (len(keys), N): one
+    `JetTable` per node set serves every key (a multi-index alpha for
+    X^alpha, or "L" for the sub-Laplacian)."""
+
+    def rows(pts):
+        table = JetTable(group, f, pts)
+        return np.stack([np.abs(table[key]) for key in keys])
+
+    return rows
+
+
 def _rhs(group, fs, vs, ps, domains, terms, scheme, op_id):
     """sum_t prod_i ||K_{t,i} f_i * v_i||_{L^p_i(domains[i])} and its terms.
 
@@ -138,13 +150,9 @@ def _rhs(group, fs, vs, ps, domains, terms, scheme, op_id):
     samples = 0
     for i in range(m):
         keys = list(dict.fromkeys(term[i] for term in terms))
-
-        def rows(pts, f=fs[i], keys=keys):
-            table = JetTable(group, f, pts)
-            return np.stack([np.abs(table[key]) for key in keys])
-
         ests, cov = lp_norm_ball(
-            group, rows, vs[i], ps[i], domains[i], scheme, op_id=f"{op_id}/f{i}"
+            group, jet_rows(group, fs[i], keys), vs[i], ps[i], domains[i], scheme,
+            op_id=f"{op_id}/f{i}",
         )
         norms.append(dict(zip(keys, ests)))
         covs.append(cov)

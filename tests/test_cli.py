@@ -141,6 +141,29 @@ def test_poincare_non_finite_integrand_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "poincare.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, stage, trial",
+    [
+        ("leibniz", {"v1": {"kind": "power", "beta": -400}, "configs": 2}, "trials", 0),
+        ("morrey", {"w": {"kind": "power", "beta": -400}}, "balls", None),
+    ],
+)
+def test_numerical_failure_writes_partial_report(tmp_path, capsys, command, config, stage, trial):
+    # every command, not only the three sweeps, leaves <command>.json behind on exit 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = run([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "5"])
+    assert code == 2
+    assert "non-finite integrand value inf at" in capsys.readouterr().err
+    data = json.loads((tmp_path / "out" / f"{command}.json").read_text())
+    error = data["results"]["error"]
+    assert error["type"] == "IntegrationError"
+    assert error["stage"] == stage and error["trial"] == trial
+    assert error["seed"] == data["seed"] == 5
+    assert len(error["point"]) == 1 and math.isfinite(error["point"][0])
+    assert not (tmp_path / "out" / f"{command}.csv").exists()
+
+
 _SWEEP_DEFAULTS = {
     "m": 2,
     "p_list": [4.0 / 3.0, 4.0 / 3.0],

@@ -7,6 +7,7 @@ from carnotlab.carnot import (
     GaugeBall,
     GaugeBump,
     HomogeneousPolynomial,
+    HorizontalDerivativeMagnitude,
     TranslatedFunction,
     DilatedArgument,
     random_bump,
@@ -30,9 +31,9 @@ from carnotlab.lab import (
     sobolev_sublaplacian_test,
     sobolev_test,
 )
-from carnotlab.lab import inequalities
+from carnotlab.lab import inequalities, spaces
 from carnotlab.lab.bestpoly import _weighted_lstsq
-from carnotlab.operators import derivative_tuples
+from carnotlab.operators import derivative_tuples, jet_rows
 from carnotlab.quad import QuadratureScheme
 from carnotlab.rng import stream
 from carnotlab.weights import BallSampler, ExponentSystem, Weight
@@ -593,8 +594,7 @@ def test_morrey_constant_function(e2, small_scheme):
     # f = w = 1, lambda = n: every ball gives exactly 1
     sampler = BallSampler(dim=2, count=12, r_min=0.25, r_max=4.0)
     est, details = morrey_norm(
-        e2, lambda p: np.ones(p.shape[0]), W1(e2), 2.0, 2.0, sampler, small_scheme,
-        return_details=True,
+        e2, lambda p: np.ones(p.shape[0]), W1(e2), 2.0, 2.0, sampler, small_scheme
     )
     assert est.value == pytest.approx(1.0, rel=1e-9)
     assert all(abs(d["value"] - 1.0) < 1e-9 for d in details)
@@ -606,8 +606,7 @@ def test_morrey_lambda_below_n_slope(e2, small_scheme):
     lam, p = 1.0, 2.0
     sampler = BallSampler(dim=2, count=24, r_min=2.0**-4, r_max=2.0**4)
     est, details = morrey_norm(
-        e2, lambda p_: np.ones(p_.shape[0]), W1(e2), p, lam, sampler, small_scheme,
-        return_details=True,
+        e2, lambda p_: np.ones(p_.shape[0]), W1(e2), p, lam, sampler, small_scheme
     )
     radii = np.array([d["radius"] for d in details])
     vals = np.array([d["value"] for d in details])
@@ -619,7 +618,7 @@ def test_morrey_lambda_below_n_slope(e2, small_scheme):
 def test_morrey_bump_finite(e1, small_scheme):
     bump = GaugeBump(e1, [0.0], 1.0)
     sampler = BallSampler(dim=1, count=24, r_min=0.25, r_max=8.0)
-    est = morrey_norm(e1, bump, W1(e1), 2.0, 1.0, sampler, small_scheme)
+    est, _ = morrey_norm(e1, bump, W1(e1), 2.0, 1.0, sampler, small_scheme)
     assert math.isfinite(est.value) and est.value > 0
     assert "lower estimate" in est.note
 
@@ -627,25 +626,50 @@ def test_morrey_bump_finite(e1, small_scheme):
 def test_morrey_homogeneous_normalization(h1, small_scheme):
     # the Q-normalization switch: lambda = Q makes constant weights flat
     sampler = BallSampler(dim=3, count=8, r_min=0.5, r_max=2.0)
-    est = morrey_norm(
+    est, _ = morrey_norm(
         h1, lambda p: np.ones(p.shape[0]), W1(h1), 2.0, 4.0, sampler, small_scheme,
         normalization="homogeneous",
     )
     assert est.value == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("gid", ["e1", "h1"])
+def test_morrey_rows_match_single_key_calls(gid, request, small_scheme):
+    # a row integrand takes every key's norm per ball from one node set; each
+    # row's sup, per-ball values and note are the single-key call's, bit for bit
+    group = request.getfixturevalue(gid)
+    rng = stream(21, f"morrey-rows/{gid}")
+    bump = random_bump(group, rng, center_box=0.3, radius_range=(0.8, 1.2))
+    keys = [(0,) * group.n1, (1,) + (0,) * (group.n1 - 1), (2,) + (0,) * (group.n1 - 1)]
+    sampler = BallSampler(dim=group.n, count=6, r_min=0.25, r_max=2.0)
+    sups, details = morrey_norm(
+        group, jet_rows(group, bump, keys), W1(group), 2.0, 1.0, sampler, small_scheme,
+        op_id="rows",
+    )
+    assert len(sups) == len(keys) and len(details) == 6
+    for a, key in enumerate(keys):
+        single, single_details = morrey_norm(
+            group, HorizontalDerivativeMagnitude(group, bump, key), W1(group), 2.0, 1.0,
+            sampler, small_scheme, op_id="rows",
+        )
+        assert sups[a].to_dict() == single.to_dict()
+        assert sups[a].note == single.note
+        assert [d["value"][a] for d in details] == [d["value"] for d in single_details]
+        assert [d["radius"] for d in details] == [d["radius"] for d in single_details]
+
+
 def test_campanato_polynomial_zero(e1, small_scheme):
     f = HomogeneousPolynomial(e1, {(0,): 1.0, (1,): -2.0})
     sampler = BallSampler(dim=1, count=8, r_min=0.5, r_max=2.0)
-    est = campanato_norm(e1, f, W1(e1), 2.0, 1.0, 2, sampler, small_scheme)
+    est, _ = campanato_norm(e1, f, W1(e1), 2.0, 1.0, 2, sampler, small_scheme)
     assert est.value < 1e-8
 
 
 def test_campanato_below_morrey(e1, small_scheme):
     bump = GaugeBump(e1, [0.0], 1.0)
     sampler = BallSampler(dim=1, count=12, r_min=0.5, r_max=2.0)
-    cam = campanato_norm(e1, bump, W1(e1), 2.0, 1.0, 1, sampler, small_scheme)
-    mor = morrey_norm(e1, bump, W1(e1), 2.0, 1.0, sampler, small_scheme)
+    cam, _ = campanato_norm(e1, bump, W1(e1), 2.0, 1.0, 1, sampler, small_scheme)
+    mor, _ = morrey_norm(e1, bump, W1(e1), 2.0, 1.0, sampler, small_scheme)
     assert cam.value <= mor.value + 1e-9
 
 
@@ -655,9 +679,7 @@ def test_campanato_x_squared_closed_form(e1):
     f = HomogeneousPolynomial(e1, {(2,): 1.0})
     sampler = BallSampler(dim=1, count=10, r_min=0.5, r_max=2.0)
     scheme = QuadratureScheme(samples=60000, seed=67)
-    est, details = campanato_norm(
-        e1, f, W1(e1), 2.0, 1.0, 2, sampler, scheme, return_details=True
-    )
+    est, details = campanato_norm(e1, f, W1(e1), 2.0, 1.0, 2, sampler, scheme)
     for d in details:
         r = d["radius"]
         expected = math.sqrt(8.0 / 45.0) * r**2.5 / math.sqrt(2.0 * r)
@@ -674,8 +696,8 @@ def test_campanato_shift_invariance(e1, small_scheme):
             return bump(p) + shift(p)
 
     sampler = BallSampler(dim=1, count=8, r_min=0.5, r_max=2.0)
-    a = campanato_norm(e1, bump, W1(e1), 2.0, 1.0, 2, sampler, small_scheme)
-    b = campanato_norm(e1, Shifted(), W1(e1), 2.0, 1.0, 2, sampler, small_scheme)
+    a, _ = campanato_norm(e1, bump, W1(e1), 2.0, 1.0, 2, sampler, small_scheme)
+    b, _ = campanato_norm(e1, Shifted(), W1(e1), 2.0, 1.0, 2, sampler, small_scheme)
     assert b.value == pytest.approx(a.value, rel=1e-8, abs=1e-12)
 
 
@@ -729,3 +751,56 @@ def test_leibniz_bump_pair_finite(e1, small_scheme):
     )
     assert math.isfinite(report.ratio)
     assert len(report.terms) == 3
+
+
+def test_leibniz_one_morrey_call_per_slot(e1, small_scheme, monkeypatch):
+    # k = 2 on R^1: 3 tuples, but one Campanato call and one Morrey call per
+    # slot, and one lp_norm_ball call per (slot, ball)
+    calls = {"campanato": [], "morrey": [], "lp": 0}
+    originals = {
+        name: getattr(spaces, name) for name in ("campanato_norm", "morrey_norm", "lp_norm_ball")
+    }
+
+    def campanato(*args, **kw):
+        calls["campanato"].append(kw["op_id"])
+        return originals["campanato_norm"](*args, **kw)
+
+    def morrey(*args, **kw):
+        calls["morrey"].append(kw["op_id"])
+        return originals["morrey_norm"](*args, **kw)
+
+    def lp(*args, **kw):
+        calls["lp"] += 1
+        return originals["lp_norm_ball"](*args, **kw)
+
+    monkeypatch.setattr(spaces, "campanato_norm", campanato)
+    monkeypatch.setattr(spaces, "morrey_norm", morrey)
+    monkeypatch.setattr(spaces, "lp_norm_ball", lp)
+    rng = stream(9, "leibniz")
+    f, g = random_bump(e1, rng), random_bump(e1, rng)
+    sampler = BallSampler(dim=1, count=5, r_min=0.25, r_max=4.0)
+    report = leibniz_test(
+        e1, f, g, W1(e1), W1(e1), W1(e1), _leibniz_system(), 1.0, 1.0, 1.0,
+        sampler, small_scheme, op_id="lz",
+    )
+    assert calls["campanato"] == ["lz/lhs"]
+    assert calls["morrey"] == ["lz/f", "lz/g"]
+    assert calls["lp"] == 2 * sampler.count
+    assert len(report.terms) == 3
+
+
+def test_leibniz_rhs_error_is_sum_of_term_errors(e1, small_scheme):
+    # the terms share each slot's nodes, so the rhs error is the triangle-
+    # inequality bound: the sum of the terms' errors, never below their RSS
+    rng = stream(9, "leibniz")
+    f, g = random_bump(e1, rng), random_bump(e1, rng)
+    sampler = BallSampler(dim=1, count=6, r_min=0.25, r_max=4.0)
+    report = leibniz_test(
+        e1, f, g, W1(e1), W1(e1), W1(e1), _leibniz_system(), 1.0, 1.0, 1.0,
+        sampler, small_scheme,
+    )
+    errors = [t["std_error"] for t in report.terms]
+    assert report.rhs.std_error == sum(errors)
+    assert report.rhs.std_error >= math.sqrt(sum(e**2 for e in errors))
+    assert report.rhs.value == sum(t["value"] for t in report.terms)
+    assert "upper bound" in report.rhs.note
