@@ -382,7 +382,7 @@ def cmd_repformula(args):
             group, int(cfg["k"]), int(cfg["m"]), scheme, pairs=int(cfg["pairs"]),
             points=int(cfg["points"]), seed=args.seed, ball=ball,
         )
-    max_ratio = max(s["max_ratio"] for s in summaries)
+    max_ratio = max((s["max_ratio"] for s in summaries), default=math.nan)
     results = {"summaries": summaries, "max_ratio": max_ratio, "records": records}
     header = ["pair", "point_index", "lhs", "rhs", "ratio"]
     csv_rows = []

@@ -155,7 +155,7 @@ def _rhs(group, fs, vs, ps, domains, terms, scheme, op_id):
             op_id=f"{op_id}/f{i}",
         )
         norms.append(dict(zip(keys, ests)))
-        covs.append(cov)
+        covs.append(cov())
         samples += ests[0].samples
     products = [estimate_product(norms[i][key] for i, key in enumerate(term)) for term in terms]
     var = 0.0

@@ -391,12 +391,13 @@ def _estimate(group, strata, f, scheme, kernel=None):
     `f` maps live nodes (N, m, n) to N values or to A rows (A, N).  Without
     a kernel there is one Estimate per row of f; with kernel = (points,
     exponent) f gives one row and there is one Estimate per point.  Returns
-    the Estimates and, when f gave rows, their covariance summed over the
-    strata (0 for the grid), else None.  A stratum that carries pole
-    distances (annuli) comes with a kernel whose one point is the pole.
+    the Estimates and, when f gave rows, a function that forms their
+    covariance summed over the strata (0 for the grid) when called, else
+    None.  A stratum that carries pole distances (annuli) comes with a
+    kernel whose one point is the pole.
     """
     parts = []  # per stratum: one Estimate per row
-    cov = 0.0
+    blocks = []  # per stratum, when f gives rows: (zero-filled rows, volume)
     for pts, live, volume, dist in strata:
         nodes = pts if live is None else pts[live]
         vals, batch = _eval_rows(f, nodes)
@@ -410,17 +411,22 @@ def _estimate(group, strata, f, scheme, kernel=None):
                 block = full
             ests.extend(_row_estimates(block, volume, scheme.seed))
         if batch:  # rows come without a kernel, so as one block
-            cov = cov + _row_covariance(block, volume)
+            blocks.append((block, volume))
         parts.append(ests)
     if scheme.kind == "grid":
         ests = [replace(e, std_error=0.0, note="tensor-grid") for e in parts[0]]
-        cov = np.zeros((len(ests), len(ests)))
     elif scheme.kind == "annuli":
         note = f"annuli truncated below 2^-{scheme.levels} * r0"
         ests = [replace(estimate_sum(row), seed=scheme.seed, note=note) for row in zip(*parts)]
     else:
         ests = parts[0]
-    return ests, (cov if batch else None)
+
+    def covariance():
+        if scheme.kind == "grid":
+            return np.zeros((len(ests), len(ests)))
+        return sum((_row_covariance(block, volume) for block, volume in blocks), 0.0)
+
+    return ests, (covariance if batch else None)
 
 
 # -- ball integrals ----------------------------------------------------------
@@ -439,10 +445,11 @@ def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularit
     `f` maps an (N, n) node set to N values, and the result is one
     Estimate.  It may instead return A rows, shape (A, N): every row is
     integrated on the same nodes, and the result is a list of A Estimates
-    with the A x A covariance of those estimates (0 for the grid, summed
-    over strata for annuli).  Each row equals the single-function result
-    bit for bit.  `f` is called on every node set the scheme forms, also
-    on one with no nodes.
+    with a function that forms the A x A covariance of those estimates
+    when called (0 for the grid, summed over strata for annuli); callers
+    that do not need it never form it.  Each row equals the
+    single-function result bit for bit.  `f` is called on every node set
+    the scheme forms, also on one with no nodes.
     """
     scheme.validate()
     pole = ball.center if singularity is None else singularity
@@ -462,9 +469,10 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm", singularity=N
     still raises IntegrationError.
 
     If `f` returns A rows, shape (A, N), all A norms are taken on one node
-    set: the result is a list of A norm Estimates and the A x A covariance
-    of the raw integrals int_B (|f_a| w)^p (see `integrate_ball`).  Each
-    row equals the single-function call with the same op_id bit for bit.
+    set: the result is a list of A norm Estimates and a function that
+    forms the A x A covariance of the raw integrals int_B (|f_a| w)^p when
+    called (see `integrate_ball`).  Each row equals the single-function
+    call with the same op_id bit for bit.
     """
     if not p > 0:
         raise DomainError(f"norm exponent must be positive, got {p}")

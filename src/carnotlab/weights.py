@@ -9,6 +9,13 @@ with e = q t for q > 1 and e = q for q <= 1, and avg_B the ball average
 |B|^-1 int_B.  The sup over balls is estimated from a random ball sampler
 and is always a lower estimate of the true sup; divergence in the ball
 radius is detected by a power-law fit of term vs r.
+
+The condition is existential in t, so every ball is scored on a grid of
+t.  A constant weight's average is the exact c^e.  Each other weight
+draws one node set per ball, under f"{op_id}/b{b}/u" or
+f"{op_id}/b{b}/v{i}", and its distances are computed once there for every
+t: the rows of the t grid share nodes (common random numbers), so they are
+correlated across t, and a t whose samples overflow is flagged on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from .carnot.constants import ball_volume
 from .carnot.group import GaugeBall
-from .errors import DomainError, IntegrationError, ValidationError
+from .errors import DomainError, ValidationError
 from .quad import Estimate, estimate_product, integrate_ball
 from .rng import stream
 
@@ -64,14 +71,28 @@ class Weight:
         return cls(group, factors=[(pole, beta)])
 
     def __call__(self, pts):
+        return self.power_rows(pts, (1.0,))[0]
+
+    def power_rows(self, pts, gammas):
+        """w^gamma at pts, one row per gamma, shape (len(gammas), N).
+
+        Each factor's distance is computed once for all rows, and row j
+        equals self.powered(gammas[j])(pts) bit for bit.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.full(pts.shape[0], self.constant)
-        for pole, beta in self.factors:
+        dists = []
+        for pole, _ in self.factors:
             dist = self.group.distance(pole, pts)
-            # overflow to inf is deliberate: callers flag non-integrable samples
-            with np.errstate(divide="ignore", over="ignore"):
-                out = out * np.where(dist > 0.0, dist, 0.0) ** beta
-        return out
+            dists.append(np.where(dist > 0.0, dist, 0.0))
+        rows = []
+        for gamma in gammas:
+            out = np.full(pts.shape[0], self.constant**gamma)
+            for dist, (_, beta) in zip(dists, self.factors):
+                # overflow to inf is deliberate: callers flag non-integrable samples
+                with np.errstate(divide="ignore", over="ignore"):
+                    out = out * dist ** (beta * gamma)
+            rows.append(out)
+        return np.stack(rows)
 
     def powered(self, gamma):
         return Weight(
@@ -176,29 +197,56 @@ def scaling_exponent(system, group):
     return system.k + Q * (1.0 / system.q - 1.0 / system.p)
 
 
-def _average_power(group, w, gamma, ball, scheme, op_id):
-    """(|B|^-1 int_B w^gamma)^(1) as an Estimate; flagged on overflow."""
-    powered = w.powered(gamma)
-    singularity = powered.singular_pole()
+def _average_powers(group, w, gammas, ball, scheme, op_id):
+    """The ball averages |B|^-1 int_B w^gamma, one Estimate per gamma.
+
+    A constant weight c gives the closed form c^gamma and draws no nodes.
+    Otherwise every gamma is one row of one integrand on one node set,
+    stratified around the pole of w^gamma when that is singular (the
+    gammas share a sign, so they share the pole).  A row with a
+    non-finite value comes back flagged with value NaN, and is zeroed from
+    then on so that it disturbs no other row.
+    """
+    if not w.factors:
+        return [Estimate.exact(w.constant**gamma) for gamma in gammas]
+    singularity = w.powered(gammas[0]).singular_pole()
     use = scheme
     if singularity is not None and use.kind == "uniform":
         # integrable point singularity: stratify around the pole
         use = scheme.with_(kind="annuli")
-    try:
-        integral = integrate_ball(
-            group, powered, ball, use, op_id=op_id, singularity=singularity
-        )
-    except IntegrationError:
-        return Estimate(value=math.nan, std_error=math.inf, samples=0, seed=scheme.seed, flagged=True)
-    return integral.scaled(1.0 / ball_volume(group, ball.radius))
+    finite = np.ones(len(gammas), dtype=bool)
+
+    def rows(pts):
+        vals = w.power_rows(pts, gammas)
+        finite[:] &= np.isfinite(vals).all(axis=1)
+        vals[~finite] = 0.0
+        return vals
+
+    ests, _ = integrate_ball(group, rows, ball, use, op_id=op_id, singularity=singularity)
+    volume = ball_volume(group, ball.radius)
+    return [
+        e.scaled(1.0 / volume) if ok
+        else Estimate(value=math.nan, std_error=math.inf, samples=0, seed=scheme.seed, flagged=True)
+        for e, ok in zip(ests, finite)
+    ]
 
 
-def ball_term(group, u, vs, system, ball, scheme, *, branch=None, op_id="ball-term"):
-    """The admissibility quantity for one ball.
+def ball_term(
+    group, u, vs, system, ball, scheme, *, branch=None, op_id="ball-term", t_grid=None
+):
+    """The admissibility quantity for one ball, as an Estimate.
 
     branch "q>1" raises u to q*t, branch "q<=1" to q; defaults to the
     branch dictated by q.  Ball averages are |B|^-1 int_B (the scaling
     criterion r^(k+Q(1/q-1/p)) then holds exactly for constant weights).
+    u draws its nodes under f"{op_id}/u" and v_i under f"{op_id}/v{i}";
+    a constant weight's average is the exact c^gamma.
+
+    With `t_grid`, the result is one Estimate per t of the grid (system.t
+    is not used): each non-constant weight takes the averages of all its
+    powers from one node set, so the rows are correlated across t, and
+    row j equals the call without `t_grid` at t = t_grid[j] bit for bit.
+    A row whose samples overflow comes back flagged on its own.
     """
     system = validate_exponents(system, group)
     auto = "q>1" if system.q > 1.0 else "q<=1"
@@ -207,17 +255,18 @@ def ball_term(group, u, vs, system, ball, scheme, *, branch=None, op_id="ball-te
         raise DomainError(f"unknown branch {branch!r}")
     if branch != auto:
         raise DomainError(f"branch {branch!r} is inconsistent with q = {system.q}")
-    u_exp = system.q * system.t if branch == "q>1" else system.q
-    factors = [
-        _average_power(group, u, u_exp, ball, scheme, f"{op_id}/u").powered(1.0 / u_exp)
-    ]
+    ts = (system.t,) if t_grid is None else tuple(t_grid)
+    if any(not t > 1 for t in ts):
+        raise DomainError("every t in the grid must exceed 1")
+    u_exps = [system.q * t if branch == "q>1" else system.q for t in ts]
+    u_avgs = _average_powers(group, u, u_exps, ball, scheme, f"{op_id}/u")
+    factors = [[a.powered(1.0 / e) for a, e in zip(u_avgs, u_exps)]]
     for i, (v, pc) in enumerate(zip(vs, system.conjugates())):
-        e = -system.t * pc
-        factors.append(
-            _average_power(group, v, e, ball, scheme, f"{op_id}/v{i}").powered(1.0 / (system.t * pc))
-        )
-    term = estimate_product(factors)
-    return term.scaled(ball.radius ** scaling_exponent(system, group))
+        avgs = _average_powers(group, v, [-t * pc for t in ts], ball, scheme, f"{op_id}/v{i}")
+        factors.append([a.powered(1.0 / (t * pc)) for a, t in zip(avgs, ts)])
+    scale = ball.radius ** scaling_exponent(system, group)
+    terms = [estimate_product(row).scaled(scale) for row in zip(*factors)]
+    return terms[0] if t_grid is None else terms
 
 
 @dataclass(frozen=True)
@@ -310,34 +359,26 @@ def weight_condition_sup(group, u, vs, system, sampler, scheme, *, t_grid=None, 
 
     The condition is existential in t, so per-t results are reported
     without interpolation.  The verdict per t comes from the sign of the
-    fitted slope of term vs radius.
+    fitted slope of term vs radius.  Ball b is scored at every t by one
+    ball_term call under f"{op_id}/b{b}", so the t's share its nodes.
     """
     system = validate_exponents(system, group)
     t_grid = tuple(t_grid) if t_grid is not None else DEFAULT_T_GRID
-    if any(not t > 1 for t in t_grid):
-        raise DomainError("every t in the grid must exceed 1")
-    balls = sampler.generate(scheme.seed)
-    per_t = []
+    scored = [[] for _ in t_grid]  # per t: (ball, term) for each finite term
     flagged = 0
-    for t in t_grid:
-        sys_t = ExponentSystem(system.m, system.p_list, system.q, system.k, t)
-        radii = []
-        values = []
-        best = None
-        best_ball = None
-        for b_idx, ball in enumerate(balls):
-            term = ball_term(
-                group, u, vs, sys_t, ball, scheme, op_id=f"{op_id}/t{t!r}/b{b_idx}"
-            )
+    for b_idx, ball in enumerate(sampler.generate(scheme.seed)):
+        terms = ball_term(
+            group, u, vs, system, ball, scheme, op_id=f"{op_id}/b{b_idx}", t_grid=t_grid
+        )
+        for found, term in zip(scored, terms):
             if term.flagged or not np.isfinite(term.value):
                 flagged += 1
-                continue
-            radii.append(ball.radius)
-            values.append(term.value)
-            if best is None or term.value > best.value:
-                best = term
-                best_ball = ball
-        slope = _fit_slope(radii, values)
+            else:
+                found.append((ball, term))
+    per_t = []
+    for t, found in zip(t_grid, scored):
+        slope = _fit_slope([ball.radius for ball, _ in found], [term.value for _, term in found])
+        best_ball, best = max(found, key=lambda pair: pair[1].value, default=(None, None))
         per_t.append(
             {
                 "t": t,
@@ -346,7 +387,7 @@ def weight_condition_sup(group, u, vs, system, sampler, scheme, *, t_grid=None, 
                 "argmax_ball": best_ball.to_dict() if best_ball is not None else None,
                 "slope": slope,
                 "verdict": _verdict(slope),
-                "balls_used": len(values),
+                "balls_used": len(found),
             }
         )
     return WeightConditionReport(

@@ -289,6 +289,16 @@ def test_repformula_command(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 5
 
 
+def test_repformula_zero_pairs_writes_report(tmp_path, capsys):
+    # like poincare with "trials": 0 and leibniz with "configs": 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pairs": 0, "points": 5, "samples": 1024}))
+    code = run(["repformula", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads((tmp_path / "repformula.json").read_text())
+    assert data["results"]["summaries"] == [] and data["results"]["max_ratio"] == "NaN"
+
+
 def test_json_format_only(tmp_path):
     assert run(
         ["counterexample", "--eps", "2^-2", "--out", str(tmp_path), "--format", "json"]

@@ -266,9 +266,10 @@ def test_lp_norm_batch_rows_match_single_calls(h1, kind):
     fs = [bump, lambda p: p[:, 0] * bump(p), lambda p: np.zeros(p.shape[0])]
     w = Weight.power(h1, 0.25)
     p = 4.0 / 3.0
-    norms, cov = lp_norm_ball(
+    norms, covariance = lp_norm_ball(
         h1, lambda pts: np.stack([f(pts) for f in fs]), w, p, ball, scheme, op_id="batch"
     )
+    cov = covariance()
     assert len(norms) == len(fs) and cov.shape == (len(fs), len(fs))
     for a, f in enumerate(fs):
         single = lp_norm_ball(h1, f, w, p, ball, scheme, op_id="batch")
@@ -290,7 +291,7 @@ def test_integrate_ball_single_row_shape_kept(e1, mc_scheme):
     ests, cov = integrate_ball(
         e1, lambda p: ONE(p)[None], GaugeBall([0.0], 1.0), mc_scheme
     )
-    assert len(ests) == 1 and cov.shape == (1, 1)
+    assert len(ests) == 1 and cov().shape == (1, 1)
 
 
 def test_lp_norm_invalid_exponent(e1, mc_scheme):
@@ -439,7 +440,7 @@ def test_singular_product_annuli_batch_is_per_point_loop(e1):
     assert [e.to_dict() for e in batch] == [e.to_dict() for e in loop]
 
 
-def test_singular_product_annuli_reuses_shell_distances(h1, monkeypatch):
+def test_singular_product_annuli_reuses_shell_distances(h1, count_calls):
     # each shell's distances d(x, y_vec) pick its live nodes and then form
     # the kernel: one product_distance per shell, not two; the values are
     # those of the two-pass code, bit for bit
@@ -447,18 +448,11 @@ def test_singular_product_annuli_reuses_shell_distances(h1, monkeypatch):
     supports = [f.support for f in fs]
     scheme = QuadratureScheme(kind="annuli", samples=24000, levels=24, seed=1234)
     xs = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [-0.4, 0.2, 0.05], [0.2, 0.5, -0.3]])
-    calls = {"compose": 0, "gauge_norm": 0}
-    for name in calls:
-        original = getattr(type(h1), name)
-
-        def counted(self, *args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self, *args)
-
-        monkeypatch.setattr(type(h1), name, counted)
+    calls = {name: count_calls(type(h1), name) for name in ("compose", "gauge_norm")}
     est = integrate_singular_product(
         h1, 2, product_integrand(fs), xs, 2.0, supports, scheme, op_id="ann"
     )
+    calls = {name: len(made) for name, made in calls.items()}
     assert calls == {"compose": 408, "gauge_norm": 408}  # 608 each with two passes
     expected = [
         ("0x1.40f61921c5820p+0", "0x1.06955f2c509b9p-2"),

@@ -1,14 +1,18 @@
+import math
 
 import numpy as np
 import pytest
 
+from carnotlab import quad, weights
 from carnotlab.carnot import GaugeBall
 from carnotlab.errors import DomainError, ValidationError
-from carnotlab.quad import QuadratureScheme
+from carnotlab.lab.sweeps import check_weight_condition
+from carnotlab.quad import Estimate, QuadratureScheme
 from carnotlab.weights import (
     BallSampler,
     ExponentSystem,
     Weight,
+    _average_powers,
     ball_term,
     exponent_violations,
     holder_conjugate,
@@ -198,6 +202,98 @@ def test_ball_term_flags_overflowing_weight(e1):
         QuadratureScheme(kind="annuli", samples=8000, levels=24, seed=2),
     )
     assert term.flagged
+
+
+_T_GRID_SCHEMES = {
+    "uniform": QuadratureScheme(kind="uniform", samples=2048, seed=7),
+    "annuli": QuadratureScheme(kind="annuli", samples=6000, levels=12, seed=7),
+    "grid": QuadratureScheme(kind="grid", points_per_axis=24),
+}
+
+# single-t values of the per-(t, ball, weight) node sets, which the t grid keeps
+_SINGLE_T_HEX = {
+    ("e1", "uniform", 0.8, 1.1): ("0x1.7e30eb136504cp-1", "0x1.d766b62f69bcbp-8"),
+    ("h1", "annuli", 2.0, 2.0): ("0x1.98a4b6a2301e5p-1", "0x1.6f3e321ae7d44p-7"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_T_GRID_SCHEMES))
+def test_ball_term_t_grid_rows_match_single_t(e1, h1, kind):
+    # one node set per weight serves the whole grid: row j is the single-t
+    # call with the same op_id bit for bit, for singular (annuli around the
+    # pole) and non-singular powers alike
+    scheme = _T_GRID_SCHEMES[kind]
+    ts = (1.1, 2.0, 4.0)
+    for name, group in (("e1", e1), ("h1", h1)):
+        ball = GaugeBall([0.1] * group.n, 0.9)
+        u = Weight.power(group, 0.5, pole=[0.05] * group.n)
+        vs = [Weight.power(group, 0.25), Weight(group, 1.5, factors=[([0.2] * group.n, -0.3)])]
+        for q in (2.0, 0.8):
+            sys = ExponentSystem(m=2, p_list=(4.0 / 3.0, 4.0 / 3.0), q=q, k=1)
+            rows = ball_term(group, u, vs, sys, ball, scheme, op_id="bt", t_grid=ts)
+            assert len(rows) == len(ts)
+            for t, row in zip(ts, rows):
+                single = ball_term(
+                    group, u, vs, ExponentSystem(2, sys.p_list, q, 1, t), ball, scheme,
+                    op_id="bt",
+                )
+                assert row.to_dict() == single.to_dict()
+                pinned = _SINGLE_T_HEX.get((name, kind, q, t))
+                if pinned:
+                    assert (single.value.hex(), single.std_error.hex()) == pinned
+
+
+def test_ball_term_t_grid_flags_each_t_on_its_own(e1):
+    # v^(-t p') = d^(-21 t): finite but huge at t = 1.1, overflowing to inf
+    # near the pole at t = 4.  Only the t = 4 row is flagged, and t = 1.1
+    # keeps its single-t value (no covariance of the huge rows is formed)
+    sys = ExponentSystem(m=1, p_list=(1.05,), q=4.0, k=1, t=1.1)
+    v = Weight.power(e1, 1.0)
+    scheme = QuadratureScheme(kind="annuli", samples=8000, levels=24, seed=2)
+    ball = GaugeBall([0.0], 1.0)
+    low, high = ball_term(e1, Weight.one(e1), [v], sys, ball, scheme, t_grid=(1.1, 4.0))
+    assert low.to_dict() == ball_term(e1, Weight.one(e1), [v], sys, ball, scheme).to_dict()
+    assert not low.flagged and math.isfinite(low.value)
+    assert high.flagged and math.isnan(high.value)
+    sampler = BallSampler(dim=1, count=8, r_min=0.25, r_max=4.0)
+    report = weight_condition_sup(
+        e1, Weight.one(e1), [v], sys, sampler, scheme, t_grid=(1.1, 4.0)
+    )
+    assert [row["balls_used"] for row in report.per_t] == [8, 2]
+    assert report.flagged_count == 6
+
+
+def test_constant_weight_average_is_exact(e1, small_scheme, count_calls):
+    # a constant weight's average is c^gamma, with no nodes drawn
+    drawn = count_calls(quad, "sample_ball")
+    integrals = count_calls(weights, "integrate_ball")
+    ball = GaugeBall([0.3], 2.0)
+    avgs = _average_powers(e1, Weight.const(e1, 2.5), [2.0, -3.0], ball, small_scheme, "c")
+    assert [(a.value, a.std_error) for a in avgs] == [(2.5**2.0, 0.0), (2.5**-3.0, 0.0)]
+    assert all(a.note == Estimate.exact(1.0).note for a in avgs)
+    terms = ball_term(
+        e1, Weight.const(e1, 2.5), [Weight.const(e1, 0.5)] * 2, ONE_SYS, ball, small_scheme,
+        t_grid=(1.1, 2.0),
+    )
+    r_e = 2.0 ** scaling_exponent(ONE_SYS, e1)
+    for term in terms:
+        assert term.value == pytest.approx(r_e * 2.5 / 0.5**2, rel=1e-12)
+        assert term.std_error == 0.0
+    assert len(integrals) == 0 and len(drawn) == 0
+
+
+def test_weight_check_one_integral_per_ball_and_weight(h1, count_calls):
+    # the poincare-h1 check (u = 1, v_i = d^(1/4), 24 balls, 5 t's): u is
+    # exact and each v_i makes one call per ball, 48 in all (360 with one
+    # node set per (t, ball, weight))
+    terms = count_calls(weights, "ball_term", lambda *args, **kw: kw["op_id"])
+    integrals = count_calls(weights, "integrate_ball", lambda *args, **kw: kw["op_id"])
+    vs = [Weight.power(h1, 0.25)] * 2
+    sys = ExponentSystem(2, (4.0 / 3.0, 4.0 / 3.0), 1.0, 2)
+    scheme = QuadratureScheme(kind="uniform", samples=1000, seed=3)
+    check_weight_condition(h1, Weight.one(h1), vs, sys, scheme)
+    assert terms == [f"weight-sup/b{b}" for b in range(24)]
+    assert integrals == [f"weight-sup/b{b}/v{i}" for b in range(24) for i in range(2)]
 
 
 # -- ball sampler -------------------------------------------------------------------
