@@ -14,15 +14,17 @@ are one-key lookups into a table.  Three evaluation paths, chosen per
 function:
   * polynomials: exact symbolic application (generators map polynomials
     to polynomials);
-  * analytic jets: for |alpha| <= 2 when the function exposes gradient
-    (and Hessian), the derivative is assembled exactly from the affine
-    field coefficients;
+  * analytic jets: for |alpha| <= f.jet_order (at most 2), the derivative
+    is assembled exactly from the affine field coefficients and the value,
+    gradient and Hessian of one `f.jets` call;
   * nested finite differences along the group curves s -> x o (s e_a),
     4th-order central stencils with one Richardson extrapolation step,
     step size eps^(1/(order+3)) scaled by the point magnitude.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -102,9 +104,12 @@ def _expand_sequence(alpha):
     return seq
 
 
-def _function_value(f, pts):
-    vals = f(pts)
-    return np.asarray(vals, dtype=float).reshape(pts.shape[0])
+def evaluate_jets(f, pts, order):
+    """[value, gradient, Hessian][: order + 1] of f on an (N, n) batch from
+    one `f.jets` call; order 0 takes the value of any callable."""
+    if order == 0:
+        return [np.asarray(f(pts), dtype=float).reshape(pts.shape[0])]
+    return f.jets(pts, order)
 
 
 def _first_order_jet(coef, grad, a):
@@ -141,37 +146,33 @@ def _fd_along_generator(group, evaluate, a, pts, total_order):
 class JetTable:
     """X^alpha f and L f for one function on one (N, n) node set.
 
-    The value, the generator coefficients, the gradient and the Hessian
-    are each computed at most once, on first use, and every key is served
-    from them: a multi-index alpha, or "L" for the sub-Laplacian.
-    Polynomials take the symbolic path.  Otherwise |alpha| <= 2 is
-    assembled from the analytic jets the function exposes, and the rest
-    (|alpha| > 2, or a missing jet) by finite differences along the
-    outermost generator, each shifted node set getting its own table.
+    `order` is the highest derivative order the table's keys need ("L"
+    needs 2).  On first use the table calls `f.jets` once, at that order
+    capped at `f.jet_order`, and serves every key from those jets and the
+    generator coefficients: a multi-index alpha, or "L" for the
+    sub-Laplacian.  Polynomials take the symbolic path.  A key of higher
+    order than the jets (|alpha| > 2, or a function with fewer jets) goes
+    by finite differences along the outermost generator, each shifted node
+    set getting its own table.
     """
 
-    def __init__(self, group, f, pts):
+    def __init__(self, group, f, pts, order):
         self.group = group
         self.f = f
         self.pts = pts
-        self._jets = {}
+        self.order = min(order, getattr(f, "jet_order", 0))
 
-    def _jet(self, name):
-        if name not in self._jets:
-            pts = self.pts
-            if name == "value":
-                out = _function_value(self.f, pts)
-            elif name == "coef":
-                out = generator_coefficients(self.group, pts)
-            elif name == "jac":
-                out = coefficient_jacobian(self.group)
-            else:
-                out = np.asarray(getattr(self.f, name)(pts), dtype=float)
-            self._jets[name] = out
-        return self._jets[name]
+    @cached_property
+    def _jets(self):
+        return evaluate_jets(self.f, self.pts, self.order)
 
-    def _has(self, name):
-        return getattr(self.f, name, None) is not None
+    @cached_property
+    def _coef(self):
+        return generator_coefficients(self.group, self.pts)
+
+    @cached_property
+    def _jac(self):
+        return coefficient_jacobian(self.group)
 
     def __getitem__(self, key):
         if isinstance(key, str) and key == "L":
@@ -198,18 +199,17 @@ class JetTable:
 
     def _sequence(self, seq, total_order):
         if not seq:
-            return self._jet("value")
-        if len(seq) == 1 and self._has("gradient"):
-            return _first_order_jet(self._jet("coef"), self._jet("gradient"), seq[0])
-        if len(seq) == 2 and self._has("gradient") and self._has("hessian"):
+            return self._jets[0]
+        if len(seq) == 1 and self.order >= 1:
+            return _first_order_jet(self._coef, self._jets[1], seq[0])
+        if len(seq) == 2 and self.order >= 2:
             return _second_order_jet(
-                self._jet("coef"), self._jet("jac"), self._jet("gradient"),
-                self._jet("hessian"), seq[0], seq[1],
+                self._coef, self._jac, self._jets[1], self._jets[2], seq[0], seq[1]
             )
         a, rest = seq[0], seq[1:]
 
         def inner(xs):
-            return JetTable(self.group, self.f, xs)._sequence(rest, total_order)
+            return JetTable(self.group, self.f, xs, len(rest))._sequence(rest, total_order)
 
         return _fd_along_generator(self.group, inner, a, self.pts, total_order)
 
@@ -226,7 +226,7 @@ def horizontal_derivative(group, f, alpha, x, *, force_fd=False):
     """Evaluate X^alpha f at x (a point or an (N, n) batch)."""
     alpha = _check_alpha(group, alpha)
     pts, single = _points(group, x)
-    out = JetTable(group, _Bare(f) if force_fd else f, pts)[alpha]
+    out = JetTable(group, _Bare(f) if force_fd else f, pts, sum(alpha))[alpha]
     return out[0] if single else out
 
 
@@ -234,8 +234,7 @@ class _Bare:
     """Wrapper hiding analytic jets (and the polynomial path), forcing
     finite differences."""
 
-    gradient = None
-    hessian = None
+    jet_order = 0
 
     def __init__(self, f):
         self._f = f
@@ -248,5 +247,5 @@ class _Bare:
 def sub_laplacian(group, f, x, *, force_fd=False):
     """Sum of squares of the generators: L f = sum_a X_a^2 f."""
     pts, single = _points(group, x)
-    out = JetTable(group, _Bare(f) if force_fd else f, pts)["L"]
+    out = JetTable(group, _Bare(f) if force_fd else f, pts, 2)["L"]
     return out[0] if single else out

@@ -1,11 +1,16 @@
 """Catalog of smooth test functions with analytic jets where available.
 
+Every catalog function evaluates its jets through one method,
+`jets(pts, order)`, which returns [value, gradient, Hessian][: order + 1]
+from a single pass; `jet_order` says how many it has (0, 1 or 2).
+
 The workhorse is the gauge bump: a smooth compactly supported function
 built from the polynomial u(y) = ||c^-1 o y||^(2s!) / R^(2s!), whose
 support is exactly the gauge ball B(c, R).  Because u is a polynomial,
 gradients and Hessians are exact, which feeds the analytic path of the
 horizontal derivatives up to order 2; higher orders fall back to nested
-finite differences.
+finite differences.  Translates and dilates chain the jets of the
+function they wrap; wrapped callables carry the value only.
 """
 
 from __future__ import annotations
@@ -15,34 +20,46 @@ import math
 import numpy as np
 
 from ..errors import DomainError, StructureError
-from .derivatives import horizontal_derivative, sub_laplacian
+from .derivatives import evaluate_jets, horizontal_derivative, sub_laplacian
 from .group import GaugeBall
 from .polynomials import HomogeneousPolynomial
 
 
 class TestFunction:
-    """Base class: evaluable on (N, n) batches, optional analytic jets.
+    """Base class: a function with analytic jets up to order `jet_order`.
 
-    `gradient`/`hessian` stay None unless a subclass provides them;
-    `smoothness` bounds the derivative order the catalog guarantees.
+    A subclass implements `jets(pts, order)` on an (N, n) batch for
+    order <= jet_order: it returns [value, gradient, Hessian][: order + 1]
+    from one pass.  Calling the function evaluates jets(pts, 0)[0] on one
+    point (n,) or a batch (N, n).  `smoothness` bounds the derivative order
+    the catalog guarantees.
     """
 
     support = None
     smoothness = math.inf
-    gradient = None
-    hessian = None
+    jet_order = 0
 
     def __call__(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        single = pts.ndim == 1
+        pts = np.atleast_2d(pts)
+        if pts.shape[-1] != self.group.n:
+            raise StructureError("point dimension mismatch")
+        out = self.jets(pts, 0)[0]
+        return out[0] if single else out
+
+    def jets(self, pts, order):
         raise NotImplementedError
 
 
-def _as_batch(pts, n):
-    pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[-1] != n:
-        raise StructureError("point dimension mismatch")
-    return pts, single
+def _polynomial_hessian(hess_polys, pts):
+    """The symmetric (N, n, n) matrix of polynomials hess_polys[i][j] (i <= j used)."""
+    n = len(hess_polys)
+    out = np.empty((pts.shape[0], n, n))
+    for i in range(n):
+        for j in range(i, n):
+            out[:, i, j] = out[:, j, i] = hess_polys[i][j](pts)
+    return out
 
 
 class GaugeBump(TestFunction):
@@ -51,6 +68,8 @@ class GaugeBump(TestFunction):
     Takes the value `height` at the center and vanishes to infinite order
     on the boundary.
     """
+
+    jet_order = 2
 
     def __init__(self, group, center, radius, height=1.0):
         if radius <= 0:
@@ -63,49 +82,28 @@ class GaugeBump(TestFunction):
         self._grad_u = self._u.gradient_polys()
         self._hess_u = [[g.partial(j) for j in range(group.n)] for g in self._grad_u]
 
-    def _profile(self, pts):
-        # exp(-u/(1-u)) underflows to exact 0 well before 1-u does, so the
-        # derivative quotients are computed only where 1-u > 1e-3
+    def jets(self, pts, order):
+        # u, grad u and hess u are each evaluated once.  exp(-u/(1-u))
+        # underflows to exact 0 well before 1-u does, so the derivative
+        # quotients are computed only where 1-u > 1e-3
         u = self._u(pts)
         live = u < 1.0 - 1e-3
         g = np.zeros_like(u)
-        om = np.ones_like(u)
         np.exp(np.divide(-u, 1.0 - u, out=np.zeros_like(u), where=live), out=g, where=live)
-        om[live] = 1.0 - u[live]
-        return live, g, om
-
-    def __call__(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        _, g, _ = self._profile(pts)
-        out = self.height * g
-        return out[0] if single else out
-
-    def gradient(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        live, g, om = self._profile(pts)
-        dpro = np.where(live, -g / om**2, 0.0)
-        grad_u = np.stack([p(pts) for p in self._grad_u], axis=-1)
-        out = self.height * dpro[:, None] * grad_u
-        return out[0] if single else out
-
-    def hessian(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        live, g, om = self._profile(pts)
-        dpro = np.where(live, -g / om**2, 0.0)
-        d2pro = np.where(live, g / om**4 - 2.0 * g / om**3, 0.0)
-        grad_u = np.stack([p(pts) for p in self._grad_u], axis=-1)
-        n = self.group.n
-        hess_u = np.empty((pts.shape[0], n, n))
-        for i in range(n):
-            for j in range(i, n):
-                vals = self._hess_u[i][j](pts)
-                hess_u[:, i, j] = vals
-                hess_u[:, j, i] = vals
-        out = self.height * (
-            d2pro[:, None, None] * np.einsum("ni,nj->nij", grad_u, grad_u)
-            + dpro[:, None, None] * hess_u
-        )
-        return out[0] if single else out
+        out = [self.height * g]
+        if order >= 1:
+            om = np.ones_like(u)
+            om[live] = 1.0 - u[live]
+            dpro = np.where(live, -g / om**2, 0.0)
+            grad_u = np.stack([p(pts) for p in self._grad_u], axis=-1)
+            out.append(self.height * dpro[:, None] * grad_u)
+        if order >= 2:
+            d2pro = np.where(live, g / om**4 - 2.0 * g / om**3, 0.0)
+            out.append(self.height * (
+                d2pro[:, None, None] * np.einsum("ni,nj->nij", grad_u, grad_u)
+                + dpro[:, None, None] * _polynomial_hessian(self._hess_u, pts)
+            ))
+        return out
 
 
 def _gauge_power_polynomial(group, center, radius):
@@ -127,6 +125,8 @@ def _gauge_power_polynomial(group, center, radius):
 class PolynomialBump(TestFunction):
     """Product of a polynomial with a gauge bump; exact jets via product rule."""
 
+    jet_order = 2
+
     def __init__(self, poly, bump):
         if poly.group != bump.group:
             raise StructureError("polynomial and bump live on different groups")
@@ -137,61 +137,35 @@ class PolynomialBump(TestFunction):
         self._grad_p = poly.gradient_polys()
         self._hess_p = [[g.partial(j) for j in range(self.group.n)] for g in self._grad_p]
 
-    def __call__(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        out = self.poly(pts) * self.bump(pts)
-        return out[0] if single else out
-
-    def gradient(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
+    def jets(self, pts, order):
+        b = self.bump.jets(pts, order)
         p = self.poly(pts)
-        b = self.bump(pts)
-        gp = np.stack([q(pts) for q in self._grad_p], axis=-1)
-        gb = self.bump.gradient(pts)
-        out = p[:, None] * gb + b[:, None] * gp
-        return out[0] if single else out
-
-    def hessian(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        n = self.group.n
-        p = self.poly(pts)
-        b = self.bump(pts)
-        gp = np.stack([q(pts) for q in self._grad_p], axis=-1)
-        gb = self.bump.gradient(pts)
-        hb = self.bump.hessian(pts)
-        hp = np.empty((pts.shape[0], n, n))
-        for i in range(n):
-            for j in range(i, n):
-                vals = self._hess_p[i][j](pts)
-                hp[:, i, j] = vals
-                hp[:, j, i] = vals
-        cross = np.einsum("ni,nj->nij", gp, gb)
-        out = (
-            p[:, None, None] * hb
-            + b[:, None, None] * hp
-            + cross
-            + np.transpose(cross, (0, 2, 1))
-        )
-        return out[0] if single else out
+        out = [p * b[0]]
+        if order >= 1:
+            gp = np.stack([q(pts) for q in self._grad_p], axis=-1)
+            out.append(p[:, None] * b[1] + b[0][:, None] * gp)
+        if order >= 2:
+            cross = np.einsum("ni,nj->nij", gp, b[1])
+            out.append(
+                p[:, None, None] * b[2]
+                + b[0][:, None, None] * _polynomial_hessian(self._hess_p, pts)
+                + cross
+                + np.transpose(cross, (0, 2, 1))
+            )
+        return out
 
 
 class CustomFunction(TestFunction):
-    """Wrap plain callables; analytic jets are optional."""
+    """Wrap a plain callable on (N, n) batches (value only)."""
 
-    def __init__(self, group, fun, gradient=None, hessian=None, support=None, smoothness=math.inf):
+    def __init__(self, group, fun, support=None, smoothness=math.inf):
         self.group = group
         self._fun = fun
         self.support = support
         self.smoothness = smoothness
-        if gradient is not None:
-            self.gradient = gradient
-        if hessian is not None:
-            self.hessian = hessian
 
-    def __call__(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        out = np.asarray(self._fun(pts), dtype=float).reshape(pts.shape[0])
-        return out[0] if single else out
+    def jets(self, pts, order):
+        return [np.asarray(self._fun(pts), dtype=float).reshape(pts.shape[0])]
 
 
 class ProductFunction(TestFunction):
@@ -210,12 +184,11 @@ class ProductFunction(TestFunction):
         ]
         self.support = min(supports, key=lambda b: b.radius) if supports else None
 
-    def __call__(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
+    def jets(self, pts, order):
         out = np.ones(pts.shape[0])
         for f in self.factors:
             out = out * np.asarray(f(pts), dtype=float).reshape(pts.shape[0])
-        return out[0] if single else out
+        return [out]
 
 
 class HorizontalDerivativeMagnitude(TestFunction):
@@ -228,14 +201,11 @@ class HorizontalDerivativeMagnitude(TestFunction):
         self.restrict_to = restrict_to
         self.support = restrict_to if restrict_to is not None else getattr(f, "support", None)
 
-    def __call__(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        vals = np.abs(
-            np.atleast_1d(horizontal_derivative(self.group, self.f, self.alpha, pts))
-        )
+    def jets(self, pts, order):
+        vals = np.abs(horizontal_derivative(self.group, self.f, self.alpha, pts))
         if self.restrict_to is not None:
             vals = vals * self.restrict_to.contains(self.group, pts)
-        return vals[0] if single else vals
+        return [vals]
 
 
 class SubLaplacianMagnitude(TestFunction):
@@ -246,10 +216,8 @@ class SubLaplacianMagnitude(TestFunction):
         self.f = f
         self.support = getattr(f, "support", None)
 
-    def __call__(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        vals = np.abs(np.atleast_1d(sub_laplacian(self.group, self.f, pts)))
-        return vals[0] if single else vals
+    def jets(self, pts, order):
+        return [np.abs(sub_laplacian(self.group, self.f, pts))]
 
 
 class TranslatedFunction(TestFunction):
@@ -260,34 +228,21 @@ class TranslatedFunction(TestFunction):
         self.shift = np.asarray(g, dtype=float).reshape(-1)
         self.f = f
         self.smoothness = getattr(f, "smoothness", math.inf)
+        self.jet_order = getattr(f, "jet_order", 0)
         sup = getattr(f, "support", None)
         if sup is not None:
             self.support = GaugeBall(group.compose(self.shift, sup.center), sup.radius)
-        self._jac = _left_translation_jacobian(group, group.inverse(self.shift))
-        if getattr(f, "gradient", None) is not None:
-            self.gradient = self._gradient
-        if getattr(f, "hessian", None) is not None:
-            self.hessian = self._hessian
+        self._inverse = group.inverse(self.shift)
+        self._jac = _left_translation_jacobian(group, self._inverse)
 
-    def _pull(self, pts):
-        return self.group.compose(self.group.inverse(self.shift), pts)
-
-    def __call__(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        out = np.asarray(self.f(self._pull(pts)), dtype=float).reshape(pts.shape[0])
-        return out[0] if single else out
-
-    def _gradient(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        g = np.asarray(self.f.gradient(self._pull(pts)), dtype=float)
-        out = np.einsum("ui,nu->ni", self._jac, g)
-        return out[0] if single else out
-
-    def _hessian(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        h = np.asarray(self.f.hessian(self._pull(pts)), dtype=float)
-        out = np.einsum("ui,nuv,vj->nij", self._jac, h, self._jac)
-        return out[0] if single else out
+    def jets(self, pts, order):
+        # chain rule through the constant Jacobian of x -> g^-1 o x
+        out = evaluate_jets(self.f, self.group.compose(self._inverse, pts), order)
+        if order >= 1:
+            out[1] = np.einsum("ui,nu->ni", self._jac, out[1])
+        if order >= 2:
+            out[2] = np.einsum("ui,nuv,vj->nij", self._jac, out[2], self._jac)
+        return out
 
 
 def _left_translation_jacobian(group, g):
@@ -312,31 +267,20 @@ class DilatedArgument(TestFunction):
         self.lam = float(lam)
         self.f = f
         self.smoothness = getattr(f, "smoothness", math.inf)
+        self.jet_order = getattr(f, "jet_order", 0)
         sup = getattr(f, "support", None)
         if sup is not None:
             self.support = GaugeBall(group.dilate(1.0 / lam, sup.center), sup.radius / lam)
         self._scale = lam**group.weights
-        if getattr(f, "gradient", None) is not None:
-            self.gradient = self._gradient
-        if getattr(f, "hessian", None) is not None:
-            self.hessian = self._hessian
 
-    def __call__(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        out = np.asarray(self.f(pts * self._scale), dtype=float).reshape(pts.shape[0])
-        return out[0] if single else out
-
-    def _gradient(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        g = np.asarray(self.f.gradient(pts * self._scale), dtype=float)
-        out = g * self._scale
-        return out[0] if single else out
-
-    def _hessian(self, pts):
-        pts, single = _as_batch(pts, self.group.n)
-        h = np.asarray(self.f.hessian(pts * self._scale), dtype=float)
-        out = h * self._scale[None, :, None] * self._scale[None, None, :]
-        return out[0] if single else out
+    def jets(self, pts, order):
+        # chain rule through the diagonal dilation delta_lam
+        out = evaluate_jets(self.f, pts * self._scale, order)
+        if order >= 1:
+            out[1] = out[1] * self._scale
+        if order >= 2:
+            out[2] = out[2] * self._scale[None, :, None] * self._scale[None, None, :]
+        return out
 
 
 def random_bump(group, rng, center_box=1.0, radius_range=(0.4, 1.5), height_range=(0.5, 2.0)):

@@ -43,7 +43,13 @@ from .lab.sweeps import (
 )
 from .lab.spaces import campanato_norm, morrey_norm
 from .quad import QuadratureScheme
-from .weights import BallSampler, ExponentSystem, Weight, weight_condition_sup
+from .weights import (
+    DEFAULT_T_GRID,
+    BallSampler,
+    ExponentSystem,
+    Weight,
+    weight_condition_sup,
+)
 
 SCHEMA_VERSION = 1
 
@@ -261,7 +267,7 @@ def cmd_counterexample(args):
     cfg_echo = dict(cfg, eps=eps_list)
     _write_report(cfg_echo, args, "counterexample", results, (header, csv_rows))
     print(f"slope of log R vs log eps: {slope:.4f} (target 1-p = {target:.4f})")
-    if rows[0]["ratio"] > 0:
+    if rows and rows[0]["ratio"] > 0:
         print(f"ratio growth across eps range: {rows[-1]['ratio'] / rows[0]['ratio']:.2f}x")
     if any(not r["converged"] for r in rows):
         return EXIT_NUMERICAL
@@ -335,7 +341,7 @@ def cmd_weights_check(args):
         "p": None,
         "q": 2.0,
         "t": 2.0,
-        "t_grid": list((1.1, 1.25, 1.5, 2.0, 4.0)),
+        "t_grid": list(DEFAULT_T_GRID),
         "u": None,
         "v": None,
         "sampler": {},

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..carnot.functions import TestFunction
 from ..errors import DomainError
 
 _GL_NODES = 400
@@ -124,15 +125,15 @@ def counterexample_family(eps):
     return CounterexampleFamily(float(eps))
 
 
-class RampFunction:
+class RampFunction(TestFunction):
     """The family lifted to a Euclidean group: g_eps(x) = f_eps(x_1).
 
     C^2 but not C^3 (the profile's second derivative has corner points),
     so derivative requests beyond order 2 raise a capability error.
     """
 
-    support = None
     smoothness = 2
+    jet_order = 2
 
     def __init__(self, group, eps):
         if group.step != 1:
@@ -140,21 +141,17 @@ class RampFunction:
         self.group = group
         self.family = CounterexampleFamily(float(eps))
 
-    def __call__(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.family.value(pts[:, 0])
-
-    def gradient(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros_like(pts)
-        out[:, 0] = self.family.first(pts[:, 0])
-        return out
-
-    def hessian(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = self.group.n
-        out = np.zeros((pts.shape[0], n, n))
-        out[:, 0, 0] = self.family.second(pts[:, 0])
+    def jets(self, pts, order):
+        x = pts[:, 0]
+        out = [self.family.value(x)]
+        if order >= 1:
+            grad = np.zeros_like(pts)
+            grad[:, 0] = self.family.first(x)
+            out.append(grad)
+        if order >= 2:
+            hess = np.zeros((pts.shape[0], self.group.n, self.group.n))
+            hess[:, 0, 0] = self.family.second(x)
+            out.append(hess)
         return out
 
 

@@ -79,15 +79,7 @@ def poincare_test(
         group, product, u, system.q, ball, system.k, scheme, op_id=f"{op_id}/lhs"
     )
     rhs, terms = poincare_rhs(
-        group,
-        fs,
-        vs,
-        system.p_list,
-        ball,
-        system.k,
-        scheme,
-        op_id=f"{op_id}/rhs",
-        return_terms=True,
+        group, fs, vs, system.p_list, ball, system.k, scheme, op_id=f"{op_id}/rhs"
     )
     config = _base_config(
         group,
@@ -110,14 +102,7 @@ def sobolev_test(group, fs, u, vs, system, scheme, *, weight_verdict=None, op_id
         group, product, u, system.q, product.support, scheme, op_id=f"{op_id}/lhs"
     )
     rhs, terms = sobolev_rhs(
-        group,
-        fs,
-        vs,
-        system.p_list,
-        system.k,
-        scheme,
-        op_id=f"{op_id}/rhs",
-        return_terms=True,
+        group, fs, vs, system.p_list, system.k, scheme, op_id=f"{op_id}/rhs"
     )
     config = _base_config(
         group, system, u, vs, scheme, weight_verdict=weight_verdict, kind="sobolev"
@@ -140,7 +125,7 @@ def sobolev_sublaplacian_test(
         group, product, u, system.q, product.support, scheme, op_id=f"{op_id}/lhs"
     )
     rhs, terms = sobolev_sublaplacian_rhs(
-        group, fs, vs, system.p_list, scheme, op_id=f"{op_id}/rhs", return_terms=True
+        group, fs, vs, system.p_list, scheme, op_id=f"{op_id}/rhs"
     )
     config = _base_config(
         group, system, u, vs, scheme, weight_verdict=weight_verdict, kind="sobolev-sublaplacian"

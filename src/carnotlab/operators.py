@@ -119,11 +119,12 @@ def multilinear_fractional_integral(group, fs, tau, x, scheme, *, op_id="mfi"):
 
 def jet_rows(group, f, keys):
     """Integrand giving |K f| for each key as one row (len(keys), N): one
-    `JetTable` per node set serves every key (a multi-index alpha for
-    X^alpha, or "L" for the sub-Laplacian)."""
+    `JetTable` per node set, at the highest order of the keys, serves every
+    key (a multi-index alpha for X^alpha, or "L" for the sub-Laplacian)."""
+    order = max(2 if key == "L" else sum(key) for key in keys)
 
     def rows(pts):
-        table = JetTable(group, f, pts)
+        table = JetTable(group, f, pts, order)
         return np.stack([np.abs(table[key]) for key in keys])
 
     return rows
@@ -180,37 +181,36 @@ def _rhs(group, fs, vs, ps, domains, terms, scheme, op_id):
     return total, products
 
 
-def poincare_rhs(group, fs, vs, ps, ball, k, scheme, *, op_id="poincare-rhs", return_terms=False):
+def poincare_rhs(group, fs, vs, ps, ball, k, scheme, *, op_id="poincare-rhs"):
     """RHS of the local inequality: sum over tuples of products of
-    weighted L^p norms of horizontal derivatives over the ball."""
+    weighted L^p norms of horizontal derivatives over the ball.  Returns
+    the total and its per-tuple breakdown."""
     tuples = derivative_tuples(len(fs), k, group.n1)
     total, products = _rhs(
         group, fs, vs, ps, [ball] * len(fs), [t.alphas for t in tuples], scheme, op_id
     )
-    return _with_breakdown(total, products, tuples, return_terms)
+    return _with_breakdown(total, products, tuples)
 
 
-def sobolev_rhs(group, fs, vs, ps, k, scheme, *, op_id="sobolev-rhs", return_terms=False):
-    """Global analog: each factor integrates over its own support ball."""
+def sobolev_rhs(group, fs, vs, ps, k, scheme, *, op_id="sobolev-rhs"):
+    """Global analog: each factor integrates over its own support ball.
+    Returns the total and its per-tuple breakdown."""
     supports = [_require_support(f, i) for i, f in enumerate(fs)]
     tuples = derivative_tuples(len(fs), k, group.n1)
     total, products = _rhs(
         group, fs, vs, ps, supports, [t.alphas for t in tuples], scheme, op_id
     )
-    return _with_breakdown(total, products, tuples, return_terms)
+    return _with_breakdown(total, products, tuples)
 
 
-def sobolev_sublaplacian_rhs(
-    group, fs, vs, ps, scheme, *, op_id="sublap-rhs", return_terms=False
-):
-    """sum_i ||L f_i v_i||_{p_i} prod_{j != i} ||f_j v_j||_{p_j} over supports."""
+def sobolev_sublaplacian_rhs(group, fs, vs, ps, scheme, *, op_id="sublap-rhs"):
+    """sum_i ||L f_i v_i||_{p_i} prod_{j != i} ||f_j v_j||_{p_j} over supports.
+    Returns the total and its per-slot breakdown."""
     m = len(fs)
     supports = [_require_support(f, i) for i, f in enumerate(fs)]
     value = (0,) * group.n1
     terms = [tuple("L" if j == i else value for j in range(m)) for i in range(m)]
     total, products = _rhs(group, fs, vs, ps, supports, terms, scheme, op_id)
-    if not return_terms:
-        return total
     breakdown = [
         {"laplacian_slot": i, "value": t.value, "std_error": t.std_error}
         for i, t in enumerate(products)
@@ -218,9 +218,7 @@ def sobolev_sublaplacian_rhs(
     return total, breakdown
 
 
-def _with_breakdown(total, products, tuples, return_terms):
-    if not return_terms:
-        return total
+def _with_breakdown(total, products, tuples):
     breakdown = [
         {"alphas": [list(a) for a in tup], "value": t.value, "std_error": t.std_error}
         for tup, t in zip(tuples, products)

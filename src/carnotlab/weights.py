@@ -231,14 +231,12 @@ def _average_powers(group, w, gammas, ball, scheme, op_id):
     ]
 
 
-def ball_term(
-    group, u, vs, system, ball, scheme, *, branch=None, op_id="ball-term", t_grid=None
-):
+def ball_term(group, u, vs, system, ball, scheme, *, op_id="ball-term", t_grid=None):
     """The admissibility quantity for one ball, as an Estimate.
 
-    branch "q>1" raises u to q*t, branch "q<=1" to q; defaults to the
-    branch dictated by q.  Ball averages are |B|^-1 int_B (the scaling
-    criterion r^(k+Q(1/q-1/p)) then holds exactly for constant weights).
+    For q > 1, u is raised to q*t; for q <= 1, to q.  Ball averages are
+    |B|^-1 int_B (the scaling criterion r^(k+Q(1/q-1/p)) then holds
+    exactly for constant weights).
     u draws its nodes under f"{op_id}/u" and v_i under f"{op_id}/v{i}";
     a constant weight's average is the exact c^gamma.
 
@@ -249,16 +247,10 @@ def ball_term(
     A row whose samples overflow comes back flagged on its own.
     """
     system = validate_exponents(system, group)
-    auto = "q>1" if system.q > 1.0 else "q<=1"
-    branch = branch or auto
-    if branch not in ("q>1", "q<=1"):
-        raise DomainError(f"unknown branch {branch!r}")
-    if branch != auto:
-        raise DomainError(f"branch {branch!r} is inconsistent with q = {system.q}")
     ts = (system.t,) if t_grid is None else tuple(t_grid)
     if any(not t > 1 for t in ts):
         raise DomainError("every t in the grid must exceed 1")
-    u_exps = [system.q * t if branch == "q>1" else system.q for t in ts]
+    u_exps = [system.q * t if system.q > 1.0 else system.q for t in ts]
     u_avgs = _average_powers(group, u, u_exps, ball, scheme, f"{op_id}/u")
     factors = [[a.powered(1.0 / e) for a, e in zip(u_avgs, u_exps)]]
     for i, (v, pc) in enumerate(zip(vs, system.conjugates())):

@@ -21,6 +21,7 @@ from carnotlab.carnot import (
     volume_constant,
 )
 from carnotlab.errors import CapabilityError, DomainError, StructureError
+from carnotlab.operators import jet_rows
 from carnotlab.quad import mc_ball_volume
 from carnotlab.rng import stream
 
@@ -337,10 +338,37 @@ def test_jet_table_rows_match_single_key_paths(group):
     keys += [tuple(int(i == a) for i in range(n1)) for a in range(n1)]
     third = (2, 1) + (0,) * (n1 - 2)  # |alpha| = 3: finite differences over the jets
     for f in catalog:
-        table = JetTable(group, f, pts)
+        table = JetTable(group, f, pts, 3)
         for alpha in keys + [third]:
             np.testing.assert_array_equal(table[alpha], horizontal_derivative(group, f, alpha, pts))
         np.testing.assert_array_equal(table["L"], sub_laplacian(group, f, pts))
+
+
+_ORDER_TWO_KEYS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def test_gauge_bump_jets_evaluate_each_polynomial_once(h1, count_calls):
+    # H^1: u, its 3 partials and its 6 distinct second partials, each once
+    bump = GaugeBump(h1, [0.1, -0.2, 0.3], 1.0)
+    pts = bump.support.center + 0.2 * stream(14, "jets/h1").standard_normal((32, 3))
+    calls = count_calls(HomogeneousPolynomial, "__call__")
+    jet_rows(h1, bump, _ORDER_TWO_KEYS)(pts)
+    assert len(calls) == 10
+    calls.clear()
+    jet_rows(h1, bump, _ORDER_TWO_KEYS[:3])(pts)
+    assert len(calls) == 4
+
+
+def test_polynomial_bump_calls_bump_jets_once_per_table(h1, count_calls):
+    bump = GaugeBump(h1, [0.1, -0.2, 0.3], 1.0)
+    f = PolynomialBump(HomogeneousPolynomial(h1, {(1, 0, 0): 2.0, (0, 0, 0): 1.0}), bump)
+    pts = bump.support.center + 0.2 * stream(15, "jets/h1").standard_normal((32, 3))
+    calls = count_calls(bump, "jets", lambda pts, order: order)
+    jet_rows(h1, f, _ORDER_TWO_KEYS + ["L"])(pts)
+    assert calls == [2]
+    calls.clear()
+    jet_rows(h1, f, _ORDER_TWO_KEYS[:3])(pts)
+    assert calls == [1]
 
 
 def test_capability_error():
@@ -372,7 +400,7 @@ def test_bump_gradient_matches_euclidean_formula():
     x = np.array([[0.3]])
     u = 0.3**2
     expected = math.exp(-u / (1 - u)) * (-1.0 / (1 - u) ** 2) * 2 * 0.3
-    assert bump.gradient(x)[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert bump.jets(x, 1)[1][0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 # -- group identity and ids ---------------------------------------------------

@@ -94,6 +94,17 @@ def test_counterexample_coarse_key_is_gone(tmp_path, capsys):
     assert "coarse" in capsys.readouterr().err
 
 
+def test_counterexample_empty_eps_writes_report(tmp_path, capsys):
+    # like repformula with "pairs": 0: the report is kept and the command exits 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": []}))
+    code = run(["counterexample", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads((tmp_path / "counterexample.json").read_text())
+    assert data["results"]["rows"] == []
+    assert "ratio growth" not in capsys.readouterr().out
+
+
 def test_counterexample_invalid_p_is_validation_error(tmp_path, capsys):
     code = run(["counterexample", "--p", "1.5", "--out", str(tmp_path)])
     assert code == 1

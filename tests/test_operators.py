@@ -189,7 +189,7 @@ def test_poincare_rhs_linear(e1, mc_scheme):
     w = Weight.one(e1)
     ball = GaugeBall([0.2], 1.0)
     for p in (1.5, 2.0):
-        est = poincare_rhs(e1, [f], [w], [p], ball, 1, mc_scheme)
+        est, _ = poincare_rhs(e1, [f], [w], [p], ball, 1, mc_scheme)
         assert est.value == pytest.approx(3.0 * 2.0 ** (1.0 / p), rel=1e-10)
 
 
@@ -198,7 +198,7 @@ def test_poincare_rhs_zero_slot(e1, mc_scheme):
     f = HomogeneousPolynomial(e1, {(2,): 1.0})
     w = Weight.one(e1)
     ball = GaugeBall([0.0], 1.0)
-    est = poincare_rhs(e1, [f, zero], [w, w], [2.0, 2.0], ball, 1, mc_scheme)
+    est, _ = poincare_rhs(e1, [f, zero], [w, w], [2.0, 2.0], ball, 1, mc_scheme)
     assert est.value == 0.0
 
 
@@ -210,7 +210,7 @@ def test_poincare_rhs_quadratic_closed_forms(e1):
     w = Weight.one(e1)
     ball = GaugeBall([0.5], 0.5)
     scheme = QuadratureScheme(samples=200000, seed=23)
-    est, terms = poincare_rhs(e1, [f, f], [w, w], [2.0, 2.0], ball, 2, scheme, return_terms=True)
+    est, terms = poincare_rhs(e1, [f, f], [w, w], [2.0, 2.0], ball, 2, scheme)
     expected = 4.0 / math.sqrt(5.0) + 4.0 / 3.0
     assert est.value == pytest.approx(expected, rel=5e-3)
     assert len(terms) == 3
@@ -221,7 +221,7 @@ def test_poincare_rhs_quadratic_closed_forms(e1):
 def test_sobolev_rhs_uses_supports(e1, mc_scheme):
     bump = GaugeBump(e1, [0.0], 1.0)
     w = Weight.one(e1)
-    est = sobolev_rhs(e1, [bump], [w], [2.0], 1, mc_scheme)
+    est, _ = sobolev_rhs(e1, [bump], [w], [2.0], 1, mc_scheme)
     assert est.value > 0.0
 
 
@@ -229,7 +229,7 @@ def test_sublaplacian_rhs_single_slot(e1, mc_scheme):
     # m = 1: reduces to ||L f||_p over the support
     bump = GaugeBump(e1, [0.0], 1.0)
     w = Weight.one(e1)
-    est = sobolev_sublaplacian_rhs(e1, [bump], [w], [2.0], mc_scheme)
+    est, _ = sobolev_sublaplacian_rhs(e1, [bump], [w], [2.0], mc_scheme)
     from carnotlab.carnot import SubLaplacianMagnitude
     from carnotlab.quad import lp_norm_ball
 
@@ -257,7 +257,7 @@ def test_sublaplacian_rhs_harmonic_and_zero(e2, mc_scheme):
     harmonic = _WithSupport(HomogeneousPolynomial(e2, {(1, 0): 1.0}), ball)  # L x = 0
     zero = _WithSupport(HomogeneousPolynomial.zero(e2), ball)
     w = Weight.one(e2)
-    est = sobolev_sublaplacian_rhs(e2, [harmonic, zero], [w, w], [2.0, 2.0], mc_scheme)
+    est, _ = sobolev_sublaplacian_rhs(e2, [harmonic, zero], [w, w], [2.0, 2.0], mc_scheme)
     assert est.value == pytest.approx(0.0, abs=1e-6)
 
 
@@ -268,8 +268,8 @@ def test_sublaplacian_rhs_bilinear_vs_term_oracle(e1):
     w = Weight.one(e1)
     mc = QuadratureScheme(samples=120000, seed=29)
     grid = QuadratureScheme(kind="grid", points_per_axis=4000)
-    est_mc = sobolev_sublaplacian_rhs(e1, [f1, f2], [w, w], [2.0, 2.0], mc)
-    est_grid = sobolev_sublaplacian_rhs(e1, [f1, f2], [w, w], [2.0, 2.0], grid)
+    est_mc, _ = sobolev_sublaplacian_rhs(e1, [f1, f2], [w, w], [2.0, 2.0], mc)
+    est_grid, _ = sobolev_sublaplacian_rhs(e1, [f1, f2], [w, w], [2.0, 2.0], grid)
     assert est_mc.value == pytest.approx(est_grid.value, rel=0.02)
 
 
@@ -278,8 +278,8 @@ def test_rhs_monotone_under_domination(e1, mc_scheme):
     small = GaugeBump(e1, [0.0], 1.0, height=1.0)
     w = Weight.one(e1)
     ball = GaugeBall([0.0], 1.0)
-    a = poincare_rhs(e1, [big], [w], [2.0], ball, 1, mc_scheme)
-    b = poincare_rhs(e1, [small], [w], [2.0], ball, 1, mc_scheme)
+    a, _ = poincare_rhs(e1, [big], [w], [2.0], ball, 1, mc_scheme)
+    b, _ = poincare_rhs(e1, [small], [w], [2.0], ball, 1, mc_scheme)
     assert a.value == pytest.approx(2.0 * b.value, rel=1e-12)
     assert a.value > b.value
 
@@ -292,15 +292,15 @@ def test_rhs_zero_slot_standard_error_finite(e1, e2, mc_scheme):
     w = Weight.one(e1)
     ball = GaugeBall([0.0], 1.0)
     for k in (1, 2):
-        est, terms = poincare_rhs(
-            e1, [f, zero], [w, w], [2.0, 2.0], ball, k, mc_scheme, return_terms=True
-        )
+        est, terms = poincare_rhs(e1, [f, zero], [w, w], [2.0, 2.0], ball, k, mc_scheme)
         assert est.value == 0.0 and math.isfinite(est.std_error)
         assert all(math.isfinite(t["std_error"]) for t in terms)
     bump = GaugeBump(e2, [0.0, 0.0], 1.0)
     zero2 = _WithSupport(HomogeneousPolynomial.zero(e2), bump.support)
     w2 = Weight.one(e2)
-    est = sobolev_sublaplacian_rhs(e2, [bump, zero2], [w2, w2], [4.0 / 3.0, 4.0 / 3.0], mc_scheme)
+    est, _ = sobolev_sublaplacian_rhs(
+        e2, [bump, zero2], [w2, w2], [4.0 / 3.0, 4.0 / 3.0], mc_scheme
+    )
     assert est.value == 0.0 and est.std_error == 0.0
 
 
@@ -330,7 +330,6 @@ _E2 = euclidean_group(2)
             GaugeBall([0.0, 0.0, 0.0], 1.0),
             2,
             scheme,
-            return_terms=True,
         ),
         lambda scheme: sobolev_sublaplacian_rhs(
             _E2,
@@ -338,7 +337,6 @@ _E2 = euclidean_group(2)
             [Weight.one(_E2)] * 2,
             [4.0 / 3.0, 4.0 / 3.0],
             scheme,
-            return_terms=True,
         ),
     ],
     ids=["poincare-h1-k2", "sublaplacian-e2"],

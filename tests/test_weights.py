@@ -135,17 +135,6 @@ def test_ball_term_sobolev_critical(e3, small_scheme):
         assert term.value == pytest.approx(1.0, rel=1e-10)
 
 
-def test_ball_term_branch_consistency(e1, small_scheme):
-    w = Weight.one(e1)
-    sys_low = ExponentSystem(m=2, p_list=(2.0, 2.0), q=1.0, k=1)
-    ball = GaugeBall([0.0], 1.0)
-    ball_term(e1, w, [w, w], sys_low, ball, small_scheme, branch="q<=1")
-    with pytest.raises(DomainError):
-        ball_term(e1, w, [w, w], sys_low, ball, small_scheme, branch="q>1")
-    with pytest.raises(DomainError):
-        ball_term(e1, w, [w, w], sys_low, ball, small_scheme, branch="sideways")
-
-
 def test_ball_term_branch_continuity_at_q1(e1, small_scheme):
     # constant weights: both branches give r^E with E continuous at q = 1
     w = Weight.one(e1)
