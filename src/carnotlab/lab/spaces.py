@@ -37,17 +37,18 @@ def _norm_dimension(group, normalization):
 
 
 def _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, estimate):
-    """Per-row sup over sampled balls of |B|^(-lam/(dim p)) * estimate(ball, ball_op_id).
+    """Per-row sup over sampled balls of |B|^(-lam/(dim p)) * estimate.
 
-    `estimate` returns an Estimate, or a list of A Estimates (rows).  Returns
-    the sup (same shape) and per-ball details, whose "value" is a float or a
-    list of A floats.
+    `estimate(balls, op_id)` returns one output per ball, ball b estimated
+    under f"{op_id}/b{b}": an Estimate, or a list of A Estimates (rows).
+    Returns the sup (same shape) and per-ball details, whose "value" is a
+    float or a list of A floats.
     """
     dim = _norm_dimension(group, normalization)
     best = None
     details = []
-    for b_idx, ball in enumerate(sampler.generate(scheme.seed, label=f"{op_id}-balls")):
-        out = estimate(ball, f"{op_id}/b{b_idx}")
+    balls = sampler.generate(scheme.seed, label=f"{op_id}-balls")
+    for ball, out in zip(balls, estimate(balls, op_id)):
         rows = isinstance(out, list)
         scale = ball_volume(group, ball.radius) ** (-lam / (dim * p))
         ests = [e.scaled(scale) for e in (out if rows else [out])]
@@ -71,11 +72,14 @@ def morrey_norm(group, f, w, p, lam, sampler, scheme, *, normalization="ambient"
     if not (p > 0 and lam > 0):
         raise DomainError("Morrey norms need p > 0 and lambda > 0")
 
-    def norm(ball, ball_id):
-        out = lp_norm_ball(group, f, w, p, ball, scheme, op_id=ball_id)
-        return out if isinstance(out, Estimate) else out[0]
+    def norms(balls, norm_id):
+        outs = (
+            lp_norm_ball(group, f, w, p, ball, scheme, op_id=f"{norm_id}/b{b}")
+            for b, ball in enumerate(balls)
+        )
+        return [out if isinstance(out, Estimate) else out[0] for out in outs]
 
-    return _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, norm)
+    return _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, norms)
 
 
 def campanato_norm(
@@ -90,10 +94,10 @@ def campanato_norm(
     if k < 1:
         raise DomainError("Campanato order k must be >= 1")
 
-    def distance(ball, ball_id):
-        return best_polynomial(group, f, w, p, ball, k, scheme, op_id=ball_id)[1]
+    def distances(balls, norm_id):
+        return [est for _, est in best_polynomial(group, f, w, p, balls, k, scheme, op_id=norm_id)]
 
-    return _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, distance)
+    return _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, distances)
 
 
 def leibniz_test(

@@ -130,6 +130,7 @@ class Estimate:
             "samples": self.samples,
             "seed": self.seed,
             "flagged": self.flagged,
+            "note": self.note,
         }
 
 

@@ -157,6 +157,7 @@ def test_poincare_non_finite_integrand_exit_2(tmp_path, capsys):
     [
         ("leibniz", {"v1": {"kind": "power", "beta": -400}, "configs": 2}, "trials", 0),
         ("morrey", {"w": {"kind": "power", "beta": -400}}, "balls", None),
+        ("campanato", {"w": {"kind": "power", "beta": -400}, "p": 2.0}, "balls", None),
     ],
 )
 def test_numerical_failure_writes_partial_report(tmp_path, capsys, command, config, stage, trial):

@@ -12,7 +12,13 @@ from carnotlab.carnot import (
     DilatedArgument,
     random_bump,
 )
-from carnotlab.errors import ConditioningError, DomainError, HypothesisError, ValidationError
+from carnotlab.errors import (
+    ConditioningError,
+    DomainError,
+    HypothesisError,
+    IntegrationError,
+    ValidationError,
+)
 from carnotlab.lab import (
     affine_infimum,
     best_polynomial,
@@ -31,8 +37,8 @@ from carnotlab.lab import (
     sobolev_sublaplacian_test,
     sobolev_test,
 )
-from carnotlab.lab import inequalities, spaces
-from carnotlab.lab.bestpoly import _weighted_lstsq
+from carnotlab.lab import bestpoly, inequalities, spaces
+from carnotlab.lab.bestpoly import _irls, _weighted_lstsq
 from carnotlab.operators import derivative_tuples, jet_rows
 from carnotlab.quad import QuadratureScheme
 from carnotlab.rng import stream
@@ -165,6 +171,114 @@ def test_best_poly_rejects_oversized_grid(h1):
             h1, lambda p: p[:, 0], W1(h1), 2.0, GaugeBall([0.0, 0.0, 0.0], 1.0), 2,
             QuadratureScheme(kind="grid", points_per_axis=272),
         )
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_best_poly_non_finite_values_raise(e1, q, bad):
+    # every exponent regime refuses a non-finite F or u before any solve
+    def spike(p):
+        return np.where(p[:, 0] > 0.5, bad, 1.0)
+
+    scheme = QuadratureScheme(samples=1024, seed=3)
+    for F, u in ((spike, W1(e1)), (lambda p: p[:, 0], spike)):
+        with pytest.raises(IntegrationError, match="non-finite integrand value") as info:
+            best_polynomial(e1, F, u, q, GaugeBall([0.0], 1.0), 2, scheme)
+        assert info.value.point[0] > 0.5
+
+
+@pytest.mark.parametrize("q", [1.0, 3.0, 20.0, 25.0])
+def test_irls_note_tells_stationary_from_iteration_cap(e1, q, count_calls):
+    # q = 1 settles well before the cap; q >= 3 runs all _IRLS_MAX_ITER
+    # iterations here, and says so without flagging the estimate
+    iterations = count_calls(np.linalg, "qr")
+    _, est = best_polynomial(
+        e1, GaugeBump(e1, [0.0], 1.0), W1(e1), q, GaugeBall([0.3], 0.8), 2,
+        QuadratureScheme(samples=2048, seed=1234),
+    )
+    capped = len(iterations) == bestpoly._IRLS_MAX_ITER
+    assert capped == (q > 1.0)
+    assert est.note == ("irls-iteration-cap" if capped else "irls-stationary")
+    assert not est.flagged
+    assert est.to_dict()["note"] == est.note
+
+
+def _assert_same_fit(got, want):
+    (poly, est), (poly_1, est_1) = got, want
+    assert est.value == pytest.approx(est_1.value, rel=1e-12, abs=1e-300)
+    assert est.std_error == pytest.approx(est_1.std_error, rel=1e-12, abs=1e-300)
+    assert (est.note, est.samples) == (est_1.note, est_1.samples)
+    for alpha in set(poly.terms) | set(poly_1.terms):
+        assert poly.terms.get(alpha, 0.0) == pytest.approx(
+            poly_1.terms.get(alpha, 0.0), rel=1e-12, abs=1e-12
+        )
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [QuadratureScheme(samples=1024, seed=31), QuadratureScheme(kind="grid", points_per_axis=16)],
+    ids=["uniform", "grid"],
+)
+@pytest.mark.parametrize("q", [0.8, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("group_name", ["e1", "h1"])
+def test_best_poly_ball_list_matches_single_balls(request, group_name, q, scheme):
+    # ball b of a list call is the single-ball call under f"{op_id}/b{b}"
+    group = request.getfixturevalue(group_name)
+    bump = GaugeBump(group, np.full(group.n, 0.1), 1.2)
+    u = Weight.power(group, 0.5)
+    balls = BallSampler(dim=group.n, count=4, r_min=0.4, r_max=1.5).generate(7)
+    fits = best_polynomial(group, bump, u, q, balls, 2, scheme, op_id="list")
+    assert len(fits) == len(balls)
+    for b, ball in enumerate(balls):
+        single = best_polynomial(group, bump, u, q, ball, 2, scheme, op_id=f"list/b{b}")
+        _assert_same_fit(fits[b], single)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_irls_pads_short_systems_with_zero_rows(q):
+    # balls of one call share a uniform or grid scheme and so a node count;
+    # the stack still pads unequal systems, and zero rows change nothing
+    rng = stream(4, "irls-pad")
+    systems = []
+    for n in (300, 517, 1024):
+        x = rng.uniform(-1.0, 1.0, n)
+        A = np.column_stack([np.ones(n), x])
+        y = np.cos(3.0 * x) + 0.1 * rng.normal(size=n)
+        wq = np.full(n, 2.0 / n)
+        systems.append((A, y, wq, _weighted_lstsq(A, y, wq)))
+    together, notes = _irls(systems, q)
+    for system, c, note in zip(systems, together, notes):
+        alone, (note_1,) = _irls([system], q)
+        np.testing.assert_allclose(c, alone[0], rtol=1e-12, atol=1e-14)
+        assert note == note_1
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [QuadratureScheme(samples=1024, seed=5), QuadratureScheme(kind="grid", points_per_axis=40)],
+    ids=["uniform", "grid"],
+)
+def test_irls_stack_bound_does_not_change_values(e1, monkeypatch, scheme):
+    # one ball per stack or all balls in one stack: the same numbers
+    bump = GaugeBump(e1, [0.0], 1.0)
+    balls = BallSampler(dim=1, count=5, r_min=0.25, r_max=4.0).generate(3)
+    out = []
+    for bound in (1, 1 << 40):
+        monkeypatch.setattr(bestpoly, "_IRLS_STACK", bound)
+        fits = best_polynomial(e1, bump, W1(e1), 1.0, balls, 2, scheme, op_id="stack")
+        out.append([(est.to_dict(), poly.terms) for poly, est in fits])
+    assert out[0] == out[1]
+
+
+def test_campanato_one_best_polynomial_call(e1, small_scheme, count_calls):
+    # all balls in one call; one lstsq per ball for the L^2 start, and the
+    # IRLS iterations run as stacked QR solves
+    calls = count_calls(spaces, "best_polynomial", lambda *args, **kw: kw["op_id"])
+    solves = count_calls(np.linalg, "lstsq")
+    sampler = BallSampler(dim=1, count=6, r_min=0.25, r_max=4.0)
+    campanato_norm(e1, GaugeBump(e1, [0.0], 1.0), W1(e1), 1.0, 1.0, 2, sampler, small_scheme)
+    assert calls == ["campanato"]
+    assert len(solves) == sampler.count
 
 
 # -- poincare_test ---------------------------------------------------------------

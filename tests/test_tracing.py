@@ -22,3 +22,33 @@ def test_tracer_binds_every_instrumented_function(monkeypatch):
     finally:
         tracer.uninstall()
     sys.modules.pop("spans", None)
+
+
+def test_tracer_counts_irls_and_lstsq_on_a_leibniz_test(monkeypatch, e1):
+    # the benchmark requires both counters to be non-zero on its Leibniz workload
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from carnotlab.carnot import random_bump
+    from carnotlab.quad import QuadratureScheme
+    from carnotlab.rng import stream
+    from carnotlab.weights import BallSampler, ExponentSystem, Weight
+
+    rng = stream(9, "tracing")
+    f, g = random_bump(e1, rng), random_bump(e1, rng)
+    one = Weight.one(e1)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        from carnotlab import lab
+
+        lab.leibniz_test(
+            e1, f, g, one, one, one, ExponentSystem(m=2, p_list=(2.0, 2.0), q=1.0, k=2),
+            1.0, 1.0, 1.0, BallSampler(dim=1, count=4, r_min=0.25, r_max=4.0),
+            QuadratureScheme(samples=1024, seed=11),
+        )
+    finally:
+        tracer.uninstall()
+    sys.modules.pop("spans", None)
+    assert tracer.counts["lab.best_polynomial.irls.calls"] > 0
+    assert tracer.counts["lab.lstsq.solves"] > 0
