@@ -118,10 +118,10 @@ def _first_order_jet(coef, grad, a):
 
 
 def _second_order_jet(coef, jac, grad, hess, a, b):
-    """X_a X_b f from the cached coefficients, their Jacobian, gradient and Hessian."""
-    first = np.einsum("nv,uv,nu->n", coef[:, a, :], jac[b], grad)
-    second = np.einsum("nv,nu,nvu->n", coef[:, a, :], coef[:, b, :], hess)
-    return first + second
+    """X_a X_b f from the cached coefficients, their Jacobian, gradient and
+    Hessian: c^a . (grad J_b + hess c^b), two 2-operand contractions."""
+    inner = grad @ jac[b] + np.einsum("nvu,nu->nv", hess, coef[:, b, :])
+    return np.einsum("nv,nv->n", inner, coef[:, a, :])
 
 
 def _fd_along_generator(group, evaluate, a, pts, total_order):

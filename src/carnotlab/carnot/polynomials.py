@@ -4,6 +4,13 @@ A monomial x^alpha has homogeneous degree |alpha|_G = sum_i sigma_i alpha_i
 where sigma_i is the layer index of coordinate i; the degree of a polynomial
 is the maximum over its nonzero terms.  Monomial bases of degree < k are
 ordered graded-lexicographically with x_1 > x_2 > ... .
+
+Polynomials and design matrices are evaluated by one monomial evaluator,
+`_monomials`: per call it builds a power table [x_i, x_i^2, ..., x_i^top_i]
+for each coordinate by repeated multiplication, then forms each term
+c * x_i^a_i * x_j^a_j * ... from table entries in coordinate order.  No
+array power runs, and x^a carries a relative error of at most (a - 1) u
+(x^2 is x * x, exactly as numpy computes it).
 """
 
 from __future__ import annotations
@@ -58,17 +65,16 @@ class HomogeneousPolynomial:
         return max(weighted_degree(self.group, a) for a in self.terms)
 
     def __call__(self, x):
+        """Value at a point (n,), a scalar, or on a batch (N, n): the sum of
+        the terms c * x^alpha in term order, each formed from this call's
+        per-coordinate power tables."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
         if pts.shape[-1] != self.group.n:
             raise StructureError("point dimension mismatch")
         out = np.zeros(pts.shape[0])
-        for alpha, c in self.terms.items():
-            mono = np.full(pts.shape[0], c)
-            for i, a in enumerate(alpha):
-                if a:
-                    mono *= pts[:, i] ** a
+        for mono in _monomials(pts, self.terms.items()):
             out += mono
         return out[0] if single else out
 
@@ -197,11 +203,28 @@ def monomial_basis(group, k):
 def vandermonde(group, basis, pts):
     """Design matrix of monomials at points: (N, len(basis))."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    cols = []
-    for alpha in basis:
-        col = np.ones(pts.shape[0])
-        for i, a in enumerate(alpha):
-            if a:
-                col = col * pts[:, i] ** a
-        cols.append(col)
-    return np.column_stack(cols)
+    out = np.empty((pts.shape[0], len(basis)))
+    for j, mono in enumerate(_monomials(pts, [(alpha, 1.0) for alpha in basis])):
+        out[:, j] = mono
+    return out
+
+
+def _monomials(pts, terms):
+    """Yield c * x^alpha on an (N, n) batch for each (alpha, c) of `terms`
+    (read twice): the scalar c for alpha = 0, else c times the power-table
+    entries of the coordinates with a_i > 0, multiplied in coordinate order."""
+    tables = []
+    for i, top in enumerate(map(max, zip(*(alpha for alpha, _ in terms)))):
+        powers = [np.ascontiguousarray(pts[:, i])] if top else []
+        while len(powers) < top:
+            powers.append(powers[-1] * powers[0])
+        tables.append(powers)
+    for alpha, c in terms:
+        factors = [tables[i][a - 1] for i, a in enumerate(alpha) if a]
+        if not factors:
+            yield c
+            continue
+        mono = c * factors[0]
+        for factor in factors[1:]:
+            mono *= factor
+        yield mono

@@ -209,7 +209,9 @@ def _to_raw_coordinates(group, basis, coeffs, ball):
 def evaluate_candidate(group, F, u, q, ball, scheme, poly, *, op_id="best-poly"):
     """||(F - poly) u||_{L^q(B)} on the same nodes best_polynomial uses."""
     nodes, node_w = _nodes_and_weights(group, ball, scheme, op_id)
-    y = np.asarray(F(nodes), dtype=float).reshape(nodes.shape[0])
-    wvals = np.asarray(u(nodes), dtype=float).reshape(nodes.shape[0])
-    resid = y - np.asarray(poly(nodes), dtype=float).reshape(nodes.shape[0])
-    return _objective(resid, wvals, node_w, q) ** (1.0 / q)
+    y, wvals, pvals = (
+        np.asarray(f(nodes), dtype=float).reshape(nodes.shape[0]) for f in (F, u, poly)
+    )
+    for vals in (y, wvals, pvals):
+        _check_finite(vals, nodes)
+    return _objective(y - pvals, wvals, node_w, q) ** (1.0 / q)

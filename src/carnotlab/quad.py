@@ -200,36 +200,6 @@ def sample_ball(group, ball, count, rng):
     return group.compose(ball.center, out)
 
 
-def quadrature_nodes(group, ball, scheme, op_id):
-    """Uniform MC nodes on a ball for a given scheme; reproducible by op_id."""
-    scheme.validate()
-    rng = stream(scheme.seed, op_id)
-    return sample_ball(group, ball, scheme.samples, rng)
-
-
-def mc_ball_volume(group, r, samples, seed, op_id="mc-ball-volume"):
-    """Independent MC volume of B(0, r) by box rejection (no volume law used)."""
-    if not r > 0:
-        raise DomainError("radius must be positive")
-    rng = stream(seed, f"{op_id}/{r!r}")
-    ext = centered_box_extents(group, r)
-    box_volume = float(np.prod(2.0 * ext))
-    accepted = 0
-    remaining = int(samples)
-    while remaining > 0:
-        take = min(1_000_000, remaining)
-        pts = (rng.random((take, group.n)) * 2.0 - 1.0) * ext
-        accepted += int(np.count_nonzero(group.gauge_norm(pts) < r))
-        remaining -= take
-    phat = accepted / samples
-    return Estimate(
-        value=box_volume * phat,
-        std_error=box_volume * math.sqrt(max(phat * (1.0 - phat), 0.0) / samples),
-        samples=int(samples),
-        seed=seed,
-    )
-
-
 # -- the engine: strata and one estimator --------------------------------------
 
 

@@ -21,10 +21,3 @@ def stream(seed, op_id, index=0):
     ).digest()
     key = np.frombuffer(digest[:16], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def spawn_seed(seed, label):
-    """Derive a child 64-bit seed from a master seed and a label."""
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    digest = hashlib.blake2s(str(label).encode(), key=seed.to_bytes(8, "little")).digest()
-    return int.from_bytes(digest[:8], "little")

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from bruteforce_helpers import grid_brute_force
+from bruteforce_helpers import grid_brute_force, mc_ball_volume
 from carnotlab.carnot import (
     DilatedArgument,
     GaugeBall,
@@ -32,7 +32,7 @@ from carnotlab.lab import (
 )
 from carnotlab.lab.sweeps import check_weight_condition
 from carnotlab.operators import multilinear_fractional_integral
-from carnotlab.quad import QuadratureScheme, mc_ball_volume
+from carnotlab.quad import QuadratureScheme
 from carnotlab.rng import stream
 from carnotlab.weights import (
     BallSampler,

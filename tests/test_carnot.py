@@ -18,12 +18,19 @@ from carnotlab.carnot import (
     random_bump,
     step_two_group,
     sub_laplacian,
+    vandermonde,
     volume_constant,
+)
+from carnotlab.carnot.derivatives import (
+    _second_order_jet,
+    coefficient_jacobian,
+    generator_coefficients,
 )
 from carnotlab.errors import CapabilityError, DomainError, StructureError
 from carnotlab.operators import jet_rows
-from carnotlab.quad import mc_ball_volume
 from carnotlab.rng import stream
+
+from bruteforce_helpers import mc_ball_volume, poly_eval_by_powers, vandermonde_by_powers
 
 
 # -- group law and dilations ---------------------------------------------------
@@ -234,6 +241,75 @@ def test_monomial_basis_grading_excludes_t(h1):
     # |e_3|_G = 2, so t only appears once k exceeds 2
     assert (0, 0, 1) not in monomial_basis(h1, 2)
     assert (0, 0, 1) in monomial_basis(h1, 3)
+
+
+# -- monomial kernels ----------------------------------------------------------------
+
+
+def _random_poly(group, rng, top, terms):
+    """`terms` random monomials of homogeneous degree <= 8, every exponent <= top."""
+    alphas = [a for a in monomial_basis(group, 9) if max(a) <= top]
+    picks = rng.choice(len(alphas), size=min(terms, len(alphas)), replace=False)
+    return HomogeneousPolynomial(group, {alphas[j]: rng.normal() for j in picks})
+
+
+@pytest.mark.parametrize("group", ["e1", "h1", "h2"])
+def test_polynomial_matches_array_power_oracle(group, request):
+    # power tables: x^a by repeated multiplication, within (a - 1) u of pow
+    group = request.getfixturevalue(group)
+    rng = stream(21, f"poly-oracle/{group.ident}")
+    pts = 1.5 * rng.standard_normal((512, group.n))
+    for _ in range(20):
+        poly = _random_poly(group, rng, 8, 24)
+        want, scale = poly_eval_by_powers(poly, pts)
+        assert np.all(np.abs(poly(pts) - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("group", ["e1", "h1", "h2"])
+def test_polynomial_is_bitwise_the_oracle_for_exponents_up_to_two(group, request):
+    # numpy forms x**2 as x*x, so low exponents give the oracle's bits
+    group = request.getfixturevalue(group)
+    rng = stream(22, f"poly-bits/{group.ident}")
+    pts = 1.5 * rng.standard_normal((512, group.n))
+    for _ in range(20):
+        poly = _random_poly(group, rng, 2, 24)
+        np.testing.assert_array_equal(poly(pts), poly_eval_by_powers(poly, pts)[0])
+
+
+def test_polynomial_call_shapes_and_dimension(h1):
+    poly = HomogeneousPolynomial(h1, {(3, 0, 1): 2.0, (0, 0, 0): -1.0})
+    value = poly(np.array([1.0, 2.0, 0.5]))
+    assert np.ndim(value) == 0 and value == 0.0
+    np.testing.assert_array_equal(HomogeneousPolynomial.zero(h1)(np.ones((4, 3))), np.zeros(4))
+    with pytest.raises(StructureError, match="point dimension mismatch"):
+        poly(np.ones((4, 2)))
+
+
+@pytest.mark.parametrize("group", ["e1", "e2", "h1", "h2"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vandermonde_is_bitwise_the_oracle(group, k, request):
+    group = request.getfixturevalue(group)
+    basis = monomial_basis(group, k)
+    pts = stream(23, f"vander/{group.ident}/{k}").standard_normal((256, group.n))
+    np.testing.assert_array_equal(vandermonde(group, basis, pts), vandermonde_by_powers(basis, pts))
+
+
+@pytest.mark.parametrize("group", ["h1", "h2"])
+def test_second_order_jet_matches_three_operand_einsum(group, request):
+    group = request.getfixturevalue(group)
+    rng = stream(24, f"second-jet/{group.ident}")
+    pts = rng.standard_normal((256, group.n))
+    coef, jac = generator_coefficients(group, pts), coefficient_jacobian(group)
+    grad = rng.standard_normal((256, group.n))
+    hess = rng.standard_normal((256, group.n, group.n))
+    hess = hess + np.transpose(hess, (0, 2, 1))
+    for a in range(group.n1):
+        for b in range(group.n1):
+            want = np.einsum("nv,uv,nu->n", coef[:, a, :], jac[b], grad) + np.einsum(
+                "nv,nu,nvu->n", coef[:, a, :], coef[:, b, :], hess
+            )
+            got = _second_order_jet(coef, jac, grad, hess, a, b)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 # -- horizontal derivatives --------------------------------------------------------

@@ -187,6 +187,28 @@ def test_best_poly_non_finite_values_raise(e1, q, bad):
         assert info.value.point[0] > 0.5
 
 
+def test_evaluate_candidate_refuses_an_overflowing_weight(e1):
+    # u = d^-400 is inf near the centre; best_polynomial refuses the same nodes
+    args = (GaugeBump(e1, [0.0], 1.0), Weight.power(e1, -400.0), 2.0, GaugeBall([0.0], 1.0))
+    scheme = QuadratureScheme(samples=1024, seed=3)
+    with pytest.raises(IntegrationError, match="non-finite integrand value inf"):
+        evaluate_candidate(e1, *args, scheme, HomogeneousPolynomial.zero(e1))
+    with pytest.raises(IntegrationError, match="non-finite integrand value inf"):
+        best_polynomial(e1, *args, 2, scheme)
+
+
+def test_evaluate_candidate_refuses_nan_on_part_of_the_ball(e1):
+    def F(p):
+        return np.where(p[:, 0] > 0.5, np.nan, 1.0)
+
+    with pytest.raises(IntegrationError, match="non-finite integrand value nan") as info:
+        evaluate_candidate(
+            e1, F, W1(e1), 1.0, GaugeBall([0.0], 1.0), QuadratureScheme(samples=1024, seed=3),
+            HomogeneousPolynomial.constant(e1, 1.0),
+        )
+    assert info.value.point[0] > 0.5
+
+
 @pytest.mark.parametrize("q", [1.0, 3.0, 20.0, 25.0])
 def test_irls_note_tells_stationary_from_iteration_cap(e1, q, count_calls):
     # q = 1 settles well before the cap; q >= 3 runs all _IRLS_MAX_ITER

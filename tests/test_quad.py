@@ -17,11 +17,12 @@ from carnotlab.quad import (
     integrate_singular_product,
     lp_norm_ball,
     product_integrand,
-    quadrature_nodes,
     sample_ball,
 )
 from carnotlab.rng import stream
 from carnotlab.weights import Weight
+
+from bruteforce_helpers import quadrature_nodes
 
 ONE = lambda p: np.ones(p.shape[0])
 

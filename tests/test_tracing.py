@@ -52,3 +52,31 @@ def test_tracer_counts_irls_and_lstsq_on_a_leibniz_test(monkeypatch, e1):
     sys.modules.pop("spans", None)
     assert tracer.counts["lab.best_polynomial.irls.calls"] > 0
     assert tracer.counts["lab.lstsq.solves"] > 0
+
+
+def test_tracer_counts_polynomial_evaluations_on_a_poincare_test(monkeypatch, h1):
+    # the benchmark requires carnot.poly_eval.calls to be non-zero on its H^1
+    # Poincare workload: a gauge bump that stops evaluating polynomials needs
+    # that requirement relaxed first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from carnotlab.carnot import GaugeBall, GaugeBump
+    from carnotlab.quad import QuadratureScheme
+    from carnotlab.weights import ExponentSystem, Weight
+
+    fs = [GaugeBump(h1, [0.1, 0.0, -0.2], 1.0), GaugeBump(h1, [-0.1, 0.2, 0.0], 1.2)]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        from carnotlab import lab
+
+        lab.poincare_test(
+            h1, fs, Weight.one(h1), [Weight.power(h1, 0.25)] * 2,
+            ExponentSystem(2, (4.0 / 3.0, 4.0 / 3.0), 2.0, 1), GaugeBall([0.0, 0.0, 0.0], 1.0),
+            QuadratureScheme(samples=1024, seed=5),
+        )
+    finally:
+        tracer.uninstall()
+    sys.modules.pop("spans", None)
+    assert tracer.counts["carnot.poly_eval.calls"] > 0
