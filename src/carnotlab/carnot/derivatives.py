@@ -10,8 +10,8 @@ last generator first.
 
 `JetTable` holds one function's jets on one node set and serves every
 X^alpha f and L f from them; `horizontal_derivative` and `sub_laplacian`
-are one-key lookups into a table.  Three evaluation paths, chosen per
-function:
+are one-key lookups into a table.  Three evaluation paths, chosen by what
+the function carries:
   * polynomials: exact symbolic application (generators map polynomials
     to polynomials);
   * analytic jets: for |alpha| <= f.jet_order (at most 2), the derivative
@@ -19,7 +19,9 @@ function:
     gradient and Hessian of one `f.jets` call;
   * nested finite differences along the group curves s -> x o (s e_a),
     4th-order central stencils with one Richardson extrapolation step,
-    step size eps^(1/(order+3)) scaled by the point magnitude.
+    step size eps^(1/(order+3)) scaled by the point magnitude.  A function
+    with value only, such as a `CustomFunction` wrapping a callable, takes
+    this path for every order.
 """
 
 from __future__ import annotations
@@ -222,30 +224,16 @@ def _points(group, x):
     return pts, x.ndim == 1
 
 
-def horizontal_derivative(group, f, alpha, x, *, force_fd=False):
+def horizontal_derivative(group, f, alpha, x):
     """Evaluate X^alpha f at x (a point or an (N, n) batch)."""
     alpha = _check_alpha(group, alpha)
     pts, single = _points(group, x)
-    out = JetTable(group, _Bare(f) if force_fd else f, pts, sum(alpha))[alpha]
+    out = JetTable(group, f, pts, sum(alpha))[alpha]
     return out[0] if single else out
 
 
-class _Bare:
-    """Wrapper hiding analytic jets (and the polynomial path), forcing
-    finite differences."""
-
-    jet_order = 0
-
-    def __init__(self, f):
-        self._f = f
-        self.smoothness = getattr(f, "smoothness", np.inf)
-
-    def __call__(self, pts):
-        return self._f(pts)
-
-
-def sub_laplacian(group, f, x, *, force_fd=False):
+def sub_laplacian(group, f, x):
     """Sum of squares of the generators: L f = sum_a X_a^2 f."""
     pts, single = _points(group, x)
-    out = JetTable(group, _Bare(f) if force_fd else f, pts, 2)["L"]
+    out = JetTable(group, f, pts, 2)["L"]
     return out[0] if single else out

@@ -283,20 +283,21 @@ class DilatedArgument(TestFunction):
         return out
 
 
-def random_bump(group, rng, center_box=1.0, radius_range=(0.4, 1.5), height_range=(0.5, 2.0)):
-    """Random gauge bump with center in a box and log-uniform radius."""
+def random_bump(group, rng, center_box=1.0, radius_range=(0.4, 1.5)):
+    """Random gauge bump with center in a box, log-uniform radius and
+    height uniform in [0.5, 2]."""
     center = rng.uniform(-center_box, center_box, size=group.n)
     lo, hi = radius_range
     radius = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    height = rng.uniform(*height_range)
+    height = rng.uniform(0.5, 2.0)
     return GaugeBump(group, center, radius, height)
 
 
-def random_polynomial(group, rng, k, coeff_scale=1.0):
+def random_polynomial(group, rng, k):
     """Random polynomial with homogeneous degree < k."""
     from .polynomials import monomial_basis
 
     terms = {}
     for alpha in monomial_basis(group, k):
-        terms[alpha] = coeff_scale * rng.normal()
+        terms[alpha] = rng.normal()
     return HomogeneousPolynomial(group, terms)

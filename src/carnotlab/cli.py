@@ -93,51 +93,92 @@ def _load_config(path, defaults, overrides):
 def _parse_eps_expr(expr):
     """Expand dyadic ranges like "2^-2..2^-8" (or comma lists of values)."""
     if isinstance(expr, (list, tuple)):
-        return [float(e) for e in expr]
+        return [_parse_eps_value(e) for e in expr]
     expr = str(expr)
-    if "," in expr:
-        return [_parse_eps_value(tok) for tok in expr.split(",")]
     if ".." in expr:
-        lo, hi = expr.split("..")
+        lo, _, hi = expr.partition("..")
         a, b = _dyadic_exponent(lo), _dyadic_exponent(hi)
         step = 1 if b >= a else -1
-        return [2.0**e for e in range(a, b + step, step)]
-    return [_parse_eps_value(expr)]
+        return [_power_of_two(e) for e in range(a, b + step, step)]
+    return [_parse_eps_value(tok) for tok in expr.split(",")]
 
 
 def _dyadic_exponent(tok):
     tok = tok.strip()
-    if not tok.startswith("2^"):
-        raise UsageError(f"dyadic range endpoints must look like 2^-3, got {tok!r}")
-    return int(tok[2:])
+    if tok.startswith("2^"):
+        with contextlib.suppress(ValueError):
+            return int(tok[2:])
+    raise UsageError(f"dyadic eps values must look like 2^-3, got {tok!r}")
 
 
 def _parse_eps_value(tok):
-    tok = tok.strip()
+    tok = str(tok).strip()
     if tok.startswith("2^"):
-        return 2.0 ** int(tok[2:])
-    return float(tok)
+        return _power_of_two(_dyadic_exponent(tok))
+    try:
+        return float(tok)
+    except ValueError:
+        raise UsageError(f"eps values must be numbers or look like 2^-3, got {tok!r}") from None
+
+
+def _power_of_two(e):
+    try:
+        return 2.0**e
+    except OverflowError:
+        raise UsageError(f"eps = 2^{e} is beyond the floating-point range") from None
+
+
+def _spec(spec, where, required=(), optional=()):
+    """`spec` if it is a JSON object with every required key and no key
+    outside required + optional, else a UsageError naming the key."""
+    if not isinstance(spec, dict):
+        raise UsageError(f"{where} must be a JSON object, got {spec!r}")
+    unknown = sorted(set(spec) - set(required) - set(optional))
+    if unknown:
+        raise UsageError(f"unknown keys in {where}: {', '.join(unknown)}")
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise UsageError(f"{where} needs the keys {', '.join(missing)}")
+    return spec
+
+
+# (what, kind) -> (required keys, optional keys besides "kind") of a weight or function spec
+_SPEC_KEYS = {
+    ("weight", "constant"): ((), ("value",)),
+    ("weight", "power"): (("beta",), ("pole",)),
+    ("weight", "product"): (("factors",), ("constant",)),
+    ("function", "bump"): ((), ("center", "radius", "height")),
+    ("function", "polynomial"): (("terms",), ()),
+}
+
+
+def _kind_spec(spec, what, default_kind):
+    """(kind, spec) for a weight or function spec whose keys fit its kind."""
+    kind = spec.get("kind", default_kind) if isinstance(spec, dict) else default_kind
+    if (what, kind) not in _SPEC_KEYS:
+        raise UsageError(f"unknown {what} kind {kind!r}")
+    required, optional = _SPEC_KEYS[what, kind]
+    return kind, _spec(spec, f"{kind} {what} spec", required, ("kind",) + optional)
 
 
 def weight_from_spec(group, spec):
     if spec is None:
         return Weight.one(group)
-    kind = spec.get("kind", "constant")
+    kind, spec = _kind_spec(spec, "weight", "constant")
     if kind == "constant":
         return Weight.const(group, spec.get("value", 1.0))
     if kind == "power":
         return Weight.power(group, spec["beta"], spec.get("pole"))
-    if kind == "product":
-        return Weight(
-            group,
-            constant=spec.get("constant", 1.0),
-            factors=[(f.get("pole", group.identity()), f["beta"]) for f in spec["factors"]],
-        )
-    raise UsageError(f"unknown weight kind {kind!r}")
+    factors = [_spec(f, "product weight factor", ("beta",), ("pole",)) for f in spec["factors"]]
+    return Weight(
+        group,
+        constant=spec.get("constant", 1.0),
+        factors=[(f.get("pole", group.identity()), f["beta"]) for f in factors],
+    )
 
 
 def function_from_spec(group, spec):
-    kind = spec.get("kind", "bump")
+    kind, spec = _kind_spec(spec, "function", "bump")
     if kind == "bump":
         return GaugeBump(
             group,
@@ -145,13 +186,12 @@ def function_from_spec(group, spec):
             spec.get("radius", 1.0),
             spec.get("height", 1.0),
         )
-    if kind == "polynomial":
-        terms = {tuple(int(v) for v in key.split(",")): c for key, c in spec["terms"].items()}
-        return HomogeneousPolynomial(group, terms)
-    raise UsageError(f"unknown function kind {kind!r}")
+    terms = {tuple(int(v) for v in key.split(",")): c for key, c in spec["terms"].items()}
+    return HomogeneousPolynomial(group, terms)
 
 
 def _sampler_from_cfg(group, cfg):
+    _spec(cfg, "sampler", optional=("center_box", "r_min", "r_max", "count"))
     return BallSampler(
         dim=group.n,
         center_box=cfg.get("center_box", 1.0),
@@ -167,7 +207,6 @@ def _system_from_cfg(cfg):
         p_list=tuple(cfg["p_list"]),
         q=float(cfg["q"]),
         k=int(cfg["k"]),
-        t=float(cfg.get("t", 2.0)),
     )
     # p is derived from p_list; an explicit p must satisfy 1/p = sum 1/p_i
     explicit_p = cfg.get("p")
@@ -293,7 +332,6 @@ def cmd_sweep(args):
         "p_list": [4.0 / 3.0, 4.0 / 3.0],
         "p": None,
         "q": 2.0,
-        "t": 2.0,
         "trials": 25,
         "samples": 4096,
         "u": None,
@@ -340,7 +378,6 @@ def cmd_weights_check(args):
         "p_list": [2.0],
         "p": None,
         "q": 2.0,
-        "t": 2.0,
         "t_grid": list(DEFAULT_T_GRID),
         "u": None,
         "v": None,
@@ -356,7 +393,7 @@ def cmd_weights_check(args):
     scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
     with _partial_report(cfg, args, "weights-check", "weight-check"):
         report = weight_condition_sup(
-            group, u, vs, system, sampler, scheme, t_grid=tuple(cfg["t_grid"])
+            group, u, vs, system, sampler, scheme, t_grid=cfg["t_grid"]
         )
     results = report.to_dict()
     header = ["t", "sup", "slope", "verdict"]
@@ -379,7 +416,7 @@ def cmd_repformula(args):
     }
     cfg = _load_config(args.config, defaults, {"samples": args.samples})
     group = group_from_id(cfg["group"])
-    ball_cfg = cfg["ball"]
+    ball_cfg = _spec(cfg["ball"], "ball", optional=("center", "radius"))
     center = ball_cfg.get("center") or [0.0] * group.n
     ball = GaugeBall(center, ball_cfg.get("radius", 1.0))
     scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
@@ -466,7 +503,6 @@ def cmd_leibniz(args):
         "k": 2,
         "p_list": [2.0, 2.0],
         "q": 1.0,
-        "t": 2.0,
         "lam": 1.0,
         "lam1": 1.0,
         "lam2": 1.0,
@@ -479,9 +515,7 @@ def cmd_leibniz(args):
     }
     cfg = _load_config(args.config, defaults, {"samples": args.samples})
     group = group_from_id(cfg["group"])
-    system = ExponentSystem(
-        m=2, p_list=tuple(cfg["p_list"]), q=float(cfg["q"]), k=int(cfg["k"]), t=float(cfg["t"])
-    )
+    system = ExponentSystem(m=2, p_list=tuple(cfg["p_list"]), q=float(cfg["q"]), k=int(cfg["k"]))
     u = weight_from_spec(group, cfg.get("u"))
     v1 = weight_from_spec(group, cfg.get("v1"))
     v2 = weight_from_spec(group, cfg.get("v2"))

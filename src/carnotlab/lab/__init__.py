@@ -24,7 +24,7 @@ from .inequalities import (
     sobolev_sublaplacian_test,
     sobolev_test,
 )
-from .reports import dump_json, jsonify, write_csv, write_json
+from .reports import dump_json, jsonify, write_csv
 from .spaces import campanato_norm, leibniz_test, morrey_norm
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "dump_json",
     "jsonify",
     "write_csv",
-    "write_json",
     "campanato_norm",
     "leibniz_test",
     "morrey_norm",

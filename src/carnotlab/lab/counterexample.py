@@ -64,9 +64,9 @@ def psi(t):
     return np.where(t <= -1.0, 0.0, np.where(t >= 1.0, t, _psi_inner(np.clip(t, -1.0, 1.0))))
 
 
-def _gauss_nodes(a, b, rule=None):
-    """A Gauss rule (x, w) on [-1, 1], by default the 400-point one, moved to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES) if rule is None else rule
+def _gauss_nodes(a, b, rule):
+    """The Gauss rule (x, w) on [-1, 1] moved to [a, b]."""
+    x, w = rule
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -155,14 +155,15 @@ class RampFunction(TestFunction):
         return out
 
 
-def phi_prime_lp(p, nodes=None):
-    """int_{-1}^1 |phi'|^p dt on the Gauss rule `nodes` (default 400 points)."""
+def phi_prime_lp(p, nodes):
+    """int_{-1}^1 |phi'|^p dt on the Gauss rule `nodes` on [-1, 1]."""
     x, w = _gauss_nodes(-1.0, 1.0, nodes)
     return float(np.dot(w, np.abs(phi_prime(x)) ** p))
 
 
-def second_derivative_lp(family, p, nodes=None):
-    """R(eps) = int_{-1}^1 |f_eps''|^p dx (the integrand lives on [-eps, eps])."""
+def second_derivative_lp(family, p, nodes):
+    """R(eps) = int_{-1}^1 |f_eps''|^p dx (the integrand lives on [-eps, eps]),
+    on the Gauss rule `nodes` on [-1, 1] moved to [-eps, eps]."""
     x, w = _gauss_nodes(-family.eps, family.eps, nodes)
     return float(np.dot(w, np.abs(family.second(x)) ** p))
 
@@ -170,7 +171,6 @@ def second_derivative_lp(family, p, nodes=None):
 def _piecewise_nodes(eps, rule):
     """The rule on [-1, -eps], [-eps, eps] and [eps, 1], concatenated; since
     leggauss is symmetric, x[::-1] == -x and w[::-1] == w bit for bit."""
-    rule = _gauss_nodes(-1.0, 1.0, rule)  # the default rule, once, for None
     pieces = [_gauss_nodes(a, b, rule) for a, b in ((-1.0, -eps), (-eps, eps), (eps, 1.0))]
     return np.concatenate([x for x, _ in pieces]), np.concatenate([w for _, w in pieces])
 
@@ -272,10 +272,10 @@ def _candidate_blocks(x, g, n):
             yield np.stack([c, g[i] - c * x[i]], axis=1), np.stack([i, j], axis=1), sizes[sizes > 0]
 
 
-def affine_infimum(family, q, *, tol=1e-6, nodes=None):
+def affine_infimum(family, q, nodes, *, tol=1e-6):
     """L(eps) = inf over (a, b) of int_{-1}^1 |f_eps(x) - (a x + b)|^q dx,
     exactly on the three-piece node set of the Gauss rule `nodes` on
-    [-1, 1] (default 400 points); see the module docstring.
+    [-1, 1]; see the module docstring.
 
     Returns {"value", "a", "b", "converged", "method"}: method is
     "symmetric-convex" (q >= 1; b to `tol` unless q is 1 or 2) or
@@ -321,7 +321,7 @@ def counterexample_report(p, q, eps_list, *, tol=1e-6):
     for eps in eps_list:
         family = counterexample_family(eps)
         r_val = second_derivative_lp(family, p, rule)
-        opt = affine_infimum(family, q, tol=tol, nodes=rule)
+        opt = affine_infimum(family, q, rule, tol=tol)
         ratio = opt["value"] ** (1.0 / q) / r_val ** (1.0 / p) if r_val > 0 else math.inf
         rows.append(
             {

@@ -10,8 +10,6 @@ bounded ratio here is implied by the inequalities themselves.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from ..carnot.functions import HorizontalDerivativeMagnitude, ProductFunction
@@ -25,7 +23,7 @@ from ..operators import (
 )
 from ..quad import estimate_sum, lp_norm_ball, sample_ball
 from ..rng import stream
-from ..weights import validate_exponents
+from ..weights import Weight, validate_exponents
 from .bestpoly import best_polynomial
 from .reports import InequalityReport
 
@@ -63,16 +61,12 @@ def _finish(lhs, rhs, config, terms):
     return InequalityReport(lhs=lhs, rhs=rhs, ratio=ratio, config=config, terms=terms, flags=flags)
 
 
-def poincare_test(
-    group, fs, u, vs, system, ball, scheme, *, k=None, weight_verdict=None, op_id="poincare"
-):
+def poincare_test(group, fs, u, vs, system, ball, scheme, *, weight_verdict=None, op_id="poincare"):
     """Local inequality trial on one ball.
 
     lhs: best-polynomial L^q distance of prod f_i under weight u;
     rhs: sum over derivative tuples of products of weighted L^p norms.
     """
-    if k is not None and k != system.k:
-        system = dataclasses.replace(system, k=k)
     system = validate_exponents(system, group)
     product = ProductFunction(group, fs)
     _, lhs = best_polynomial(
@@ -149,7 +143,7 @@ def representation_check(group, fs, ball, k, num_points, scheme, *, op_id="repfo
     if k > mq:
         raise HypothesisError(f"needs k <= m*Q, got k = {k}, m*Q = {mq}")
     product = ProductFunction(group, fs)
-    one = _ConstantWeight()
+    one = Weight.one(group)
     # the kernel integrals may need annuli stratification; the polynomial
     # stage always fits on uniform ball nodes
     poly_scheme = scheme if scheme.kind in ("uniform", "grid") else scheme.with_(kind="uniform")
@@ -189,12 +183,3 @@ def representation_check(group, fs, ball, k, num_points, scheme, *, op_id="repfo
         "ball": ball.to_dict(),
     }
     return records, summary
-
-
-class _ConstantWeight:
-    def __call__(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.ones(pts.shape[0])
-
-    def to_dict(self):
-        return {"constant": 1.0, "factors": []}

@@ -64,11 +64,6 @@ def dump_json(obj):
     return json.dumps(jsonify(obj), sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(dump_json(obj))
-
-
 def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -101,22 +101,7 @@ def campanato_norm(
 
 
 def leibniz_test(
-    group,
-    f,
-    g,
-    u,
-    v1,
-    v2,
-    system,
-    lam,
-    lam1,
-    lam2,
-    sampler,
-    scheme,
-    *,
-    k=None,
-    normalization="ambient",
-    op_id="leibniz",
+    group, f, g, u, v1, v2, system, lam, lam1, lam2, sampler, scheme, *, op_id="leibniz"
 ):
     """Campanato norm of fg against sums of Morrey-norm products.
 
@@ -125,14 +110,15 @@ def leibniz_test(
     slot's distinct derivative keys, so each ball evaluates the slot's jets
     once; each term is a product of those memoised sups.  The terms share
     each slot's nodes, so the rhs standard error is the sum of the terms'
-    errors, an upper bound under any correlation.
+    errors, an upper bound under any correlation.  Balls are normalized
+    by the ambient dimension n.
 
     Requires the scaling relation lambda/q = lambda_1/p_1 + lambda_2/p_2
     and k <= 2Q.
     """
     if system.m != 2:
         raise ValidationError(["the Leibniz experiment is bilinear: m must be 2"])
-    k = k if k is not None else system.k
+    k = system.k
     p1, p2 = system.p_list
     relation = lam / system.q - (lam1 / p1 + lam2 / p2)
     if abs(relation) > 1e-12:
@@ -143,29 +129,19 @@ def leibniz_test(
         raise HypothesisError(f"needs k <= 2Q = {2 * group.homogeneous_dimension}, got k = {k}")
     product = ProductFunction(group, [f, g])
     lhs, _ = campanato_norm(
-        group,
-        product,
-        u,
-        system.q,
-        lam,
-        k,
-        sampler,
-        scheme,
-        normalization=normalization,
-        op_id=f"{op_id}/lhs",
+        group, product, u, system.q, lam, k, sampler, scheme, op_id=f"{op_id}/lhs"
     )
     tuples = derivative_tuples(2, k, group.n1)
     sups = []  # per slot: key -> sup Estimate
     for i, (h, v, p, lam_i, name) in enumerate(((f, v1, p1, lam1, "f"), (g, v2, p2, lam2, "g"))):
-        keys = list(dict.fromkeys(tup.alphas[i] for tup in tuples))
+        keys = list(dict.fromkeys(tup[i] for tup in tuples))
         ests, _ = morrey_norm(
-            group, jet_rows(group, h, keys), v, p, lam_i, sampler, scheme,
-            normalization=normalization, op_id=f"{op_id}/{name}",
+            group, jet_rows(group, h, keys), v, p, lam_i, sampler, scheme, op_id=f"{op_id}/{name}"
         )
         sups.append(dict(zip(keys, ests)))
-    terms = [estimate_product(sups[i][a] for i, a in enumerate(tup.alphas)) for tup in tuples]
+    terms = [estimate_product(sups[i][a] for i, a in enumerate(tup)) for tup in tuples]
     breakdown = [
-        {"alphas": [list(a) for a in tup.alphas], "value": t.value, "std_error": t.std_error}
+        {"alphas": [list(a) for a in tup], "value": t.value, "std_error": t.std_error}
         for tup, t in zip(tuples, terms)
     ]
     rhs = replace(
@@ -181,6 +157,6 @@ def leibniz_test(
         k=k,
         lambdas={"lhs": lam, "f": lam1, "g": lam2},
         sampler=sampler.to_dict(),
-        normalization=normalization,
+        normalization="ambient",
     )
     return _finish(lhs, rhs, config, breakdown)

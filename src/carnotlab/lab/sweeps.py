@@ -26,16 +26,17 @@ from .inequalities import (
 from .spaces import leibniz_test
 
 
-def _random_trial_ball(rng, group, radius_range=(0.5, 2.0), center_box=0.5):
-    center = rng.uniform(-center_box, center_box, size=group.n)
-    lo, hi = radius_range
-    radius = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+def _random_trial_ball(rng, group):
+    """Center uniform in [-0.5, 0.5]^n, radius log-uniform in [0.5, 2]."""
+    center = rng.uniform(-0.5, 0.5, size=group.n)
+    radius = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
     return GaugeBall(center, radius)
 
 
-def check_weight_condition(group, u, vs, system, scheme, *, count=24, r_min=0.25, r_max=4.0):
-    """One verdict for the sweep's weight configuration (existential in t)."""
-    sampler = BallSampler(dim=group.n, center_box=1.0, r_min=r_min, r_max=r_max, count=count)
+def check_weight_condition(group, u, vs, system, scheme):
+    """One verdict for the sweep's weight configuration (existential in t),
+    from 24 balls with radii in [1/4, 4] on the default t grid."""
+    sampler = BallSampler(dim=group.n, center_box=1.0, r_min=0.25, r_max=4.0, count=24)
     report = weight_condition_sup(group, u, vs, system, sampler, scheme)
     verdicts = report.verdicts()
     finite = [row["t"] for row, v in zip(report.per_t, verdicts) if v == "finite-at-sampled-scales"]

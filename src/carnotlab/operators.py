@@ -18,8 +18,8 @@ over each slot's covariance of the raw integrals.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,19 +34,6 @@ from .quad import (
 )
 
 
-@dataclass(frozen=True)
-class DerivativeTuple:
-    """One term of the sum over |alpha_1| + ... + |alpha_m| = k."""
-
-    alphas: tuple
-
-    def __iter__(self):
-        return iter(self.alphas)
-
-    def total_order(self):
-        return sum(sum(a) for a in self.alphas)
-
-
 def _compositions(k, m):
     """Ordered compositions of k into m nonnegative parts, first part largest."""
     if m == 1:
@@ -57,36 +44,20 @@ def _compositions(k, m):
             yield (first,) + rest
 
 
-def _multiindices_of_order(order, n1):
-    """Multi-indices over n1 variables with |alpha| = order, grlex order."""
-    out = []
-    for comp in _compositions(order, n1):
-        out.append(comp)
-    return out
-
-
 def derivative_tuples(m, k, n1):
-    """Complete, duplicate-free enumeration of derivative tuples.
+    """Complete, duplicate-free enumeration of the m-tuples of multi-indices
+    over the n1 generators with |alpha_1| + ... + |alpha_m| = k.
 
     Tuples are ordered by the composition (k_1, ..., k_m) of k with the
     first slot largest, then per-slot graded-lex on the multi-indices.
     """
     if m < 1 or k < 1 or n1 < 1:
         raise DomainError("derivative tuples need m, k, n1 >= 1")
-    tuples = []
-    for comp in _compositions(k, m):
-        slot_lists = [_multiindices_of_order(order, n1) for order in comp]
-        idx = [0] * m
-        while True:
-            tuples.append(DerivativeTuple(tuple(slot_lists[i][idx[i]] for i in range(m))))
-            for pos in range(m - 1, -1, -1):
-                idx[pos] += 1
-                if idx[pos] < len(slot_lists[pos]):
-                    break
-                idx[pos] = 0
-            else:
-                break
-    return tuples
+    return [
+        tup
+        for comp in _compositions(k, m)
+        for tup in itertools.product(*(_compositions(order, n1) for order in comp))
+    ]
 
 
 def multilinear_fractional_integral(group, fs, tau, x, scheme, *, op_id="mfi"):
@@ -186,9 +157,7 @@ def poincare_rhs(group, fs, vs, ps, ball, k, scheme, *, op_id="poincare-rhs"):
     weighted L^p norms of horizontal derivatives over the ball.  Returns
     the total and its per-tuple breakdown."""
     tuples = derivative_tuples(len(fs), k, group.n1)
-    total, products = _rhs(
-        group, fs, vs, ps, [ball] * len(fs), [t.alphas for t in tuples], scheme, op_id
-    )
+    total, products = _rhs(group, fs, vs, ps, [ball] * len(fs), tuples, scheme, op_id)
     return _with_breakdown(total, products, tuples)
 
 
@@ -197,9 +166,7 @@ def sobolev_rhs(group, fs, vs, ps, k, scheme, *, op_id="sobolev-rhs"):
     Returns the total and its per-tuple breakdown."""
     supports = [_require_support(f, i) for i, f in enumerate(fs)]
     tuples = derivative_tuples(len(fs), k, group.n1)
-    total, products = _rhs(
-        group, fs, vs, ps, supports, [t.alphas for t in tuples], scheme, op_id
-    )
+    total, products = _rhs(group, fs, vs, ps, supports, tuples, scheme, op_id)
     return _with_breakdown(total, products, tuples)
 
 

@@ -96,8 +96,8 @@ class Estimate:
     note: str = ""
 
     @classmethod
-    def exact(cls, value, note="closed-form"):
-        return cls(value=float(value), std_error=0.0, samples=0, note=note)
+    def exact(cls, value):
+        return cls(value=float(value), std_error=0.0, samples=0, note="closed-form")
 
     def powered(self, gamma):
         """First-order error propagation through v -> v^gamma."""
@@ -432,7 +432,7 @@ def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularit
 # -- weighted norms ----------------------------------------------------------
 
 
-def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm", singularity=None):
+def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm"):
     """(int_B (|f| w)^p dx)^(1/p); a quasi-norm is allowed for p < 1.
 
     The integrand is 0 wherever f = 0, even where w is infinite (the
@@ -456,7 +456,7 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm", singularity=N
         with np.errstate(invalid="ignore", over="ignore"):
             return np.where(vals == 0.0, 0.0, (vals * wv) ** p)
 
-    out = integrate_ball(group, integrand, ball, scheme, op_id=op_id, singularity=singularity)
+    out = integrate_ball(group, integrand, ball, scheme, op_id=op_id)
     if isinstance(out, Estimate):
         return _lp_root(out, p)
     raws, cov = out

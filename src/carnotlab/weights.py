@@ -126,13 +126,15 @@ def holder_conjugate(p):
 
 @dataclass(frozen=True)
 class ExponentSystem:
-    """(m, p_1..p_m, q, k, t) with 1/p = sum 1/p_i as the derived p."""
+    """(m, p_1..p_m, q, k) with 1/p = sum 1/p_i as the derived p.
+
+    The weight condition's t > 1 is not part of it: `ball_term` takes a grid of t.
+    """
 
     m: int
     p_list: tuple
     q: float
     k: int
-    t: float = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "p_list", tuple(float(p) for p in self.p_list))
@@ -151,7 +153,6 @@ class ExponentSystem:
             "p": self.p,
             "q": self.q,
             "k": self.k,
-            "t": self.t,
         }
 
 
@@ -171,8 +172,6 @@ def exponent_violations(system, group):
         mq = system.m * group.homogeneous_dimension
         if system.k > mq:
             v.append(f"k = {system.k} exceeds m*Q = {mq}")
-    if not system.t > 1.0:
-        v.append(f"t = {system.t} must exceed 1")
     if all(1.0 < p for p in system.p_list) and system.p_list:
         # p = (sum 1/p_i)^-1 is only defined once every p_i is admissible
         p = system.p
@@ -231,8 +230,8 @@ def _average_powers(group, w, gammas, ball, scheme, op_id):
     ]
 
 
-def ball_term(group, u, vs, system, ball, scheme, *, op_id="ball-term", t_grid=None):
-    """The admissibility quantity for one ball, as an Estimate.
+def ball_term(group, u, vs, system, ball, scheme, t_grid, *, op_id="ball-term"):
+    """The admissibility quantity for one ball, one Estimate per t of `t_grid`.
 
     For q > 1, u is raised to q*t; for q <= 1, to q.  Ball averages are
     |B|^-1 int_B (the scaling criterion r^(k+Q(1/q-1/p)) then holds
@@ -240,14 +239,16 @@ def ball_term(group, u, vs, system, ball, scheme, *, op_id="ball-term", t_grid=N
     u draws its nodes under f"{op_id}/u" and v_i under f"{op_id}/v{i}";
     a constant weight's average is the exact c^gamma.
 
-    With `t_grid`, the result is one Estimate per t of the grid (system.t
-    is not used): each non-constant weight takes the averages of all its
-    powers from one node set, so the rows are correlated across t, and
-    row j equals the call without `t_grid` at t = t_grid[j] bit for bit.
-    A row whose samples overflow comes back flagged on its own.
+    Each non-constant weight takes the averages of all its powers from one
+    node set, so the rows are correlated across t, and row j equals the
+    call with the one-t grid (t_grid[j],) bit for bit.  A row whose
+    samples overflow comes back flagged on its own.  The grid must be
+    non-empty, with every t > 1.
     """
     system = validate_exponents(system, group)
-    ts = (system.t,) if t_grid is None else tuple(t_grid)
+    ts = tuple(t_grid)
+    if not ts:
+        raise DomainError("the t grid is empty")
     if any(not t > 1 for t in ts):
         raise DomainError("every t in the grid must exceed 1")
     u_exps = [system.q * t if system.q > 1.0 else system.q for t in ts]
@@ -257,8 +258,7 @@ def ball_term(group, u, vs, system, ball, scheme, *, op_id="ball-term", t_grid=N
         avgs = _average_powers(group, v, [-t * pc for t in ts], ball, scheme, f"{op_id}/v{i}")
         factors.append([a.powered(1.0 / (t * pc)) for a, t in zip(avgs, ts)])
     scale = ball.radius ** scaling_exponent(system, group)
-    terms = [estimate_product(row).scaled(scale) for row in zip(*factors)]
-    return terms[0] if t_grid is None else terms
+    return [estimate_product(row).scaled(scale) for row in zip(*factors)]
 
 
 @dataclass(frozen=True)
@@ -317,10 +317,10 @@ def _fit_slope(radii, values):
     return float(np.dot(x, y - y.mean()) / denom)
 
 
-def _verdict(slope, threshold=SLOPE_TREND_THRESHOLD):
-    if slope > threshold:
+def _verdict(slope):
+    if slope > SLOPE_TREND_THRESHOLD:
         return VERDICT_LARGE_R
-    if slope < -threshold:
+    if slope < -SLOPE_TREND_THRESHOLD:
         return VERDICT_SMALL_R
     return VERDICT_FINITE
 
@@ -346,7 +346,9 @@ class WeightConditionReport:
         }
 
 
-def weight_condition_sup(group, u, vs, system, sampler, scheme, *, t_grid=None, op_id="weight-sup"):
+def weight_condition_sup(
+    group, u, vs, system, sampler, scheme, *, t_grid=DEFAULT_T_GRID, op_id="weight-sup"
+):
     """For each t in the grid, the max of ball_term over sampled balls.
 
     The condition is existential in t, so per-t results are reported
@@ -355,13 +357,11 @@ def weight_condition_sup(group, u, vs, system, sampler, scheme, *, t_grid=None, 
     ball_term call under f"{op_id}/b{b}", so the t's share its nodes.
     """
     system = validate_exponents(system, group)
-    t_grid = tuple(t_grid) if t_grid is not None else DEFAULT_T_GRID
+    t_grid = tuple(t_grid)
     scored = [[] for _ in t_grid]  # per t: (ball, term) for each finite term
     flagged = 0
     for b_idx, ball in enumerate(sampler.generate(scheme.seed)):
-        terms = ball_term(
-            group, u, vs, system, ball, scheme, op_id=f"{op_id}/b{b_idx}", t_grid=t_grid
-        )
+        terms = ball_term(group, u, vs, system, ball, scheme, t_grid, op_id=f"{op_id}/b{b_idx}")
         for found, term in zip(scored, terms):
             if term.flagged or not np.isfinite(term.value):
                 flagged += 1

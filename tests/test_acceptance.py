@@ -234,7 +234,7 @@ def test_criterion_5_weight_condition_logic():
     expo = scaling_exponent(sys0, E1)
     w = Weight.one(E1)
     for r in (0.25, 1.0, 3.0):
-        term = ball_term(E1, w, [w, w], sys0, GaugeBall([0.3], r), scheme)
+        (term,) = ball_term(E1, w, [w, w], sys0, GaugeBall([0.3], r), scheme, (2.0,))
         assert term.value == pytest.approx(r**expo, rel=1e-10)
 
     # six canonical configurations: 3 positive, 3 negative exponents

@@ -376,7 +376,7 @@ def test_analytic_vs_fd_on_catalog(h1, e2):
         alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)] if group.n1 == 2 else [(1,), (2,)]
         for alpha in alphas:
             an = horizontal_derivative(group, bump, alpha, pts)
-            fd = horizontal_derivative(group, bump, alpha, pts, force_fd=True)
+            fd = horizontal_derivative(group, CustomFunction(group, bump), alpha, pts)
             scale = np.maximum(np.max(np.abs(fd)), 1e-8)
             assert np.max(np.abs(an - fd)) / scale < 1e-6
 
@@ -386,7 +386,7 @@ def test_third_order_fd_path(h1):
     f = HomogeneousPolynomial(h1, {(3, 0, 0): 1.0})
     pts = np.array([[0.2, 0.4, -0.1]])
     sym = horizontal_derivative(h1, f, (3, 0), pts)
-    fd = horizontal_derivative(h1, f, (3, 0), pts, force_fd=True)
+    fd = horizontal_derivative(h1, CustomFunction(h1, f), (3, 0), pts)
     assert sym[0] == pytest.approx(6.0, abs=1e-12)
     assert fd[0] == pytest.approx(6.0, rel=1e-5)
 

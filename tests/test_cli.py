@@ -94,6 +94,52 @@ def test_counterexample_coarse_key_is_gone(tmp_path, capsys):
     assert "coarse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "eps, token", [("abc", "'abc'"), ("2^x..2^-3", "'2^x'"), ("2^2000..2^1999", "2^2000")]
+)
+def test_counterexample_malformed_eps_is_usage_error(tmp_path, capsys, eps, token):
+    assert run(["counterexample", "--eps", eps, "--out", str(tmp_path)]) == 64
+    assert token in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["poincare", "sobolev", "sobolev-sublaplacian", "weights-check", "leibniz"]
+)
+def test_t_key_is_gone(tmp_path, capsys, command):
+    # t is set only by the weights-check t_grid; a config naming t is refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t": 2.0}))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 64
+    assert "unknown config keys: t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("morrey", {"w": {"kind": "power"}}, "beta"),
+        ("morrey", {"w": {"kind": "product"}}, "factors"),
+        ("morrey", {"w": {"kind": "product", "factors": [{"pole": [0.0]}]}}, "beta"),
+        ("morrey", {"f": {"kind": "polynomial"}}, "terms"),
+        ("morrey", {"f": {"kind": "bump", "raduis": 2.0}}, "raduis"),
+        ("weights-check", {"sampler": {"cout": 2}}, "cout"),
+        ("repformula", {"ball": {"centre": [0.0]}}, "centre"),
+    ],
+)
+def test_malformed_spec_is_usage_error(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 64
+    assert key in capsys.readouterr().err
+
+
+def test_weights_check_empty_t_grid_exit_1(tmp_path, capsys):
+    # an empty grid checks nothing, so it is refused instead of reported
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_grid": [], "samples": 1024, "sampler": {"count": 2}}))
+    assert run(["weights-check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "t grid is empty" in capsys.readouterr().err
+
+
 def test_counterexample_empty_eps_writes_report(tmp_path, capsys):
     # like repformula with "pairs": 0: the report is kept and the command exits 0
     cfg = tmp_path / "cfg.json"
@@ -181,7 +227,6 @@ _SWEEP_DEFAULTS = {
     "p_list": [4.0 / 3.0, 4.0 / 3.0],
     "p": None,
     "q": 2.0,
-    "t": 2.0,
     "trials": 25,
     "samples": 4096,
     "u": None,

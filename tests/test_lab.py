@@ -602,7 +602,7 @@ def test_report_validation():
 def test_affine_infimum_limit_value():
     # as eps -> 0 the best-affine L^1 distance of the ramp tends to 1/4
     fam = counterexample_family(2.0**-8)
-    out = affine_infimum(fam, 1.0)
+    out = affine_infimum(fam, 1.0, np.polynomial.legendre.leggauss(400))
     assert out["value"] == pytest.approx(0.25, rel=0.005)
     assert out["a"] == pytest.approx(0.5, abs=0.01)
 
@@ -622,7 +622,7 @@ def test_affine_infimum_q2_is_weighted_least_squares():
     design = np.stack([x, np.ones_like(x)], axis=1) * np.sqrt(w)[:, None]
     (a, b), *_ = np.linalg.lstsq(design, f * np.sqrt(w), rcond=None)
     value = float(np.dot(w, (f - a * x - b) ** 2))
-    out = affine_infimum(fam, 2.0)
+    out = affine_infimum(fam, 2.0, np.polynomial.legendre.leggauss(400))
     assert out["method"] == "symmetric-convex" and out["converged"]
     assert out["a"] == 0.5 and a == pytest.approx(0.5, abs=1e-12)
     assert out["b"] == pytest.approx(b, abs=1e-12)
@@ -681,7 +681,7 @@ def test_affine_infimum_below_one_is_best_line_through_two_nodes(q):
 def test_affine_infimum_below_one_is_not_above_known_line():
     # at eps = 1/4 the line a = 1/2 through two mirror-image nodes gives
     # 0.65973279; the earlier grid search reported 0.659793
-    out = affine_infimum(counterexample_family(0.25), 0.5)
+    out = affine_infimum(counterexample_family(0.25), 0.5, np.polynomial.legendre.leggauss(400))
     assert out["value"] <= 0.6597328 + 1e-9
 
 
@@ -704,14 +704,14 @@ def test_affine_distance_floor_closed_form():
 
 
 def test_ramp_testfunction_jets_and_smoothness(e2):
-    from carnotlab.carnot import horizontal_derivative
+    from carnotlab.carnot import CustomFunction, horizontal_derivative
     from carnotlab.errors import CapabilityError
     from carnotlab.lab import RampFunction
 
     ramp = RampFunction(e2, 0.25)
     pts = np.column_stack([np.linspace(-0.2, 0.2, 9), np.full(9, 0.3)])
     an = horizontal_derivative(e2, ramp, (2, 0), pts)
-    fd = horizontal_derivative(e2, ramp, (2, 0), pts, force_fd=True)
+    fd = horizontal_derivative(e2, CustomFunction(e2, ramp, smoothness=2), (2, 0), pts)
     assert np.allclose(an, fd, atol=1e-5)
     assert np.allclose(horizontal_derivative(e2, ramp, (0, 1), pts), 0.0)
     with pytest.raises(CapabilityError):

@@ -73,14 +73,19 @@ def test_validate_k_range(h1):
 
 
 def test_validate_reports_each_violation(e1):
-    bad = ExponentSystem(m=2, p_list=(0.5, 2.0), q=2.0, k=0, t=0.5)
+    bad = ExponentSystem(m=2, p_list=(0.5, 2.0), q=2.0, k=0)
     violations = exponent_violations(bad, e1)
     assert len(violations) >= 2
 
 
-def test_validate_t_range(e1):
-    with pytest.raises(ValidationError):
-        validate_exponents(ExponentSystem(m=1, p_list=(2.0,), q=2.0, k=1, t=1.0), e1)
+def test_ball_term_rejects_bad_t_grid(e1, small_scheme):
+    # the grid is the only input that sets t: every t must exceed 1, and an
+    # empty grid would check nothing
+    w = Weight.one(e1)
+    sys = ExponentSystem(m=1, p_list=(2.0,), q=2.0, k=1)
+    for t_grid in ((1.0,), (2.0, 0.5), ()):
+        with pytest.raises(DomainError):
+            ball_term(e1, w, [w], sys, GaugeBall([0.0], 1.0), small_scheme, t_grid)
 
 
 # -- weights ------------------------------------------------------------------------
@@ -121,7 +126,7 @@ def test_ball_term_constant_weights_exact_power(e1, small_scheme):
     E = scaling_exponent(sys, e1)
     for r in (0.25, 1.0, 3.0):
         for center in (-1.0, 0.0, 2.0):
-            term = ball_term(e1, w, [w, w], sys, GaugeBall([center], r), small_scheme)
+            (term,) = ball_term(e1, w, [w, w], sys, GaugeBall([center], r), small_scheme, (2.0,))
             assert term.value == pytest.approx(r**E, rel=1e-10)
 
 
@@ -131,7 +136,7 @@ def test_ball_term_sobolev_critical(e3, small_scheme):
     w = Weight.one(e3)
     assert scaling_exponent(sys, e3) == pytest.approx(0.0)
     for r in (0.5, 2.0, 8.0):
-        term = ball_term(e3, w, [w], sys, GaugeBall([0.0, 0.0, 0.0], r), small_scheme)
+        (term,) = ball_term(e3, w, [w], sys, GaugeBall([0.0, 0.0, 0.0], r), small_scheme, (2.0,))
         assert term.value == pytest.approx(1.0, rel=1e-10)
 
 
@@ -139,32 +144,32 @@ def test_ball_term_branch_continuity_at_q1(e1, small_scheme):
     # constant weights: both branches give r^E with E continuous at q = 1
     w = Weight.one(e1)
     ball = GaugeBall([0.3], 2.0)
-    lo = ball_term(
+    (lo,) = ball_term(
         e1, w, [w, w],
-        ExponentSystem(m=2, p_list=(4.0 / 3.0, 4.0 / 3.0), q=1.0 - 1e-9, k=1, t=1.0001),
-        ball, small_scheme,
+        ExponentSystem(m=2, p_list=(4.0 / 3.0, 4.0 / 3.0), q=1.0 - 1e-9, k=1),
+        ball, small_scheme, (1.0001,),
     )
-    hi = ball_term(
+    (hi,) = ball_term(
         e1, w, [w, w],
-        ExponentSystem(m=2, p_list=(4.0 / 3.0, 4.0 / 3.0), q=1.0 + 1e-9, k=1, t=1.0001),
-        ball, small_scheme,
+        ExponentSystem(m=2, p_list=(4.0 / 3.0, 4.0 / 3.0), q=1.0 + 1e-9, k=1),
+        ball, small_scheme, (1.0001,),
     )
     assert lo.value == pytest.approx(hi.value, rel=1e-6)
 
 
 def test_ball_term_power_weights_vs_grid_oracle(h1):
     # u = v = |x|_G^beta on H^1: annuli-MC against a tensor-grid oracle
-    sys = ExponentSystem(m=1, p_list=(2.0,), q=2.0, k=1, t=1.25)
+    sys = ExponentSystem(m=1, p_list=(2.0,), q=2.0, k=1)
     ball = GaugeBall([0.0, 0.0, 0.0], 1.0)
     values = []
     for beta in (0.5, 0.25):
         w = Weight.power(h1, beta)
-        mc = ball_term(
+        (mc,) = ball_term(
             h1, w, [w], sys, ball,
-            QuadratureScheme(kind="annuli", samples=60000, levels=20, seed=5),
+            QuadratureScheme(kind="annuli", samples=60000, levels=20, seed=5), (1.25,),
         )
-        grid = ball_term(
-            h1, w, [w], sys, ball, QuadratureScheme(kind="grid", points_per_axis=100)
+        (grid,) = ball_term(
+            h1, w, [w], sys, ball, QuadratureScheme(kind="grid", points_per_axis=100), (1.25,)
         )
         assert mc.value == pytest.approx(grid.value, rel=0.05)
         values.append(mc.value)
@@ -173,9 +178,9 @@ def test_ball_term_power_weights_vs_grid_oracle(h1):
     r_terms = [
         ball_term(
             h1, w, [w], sys, GaugeBall([0.0, 0.0, 0.0], r),
-            QuadratureScheme(kind="annuli", samples=30000, levels=16, seed=6),
+            QuadratureScheme(kind="annuli", samples=30000, levels=16, seed=6), (1.25,),
             op_id=f"trend/{r}",
-        ).value
+        )[0].value
         for r in (0.5, 1.0, 2.0)
     ]
     assert r_terms[0] < r_terms[1] < r_terms[2]
@@ -184,11 +189,11 @@ def test_ball_term_power_weights_vs_grid_oracle(h1):
 def test_ball_term_flags_overflowing_weight(e1):
     # v^(-t p') has exponent -t p' beta ~ -672 near the pole: sampled values
     # overflow to inf and the estimate comes back flagged instead of raising
-    sys = ExponentSystem(m=1, p_list=(1.05,), q=4.0, k=1, t=4.0)
+    sys = ExponentSystem(m=1, p_list=(1.05,), q=4.0, k=1)
     w = Weight.power(e1, 8.0)
-    term = ball_term(
+    (term,) = ball_term(
         e1, Weight.one(e1), [w], sys, GaugeBall([0.0], 1.0),
-        QuadratureScheme(kind="annuli", samples=8000, levels=24, seed=2),
+        QuadratureScheme(kind="annuli", samples=8000, levels=24, seed=2), (4.0,),
     )
     assert term.flagged
 
@@ -208,9 +213,9 @@ _SINGLE_T_HEX = {
 
 @pytest.mark.parametrize("kind", sorted(_T_GRID_SCHEMES))
 def test_ball_term_t_grid_rows_match_single_t(e1, h1, kind):
-    # one node set per weight serves the whole grid: row j is the single-t
-    # call with the same op_id bit for bit, for singular (annuli around the
-    # pole) and non-singular powers alike
+    # one node set per weight serves the whole grid: row j is the one-t
+    # grid (t,) with the same op_id bit for bit, for singular (annuli around
+    # the pole) and non-singular powers alike
     scheme = _T_GRID_SCHEMES[kind]
     ts = (1.1, 2.0, 4.0)
     for name, group in (("e1", e1), ("h1", h1)):
@@ -219,13 +224,10 @@ def test_ball_term_t_grid_rows_match_single_t(e1, h1, kind):
         vs = [Weight.power(group, 0.25), Weight(group, 1.5, factors=[([0.2] * group.n, -0.3)])]
         for q in (2.0, 0.8):
             sys = ExponentSystem(m=2, p_list=(4.0 / 3.0, 4.0 / 3.0), q=q, k=1)
-            rows = ball_term(group, u, vs, sys, ball, scheme, op_id="bt", t_grid=ts)
+            rows = ball_term(group, u, vs, sys, ball, scheme, ts, op_id="bt")
             assert len(rows) == len(ts)
             for t, row in zip(ts, rows):
-                single = ball_term(
-                    group, u, vs, ExponentSystem(2, sys.p_list, q, 1, t), ball, scheme,
-                    op_id="bt",
-                )
+                (single,) = ball_term(group, u, vs, sys, ball, scheme, (t,), op_id="bt")
                 assert row.to_dict() == single.to_dict()
                 pinned = _SINGLE_T_HEX.get((name, kind, q, t))
                 if pinned:
@@ -235,13 +237,14 @@ def test_ball_term_t_grid_rows_match_single_t(e1, h1, kind):
 def test_ball_term_t_grid_flags_each_t_on_its_own(e1):
     # v^(-t p') = d^(-21 t): finite but huge at t = 1.1, overflowing to inf
     # near the pole at t = 4.  Only the t = 4 row is flagged, and t = 1.1
-    # keeps its single-t value (no covariance of the huge rows is formed)
-    sys = ExponentSystem(m=1, p_list=(1.05,), q=4.0, k=1, t=1.1)
+    # keeps its one-t grid value (no covariance of the huge rows is formed)
+    sys = ExponentSystem(m=1, p_list=(1.05,), q=4.0, k=1)
     v = Weight.power(e1, 1.0)
     scheme = QuadratureScheme(kind="annuli", samples=8000, levels=24, seed=2)
     ball = GaugeBall([0.0], 1.0)
-    low, high = ball_term(e1, Weight.one(e1), [v], sys, ball, scheme, t_grid=(1.1, 4.0))
-    assert low.to_dict() == ball_term(e1, Weight.one(e1), [v], sys, ball, scheme).to_dict()
+    low, high = ball_term(e1, Weight.one(e1), [v], sys, ball, scheme, (1.1, 4.0))
+    (single,) = ball_term(e1, Weight.one(e1), [v], sys, ball, scheme, (1.1,))
+    assert low.to_dict() == single.to_dict()
     assert not low.flagged and math.isfinite(low.value)
     assert high.flagged and math.isnan(high.value)
     sampler = BallSampler(dim=1, count=8, r_min=0.25, r_max=4.0)
@@ -262,7 +265,7 @@ def test_constant_weight_average_is_exact(e1, small_scheme, count_calls):
     assert all(a.note == Estimate.exact(1.0).note for a in avgs)
     terms = ball_term(
         e1, Weight.const(e1, 2.5), [Weight.const(e1, 0.5)] * 2, ONE_SYS, ball, small_scheme,
-        t_grid=(1.1, 2.0),
+        (1.1, 2.0),
     )
     r_e = 2.0 ** scaling_exponent(ONE_SYS, e1)
     for term in terms:
