@@ -98,11 +98,15 @@ class GaugeBump(TestFunction):
             grad_u = np.stack([p(pts) for p in self._grad_u], axis=-1)
             out.append(self.height * dpro[:, None] * grad_u)
         if order >= 2:
+            # height * (d2pro grad u grad u^T + dpro hess u), formed in place
             d2pro = np.where(live, g / om**4 - 2.0 * g / om**3, 0.0)
-            out.append(self.height * (
-                d2pro[:, None, None] * np.einsum("ni,nj->nij", grad_u, grad_u)
-                + dpro[:, None, None] * _polynomial_hessian(self._hess_u, pts)
-            ))
+            hess = np.einsum("ni,nj->nij", grad_u, grad_u)
+            hess *= d2pro[:, None, None]
+            second = _polynomial_hessian(self._hess_u, pts)
+            second *= dpro[:, None, None]
+            hess += second
+            hess *= self.height
+            out.append(hess)
         return out
 
 

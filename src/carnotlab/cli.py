@@ -72,7 +72,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path, defaults, overrides):
-    """Merge defaults <- config file <- CLI flags; unknown keys are rejected."""
+    """Merge defaults <- config file <- CLI flags; unknown keys are rejected.
+
+    A JSON object given for a key whose default is one is merged over that
+    default, one level deep, so {"sampler": {"count": 2}} keeps the other
+    sampler defaults."""
     cfg = dict(defaults)
     if path:
         try:
@@ -83,11 +87,35 @@ def _load_config(path, defaults, overrides):
         unknown = sorted(set(data) - set(defaults))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        cfg.update(data)
+        for key, value in data.items():
+            default = cfg[key]
+            both = isinstance(default, dict) and isinstance(value, dict)
+            cfg[key] = {**default, **value} if both else value
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
     return cfg
+
+
+def _number(value, key, kind=float):
+    """A config value as `kind` (float or int), else a UsageError naming
+    `key`; an int key refuses a non-integral value such as 1.5."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"config key {key!r} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
+    return kind(value)
+
+
+def _p_list(cfg):
+    if not isinstance(cfg["p_list"], list):
+        raise UsageError(f"config key 'p_list' must be a list of numbers, got {cfg['p_list']!r}")
+    return tuple(_number(p, "p_list") for p in cfg["p_list"])
+
+
+def _uniform_scheme(cfg, args):
+    samples = _number(cfg["samples"], "samples", int)
+    return QuadratureScheme(kind="uniform", samples=samples, seed=args.seed)
 
 
 def _parse_eps_expr(expr):
@@ -203,15 +231,15 @@ def _sampler_from_cfg(group, cfg):
 
 def _system_from_cfg(cfg):
     system = ExponentSystem(
-        m=int(cfg["m"]),
-        p_list=tuple(cfg["p_list"]),
-        q=float(cfg["q"]),
-        k=int(cfg["k"]),
+        m=_number(cfg["m"], "m", int),
+        p_list=_p_list(cfg),
+        q=_number(cfg["q"], "q"),
+        k=_number(cfg["k"], "k", int),
     )
     # p is derived from p_list; an explicit p must satisfy 1/p = sum 1/p_i
     explicit_p = cfg.get("p")
     if explicit_p is not None:
-        stated = 1.0 / float(explicit_p)
+        stated = 1.0 / _number(explicit_p, "p")
         derived = sum(1.0 / p for p in system.p_list)
         if abs(stated - derived) > 1e-9:
             raise ValidationError(
@@ -297,9 +325,10 @@ def cmd_counterexample(args):
     defaults = {"p": 0.5, "q": 1.0, "eps": "2^-2..2^-8", "tol": 1e-6}
     cfg = _load_config(args.config, defaults, {"p": args.p, "q": args.q, "eps": args.eps})
     eps_list = _parse_eps_expr(cfg["eps"])
-    rows = counterexample_report(cfg["p"], cfg["q"], eps_list, tol=float(cfg["tol"]))
+    p, q = _number(cfg["p"], "p"), _number(cfg["q"], "q")
+    rows = counterexample_report(p, q, eps_list, tol=_number(cfg["tol"], "tol"))
     slope = fit_scaling_slope(rows)
-    target = 1.0 - cfg["p"]
+    target = 1.0 - p
     results = {"rows": rows, "slope": slope, "slope_target": target}
     header = ["eps", "R", "R_predicted", "L", "a", "b", "ratio", "converged"]
     csv_rows = [[r[h] for h in header] for r in rows]
@@ -340,15 +369,16 @@ def cmd_sweep(args):
     cfg = _load_config(args.config, defaults, {"samples": args.samples})
     group = group_from_id(cfg["group"])
     system = _system_from_cfg(cfg)
+    trials = _number(cfg["trials"], "trials", int)
     u = weight_from_spec(group, cfg.get("u"))
     vs = [weight_from_spec(group, spec) for spec in (cfg.get("v") or [None] * system.m)]
-    scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
+    scheme = _uniform_scheme(cfg, args)
     with _partial_report(cfg, args, command, "weight-check"):
         check = check_weight_condition(group, u, vs, system, scheme)
     extra = {"sublaplacian": True} if sublaplacian else {}
     with _partial_report(cfg, args, command, "trials"):
         reports = sweep(
-            group, system, u, vs, scheme, trials=int(cfg["trials"]), seed=args.seed,
+            group, system, u, vs, scheme, trials=trials, seed=args.seed,
             weight_check=check, **extra,
         )
     summary = sweep_summary(reports)
@@ -390,7 +420,7 @@ def cmd_weights_check(args):
     u = weight_from_spec(group, cfg.get("u"))
     vs = [weight_from_spec(group, spec) for spec in (cfg.get("v") or [None] * system.m)]
     sampler = _sampler_from_cfg(group, cfg.get("sampler") or {})
-    scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
+    scheme = _uniform_scheme(cfg, args)
     with _partial_report(cfg, args, "weights-check", "weight-check"):
         report = weight_condition_sup(
             group, u, vs, system, sampler, scheme, t_grid=cfg["t_grid"]
@@ -419,11 +449,12 @@ def cmd_repformula(args):
     ball_cfg = _spec(cfg["ball"], "ball", optional=("center", "radius"))
     center = ball_cfg.get("center") or [0.0] * group.n
     ball = GaugeBall(center, ball_cfg.get("radius", 1.0))
-    scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
+    scheme = _uniform_scheme(cfg, args)
     with _partial_report(cfg, args, "repformula", "pairs"):
         records, summaries = repformula_sweep(
-            group, int(cfg["k"]), int(cfg["m"]), scheme, pairs=int(cfg["pairs"]),
-            points=int(cfg["points"]), seed=args.seed, ball=ball,
+            group, _number(cfg["k"], "k", int), _number(cfg["m"], "m", int), scheme,
+            pairs=_number(cfg["pairs"], "pairs", int),
+            points=_number(cfg["points"], "points", int), seed=args.seed, ball=ball,
         )
     max_ratio = max((s["max_ratio"] for s in summaries), default=math.nan)
     results = {"summaries": summaries, "max_ratio": max_ratio, "records": records}
@@ -443,7 +474,7 @@ def _norm_command(args, command, defaults, compute):
     f = function_from_spec(group, cfg["f"])
     w = weight_from_spec(group, cfg.get("w"))
     sampler = _sampler_from_cfg(group, cfg.get("sampler") or {})
-    scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
+    scheme = _uniform_scheme(cfg, args)
     with _partial_report(cfg, args, command, "balls"):
         est, details = compute(group, f, w, sampler, scheme, cfg)
     results = {"norm": est.to_dict(), "note": est.note, "per_ball": details}
@@ -468,7 +499,7 @@ def cmd_morrey(args):
 
     def compute(group, f, w, sampler, scheme, cfg):
         return morrey_norm(
-            group, f, w, float(cfg["p"]), float(cfg["lam"]), sampler, scheme,
+            group, f, w, _number(cfg["p"], "p"), _number(cfg["lam"], "lam"), sampler, scheme,
             normalization=cfg["normalization"],
         )
 
@@ -490,7 +521,8 @@ def cmd_campanato(args):
 
     def compute(group, f, w, sampler, scheme, cfg):
         return campanato_norm(
-            group, f, w, float(cfg["p"]), float(cfg["lam"]), int(cfg["k"]), sampler, scheme,
+            group, f, w, _number(cfg["p"], "p"), _number(cfg["lam"], "lam"),
+            _number(cfg["k"], "k", int), sampler, scheme,
             normalization=cfg["normalization"],
         )
 
@@ -515,16 +547,19 @@ def cmd_leibniz(args):
     }
     cfg = _load_config(args.config, defaults, {"samples": args.samples})
     group = group_from_id(cfg["group"])
-    system = ExponentSystem(m=2, p_list=tuple(cfg["p_list"]), q=float(cfg["q"]), k=int(cfg["k"]))
+    system = ExponentSystem(
+        m=2, p_list=_p_list(cfg), q=_number(cfg["q"], "q"), k=_number(cfg["k"], "k", int)
+    )
+    lams = [_number(cfg[key], key) for key in ("lam", "lam1", "lam2")]
+    configs = _number(cfg["configs"], "configs", int)
     u = weight_from_spec(group, cfg.get("u"))
     v1 = weight_from_spec(group, cfg.get("v1"))
     v2 = weight_from_spec(group, cfg.get("v2"))
     sampler = _sampler_from_cfg(group, cfg.get("sampler") or {})
-    scheme = QuadratureScheme(kind="uniform", samples=int(cfg["samples"]), seed=args.seed)
+    scheme = _uniform_scheme(cfg, args)
     with _partial_report(cfg, args, "leibniz", "trials"):
         reports = leibniz_sweep(
-            group, system, u, v1, v2, float(cfg["lam"]), float(cfg["lam1"]), float(cfg["lam2"]),
-            sampler, scheme, configs=int(cfg["configs"]), seed=args.seed,
+            group, system, u, v1, v2, *lams, sampler, scheme, configs=configs, seed=args.seed
         )
     summary = sweep_summary(reports)
     results = {"summary": summary, "trials": [r.to_dict() for r in reports]}

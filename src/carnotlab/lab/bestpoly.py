@@ -57,9 +57,9 @@ def _nodes_and_weights(group, ball, scheme, op_id):
     scheme.validate()
     if scheme.kind == "annuli":
         raise DomainError("best_polynomial needs a uniform or grid scheme")
-    ((pts, live, volume, _),) = _strata(group, [ball], scheme, op_id)
-    nodes = pts[:, 0] if live is None else pts[:, 0][live]
-    return nodes, np.full(nodes.shape[0], volume / pts.shape[0])
+    pts, live, vols, _ = _strata(group, [ball], scheme, op_id)
+    nodes = pts[0, :, 0] if live is None else pts[0, live[0], 0]
+    return nodes, np.full(nodes.shape[0], vols[0] / pts.shape[1])
 
 
 def _objective(resid, wvals, node_w, q):

@@ -8,8 +8,9 @@ The multilinear fractional integral is the general case; a ball integral
 int_B f dx is the m = 1 case without a kernel.  Both run through two
 private pieces:
 
-* `_strata` builds a scheme's node sets as strata (nodes of shape
-  (N, m, n), live mask or None, volume, distances d(pole, y_vec) or None):
+* `_strata` builds a scheme's node sets as S stacked strata of N nodes
+  (nodes (S, N, m, n), live mask (S, N) or None, volumes (S,), distances
+  d(pole, y_vec) of shape (S, N) or None):
     uniform  one stratum of uniform samples, slot i drawn by `sample_ball`
              under stream(seed, op_id, index=i);
     grid     one stratum: the product midpoint grid on the slots' centered
@@ -18,12 +19,12 @@ private pieces:
              drawn under index j from the slot boxes cut to the shell's
              reach, then the top stratum d >= r0 of uniform samples with
              slot i under index levels + i.  The region below
-             2^-levels * r0 is dropped.  These strata carry the pole
-             distances that chose their live nodes.
-* `_estimate` evaluates the integrand once per stratum on its live nodes,
-  zero-fills the rest, applies the (points x nodes) kernel in row blocks
-  when there is one (from a stratum's pole distances when the pole is
-  the one kernel point), and sums volume * mean over the strata.
+             2^-levels * r0 is dropped.  All strata get their pole
+             distances from one pass, which chooses the live nodes.
+* `_estimate` evaluates the integrand once, on the live nodes of all
+  strata, zero-fills the rest, applies the (points x nodes) kernel in row
+  blocks when there is one (from the pole distances when the pole is the
+  one kernel point), and sums volume * mean over the strata in order.
 
 All Monte Carlo paths are unbiased, deterministic given (seed, op_id), and
 carry a standard error.  Uniform ball samples are drawn by rejection from
@@ -219,24 +220,15 @@ def _slot_samples(group, balls, count, seed, op_id, first):
     return pts, math.prod(ball_volume(group, ball.radius) for ball in balls)
 
 
-def _box_intersection(lo1, hi1, lo2, hi2):
-    lo = np.maximum(lo1, lo2)
-    hi = np.minimum(hi1, hi2)
-    if np.any(hi <= lo):
-        return None
-    return lo, hi
-
-
 def _strata(group, balls, scheme, op_id, pole=None):
-    """Yield the scheme's strata on the product of `balls` (one per slot):
-    (nodes of shape (N, m, n), live mask or None, volume, d(pole, y_vec)
-    or None).  The annuli shells are centred at `pole`; see the module
-    docstring."""
+    """The scheme's strata on the product of `balls` (one per slot), stacked:
+    nodes (S, N, m, n), live mask (S, N) or None, volumes (S,), and the
+    distances d(pole, y_vec) of shape (S, N) or None.  The annuli shells
+    are centred at `pole`; see the module docstring."""
     m = len(balls)
     if scheme.kind == "uniform":
         pts, volume = _slot_samples(group, balls, scheme.samples, scheme.seed, op_id, 0)
-        yield pts, None, volume, None
-        return
+        return pts[None], None, np.array([volume]), None
     if scheme.kind == "grid":
         pp = scheme.points_per_axis
         if pp ** (m * group.n) > 20_000_000:
@@ -249,33 +241,37 @@ def _strata(group, balls, scheme, op_id, pole=None):
         for i, ball in enumerate(balls):
             live &= group.gauge_norm(pts[:, i]) < ball.radius
             pts[:, i] = group.compose(ball.center, pts[:, i])
-        yield pts, live, math.prod(float(np.prod(2.0 * ext)) for ext in exts), None
-        return
+        volume = math.prod(float(np.prod(2.0 * ext)) for ext in exts)
+        return pts[None], live[None], np.array([volume]), None
     levels = scheme.levels
     per = max(scheme.samples // (levels + 1), 256)
     pole = np.asarray(pole, dtype=float).reshape(-1)
     r0 = sum(float(group.distance(pole, ball.center)) + ball.radius for ball in balls)
-    boxes = [ball_box(group, ball) for ball in balls]
-    for j in range(levels):
-        outer = r0 * 2.0 ** (-j)
-        reach = ball_box(group, GaugeBall(pole, outer))
-        cut = [_box_intersection(*box, *reach) for box in boxes]
-        if any(c is None for c in cut):
-            continue
-        lo = np.stack([c[0] for c in cut])
-        hi = np.stack([c[1] for c in cut])
-        u = stream(scheme.seed, op_id, index=j).random((per, m, group.n))
-        pts = lo[None] + u * (hi - lo)[None]
-        dist = product_distance(group, pole, pts)
-        live = (dist >= outer / 2.0) & (dist < outer)
-        for i, ball in enumerate(balls):
-            live &= ball.contains(group, pts[:, i])
-        yield pts, live, float(np.prod(hi - lo)), dist
+    # shell j reaches ball_box(group, GaugeBall(pole, outer[j])), all j at once
+    outer = r0 * 0.5 ** np.arange(levels)
+    ext = outer[:, None] ** group.weights
+    if group.step == 2:
+        rows = np.einsum("jab,a->jb", group.forms, pole[: group.n1])
+        ext[:, group.n1 :] += 0.5 * np.linalg.norm(rows, axis=1) * outer[:, None]
+    boxes = np.array([ball_box(group, ball) for ball in balls])  # (m, 2, n)
+    lo = np.maximum(boxes[:, 0], (pole - ext)[:, None])
+    hi = np.minimum(boxes[:, 1], (pole + ext)[:, None])
+    kept = np.flatnonzero(~np.any(hi <= lo, axis=(1, 2)))  # shells that meet every slot box
+    lo, hi, outer = lo[kept], hi[kept], outer[kept, None]
+    u = [stream(scheme.seed, op_id, index=j).random((per, m, group.n)) for j in kept]
+    u = np.array(u).reshape(len(kept), per, m, group.n)  # the shape holds with no shell too
+    shells = lo[:, None] + u * (hi - lo)[:, None]
     # top stratum d(pole, y_vec) >= r0 (the quasi-triangle constant can push
     # a sliver of the supports beyond r0)
-    pts, volume = _slot_samples(group, balls, per, scheme.seed, op_id, levels)
-    dist = product_distance(group, pole, pts)
-    yield pts, dist >= r0, volume, dist
+    top, top_volume = _slot_samples(group, balls, per, scheme.seed, op_id, levels)
+    pts = np.concatenate([shells, top[None]])
+    dist = product_distance(group, pole, pts.reshape(-1, m, group.n)).reshape(-1, per)
+    live = dist >= r0
+    live[:-1] = (dist[:-1] >= outer / 2.0) & (dist[:-1] < outer)
+    for i, ball in enumerate(balls):
+        live[:-1] &= ball.contains(group, shells[:, :, i])
+    vols = [float(np.prod(h - l)) for l, h in zip(lo, hi)] + [top_volume]
+    return pts, live, np.array(vols), dist
 
 
 def product_distance(group, x, pts):
@@ -309,13 +305,18 @@ def _kernel_rows(group, kernel, pts, vals, width, near=None):
         yield block
 
 
-def _check_finite(vals, pts):
+def _check_finite(vals, pts, ends=None):
     """Raise IntegrationError at the first non-finite value of a (nodes,) or
     (rows, nodes) array; `pts` holds the nodes, and the point is reported
-    flattened."""
+    flattened.  If the nodes are strata ending at the offsets `ends`, the
+    search stays in the first stratum with a non-finite value."""
     rows = np.atleast_2d(vals)
     bad = ~np.isfinite(rows)
     if np.any(bad):
+        if ends is not None:
+            s = int(np.searchsorted(ends, np.argmax(np.any(bad, axis=0)), side="right"))
+            start, stop = (ends[s - 1] if s else 0), ends[s]
+            rows, bad, pts = rows[:, start:stop], bad[:, start:stop], pts[start:stop]
         row, idx = divmod(int(np.argmax(bad)), rows.shape[1])
         raise IntegrationError(
             f"non-finite integrand value {float(rows[row, idx])!r} at a sampled point",
@@ -331,22 +332,6 @@ def _eval_rows(f, pts):
     return vals.reshape(1, pts.shape[0]), False
 
 
-def _row_estimates(rows, volume, seed):
-    """One `volume * mean` Estimate per row of a (rows, nodes) array."""
-    n = rows.shape[1]
-    values = volume * np.mean(rows, axis=1)
-    # near-overflow integrand values may push the variance to inf; report it
-    with np.errstate(over="ignore"):
-        if n > 1:
-            stds = volume * np.std(rows, axis=1, ddof=1) / math.sqrt(n)
-        else:
-            stds = np.zeros(rows.shape[0])
-    return [
-        Estimate(value=float(v), std_error=float(e), samples=n, seed=seed)
-        for v, e in zip(values, stds)
-    ]
-
-
 def _row_covariance(rows, volume):
     """Covariance of the `volume * mean` estimates of a (rows, nodes) array."""
     n = rows.shape[1]
@@ -359,43 +344,50 @@ def _row_covariance(rows, volume):
 def _estimate(group, strata, f, scheme, kernel=None):
     """Sum over strata of volume * mean(f * kernel), one Estimate per row.
 
-    `f` maps live nodes (N, m, n) to N values or to A rows (A, N).  Without
+    `f` maps live nodes (N, m, n) to N values or to A rows (A, N); it is
+    called once, on the live nodes of all strata in stratum order.  Without
     a kernel there is one Estimate per row of f; with kernel = (points,
     exponent) f gives one row and there is one Estimate per point.  Returns
     the Estimates and, when f gave rows, a function that forms their
     covariance summed over the strata (0 for the grid) when called, else
-    None.  A stratum that carries pole distances (annuli) comes with a
-    kernel whose one point is the pole.
+    None.  Strata that carry pole distances (annuli) come with a kernel
+    whose one point is the pole.
     """
-    parts = []  # per stratum: one Estimate per row
-    blocks = []  # per stratum, when f gives rows: (zero-filled rows, volume)
-    for pts, live, volume, dist in strata:
-        nodes = pts if live is None else pts[live]
-        vals, batch = _eval_rows(f, nodes)
-        _check_finite(vals, nodes)
-        ests = []
-        near = None if dist is None else dist[live][None]
-        for block in _kernel_rows(group, kernel, nodes, vals, pts.shape[0], near):
-            if live is not None:
-                full = np.zeros((block.shape[0], pts.shape[0]))
-                full[:, live] = block
-                block = full
-            ests.extend(_row_estimates(block, volume, scheme.seed))
-        if batch:  # rows come without a kernel, so as one block
-            blocks.append((block, volume))
-        parts.append(ests)
-    if scheme.kind == "grid":
-        ests = [replace(e, std_error=0.0, note="tensor-grid") for e in parts[0]]
-    elif scheme.kind == "annuli":
+    pts, live, vols, dist = strata
+    S, N = pts.shape[:2]
+    nodes = pts[0] if live is None else pts[live]
+    vals, batch = _eval_rows(f, nodes)
+    _check_finite(vals, nodes, None if live is None else np.cumsum(np.sum(live, axis=1)))
+    near = None if dist is None else dist[live][None]
+    values, stds = [], []
+    for block in _kernel_rows(group, kernel, nodes, vals, N, near):
+        if live is None:
+            full = block.reshape(block.shape[0], 1, N)
+        else:
+            full = np.zeros((block.shape[0], S, N))
+            full[:, live] = block
+        values.append(vols * np.mean(full, axis=-1))
+        # near-overflow integrand values may push the variance to inf; report
+        # it (every valid scheme has N >= 2)
+        with np.errstate(over="ignore"):
+            stds.append(vols * np.std(full, axis=-1, ddof=1) / math.sqrt(N))
+    rows = zip(np.concatenate(values).tolist(), np.concatenate(stds).tolist())
+    if scheme.kind == "annuli":
+        # strata summed left to right, as estimate_sum does
         note = f"annuli truncated below 2^-{scheme.levels} * r0"
-        ests = [replace(estimate_sum(row), seed=scheme.seed, note=note) for row in zip(*parts)]
+        ests = [
+            Estimate(sum(v), math.sqrt(sum(e**2 for e in es)), S * N, scheme.seed, note=note)
+            for v, es in rows
+        ]
     else:
-        ests = parts[0]
+        ests = [Estimate(v, e, N, scheme.seed) for (v,), (e,) in rows]
+        if scheme.kind == "grid":
+            ests = [replace(e, std_error=0.0, note="tensor-grid") for e in ests]
 
-    def covariance():
+    def covariance():  # rows come without a kernel, so `full` is their one block
         if scheme.kind == "grid":
             return np.zeros((len(ests), len(ests)))
-        return sum((_row_covariance(block, volume) for block, volume in blocks), 0.0)
+        return sum((_row_covariance(full[:, s], vol) for s, vol in enumerate(vols.tolist())), 0.0)
 
     return ests, (covariance if batch else None)
 
@@ -419,8 +411,8 @@ def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularit
     with a function that forms the A x A covariance of those estimates
     when called (0 for the grid, summed over strata for annuli); callers
     that do not need it never form it.  Each row equals the
-    single-function result bit for bit.  `f` is called on every node set
-    the scheme forms, also on one with no nodes.
+    single-function result bit for bit.  `f` is called once, on the live
+    nodes of all strata, also when there are none.
     """
     scheme.validate()
     pole = ball.center if singularity is None else singularity

@@ -435,6 +435,32 @@ def test_gauge_bump_jets_evaluate_each_polynomial_once(h1, count_calls):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("group_id", ["h1", "h2"])
+def test_gauge_bump_hessian_in_place_matches_the_expression(group_id, request):
+    # the order-2 jet is formed in place; its bits are those of
+    # height * (d2pro * grad u grad u^T + dpro * hess u) with temporaries
+    from carnotlab.carnot.functions import _polynomial_hessian
+
+    group = request.getfixturevalue(group_id)
+    bump = GaugeBump(group, np.linspace(-0.3, 0.2, group.n), 0.9, height=1.7)
+    pts = bump.support.center + 0.4 * stream(16, "jets/inplace").standard_normal((64, group.n))
+    u = bump._u(pts)
+    live = u < 1.0 - 1e-3
+    assert live.any() and not live.all()  # points inside and outside the support
+    g = np.zeros_like(u)
+    np.exp(np.divide(-u, 1.0 - u, out=np.zeros_like(u), where=live), out=g, where=live)
+    om = np.ones_like(u)
+    om[live] = 1.0 - u[live]
+    dpro = np.where(live, -g / om**2, 0.0)
+    d2pro = np.where(live, g / om**4 - 2.0 * g / om**3, 0.0)
+    grad_u = np.stack([p(pts) for p in bump._grad_u], axis=-1)
+    expected = bump.height * (
+        d2pro[:, None, None] * np.einsum("ni,nj->nij", grad_u, grad_u)
+        + dpro[:, None, None] * _polynomial_hessian(bump._hess_u, pts)
+    )
+    np.testing.assert_array_equal(bump.jets(pts, 2)[2], expected)
+
+
 def test_polynomial_bump_calls_bump_jets_once_per_table(h1, count_calls):
     bump = GaugeBump(h1, [0.1, -0.2, 0.3], 1.0)
     f = PolynomialBump(HomogeneousPolynomial(h1, {(1, 0, 0): 2.0, (0, 0, 0): 1.0}), bump)

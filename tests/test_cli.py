@@ -132,6 +132,52 @@ def test_malformed_spec_is_usage_error(tmp_path, capsys, command, config, key):
     assert key in capsys.readouterr().err
 
 
+_FAST = {"samples": 1024, "trials": 1}
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("poincare", {"trials": "abc"}, "trials"),
+        ("poincare", {"samples": "many", "trials": 1}, "samples"),
+        ("poincare", dict(_FAST, k=1.5), "k"),
+        ("poincare", dict(_FAST, m=[2]), "m"),
+        ("sobolev", dict(_FAST, q="2"), "q"),
+        ("poincare", dict(_FAST, p="1"), "p"),
+        ("poincare", dict(_FAST, p_list="4/3"), "p_list"),
+        ("poincare", dict(_FAST, p_list=[1.5, None]), "p_list"),
+        ("morrey", {"lam": "x", "samples": 1024}, "lam"),
+        ("campanato", {"k": 2.5, "samples": 1024, "sampler": {"count": 2}}, "k"),
+        ("leibniz", {"lam2": None, "configs": 1, "samples": 1024}, "lam2"),
+        ("leibniz", {"configs": True, "samples": 1024}, "configs"),
+        ("repformula", {"pairs": 1.5, "points": 2, "samples": 1024}, "pairs"),
+        ("repformula", {"points": "5", "pairs": 1, "samples": 1024}, "points"),
+        ("counterexample", {"tol": "small"}, "tol"),
+        ("counterexample", {"q": "1"}, "q"),
+    ],
+)
+def test_wrong_typed_config_value_is_usage_error(tmp_path, capsys, command, config, key):
+    # a string, a list, a bool, None or a non-integral value for an int key
+    # exits 64 naming the key, not with a traceback or a truncated value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 64
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_nested_config_value_keeps_the_other_defaults(tmp_path):
+    # {"sampler": {"count": 2}} changes the count only: the radii stay in
+    # the default [0.25, 4], not the BallSampler range [2^-6, 2^6]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sampler": {"count": 2}, "configs": 1, "samples": 1024}))
+    assert run(["leibniz", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "leibniz.json").read_text())
+    assert data["config"]["sampler"] == {"count": 2, "r_min": 0.25, "r_max": 4.0}
+    sampler = data["results"]["trials"][0]["config"]["sampler"]
+    assert (sampler["count"], sampler["r_min"], sampler["r_max"]) == (2, 0.25, 4.0)
+
+
 def test_weights_check_empty_t_grid_exit_1(tmp_path, capsys):
     # an empty grid checks nothing, so it is refused instead of reported
     cfg = tmp_path / "cfg.json"

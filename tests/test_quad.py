@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import re
@@ -442,9 +443,8 @@ def test_singular_product_annuli_batch_is_per_point_loop(e1):
 
 
 def test_singular_product_annuli_reuses_shell_distances(h1, count_calls):
-    # each shell's distances d(x, y_vec) pick its live nodes and then form
-    # the kernel: one product_distance per shell, not two; the values are
-    # those of the two-pass code, bit for bit
+    # the distances d(x, y_vec) of all strata come from one product_distance
+    # call per point; they pick the live nodes and then form the kernel
     fs = [GaugeBump(h1, [0.1, 0.0, 0.0], 0.9), GaugeBump(h1, [-0.2, 0.1, 0.0], 1.1)]
     supports = [f.support for f in fs]
     scheme = QuadratureScheme(kind="annuli", samples=24000, levels=24, seed=1234)
@@ -454,7 +454,9 @@ def test_singular_product_annuli_reuses_shell_distances(h1, count_calls):
         h1, 2, product_integrand(fs), xs, 2.0, supports, scheme, op_id="ann"
     )
     calls = {name: len(made) for name, made in calls.items()}
-    assert calls == {"compose": 408, "gauge_norm": 408}  # 608 each with two passes
+    # per point and slot: r0, the one distance pass, the shell membership and
+    # the top stratum's sample_ball
+    assert calls == {"compose": 32, "gauge_norm": 32}
     expected = [
         ("0x1.40f61921c5820p+0", "0x1.06955f2c509b9p-2"),
         ("0x1.160235cb023b2p+0", "0x1.1b768b141452cp-2"),
@@ -462,6 +464,97 @@ def test_singular_product_annuli_reuses_shell_distances(h1, count_calls):
         ("0x1.2ee0046fc9771p-1", "0x1.e7e04b9abcfdfp-4"),
     ]
     assert [(e.value.hex(), e.std_error.hex()) for e in est] == expected
+
+
+_ANNULI_PINS = {
+    # (group, singularity): value, std_error, samples of the one-row
+    # integral; sha256 prefix of the three rows' values, errors and covariance
+    ("e1", "center"): ("0x1.ef8e0a4c7a729p+1", "0x1.42c5f27adebfep-4", 5993, "1a9e3ec8339bc07c"),
+    ("e1", "far"): ("0x1.ab9d495d6135dp-1", "0x1.dbc913ff10e63p-6", 922, "cf23f20240167b1f"),
+    ("h1", "center"): ("0x1.f004e4753cc0dp+0", "0x1.25e345da33786p-3", 5993, "5d43b4dbdf511b61"),
+    ("h1", "far"): ("0x1.4cbefb8b802e7p-1", "0x1.dd2ef4419e95ap-5", 1383, "59226791557f19a0"),
+}
+
+
+@pytest.mark.parametrize("group_id, where", sorted(_ANNULI_PINS))
+def test_integrate_ball_annuli_pinned(group_id, where, request):
+    # values of the per-stratum estimator, bit for bit; a singularity far
+    # from the ball skips every shell whose reach misses it (2 or 3 of the
+    # 13 strata of 461 nodes remain)
+    group = request.getfixturevalue(group_id)
+    scheme = QuadratureScheme(kind="annuli", samples=6000, levels=12, seed=31)
+    ball = GaugeBall(np.full(group.n, 0.1), 0.9)
+    bump = GaugeBump(group, np.full(group.n, 0.2), 0.8, height=1.5)
+    sing = None if where == "center" else np.full(group.n, 3.0)
+    pole = ball.center if sing is None else sing
+
+    def f(p):
+        return bump(p) * group.distance(pole, p) ** -0.5
+
+    value, std_error, samples, digest = _ANNULI_PINS[group_id, where]
+    est = integrate_ball(group, f, ball, scheme, op_id="pin", singularity=sing)
+    assert (est.value.hex(), est.std_error.hex(), est.samples) == (value, std_error, samples)
+    ests, cov = integrate_ball(
+        group, lambda p: np.stack([f(p), p[:, 0] * bump(p), np.ones(p.shape[0])]), ball,
+        scheme, op_id="pin", singularity=sing,
+    )
+    bits = np.array([[e.value, e.std_error] for e in ests]).tobytes() + cov().tobytes()
+    assert hashlib.sha256(bits).hexdigest()[:16] == digest
+    assert ests[0].to_dict() == est.to_dict()
+
+
+def test_annuli_integrals_call_the_integrand_once(h1, count_calls):
+    # one call on the live nodes of all strata, per ball integral and per
+    # target point of a product integral
+    scheme = QuadratureScheme(kind="annuli", samples=6000, levels=12, seed=31)
+    ball = GaugeBall([0.1, 0.1, 0.1], 0.9)
+    bump = GaugeBump(h1, [0.2, 0.2, 0.2], 0.8)
+    calls = []
+
+    def f(p):
+        calls.append(p.shape[0])
+        return bump(p)
+
+    est = integrate_ball(h1, f, ball, scheme)
+    assert len(calls) == 1 and 0 < calls[0] < est.samples
+    calls.clear()
+    integrate_ball(h1, lambda p: np.stack([f(p), f(p)]), ball, scheme)
+    assert len(calls) == 2  # the two rows, each from one call
+    calls.clear()
+    xs = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1]])
+    integrate_singular_product(
+        h1, 2, lambda Y: f(Y[:, 0]) * bump(Y[:, 1]), xs, 2.0, [ball, ball], scheme
+    )
+    assert len(calls) == len(xs)
+
+
+@pytest.mark.parametrize(
+    "group_id, rows, point",
+    [
+        ("e1", False, ["0x1.a5916ce89e7a0p-4"]),
+        ("e1", True, ["0x1.b832016b64038p-4"]),
+        ("h1", False, ["0x1.931145a44986bp-4", "0x1.a24c49b8224fep-4", "0x1.9a5a38e3b6ca9p-4"]),
+        ("h1", True, ["0x1.99546e5cb5141p-4", "0x1.9f0ca2140b196p-4", "0x1.993d9c897a348p-4"]),
+    ],
+)
+def test_annuli_nan_in_a_deep_shell_reports_its_point(group_id, rows, point, request):
+    # row 0 is NaN in shells 8 and 9 only, row 1 in shell 6 only: the error
+    # names the first NaN of the first stratum that has one (row 1's, in
+    # shell 6, when both rows are integrated), as the per-stratum loop did
+    group = request.getfixturevalue(group_id)
+    scheme = QuadratureScheme(kind="annuli", samples=6000, levels=12, seed=31)
+    ball = GaugeBall(np.full(group.n, 0.1), 0.9)
+
+    def bad(p):
+        d = group.distance(ball.center, p) / ball.radius
+        return np.stack([
+            np.where((d >= 2.0**-10) & (d < 2.0**-8), np.nan, 1.0),
+            np.where((d >= 2.0**-7) & (d < 2.0**-6), np.nan, 1.0),
+        ])
+
+    with pytest.raises(IntegrationError) as err:
+        integrate_ball(group, bad if rows else (lambda p: bad(p)[0]), ball, scheme, op_id="pin")
+    assert [v.hex() for v in err.value.point] == point
 
 
 @pytest.mark.parametrize("kind", sorted(_BATCH_SCHEMES))

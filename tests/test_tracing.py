@@ -80,3 +80,32 @@ def test_tracer_counts_polynomial_evaluations_on_a_poincare_test(monkeypatch, h1
         tracer.uninstall()
     sys.modules.pop("spans", None)
     assert tracer.counts["carnot.poly_eval.calls"] > 0
+
+
+def test_tracer_counts_annuli_integrals_on_a_weight_check(monkeypatch, h1):
+    # the benchmark requires these counters to be non-zero on its H^1
+    # Poincare workload, whose weight checks run the annuli scheme on the
+    # singular powers of v = d^(1/4): a refactor that bypasses
+    # integrate_ball, ball_term, the integrand or rng.stream drops them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from carnotlab.quad import QuadratureScheme
+    from carnotlab.weights import ExponentSystem, Weight
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        from carnotlab.lab.sweeps import check_weight_condition
+
+        check_weight_condition(
+            h1, Weight.one(h1), [Weight.power(h1, 0.25)] * 2,
+            ExponentSystem(2, (4.0 / 3.0, 4.0 / 3.0), 2.0, 1),
+            QuadratureScheme(samples=1024, seed=5),
+        )
+    finally:
+        tracer.uninstall()
+    sys.modules.pop("spans", None)
+    for name in ("quad.integrate_ball.annuli.calls", "weights.ball_term.calls",
+                 "quad.integrand.points", "rng.stream.calls"):
+        assert tracer.counts[name] > 0, name
