@@ -10,17 +10,11 @@ from .derivatives import (
     sub_laplacian,
 )
 from .functions import (
-    CustomFunction,
-    DilatedArgument,
     GaugeBump,
     HorizontalDerivativeMagnitude,
-    PolynomialBump,
     ProductFunction,
-    SubLaplacianMagnitude,
     TestFunction,
-    TranslatedFunction,
     random_bump,
-    random_polynomial,
 )
 from .group import (
     CarnotGroup,
@@ -56,15 +50,9 @@ __all__ = [
     "sub_laplacian",
     "TestFunction",
     "GaugeBump",
-    "PolynomialBump",
-    "CustomFunction",
     "ProductFunction",
     "HorizontalDerivativeMagnitude",
-    "SubLaplacianMagnitude",
-    "TranslatedFunction",
-    "DilatedArgument",
     "random_bump",
-    "random_polynomial",
     "ball_volume",
     "volume_constant",
 ]

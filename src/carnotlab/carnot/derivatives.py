@@ -20,8 +20,8 @@ the function carries:
   * nested finite differences along the group curves s -> x o (s e_a),
     4th-order central stencils with one Richardson extrapolation step,
     step size eps^(1/(order+3)) scaled by the point magnitude.  A function
-    with value only, such as a `CustomFunction` wrapping a callable, takes
-    this path for every order.
+    with value only, such as a plain callable on (N, n) batches, takes this
+    path for every order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import CapabilityError, StructureError
+from ..errors import StructureError
 from .polynomials import HomogeneousPolynomial
 
 _EPS = float(np.finfo(float).eps)
@@ -106,14 +106,6 @@ def _expand_sequence(alpha):
     return seq
 
 
-def evaluate_jets(f, pts, order):
-    """[value, gradient, Hessian][: order + 1] of f on an (N, n) batch from
-    one `f.jets` call; order 0 takes the value of any callable."""
-    if order == 0:
-        return [np.asarray(f(pts), dtype=float).reshape(pts.shape[0])]
-    return f.jets(pts, order)
-
-
 def _first_order_jet(coef, grad, a):
     """X_a f from the cached generator coefficients and gradient."""
     return np.einsum("nu,nu->n", coef[:, a, :], grad)
@@ -166,7 +158,10 @@ class JetTable:
 
     @cached_property
     def _jets(self):
-        return evaluate_jets(self.f, self.pts, self.order)
+        # order 0 takes the value of any callable
+        if self.order == 0:
+            return [np.asarray(self.f(self.pts), dtype=float).reshape(self.pts.shape[0])]
+        return self.f.jets(self.pts, self.order)
 
     @cached_property
     def _coef(self):
@@ -191,13 +186,7 @@ class JetTable:
     def _derivative(self, alpha):
         if isinstance(self.f, HomogeneousPolynomial):
             return np.atleast_1d(polynomial_horizontal_derivative(self.f, alpha)(self.pts))
-        order = sum(alpha)
-        smoothness = getattr(self.f, "smoothness", np.inf)
-        if order > smoothness:
-            raise CapabilityError(
-                f"derivative order {order} exceeds declared smoothness {smoothness}"
-            )
-        return self._sequence(_expand_sequence(alpha), order)
+        return self._sequence(_expand_sequence(alpha), sum(alpha))
 
     def _sequence(self, seq, total_order):
         if not seq:

@@ -9,8 +9,10 @@ built from the polynomial u(y) = ||c^-1 o y||^(2s!) / R^(2s!), whose
 support is exactly the gauge ball B(c, R).  Because u is a polynomial,
 gradients and Hessians are exact, which feeds the analytic path of the
 horizontal derivatives up to order 2; higher orders fall back to nested
-finite differences.  Translates and dilates chain the jets of the
-function they wrap; wrapped callables carry the value only.
+finite differences.  A left translate x -> f(g^-1 o x) of the bump on
+B(c, R) is the bump on B(g o c, R), and a dilate x -> f(delta_lam x) is
+the bump on B(delta_{1/lam} c, R / lam).  Any other plain callable carries
+its value only and takes the finite-difference path.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError, StructureError
-from .derivatives import evaluate_jets, horizontal_derivative, sub_laplacian
+from .derivatives import horizontal_derivative
 from .group import GaugeBall
 from .polynomials import HomogeneousPolynomial
 
@@ -31,12 +33,10 @@ class TestFunction:
     A subclass implements `jets(pts, order)` on an (N, n) batch for
     order <= jet_order: it returns [value, gradient, Hessian][: order + 1]
     from one pass.  Calling the function evaluates jets(pts, 0)[0] on one
-    point (n,) or a batch (N, n).  `smoothness` bounds the derivative order
-    the catalog guarantees.
+    point (n,) or a batch (N, n).
     """
 
     support = None
-    smoothness = math.inf
     jet_order = 0
 
     def __call__(self, pts):
@@ -74,8 +74,10 @@ class GaugeBump(TestFunction):
     def __init__(self, group, center, radius, height=1.0):
         if radius <= 0:
             raise DomainError("bump radius must be positive")
+        center = np.asarray(center, dtype=float)
+        if center.shape != (group.n,):
+            raise StructureError(f"bump center of shape {center.shape}, expected ({group.n},)")
         self.group = group
-        center = np.asarray(center, dtype=float).reshape(-1)
         self.height = float(height)
         self.support = GaugeBall(center, float(radius))
         self._u = _gauge_power_polynomial(group, center, radius)
@@ -126,52 +128,6 @@ def _gauge_power_polynomial(group, center, radius):
     return total * (1.0 / radius**order)
 
 
-class PolynomialBump(TestFunction):
-    """Product of a polynomial with a gauge bump; exact jets via product rule."""
-
-    jet_order = 2
-
-    def __init__(self, poly, bump):
-        if poly.group != bump.group:
-            raise StructureError("polynomial and bump live on different groups")
-        self.group = bump.group
-        self.poly = poly
-        self.bump = bump
-        self.support = bump.support
-        self._grad_p = poly.gradient_polys()
-        self._hess_p = [[g.partial(j) for j in range(self.group.n)] for g in self._grad_p]
-
-    def jets(self, pts, order):
-        b = self.bump.jets(pts, order)
-        p = self.poly(pts)
-        out = [p * b[0]]
-        if order >= 1:
-            gp = np.stack([q(pts) for q in self._grad_p], axis=-1)
-            out.append(p[:, None] * b[1] + b[0][:, None] * gp)
-        if order >= 2:
-            cross = np.einsum("ni,nj->nij", gp, b[1])
-            out.append(
-                p[:, None, None] * b[2]
-                + b[0][:, None, None] * _polynomial_hessian(self._hess_p, pts)
-                + cross
-                + np.transpose(cross, (0, 2, 1))
-            )
-        return out
-
-
-class CustomFunction(TestFunction):
-    """Wrap a plain callable on (N, n) batches (value only)."""
-
-    def __init__(self, group, fun, support=None, smoothness=math.inf):
-        self.group = group
-        self._fun = fun
-        self.support = support
-        self.smoothness = smoothness
-
-    def jets(self, pts, order):
-        return [np.asarray(self._fun(pts), dtype=float).reshape(pts.shape[0])]
-
-
 class ProductFunction(TestFunction):
     """Pointwise product of several functions (used for inequality LHS).
 
@@ -212,81 +168,6 @@ class HorizontalDerivativeMagnitude(TestFunction):
         return [vals]
 
 
-class SubLaplacianMagnitude(TestFunction):
-    """|L f| as an evaluable."""
-
-    def __init__(self, group, f):
-        self.group = group
-        self.f = f
-        self.support = getattr(f, "support", None)
-
-    def jets(self, pts, order):
-        return [np.abs(sub_laplacian(self.group, self.f, pts))]
-
-
-class TranslatedFunction(TestFunction):
-    """Left translate: x -> f(g^-1 o x), with exact jets (the map is affine)."""
-
-    def __init__(self, group, g, f):
-        self.group = group
-        self.shift = np.asarray(g, dtype=float).reshape(-1)
-        self.f = f
-        self.smoothness = getattr(f, "smoothness", math.inf)
-        self.jet_order = getattr(f, "jet_order", 0)
-        sup = getattr(f, "support", None)
-        if sup is not None:
-            self.support = GaugeBall(group.compose(self.shift, sup.center), sup.radius)
-        self._inverse = group.inverse(self.shift)
-        self._jac = _left_translation_jacobian(group, self._inverse)
-
-    def jets(self, pts, order):
-        # chain rule through the constant Jacobian of x -> g^-1 o x
-        out = evaluate_jets(self.f, self.group.compose(self._inverse, pts), order)
-        if order >= 1:
-            out[1] = np.einsum("ui,nu->ni", self._jac, out[1])
-        if order >= 2:
-            out[2] = np.einsum("ui,nuv,vj->nij", self._jac, out[2], self._jac)
-        return out
-
-
-def _left_translation_jacobian(group, g):
-    """Constant Jacobian of x -> g o x (the law is affine in x)."""
-    n = group.n
-    jac = np.eye(n)
-    if group.step == 2:
-        for j in range(group.n2):
-            jac[group.n1 + j, : group.n1] += 0.5 * np.einsum(
-                "a,ab->b", g[: group.n1], group.forms[j]
-            )
-    return jac
-
-
-class DilatedArgument(TestFunction):
-    """x -> f(delta_lam x); support shrinks to delta_{1/lam}(support)."""
-
-    def __init__(self, group, lam, f):
-        if lam <= 0:
-            raise DomainError("dilation parameter must be positive")
-        self.group = group
-        self.lam = float(lam)
-        self.f = f
-        self.smoothness = getattr(f, "smoothness", math.inf)
-        self.jet_order = getattr(f, "jet_order", 0)
-        sup = getattr(f, "support", None)
-        if sup is not None:
-            self.support = GaugeBall(group.dilate(1.0 / lam, sup.center), sup.radius / lam)
-        self._scale = lam**group.weights
-
-    def jets(self, pts, order):
-        # chain rule through the diagonal dilation delta_lam
-        out = evaluate_jets(self.f, pts * self._scale, order)
-        if order >= 1:
-            out[1] = out[1] * self._scale
-        if order >= 2:
-            out[2] = out[2] * self._scale[None, :, None] * self._scale[None, None, :]
-        return out
-
-
 def random_bump(group, rng, center_box=1.0, radius_range=(0.4, 1.5)):
     """Random gauge bump with center in a box, log-uniform radius and
     height uniform in [0.5, 2]."""
@@ -295,13 +176,3 @@ def random_bump(group, rng, center_box=1.0, radius_range=(0.4, 1.5)):
     radius = math.exp(rng.uniform(math.log(lo), math.log(hi)))
     height = rng.uniform(0.5, 2.0)
     return GaugeBump(group, center, radius, height)
-
-
-def random_polynomial(group, rng, k):
-    """Random polynomial with homogeneous degree < k."""
-    from .polynomials import monomial_basis
-
-    terms = {}
-    for alpha in monomial_basis(group, k):
-        terms[alpha] = rng.normal()
-    return HomogeneousPolynomial(group, terms)

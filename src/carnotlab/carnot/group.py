@@ -230,10 +230,12 @@ def group_from_id(ident):
     Accepted forms: "euclidean:<n>", "heisenberg:<k>", "step2:<json-file>".
     """
     kind, _, arg = str(ident).partition(":")
-    if kind == "euclidean":
-        return euclidean_group(int(arg))
-    if kind == "heisenberg":
-        return heisenberg_group(int(arg))
     if kind == "step2":
         return step_two_from_file(arg)
+    if kind in ("euclidean", "heisenberg"):
+        try:
+            size = int(arg)
+        except ValueError:
+            raise StructureError(f"group id {ident!r} needs an integer size") from None
+        return euclidean_group(size) if kind == "euclidean" else heisenberg_group(size)
     raise StructureError(f"unknown group id {ident!r}")

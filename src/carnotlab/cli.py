@@ -107,10 +107,15 @@ def _number(value, key, kind=float):
     return kind(value)
 
 
+def _numbers(value, key):
+    """A config list of numbers as floats, else a UsageError naming `key`."""
+    if not isinstance(value, list):
+        raise UsageError(f"config key {key!r} must be a list of numbers, got {value!r}")
+    return [_number(v, key) for v in value]
+
+
 def _p_list(cfg):
-    if not isinstance(cfg["p_list"], list):
-        raise UsageError(f"config key 'p_list' must be a list of numbers, got {cfg['p_list']!r}")
-    return tuple(_number(p, "p_list") for p in cfg["p_list"])
+    return tuple(_numbers(cfg["p_list"], "p_list"))
 
 
 def _uniform_scheme(cfg, args):
@@ -194,15 +199,22 @@ def weight_from_spec(group, spec):
         return Weight.one(group)
     kind, spec = _kind_spec(spec, "weight", "constant")
     if kind == "constant":
-        return Weight.const(group, spec.get("value", 1.0))
+        return Weight.const(group, _number(spec.get("value", 1.0), "value"))
     if kind == "power":
-        return Weight.power(group, spec["beta"], spec.get("pole"))
+        return Weight(group, factors=[_factor(group, spec)])
     factors = [_spec(f, "product weight factor", ("beta",), ("pole",)) for f in spec["factors"]]
     return Weight(
         group,
-        constant=spec.get("constant", 1.0),
-        factors=[(f.get("pole", group.identity()), f["beta"]) for f in factors],
+        constant=_number(spec.get("constant", 1.0), "constant"),
+        factors=[_factor(group, f) for f in factors],
     )
+
+
+def _factor(group, spec):
+    """(pole, beta) of a power weight spec; the pole defaults to the identity."""
+    pole = spec.get("pole")
+    pole = group.identity() if pole is None else _numbers(pole, "pole")
+    return pole, _number(spec["beta"], "beta")
 
 
 def function_from_spec(group, spec):
@@ -210,11 +222,21 @@ def function_from_spec(group, spec):
     if kind == "bump":
         return GaugeBump(
             group,
-            spec.get("center", [0.0] * group.n),
-            spec.get("radius", 1.0),
-            spec.get("height", 1.0),
+            _numbers(spec.get("center", [0.0] * group.n), "center"),
+            _number(spec.get("radius", 1.0), "radius"),
+            _number(spec.get("height", 1.0), "height"),
         )
-    terms = {tuple(int(v) for v in key.split(",")): c for key, c in spec["terms"].items()}
+    if not isinstance(spec["terms"], dict):
+        raise UsageError(f"config key 'terms' must be a JSON object, got {spec['terms']!r}")
+    terms = {}
+    for key, c in spec["terms"].items():
+        try:
+            alpha = tuple(int(v) for v in key.split(","))
+        except ValueError:
+            raise UsageError(
+                f"config key 'terms' needs comma-separated exponents, got {key!r}"
+            ) from None
+        terms[alpha] = _number(c, "terms")
     return HomogeneousPolynomial(group, terms)
 
 
@@ -222,10 +244,10 @@ def _sampler_from_cfg(group, cfg):
     _spec(cfg, "sampler", optional=("center_box", "r_min", "r_max", "count"))
     return BallSampler(
         dim=group.n,
-        center_box=cfg.get("center_box", 1.0),
-        r_min=cfg.get("r_min", 2.0**-6),
-        r_max=cfg.get("r_max", 2.0**6),
-        count=cfg.get("count", 32),
+        center_box=_number(cfg.get("center_box", 1.0), "center_box"),
+        r_min=_number(cfg.get("r_min", 2.0**-6), "r_min"),
+        r_max=_number(cfg.get("r_max", 2.0**6), "r_max"),
+        count=_number(cfg.get("count", 32), "count", int),
     )
 
 
@@ -423,7 +445,7 @@ def cmd_weights_check(args):
     scheme = _uniform_scheme(cfg, args)
     with _partial_report(cfg, args, "weights-check", "weight-check"):
         report = weight_condition_sup(
-            group, u, vs, system, sampler, scheme, t_grid=cfg["t_grid"]
+            group, u, vs, system, sampler, scheme, t_grid=_numbers(cfg["t_grid"], "t_grid")
         )
     results = report.to_dict()
     header = ["t", "sup", "slope", "verdict"]
@@ -447,8 +469,8 @@ def cmd_repformula(args):
     cfg = _load_config(args.config, defaults, {"samples": args.samples})
     group = group_from_id(cfg["group"])
     ball_cfg = _spec(cfg["ball"], "ball", optional=("center", "radius"))
-    center = ball_cfg.get("center") or [0.0] * group.n
-    ball = GaugeBall(center, ball_cfg.get("radius", 1.0))
+    center = _numbers(ball_cfg.get("center") or [0.0] * group.n, "center")
+    ball = GaugeBall(center, _number(ball_cfg.get("radius", 1.0), "radius"))
     scheme = _uniform_scheme(cfg, args)
     with _partial_report(cfg, args, "repformula", "pairs"):
         records, summaries = repformula_sweep(

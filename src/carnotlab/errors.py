@@ -25,10 +25,6 @@ class ValidationError(CarnotLabError, ValueError):
         super().__init__("; ".join(self.violations))
 
 
-class CapabilityError(CarnotLabError, RuntimeError):
-    """Requested derivative order exceeds the declared smoothness."""
-
-
 class IntegrationError(CarnotLabError, RuntimeError):
     """Non-finite integrand value at a sampled point; carries the point."""
 

@@ -5,7 +5,6 @@ Campanato / Leibniz tests."""
 from .bestpoly import best_polynomial, evaluate_candidate
 from .counterexample import (
     CounterexampleFamily,
-    RampFunction,
     affine_infimum,
     counterexample_family,
     counterexample_report,
@@ -31,7 +30,6 @@ __all__ = [
     "best_polynomial",
     "evaluate_candidate",
     "CounterexampleFamily",
-    "RampFunction",
     "affine_infimum",
     "counterexample_family",
     "counterexample_report",

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..carnot.functions import TestFunction
 from ..errors import DomainError
 
 _GL_NODES = 400
@@ -123,36 +122,6 @@ def _verify_profile(tol=1e-10):
 
 def counterexample_family(eps):
     return CounterexampleFamily(float(eps))
-
-
-class RampFunction(TestFunction):
-    """The family lifted to a Euclidean group: g_eps(x) = f_eps(x_1).
-
-    C^2 but not C^3 (the profile's second derivative has corner points),
-    so derivative requests beyond order 2 raise a capability error.
-    """
-
-    smoothness = 2
-    jet_order = 2
-
-    def __init__(self, group, eps):
-        if group.step != 1:
-            raise DomainError("the ramp family lives on Euclidean groups")
-        self.group = group
-        self.family = CounterexampleFamily(float(eps))
-
-    def jets(self, pts, order):
-        x = pts[:, 0]
-        out = [self.family.value(x)]
-        if order >= 1:
-            grad = np.zeros_like(pts)
-            grad[:, 0] = self.family.first(x)
-            out.append(grad)
-        if order >= 2:
-            hess = np.zeros((pts.shape[0], self.group.n, self.group.n))
-            hess[:, 0, 0] = self.family.second(x)
-            out.append(hess)
-        return out
 
 
 def phi_prime_lp(p, nodes):

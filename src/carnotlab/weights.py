@@ -101,9 +101,6 @@ class Weight:
             factors=[(pole, beta * gamma) for pole, beta in self.factors],
         )
 
-    def is_singular(self):
-        return any(beta < 0 for _, beta in self.factors)
-
     def singular_pole(self):
         for pole, beta in self.factors:
             if beta < 0:

@@ -1,8 +1,9 @@
 """Test-only oracles shared by the unit tests and the acceptance suite:
 
-* `grid_brute_force`: dense-grid brute force for the best-polynomial value.
-  Searches coefficient space on the same quadrature nodes the solver uses,
-  with three zoom stages.
+* `exact_best_value`: the best-polynomial value on the same quadrature
+  nodes the solver uses, solved exactly: normal equations for q = 2 and the
+  dual linear program for q = 1.
+* `dilated_bump`: x -> f(delta_lam x) for a gauge bump f, in closed form.
 * `mc_ball_volume`: an independent Monte Carlo ball volume by box rejection.
 * `quadrature_nodes`: the uniform nodes a scheme draws on one ball.
 * `poly_eval_by_powers` and `vandermonde_by_powers`: monomials by one array
@@ -12,8 +13,9 @@
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
-from carnotlab.carnot import monomial_basis, vandermonde
+from carnotlab.carnot import GaugeBump, monomial_basis, vandermonde
 from carnotlab.carnot.constants import ball_volume
 from carnotlab.carnot.group import centered_box_extents
 from carnotlab.errors import DomainError
@@ -26,6 +28,13 @@ def quadrature_nodes(group, ball, scheme, op_id):
     scheme.validate()
     rng = stream(scheme.seed, op_id)
     return sample_ball(group, ball, scheme.samples, rng)
+
+
+def dilated_bump(bump, lam):
+    """x -> bump(delta_lam x): by homogeneity of the gauge, the bump of the
+    same height on B(delta_{1/lam} c, R / lam)."""
+    group, ball = bump.group, bump.support
+    return GaugeBump(group, group.dilate(1.0 / lam, ball.center), ball.radius / lam, bump.height)
 
 
 def mc_ball_volume(group, r, samples, seed, op_id="mc-ball-volume"):
@@ -80,33 +89,22 @@ def vandermonde_by_powers(basis, pts):
     return np.column_stack(cols)
 
 
-def grid_brute_force(group, F, u, q, ball, k, scheme, op_id):
+def exact_best_value(group, F, u, q, ball, k, scheme, op_id):
+    """min over c of (sum_i v (w_i |y_i - (A c)_i|)^q)^(1/q), v the node
+    weight, for q in {1, 2}.  For q = 1 the minimum equals the dual LP
+    max lam . (w y) subject to (w A)^T lam = 0 and |lam_i| <= 1."""
     basis = monomial_basis(group, k)
     nodes = quadrature_nodes(group, ball, scheme, op_id)
     zeta = group.dilate(1.0 / ball.radius, group.compose(group.inverse(ball.center), nodes))
-    A = vandermonde(group, basis, zeta)
-    y = np.asarray(F(nodes), dtype=float).reshape(-1)
     wv = np.asarray(u(nodes), dtype=float).reshape(-1)
+    A = wv[:, None] * vandermonde(group, basis, zeta)
+    y = wv * np.asarray(F(nodes), dtype=float).reshape(-1)
     node_w = ball_volume(group, ball.radius) / nodes.shape[0]
-    center = np.linalg.lstsq(A, y, rcond=None)[0]
-    spread = max(float(np.max(np.abs(y - A @ center))), 1e-3)
-    best = math.inf
-    pts_per_axis = 241 if len(basis) == 1 else 101
-    grids = [np.linspace(c - 2 * spread, c + 2 * spread, pts_per_axis) for c in center]
-    for _ in range(3):  # zoom stages
-        if len(basis) == 1:
-            combos = grids[0][:, None]
-        else:
-            aa, bb = np.meshgrid(grids[0], grids[1], indexing="ij")
-            combos = np.column_stack([aa.ravel(), bb.ravel()])
-        vals = np.empty(combos.shape[0])
-        for lo in range(0, combos.shape[0], 2000):  # bounded memory
-            chunk = combos[lo : lo + 2000]
-            resid = y[None, :] - chunk @ A.T
-            vals[lo : lo + 2000] = np.sum(node_w * (np.abs(resid) * wv[None, :]) ** q, axis=1)
-        j = int(np.argmin(vals))
-        best = vals[j] ** (1.0 / q)
-        centers = combos[j]
-        widths = [(g[1] - g[0]) * 6 for g in grids]
-        grids = [np.linspace(c - w, c + w, pts_per_axis) for c, w in zip(centers, widths)]
-    return best
+    if q == 2.0:
+        c = np.linalg.solve(A.T @ A, A.T @ y)
+        return math.sqrt(node_w * float(np.sum((y - A @ c) ** 2)))
+    if q == 1.0:
+        res = linprog(-y, A_eq=A.T, b_eq=np.zeros(A.shape[1]), bounds=(-1, 1), method="highs")
+        assert res.status == 0, res.message
+        return node_w * -res.fun
+    raise DomainError(f"exact oracle needs q in {{1, 2}}, got {q}")

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from carnotlab.carnot import (
-    CustomFunction,
     GaugeBump,
     HomogeneousPolynomial,
     JetTable,
-    PolynomialBump,
-    TranslatedFunction,
     ball_volume,
     euclidean_group,
     heisenberg_group,
@@ -26,7 +23,7 @@ from carnotlab.carnot.derivatives import (
     coefficient_jacobian,
     generator_coefficients,
 )
-from carnotlab.errors import CapabilityError, DomainError, StructureError
+from carnotlab.errors import DomainError, StructureError
 from carnotlab.operators import jet_rows
 from carnotlab.rng import stream
 
@@ -333,13 +330,12 @@ def test_heisenberg_field_on_t(h1):
 def test_commutator_relation(h1):
     # (X1 X2 - X2 X1) t = 1 everywhere; FD oracle confirms the symbolic path
     f_poly = HomogeneousPolynomial(h1, {(0, 0, 1): 1.0})
-    f_fd = CustomFunction(h1, lambda p: p[:, 2])
+    f_fd = lambda p: p[:, 2]
     pts = stream(3, "commutator").uniform(-2, 2, size=(10, 3))
     x1x2 = horizontal_derivative(h1, f_poly, (1, 1), pts)
     # X2 X1 via explicit nesting: apply X1 first, then X2
     inner = lambda p: horizontal_derivative(h1, f_poly, (1, 0), p)
-    outer = CustomFunction(h1, inner)
-    x2x1 = horizontal_derivative(h1, outer, (0, 1), pts)
+    x2x1 = horizontal_derivative(h1, inner, (0, 1), pts)
     assert np.allclose(x1x2 - x2x1, 1.0, atol=1e-7)
     fd = horizontal_derivative(h1, f_fd, (1, 1), pts)
     assert np.allclose(fd, x1x2, atol=1e-8)
@@ -363,7 +359,7 @@ def test_sub_laplacian_t_squared(h1):
     symbolic = sub_laplacian(h1, f, pts)
     expected = (pts[:, 0] ** 2 + pts[:, 1] ** 2) / 2.0
     assert np.allclose(symbolic, expected, atol=1e-12)
-    fd = sub_laplacian(h1, CustomFunction(h1, lambda p: p[:, 2] ** 2), pts)
+    fd = sub_laplacian(h1, lambda p: p[:, 2] ** 2, pts)
     assert np.allclose(fd, expected, atol=1e-6)
 
 
@@ -376,7 +372,7 @@ def test_analytic_vs_fd_on_catalog(h1, e2):
         alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)] if group.n1 == 2 else [(1,), (2,)]
         for alpha in alphas:
             an = horizontal_derivative(group, bump, alpha, pts)
-            fd = horizontal_derivative(group, CustomFunction(group, bump), alpha, pts)
+            fd = horizontal_derivative(group, bump.__call__, alpha, pts)
             scale = np.maximum(np.max(np.abs(fd)), 1e-8)
             assert np.max(np.abs(an - fd)) / scale < 1e-6
 
@@ -386,7 +382,7 @@ def test_third_order_fd_path(h1):
     f = HomogeneousPolynomial(h1, {(3, 0, 0): 1.0})
     pts = np.array([[0.2, 0.4, -0.1]])
     sym = horizontal_derivative(h1, f, (3, 0), pts)
-    fd = horizontal_derivative(h1, CustomFunction(h1, f), (3, 0), pts)
+    fd = horizontal_derivative(h1, f.__call__, (3, 0), pts)
     assert sym[0] == pytest.approx(6.0, abs=1e-12)
     assert fd[0] == pytest.approx(6.0, rel=1e-5)
 
@@ -401,9 +397,6 @@ def test_jet_table_rows_match_single_key_paths(group):
     # one table serving every key gives the same bits as a fresh evaluation per key
     rng = stream(13, f"jet-table/{group.ident}")
     bump = random_bump(group, rng, center_box=0.3, radius_range=(0.8, 1.2))
-    poly = HomogeneousPolynomial(group, {(1,) + (0,) * (group.n - 1): 1.5, (0,) * group.n: 0.5})
-    shift = 0.3 * rng.standard_normal(group.n)
-    catalog = [bump, PolynomialBump(poly, bump), TranslatedFunction(group, shift, bump)]
     pts = bump.support.center + 0.3 * rng.standard_normal((16, group.n))
     n1 = group.n1
     keys = [(0,) * n1] + [
@@ -413,11 +406,10 @@ def test_jet_table_rows_match_single_key_paths(group):
     ]
     keys += [tuple(int(i == a) for i in range(n1)) for a in range(n1)]
     third = (2, 1) + (0,) * (n1 - 2)  # |alpha| = 3: finite differences over the jets
-    for f in catalog:
-        table = JetTable(group, f, pts, 3)
-        for alpha in keys + [third]:
-            np.testing.assert_array_equal(table[alpha], horizontal_derivative(group, f, alpha, pts))
-        np.testing.assert_array_equal(table["L"], sub_laplacian(group, f, pts))
+    table = JetTable(group, bump, pts, 3)
+    for alpha in keys + [third]:
+        np.testing.assert_array_equal(table[alpha], horizontal_derivative(group, bump, alpha, pts))
+    np.testing.assert_array_equal(table["L"], sub_laplacian(group, bump, pts))
 
 
 _ORDER_TWO_KEYS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
@@ -461,27 +453,14 @@ def test_gauge_bump_hessian_in_place_matches_the_expression(group_id, request):
     np.testing.assert_array_equal(bump.jets(pts, 2)[2], expected)
 
 
-def test_polynomial_bump_calls_bump_jets_once_per_table(h1, count_calls):
-    bump = GaugeBump(h1, [0.1, -0.2, 0.3], 1.0)
-    f = PolynomialBump(HomogeneousPolynomial(h1, {(1, 0, 0): 2.0, (0, 0, 0): 1.0}), bump)
-    pts = bump.support.center + 0.2 * stream(15, "jets/h1").standard_normal((32, 3))
-    calls = count_calls(bump, "jets", lambda pts, order: order)
-    jet_rows(h1, f, _ORDER_TWO_KEYS + ["L"])(pts)
-    assert calls == [2]
-    calls.clear()
-    jet_rows(h1, f, _ORDER_TWO_KEYS[:3])(pts)
-    assert calls == [1]
-
-
-def test_capability_error():
-    e1 = euclidean_group(1)
-    f = CustomFunction(e1, lambda p: np.abs(p[:, 0]), smoothness=1)
-    horizontal_derivative(e1, f, (1,), np.array([[0.5]]))
-    with pytest.raises(CapabilityError):
-        horizontal_derivative(e1, f, (2,), np.array([[0.5]]))
-
-
 # -- test functions ----------------------------------------------------------------
+
+
+def test_bump_center_must_have_the_group_dimension(e1, h1):
+    # the center has shape (n,): longer, shorter and (1, n) centers are refused
+    for group, center in ((e1, [0.5, 7.0]), (h1, [0.1, 0.2]), (h1, [[0.1, 0.2, 0.3]])):
+        with pytest.raises(StructureError):
+            GaugeBump(group, center, 1.0)
 
 
 def test_bump_supported_on_declared_ball(h1):

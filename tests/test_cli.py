@@ -154,6 +154,19 @@ _FAST = {"samples": 1024, "trials": 1}
         ("repformula", {"points": "5", "pairs": 1, "samples": 1024}, "points"),
         ("counterexample", {"tol": "small"}, "tol"),
         ("counterexample", {"q": "1"}, "q"),
+        ("weights-check", {"sampler": {"count": "2"}, "samples": 1024}, "count"),
+        ("weights-check", {"sampler": {"count": 2.5}, "samples": 1024}, "count"),
+        ("weights-check", {"t_grid": ["a"], "samples": 1024}, "t_grid"),
+        ("weights-check", {"t_grid": 2.0, "samples": 1024}, "t_grid"),
+        ("leibniz", {"sampler": {"r_min": "x"}, "configs": 1, "samples": 1024}, "r_min"),
+        ("morrey", {"f": {"kind": "bump", "radius": "x"}, "samples": 1024}, "radius"),
+        ("morrey", {"f": {"kind": "polynomial", "terms": {"a": 1}}, "samples": 1024}, "terms"),
+        ("morrey", {"f": {"kind": "polynomial", "terms": {"0": "x"}}, "samples": 1024}, "terms"),
+        ("morrey", {"f": {"kind": "polynomial", "terms": [1]}, "samples": 1024}, "terms"),
+        ("morrey", {"w": {"kind": "product", "factors": [{"beta": None}]}, "samples": 1024}, "beta"),
+        ("morrey", {"w": {"kind": "power", "beta": "x"}, "samples": 1024}, "beta"),
+        ("morrey", {"w": {"kind": "constant", "value": "x"}, "samples": 1024}, "value"),
+        ("repformula", {"ball": {"radius": "x"}, "pairs": 1, "points": 2, "samples": 1024}, "radius"),
     ],
 )
 def test_wrong_typed_config_value_is_usage_error(tmp_path, capsys, command, config, key):
@@ -164,6 +177,25 @@ def test_wrong_typed_config_value_is_usage_error(tmp_path, capsys, command, conf
     assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 64
     assert f"config key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["group-info", "heisenberg:x"], None),
+        (["morrey"], {"group": "euclidean:1.5", "samples": 1024}),
+        (["morrey"], {"f": {"kind": "bump", "center": [0, 0]}, "samples": 1024}),
+    ],
+)
+def test_malformed_group_id_or_bump_center_is_structure_error(tmp_path, capsys, argv, config):
+    # a non-integer group size or a bump center of the wrong dimension exits
+    # 1 with an error line, as an unknown group id does
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg), "--out", str(tmp_path)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_nested_config_value_keeps_the_other_defaults(tmp_path):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from bruteforce_helpers import dilated_bump
 from carnotlab.carnot import (
     GaugeBall,
     GaugeBump,
     HomogeneousPolynomial,
     HorizontalDerivativeMagnitude,
-    TranslatedFunction,
-    DilatedArgument,
+    monomial_basis,
     random_bump,
 )
 from carnotlab.errors import (
@@ -53,9 +53,9 @@ W1 = Weight.one
 def test_best_poly_recovers_polynomial(e1, h1):
     for group, k in ((e1, 2), (h1, 2), (h1, 3)):
         rng = stream(1, f"recover/{group.ident}/{k}")
-        from carnotlab.carnot import random_polynomial
-
-        target = random_polynomial(group, rng, k)
+        target = HomogeneousPolynomial(
+            group, {alpha: rng.normal() for alpha in monomial_basis(group, k)}
+        )
         ball = GaugeBall(rng.uniform(-0.5, 0.5, group.n), 1.2)
         poly, value = best_polynomial(
             group, target, W1(group), 2.0, ball, k, QuadratureScheme(samples=4000, seed=3)
@@ -90,7 +90,8 @@ def test_best_poly_constant_q1_median(e1):
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
 def test_best_poly_grid_brute_force_equivalence(e1, q):
-    from bruteforce_helpers import grid_brute_force
+    # the solver against the exact optimum on the same nodes
+    from bruteforce_helpers import exact_best_value
 
     rng = stream(2, f"brute/{q}")
     scheme = QuadratureScheme(samples=2000, seed=13)
@@ -100,8 +101,8 @@ def test_best_poly_grid_brute_force_equivalence(e1, q):
         bump = random_bump(e1, rng, center_box=1.0, radius_range=(0.5, 2.0))
         op_id = f"brute/{q}/{case}"
         _, value = best_polynomial(e1, bump, W1(e1), q, ball, k, scheme, op_id=op_id)
-        brute = grid_brute_force(e1, bump, W1(e1), q, ball, k, scheme, op_id)
-        assert value.value == pytest.approx(brute, rel=1e-3, abs=1e-9)
+        exact = exact_best_value(e1, bump, W1(e1), q, ball, k, scheme, op_id)
+        assert value.value == pytest.approx(exact, rel=1e-3, abs=1e-9)
 
 
 def test_best_poly_optimality_probes(e1):
@@ -358,7 +359,10 @@ def test_poincare_translation_covariance(h1):
     scheme = QuadratureScheme(samples=20000, seed=37)
     base = poincare_test(h1, fs, W1(h1), [W1(h1), W1(h1)], sys, ball, scheme)
     g = np.array([0.6, -0.4, 0.3])
-    shifted_fs = [TranslatedFunction(h1, g, f) for f in fs]
+    # f(g^-1 o x) is the bump on B(g o c, R)
+    shifted_fs = [
+        GaugeBump(h1, h1.compose(g, f.support.center), f.support.radius, f.height) for f in fs
+    ]
     shifted_ball = GaugeBall(h1.compose(g, ball.center), ball.radius)
     moved = poincare_test(
         h1, shifted_fs, W1(h1), [W1(h1), W1(h1)], sys, shifted_ball, scheme
@@ -376,7 +380,6 @@ def test_sobolev_zero_slot(e1, small_scheme):
     class ZeroBump:
         support = bump.support
         jet_order = 0
-        smoothness = math.inf
 
         def __call__(self, p):
             return np.zeros(np.atleast_2d(p).shape[0])
@@ -411,7 +414,7 @@ def test_sobolev_dilation_invariance_at_critical_exponents(e1):
     scheme = QuadratureScheme(samples=60000, seed=43)
     base = sobolev_test(e1, fs, W1(e1), [W1(e1), W1(e1)], sys, scheme)
     for lam in (0.5, 2.0):
-        gs = [DilatedArgument(e1, lam, f) for f in fs]
+        gs = [dilated_bump(f, lam) for f in fs]
         moved = sobolev_test(e1, gs, W1(e1), [W1(e1), W1(e1)], sys, scheme)
         assert moved.ratio == pytest.approx(base.ratio, rel=0.05)
 
@@ -701,21 +704,6 @@ def test_affine_distance_floor_closed_form():
               for c in (0.7, 0.75, 0.8)]
         assert at[1] == pytest.approx(affine_distance_floor(q), rel=1e-9)
         assert at[1] < min(at[0], at[2])
-
-
-def test_ramp_testfunction_jets_and_smoothness(e2):
-    from carnotlab.carnot import CustomFunction, horizontal_derivative
-    from carnotlab.errors import CapabilityError
-    from carnotlab.lab import RampFunction
-
-    ramp = RampFunction(e2, 0.25)
-    pts = np.column_stack([np.linspace(-0.2, 0.2, 9), np.full(9, 0.3)])
-    an = horizontal_derivative(e2, ramp, (2, 0), pts)
-    fd = horizontal_derivative(e2, CustomFunction(e2, ramp, smoothness=2), (2, 0), pts)
-    assert np.allclose(an, fd, atol=1e-5)
-    assert np.allclose(horizontal_derivative(e2, ramp, (0, 1), pts), 0.0)
-    with pytest.raises(CapabilityError):
-        horizontal_derivative(e2, ramp, (3, 0), pts)
 
 
 # -- Morrey / Campanato ---------------------------------------------------------------

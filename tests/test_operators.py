@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from bruteforce_helpers import dilated_bump
 from carnotlab.carnot import (
-    DilatedArgument,
     GaugeBall,
     GaugeBump,
     HomogeneousPolynomial,
@@ -170,7 +170,7 @@ def test_dilation_covariance_bilinear(e1):
     for trial in range(5):
         lam = float(rng.uniform(0.5, 2.0))
         x = np.array([float(rng.uniform(-1.0, 1.0))])
-        gs = [DilatedArgument(e1, lam, f1), DilatedArgument(e1, lam, f2)]
+        gs = [dilated_bump(f1, lam), dilated_bump(f2, lam)]
         left = multilinear_fractional_integral(e1, gs, tau, x, scheme, op_id=f"cov-l{trial}")
         right = multilinear_fractional_integral(
             e1, [f1, f2], tau, e1.dilate(lam, x), scheme, op_id=f"cov-r{trial}"
@@ -229,11 +229,11 @@ def test_sublaplacian_rhs_single_slot(e1, mc_scheme):
     bump = GaugeBump(e1, [0.0], 1.0)
     w = Weight.one(e1)
     est, _ = sobolev_sublaplacian_rhs(e1, [bump], [w], [2.0], mc_scheme)
-    from carnotlab.carnot import SubLaplacianMagnitude
+    from carnotlab.carnot import sub_laplacian
     from carnotlab.quad import lp_norm_ball
 
     direct = lp_norm_ball(
-        e1, SubLaplacianMagnitude(e1, bump), w, 2.0, bump.support, mc_scheme,
+        e1, lambda p: sub_laplacian(e1, bump, p), w, 2.0, bump.support, mc_scheme,
         op_id="sublap-rhs/f0",
     )
     assert est.value == pytest.approx(direct.value, rel=1e-12)

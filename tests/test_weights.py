@@ -99,7 +99,7 @@ def test_weight_constant_and_power(h1):
     vals = pw(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 4.0]]))
     assert vals[0] == pytest.approx(1.0)
     assert vals[1] == pytest.approx(0.5)  # gauge((0,0,4)) = (4^2)^(1/4) = 2
-    assert pw.is_singular()
+    assert pw.singular_pole() is not None
     assert pw.powered(2.0).factors[0][1] == pytest.approx(-2.0)
 
 
@@ -112,7 +112,7 @@ def test_weight_product_of_powers(e1):
     w = Weight(e1, constant=2.0, factors=[([0.0], 1.0), ([3.0], -1.0)])
     val = w(np.array([[1.0]]))[0]
     assert val == pytest.approx(2.0 * 1.0 / 2.0)  # 2 * d(0,1)^1 * d(3,1)^-1
-    assert w.is_singular()
+    assert w.singular_pole() is not None
     d = w.to_dict()
     assert d["constant"] == 2.0 and len(d["factors"]) == 2
 
