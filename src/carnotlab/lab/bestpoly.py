@@ -11,21 +11,47 @@ draws its nodes under f"{op_id}/b{b}".  F and u are evaluated once on the
 nodes of all balls together, and a non-finite value raises IntegrationError
 before any solve.  The Vandermonde matrix is per ball.
 
-Solvers by exponent:
+Solvers by exponent, all from the weighted L^2 start; for q != 2 each
+ball's F values are divided by their max |F| before the solve and the
+coefficients multiplied back, so every regime is covariant under F -> cF:
   q = 2       weighted least squares: one column-scaled lstsq per ball,
               whose SVD rank check guards the basis;
-  1 <= q != 2 iteratively reweighted least squares (IRLS) from that L^2
-              start.  An iteration solves every unconverged ball at once:
-              the R factor of the stacked, reweighted augmented matrices
-              [A | y] of shape (B, N, d + 1) carries Q^T y in its last
-              column, so one batched QR and one batched (d x d) solve give
-              all B coefficient vectors.  Short balls are padded with zero
-              rows, which change neither R nor the objective.  A ball stops
-              once its objective moves by at most _IRLS_TOL relative (note
-              "irls-stationary") or after _IRLS_MAX_ITER iterations (note
-              "irls-iteration-cap");
-  q < 1       the L^2 start + Nelder-Mead descent, per ball; the result is
-              an upper bound on the infimum and is labeled as such.
+  q = 1       exact discrete-L^1 minimum by vertex descent (a simplex in
+              the manner of Barrodale and Roberts), all balls of a stack
+              at once.  A vertex is a polynomial through d nodes (the
+              basis).  Each ball starts at the d independent nodes of
+              smallest L^2 residual.  Its dual point is lam_i = sign(r_i)
+              off the zero-residual set Z, 0 on Z minus the basis, and on
+              the basis the solution of sum_i lam_i w_i A_i = 0; the ball
+              is certified optimal once max |lam| <= 1.  Otherwise the
+              basis node of largest |lam| leaves, and an exact line search
+              (the first breakpoint r_i / v_i at which the slope turns
+              non-negative, a weighted median) picks the entering node.
+              A degenerate vertex (|Z| > d, where F vanishes on part of the
+              ball) is decided exactly: first by the minimum-norm lam on Z,
+              else by the steepest descent direction e.  With g . e = 1
+              for g = sum_{i not in Z} w_i sign(r_i) A_i, e minimizes
+              sum_{i in Z} w_i |A_i . e|: a discrete-L^1 problem in d - 1
+              unknowns, solved by the same descent (for d - 1 = 1, a
+              weighted median).  Its minimum is >= 1 exactly when the
+              vertex is optimal.  Every pivot lowers the objective, so no
+              vertex repeats and no cap is needed.  Note
+              "l1-vertex-certified", or "l1-vertex-stalled" (flagged) if
+              rounding leaves a pivot without descent;
+  1 < q != 2  iteratively reweighted least squares (IRLS).  An iteration
+              solves every unconverged ball at once: the R factor of the
+              stacked, reweighted augmented matrices [A | y] of shape
+              (B, N, d + 1) carries Q^T y in its last column, so one batched
+              QR and one batched (d x d) solve give all B coefficient
+              vectors.  A ball stops once its objective moves by at most
+              _IRLS_TOL relative (note "irls-stationary") or after
+              _IRLS_MAX_ITER iterations (note "irls-iteration-cap");
+  q < 1       Nelder-Mead descent, per ball; the result is an upper bound on
+              the infimum, labeled "upper-bound", or "upper-bound-unconverged"
+              (flagged) when the descent reports no success.
+The stacked solvers pad short balls with zero rows of weight 0, which
+change neither the solution nor the objective, and take at most _STACK
+entries B * N * (d + 1) per stack.
 """
 
 from __future__ import annotations
@@ -46,9 +72,22 @@ from ..quad import Estimate, _check_finite, _strata
 _IRLS_TOL = 1e-8
 _IRLS_MAX_ITER = 200
 
-# Entries B * N * (d + 1) of one stacked IRLS system; balls beyond it go in
+# Dual-feasibility slack of the L^1 certificate: a certified value is at most
+# (1 + _L1_TOL) times the minimum.  Rounding in lam is far below it unless
+# the basis is nearly singular.
+_L1_TOL = 1e-9
+# A residual within this multiple of eps * (max |y| + |A_i| |c|) is zero, at
+# the rounding level of the ball's largest value: a node where F underflows
+# to 1e-70 beside a zero of F is a zero too, or every such node would cost a
+# pivot that lowers the objective by nothing representable
+_L1_ZERO = 16.0 * np.finfo(float).eps
+_RANK_TOL = 1e-10
+
+_FLAGGED_NOTES = ("l1-vertex-stalled", "upper-bound-unconverged")
+
+# Entries B * N * (d + 1) of one stacked system; balls beyond it go in
 # further stacks, which bounds the peak memory whatever the number of balls.
-_IRLS_STACK = 1 << 20
+_STACK = 1 << 20
 
 
 def _nodes_and_weights(group, ball, scheme, op_id):
@@ -79,32 +118,46 @@ def _weighted_lstsq(A, y, lam):
     return sol / col
 
 
-def _irls(systems, q):
-    """IRLS for every ball's (A, y, node_w * u^q, L^2 start): returns the
-    coefficient vectors and each ball's note, in stacks of at most
-    _IRLS_STACK entries, every stack padded to the longest ball."""
+def _stacked(solve, systems):
+    """Run `solve(stack, width)` on every ball's (A, y, weights, L^2 start)
+    in stacks of at most _STACK entries, each padded to the longest ball;
+    returns the coefficient vectors and each ball's note."""
     width = max(A.shape[0] for A, *_ in systems)
-    per_stack = max(1, _IRLS_STACK // (width * (systems[0][0].shape[1] + 1)))
+    per_stack = max(1, _STACK // (width * (systems[0][0].shape[1] + 1)))
     coeffs, notes = [], []
     for start in range(0, len(systems), per_stack):
-        c, n = _irls_stack(systems[start : start + per_stack], q, width)
+        c, n = solve(systems[start : start + per_stack], width)
         coeffs.extend(c)
         notes.extend(n)
     return coeffs, notes
 
 
+def _pad(systems, width):
+    """Stacked (A, y, weights) with zero rows of weight 0 beyond each ball."""
+    d = systems[0][0].shape[1]
+    A = np.zeros((len(systems), width, d))
+    y = np.zeros((len(systems), width))
+    w = np.zeros((len(systems), width))
+    for b, (A_b, y_b, w_b, *_) in enumerate(systems):
+        A[b, : len(y_b)] = A_b
+        y[b, : len(y_b)] = y_b
+        w[b, : len(y_b)] = w_b
+    return A, y, w
+
+
+def _irls(systems, q):
+    """IRLS for every ball's (A, y, node_w * u^q, L^2 start)."""
+    return _stacked(lambda stack, width: _irls_stack(stack, q, width), systems)
+
+
 def _irls_stack(systems, q, width):
     d = systems[0][0].shape[1]
+    A, y, wq = _pad(systems, width)
     # [A | y] per ball, stored transposed so the reweighting runs along nodes
-    M = np.zeros((len(systems), d + 1, width))
-    wq = np.zeros((len(systems), width))
-    for b, (A, y, w, _) in enumerate(systems):
-        M[b, :d, : len(y)] = A.T
-        M[b, d, : len(y)] = y
-        wq[b, : len(y)] = w
+    M = np.concatenate([A.transpose(0, 2, 1), y[:, None, :]], axis=1)
     coeffs = np.array([c for *_, c in systems])
-    delta = 1e-12 * (np.max(np.abs(M[:, d]), axis=1) + 1.0)
-    resid = np.abs(M[:, d] - (coeffs[:, None, :] @ M[:, :d])[:, 0])
+    delta = 1e-12 * (np.max(np.abs(y), axis=1) + 1.0)
+    resid = np.abs(y - (coeffs[:, None, :] @ M[:, :d])[:, 0])
     obj = np.sum(wq * resid**q, axis=1)
     notes = np.full(len(systems), "irls-iteration-cap", dtype=object)
     active = np.arange(len(systems))
@@ -133,6 +186,194 @@ def _irls_stack(systems, q, width):
     return list(coeffs), list(notes)
 
 
+def _l1_vertex(systems, width):
+    """Exact weighted L^1 fit for every ball's (A, y, node_w * u, L^2 start)."""
+    A, y, w = _pad(systems, width)
+    c, _, notes = _l1_descent(A, y, w, np.array([c for *_, c in systems]))
+    return list(c), list(notes)
+
+
+def _snap(A, key):
+    """Per ball, the d rows of smallest key (inf marks a dead row) that are
+    linearly independent: the first d unless they are (nearly) dependent."""
+    d = A.shape[2]
+    basis = np.argpartition(key, d - 1, axis=1)[:, :d]
+    s = np.linalg.svd(np.take_along_axis(A, basis[..., None], axis=1), compute_uv=False)
+    for b in np.flatnonzero(s[:, -1] <= _RANK_TOL * s[:, 0]):
+        chosen = []
+        for i in np.argsort(key[b]):
+            rows = A[b, chosen + [i]]
+            if np.linalg.matrix_rank(rows, tol=_RANK_TOL * np.abs(rows).max()) > len(chosen):
+                chosen.append(i)
+                if len(chosen) == d:
+                    break
+        basis[b] = chosen
+    return basis
+
+
+def _l1_descent(A, y, w, start):
+    """Vertex descent for min_c sum_i w_i |y_i - (A c)_i| on a stack of
+    shape (B, N, d), rows of weight 0 dead, from the vertex through the d
+    independent rows of smallest residual at `start` (B, d).  Returns the
+    coefficients (B, d), the final bases (the rows each vertex goes through)
+    and the notes."""
+    nb, _, d = A.shape
+    if d == 1:
+        c, node = _weighted_median(A, y, w)
+        return c, node, np.full(nb, "l1-vertex-certified", dtype=object)
+    resid = np.abs(y - (A @ start[..., None])[..., 0])
+    basis = _snap(A, np.where(w > 0.0, resid, np.inf))
+    coeffs = np.zeros((nb, d))
+    final = basis.copy()
+    notes = np.full(nb, "l1-vertex-certified", dtype=object)
+    visited = [{tuple(sorted(row))} for row in basis.tolist()]
+    # the rounding bound of any residual y_i - A_i c is eps (max|y| + colmax . |c|)
+    ymax, colmax = np.max(np.abs(y), axis=1), np.max(np.abs(A), axis=1)
+    total_w = np.sum(w, axis=1)
+    best = np.full(nb, np.inf)
+    active = np.arange(nb)
+    rows = np.arange(nb)[:, None]
+    while True:
+        AB = A[rows, basis]
+        try:
+            inv = np.linalg.inv(AB)
+            c = np.linalg.solve(AB, y[rows, basis][..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError(f"L^1 vertex basis: {exc}") from exc
+        r = y - (A @ c[..., None])[..., 0]
+        obj = np.sum(w * np.abs(r), axis=1)
+        noise = _L1_ZERO * (ymax + np.sum(colmax * np.abs(c), axis=1))
+        # a pivot whose gain rounding turned into a loss: keep the previous vertex
+        rose = obj > best + noise * total_w
+        zero = (w > 0.0) & (np.abs(r) <= noise[:, None])
+        zero[rows, basis] = True
+        sign = np.where(zero, 0.0, np.sign(r))
+        g = ((w * sign)[:, None, :] @ A)[:, 0]
+        lam = -(g[:, None, :] @ inv)[:, 0] / w[rows, basis]
+        leave = np.argmax(np.abs(lam), axis=1)
+        done = (np.abs(lam[rows[:, 0], leave]) <= 1.0 + _L1_TOL) | (obj <= noise * total_w)
+        keep = ~(done | rose)
+        keep_idx = np.flatnonzero(keep)
+        # per pivoting ball: the descent direction and the d - 1 nodes it keeps
+        direction = np.empty((keep_idx.size, d))
+        kept = np.empty((keep_idx.size, d - 1), dtype=int)
+        simple = zero[keep_idx].sum(axis=1) == d
+        j = leave[keep_idx[simple]]
+        direction[simple] = -np.sign(lam[keep_idx[simple], j])[:, None] * inv[
+            keep_idx[simple], :, j
+        ]
+        kept[simple] = basis[keep_idx[simple]][np.arange(d) != j[:, None]].reshape(j.size, d - 1)
+        degenerate = keep_idx[~simple]
+        if degenerate.size:
+            sub_dir, sub_kept, optimal = _degenerate_directions(
+                A[degenerate], w[degenerate], zero[degenerate], g[degenerate]
+            )
+            direction[~simple], kept[~simple] = sub_dir, sub_kept
+            keep[degenerate[optimal]] = False
+            direction, kept = direction[keep[keep_idx]], kept[keep[keep_idx]]
+            keep_idx = np.flatnonzero(keep)
+        enter, descends = _line_search(
+            A[keep_idx], r[keep_idx], w[keep_idx], zero[keep_idx], sign[keep_idx], direction
+        )
+        moved = keep_idx[descends]
+        new = np.concatenate([kept[descends], enter[descends][:, None]], axis=1)
+        # rounding can only fake a descent; a basis seen before ends the ball
+        fresh = np.array(
+            [_first_visit(visited[b], row) for b, row in zip(active[moved], new.tolist())],
+            dtype=bool,
+        )
+        stalled = rose.copy()
+        stalled[keep_idx[~descends]] = True
+        stalled[moved[~fresh]] = True
+        coeffs[active[~rose]] = c[~rose]
+        final[active[~rose]] = basis[~rose]
+        notes[active[stalled]] = "l1-vertex-stalled"
+        best = np.minimum(best, obj)
+        basis[moved[fresh]] = new[fresh]
+        go_on = moved[fresh]
+        if go_on.size == 0:
+            return coeffs, final, notes
+        if go_on.size < active.size:
+            active, A, y, w, basis, best, ymax, colmax, total_w = (
+                x[go_on] for x in (active, A, y, w, basis, best, ymax, colmax, total_w)
+            )
+            rows = rows[: go_on.size]
+
+
+def _first_visit(seen, row):
+    key = tuple(sorted(row))
+    if key in seen:
+        return False
+    seen.add(key)
+    return True
+
+
+def _degenerate_directions(A, w, zero, g):
+    """At vertices with more than d zero residuals: whether the vertex is
+    optimal, and if not the steepest descent direction e and the d - 1 zero
+    nodes it keeps at zero.  The vertex is optimal iff some lam_Z in
+    [-1, 1]^Z has sum_{i in Z} lam_i w_i A_i = -g; the minimum-norm lam_Z
+    settles most balls.  Otherwise e, normalized by g . e = 1, minimizes
+    m = sum_{i in Z} w_i |A_i . e|; the slope along e is m - 1, so the
+    vertex is optimal iff m >= 1."""
+    w_zero = np.where(zero, w, 0.0)
+    M = w_zero[:, None, :] * A.transpose(0, 2, 1)  # columns w_i A_i, i in Z
+    # the minimum-norm solution of M lam = -g
+    lam = (M.transpose(0, 2, 1) @ np.linalg.solve(M @ M.transpose(0, 2, 1), -g[..., None]))[..., 0]
+    optimal = np.max(np.abs(lam), axis=1) <= 1.0 + _L1_TOL
+    d = g.shape[1]
+    direction = np.zeros_like(g)
+    kept = np.zeros((len(g), d - 1), dtype=int)
+    todo = np.flatnonzero(~optimal)
+    if todo.size:
+        A, w_zero, g = A[todo], w_zero[todo], g[todo]
+        base = g / np.sum(g * g, axis=1)[:, None]
+        # e = base + N eta, N an orthonormal basis of g's complement: a
+        # discrete L^1 fit in d - 1 unknowns on the zero nodes (the others
+        # weigh 0), from its weighted L^2 fit
+        perp = np.linalg.qr(g[..., None], mode="complete")[0][..., 1:]
+        sub_A, sub_y = A @ perp, -(A @ base[..., None])[..., 0]
+        wA_t = (w_zero[..., None] * sub_A).transpose(0, 2, 1)
+        start = np.linalg.solve(wA_t @ sub_A, wA_t @ sub_y[..., None])[..., 0]
+        eta, kept[todo], _ = _l1_descent(sub_A, sub_y, w_zero, start)
+        direction[todo] = base + (perp @ eta[..., None])[..., 0]
+        slope = np.sum(w_zero * np.abs(A @ direction[todo][..., None])[..., 0], axis=1)
+        optimal[todo] = slope >= 1.0 - _L1_TOL
+    return direction, kept, optimal
+
+
+def _weighted_median(A, y, w):
+    """The one-coefficient case: c minimizes sum_i w_i |A_i| |y_i / A_i - c|,
+    so it is a weighted median of the y_i / A_i.  Returns (c, node) per ball."""
+    a = A[..., 0]
+    live = (w > 0.0) & (a != 0.0)
+    t = np.divide(y, a, out=np.full_like(y, np.inf), where=live)
+    order = np.argsort(t, axis=1)
+    mass = np.cumsum(np.take_along_axis(np.where(live, w * np.abs(a), 0.0), order, axis=1), axis=1)
+    pos = np.argmax(mass >= 0.5 * mass[:, -1:], axis=1)
+    node = order[np.arange(order.shape[0]), pos]
+    return np.take_along_axis(t, node[:, None], axis=1), node[:, None]
+
+
+def _line_search(A, r, w, zero, sign, direction):
+    """Exact minimizing step along r - t v, v = A direction: the first
+    breakpoint r_i / v_i > 0 at which the slope of sum_i w_i |r_i - t v_i|,
+    negative at t = 0+, turns non-negative.  Returns the entering node per
+    ball and whether the direction descends at all."""
+    v = (A @ direction[..., None])[..., 0]
+    wv = w * v
+    slope0 = np.sum(np.where(zero, np.abs(wv), -sign * wv), axis=1)
+    crossing = sign * v > 0.0
+    t = np.divide(r, v, out=np.full_like(r, np.inf), where=crossing)
+    order = np.argsort(t, axis=1)
+    jumps = np.take_along_axis(np.abs(wv, out=wv), order, axis=1)
+    jumps *= np.take_along_axis(crossing, order, axis=1)
+    turned = slope0[:, None] + 2.0 * np.cumsum(jumps, axis=1) >= 0.0
+    pos = np.argmax(turned, axis=1)
+    rows = np.arange(A.shape[0])
+    return order[rows, pos], (slope0 < 0.0) & turned[rows, pos]
+
+
 def _nelder_mead(A, y, wvals, node_w, q, start):
     res = minimize(
         lambda c: _objective(y - A @ c, wvals, node_w, q),
@@ -140,7 +381,7 @@ def _nelder_mead(A, y, wvals, node_w, q, start):
         method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "adaptive": True},
     )
-    return res.x
+    return res.x, "upper-bound" if res.success else "upper-bound-unconverged"
 
 
 def _estimate(resid, wvals, node_w, q, scheme, note):
@@ -151,7 +392,10 @@ def _estimate(resid, wvals, node_w, q, scheme, note):
         std_q = float(np.std(powers * n, ddof=1)) / np.sqrt(n)
     else:
         std_q = 0.0
-    est = Estimate(value=value_q, std_error=std_q, samples=n, seed=scheme.seed, note=note)
+    est = Estimate(
+        value=value_q, std_error=std_q, samples=n, seed=scheme.seed,
+        flagged=note in _FLAGGED_NOTES, note=note,
+    )
     return est.powered(1.0 / q)
 
 
@@ -181,13 +425,21 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
 
     coeffs = [_weighted_lstsq(A, y, node_w * w**2) for A, y, w, node_w in systems]
     notes = ["least-squares"] * len(balls)
-    if q != 2.0 and q >= 1.0:
-        coeffs, notes = _irls(
-            [(A, y, node_w * w**q, c) for (A, y, w, node_w), c in zip(systems, coeffs)], q
-        )
-    elif q < 1.0:
-        coeffs = [_nelder_mead(*system, q, c) for system, c in zip(systems, coeffs)]
-        notes = ["upper-bound"] * len(balls)
+    if q != 2.0:
+        peaks = [np.max(np.abs(y)) or 1.0 for _, y, _, _ in systems]
+        if q < 1.0:
+            fits = [
+                _nelder_mead(A, y / s, w, node_w, q, c / s)
+                for (A, y, w, node_w), c, s in zip(systems, coeffs, peaks)
+            ]
+            coeffs, notes = [c for c, _ in fits], [note for _, note in fits]
+        else:
+            scaled = [
+                (A, y / s, node_w * w**q, c / s)
+                for (A, y, w, node_w), c, s in zip(systems, coeffs, peaks)
+            ]
+            coeffs, notes = _stacked(_l1_vertex, scaled) if q == 1.0 else _irls(scaled, q)
+        coeffs = [c * s for c, s in zip(coeffs, peaks)]
 
     out = [
         (_to_raw_coordinates(group, basis, c, b), _estimate(y - A @ c, w, node_w, q, scheme, note))

@@ -20,9 +20,10 @@ class InequalityReport:
     config: dict
     terms: list = field(default_factory=list)
     flags: list = field(default_factory=list)
+    lhs_per_ball: list | None = None  # an lhs that is a sup over balls: its details
 
     def to_dict(self):
-        return {
+        out = {
             "lhs": self.lhs.to_dict(),
             "rhs": self.rhs.to_dict(),
             "ratio": self.ratio,
@@ -30,6 +31,9 @@ class InequalityReport:
             "terms": self.terms,
             "flags": self.flags,
         }
+        if self.lhs_per_ball is not None:
+            out["lhs_per_ball"] = self.lhs_per_ball
+        return out
 
 
 def jsonify(obj):

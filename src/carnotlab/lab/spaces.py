@@ -41,8 +41,9 @@ def _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, estima
 
     `estimate(balls, op_id)` returns one output per ball, ball b estimated
     under f"{op_id}/b{b}": an Estimate, or a list of A Estimates (rows).
-    Returns the sup (same shape) and per-ball details, whose "value" is a
-    float or a list of A floats.
+    Returns the sup (same shape) and per-ball details, whose "value" and
+    "note" (the ball's own, e.g. its solver's) are a float and a string or
+    lists of A of them.
     """
     dim = _norm_dimension(group, normalization)
     best = None
@@ -52,10 +53,10 @@ def _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, estima
         rows = isinstance(out, list)
         scale = ball_volume(group, ball.radius) ** (-lam / (dim * p))
         ests = [e.scaled(scale) for e in (out if rows else [out])]
-        values = [e.value for e in ests]
+        values, notes = [e.value for e in ests], [e.note for e in ests]
         details.append(
             {"radius": ball.radius, "center": ball.center.tolist(),
-             "value": values if rows else values[0]}
+             "value": values if rows else values[0], "note": notes if rows else notes[0]}
         )
         best = ests if best is None else [e if e.value > b.value else b for e, b in zip(ests, best)]
     for e in best:
@@ -105,13 +106,14 @@ def leibniz_test(
 ):
     """Campanato norm of fg against sums of Morrey-norm products.
 
-    The lhs is one Campanato norm under f"{op_id}/lhs".  Each slot makes one
-    Morrey call, under f"{op_id}/f" or f"{op_id}/g", whose rows are the
-    slot's distinct derivative keys, so each ball evaluates the slot's jets
-    once; each term is a product of those memoised sups.  The terms share
-    each slot's nodes, so the rhs standard error is the sum of the terms'
-    errors, an upper bound under any correlation.  Balls are normalized
-    by the ambient dimension n.
+    The lhs is one Campanato norm under f"{op_id}/lhs"; its per-ball
+    details, with each ball's solver note, are the report's `lhs_per_ball`.
+    Each slot makes one Morrey call, under f"{op_id}/f" or f"{op_id}/g",
+    whose rows are the slot's distinct derivative keys, so each ball
+    evaluates the slot's jets once; each term is a product of those
+    memoised sups.  The terms share each slot's nodes, so the rhs standard
+    error is the sum of the terms' errors, an upper bound under any
+    correlation.  Balls are normalized by the ambient dimension n.
 
     Requires the scaling relation lambda/q = lambda_1/p_1 + lambda_2/p_2
     and k <= 2Q.
@@ -128,7 +130,7 @@ def leibniz_test(
     if k > 2 * group.homogeneous_dimension:
         raise HypothesisError(f"needs k <= 2Q = {2 * group.homogeneous_dimension}, got k = {k}")
     product = ProductFunction(group, [f, g])
-    lhs, _ = campanato_norm(
+    lhs, lhs_balls = campanato_norm(
         group, product, u, system.q, lam, k, sampler, scheme, op_id=f"{op_id}/lhs"
     )
     tuples = derivative_tuples(2, k, group.n1)
@@ -159,4 +161,4 @@ def leibniz_test(
         sampler=sampler.to_dict(),
         normalization="ambient",
     )
-    return _finish(lhs, rhs, config, breakdown)
+    return replace(_finish(lhs, rhs, config, breakdown), lhs_per_ball=lhs_balls)

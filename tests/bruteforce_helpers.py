@@ -2,7 +2,8 @@
 
 * `exact_best_value`: the best-polynomial value on the same quadrature
   nodes the solver uses, solved exactly: normal equations for q = 2 and the
-  dual linear program for q = 1.
+  dual linear program for q = 1 (`exact_l1_value`, on the (A, y, w) that
+  `best_value_system` builds).
 * `dilated_bump`: x -> f(delta_lam x) for a gauge bump f, in closed form.
 * `mc_ball_volume`: an independent Monte Carlo ball volume by box rejection.
 * `quadrature_nodes`: the uniform nodes a scheme draws on one ball.
@@ -89,22 +90,54 @@ def vandermonde_by_powers(basis, pts):
     return np.column_stack(cols)
 
 
-def exact_best_value(group, F, u, q, ball, k, scheme, op_id):
-    """min over c of (sum_i v (w_i |y_i - (A c)_i|)^q)^(1/q), v the node
-    weight, for q in {1, 2}.  For q = 1 the minimum equals the dual LP
-    max lam . (w y) subject to (w A)^T lam = 0 and |lam_i| <= 1."""
+def best_value_system(group, F, u, q, ball, k, scheme, op_id):
+    """(A, y, w) of the best-polynomial problem on the solver's nodes: the
+    Vandermonde matrix in the ball's zeta coordinates, the F values and the
+    node weights |B| u^q / N, so the value is (sum_i w_i |y_i - (A c)_i|^q)^(1/q)."""
     basis = monomial_basis(group, k)
     nodes = quadrature_nodes(group, ball, scheme, op_id)
     zeta = group.dilate(1.0 / ball.radius, group.compose(group.inverse(ball.center), nodes))
-    wv = np.asarray(u(nodes), dtype=float).reshape(-1)
-    A = wv[:, None] * vandermonde(group, basis, zeta)
-    y = wv * np.asarray(F(nodes), dtype=float).reshape(-1)
-    node_w = ball_volume(group, ball.radius) / nodes.shape[0]
+    y = np.asarray(F(nodes), dtype=float).reshape(-1)
+    u_q = np.asarray(u(nodes), dtype=float).reshape(-1) ** q
+    return vandermonde(group, basis, zeta), y, ball_volume(group, ball.radius) / len(y) * u_q
+
+
+def exact_l1_value(A, y, w):
+    """min over c of sum_i w_i |y_i - (A c)_i| by the dual linear program
+    max lam . (w y) subject to (w A)^T lam = 0 and |lam_i| <= 1.
+
+    HiGHS's tolerances are absolute, so the objective is rescaled to unit
+    max and each equality row to unit max before the solve.  Its dual value
+    is still only as good as those tolerances (1e-12 relative off on some
+    balls), so the value returned is the exact objective at the LP's optimal
+    vertex, the c read from the equality multipliers; the dual value is a
+    cross-check."""
+    b = w * y
+    scale = float(np.max(np.abs(b)))
+    if scale == 0.0:
+        return 0.0
+    rows = (w[:, None] * A).T
+    row_scale = np.max(np.abs(rows), axis=1)
+    res = linprog(
+        -b / scale, A_eq=rows / row_scale[:, None], b_eq=np.zeros(A.shape[1]), bounds=(-1, 1),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    c = -res.eqlin.marginals / row_scale * scale
+    value = float(np.sum(w * np.abs(y - A @ c)))
+    assert abs(value - scale * -res.fun) <= 1e-9 * value + 1e-15 * float(np.sum(np.abs(b)))
+    return value
+
+
+def exact_best_value(group, F, u, q, ball, k, scheme, op_id):
+    """min over c of (sum_i v (u_i |y_i - (A c)_i|)^q)^(1/q), v the node
+    weight, for q in {1, 2}: the normal equations for q = 2, `exact_l1_value`
+    for q = 1."""
+    A, y, w = best_value_system(group, F, u, q, ball, k, scheme, op_id)
     if q == 2.0:
-        c = np.linalg.solve(A.T @ A, A.T @ y)
-        return math.sqrt(node_w * float(np.sum((y - A @ c) ** 2)))
+        c = np.linalg.solve(A.T @ (w[:, None] * A), A.T @ (w * y))
+        return math.sqrt(float(np.sum(w * (y - A @ c) ** 2)))
     if q == 1.0:
-        res = linprog(-y, A_eq=A.T, b_eq=np.zeros(A.shape[1]), bounds=(-1, 1), method="highs")
-        assert res.status == 0, res.message
-        return node_w * -res.fun
+        return exact_l1_value(A, y, w)
     raise DomainError(f"exact oracle needs q in {{1, 2}}, got {q}")
