@@ -7,8 +7,9 @@ conditioning; left translations and dilations preserve the span of
 {deg_G < k}, so the solution is mapped back to raw coordinates exactly.
 
 `best_polynomial` takes one ball or a list of balls; ball b of a list
-draws its nodes under f"{op_id}/b{b}".  F and u are evaluated once on the
-nodes of all balls together, and a non-finite value raises IntegrationError
+draws its nodes under f"{op_id}/b{b}", and the balls are sampled together
+(in passes, see quad).  F and u are evaluated once on the nodes of all
+balls together, and a non-finite value raises IntegrationError
 before any solve.  The Vandermonde matrix is per ball.
 
 Solvers by exponent, all from the weighted L^2 start; for q != 2 each
@@ -46,9 +47,11 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
               vectors.  A ball stops once its objective moves by at most
               _IRLS_TOL relative (note "irls-stationary") or after
               _IRLS_MAX_ITER iterations (note "irls-iteration-cap");
-  q < 1       Nelder-Mead descent, per ball; the result is an upper bound on
-              the infimum, labeled "upper-bound", or "upper-bound-unconverged"
-              (flagged) when the descent reports no success.
+  q < 1       Nelder-Mead descent (scipy.optimize.minimize, looked up when
+              it runs, so scipy loads with the first such solve), per ball;
+              the result is an upper bound on the infimum, labeled
+              "upper-bound", or "upper-bound-unconverged" (flagged) when the
+              descent reports no success.
 The stacked solvers pad short balls with zero rows of weight 0, which
 change neither the solution nor the objective, and take at most _STACK
 entries B * N * (d + 1) per stack.
@@ -57,7 +60,6 @@ entries B * N * (d + 1) per stack.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..carnot.group import GaugeBall
 from ..carnot.polynomials import (
@@ -67,7 +69,7 @@ from ..carnot.polynomials import (
     vandermonde,
 )
 from ..errors import ConditioningError, DomainError
-from ..quad import Estimate, _check_finite, _strata
+from ..quad import Estimate, _ball_strata, _check_finite
 
 _IRLS_TOL = 1e-8
 _IRLS_MAX_ITER = 200
@@ -90,15 +92,19 @@ _FLAGGED_NOTES = ("l1-vertex-stalled", "upper-bound-unconverged")
 _STACK = 1 << 20
 
 
-def _nodes_and_weights(group, ball, scheme, op_id):
-    """The ball's nodes and quadrature weights: the one stratum of a uniform
-    or grid scheme, restricted to its live nodes."""
+def _nodes_and_weights(group, balls, scheme, op_ids):
+    """Each ball's nodes and quadrature weights, ball b drawn under
+    op_ids[b]: the one stratum of a uniform or grid scheme, restricted to
+    its live nodes."""
     scheme.validate()
     if scheme.kind == "annuli":
         raise DomainError("best_polynomial needs a uniform or grid scheme")
-    pts, live, vols, _ = _strata(group, [ball], scheme, op_id)
-    nodes = pts[0, :, 0] if live is None else pts[0, live[0], 0]
-    return nodes, np.full(nodes.shape[0], vols[0] / pts.shape[1])
+    out = []
+    for pts, live, vols, _, _ in _ball_strata(group, balls, scheme, op_ids):
+        for s, vol in enumerate(vols):
+            nodes = pts[s, :, 0] if live is None else pts[s, live[s], 0]
+            out.append((nodes, np.full(nodes.shape[0], vol / pts.shape[1])))
+    return out
 
 
 def _objective(resid, wvals, node_w, q):
@@ -375,6 +381,8 @@ def _line_search(A, r, w, zero, sign, direction):
 
 
 def _nelder_mead(A, y, wvals, node_w, q, start):
+    from scipy.optimize import minimize
+
     res = minimize(
         lambda c: _objective(y - A @ c, wvals, node_w, q),
         start,
@@ -411,7 +419,7 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
     balls = [ball] if single else list(ball)
     ids = [op_id] if single else [f"{op_id}/b{b}" for b in range(len(balls))]
     basis = monomial_basis(group, k)
-    node_sets = [_nodes_and_weights(group, b, scheme, b_id) for b, b_id in zip(balls, ids)]
+    node_sets = _nodes_and_weights(group, balls, scheme, ids)
     nodes = np.concatenate([x for x, _ in node_sets])
     ys = np.asarray(F(nodes), dtype=float).reshape(nodes.shape[0])
     ws = np.asarray(u(nodes), dtype=float).reshape(nodes.shape[0])
@@ -460,7 +468,7 @@ def _to_raw_coordinates(group, basis, coeffs, ball):
 
 def evaluate_candidate(group, F, u, q, ball, scheme, poly, *, op_id="best-poly"):
     """||(F - poly) u||_{L^q(B)} on the same nodes best_polynomial uses."""
-    nodes, node_w = _nodes_and_weights(group, ball, scheme, op_id)
+    [(nodes, node_w)] = _nodes_and_weights(group, [ball], scheme, [op_id])
     y, wvals, pvals = (
         np.asarray(f(nodes), dtype=float).reshape(nodes.shape[0]) for f in (F, u, poly)
     )

@@ -4,9 +4,13 @@ Both norms are one sup over sampled balls (drawn under f"{op_id}-balls",
 ball b estimated under f"{op_id}/b{b}") of estimates scaled by
 |B|^(-lambda/(dim p)), and return (sup, per-ball details).  A sampled sup
 is a lower estimate of the true sup.  dim is the ambient n as written, or
-the homogeneous dimension Q for exploration.  A Morrey integrand may return
-A rows: each ball then takes all A norms from one node set, and each row of
-the sup equals the single-row call with the same op_id bit for bit.
+the homogeneous dimension Q for exploration.  Each norm takes all its balls
+in one call on the ball list (`lp_norm_ball` for Morrey, `best_polynomial`
+for Campanato), which samples them together and evaluates the integrand
+and the weight once on the nodes of all of them; each ball's value equals
+its one-ball call.  A Morrey integrand may return A rows: each ball then
+takes all A norms from one node set, and each row of the sup equals the
+single-row call with the same op_id bit for bit.
 """
 
 from __future__ import annotations
@@ -67,17 +71,15 @@ def _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, estima
 def morrey_norm(group, f, w, p, lam, sampler, scheme, *, normalization="ambient", op_id="morrey"):
     """sup_B (|B|^(-lambda/n) int_B (|f| w)^p)^(1/p) over sampled balls.
 
-    Returns (sup, details).  If `f` returns A rows, the sup is a list of A
-    Estimates, all taken per ball from one node set.
+    Returns (sup, details).  One `lp_norm_ball` call takes every ball.  If
+    `f` returns A rows, the sup is a list of A Estimates, all taken per ball
+    from one node set.
     """
     if not (p > 0 and lam > 0):
         raise DomainError("Morrey norms need p > 0 and lambda > 0")
 
     def norms(balls, norm_id):
-        outs = (
-            lp_norm_ball(group, f, w, p, ball, scheme, op_id=f"{norm_id}/b{b}")
-            for b, ball in enumerate(balls)
-        )
+        outs = lp_norm_ball(group, f, w, p, balls, scheme, op_id=norm_id)
         return [out if isinstance(out, Estimate) else out[0] for out in outs]
 
     return _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, norms)
@@ -109,9 +111,9 @@ def leibniz_test(
     The lhs is one Campanato norm under f"{op_id}/lhs"; its per-ball
     details, with each ball's solver note, are the report's `lhs_per_ball`.
     Each slot makes one Morrey call, under f"{op_id}/f" or f"{op_id}/g",
-    whose rows are the slot's distinct derivative keys, so each ball
-    evaluates the slot's jets once; each term is a product of those
-    memoised sups.  The terms share each slot's nodes, so the rhs standard
+    whose rows are the slot's distinct derivative keys, so the slot's jets
+    are evaluated once, on the nodes of all its balls; each term is a
+    product of those memoised sups.  The terms share each slot's nodes, so the rhs standard
     error is the sum of the terms' errors, an upper bound under any
     correlation.  Balls are normalized by the ambient dimension n.
 

@@ -8,23 +8,34 @@ The multilinear fractional integral is the general case; a ball integral
 int_B f dx is the m = 1 case without a kernel.  Both run through two
 private pieces:
 
-* `_strata` builds a scheme's node sets as S stacked strata of N nodes
-  (nodes (S, N, m, n), live mask (S, N) or None, volumes (S,), distances
-  d(pole, y_vec) of shape (S, N) or None):
-    uniform  one stratum of uniform samples, slot i drawn by `sample_ball`
+* `_strata` builds a scheme's node sets on a family of such products,
+  each under its own op_id (one product for a product integral, one
+  one-slot product per ball for a ball list), as S stacked strata of N
+  nodes, each product's strata in a row (nodes (S, N, m, n), live mask
+  (S, N) or None, volumes (S,), distances d(pole, y_vec) of shape (S, N)
+  or None, and each product's number of strata):
+    uniform  one stratum of uniform samples per product, slot i drawn
              under stream(seed, op_id, index=i);
-    grid     one stratum: the product midpoint grid on the slots' centered
-             boxes, live where every slot lies in its ball;
+    grid     one stratum per product: the product midpoint grid on the
+             slots' centered boxes, live where every slot lies in its ball;
     annuli   dyadic shells d(pole, y_vec) in [2^-(j+1), 2^-j) * r0, shell j
              drawn under index j from the slot boxes cut to the shell's
              reach, then the top stratum d >= r0 of uniform samples with
              slot i under index levels + i.  The region below
-             2^-levels * r0 is dropped.  All strata get their pole
-             distances from one pass, which chooses the live nodes.
+             2^-levels * r0 is dropped.  All strata of a product get their
+             pole distances from one pass, which chooses the live nodes.
+  The uniform nodes of every slot of every product come from one
+  `sample_ball` call on the list of their balls.
 * `_estimate` evaluates the integrand once, on the live nodes of all
   strata, zero-fills the rest, applies the (points x nodes) kernel in row
   blocks when there is one (from the pole distances when the pole is the
-  one kernel point), and sums volume * mean over the strata in order.
+  one kernel point), and per product sums volume * mean over its strata
+  in order.
+
+`sample_ball`, `integrate_ball` and `lp_norm_ball` take one ball or a list
+of balls; ball b of a list draws under f"{op_id}/b{b}" (its own stream),
+and each ball's result equals its one-ball call bit for bit.  A list is
+taken in passes of at most _PASS nodes, which moves no value.
 
 All Monte Carlo paths are unbiased, deterministic given (seed, op_id), and
 carry a standard error.  Uniform ball samples are drawn by rejection from
@@ -34,6 +45,7 @@ the center, which preserves Lebesgue measure.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -175,30 +187,53 @@ def sample_ball(group, ball, count, rng):
     ratio |B(0, r)| / box = c_d / 2^n, plus a margin of 4 sqrt(need) for
     the binomial spread, so one chunk nearly always suffices and few draws
     are thrown away.
+
+    `ball` may be a list of B balls with `rng` a list of B generators: ball
+    b draws from rng[b], and the nodes come stacked ball-major as
+    (B * count, n), each ball's equal to its one-ball call bit for bit.
+    The rejection test and the left translation run once over all balls.
     """
-    if count == 0:
+    single = isinstance(ball, GaugeBall)
+    balls, rngs = ([ball], [rng]) if single else (list(ball), list(rng))
+    if count == 0 or not balls:
         return np.empty((0, group.n))
-    ext = centered_box_extents(group, ball.radius)
-    accept = ball_volume(group, ball.radius) / float(np.prod(2.0 * ext))
-    out = np.empty((count, group.n))
-    filled = 0
+    exts = [centered_box_extents(group, b.radius) for b in balls]
+    accepts = [ball_volume(group, b.radius) / float(np.prod(2.0 * e)) for b, e in zip(balls, exts)]
+    out = np.empty((len(balls), count, group.n))
+    filled = [0] * len(balls)
     drawn = 0
     accepted = 0
-    while filled < count:
-        need = count - filled
-        chunk = math.ceil((need + 4.0 * math.sqrt(need)) / accept)
-        u = (rng.random((chunk, group.n)) * 2.0 - 1.0) * ext
-        drawn += chunk
-        keep = u[group.gauge_norm(u) < ball.radius]
-        accepted += keep.shape[0]
-        take = min(need, keep.shape[0])
-        out[filled : filled + take] = keep[:take]
-        filled += take
+    todo = range(len(balls))
+    while todo:
+        # one buffer holds this round's draws of every ball still short
+        chunks = [
+            math.ceil((count - filled[b] + 4.0 * math.sqrt(count - filled[b])) / accepts[b])
+            for b in todo
+        ]
+        ends = list(itertools.accumulate(chunks))
+        spans = list(zip(todo, [0] + ends, ends))
+        u = np.empty((ends[-1], group.n))
+        for b, lo, hi in spans:
+            rngs[b].random(out=u[lo:hi])
+            u[lo:hi] *= 2.0
+            u[lo:hi] -= 1.0
+            u[lo:hi] *= exts[b]
+        norms = group.gauge_norm(u)
+        drawn += ends[-1]
+        for b, lo, hi in spans:
+            keep = u[lo:hi][norms[lo:hi] < balls[b].radius]
+            accepted += keep.shape[0]
+            take = min(count - filled[b], keep.shape[0])
+            out[b, filled[b] : filled[b] + take] = keep[:take]
+            filled[b] += take
+        todo = [b for b in todo if filled[b] < count]
     log.debug(
         "sample_ball: %d/%d drawn points accepted (%.1f%%), %d kept",
-        accepted, drawn, 100.0 * accepted / drawn, count,
+        accepted, drawn, 100.0 * accepted / drawn, out.shape[0] * count,
     )
-    return group.compose(ball.center, out)
+    if len(balls) == 1:  # einsum in `compose` is slower on a (1, 1, n) broadcast
+        return group.compose(balls[0].center, out[0])
+    return group.compose(np.array([b.center for b in balls])[:, None], out).reshape(-1, group.n)
 
 
 # -- the engine: strata and one estimator --------------------------------------
@@ -207,44 +242,75 @@ def sample_ball(group, ball, count, rng):
 # Kernel entries per row block of the (points x nodes) matrix; bounds the
 # peak memory whatever the number of points.
 _KERNEL_BLOCK = 1 << 16
+# Nodes drawn per pass over a ball list (at least one ball a pass); bounds
+# the peak memory whatever the number of balls.
+_PASS = 1 << 16
 
 
-def _slot_samples(group, balls, count, seed, op_id, first):
-    """Uniform samples on every ball, slot i under stream index first + i,
-    as nodes of shape (count, m, n), and the product volume."""
-    slots = [
-        sample_ball(group, ball, count, stream(seed, op_id, index=first + i))
-        for i, ball in enumerate(balls)
-    ]
-    pts = slots[0][:, None] if len(slots) == 1 else np.stack(slots, axis=1)
-    return pts, math.prod(ball_volume(group, ball.radius) for ball in balls)
+def _slot_samples(group, family, count, seed, op_ids, first):
+    """Uniform samples on every slot ball of every product in `family` (B
+    lists of m balls), slot i of product b under stream(seed, op_ids[b],
+    index=first + i), from one `sample_ball` call: nodes of shape
+    (B, count, m, n) and the product volumes (B,)."""
+    m = len(family[0])
+    rngs = [stream(seed, op_id, index=first + i) for op_id in op_ids for i in range(m)]
+    pts = sample_ball(group, [ball for balls in family for ball in balls], count, rngs)
+    pts = pts.reshape(len(family), m, count, group.n).swapaxes(1, 2)
+    volumes = [math.prod(ball_volume(group, ball.radius) for ball in balls) for balls in family]
+    return np.ascontiguousarray(pts), np.array(volumes)
 
 
-def _strata(group, balls, scheme, op_id, pole=None):
-    """The scheme's strata on the product of `balls` (one per slot), stacked:
-    nodes (S, N, m, n), live mask (S, N) or None, volumes (S,), and the
-    distances d(pole, y_vec) of shape (S, N) or None.  The annuli shells
-    are centred at `pole`; see the module docstring."""
-    m = len(balls)
+def _per_stratum(scheme):
+    """Nodes per annuli stratum."""
+    return max(scheme.samples // (scheme.levels + 1), 256)
+
+
+def _strata(group, family, scheme, op_ids, poles):
+    """The scheme's strata on each product of balls in `family` (B lists of
+    m slot balls, product b drawn under op_ids[b]), stacked product by
+    product: nodes (S, N, m, n), live mask (S, N) or None, volumes (S,),
+    the distances d(pole, y_vec) of shape (S, N) or None, and the number of
+    strata of each product.  Product b's annuli shells are centred at
+    poles[b]; see the module docstring."""
+    B, m = len(family), len(family[0])
     if scheme.kind == "uniform":
-        pts, volume = _slot_samples(group, balls, scheme.samples, scheme.seed, op_id, 0)
-        return pts[None], None, np.array([volume]), None
+        pts, volumes = _slot_samples(group, family, scheme.samples, scheme.seed, op_ids, 0)
+        return pts, None, volumes, None, [1] * B
     if scheme.kind == "grid":
         pp = scheme.points_per_axis
         if pp ** (m * group.n) > 20_000_000:
             raise DomainError("tensor grid too large; reduce points_per_axis")
-        exts = [centered_box_extents(group, ball.radius) for ball in balls]
-        axes = [(np.arange(pp) + 0.5) / pp * 2.0 * e - e for ext in exts for e in ext]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1).reshape(-1, m, group.n)
-        live = np.ones(pts.shape[0], dtype=bool)
-        for i, ball in enumerate(balls):
-            live &= group.gauge_norm(pts[:, i]) < ball.radius
-            pts[:, i] = group.compose(ball.center, pts[:, i])
-        volume = math.prod(float(np.prod(2.0 * ext)) for ext in exts)
-        return pts[None], live[None], np.array([volume]), None
+        exts = [[centered_box_extents(group, ball.radius) for ball in balls] for balls in family]
+        unit = (np.arange(pp) + 0.5) / pp * 2.0
+        mesh = np.meshgrid(*[unit] * (m * group.n), indexing="ij")
+        half = np.array([np.concatenate(ext) for ext in exts])[:, None]  # (B, 1, m n)
+        pts = np.stack([g.ravel() for g in mesh], axis=-1) * half - half
+        pts = pts.reshape(B, -1, m, group.n)
+        live = np.ones(pts.shape[:2], dtype=bool)
+        for i in range(m):
+            radii = np.array([[balls[i].radius] for balls in family])
+            centers = np.array([balls[i].center for balls in family])[:, None]
+            live &= group.gauge_norm(pts[:, :, i]) < radii
+            pts[:, :, i] = group.compose(centers, pts[:, :, i])
+        volumes = [math.prod(float(np.prod(2.0 * e)) for e in ext) for ext in exts]
+        return pts, live, np.array(volumes), None, [1] * B
+    tops, top_volumes = _slot_samples(
+        group, family, _per_stratum(scheme), scheme.seed, op_ids, scheme.levels
+    )
+    parts = [
+        _annuli(group, *args, scheme)
+        for args in zip(family, op_ids, poles, tops, top_volumes.tolist())
+    ]
+    pts, live, vols, dist = (np.concatenate(arrays) for arrays in zip(*parts))
+    return pts, live, vols, dist, [part[2].shape[0] for part in parts]
+
+
+def _annuli(group, balls, op_id, pole, top, top_volume, scheme):
+    """One product's annuli strata around `pole`, the top stratum's uniform
+    nodes `top` given: nodes, live mask, volumes and pole distances."""
+    m = len(balls)
     levels = scheme.levels
-    per = max(scheme.samples // (levels + 1), 256)
+    per = _per_stratum(scheme)
     pole = np.asarray(pole, dtype=float).reshape(-1)
     r0 = sum(float(group.distance(pole, ball.center)) + ball.radius for ball in balls)
     # shell j reaches ball_box(group, GaugeBall(pole, outer[j])), all j at once
@@ -263,7 +329,6 @@ def _strata(group, balls, scheme, op_id, pole=None):
     shells = lo[:, None] + u * (hi - lo)[:, None]
     # top stratum d(pole, y_vec) >= r0 (the quasi-triangle constant can push
     # a sliver of the supports beyond r0)
-    top, top_volume = _slot_samples(group, balls, per, scheme.seed, op_id, levels)
     pts = np.concatenate([shells, top[None]])
     dist = product_distance(group, pole, pts.reshape(-1, m, group.n)).reshape(-1, per)
     live = dist >= r0
@@ -272,6 +337,22 @@ def _strata(group, balls, scheme, op_id, pole=None):
         live[:-1] &= ball.contains(group, shells[:, :, i])
     vols = [float(np.prod(h - l)) for l, h in zip(lo, hi)] + [top_volume]
     return pts, live, np.array(vols), dist
+
+
+def _ball_strata(group, balls, scheme, op_ids, poles=None):
+    """Yield the strata (see `_strata`) of each pass over a ball list, ball b
+    under op_ids[b] around poles[b]; a pass draws at most _PASS nodes, or
+    one ball."""
+    nodes = {
+        "uniform": scheme.samples,
+        "grid": scheme.points_per_axis**group.n,
+        "annuli": (scheme.levels + 1) * _per_stratum(scheme),
+    }[scheme.kind]
+    step = max(1, _PASS // nodes)
+    poles = [None] * len(balls) if poles is None else poles
+    for lo in range(0, len(balls), step):
+        chunk = slice(lo, lo + step)
+        yield _strata(group, [[b] for b in balls[chunk]], scheme, op_ids[chunk], poles[chunk])
 
 
 def product_distance(group, x, pts):
@@ -342,27 +423,30 @@ def _row_covariance(rows, volume):
 
 
 def _estimate(group, strata, f, scheme, kernel=None):
-    """Sum over strata of volume * mean(f * kernel), one Estimate per row.
+    """Per product of the strata's family, the sum over its strata of
+    volume * mean(f * kernel), one Estimate per row.
 
     `f` maps live nodes (N, m, n) to N values or to A rows (A, N); it is
     called once, on the live nodes of all strata in stratum order.  Without
     a kernel there is one Estimate per row of f; with kernel = (points,
-    exponent) f gives one row and there is one Estimate per point.  Returns
-    the Estimates and, when f gave rows, a function that forms their
-    covariance summed over the strata (0 for the grid) when called, else
-    None.  Strata that carry pole distances (annuli) come with a kernel
-    whose one point is the pole.
+    exponent) the family is one product, f gives one row and there is one
+    Estimate per point.  Returns one (Estimates, covariance) pair per
+    product, where covariance, when f gave rows, is a function that forms
+    their covariance summed over the product's strata (0 for the grid)
+    when called, else None.  Strata that carry pole distances (annuli) come
+    with a kernel whose one point is the pole.
     """
-    pts, live, vols, dist = strata
+    pts, live, vols, dist, counts = strata
     S, N = pts.shape[:2]
-    nodes = pts[0] if live is None else pts[live]
+    nodes = pts.reshape(S * N, *pts.shape[2:]) if live is None else pts[live]
     vals, batch = _eval_rows(f, nodes)
-    _check_finite(vals, nodes, None if live is None else np.cumsum(np.sum(live, axis=1)))
+    ends = N * np.arange(1, S + 1) if live is None else np.cumsum(np.sum(live, axis=1))
+    _check_finite(vals, nodes, ends)
     near = None if dist is None else dist[live][None]
     values, stds = [], []
     for block in _kernel_rows(group, kernel, nodes, vals, N, near):
         if live is None:
-            full = block.reshape(block.shape[0], 1, N)
+            full = block.reshape(block.shape[0], S, N)
         else:
             full = np.zeros((block.shape[0], S, N))
             full[:, live] = block
@@ -371,25 +455,34 @@ def _estimate(group, strata, f, scheme, kernel=None):
         # it (every valid scheme has N >= 2)
         with np.errstate(over="ignore"):
             stds.append(vols * np.std(full, axis=-1, ddof=1) / math.sqrt(N))
-    rows = zip(np.concatenate(values).tolist(), np.concatenate(stds).tolist())
-    if scheme.kind == "annuli":
-        # strata summed left to right, as estimate_sum does
-        note = f"annuli truncated below 2^-{scheme.levels} * r0"
-        ests = [
-            Estimate(sum(v), math.sqrt(sum(e**2 for e in es)), S * N, scheme.seed, note=note)
-            for v, es in rows
-        ]
-    else:
-        ests = [Estimate(v, e, N, scheme.seed) for (v,), (e,) in rows]
-        if scheme.kind == "grid":
-            ests = [replace(e, std_error=0.0, note="tensor-grid") for e in ests]
+    values, stds = np.concatenate(values).tolist(), np.concatenate(stds).tolist()
+    volumes = vols.tolist()
 
-    def covariance():  # rows come without a kernel, so `full` is their one block
+    def covariance(own):  # rows come without a kernel, so `full` is their one block
         if scheme.kind == "grid":
-            return np.zeros((len(ests), len(ests)))
-        return sum((_row_covariance(full[:, s], vol) for s, vol in enumerate(vols.tolist())), 0.0)
+            return np.zeros((len(values), len(values)))
+        return sum((_row_covariance(full[:, s], volumes[s]) for s in own), 0.0)
 
-    return ests, (covariance if batch else None)
+    out = []
+    for first, count in zip(itertools.accumulate([0] + counts), counts):
+        own = range(first, first + count)
+        if scheme.kind == "annuli":
+            # strata summed left to right, as estimate_sum does
+            note = f"annuli truncated below 2^-{scheme.levels} * r0"
+            ests = [
+                Estimate(
+                    sum(v[first : first + count]),
+                    math.sqrt(sum(e**2 for e in es[first : first + count])),
+                    count * N, scheme.seed, note=note,
+                )
+                for v, es in zip(values, stds)
+            ]
+        else:
+            ests = [Estimate(v[first], e[first], N, scheme.seed) for v, e in zip(values, stds)]
+            if scheme.kind == "grid":
+                ests = [replace(e, std_error=0.0, note="tensor-grid") for e in ests]
+        out.append((ests, (lambda own=own: covariance(own)) if batch else None))
+    return out
 
 
 # -- ball integrals ----------------------------------------------------------
@@ -413,12 +506,23 @@ def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularit
     that do not need it never form it.  Each row equals the
     single-function result bit for bit.  `f` is called once, on the live
     nodes of all strata, also when there are none.
+
+    `ball` may be a list of balls, ball b integrated under f"{op_id}/b{b}"
+    (around `singularity`, or else its own center): the result is the list
+    of the one-ball results, bit for bit.  The balls are sampled together
+    and `f` is called once on the live nodes of all of them, in passes of
+    at most _PASS nodes (or one ball).
     """
     scheme.validate()
-    pole = ball.center if singularity is None else singularity
-    strata = _strata(group, [ball], scheme, op_id, pole)
-    ests, cov = _estimate(group, strata, lambda pts: f(pts[:, 0]), scheme)
-    return ests[0] if cov is None else (ests, cov)
+    single = isinstance(ball, GaugeBall)
+    balls = [ball] if single else list(ball)
+    ids = [op_id] if single else [f"{op_id}/b{b}" for b in range(len(balls))]
+    poles = [b.center if singularity is None else singularity for b in balls]
+    out = []
+    for strata in _ball_strata(group, balls, scheme, ids, poles):
+        out += _estimate(group, strata, lambda pts: f(pts[:, 0]), scheme)
+    out = [ests[0] if cov is None else (ests, cov) for ests, cov in out]
+    return out[0] if single else out
 
 
 # -- weighted norms ----------------------------------------------------------
@@ -436,6 +540,10 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm"):
     forms the A x A covariance of the raw integrals int_B (|f_a| w)^p when
     called (see `integrate_ball`).  Each row equals the single-function
     call with the same op_id bit for bit.
+
+    A list of balls gives the list of the one-ball results, ball b under
+    f"{op_id}/b{b}", from one `integrate_ball` call: f and w are called
+    once on the nodes of all the balls (per pass).
     """
     if not p > 0:
         raise DomainError(f"norm exponent must be positive, got {p}")
@@ -448,11 +556,14 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm"):
         with np.errstate(invalid="ignore", over="ignore"):
             return np.where(vals == 0.0, 0.0, (vals * wv) ** p)
 
+    def root(out):
+        if isinstance(out, Estimate):
+            return _lp_root(out, p)
+        raws, cov = out
+        return [_lp_root(raw, p) for raw in raws], cov
+
     out = integrate_ball(group, integrand, ball, scheme, op_id=op_id)
-    if isinstance(out, Estimate):
-        return _lp_root(out, p)
-    raws, cov = out
-    return [_lp_root(raw, p) for raw in raws], cov
+    return root(out) if isinstance(ball, GaugeBall) else [root(o) for o in out]
 
 
 def _lp_root(raw, p):
@@ -509,7 +620,8 @@ def integrate_singular_product(
 
     def estimate(points, pole=None):
         kernel = None if exponent == 0.0 else (points, exponent)
-        ests, _ = _estimate(group, _strata(group, supports, scheme, op_id, pole), f, scheme, kernel)
+        strata = _strata(group, [supports], scheme, [op_id], [pole])
+        [(ests, _)] = _estimate(group, strata, f, scheme, kernel)
         # without a kernel the one estimate serves every point
         return ests if len(ests) == len(points) else [replace(ests[0]) for _ in points]
 

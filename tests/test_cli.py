@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import carnotlab
 from carnotlab.cli import main
 
 
@@ -444,3 +449,54 @@ def test_json_format_only(tmp_path):
 
 def test_threads_must_be_positive(tmp_path, capsys):
     assert run(["counterexample", "--threads", "0", "--out", str(tmp_path)]) == 64
+
+
+# Run in a fresh interpreter: the test process itself imports scipy.
+_COLD_PATH = """
+import json, sys
+
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+
+import carnotlab, carnotlab.lab, carnotlab.cli
+
+seen = {"import": scipy_loaded()}
+out, cfg = sys.argv[1:]
+codes = [
+    carnotlab.cli.main(["counterexample", "--eps", "2^-2..2^-3", "--out", out]),
+    carnotlab.cli.main(["leibniz", "--config", cfg, "--out", out]),
+]
+seen["cli"] = scipy_loaded()
+
+from carnotlab.carnot import GaugeBall, GaugeBump, euclidean_group
+from carnotlab.quad import QuadratureScheme
+from carnotlab.weights import Weight
+
+e1 = euclidean_group(1)
+_, est = carnotlab.lab.best_polynomial(
+    e1, GaugeBump(e1, [0.1], 1.4), Weight.one(e1), 0.5, GaugeBall([0.0], 1.0), 2,
+    QuadratureScheme(samples=1024, seed=3),
+)
+seen["q < 1"] = scipy_loaded()
+print(json.dumps({"codes": codes, "seen": seen, "note": est.note}))
+"""
+
+
+def test_scipy_loads_only_with_a_q_below_one_solve(tmp_path):
+    # importing the package, the counterexample and a small Leibniz run load
+    # no scipy; the first q < 1 best polynomial (Nelder-Mead) does
+    cfg = tmp_path / "leibniz.json"
+    cfg.write_text(json.dumps({"sampler": {"count": 2}, "configs": 1, "samples": 1024}))
+    src = str(Path(carnotlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PATH, str(tmp_path), str(cfg)],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
+        "codes": [0, 0],
+        "seen": {"import": False, "cli": False, "q < 1": True},
+        "note": "upper-bound",
+    }

@@ -20,6 +20,7 @@ from carnotlab.quad import (
     product_integrand,
     sample_ball,
 )
+from carnotlab.operators import jet_rows
 from carnotlab.rng import stream
 from carnotlab.weights import Weight
 
@@ -301,6 +302,139 @@ def test_lp_norm_invalid_exponent(e1, mc_scheme):
         lp_norm_ball(e1, ONE, Weight.one(e1), 0.0, GaugeBall([0.0], 1.0), mc_scheme)
 
 
+# -- ball lists -----------------------------------------------------------------
+
+_LIST_SCHEMES = {
+    "uniform": QuadratureScheme(kind="uniform", samples=1024, seed=41),
+    "grid": QuadratureScheme(kind="grid", points_per_axis=10),
+    "annuli": QuadratureScheme(kind="annuli", samples=2600, levels=8, seed=41),
+}
+_NODES_PER_BALL = {"uniform": 1024, "grid": 10, "annuli": 9 * 288}  # grid: 10^n
+
+
+def _ball_list(group):
+    # five disjoint balls over three octaves of radius
+    return [GaugeBall(np.full(group.n, 3.0 * b - 4.0), 0.4 * 2.0 ** (b / 2.0)) for b in range(5)]
+
+
+def _list_integrand(group, rows):
+    bump = GaugeBump(group, np.zeros(group.n), 6.0, height=1.5)
+    keys = [(0,) * group.n1, (1,) + (0,) * (group.n1 - 1), (2,) + (0,) * (group.n1 - 1)]
+    return jet_rows(group, bump, keys) if rows else bump
+
+
+def _same_outputs(a, b):
+    if isinstance(a, Estimate):
+        return a.to_dict() == b.to_dict()
+    (ests_a, cov_a), (ests_b, cov_b) = a, b
+    return [e.to_dict() for e in ests_a] == [e.to_dict() for e in ests_b] and np.array_equal(
+        cov_a(), cov_b()
+    )
+
+
+class _Stingy:
+    """Draws from `rng`, except that its first draw puts every other row in
+    a corner of the box, outside the ball: the sampler needs a second
+    rejection round."""
+
+    def __init__(self, rng):
+        self.rng, self.first = rng, True
+
+    def random(self, *args, **kwargs):
+        u = self.rng.random(*args, **kwargs)
+        if self.first:
+            u[::2], self.first = 1.0, False
+        return u
+
+
+@pytest.mark.parametrize("group_id", ["e1", "h1"])
+def test_sample_ball_list_stacks_the_one_ball_draws(group_id, request, count_calls):
+    # ball b draws from its own stream and the nodes come ball-major, each
+    # ball's block equal to its one-ball call, also when the odd balls need
+    # a second rejection round and the others do not; each round makes one
+    # gauge test over all the balls that still need nodes
+    group = request.getfixturevalue(group_id)
+    balls = _ball_list(group)
+
+    def rngs():
+        return [
+            _Stingy(stream(8, f"list/b{b}")) if b % 2 else stream(8, f"list/b{b}")
+            for b in range(len(balls))
+        ]
+
+    tests = count_calls(type(group), "gauge_norm")
+    pts = sample_ball(group, balls, 300, rngs())
+    assert len(tests) == 2
+    single = [sample_ball(group, ball, 300, rng) for ball, rng in zip(balls, rngs())]
+    assert np.array_equal(pts, np.concatenate(single))
+    assert sample_ball(group, balls, 0, rngs()).shape == (0, group.n)
+
+
+@pytest.mark.parametrize("balls_per_pass", [None, 1, 2])
+@pytest.mark.parametrize("rows", [False, True], ids=["one-row", "jet-rows"])
+@pytest.mark.parametrize("kind", sorted(_LIST_SCHEMES))
+@pytest.mark.parametrize("group_id", ["e1", "h1"])
+def test_ball_list_matches_single_balls(group_id, kind, rows, balls_per_pass, request,
+                                        monkeypatch):
+    # integrate_ball and lp_norm_ball on a list: ball b is the one-ball call
+    # under f"{op_id}/b{b}" bit for bit, however the list is split into
+    # passes, and the integrand is called once per pass
+    group = request.getfixturevalue(group_id)
+    scheme = _LIST_SCHEMES[kind]
+    if balls_per_pass is not None:
+        nodes = _NODES_PER_BALL[kind] ** (group.n if kind == "grid" else 1)
+        monkeypatch.setattr(quad, "_PASS", balls_per_pass * nodes)
+    balls = _ball_list(group)
+    f = _list_integrand(group, rows)
+    w = Weight.power(group, 0.25)
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[0])
+        return f(pts)
+
+    integrals = integrate_ball(group, counted, balls, scheme, op_id="list")
+    passes = len(calls)
+    norms = lp_norm_ball(group, f, w, 1.5, balls, scheme, op_id="list")
+    assert passes == (1 if balls_per_pass is None else -(-len(balls) // balls_per_pass))
+    assert len(integrals) == len(norms) == len(balls)
+    for b, ball in enumerate(balls):
+        op_id = f"list/b{b}"
+        assert _same_outputs(integrals[b], integrate_ball(group, f, ball, scheme, op_id=op_id))
+        assert _same_outputs(norms[b], lp_norm_ball(group, f, w, 1.5, ball, scheme, op_id=op_id))
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["one-row", "jet-rows"])
+@pytest.mark.parametrize("kind", sorted(_LIST_SCHEMES))
+def test_ball_list_non_finite_value_raises_where_the_loop_does(h1, kind, rows):
+    # NaN on part of ball 2 and everywhere on ball 3: the list call reports
+    # the point that the first failing one-ball call reports.  With rows,
+    # only the last row fails on ball 2 and only row 0 on ball 3, so a
+    # search in row order over all balls would report ball 3
+    balls = _ball_list(h1)
+    f = _list_integrand(h1, rows)
+
+    def bad(pts):
+        vals = np.array(f(pts), dtype=float)
+        part = balls[2].contains(h1, pts) & (pts[:, 0] > balls[2].center[0])
+        whole = balls[3].contains(h1, pts)
+        if rows:
+            vals[-1, part] = vals[0, whole] = np.nan
+        else:
+            vals[part | whole] = np.nan
+        return vals
+
+    scheme = _LIST_SCHEMES[kind]
+    with pytest.raises(IntegrationError) as listed:
+        integrate_ball(h1, bad, balls, scheme, op_id="nan")
+    with pytest.raises(IntegrationError) as looped:
+        for b, ball in enumerate(balls):
+            integrate_ball(h1, bad, ball, scheme, op_id=f"nan/b{b}")
+    assert np.array_equal(listed.value.point, looped.value.point)
+    assert str(listed.value) == str(looped.value)
+    assert balls[2].contains(h1, listed.value.point[None])[0]
+
+
 # -- singular product-domain integrals -----------------------------------------
 
 
@@ -454,9 +588,9 @@ def test_singular_product_annuli_reuses_shell_distances(h1, count_calls):
         h1, 2, product_integrand(fs), xs, 2.0, supports, scheme, op_id="ann"
     )
     calls = {name: len(made) for name, made in calls.items()}
-    # per point and slot: r0, the one distance pass, the shell membership and
-    # the top stratum's sample_ball
-    assert calls == {"compose": 32, "gauge_norm": 32}
+    # per point and slot: r0, the one distance pass and the shell membership;
+    # per point, one sample_ball for the top stratum of both slots
+    assert calls == {"compose": 28, "gauge_norm": 28}
     expected = [
         ("0x1.40f61921c5820p+0", "0x1.06955f2c509b9p-2"),
         ("0x1.160235cb023b2p+0", "0x1.1b768b141452cp-2"),
