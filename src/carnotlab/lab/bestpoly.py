@@ -18,43 +18,40 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
   q = 2       weighted least squares: one column-scaled lstsq per ball,
               whose SVD rank check guards the basis;
   q = 1       exact discrete-L^1 minimum by vertex descent (a simplex in
-              the manner of Barrodale and Roberts), all balls of a stack
-              at once.  A vertex is a polynomial through d nodes (the
-              basis).  Each ball starts at the d independent nodes of
-              smallest L^2 residual.  Its dual point is lam_i = sign(r_i)
-              off the zero-residual set Z, 0 on Z minus the basis, and on
-              the basis the solution of sum_i lam_i w_i A_i = 0; the ball
-              is certified optimal once max |lam| <= 1.  Otherwise the
-              basis node of largest |lam| leaves, and an exact line search
-              (the first breakpoint r_i / v_i at which the slope turns
-              non-negative, a weighted median) picks the entering node.
-              A degenerate vertex (|Z| > d, where F vanishes on part of the
-              ball) is decided exactly: first by the minimum-norm lam on Z,
-              else by the steepest descent direction e.  With g . e = 1
-              for g = sum_{i not in Z} w_i sign(r_i) A_i, e minimizes
-              sum_{i in Z} w_i |A_i . e|: a discrete-L^1 problem in d - 1
-              unknowns, solved by the same descent (for d - 1 = 1, a
-              weighted median).  Its minimum is >= 1 exactly when the
-              vertex is optimal.  Every pivot lowers the objective, so no
-              vertex repeats and no cap is needed.  Note
-              "l1-vertex-certified", or "l1-vertex-stalled" (flagged) if
-              rounding leaves a pivot without descent;
-  1 < q != 2  iteratively reweighted least squares (IRLS).  An iteration
-              solves every unconverged ball at once: the R factor of the
-              stacked, reweighted augmented matrices [A | y] of shape
-              (B, N, d + 1) carries Q^T y in its last column, so one batched
-              QR and one batched (d x d) solve give all B coefficient
-              vectors.  A ball stops once its objective moves by at most
-              _IRLS_TOL relative (note "irls-stationary") or after
-              _IRLS_MAX_ITER iterations (note "irls-iteration-cap");
+              the manner of Barrodale and Roberts).  A vertex is a
+              polynomial through d nodes (the basis); each ball starts at
+              the d independent nodes of smallest L^2 residual.  Its dual
+              point is lam_i = sign(r_i) off the zero-residual set Z, 0 on Z
+              minus the basis, and on the basis the solution of
+              sum_i lam_i w_i A_i = 0; the vertex is optimal once
+              max |lam| <= 1.  Otherwise the basis node of largest |lam|
+              leaves and an exact line search picks the entering node; a
+              degenerate vertex (|Z| > d, where F vanishes on part of the
+              ball) is decided exactly by its steepest descent direction
+              (see _degenerate_directions).  Every pivot lowers the
+              objective, so no vertex repeats.  Note "l1-vertex-certified",
+              or "l1-vertex-stalled" (flagged) if rounding leaves a pivot
+              without descent;
+  1 < q != 2  damped Newton.  With Hessian weights w |r|^(q-2) (|r| kept
+              off 0), the Newton step is the reweighted least-squares step
+              over q - 1: one batched QR of the reweighted [A | y] and one
+              batched (d x d) solve.  The step is halved until the objective
+              falls strictly and by the Armijo margin.  By Hoelder, lam . D y
+              is at most the minimum for D = diag(w^(1/q)) and lam = sign(r)
+              |D r|^(q-1) projected onto null((D A)^T), of unit q'-norm; a
+              value within _GAP_TOL of it (or 0 to rounding) is
+              "newton-certified".  A ball whose halved step no longer moves
+              a residual ends "newton-stalled" (flagged).  Both iterative
+              solvers end a ball on a certificate or a failed descent, never
+              on a count;
   q < 1       Nelder-Mead descent (scipy.optimize.minimize, looked up when
               it runs, so scipy loads with the first such solve), per ball;
               the result is an upper bound on the infimum, labeled
               "upper-bound", or "upper-bound-unconverged" (flagged) when the
               descent reports no success.
-The stacked solvers pad short balls with zero rows of weight 0, which
-change neither the solution nor the objective, and take at most _STACK
-entries B * N * (d + 1) per stack.
+The q >= 1 solvers run all balls of a stack at once.  They pad short balls
+with zero rows of weight 0, which change neither the solution nor the
+objective, and take at most _STACK entries B * N * (d + 1) per stack.
 """
 
 from __future__ import annotations
@@ -71,21 +68,19 @@ from ..carnot.polynomials import (
 from ..errors import ConditioningError, DomainError
 from ..quad import Estimate, _ball_strata, _check_finite
 
-_IRLS_TOL = 1e-8
-_IRLS_MAX_ITER = 200
-
-# Dual-feasibility slack of the L^1 certificate: a certified value is at most
-# (1 + _L1_TOL) times the minimum.  Rounding in lam is far below it unless
-# the basis is nearly singular.
-_L1_TOL = 1e-9
+# Relative optimality gap of a certified value: the L^1 dual point may pass 1
+# by this much (rounding in lam is far below it unless the basis is nearly
+# singular), and a Newton value its Hoelder lower bound by this fraction.
+_GAP_TOL = 1e-9
+_ARMIJO = 1e-4  # a Newton step's least decrease, as a fraction of the slope's
 # A residual within this multiple of eps * (max |y| + |A_i| |c|) is zero, at
 # the rounding level of the ball's largest value: a node where F underflows
 # to 1e-70 beside a zero of F is a zero too, or every such node would cost a
 # pivot that lowers the objective by nothing representable
-_L1_ZERO = 16.0 * np.finfo(float).eps
+_ZERO = 16.0 * np.finfo(float).eps
 _RANK_TOL = 1e-10
 
-_FLAGGED_NOTES = ("l1-vertex-stalled", "upper-bound-unconverged")
+_FLAGGED_NOTES = ("l1-vertex-stalled", "newton-stalled", "upper-bound-unconverged")
 
 # Entries B * N * (d + 1) of one stacked system; balls beyond it go in
 # further stacks, which bounds the peak memory whatever the number of balls.
@@ -125,78 +120,90 @@ def _weighted_lstsq(A, y, lam):
 
 
 def _stacked(solve, systems):
-    """Run `solve(stack, width)` on every ball's (A, y, weights, L^2 start)
+    """Run `solve(A, y, w, start)` on every ball's (A, y, weights, L^2 start)
     in stacks of at most _STACK entries, each padded to the longest ball;
-    returns the coefficient vectors and each ball's note."""
+    `solve` returns the coefficients and notes first.  Returns the
+    coefficient vectors and each ball's note."""
     width = max(A.shape[0] for A, *_ in systems)
     per_stack = max(1, _STACK // (width * (systems[0][0].shape[1] + 1)))
     coeffs, notes = [], []
     for start in range(0, len(systems), per_stack):
-        c, n = solve(systems[start : start + per_stack], width)
+        c, n, *_ = solve(*_pad(systems[start : start + per_stack], width))
         coeffs.extend(c)
         notes.extend(n)
     return coeffs, notes
 
 
 def _pad(systems, width):
-    """Stacked (A, y, weights) with zero rows of weight 0 beyond each ball."""
-    d = systems[0][0].shape[1]
-    A = np.zeros((len(systems), width, d))
-    y = np.zeros((len(systems), width))
-    w = np.zeros((len(systems), width))
+    """Stacked (A, y, weights) with zero rows of weight 0 beyond each ball,
+    and the stacked starts."""
+    A = np.zeros((len(systems), width, systems[0][0].shape[1]))
+    y, w = np.zeros((2, len(systems), width))
     for b, (A_b, y_b, w_b, *_) in enumerate(systems):
         A[b, : len(y_b)] = A_b
         y[b, : len(y_b)] = y_b
         w[b, : len(y_b)] = w_b
-    return A, y, w
+    return A, y, w, np.array([c for *_, c in systems])
 
 
-def _irls(systems, q):
-    """IRLS for every ball's (A, y, node_w * u^q, L^2 start)."""
-    return _stacked(lambda stack, width: _irls_stack(stack, q, width), systems)
-
-
-def _irls_stack(systems, q, width):
-    d = systems[0][0].shape[1]
-    A, y, wq = _pad(systems, width)
-    # [A | y] per ball, stored transposed so the reweighting runs along nodes
-    M = np.concatenate([A.transpose(0, 2, 1), y[:, None, :]], axis=1)
-    coeffs = np.array([c for *_, c in systems])
-    delta = 1e-12 * (np.max(np.abs(y), axis=1) + 1.0)
-    resid = np.abs(y - (coeffs[:, None, :] @ M[:, :d])[:, 0])
-    obj = np.sum(wq * resid**q, axis=1)
-    notes = np.full(len(systems), "irls-iteration-cap", dtype=object)
-    active = np.arange(len(systems))
-    for _ in range(_IRLS_MAX_ITER):
-        lam = wq * (resid + delta[:, None]) ** (q - 2.0)
-        R = np.linalg.qr((M * np.sqrt(lam)[:, None, :]).transpose(0, 2, 1), mode="r")
+def _newton(A, y, wq, c, q):
+    """Damped Newton for a stack of (A, y, node_w * u^q, L^2 start)."""
+    D = wq ** (1.0 / q)
+    Q = np.linalg.qr(D[..., None] * A)[0]  # an orthonormal basis of range(D A)
+    r = y - (A @ c[..., None])[..., 0]
+    obj = np.sum(wq * np.abs(r) ** q, axis=1)
+    ymax, colmax, mass = np.max(np.abs(y), axis=1), np.max(np.abs(A), axis=1), np.sum(wq, axis=1)
+    coeffs, notes = c.copy(), np.full(len(c), "newton-certified", dtype=object)
+    active, stalled = np.arange(len(c)), np.zeros(len(c), dtype=bool)
+    while True:
+        # lam . D y = lam . D r, less the rounding of that sum, over the
+        # q'-norm of lam (>= 1 once scaled by its max, unless lam = 0)
+        Dr = D * r
+        lam = np.sign(r) * np.abs(Dr / _peak(Dr)) ** (q - 1.0)
+        lam -= (Q @ (Q.transpose(0, 2, 1) @ lam[..., None]))[..., 0]
+        lam /= _peak(lam)
+        qn = np.maximum(np.sum(np.abs(lam) ** (q / (q - 1.0)), axis=1), 1.0) ** (1.0 - 1.0 / q)
+        lower = (np.sum(lam * Dr, axis=1) - _ZERO * np.sum(np.abs(lam * Dr), axis=1)) / qn
+        value = obj ** (1.0 / q)
+        noise = _ZERO * (ymax + np.sum(colmax * np.abs(c), axis=1)) * mass ** (1.0 / q)
+        coeffs[active] = c
+        notes[active[stalled]] = "newton-stalled"
+        keep = (value - lower > _GAP_TOL * value) & (value > noise) & ~stalled
+        if not np.any(keep):
+            return list(coeffs), list(notes)
+        active, A, y, wq, D, Q, c, r, obj, ymax, colmax, mass = (
+            x[keep] for x in (active, A, y, wq, D, Q, c, r, obj, ymax, colmax, mass)
+        )
+        # the step: the IRLS solution less c, over q - 1; the R factor of the
+        # reweighted [A | y] carries Q^T y in its last column
+        a = np.abs(r) + 1e-12 * (ymax[:, None] + 1.0)
+        sw = np.sqrt(wq * (a / np.max(a, axis=1, keepdims=True)) ** (q - 2.0))
+        R = np.linalg.qr(np.concatenate([A, y[..., None]], axis=2) * sw[..., None], mode="r")
         try:
-            c = np.linalg.solve(R[:, :d, :d], R[:, :d, d:])[..., 0]
+            step = (np.linalg.solve(R[:, :-1, :-1], R[:, :-1, -1:])[..., 0] - c) / (q - 1.0)
         except np.linalg.LinAlgError as exc:
             raise ConditioningError(f"reweighted least-squares system: {exc}") from exc
-        if not np.all(np.isfinite(c)):
+        if not np.all(np.isfinite(step)):
             raise ConditioningError("non-finite reweighted least-squares solution")
-        coeffs[active] = c
-        resid = np.abs(M[:, d] - (c[:, None, :] @ M[:, :d])[:, 0])
-        new_obj = np.sum(wq * resid**q, axis=1)
-        done = np.abs(new_obj - obj) <= _IRLS_TOL * np.maximum(obj, 1e-300)
-        obj = new_obj
-        if np.any(done):
-            notes[active[done]] = "irls-stationary"
-            keep = ~done
-            if not np.any(keep):
+        v = (A @ step[..., None])[..., 0]
+        slope = -q * np.sum(wq * np.sign(r) * np.abs(r) ** (q - 1.0) * v, axis=1)
+        vmax, rmax = np.max(np.abs(v), axis=1), np.max(np.abs(r), axis=1)
+        t = np.ones(len(c))
+        while True:
+            f = np.sum(wq * np.abs(r - t[:, None] * v) ** q, axis=1)
+            halve = (t > 0.0) & ~((f < obj) & (f <= obj + _ARMIJO * t * slope))
+            if not np.any(halve):
                 break
-            active, M, wq, resid, delta, obj = (
-                x[keep] for x in (active, M, wq, resid, delta, obj)
-            )
-    return list(coeffs), list(notes)
+            t[halve] *= 0.5
+            # a step that moves no residual beyond rounding has failed
+            t[halve & (t * vmax <= _ZERO * rmax)] = 0.0
+        stalled = t == 0.0
+        c, r, obj = c + t[:, None] * step, r - t[:, None] * v, np.where(stalled, obj, f)
 
 
-def _l1_vertex(systems, width):
-    """Exact weighted L^1 fit for every ball's (A, y, node_w * u, L^2 start)."""
-    A, y, w = _pad(systems, width)
-    c, _, notes = _l1_descent(A, y, w, np.array([c for *_, c in systems]))
-    return list(c), list(notes)
+def _peak(x):
+    """Each row's max |x|, kept off 0 so that a zero row divides to zero."""
+    return np.maximum(np.max(np.abs(x), axis=1, keepdims=True), np.finfo(float).tiny)
 
 
 def _snap(A, key):
@@ -221,12 +228,12 @@ def _l1_descent(A, y, w, start):
     """Vertex descent for min_c sum_i w_i |y_i - (A c)_i| on a stack of
     shape (B, N, d), rows of weight 0 dead, from the vertex through the d
     independent rows of smallest residual at `start` (B, d).  Returns the
-    coefficients (B, d), the final bases (the rows each vertex goes through)
-    and the notes."""
+    coefficients (B, d), the notes and the final bases (the rows each vertex
+    goes through)."""
     nb, _, d = A.shape
     if d == 1:
         c, node = _weighted_median(A, y, w)
-        return c, node, np.full(nb, "l1-vertex-certified", dtype=object)
+        return c, np.full(nb, "l1-vertex-certified", dtype=object), node
     resid = np.abs(y - (A @ start[..., None])[..., 0])
     basis = _snap(A, np.where(w > 0.0, resid, np.inf))
     coeffs = np.zeros((nb, d))
@@ -248,7 +255,7 @@ def _l1_descent(A, y, w, start):
             raise ConditioningError(f"L^1 vertex basis: {exc}") from exc
         r = y - (A @ c[..., None])[..., 0]
         obj = np.sum(w * np.abs(r), axis=1)
-        noise = _L1_ZERO * (ymax + np.sum(colmax * np.abs(c), axis=1))
+        noise = _ZERO * (ymax + np.sum(colmax * np.abs(c), axis=1))
         # a pivot whose gain rounding turned into a loss: keep the previous vertex
         rose = obj > best + noise * total_w
         zero = (w > 0.0) & (np.abs(r) <= noise[:, None])
@@ -257,7 +264,7 @@ def _l1_descent(A, y, w, start):
         g = ((w * sign)[:, None, :] @ A)[:, 0]
         lam = -(g[:, None, :] @ inv)[:, 0] / w[rows, basis]
         leave = np.argmax(np.abs(lam), axis=1)
-        done = (np.abs(lam[rows[:, 0], leave]) <= 1.0 + _L1_TOL) | (obj <= noise * total_w)
+        done = (np.abs(lam[rows[:, 0], leave]) <= 1.0 + _GAP_TOL) | (obj <= noise * total_w)
         keep = ~(done | rose)
         keep_idx = np.flatnonzero(keep)
         # per pivoting ball: the descent direction and the d - 1 nodes it keeps
@@ -298,7 +305,7 @@ def _l1_descent(A, y, w, start):
         basis[moved[fresh]] = new[fresh]
         go_on = moved[fresh]
         if go_on.size == 0:
-            return coeffs, final, notes
+            return coeffs, notes, final
         if go_on.size < active.size:
             active, A, y, w, basis, best, ymax, colmax, total_w = (
                 x[go_on] for x in (active, A, y, w, basis, best, ymax, colmax, total_w)
@@ -326,7 +333,7 @@ def _degenerate_directions(A, w, zero, g):
     M = w_zero[:, None, :] * A.transpose(0, 2, 1)  # columns w_i A_i, i in Z
     # the minimum-norm solution of M lam = -g
     lam = (M.transpose(0, 2, 1) @ np.linalg.solve(M @ M.transpose(0, 2, 1), -g[..., None]))[..., 0]
-    optimal = np.max(np.abs(lam), axis=1) <= 1.0 + _L1_TOL
+    optimal = np.max(np.abs(lam), axis=1) <= 1.0 + _GAP_TOL
     d = g.shape[1]
     direction = np.zeros_like(g)
     kept = np.zeros((len(g), d - 1), dtype=int)
@@ -341,10 +348,10 @@ def _degenerate_directions(A, w, zero, g):
         sub_A, sub_y = A @ perp, -(A @ base[..., None])[..., 0]
         wA_t = (w_zero[..., None] * sub_A).transpose(0, 2, 1)
         start = np.linalg.solve(wA_t @ sub_A, wA_t @ sub_y[..., None])[..., 0]
-        eta, kept[todo], _ = _l1_descent(sub_A, sub_y, w_zero, start)
+        eta, _, kept[todo] = _l1_descent(sub_A, sub_y, w_zero, start)
         direction[todo] = base + (perp @ eta[..., None])[..., 0]
         slope = np.sum(w_zero * np.abs(A @ direction[todo][..., None])[..., 0], axis=1)
-        optimal[todo] = slope >= 1.0 - _L1_TOL
+        optimal[todo] = slope >= 1.0 - _GAP_TOL
     return direction, kept, optimal
 
 
@@ -380,7 +387,7 @@ def _line_search(A, r, w, zero, sign, direction):
     return order[rows, pos], (slope0 < 0.0) & turned[rows, pos]
 
 
-def _nelder_mead(A, y, wvals, node_w, q, start):
+def _nelder_mead(A, y, wvals, node_w, start, q):
     from scipy.optimize import minimize
 
     res = minimize(
@@ -396,10 +403,8 @@ def _estimate(resid, wvals, node_w, q, scheme, note):
     powers = node_w * (np.abs(resid) * wvals) ** q
     value_q = float(np.sum(powers))
     n = powers.shape[0]
-    if scheme.kind == "uniform" and n > 1:
-        std_q = float(np.std(powers * n, ddof=1)) / np.sqrt(n)
-    else:
-        std_q = 0.0
+    uniform = scheme.kind == "uniform" and n > 1
+    std_q = float(np.std(powers * n, ddof=1)) / np.sqrt(n) if uniform else 0.0
     est = Estimate(
         value=value_q, std_error=std_q, samples=n, seed=scheme.seed,
         flagged=note in _FLAGGED_NOTES, note=note,
@@ -435,18 +440,15 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
     notes = ["least-squares"] * len(balls)
     if q != 2.0:
         peaks = [np.max(np.abs(y)) or 1.0 for _, y, _, _ in systems]
+        scaled = [
+            (A, y / s, w, node_w, c / s) for (A, y, w, node_w), c, s in zip(systems, coeffs, peaks)
+        ]
         if q < 1.0:
-            fits = [
-                _nelder_mead(A, y / s, w, node_w, q, c / s)
-                for (A, y, w, node_w), c, s in zip(systems, coeffs, peaks)
-            ]
-            coeffs, notes = [c for c, _ in fits], [note for _, note in fits]
+            coeffs, notes = zip(*(_nelder_mead(*system, q) for system in scaled))
         else:
-            scaled = [
-                (A, y / s, node_w * w**q, c / s)
-                for (A, y, w, node_w), c, s in zip(systems, coeffs, peaks)
-            ]
-            coeffs, notes = _stacked(_l1_vertex, scaled) if q == 1.0 else _irls(scaled, q)
+            solve = _l1_descent if q == 1.0 else lambda *stack: _newton(*stack, q)
+            stacks = [(A, y, node_w * w**q, c) for A, y, w, node_w, c in scaled]
+            coeffs, notes = _stacked(solve, stacks)
         coeffs = [c * s for c, s in zip(coeffs, peaks)]
 
     out = [
@@ -458,12 +460,9 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
 
 def _to_raw_coordinates(group, basis, coeffs, ball):
     """Expand P(zeta(y)) back into a polynomial in y."""
-    zeta_polys = []
     trans = left_translation_polys(group, group.inverse(ball.center))
-    for i in range(group.n):
-        zeta_polys.append(trans[i] * float(ball.radius ** -group.weights[i]))
-    in_zeta = HomogeneousPolynomial(group, dict(zip(basis, coeffs)))
-    return in_zeta.substitute(zeta_polys)
+    zeta = [trans[i] * float(ball.radius ** -group.weights[i]) for i in range(group.n)]
+    return HomogeneousPolynomial(group, dict(zip(basis, coeffs))).substitute(zeta)
 
 
 def evaluate_candidate(group, F, u, q, ball, scheme, poly, *, op_id="best-poly"):

@@ -4,6 +4,8 @@
   nodes the solver uses, solved exactly: normal equations for q = 2 and the
   dual linear program for q = 1 (`exact_l1_value`, on the (A, y, w) that
   `best_value_system` builds).
+* `holder_lower_bound`: for q > 1, a lower bound on that value from the
+  residuals of any candidate polynomial, by Hoelder's inequality.
 * `dilated_bump`: x -> f(delta_lam x) for a gauge bump f, in closed form.
 * `mc_ball_volume`: an independent Monte Carlo ball volume by box rejection.
 * `quadrature_nodes`: the uniform nodes a scheme draws on one ball.
@@ -100,6 +102,20 @@ def best_value_system(group, F, u, q, ball, k, scheme, op_id):
     y = np.asarray(F(nodes), dtype=float).reshape(-1)
     u_q = np.asarray(u(nodes), dtype=float).reshape(-1) ** q
     return vandermonde(group, basis, zeta), y, ball_volume(group, ball.radius) / len(y) * u_q
+
+
+def holder_lower_bound(group, F, u, q, ball, k, scheme, op_id, poly):
+    """For q > 1, min over c of ||D (y - A c)||_q, D = diag(w^(1/q)), is at
+    least lam . D y / ||lam||_q' for any lam with (D A)^T lam = 0 (Hoelder).
+    Here lam is sign(r) |D r|^(q-1) for poly's residuals r, less its
+    least-squares fit by the columns of D A; at the minimizer it is exact."""
+    A, y, w = best_value_system(group, F, u, q, ball, k, scheme, op_id)
+    r = y - poly(quadrature_nodes(group, ball, scheme, op_id))
+    DA, Dr = w[:, None] ** (1.0 / q) * A, w ** (1.0 / q) * r
+    lam = np.sign(r) * np.abs(Dr) ** (q - 1.0)
+    lam -= DA @ np.linalg.lstsq(DA, lam, rcond=None)[0]
+    norm = float(np.sum(np.abs(lam) ** (q / (q - 1.0)))) ** (1.0 - 1.0 / q)
+    return float(lam @ (w ** (1.0 / q) * y)) / norm
 
 
 def exact_l1_value(A, y, w):

@@ -196,6 +196,7 @@ def test_criterion_4_poincare_sweep():
     max_ratio = {4096: 0.0, 8192: 0.0}
     total = 0
     flags = []
+    newton_notes = set()
     for group, system in configs:
         validate_exponents(system, group)
         check = check_weight_condition(group, Weight.one(group), [Weight.one(group)] * 2,
@@ -206,10 +207,13 @@ def test_criterion_4_poincare_sweep():
                 report = _acc4_trial(group, system, i, samples)
                 assert math.isfinite(report.ratio)
                 flags.extend(report.flags)
+                if system.q > 1.0 and system.q != 2.0:
+                    newton_notes.add(report.lhs.note)
                 max_ratio[samples] = max(max_ratio[samples], report.ratio)
             total += 1
     assert total == len(configs) * trials_per and total >= 100
     assert not flags, f"unexpected flags: {flags}"
+    assert newton_notes == {"newton-certified"}
     change = abs(max_ratio[4096] - max_ratio[8192]) / max_ratio[4096]
     assert change < 0.10
     _report(

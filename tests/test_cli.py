@@ -334,17 +334,23 @@ def test_sweep_commands_echo_defaults(tmp_path, command, group, k):
 
 
 def test_poincare_runs_and_echoes_config(tmp_path, capsys):
+    # q = 3 runs the Newton solver, which certifies every trial's lhs
     cfg = tmp_path / "cfg.json"
-    payload = {"trials": 3, "samples": 1024, "k": 1, "q": 2.0}
-    cfg.write_text(json.dumps(payload))
-    code = run(["poincare", "--config", str(cfg), "--out", str(tmp_path), "--seed", "11"])
-    assert code == 0
-    data = json.loads((tmp_path / "poincare.json").read_text())
-    for key, value in payload.items():
-        assert data["config"][key] == value
-    assert data["seed"] == 11
-    assert data["results"]["summary"]["trials"] == 3
-    assert data["results"]["weight_check"]["verdict"] == "finite-at-sampled-scales"
+    for payload, verdict, note in (
+        ({"trials": 3, "samples": 1024, "k": 1, "q": 2.0}, "finite-at-sampled-scales",
+         "least-squares"),
+        ({"q": 3.0, "trials": 2}, "diverges-small-r", "newton-certified"),
+    ):
+        cfg.write_text(json.dumps(payload))
+        code = run(["poincare", "--config", str(cfg), "--out", str(tmp_path), "--seed", "11"])
+        assert code == 0
+        data = json.loads((tmp_path / "poincare.json").read_text())
+        for key, value in payload.items():
+            assert data["config"][key] == value
+        assert data["seed"] == 11
+        assert data["results"]["summary"]["trials"] == payload["trials"]
+        assert data["results"]["weight_check"]["verdict"] == verdict
+        assert [t["lhs"]["note"] for t in data["results"]["trials"]] == [note] * payload["trials"]
 
 
 def test_reports_deterministic_across_threads(tmp_path):

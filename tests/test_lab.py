@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bruteforce_helpers import best_value_system, dilated_bump, exact_l1_value
+from bruteforce_helpers import (
+    best_value_system,
+    dilated_bump,
+    exact_l1_value,
+    holder_lower_bound,
+)
 from carnotlab import quad
 from carnotlab.carnot import (
     GaugeBall,
@@ -39,7 +44,7 @@ from carnotlab.lab import (
     sobolev_test,
 )
 from carnotlab.lab import bestpoly, inequalities, spaces
-from carnotlab.lab.bestpoly import _irls, _l1_vertex, _stacked, _weighted_lstsq
+from carnotlab.lab.bestpoly import _l1_descent, _newton, _stacked, _weighted_lstsq
 from carnotlab.operators import derivative_tuples, jet_rows
 from carnotlab.quad import QuadratureScheme
 from carnotlab.rng import stream
@@ -211,20 +216,33 @@ def test_evaluate_candidate_refuses_nan_on_part_of_the_ball(e1):
     assert info.value.point[0] > 0.5
 
 
-@pytest.mark.parametrize("q", [1.5, 3.0, 20.0, 25.0])
-def test_irls_note_tells_stationary_from_iteration_cap(e1, q, count_calls):
-    # q = 1.5 settles well before the cap; q >= 3 runs all _IRLS_MAX_ITER
-    # iterations here, and says so without flagging the estimate
-    iterations = count_calls(np.linalg, "qr")
-    _, est = best_polynomial(
-        e1, GaugeBump(e1, [0.0], 1.0), W1(e1), q, GaugeBall([0.3], 0.8), 2,
-        QuadratureScheme(samples=2048, seed=1234),
-    )
-    capped = len(iterations) == bestpoly._IRLS_MAX_ITER
-    assert capped == (q > 2.0)
-    assert est.note == ("irls-iteration-cap" if capped else "irls-stationary")
-    assert not est.flagged
+@pytest.mark.parametrize(
+    "group_name, q, k",
+    [("e1", 1.2, 2), ("h1", 1.5, 2), ("e1", 3.0, 1), ("h1", 20.0, 2), ("e1", 25.0, 2)],
+)
+def test_newton_value_meets_an_independent_dual_bound(request, group_name, q, k):
+    # the value is within 1e-9 of a lower bound on the minimum (up to its
+    # rounding), built here from the returned polynomial's residuals alone
+    group = request.getfixturevalue(group_name)
+    args = (group, GaugeBump(group, np.full(group.n, 0.1), 1.2), Weight.power(group, 0.5), q,
+            GaugeBall(np.full(group.n, 0.3), 0.8), k, QuadratureScheme(samples=2048, seed=1234))
+    poly, est = best_polynomial(*args, op_id="dual")
+    assert (est.note, est.flagged) == ("newton-certified", False)
     assert est.to_dict()["note"] == est.note
+    lower = holder_lower_bound(*args, "dual", poly)
+    assert -1e-12 * est.value <= est.value - lower <= 1e-9 * est.value
+
+
+@pytest.mark.parametrize("q", [1.5, 20.0])
+def test_newton_ends_on_a_stall_without_a_certificate(e1, monkeypatch, q):
+    # with no gap small enough, every ball ends once a halved step no longer
+    # lowers its objective strictly: the loop needs no iteration cap
+    monkeypatch.setattr(bestpoly, "_GAP_TOL", 0.0)
+    balls = BallSampler(dim=1, count=4, r_min=0.3, r_max=2.0).generate(5)
+    fits = best_polynomial(
+        e1, GaugeBump(e1, [0.1], 1.2), W1(e1), q, balls, 2, QuadratureScheme(samples=2048, seed=1)
+    )
+    assert [(est.note, est.flagged) for _, est in fits] == [("newton-stalled", True)] * len(balls)
 
 
 def _assert_same_fit(got, want):
@@ -259,7 +277,7 @@ def test_best_poly_ball_list_matches_single_balls(request, group_name, q, scheme
 
 
 @pytest.mark.parametrize("q", [1.5])
-def test_irls_pads_short_systems_with_zero_rows(q):
+def test_newton_pads_short_systems_with_zero_rows(q):
     # balls of one call share a uniform or grid scheme and so a node count;
     # the stack still pads unequal systems, and zero rows change nothing
     rng = stream(4, "irls-pad")
@@ -270,9 +288,9 @@ def test_irls_pads_short_systems_with_zero_rows(q):
         y = np.cos(3.0 * x) + 0.1 * rng.normal(size=n)
         wq = np.full(n, 2.0 / n)
         systems.append((A, y, wq, _weighted_lstsq(A, y, wq)))
-    together, notes = _irls(systems, q)
+    together, notes = _stacked(lambda *stack: _newton(*stack, q), systems)
     for system, c, note in zip(systems, together, notes):
-        alone, (note_1,) = _irls([system], q)
+        alone, (note_1,) = _stacked(lambda *stack: _newton(*stack, q), [system])
         np.testing.assert_allclose(c, alone[0], rtol=1e-12, atol=1e-14)
         assert note == note_1
 
@@ -293,7 +311,7 @@ def _fits_at_stack_bounds(e1, monkeypatch, scheme, q):
     [QuadratureScheme(samples=1024, seed=5), QuadratureScheme(kind="grid", points_per_axis=40)],
     ids=["uniform", "grid"],
 )
-def test_irls_stack_bound_does_not_change_values(e1, monkeypatch, scheme):
+def test_newton_stack_bound_does_not_change_values(e1, monkeypatch, scheme):
     # one ball per stack or all balls in one stack: the same numbers
     low, high = _fits_at_stack_bounds(e1, monkeypatch, scheme, 1.5)
     assert low == high
@@ -402,9 +420,9 @@ def test_l1_vertex_pads_short_systems_with_zero_rows():
         y = np.where(x > 0.2, np.cos(3.0 * x) + 0.1 * rng.normal(size=n), 0.0)
         w = np.full(n, 2.0 / n)
         systems.append((A, y, w, _weighted_lstsq(A, y, w)))
-    together, notes = _stacked(_l1_vertex, systems)
+    together, notes = _stacked(_l1_descent, systems)
     for (A, y, w, _), c, note in zip(systems, together, notes):
-        alone, (note_1,) = _stacked(_l1_vertex, [(A, y, w, _weighted_lstsq(A, y, w))])
+        alone, (note_1,) = _stacked(_l1_descent, [(A, y, w, _weighted_lstsq(A, y, w))])
         np.testing.assert_allclose(c, alone[0], rtol=1e-12, atol=1e-14)
         assert note == note_1 == "l1-vertex-certified"
         value = np.sum(w * np.abs(y - A @ c))
@@ -435,7 +453,7 @@ def test_campanato_details_keep_each_ball_solver_note(e1, small_scheme):
 
 def test_campanato_one_best_polynomial_call(e1, small_scheme, count_calls):
     # all balls in one call; one lstsq per ball for the L^2 start, and the
-    # IRLS iterations run as stacked QR solves
+    # vertex descent runs on the stacked balls
     calls = count_calls(spaces, "best_polynomial", lambda *args, **kw: kw["op_id"])
     solves = count_calls(np.linalg, "lstsq")
     sampler = BallSampler(dim=1, count=6, r_min=0.25, r_max=4.0)

@@ -735,9 +735,9 @@ def test_estimate_algebra():
 
 
 def test_estimate_serialization():
-    est = Estimate(1.5, 0.01, 1000, seed=7, note="irls-iteration-cap")
+    est = Estimate(1.5, 0.01, 1000, seed=7, note="newton-certified")
     d = est.to_dict()
     assert d == {
         "value": 1.5, "std_error": 0.01, "samples": 1000, "seed": 7, "flagged": False,
-        "note": "irls-iteration-cap",
+        "note": "newton-certified",
     }

@@ -24,7 +24,7 @@ def test_tracer_binds_every_instrumented_function(monkeypatch):
     sys.modules.pop("spans", None)
 
 
-def test_tracer_counts_irls_and_lstsq_on_a_leibniz_test(monkeypatch, e1):
+def test_tracer_counts_solver_calls_and_lstsq_on_a_leibniz_test(monkeypatch, e1):
     # the benchmark requires both counters to be non-zero on its Leibniz workload
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
