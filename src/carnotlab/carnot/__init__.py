@@ -11,7 +11,6 @@ from .derivatives import (
 )
 from .functions import (
     GaugeBump,
-    HorizontalDerivativeMagnitude,
     ProductFunction,
     TestFunction,
     random_bump,
@@ -51,7 +50,6 @@ __all__ = [
     "TestFunction",
     "GaugeBump",
     "ProductFunction",
-    "HorizontalDerivativeMagnitude",
     "random_bump",
     "ball_volume",
     "volume_constant",

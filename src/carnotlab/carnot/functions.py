@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from ..errors import DomainError, StructureError
-from .derivatives import horizontal_derivative
 from .group import GaugeBall
 from .polynomials import HomogeneousPolynomial
 
@@ -149,23 +148,6 @@ class ProductFunction(TestFunction):
         for f in self.factors:
             out = out * np.asarray(f(pts), dtype=float).reshape(pts.shape[0])
         return [out]
-
-
-class HorizontalDerivativeMagnitude(TestFunction):
-    """|X^alpha f| as an evaluable, optionally restricted to a ball."""
-
-    def __init__(self, group, f, alpha, restrict_to=None):
-        self.group = group
-        self.f = f
-        self.alpha = tuple(int(a) for a in alpha)
-        self.restrict_to = restrict_to
-        self.support = restrict_to if restrict_to is not None else getattr(f, "support", None)
-
-    def jets(self, pts, order):
-        vals = np.abs(horizontal_derivative(self.group, self.f, self.alpha, pts))
-        if self.restrict_to is not None:
-            vals = vals * self.restrict_to.contains(self.group, pts)
-        return [vals]
 
 
 def random_bump(group, rng, center_box=1.0, radius_range=(0.4, 1.5)):

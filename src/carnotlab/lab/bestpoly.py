@@ -41,9 +41,10 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
               |D r|^(q-1) projected onto null((D A)^T), of unit q'-norm; a
               value within _GAP_TOL of it (or 0 to rounding) is
               "newton-certified".  A ball whose halved step no longer moves
-              a residual ends "newton-stalled" (flagged).  Both iterative
-              solvers end a ball on a certificate or a failed descent, never
-              on a count;
+              a residual ends "newton-stalled" (flagged), unless the dual
+              point of that step's normal equations certifies it.  Both
+              iterative solvers end a ball on a certificate or a failed
+              descent, never on a count;
   q < 1       Nelder-Mead descent (scipy.optimize.minimize, looked up when
               it runs, so scipy loads with the first such solve), per ball;
               the result is an upper bound on the infimum, labeled
@@ -154,21 +155,14 @@ def _newton(A, y, wq, c, q):
     obj = np.sum(wq * np.abs(r) ** q, axis=1)
     ymax, colmax, mass = np.max(np.abs(y), axis=1), np.max(np.abs(A), axis=1), np.sum(wq, axis=1)
     coeffs, notes = c.copy(), np.full(len(c), "newton-certified", dtype=object)
-    active, stalled = np.arange(len(c)), np.zeros(len(c), dtype=bool)
+    active, ended = np.arange(len(c)), np.zeros(len(c), dtype=bool)
     while True:
-        # lam . D y = lam . D r, less the rounding of that sum, over the
-        # q'-norm of lam (>= 1 once scaled by its max, unless lam = 0)
         Dr = D * r
         lam = np.sign(r) * np.abs(Dr / _peak(Dr)) ** (q - 1.0)
-        lam -= (Q @ (Q.transpose(0, 2, 1) @ lam[..., None]))[..., 0]
-        lam /= _peak(lam)
-        qn = np.maximum(np.sum(np.abs(lam) ** (q / (q - 1.0)), axis=1), 1.0) ** (1.0 - 1.0 / q)
-        lower = (np.sum(lam * Dr, axis=1) - _ZERO * np.sum(np.abs(lam * Dr), axis=1)) / qn
         value = obj ** (1.0 / q)
         noise = _ZERO * (ymax + np.sum(colmax * np.abs(c), axis=1)) * mass ** (1.0 / q)
         coeffs[active] = c
-        notes[active[stalled]] = "newton-stalled"
-        keep = (value - lower > _GAP_TOL * value) & (value > noise) & ~stalled
+        keep = (value - _holder_bound(lam, Dr, Q, q) > _GAP_TOL * value) & (value > noise) & ~ended
         if not np.any(keep):
             return list(coeffs), list(notes)
         active, A, y, wq, D, Q, c, r, obj, ymax, colmax, mass = (
@@ -177,7 +171,8 @@ def _newton(A, y, wq, c, q):
         # the step: the IRLS solution less c, over q - 1; the R factor of the
         # reweighted [A | y] carries Q^T y in its last column
         a = np.abs(r) + 1e-12 * (ymax[:, None] + 1.0)
-        sw = np.sqrt(wq * (a / np.max(a, axis=1, keepdims=True)) ** (q - 2.0))
+        h = (a / np.max(a, axis=1, keepdims=True)) ** (q - 2.0)
+        sw = np.sqrt(wq * h)
         R = np.linalg.qr(np.concatenate([A, y[..., None]], axis=2) * sw[..., None], mode="r")
         try:
             step = (np.linalg.solve(R[:, :-1, :-1], R[:, :-1, -1:])[..., 0] - c) / (q - 1.0)
@@ -197,8 +192,28 @@ def _newton(A, y, wq, c, q):
             t[halve] *= 0.5
             # a step that moves no residual beyond rounding has failed
             t[halve & (t * vmax <= _ZERO * rmax)] = 0.0
-        stalled = t == 0.0
-        c, r, obj = c + t[:, None] * step, r - t[:, None] * v, np.where(stalled, obj, f)
+        ended = t == 0.0
+        if np.any(ended):
+            # a failed step still certifies its point when the dual point of
+            # its normal equations, A^T (wq h) (r - (q - 1) v) = 0, closes the
+            # gap: D^(q-1) h (r - (q - 1) v) lies in null((D A)^T) up to
+            # rounding, and its gap is second order in the step
+            value = obj[ended] ** (1.0 / q)
+            lam = D[ended] ** (q - 1.0) * h[ended] * (r[ended] - (q - 1.0) * v[ended])
+            gap = value - _holder_bound(lam, (D * r)[ended], Q[ended], q)
+            notes[active[ended][gap > _GAP_TOL * value]] = "newton-stalled"
+        c, r, obj = c + t[:, None] * step, r - t[:, None] * v, np.where(ended, obj, f)
+
+
+def _holder_bound(lam, Dr, Q, q):
+    """Hoelder's lower bound lam . D y / ||lam||_q' on each ball's minimum,
+    for lam projected onto null((D A)^T) by the orthonormal basis Q of
+    range(D A).  lam . D y = lam . D r, less the rounding of that sum; the
+    q'-norm is >= 1 once lam is scaled by its max, unless lam = 0."""
+    lam = lam - (Q @ (Q.transpose(0, 2, 1) @ lam[..., None]))[..., 0]
+    lam /= _peak(lam)
+    qn = np.maximum(np.sum(np.abs(lam) ** (q / (q - 1.0)), axis=1), 1.0) ** (1.0 - 1.0 / q)
+    return (np.sum(lam * Dr, axis=1) - _ZERO * np.sum(np.abs(lam * Dr), axis=1)) / qn
 
 
 def _peak(x):

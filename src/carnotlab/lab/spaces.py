@@ -20,7 +20,7 @@ from dataclasses import replace
 from ..carnot.constants import ball_volume
 from ..carnot.functions import ProductFunction
 from ..errors import DomainError, HypothesisError, ValidationError
-from ..operators import derivative_tuples, jet_rows
+from ..operators import _with_breakdown, derivative_tuples, jet_rows
 from ..quad import Estimate, estimate_product, estimate_sum, lp_norm_ball
 from .bestpoly import best_polynomial
 from .inequalities import _base_config, _finish
@@ -63,8 +63,7 @@ def _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, estima
              "value": values if rows else values[0], "note": notes if rows else notes[0]}
         )
         best = ests if best is None else [e if e.value > b.value else b for e, b in zip(ests, best)]
-    for e in best:
-        e.note = _SUP_NOTE
+    best = [replace(e, note=_SUP_NOTE) for e in best]
     return (best if rows else best[0]), details
 
 
@@ -144,12 +143,9 @@ def leibniz_test(
         )
         sups.append(dict(zip(keys, ests)))
     terms = [estimate_product(sups[i][a] for i, a in enumerate(tup)) for tup in tuples]
-    breakdown = [
-        {"alphas": [list(a) for a in tup], "value": t.value, "std_error": t.std_error}
-        for tup, t in zip(tuples, terms)
-    ]
-    rhs = replace(
-        estimate_sum(terms), std_error=sum(t.std_error for t in terms), note=_RHS_NOTE
+    rhs, breakdown = _with_breakdown(
+        replace(estimate_sum(terms), std_error=sum(t.std_error for t in terms), note=_RHS_NOTE),
+        terms, tuples,
     )
     config = _base_config(
         group,

@@ -67,6 +67,11 @@ def multilinear_fractional_integral(group, fs, tau, x, scheme, *, op_id="mfi"):
     of shape (P, n), which returns a list of P Estimates.  Under the
     uniform and grid schemes a batch shares one product node set and one
     evaluation of the slot functions; see `integrate_singular_product`.
+
+    Slots may return T rows (T, N) each: the result is then I_tau of the
+    sum over t of the rows' products, one Estimate per point, equal to the
+    sum of the T one-row calls with the same op_id up to rounding (the
+    nodes are the same); see `product_integrand`.
     """
     supports = []
     for i, f in enumerate(fs):

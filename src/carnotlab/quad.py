@@ -97,7 +97,7 @@ class QuadratureScheme:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Estimate:
     """A numeric estimate with its Monte Carlo standard error."""
 
@@ -558,17 +558,12 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm"):
 
     def root(out):
         if isinstance(out, Estimate):
-            return _lp_root(out, p)
+            return out.powered(1.0 / p)
         raws, cov = out
-        return [_lp_root(raw, p) for raw in raws], cov
+        return [raw.powered(1.0 / p) for raw in raws], cov
 
     out = integrate_ball(group, integrand, ball, scheme, op_id=op_id)
     return root(out) if isinstance(ball, GaugeBall) else [root(o) for o in out]
-
-
-def _lp_root(raw, p):
-    raw.value = max(raw.value, 0.0)
-    return raw.powered(1.0 / p)
 
 
 # -- singular product-domain integrals ----------------------------------------
@@ -623,7 +618,7 @@ def integrate_singular_product(
         strata = _strata(group, [supports], scheme, [op_id], [pole])
         [(ests, _)] = _estimate(group, strata, f, scheme, kernel)
         # without a kernel the one estimate serves every point
-        return ests if len(ests) == len(points) else [replace(ests[0]) for _ in points]
+        return ests if len(ests) == len(points) else ests * len(points)
 
     if scheme.kind == "annuli":
         out = [estimate(xp[None], xp)[0] for xp in xs]
@@ -633,12 +628,16 @@ def integrate_singular_product(
 
 
 def product_integrand(fs):
-    """Build the integrand prod_i f_i(y_i) on (N, m, n) batches."""
+    """Build the integrand prod_i f_i(y_i) on (N, m, n) batches.
+
+    A slot may return T rows, shape (T, N), instead of N values: the
+    integrand is then sum_t prod_i f_i(y_i)[t], every slot giving T rows or
+    one, and one integral of it is the sum of the T one-row integrals."""
 
     def integrand(pts):
         out = np.ones(pts.shape[0])
         for i, f in enumerate(fs):
-            out = out * np.asarray(f(pts[:, i, :]), dtype=float).reshape(pts.shape[0])
-        return out
+            out = out * np.asarray(f(pts[:, i, :]), dtype=float).reshape(-1, pts.shape[0])
+        return out.sum(axis=0)
 
     return integrand

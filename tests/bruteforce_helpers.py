@@ -5,7 +5,8 @@
   dual linear program for q = 1 (`exact_l1_value`, on the (A, y, w) that
   `best_value_system` builds).
 * `holder_lower_bound`: for q > 1, a lower bound on that value from the
-  residuals of any candidate polynomial, by Hoelder's inequality.
+  residuals of any candidate polynomial, by Hoelder's inequality;
+  `newton_dual_lower_bound` builds its dual point from a Newton step.
 * `dilated_bump`: x -> f(delta_lam x) for a gauge bump f, in closed form.
 * `mc_ball_volume`: an independent Monte Carlo ball volume by box rejection.
 * `quadrature_nodes`: the uniform nodes a scheme draws on one ball.
@@ -116,6 +117,30 @@ def holder_lower_bound(group, F, u, q, ball, k, scheme, op_id, poly):
     lam -= DA @ np.linalg.lstsq(DA, lam, rcond=None)[0]
     norm = float(np.sum(np.abs(lam) ** (q / (q - 1.0)))) ** (1.0 - 1.0 / q)
     return float(lam @ (w ** (1.0 / q) * y)) / norm
+
+
+def newton_dual_lower_bound(group, F, u, q, ball, k, scheme, op_id, poly):
+    """Hoelder's bound `holder_lower_bound` takes, from the dual point of a
+    Newton step at poly instead: with Hessian weights h = |r|^(q-2) (kept off
+    0), the step s solves the weighted normal equations A^T W A s = A^T W r,
+    W = w h, so lam = D^(q-1) h (r - A s) has (D A)^T lam = 0.  What rounding
+    leaves of (D A)^T lam is removed by an orthonormal basis of range(D A)
+    from the SVD.  Near the minimizer its gap is second order in s.  The
+    bound is taken as lam . D r, which equals lam . D y for this lam but
+    does not cancel terms of size max |y| down to the value."""
+    A, y, w = best_value_system(group, F, u, q, ball, k, scheme, op_id)
+    r = y - poly(quadrature_nodes(group, ball, scheme, op_id))
+    D = w ** (1.0 / q)
+    a = np.abs(r) + 1e-12 * float(np.max(np.abs(y)))
+    h = (a / np.max(a)) ** (q - 2.0)
+    sq = np.sqrt(w * h)
+    s = np.linalg.lstsq(sq[:, None] * A, sq * r, rcond=None)[0]
+    lam = D ** (q - 1.0) * h * (r - A @ s)
+    U = np.linalg.svd(D[:, None] * A, full_matrices=False)[0]
+    lam -= U @ (U.T @ lam)
+    lam /= np.max(np.abs(lam))
+    norm = float(np.sum(np.abs(lam) ** (q / (q - 1.0)))) ** (1.0 - 1.0 / q)
+    return float(lam @ (D * r)) / norm
 
 
 def exact_l1_value(A, y, w):

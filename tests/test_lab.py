@@ -8,13 +8,14 @@ from bruteforce_helpers import (
     dilated_bump,
     exact_l1_value,
     holder_lower_bound,
+    newton_dual_lower_bound,
 )
 from carnotlab import quad
 from carnotlab.carnot import (
     GaugeBall,
     GaugeBump,
     HomogeneousPolynomial,
-    HorizontalDerivativeMagnitude,
+    horizontal_derivative,
     monomial_basis,
     random_bump,
 )
@@ -45,8 +46,8 @@ from carnotlab.lab import (
 )
 from carnotlab.lab import bestpoly, inequalities, spaces
 from carnotlab.lab.bestpoly import _l1_descent, _newton, _stacked, _weighted_lstsq
-from carnotlab.operators import derivative_tuples, jet_rows
-from carnotlab.quad import QuadratureScheme
+from carnotlab.operators import derivative_tuples, jet_rows, multilinear_fractional_integral
+from carnotlab.quad import QuadratureScheme, sample_ball
 from carnotlab.rng import stream
 from carnotlab.weights import BallSampler, ExponentSystem, Weight
 
@@ -230,6 +231,24 @@ def test_newton_value_meets_an_independent_dual_bound(request, group_name, q, k)
     assert (est.note, est.flagged) == ("newton-certified", False)
     assert est.to_dict()["note"] == est.note
     lower = holder_lower_bound(*args, "dual", poly)
+    assert -1e-12 * est.value <= est.value - lower <= 1e-9 * est.value
+
+
+@pytest.mark.parametrize("gid, bump, center", [
+    ("e1", [0.1], [0.3]),
+    ("h1", [0.1, 0.0, 0.0], [0.3, 0.1, 0.0]),
+])
+def test_newton_certifies_a_near_exact_fit_by_its_step_dual_point(request, gid, bump, center):
+    # at r = 0.01 and q = 25 the fit is near exact: the orthogonally projected
+    # dual point leaves a gap above 1e-9 at rounding level, and the halved
+    # step fails; the dual point of that step's normal equations closes it
+    group = request.getfixturevalue(gid)
+    args = (group, GaugeBump(group, bump, 1.2), Weight.power(group, 0.5), 25.0,
+            GaugeBall(center, 0.01), 2, QuadratureScheme(samples=2048, seed=0))
+    poly, est = best_polynomial(*args, op_id="near-exact")
+    assert (est.note, est.flagged) == ("newton-certified", False)
+    assert est.value - holder_lower_bound(*args, "near-exact", poly) > 1e-9 * est.value
+    lower = newton_dual_lower_bound(*args, "near-exact", poly)
     assert -1e-12 * est.value <= est.value - lower <= 1e-9 * est.value
 
 
@@ -663,7 +682,8 @@ def test_representation_h1_bounded(h1):
     assert math.isfinite(summary["max_ratio"])
 
 
-def test_representation_one_mfi_call_per_tuple(e1, small_scheme, count_calls):
+def test_representation_one_mfi_call_per_pair(e1, small_scheme, count_calls):
+    # the sum over the 3 derivative tuples is one integral of one summed integrand
     calls = count_calls(
         inequalities, "multilinear_fractional_integral",
         lambda group, fs, tau, x, scheme, *, op_id="mfi": (np.shape(x), op_id),
@@ -672,10 +692,45 @@ def test_representation_one_mfi_call_per_tuple(e1, small_scheme, count_calls):
     records, _ = representation_check(
         e1, fs, GaugeBall([0.0], 1.0), 2, 30, small_scheme, op_id="rep"
     )
-    tuples = derivative_tuples(2, 2, e1.n1)
-    assert len(calls) == len(tuples) == 3
-    assert calls == [((30, 1), f"rep/t{t}") for t in range(len(tuples))]
+    assert len(derivative_tuples(2, 2, e1.n1)) == 3
+    assert calls == [((30, 1), "rep/rhs")]
     assert len(records) == 30
+
+
+@pytest.mark.parametrize(
+    "gid, tau, scheme",
+    [
+        ("e1", 1.0, QuadratureScheme(samples=2048, seed=3)),
+        ("e1", 1.0, QuadratureScheme(kind="annuli", samples=2048, levels=8, seed=3)),
+        ("h1", 2.0, QuadratureScheme(samples=2048, seed=3)),
+    ],
+)
+def test_mfi_of_row_slots_is_the_sum_of_one_row_calls(gid, tau, scheme, request):
+    # I_tau is linear: slots of T rows give, at every point, the sum of the T
+    # one-row calls on the same nodes; tau < mQ puts the kernel in play
+    group = request.getfixturevalue(gid)
+    rng = stream(31, f"mfi-rows/{gid}")
+    fs = [random_bump(group, rng, center_box=0.3, radius_range=(0.8, 1.2)) for _ in range(2)]
+    ball = GaugeBall(np.zeros(group.n), 1.0)
+    tuples = derivative_tuples(2, 2, group.n1)
+    assert tau < 2 * group.homogeneous_dimension
+    xs = sample_ball(group, ball, 5, stream(32, f"mfi-rows/{gid}/points"))
+    slots = [
+        inequalities._Slot(jet_rows(group, f, [t[i] for t in tuples]), ball)
+        for i, f in enumerate(fs)
+    ]
+    summed = multilinear_fractional_integral(group, slots, tau, xs, scheme, op_id="rows")
+    parts = [
+        multilinear_fractional_integral(
+            group, [inequalities._Slot(jet_rows(group, f, [t[i]]), ball)
+                    for i, f in enumerate(fs)],
+            tau, xs, scheme, op_id="rows",
+        )
+        for t in tuples
+    ]
+    for p, est in enumerate(summed):
+        assert est.value > 0.0
+        assert est.value == pytest.approx(sum(part[p].value for part in parts), rel=1e-12)
 
 
 def test_representation_hypothesis(e1, small_scheme):
@@ -926,8 +981,8 @@ def test_morrey_rows_match_single_key_calls(gid, request, small_scheme):
     assert len(sups) == len(keys) and len(details) == 6
     for a, key in enumerate(keys):
         single, single_details = morrey_norm(
-            group, HorizontalDerivativeMagnitude(group, bump, key), W1(group), 2.0, 1.0,
-            sampler, small_scheme, op_id="rows",
+            group, lambda pts: np.abs(horizontal_derivative(group, bump, key, pts)), W1(group),
+            2.0, 1.0, sampler, small_scheme, op_id="rows",
         )
         assert sups[a].to_dict() == single.to_dict()
         assert sups[a].note == single.note

@@ -109,3 +109,31 @@ def test_tracer_counts_annuli_integrals_on_a_weight_check(monkeypatch, h1):
     for name in ("quad.integrate_ball.annuli.calls", "weights.ball_term.calls",
                  "quad.integrand.points", "rng.stream.calls"):
         assert tracer.counts[name] > 0, name
+
+
+def test_tracer_counts_one_mfi_call_on_a_representation_check(monkeypatch, e1):
+    # the benchmark requires these counters to be non-zero on its repformula
+    # workload, and carnot.fd.calls to be 0 everywhere: the rhs is one MFI
+    # call on analytic jets
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from carnotlab.carnot import GaugeBall, GaugeBump
+    from carnotlab.quad import QuadratureScheme
+
+    fs = [GaugeBump(e1, [0.1], 1.0), GaugeBump(e1, [-0.2], 1.2)]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        from carnotlab import lab
+
+        lab.representation_check(
+            e1, fs, GaugeBall([0.0], 1.0), 2, 10, QuadratureScheme(samples=1024, seed=5)
+        )
+    finally:
+        tracer.uninstall()
+    sys.modules.pop("spans", None)
+    assert tracer.counts["operators.mfi.calls"] == 1
+    for name in ("quad.singular_product.calls", "carnot.jet.points"):
+        assert tracer.counts[name] > 0, name
+    assert tracer.counts["carnot.fd.calls"] == 0
