@@ -118,9 +118,12 @@ def _p_list(cfg):
     return tuple(_numbers(cfg["p_list"], "p_list"))
 
 
-def _uniform_scheme(cfg, args):
+def _setup(args, defaults):
+    """(config, group, uniform scheme) of a sampling command."""
+    cfg = _load_config(args.config, defaults, {"samples": args.samples})
+    group = group_from_id(cfg["group"])
     samples = _number(cfg["samples"], "samples", int)
-    return QuadratureScheme(kind="uniform", samples=samples, seed=args.seed)
+    return cfg, group, QuadratureScheme(kind="uniform", samples=samples, seed=args.seed)
 
 
 def _parse_eps_expr(expr):
@@ -322,7 +325,29 @@ def _partial_report(cfg, args, command, stage):
         raise
 
 
-def _sweep_exit_code(summary):
+def _weights(group, cfg, system):
+    """u and the v_i of a config: "v" holds one spec per slot, or is null."""
+    specs = [None] * system.m if cfg.get("v") is None else cfg["v"]
+    if not isinstance(specs, list):
+        raise UsageError(f"config key 'v' must be a list of weight specs, got {specs!r}")
+    return weight_from_spec(group, cfg.get("u")), [weight_from_spec(group, s) for s in specs]
+
+
+def _trial_report(cfg, args, command, reports, noun, **results):
+    """Write the summary, trials and CSV of a trial command; print its
+    summary line; exit 2 when a trial is flagged."""
+    summary = sweep_summary(reports)
+    results.update(summary=summary, trials=[r.to_dict() for r in reports])
+    header = ["trial", "lhs", "rhs", "ratio"]
+    csv_rows = [
+        [i, r.lhs.value, r.rhs.value, r.ratio if math.isfinite(r.ratio) else ""]
+        for i, r in enumerate(reports)
+    ]
+    _write_report(cfg, args, command, results, (header, csv_rows))
+    print(
+        f"{command}: {summary['trials']} {noun}, max ratio {summary['max_ratio']:.4g}, "
+        f"flags: {len(summary['flags'])}"
+    )
     return EXIT_NUMERICAL if summary["flags"] else EXIT_OK
 
 
@@ -344,11 +369,11 @@ def cmd_group_info(args):
 
 
 def cmd_counterexample(args):
-    defaults = {"p": 0.5, "q": 1.0, "eps": "2^-2..2^-8", "tol": 1e-6}
+    defaults = {"p": 0.5, "q": 1.0, "eps": "2^-2..2^-8"}
     cfg = _load_config(args.config, defaults, {"p": args.p, "q": args.q, "eps": args.eps})
     eps_list = _parse_eps_expr(cfg["eps"])
     p, q = _number(cfg["p"], "p"), _number(cfg["q"], "q")
-    rows = counterexample_report(p, q, eps_list, tol=_number(cfg["tol"], "tol"))
+    rows = counterexample_report(p, q, eps_list)
     slope = fit_scaling_slope(rows)
     target = 1.0 - p
     results = {"rows": rows, "slope": slope, "slope_target": target}
@@ -388,38 +413,19 @@ def cmd_sweep(args):
         "u": None,
         "v": None,
     }
-    cfg = _load_config(args.config, defaults, {"samples": args.samples})
-    group = group_from_id(cfg["group"])
+    cfg, group, scheme = _setup(args, defaults)
     system = _system_from_cfg(cfg)
     trials = _number(cfg["trials"], "trials", int)
-    u = weight_from_spec(group, cfg.get("u"))
-    vs = [weight_from_spec(group, spec) for spec in (cfg.get("v") or [None] * system.m)]
-    scheme = _uniform_scheme(cfg, args)
+    u, vs = _weights(group, cfg, system)
     with _partial_report(cfg, args, command, "weight-check"):
         check = check_weight_condition(group, u, vs, system, scheme)
     extra = {"sublaplacian": True} if sublaplacian else {}
     with _partial_report(cfg, args, command, "trials"):
         reports = sweep(
             group, system, u, vs, scheme, trials=trials, seed=args.seed,
-            weight_check=check, **extra,
+            weight_verdict=check["verdict"], **extra,
         )
-    summary = sweep_summary(reports)
-    results = {
-        "summary": summary,
-        "trials": [r.to_dict() for r in reports],
-        "weight_check": check,
-    }
-    header = ["trial", "lhs", "rhs", "ratio"]
-    csv_rows = [
-        [i, r.lhs.value, r.rhs.value, r.ratio if math.isfinite(r.ratio) else ""]
-        for i, r in enumerate(reports)
-    ]
-    _write_report(cfg, args, command, results, (header, csv_rows))
-    print(
-        f"{command}: {summary['trials']} trials, max ratio {summary['max_ratio']:.4g}, "
-        f"flags: {len(summary['flags'])}"
-    )
-    return _sweep_exit_code(summary)
+    return _trial_report(cfg, args, command, reports, "trials", weight_check=check)
 
 
 def cmd_weights_check(args):
@@ -436,13 +442,10 @@ def cmd_weights_check(args):
         "sampler": {},
         "samples": 4096,
     }
-    cfg = _load_config(args.config, defaults, {"samples": args.samples})
-    group = group_from_id(cfg["group"])
+    cfg, group, scheme = _setup(args, defaults)
     system = _system_from_cfg(cfg)
-    u = weight_from_spec(group, cfg.get("u"))
-    vs = [weight_from_spec(group, spec) for spec in (cfg.get("v") or [None] * system.m)]
+    u, vs = _weights(group, cfg, system)
     sampler = _sampler_from_cfg(group, cfg.get("sampler") or {})
-    scheme = _uniform_scheme(cfg, args)
     with _partial_report(cfg, args, "weights-check", "weight-check"):
         report = weight_condition_sup(
             group, u, vs, system, sampler, scheme, t_grid=_numbers(cfg["t_grid"], "t_grid")
@@ -466,12 +469,10 @@ def cmd_repformula(args):
         "samples": 4096,
         "ball": {"center": None, "radius": 1.0},
     }
-    cfg = _load_config(args.config, defaults, {"samples": args.samples})
-    group = group_from_id(cfg["group"])
+    cfg, group, scheme = _setup(args, defaults)
     ball_cfg = _spec(cfg["ball"], "ball", optional=("center", "radius"))
     center = _numbers(ball_cfg.get("center") or [0.0] * group.n, "center")
     ball = GaugeBall(center, _number(ball_cfg.get("radius", 1.0), "radius"))
-    scheme = _uniform_scheme(cfg, args)
     with _partial_report(cfg, args, "repformula", "pairs"):
         records, summaries = repformula_sweep(
             group, _number(cfg["k"], "k", int), _number(cfg["m"], "m", int), scheme,
@@ -491,12 +492,10 @@ def cmd_repformula(args):
 
 
 def _norm_command(args, command, defaults, compute):
-    cfg = _load_config(args.config, defaults, {"samples": args.samples})
-    group = group_from_id(cfg["group"])
+    cfg, group, scheme = _setup(args, defaults)
     f = function_from_spec(group, cfg["f"])
     w = weight_from_spec(group, cfg.get("w"))
     sampler = _sampler_from_cfg(group, cfg.get("sampler") or {})
-    scheme = _uniform_scheme(cfg, args)
     with _partial_report(cfg, args, command, "balls"):
         est, details = compute(group, f, w, sampler, scheme, cfg)
     results = {"norm": est.to_dict(), "note": est.note, "per_ball": details}
@@ -567,8 +566,7 @@ def cmd_leibniz(args):
         "v2": None,
         "sampler": {"count": 16, "r_min": 0.25, "r_max": 4.0},
     }
-    cfg = _load_config(args.config, defaults, {"samples": args.samples})
-    group = group_from_id(cfg["group"])
+    cfg, group, scheme = _setup(args, defaults)
     system = ExponentSystem(
         m=2, p_list=_p_list(cfg), q=_number(cfg["q"], "q"), k=_number(cfg["k"], "k", int)
     )
@@ -578,24 +576,11 @@ def cmd_leibniz(args):
     v1 = weight_from_spec(group, cfg.get("v1"))
     v2 = weight_from_spec(group, cfg.get("v2"))
     sampler = _sampler_from_cfg(group, cfg.get("sampler") or {})
-    scheme = _uniform_scheme(cfg, args)
     with _partial_report(cfg, args, "leibniz", "trials"):
         reports = leibniz_sweep(
             group, system, u, v1, v2, *lams, sampler, scheme, configs=configs, seed=args.seed
         )
-    summary = sweep_summary(reports)
-    results = {"summary": summary, "trials": [r.to_dict() for r in reports]}
-    header = ["trial", "lhs", "rhs", "ratio"]
-    csv_rows = [
-        [i, r.lhs.value, r.rhs.value, r.ratio if math.isfinite(r.ratio) else ""]
-        for i, r in enumerate(reports)
-    ]
-    _write_report(cfg, args, "leibniz", results, (header, csv_rows))
-    print(
-        f"leibniz: {summary['trials']} configs, max ratio {summary['max_ratio']:.4g}, "
-        f"flags: {len(summary['flags'])}"
-    )
-    return _sweep_exit_code(summary)
+    return _trial_report(cfg, args, "leibniz", reports, "configs")
 
 
 # -- entry point ---------------------------------------------------------------

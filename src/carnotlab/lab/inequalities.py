@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..carnot.functions import ProductFunction
-from ..errors import HypothesisError
+from ..errors import DomainError, HypothesisError
 from ..operators import (
     derivative_tuples,
     jet_rows,
@@ -150,6 +150,8 @@ def representation_check(group, fs, ball, k, num_points, scheme, *, op_id="repfo
     rhs is one estimate; the points share the node set, so their standard
     errors are correlated.  Returns per-point records and the max ratio.
     """
+    if num_points < 0:
+        raise DomainError(f"the number of points must be >= 0, got {num_points}")
     m = len(fs)
     mq = m * group.homogeneous_dimension
     if k > mq:

@@ -119,8 +119,10 @@ def leibniz_test(
     Requires the scaling relation lambda/q = lambda_1/p_1 + lambda_2/p_2
     and k <= 2Q.
     """
-    if system.m != 2:
-        raise ValidationError(["the Leibniz experiment is bilinear: m must be 2"])
+    if system.m != 2 or len(system.p_list) != 2:
+        raise ValidationError(["the Leibniz experiment is bilinear: m = 2, two p_list entries"])
+    if not system.q > 0.0:
+        raise ValidationError([f"q = {system.q} must be positive"])
     k = system.k
     p1, p2 = system.p_list
     relation = lam / system.q - (lam1 / p1 + lam2 / p2)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..carnot.functions import random_bump
 from ..carnot.group import GaugeBall
-from ..errors import ConditioningError, IntegrationError
+from ..errors import ConditioningError, DomainError, IntegrationError
 from ..rng import stream
 from ..weights import BallSampler, weight_condition_sup
 from .inequalities import (
@@ -47,83 +47,61 @@ def check_weight_condition(group, u, vs, system, scheme):
     }
 
 
-def _run_trials(trials, run):
-    """[run(i) for i < trials]; a numerical error raised by trial i leaves
-    with `exc.trial = i`, so a partial report can name it."""
+def _run_trials(name, count, seed, trial):
+    """[trial(rng, op_id) for the trial indices i < count], where trial i
+    draws from stream(seed, op_id) with op_id = f"{name}-sweep/{i}".  A
+    numerical error raised by trial i leaves with `exc.trial = i`, so a
+    partial report can name it."""
+    if count < 0:
+        raise DomainError(f"a {name} sweep needs a count >= 0, got {count}")
     reports = []
-    for i in range(trials):
+    for i in range(count):
+        op_id = f"{name}-sweep/{i}"
         try:
-            reports.append(run(i))
+            reports.append(trial(stream(seed, op_id), op_id))
         except (IntegrationError, ConditioningError) as exc:
             exc.trial = i
             raise
     return reports
 
 
-def poincare_sweep(group, system, u, vs, scheme, *, trials=100, seed=0, weight_check=None):
+def poincare_sweep(group, system, u, vs, scheme, *, trials=100, seed=0, weight_verdict=None):
     """Randomized (f_vec, B) trials of the local inequality."""
-    if weight_check is None:
-        weight_check = check_weight_condition(group, u, vs, system, scheme)
 
-    def trial(i):
-        rng = stream(seed, f"poincare-sweep/{i}")
+    def trial(rng, op_id):
         fs = [random_bump(group, rng) for _ in range(system.m)]
         ball = _random_trial_ball(rng, group)
         return poincare_test(
-            group,
-            fs,
-            u,
-            vs,
-            system,
-            ball,
-            scheme,
-            weight_verdict=weight_check["verdict"],
-            op_id=f"poincare-sweep/{i}",
+            group, fs, u, vs, system, ball, scheme, weight_verdict=weight_verdict, op_id=op_id
         )
 
-    return _run_trials(trials, trial)
+    return _run_trials("poincare", trials, seed, trial)
 
 
-def sobolev_sweep(group, system, u, vs, scheme, *, trials=50, seed=0, weight_check=None, sublaplacian=False):
+def sobolev_sweep(
+    group, system, u, vs, scheme, *, trials=50, seed=0, weight_verdict=None, sublaplacian=False
+):
     """Randomized compactly supported tuples for the global inequality."""
-    if weight_check is None:
-        weight_check = check_weight_condition(group, u, vs, system, scheme)
     test = sobolev_sublaplacian_test if sublaplacian else sobolev_test
 
-    def trial(i):
-        rng = stream(seed, f"sobolev-sweep/{i}")
+    def trial(rng, op_id):
         fs = [random_bump(group, rng) for _ in range(system.m)]
-        return test(
-            group,
-            fs,
-            u,
-            vs,
-            system,
-            scheme,
-            weight_verdict=weight_check["verdict"],
-            op_id=f"sobolev-sweep/{i}",
-        )
+        return test(group, fs, u, vs, system, scheme, weight_verdict=weight_verdict, op_id=op_id)
 
-    return _run_trials(trials, trial)
+    return _run_trials("sobolev", trials, seed, trial)
 
 
 def repformula_sweep(group, k, m, scheme, *, pairs=10, points=50, seed=0, ball=None):
     """Pointwise representation-bound ratios over random function tuples."""
     ball = ball if ball is not None else GaugeBall(group.identity(), 1.0)
 
-    def pair(i):
-        rng = stream(seed, f"repformula-sweep/{i}")
-        fs = [
-            random_bump(group, rng, center_box=0.4, radius_range=(0.8, 1.6))
-            for _ in range(m)
-        ]
-        records, summary = representation_check(
-            group, fs, ball, k, points, scheme, op_id=f"repformula-sweep/{i}"
-        )
-        summary["pair"] = i
-        return records, summary
+    def pair(rng, op_id):
+        fs = [random_bump(group, rng, center_box=0.4, radius_range=(0.8, 1.6)) for _ in range(m)]
+        return representation_check(group, fs, ball, k, points, scheme, op_id=op_id)
 
-    results = _run_trials(pairs, pair)
+    results = _run_trials("repformula", pairs, seed, pair)
+    for i, (_, summary) in enumerate(results):
+        summary["pair"] = i
     return [r for r, _ in results], [s for _, s in results]
 
 
@@ -132,16 +110,13 @@ def leibniz_sweep(
 ):
     """Randomized bilinear Campanato-Morrey Leibniz trials."""
 
-    def config(i):
-        rng = stream(seed, f"leibniz-sweep/{i}")
-        f = random_bump(group, rng)
-        g = random_bump(group, rng)
+    def config(rng, op_id):
+        f, g = random_bump(group, rng), random_bump(group, rng)
         return leibniz_test(
-            group, f, g, u, v1, v2, system, lam, lam1, lam2, sampler, scheme,
-            op_id=f"leibniz-sweep/{i}",
+            group, f, g, u, v1, v2, system, lam, lam1, lam2, sampler, scheme, op_id=op_id
         )
 
-    return _run_trials(configs, config)
+    return _run_trials("leibniz", configs, seed, config)
 
 
 def sweep_summary(reports):

@@ -243,6 +243,8 @@ def ball_term(group, u, vs, system, ball, scheme, t_grid, *, op_id="ball-term"):
     non-empty, with every t > 1.
     """
     system = validate_exponents(system, group)
+    if len(vs) != system.m:
+        raise DomainError(f"expected one weight v_i per slot, m = {system.m}, got {len(vs)}")
     ts = tuple(t_grid)
     if not ts:
         raise DomainError("the t grid is empty")

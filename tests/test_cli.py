@@ -92,11 +92,13 @@ def test_counterexample_below_one_is_certified(tmp_path, capsys):
     assert all(r["converged"] for r in rows)
 
 
-def test_counterexample_coarse_key_is_gone(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("coarse", 200), ("tol", 1e-6)], ids=["coarse", "tol"])
+def test_counterexample_coarse_key_is_gone(tmp_path, capsys, key, value):
+    # the minimum is exact on the nodes: no grid size, and b is bisected to adjacent floats
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p": 0.5, "coarse": 200}))
+    cfg.write_text(json.dumps({"p": 0.5, key: value}))
     assert run(["counterexample", "--config", str(cfg), "--out", str(tmp_path)]) == 64
-    assert "coarse" in capsys.readouterr().err
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -157,7 +159,7 @@ _FAST = {"samples": 1024, "trials": 1}
         ("leibniz", {"configs": True, "samples": 1024}, "configs"),
         ("repformula", {"pairs": 1.5, "points": 2, "samples": 1024}, "pairs"),
         ("repformula", {"points": "5", "pairs": 1, "samples": 1024}, "points"),
-        ("counterexample", {"tol": "small"}, "tol"),
+        ("counterexample", {"p": "0.5"}, "p"),
         ("counterexample", {"q": "1"}, "q"),
         ("weights-check", {"sampler": {"count": "2"}, "samples": 1024}, "count"),
         ("weights-check", {"sampler": {"count": 2.5}, "samples": 1024}, "count"),
@@ -172,6 +174,8 @@ _FAST = {"samples": 1024, "trials": 1}
         ("morrey", {"w": {"kind": "power", "beta": "x"}, "samples": 1024}, "beta"),
         ("morrey", {"w": {"kind": "constant", "value": "x"}, "samples": 1024}, "value"),
         ("repformula", {"ball": {"radius": "x"}, "pairs": 1, "points": 2, "samples": 1024}, "radius"),
+        ("poincare", dict(_FAST, v=5), "v"),
+        ("weights-check", {"v": {"kind": "power", "beta": 0.5}, "samples": 1024}, "v"),
     ],
 )
 def test_wrong_typed_config_value_is_usage_error(tmp_path, capsys, command, config, key):
@@ -201,6 +205,39 @@ def test_malformed_group_id_or_bump_center_is_structure_error(tmp_path, capsys, 
         argv = argv + ["--config", str(cfg), "--out", str(tmp_path)]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_POWER = {"kind": "power", "beta": 0.5}
+
+
+@pytest.mark.parametrize(
+    "command, config, token",
+    [
+        ("weights-check", {"m": 2, "p_list": [2.0, 2.0], "q": 2.0, "v": [_POWER],
+                           "samples": 1024, "sampler": {"count": 4}}, "one weight v_i per slot"),
+        ("poincare", {"v": [_POWER], "trials": 1, "samples": 1024}, "one weight v_i per slot"),
+        ("sobolev", {"v": [], "trials": 1, "samples": 1024}, "one weight v_i per slot"),
+        ("leibniz", {"p_list": [2.0, 2.0, 2.0], "configs": 1, "samples": 1024}, "p_list"),
+        ("leibniz", {"p_list": [2.0], "configs": 1, "samples": 1024}, "p_list"),
+        ("leibniz", {"q": 0.0, "configs": 1, "samples": 1024}, "q = 0.0"),
+        ("repformula", {"points": -1, "pairs": 1, "samples": 1024}, "number of points"),
+        ("poincare", {"trials": -2, "samples": 1024}, "poincare sweep needs a count >= 0"),
+        ("leibniz", {"configs": -1, "samples": 1024}, "leibniz sweep needs a count >= 0"),
+        ("repformula", {"pairs": -1, "samples": 1024}, "repformula sweep needs a count >= 0"),
+    ],
+    ids=["weights-check-short-v", "poincare-short-v", "sobolev-empty-v", "leibniz-three-p",
+         "leibniz-one-p", "leibniz-q-zero", "repformula-negative-points",
+         "poincare-negative-trials", "leibniz-negative-configs", "repformula-negative-pairs"],
+)
+def test_malformed_trial_input_is_validation_error(tmp_path, capsys, command, config, token):
+    # a short v list, a Leibniz p_list without two entries or q <= 0, and a
+    # negative count exit 1 naming the input: no traceback, no empty report
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and token in err
+    assert not (tmp_path / f"{command}.json").exists()
 
 
 def test_nested_config_value_keeps_the_other_defaults(tmp_path):

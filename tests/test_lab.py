@@ -519,7 +519,7 @@ def test_poincare_sweep_small(h1):
     scheme = QuadratureScheme(samples=2048, seed=29)
     reports = poincare_sweep(
         h1, sys, W1(h1), [W1(h1), W1(h1)], scheme, trials=6, seed=31,
-        weight_check={"verdict": "finite-at-sampled-scales", "witness_t": 2.0, "exponent": 0.0},
+        weight_verdict="finite-at-sampled-scales",
     )
     summary = sweep_summary(reports)
     assert summary["finite_ratios"] == 6
@@ -899,6 +899,27 @@ def test_affine_infimum_below_one_is_not_above_known_line():
     # 0.65973279; the earlier grid search reported 0.659793
     out = affine_infimum(counterexample_family(0.25), 0.5, np.polynomial.legendre.leggauss(400))
     assert out["value"] <= 0.6597328 + 1e-9
+
+
+def test_affine_infimum_bisects_the_offset_to_adjacent_floats():
+    # q = 1.5: the derivative in b of sum_i w_i |g_i - b|^q changes sign
+    # between the floats next to the returned b; L is not above the values
+    # the bisection to a 1e-6 tolerance reported
+    rule = np.polynomial.legendre.leggauss(400)
+    for eps, tolerance_l in ((0.25, 0.09569557333759872), (0.125, 0.09887530553978505),
+                             (0.0625, 0.09971285970311408)):
+        out = affine_infimum(counterexample_family(eps), 1.5, rule)
+        assert out["method"] == "symmetric-convex" and out["a"] == 0.5
+        x, w = _three_piece_nodes(eps, 400)
+        g = counterexample_family(eps).value(x) - 0.5 * x
+        g = 0.5 * (g + g[::-1])
+
+        def slope(b):
+            return np.dot(w, np.sign(b - g) * np.abs(b - g) ** 0.5)
+
+        assert slope(np.nextafter(out["b"], -np.inf)) <= 0.0
+        assert slope(np.nextafter(out["b"], np.inf)) >= 0.0
+        assert out["value"] <= tolerance_l
 
 
 def test_counterexample_rows_are_certified():

@@ -137,3 +137,23 @@ def test_tracer_counts_one_mfi_call_on_a_representation_check(monkeypatch, e1):
     for name in ("quad.singular_product.calls", "carnot.jet.points"):
         assert tracer.counts[name] > 0, name
     assert tracer.counts["carnot.fd.calls"] == 0
+
+
+def test_tracer_counts_gauss_rules_and_minima_on_a_counterexample(monkeypatch):
+    # the benchmark requires both counters to be non-zero on its
+    # counterexample workload, which bypasses the quadrature and group layers
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        from carnotlab import lab
+
+        lab.counterexample_report(0.5, 0.5, [0.25])
+    finally:
+        tracer.uninstall()
+    sys.modules.pop("spans", None)
+    assert tracer.counts["lab.leggauss.calls"] > 0
+    assert tracer.counts["lab.affine_infimum.calls"] > 0
+    assert not [k for k, v in tracer.counts.items() if k.startswith(("quad.", "carnot.")) and v]

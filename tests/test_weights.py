@@ -88,6 +88,14 @@ def test_ball_term_rejects_bad_t_grid(e1, small_scheme):
             ball_term(e1, w, [w], sys, GaugeBall([0.0], 1.0), small_scheme, t_grid)
 
 
+def test_ball_term_rejects_a_v_list_of_the_wrong_length(e1, small_scheme):
+    # zipping a short list with the conjugates would drop v_2's factor
+    w = Weight.one(e1)
+    for vs in ([w], [w, w, w]):
+        with pytest.raises(DomainError, match="one weight v_i per slot"):
+            ball_term(e1, w, vs, ONE_SYS, GaugeBall([0.0], 1.0), small_scheme, (2.0,))
+
+
 # -- weights ------------------------------------------------------------------------
 
 
