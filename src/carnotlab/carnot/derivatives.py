@@ -42,39 +42,33 @@ def generator_coefficients(group, pts):
     n, n1 = group.n, group.n1
     coef = np.zeros((pts.shape[0], n1, n))
     coef[:, np.arange(n1), np.arange(n1)] = 1.0
-    if group.step == 2:
-        btx = np.einsum("na,jab->njb", pts[:, :n1], group.forms)  # (N, n2, n1)
-        coef[:, :, n1:] = 0.5 * np.transpose(btx, (0, 2, 1))
+    coef[:, :, n1:] = np.swapaxes(group.translation_rows(pts), -1, -2)
     return coef
 
 
 def coefficient_jacobian(group):
-    """Constant Jacobian J[a, u, v] = d c^a_u / d x_v of the field coefficients."""
+    """Constant Jacobian J[a, u, v] = d c^a_u / d x_v of the field coefficients.
+
+    The coefficients are linear in x^(1): c^a_{n1+j}(x) = R(x)[j, a], so
+    J[a, n1 + j, v] = R(e_v)[j, a] for v < n1 and zero elsewhere.
+    """
     n, n1 = group.n, group.n1
     jac = np.zeros((n1, n, n))
-    if group.step == 2:
-        for j in range(group.n2):
-            jac[:, n1 + j, :n1] = 0.5 * group.forms[j].T
+    jac[:, n1:, :n1] = np.transpose(group.translation_rows(np.eye(n1, n)), (2, 1, 0))
     return jac
 
 
 def apply_generator_to_polynomial(poly, a):
-    """X_a P as a polynomial."""
+    """X_a P = d_a P + sum_j c^a_{n1+j} d_{n1+j} P as a polynomial."""
     group = poly.group
+    jac = coefficient_jacobian(group)[a]
+    units = [tuple(int(i == b) for i in range(group.n)) for b in range(group.n1)]
     out = poly.partial(a)
-    if group.step == 2:
-        for j in range(group.n2):
-            dz = poly.partial(group.n1 + j)
-            if dz.terms:
-                lin = HomogeneousPolynomial(
-                    group,
-                    {
-                        tuple(1 if i == b else 0 for i in range(group.n)): 0.5 * group.forms[j][b, a]
-                        for b in range(group.n1)
-                        if group.forms[j][b, a] != 0.0
-                    },
-                )
-                out = out + lin * dz
+    for j in range(group.n2):
+        dz = poly.partial(group.n1 + j)
+        if dz.terms:
+            lin = HomogeneousPolynomial(group, dict(zip(units, jac[group.n1 + j])))
+            out = out + lin * dz
     return out
 
 

@@ -100,16 +100,32 @@ class CarnotGroup:
 
     # -- group operations ----------------------------------------------------
 
+    def translation_rows(self, g):
+        """Rows R[..., j, b] = (1/2) (g^(1) . B_j)_b of left translation by g.
+
+        The law is affine in h: the second layer of g o h is
+        g^(2) + h^(2) + R(g) h^(1), so R holds the generator coefficients,
+        the cross terms of g o y as polynomials in y, and the reach of
+        g o B(0, r) in the second layer.  Shape (..., n2, n1); empty in
+        step 1.
+        """
+        g1 = self._check_point(g)[..., : self.n1]
+        if self.step == 1:
+            return np.zeros(g1.shape[:-1] + (0, self.n1))
+        return np.einsum("...a,jab->...jb", g1, 0.5 * self.forms)
+
     def compose(self, g, h):
         """Group product g o h, broadcasting over leading axes."""
         g = self._check_point(g)
         h = self._check_point(h)
-        g, h = np.broadcast_arrays(g, h)
+        rows = self.translation_rows(g)
+        # R(g) h^(1) column by column: faster than einsum, most of all on
+        # the empty rows of step 1
+        cross = rows[..., 0] * h[..., :1]
+        for b in range(1, self.n1):
+            cross += rows[..., b] * h[..., b : b + 1]
         out = g + h
-        if self.step == 2:
-            out[..., self.n1 :] += 0.5 * np.einsum(
-                "jab,...a,...b->...j", self.forms, g[..., : self.n1], h[..., : self.n1]
-            )
+        out[..., self.n1 :] += cross
         return out
 
     def inverse(self, g):
@@ -169,15 +185,12 @@ def ball_box(group, ball):
     """Axis-aligned box containing a gauge ball.
 
     B(c, r) = c o B(0, r), and the left translation is affine; the
-    second-layer coordinates pick up the cross term (1/2) c . B_j u with
-    |u^(1)|_2 < r, bounded by (1/2) |B_j^T c^(1)|_2 r.
+    second-layer coordinates pick up the cross term R(c) u^(1) with
+    |u^(1)|_2 < r, bounded row by row by |R_j(c)|_2 r.
     """
     c = np.asarray(ball.center, dtype=float)
     ext = centered_box_extents(group, ball.radius)
-    if group.step == 2:
-        rows = np.einsum("jab,a->jb", group.forms, c[: group.n1])  # (n2, n1)
-        ext = ext.copy()
-        ext[group.n1 :] += 0.5 * np.linalg.norm(rows, axis=1) * ball.radius
+    ext[group.n1 :] += np.linalg.norm(group.translation_rows(c), axis=-1) * ball.radius
     return c - ext, c + ext
 
 

@@ -58,12 +58,6 @@ class HomogeneousPolynomial:
         alpha[i] = 1
         return cls(group, {tuple(alpha): 1.0})
 
-    def degree(self):
-        """Homogeneous degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(weighted_degree(self.group, a) for a in self.terms)
-
     def __call__(self, x):
         """Value at a point (n,), a scalar, or on a batch (N, n): the sum of
         the terms c * x^alpha in term order, each formed from this call's
@@ -160,18 +154,11 @@ def left_translation_polys(group, g):
     comps = []
     for i in range(group.n):
         comps.append(HomogeneousPolynomial.coordinate(group, i) + float(g[i]))
-    if group.step == 2:
-        for j in range(group.n2):
-            row = np.einsum("a,ab->b", g[: group.n1], group.forms[j])
-            cross = HomogeneousPolynomial(
-                group,
-                {
-                    tuple(1 if i == b else 0 for i in range(group.n)): 0.5 * row[b]
-                    for b in range(group.n1)
-                    if row[b] != 0.0
-                },
-            )
-            comps[group.n1 + j] = comps[group.n1 + j] + cross
+    units = [tuple(int(i == b) for i in range(group.n)) for b in range(group.n1)]
+    for j, row in enumerate(group.translation_rows(g)):
+        comps[group.n1 + j] = comps[group.n1 + j] + HomogeneousPolynomial(
+            group, dict(zip(units, row))
+        )
     return comps
 
 

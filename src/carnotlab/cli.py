@@ -32,6 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .lab.counterexample import counterexample_report, fit_scaling_slope
+from .lab.inequalities import check_sublaplacian_hypotheses
 from .lab.reports import dump_json, write_csv
 from .lab.sweeps import (
     check_weight_condition,
@@ -415,6 +416,8 @@ def cmd_sweep(args):
     }
     cfg, group, scheme = _setup(args, defaults)
     system = _system_from_cfg(cfg)
+    if sublaplacian:
+        check_sublaplacian_hypotheses(group, system)
     trials = _number(cfg["trials"], "trials", int)
     u, vs = _weights(group, cfg, system)
     with _partial_report(cfg, args, command, "weight-check"):

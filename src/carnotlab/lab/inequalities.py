@@ -105,15 +105,22 @@ def sobolev_test(group, fs, u, vs, system, scheme, *, weight_verdict=None, op_id
     return _finish(lhs, rhs, config, terms)
 
 
+def check_sublaplacian_hypotheses(group, system):
+    """Raise HypothesisError unless k = 2 and m*Q > 2."""
+    if system.k != 2:
+        raise HypothesisError(
+            f"the sub-Laplacian inequality is a k = 2 statement, got k = {system.k}"
+        )
+    mq = system.m * group.homogeneous_dimension
+    if not mq > 2:
+        raise HypothesisError(f"needs m*Q > 2, got m*Q = {mq}")
+
+
 def sobolev_sublaplacian_test(
     group, fs, u, vs, system, scheme, *, weight_verdict=None, op_id="sublap"
 ):
     """Second-order global trial with the sub-Laplacian right-hand side (k = 2)."""
-    if system.k != 2:
-        raise HypothesisError("the sub-Laplacian inequality is a k = 2 statement")
-    mq = system.m * group.homogeneous_dimension
-    if not mq > 2:
-        raise HypothesisError(f"needs m*Q > 2, got m*Q = {mq}")
+    check_sublaplacian_hypotheses(group, system)
     system = validate_exponents(system, group)
     product = ProductFunction(group, fs)
     lhs = lp_norm_ball(

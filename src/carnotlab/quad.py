@@ -116,25 +116,13 @@ class Estimate:
         """First-order error propagation through v -> v^gamma."""
         v = self.value
         if v <= 0.0:
-            return Estimate(0.0, 0.0, self.samples, self.seed, self.flagged, self.note)
-        return Estimate(
-            value=v**gamma,
-            std_error=abs(gamma) * v ** (gamma - 1.0) * self.std_error,
-            samples=self.samples,
-            seed=self.seed,
-            flagged=self.flagged,
-            note=self.note,
+            return replace(self, value=0.0, std_error=0.0)
+        return replace(
+            self, value=v**gamma, std_error=abs(gamma) * v ** (gamma - 1.0) * self.std_error
         )
 
     def scaled(self, c):
-        return Estimate(
-            value=c * self.value,
-            std_error=abs(c) * self.std_error,
-            samples=self.samples,
-            seed=self.seed,
-            flagged=self.flagged,
-            note=self.note,
-        )
+        return replace(self, value=c * self.value, std_error=abs(c) * self.std_error)
 
     def to_dict(self):
         return {
@@ -231,8 +219,6 @@ def sample_ball(group, ball, count, rng):
         "sample_ball: %d/%d drawn points accepted (%.1f%%), %d kept",
         accepted, drawn, 100.0 * accepted / drawn, out.shape[0] * count,
     )
-    if len(balls) == 1:  # einsum in `compose` is slower on a (1, 1, n) broadcast
-        return group.compose(balls[0].center, out[0])
     return group.compose(np.array([b.center for b in balls])[:, None], out).reshape(-1, group.n)
 
 
@@ -316,9 +302,7 @@ def _annuli(group, balls, op_id, pole, top, top_volume, scheme):
     # shell j reaches ball_box(group, GaugeBall(pole, outer[j])), all j at once
     outer = r0 * 0.5 ** np.arange(levels)
     ext = outer[:, None] ** group.weights
-    if group.step == 2:
-        rows = np.einsum("jab,a->jb", group.forms, pole[: group.n1])
-        ext[:, group.n1 :] += 0.5 * np.linalg.norm(rows, axis=1) * outer[:, None]
+    ext[:, group.n1 :] += np.linalg.norm(group.translation_rows(pole), axis=-1) * outer[:, None]
     boxes = np.array([ball_box(group, ball) for ball in balls])  # (m, 2, n)
     lo = np.maximum(boxes[:, 0], (pole - ext)[:, None])
     hi = np.minimum(boxes[:, 1], (pole + ext)[:, None])

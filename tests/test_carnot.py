@@ -1,9 +1,14 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carnotlab
+
 from carnotlab.carnot import (
+    GaugeBall,
     GaugeBump,
     HomogeneousPolynomial,
     JetTable,
@@ -23,8 +28,11 @@ from carnotlab.carnot.derivatives import (
     coefficient_jacobian,
     generator_coefficients,
 )
+from carnotlab.carnot.group import ball_box
+from carnotlab.carnot.polynomials import left_translation_polys
 from carnotlab.errors import DomainError, StructureError
 from carnotlab.operators import jet_rows
+from carnotlab.quad import sample_ball
 from carnotlab.rng import stream
 
 from bruteforce_helpers import mc_ball_volume, poly_eval_by_powers, vandermonde_by_powers
@@ -113,6 +121,83 @@ def test_step_two_requires_skew():
     bad[0] = [[0.0, 1.0], [1.0, 0.0]]
     with pytest.raises(StructureError):
         step_two_group(bad)
+
+
+def _random_step_two():
+    a = stream(7, "translation-rows/forms").standard_normal((2, 3, 3))
+    return step_two_group(a - np.transpose(a, (0, 2, 1)))
+
+
+_LAW_GROUPS = [_random_step_two(), heisenberg_group(1), heisenberg_group(2), euclidean_group(2)]
+_LAW_IDS = ["step2:3x2", "heisenberg:1", "heisenberg:2", "euclidean:2"]
+
+
+@pytest.mark.parametrize("group", _LAW_GROUPS, ids=_LAW_IDS)
+def test_translation_rows_carry_the_second_layer_of_the_law(group):
+    # R[j, b] = (1/2) (g^(1) . B_j)_b, and (g o h)^(2) = g^(2) + h^(2) + R(g) h^(1)
+    rng = stream(8, f"translation-rows/{group.ident}")
+    g, h = rng.uniform(-2, 2, size=(2, 64, group.n))
+    n1 = group.n1
+    rows = group.translation_rows(g)
+    assert rows.shape == (64, group.n2, n1)
+    assert group.translation_rows(g[0]).shape == (group.n2, n1)
+    if group.n2:
+        want = np.einsum("na,jab->njb", g[:, :n1], 0.5 * group.forms)
+        np.testing.assert_array_equal(rows, want)
+    out = group.compose(g, h)
+    np.testing.assert_array_equal(out[:, :n1], g[:, :n1] + h[:, :n1])
+    want = g[:, n1:] + h[:, n1:] + np.einsum("njb,nb->nj", rows, h[:, :n1])
+    np.testing.assert_allclose(out[:, n1:], want, rtol=0.0, atol=1e-14)
+    # the cross terms of g o y as polynomials in y are the rows of R(g)
+    comps = left_translation_polys(group, g[0])
+    got = np.stack([c(h) for c in comps], axis=-1)
+    np.testing.assert_allclose(got, group.compose(g[0], h), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", ["(N,n)o(N,n)", "(n,)o(N,n)", "(1,1,n)o(1,N,n)"])
+def test_heisenberg_compose_is_the_explicit_commutator_bitwise(h1, shape):
+    rng = stream(9, f"compose-shapes/{shape}")
+    g, h = rng.uniform(-3, 3, size=(2, 4096, 3))
+    g, h = {
+        "(N,n)o(N,n)": (g, h), "(n,)o(N,n)": (g[0], h), "(1,1,n)o(1,N,n)": (g[:1, None], h[None])
+    }[shape]
+    (x, y, t), (x2, y2, t2) = np.moveaxis(g, -1, 0), np.moveaxis(h, -1, 0)
+    want = np.stack(np.broadcast_arrays(x + x2, y + y2, t + t2 + 0.5 * (x * y2 - y * x2)), axis=-1)
+    np.testing.assert_array_equal(h1.compose(g, h), want)
+
+
+@pytest.mark.parametrize("group", _LAW_GROUPS, ids=_LAW_IDS)
+def test_coefficient_jacobian_is_half_the_transposed_forms(group):
+    n1 = group.n1
+    want = np.zeros((n1, group.n, group.n))
+    for j in range(group.n2):
+        want[:, n1 + j, :n1] = 0.5 * group.forms[j].T
+    np.testing.assert_array_equal(coefficient_jacobian(group), want)
+
+
+@pytest.mark.parametrize("group", _LAW_GROUPS, ids=_LAW_IDS)
+def test_ball_box_contains_the_ball(group):
+    rng = stream(10, f"ball-box/{group.ident}")
+    for i in range(6):
+        ball = GaugeBall(rng.uniform(-2, 2, size=group.n), rng.uniform(0.2, 1.5))
+        pts = sample_ball(group, ball, 2000, stream(10, f"ball-box/{group.ident}/{i}"))
+        lo, hi = ball_box(group, ball)
+        assert np.all((lo <= pts) & (pts <= hi))
+
+
+def test_only_the_group_module_reads_the_forms():
+    # the step-2 law is decided in carnot/group.py; every other module asks
+    # the group (compose, translation_rows) instead of contracting its forms
+    root = Path(carnotlab.__file__).resolve().parent
+    pattern = re.compile(r"\.forms\b|\bstep\s*==\s*2\b")
+    offenders = [
+        f"{path.relative_to(root)}:{number}"
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "carnot" / "group.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
 
 
 # -- gauge and distance ----------------------------------------------------------

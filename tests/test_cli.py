@@ -240,6 +240,28 @@ def test_malformed_trial_input_is_validation_error(tmp_path, capsys, command, co
     assert not (tmp_path / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize(
+    "group, k, token",
+    [("euclidean:2", 1, "k = 2 statement, got k = 1"), ("euclidean:1", 2, "m*Q = 2")],
+    ids=["k-one", "mQ-two"],
+)
+def test_sublaplacian_hypotheses_fail_before_the_weight_check(
+    tmp_path, capsys, count_calls, group, k, token
+):
+    # k = 2 and m*Q > 2 are checked on the config, so a failing one exits 1
+    # without the weight check a non-constant v would run first
+    import carnotlab.lab.sweeps as sweeps
+
+    calls = count_calls(sweeps, "weight_condition_sup")
+    cfg = tmp_path / "cfg.json"
+    power = {"kind": "power", "beta": 0.25}
+    cfg.write_text(json.dumps({"group": group, "k": k, "v": [power, power]}))
+    assert run(["sobolev-sublaplacian", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert token in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "sobolev-sublaplacian.json").exists()
+
+
 def test_nested_config_value_keeps_the_other_defaults(tmp_path):
     # {"sampler": {"count": 2}} changes the count only: the radii stay in
     # the default [0.25, 4], not the BallSampler range [2^-6, 2^6]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import logging
 import math
@@ -732,6 +733,17 @@ def test_estimate_algebra():
     r = a.powered(0.5)
     assert r.value == pytest.approx(math.sqrt(2.0))
     assert r.std_error == pytest.approx(0.5 * 2.0**-0.5 * 0.1)
+
+
+@pytest.mark.parametrize("value", [2.0, 0.0], ids=["positive", "zero"])
+def test_estimate_powered_and_scaled_keep_every_other_field(value):
+    # every field but value and std_error carries through, new ones included
+    est = Estimate(value, 0.1, 100, seed=7, flagged=True, note="newton-certified")
+    names = [f.name for f in dataclasses.fields(Estimate) if f.name not in ("value", "std_error")]
+    for out in (est.powered(1.5), est.scaled(-3.0)):
+        assert [getattr(out, k) for k in names] == [getattr(est, k) for k in names]
+    assert est.scaled(-3.0).value == -3.0 * value
+    assert est.scaled(-3.0).std_error == 3.0 * 0.1
 
 
 def test_estimate_serialization():
