@@ -265,7 +265,10 @@ def _system_from_cfg(cfg):
     # p is derived from p_list; an explicit p must satisfy 1/p = sum 1/p_i
     explicit_p = cfg.get("p")
     if explicit_p is not None:
-        stated = 1.0 / _number(explicit_p, "p")
+        p = _number(explicit_p, "p")
+        if not p > 0:
+            raise ValidationError([f"p = {p} must be positive"])
+        stated = 1.0 / p
         derived = sum(1.0 / p for p in system.p_list)
         if abs(stated - derived) > 1e-9:
             raise ValidationError(

@@ -8,9 +8,11 @@ conditioning; left translations and dilations preserve the span of
 
 `best_polynomial` takes one ball or a list of balls; ball b of a list
 draws its nodes under f"{op_id}/b{b}", and the balls are sampled together
-(in passes, see quad).  F and u are evaluated once on the nodes of all
-balls together, and a non-finite value raises IntegrationError
-before any solve.  The Vandermonde matrix is per ball.
+(in passes, see quad).  The nodes stay one (B, N, n) stack from the
+sampler to the solvers: F and u are evaluated once on the live nodes of
+all balls, a non-finite value raising IntegrationError before any solve,
+and the Vandermonde stack (B, N, d) comes from one pass over all nodes.
+A grid's dead nodes keep quadrature weight 0, F = u = 0 and zero rows.
 
 Solvers by exponent, all from the weighted L^2 start; for q != 2 each
 ball's F values are divided by their max |F| before the solve and the
@@ -50,9 +52,10 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
               the result is an upper bound on the infimum, labeled
               "upper-bound", or "upper-bound-unconverged" (flagged) when the
               descent reports no success.
-The q >= 1 solvers run all balls of a stack at once.  They pad short balls
-with zero rows of weight 0, which change neither the solution nor the
-objective, and take at most _STACK entries B * N * (d + 1) per stack.
+The L^2 start, Nelder-Mead and the estimates run per ball on its live
+rows.  The q >= 1 solvers run on slices of the stack of at most _STACK
+entries B * N * (d + 1); the zero rows of weight 0 at a grid's dead nodes
+change neither the solution nor the objective.
 """
 
 from __future__ import annotations
@@ -88,19 +91,31 @@ _FLAGGED_NOTES = ("l1-vertex-stalled", "newton-stalled", "upper-bound-unconverge
 _STACK = 1 << 20
 
 
-def _nodes_and_weights(group, balls, scheme, op_ids):
-    """Each ball's nodes and quadrature weights, ball b drawn under
-    op_ids[b]: the one stratum of a uniform or grid scheme, restricted to
-    its live nodes."""
+def _ball_stack(group, balls, scheme, op_ids, fns):
+    """The one stratum of a uniform or grid scheme on each ball, ball b
+    drawn under op_ids[b]: the nodes (B, N, n), the quadrature weights
+    (B, N), |B| / N on live nodes and 0 on a grid's dead ones, each f of
+    `fns` on the live nodes (B, N), 0 on the dead ones, and each ball's
+    live rows: a slice when every node is live, so that they select views."""
     scheme.validate()
     if scheme.kind == "annuli":
         raise DomainError("best_polynomial needs a uniform or grid scheme")
-    out = []
-    for pts, live, vols, _, _ in _ball_strata(group, balls, scheme, op_ids):
-        for s, vol in enumerate(vols):
-            nodes = pts[s, :, 0] if live is None else pts[s, live[s], 0]
-            out.append((nodes, np.full(nodes.shape[0], vol / pts.shape[1])))
-    return out
+    passes = list(_ball_strata(group, balls, scheme, op_ids))
+    nodes = np.concatenate([pts[:, :, 0] for pts, *_ in passes])
+    live = np.concatenate(
+        [np.ones(pts.shape[:2], bool) if mask is None else mask for pts, mask, *_ in passes]
+    )
+    vols = np.concatenate([v for _, _, v, _, _ in passes])
+    every = bool(live.all())
+    keep = slice(None) if every else np.flatnonzero(live)
+    live_nodes = nodes.reshape(-1, group.n)[keep]
+    vals = np.zeros((len(fns), live.size))
+    for f, out in zip(fns, vals):
+        out[keep] = np.asarray(f(live_nodes), dtype=float).reshape(live_nodes.shape[0])
+        _check_finite(out[keep], live_nodes)
+    rows = [slice(None) if every else np.flatnonzero(m) for m in live]
+    weights = np.where(live, vols[:, None] / nodes.shape[1], 0.0)
+    return nodes, weights, vals.reshape(len(fns), *live.shape), rows
 
 
 def _objective(resid, wvals, node_w, q):
@@ -118,33 +133,6 @@ def _weighted_lstsq(A, y, lam):
             f"rank-deficient polynomial basis: rank {rank} < {A.shape[1]} columns"
         )
     return sol / col
-
-
-def _stacked(solve, systems):
-    """Run `solve(A, y, w, start)` on every ball's (A, y, weights, L^2 start)
-    in stacks of at most _STACK entries, each padded to the longest ball;
-    `solve` returns the coefficients and notes first.  Returns the
-    coefficient vectors and each ball's note."""
-    width = max(A.shape[0] for A, *_ in systems)
-    per_stack = max(1, _STACK // (width * (systems[0][0].shape[1] + 1)))
-    coeffs, notes = [], []
-    for start in range(0, len(systems), per_stack):
-        c, n, *_ = solve(*_pad(systems[start : start + per_stack], width))
-        coeffs.extend(c)
-        notes.extend(n)
-    return coeffs, notes
-
-
-def _pad(systems, width):
-    """Stacked (A, y, weights) with zero rows of weight 0 beyond each ball,
-    and the stacked starts."""
-    A = np.zeros((len(systems), width, systems[0][0].shape[1]))
-    y, w = np.zeros((2, len(systems), width))
-    for b, (A_b, y_b, w_b, *_) in enumerate(systems):
-        A[b, : len(y_b)] = A_b
-        y[b, : len(y_b)] = y_b
-        w[b, : len(y_b)] = w_b
-    return A, y, w, np.array([c for *_, c in systems])
 
 
 def _newton(A, y, wq, c, q):
@@ -439,36 +427,45 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
     balls = [ball] if single else list(ball)
     ids = [op_id] if single else [f"{op_id}/b{b}" for b in range(len(balls))]
     basis = monomial_basis(group, k)
-    node_sets = _nodes_and_weights(group, balls, scheme, ids)
-    nodes = np.concatenate([x for x, _ in node_sets])
-    ys = np.asarray(F(nodes), dtype=float).reshape(nodes.shape[0])
-    ws = np.asarray(u(nodes), dtype=float).reshape(nodes.shape[0])
-    _check_finite(ys, nodes)
-    _check_finite(ws, nodes)
-    splits = np.cumsum([x.shape[0] for x, _ in node_sets])[:-1]
-    systems = []  # per ball: (Vandermonde A, F values, u values, quadrature weights)
-    for b, (x, node_w), y, w in zip(balls, node_sets, np.split(ys, splits), np.split(ws, splits)):
-        zeta = group.dilate(1.0 / b.radius, group.compose(group.inverse(b.center), x))
-        systems.append((vandermonde(group, basis, zeta), y, w, node_w))
+    nodes, node_w, (y, w), rows = _ball_stack(group, balls, scheme, ids, (F, u))
+    # zeta = delta_{1/r}(c^-1 o x) on every ball at once
+    inv_centers = group.inverse(np.array([b.center for b in balls]))[:, None]
+    scales = (1.0 / np.array([b.radius for b in balls]))[:, None, None] ** group.weights
+    zeta = group.compose(inv_centers, nodes) * scales
+    A = vandermonde(group, basis, zeta.reshape(-1, group.n)).reshape(*y.shape, len(basis))
+    A[node_w == 0.0] = 0.0
 
-    coeffs = [_weighted_lstsq(A, y, node_w * w**2) for A, y, w, node_w in systems]
+    coeffs = np.array(
+        [_weighted_lstsq(A[b, r], y[b, r], node_w[b, r] * w[b, r] ** 2) for b, r in enumerate(rows)]
+    )
     notes = ["least-squares"] * len(balls)
     if q != 2.0:
-        peaks = [np.max(np.abs(y)) or 1.0 for _, y, _, _ in systems]
-        scaled = [
-            (A, y / s, w, node_w, c / s) for (A, y, w, node_w), c, s in zip(systems, coeffs, peaks)
-        ]
+        peaks = np.max(np.abs(y), axis=1)
+        peaks[peaks == 0.0] = 1.0
+        ys, starts = y / peaks[:, None], coeffs / peaks[:, None]
         if q < 1.0:
-            coeffs, notes = zip(*(_nelder_mead(*system, q) for system in scaled))
+            coeffs, notes = zip(*(
+                _nelder_mead(A[b, r], ys[b, r], w[b, r], node_w[b, r], starts[b], q)
+                for b, r in enumerate(rows)
+            ))
         else:
             solve = _l1_descent if q == 1.0 else lambda *stack: _newton(*stack, q)
-            stacks = [(A, y, node_w * w**q, c) for A, y, w, node_w, c in scaled]
-            coeffs, notes = _stacked(solve, stacks)
-        coeffs = [c * s for c, s in zip(coeffs, peaks)]
+            wq = node_w * w**q
+            step = max(1, _STACK // (A.shape[1] * (A.shape[2] + 1)))
+            coeffs, notes = [], []
+            for lo in range(0, len(balls), step):
+                part = slice(lo, lo + step)
+                c, n, *_ = solve(A[part], ys[part], wq[part], starts[part])
+                coeffs.extend(c)
+                notes.extend(n)
+        coeffs = np.array(coeffs) * peaks[:, None]
 
     out = [
-        (_to_raw_coordinates(group, basis, c, b), _estimate(y - A @ c, w, node_w, q, scheme, note))
-        for b, (A, y, w, node_w), c, note in zip(balls, systems, coeffs, notes)
+        (
+            _to_raw_coordinates(group, basis, c, ball),
+            _estimate(y[b, r] - A[b, r] @ c, w[b, r], node_w[b, r], q, scheme, note),
+        )
+        for b, (ball, r, c, note) in enumerate(zip(balls, rows, coeffs, notes))
     ]
     return out[0] if single else out
 
@@ -482,10 +479,6 @@ def _to_raw_coordinates(group, basis, coeffs, ball):
 
 def evaluate_candidate(group, F, u, q, ball, scheme, poly, *, op_id="best-poly"):
     """||(F - poly) u||_{L^q(B)} on the same nodes best_polynomial uses."""
-    [(nodes, node_w)] = _nodes_and_weights(group, [ball], scheme, [op_id])
-    y, wvals, pvals = (
-        np.asarray(f(nodes), dtype=float).reshape(nodes.shape[0]) for f in (F, u, poly)
-    )
-    for vals in (y, wvals, pvals):
-        _check_finite(vals, nodes)
-    return _objective(y - pvals, wvals, node_w, q) ** (1.0 / q)
+    _, [node_w], vals, [rows] = _ball_stack(group, [ball], scheme, [op_id], (F, u, poly))
+    y, wvals, pvals = (v[0, rows] for v in vals)
+    return _objective(y - pvals, wvals, node_w[rows], q) ** (1.0 / q)

@@ -73,23 +73,9 @@ def multilinear_fractional_integral(group, fs, tau, x, scheme, *, op_id="mfi"):
     sum of the T one-row calls with the same op_id up to rounding (the
     nodes are the same); see `product_integrand`.
     """
-    supports = []
-    for i, f in enumerate(fs):
-        sup = getattr(f, "support", None)
-        if sup is None:
-            raise DomainError(
-                f"slot {i} has no declared support ball; restrict it to one first"
-            )
-        supports.append(sup)
+    supports = [_require_support(f, i) for i, f in enumerate(fs)]
     return integrate_singular_product(
-        group,
-        len(fs),
-        product_integrand(fs),
-        x,
-        tau,
-        supports,
-        scheme,
-        op_id=op_id,
+        group, len(fs), product_integrand(fs), x, tau, supports, scheme, op_id=op_id
     )
 
 

@@ -224,14 +224,19 @@ _POWER = {"kind": "power", "beta": 0.5}
         ("poincare", {"trials": -2, "samples": 1024}, "poincare sweep needs a count >= 0"),
         ("leibniz", {"configs": -1, "samples": 1024}, "leibniz sweep needs a count >= 0"),
         ("repformula", {"pairs": -1, "samples": 1024}, "repformula sweep needs a count >= 0"),
+        ("poincare", {"p": 0, "trials": 1, "samples": 1024}, "p = 0.0 must be positive"),
+        ("weights-check", {"p": 0, "samples": 1024, "sampler": {"count": 4}},
+         "p = 0.0 must be positive"),
     ],
     ids=["weights-check-short-v", "poincare-short-v", "sobolev-empty-v", "leibniz-three-p",
          "leibniz-one-p", "leibniz-q-zero", "repformula-negative-points",
-         "poincare-negative-trials", "leibniz-negative-configs", "repformula-negative-pairs"],
+         "poincare-negative-trials", "leibniz-negative-configs", "repformula-negative-pairs",
+         "poincare-p-zero", "weights-check-p-zero"],
 )
 def test_malformed_trial_input_is_validation_error(tmp_path, capsys, command, config, token):
-    # a short v list, a Leibniz p_list without two entries or q <= 0, and a
-    # negative count exit 1 naming the input: no traceback, no empty report
+    # a short v list, a Leibniz p_list without two entries or q <= 0, an
+    # explicit p = 0 and a negative count exit 1 naming the input: no
+    # traceback, no empty report
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
