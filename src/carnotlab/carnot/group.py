@@ -124,7 +124,12 @@ class CarnotGroup:
         cross = rows[..., 0] * h[..., :1]
         for b in range(1, self.n1):
             cross += rows[..., b] * h[..., b : b + 1]
-        out = g + h
+        if g.ndim + h.ndim == 3:
+            # one point and an (N, n) batch: numpy's broadcast loop would run
+            # over rows of length n, column order runs down the N rows
+            out = np.add(g, h, out=np.empty(max(g, h, key=np.ndim).shape), order="F")
+        else:
+            out = g + h
         out[..., self.n1 :] += cross
         return out
 

@@ -25,6 +25,19 @@ is even; the nodes are mirror-symmetric, so F(a, b) = F(1 - a, b).
   the lines a x_i + b = f_i, so its minimum is at a vertex, a line through
   two nodes (Rockafellar, Convex Analysis, section 32).  By the symmetry
   the lines with a >= 1/2 suffice; box branch-and-bound prunes them.
+  On the outer pieces g = |x|/2 bit for bit, so a line through a left
+  node i and a right node j, c = a - 1/2 in (-1/2, 1/2), has residuals
+  (1/2 - c)(x_k - x_j) on the right and (1/2 + c)(x_i - x_k) on the left.
+  With i' the mirror image of i and S(k) = sum over the right nodes m of
+  w_m |x_m - x_k|^q, its value is
+      F = (1/2 - c)^q S(j) + (1/2 + c)^q S(i') + (its sum over the middle),
+  so the search sums 1/3 of the nodes directly for these lines, and
+  bounds a group of them by its least outer part plus a box bound on the
+  middle.  Every other line is summed over all nodes: near c = 1/2 the
+  computed line through a middle and a right node misses the right node by
+  rounding, and |rounding|^q is not negligible for small q, so a closed
+  form there would not be the value of the line searched.  The reported L
+  is the winning line's own sum over all nodes, whichever path found it.
 """
 
 from __future__ import annotations
@@ -115,11 +128,16 @@ def second_derivative_lp(family, p, nodes):
     return float(np.dot(w, np.abs(family.second(x)) ** p))
 
 
-def _piecewise_nodes(eps, rule):
-    """The rule on [-1, -eps], [-eps, eps] and [eps, 1], concatenated; since
-    leggauss is symmetric, x[::-1] == -x and w[::-1] == w bit for bit."""
+def _piecewise_nodes(family, rule):
+    """(x, g, w): the rule on [-1, -eps], [-eps, eps] and [eps, 1],
+    concatenated, and g = f_eps(x) - x/2.  Since leggauss is symmetric,
+    x[::-1] == -x and w[::-1] == w bit for bit; g is even in exact
+    arithmetic and made so bit for bit, and g = |x|/2 on the outer pieces."""
+    eps = family.eps
     pieces = [_gauss_nodes(a, b, rule) for a, b in ((-1.0, -eps), (-eps, eps), (eps, 1.0))]
-    return np.concatenate([x for x, _ in pieces]), np.concatenate([w for _, w in pieces])
+    x, w = np.concatenate([x for x, _ in pieces]), np.concatenate([w for _, w in pieces])
+    g = family.value(x) - 0.5 * x
+    return x, 0.5 * (g + g[::-1]), w
 
 
 def _best_offset(g, w, q):
@@ -140,14 +158,17 @@ def _best_offset(g, w, q):
     return float(b), float(np.abs(g - b) ** q @ w)
 
 
-def _line_values(x, g, w, q, lines, pairs):
-    """F at the lines (c, b), c = a - 1/2, line k through the nodes pairs[k].
-    Those two residuals are set to their exact value 0, not (1e-17)^q."""
+def _line_values(x, g, w, q, lines, own):
+    """Sum_k w_k |g_k - c x_k - b|^q at the lines (c, b), line k through
+    the nodes own[k] (indices into x; one outside it names a node not
+    summed).  Those residuals are set to their exact value 0, not (1e-17)^q."""
     out = np.empty(lines.shape[0])
     step = max(1, _BLOCK // x.shape[0])
     for s in range(0, lines.shape[0], step):
         resid = g - lines[s : s + step, :1] * x - lines[s : s + step, 1:]
-        np.put_along_axis(resid, pairs[s : s + step], 0.0, axis=1)
+        own_s = own[s : s + step]
+        k, e = np.nonzero((own_s >= 0) & (own_s < x.shape[0]))
+        resid[k, own_s[k, e]] = 0.0
         out[s : s + step] = np.abs(resid) ** q @ w
     return out
 
@@ -166,44 +187,65 @@ def _box_bounds(x, g, w, q, lo, hi):
     return out
 
 
-def _branch_and_bound(x, g, w, q, lines, pairs, sizes, best):
-    """Lower `best` = [value, c, b] to the least F over `lines` (line k
-    through the nodes pairs[k]), which come in contiguous groups of the
-    given sizes.  Each round drops the groups whose box bound is >= best,
-    evaluates those of at most _LEAF lines, and halves the others across
-    the wider side of their box."""
+def _branch_and_bound(x, g, w, q, block, best):
+    """Lower `best` = [value, c, b, i, j] to the least F over the lines of
+    `block` = (nodes, lines, pairs, outer, sizes).  Line k, lines[k] =
+    (c, b), passes through the nodes pairs[k]; F there is outer[k], a part
+    summed in closed form, plus the sum over the slice x[nodes].  The lines
+    come in contiguous groups of the given sizes.  Each round drops the
+    groups whose bound, their least outer part plus a box bound on the
+    summed part, is >= best; evaluates those of at most _LEAF lines; and
+    halves the others across the wider side of their box."""
+    nodes, lines, pairs, outer, sizes = block
+    x, g, w = x[nodes], g[nodes], w[nodes]
     while lines.shape[0]:
         starts = np.cumsum(sizes) - sizes
         lo, hi = np.minimum.reduceat(lines, starts), np.maximum.reduceat(lines, starts)
-        live = _box_bounds(x, g, w, q, lo, hi) < best[0]
+        live = np.minimum.reduceat(outer, starts) + _box_bounds(x, g, w, q, lo, hi) < best[0]
         leaf = np.repeat(live & (sizes <= _LEAF), sizes)
         if np.any(leaf):
-            vals = _line_values(x, g, w, q, lines[leaf], pairs[leaf])
+            vals = outer[leaf] + _line_values(x, g, w, q, lines[leaf], pairs[leaf] - nodes.start)
             k = int(np.argmin(vals))
             if vals[k] < best[0]:
-                best = [float(vals[k]), *map(float, lines[leaf][k])]
+                best = [float(vals[k]), *map(float, lines[leaf][k]), *map(int, pairs[leaf][k])]
         split = live & (sizes > _LEAF)
         member = np.repeat(split, sizes)
-        lines, pairs, sizes = lines[member], pairs[member], sizes[split]
+        lines, pairs, outer, sizes = lines[member], pairs[member], outer[member], sizes[split]
         group = np.repeat(np.arange(sizes.shape[0]), sizes)
         axis = np.argmax(hi - lo, axis=1)[split][group]
         order = np.lexsort((lines[np.arange(lines.shape[0]), axis], group))
-        lines, pairs = lines[order], pairs[order]
+        lines, pairs, outer = lines[order], pairs[order], outer[order]
         sizes = np.stack([sizes // 2, sizes - sizes // 2], axis=1).ravel()
     return best
 
 
-def _candidate_blocks(x, g, n):
-    """Blocks (lines (c, b), node pairs, group sizes) of the lines through
-    two nodes to try; the pieces are the nodes [k n, (k+1) n), k = 0, 1, 2.
-    First the slice c = 0 (a node and its mirror image, b = g_j) and the
-    line c = 1/2, b = 0 of every pair in the right piece (in the left, its
-    mirror image).  Then the other pairs' lines with c > 0 (a line with
-    c < 0 is the mirror image of one), grouped by tiles of node pairs."""
+def _right_sums(x, w, q, n):
+    """S[j] = sum_k w_k |x_k - x_j|^q over the right piece, for its nodes j
+    (S[0] at node 2 n), in row chunks of at most _BLOCK entries."""
+    x, w = x[2 * n :], w[2 * n :]
+    out = np.empty(n)
+    step = max(1, _BLOCK // n)
+    for s in range(0, n, step):
+        out[s : s + step] = np.abs(x - x[s : s + step, None]) ** q @ w
+    return out
+
+
+def _candidate_blocks(x, g, w, q, n):
+    """Blocks (nodes, lines (c, b), node pairs, outer parts, group sizes) of
+    the lines through two nodes to try; the pieces are the nodes
+    [k n, (k+1) n), k = 0, 1, 2.  First the slice c = 0 (a node and its
+    mirror image, b = g_j) and the line c = 1/2, b = 0 of every pair in the
+    right piece (in the left, its mirror image).  Then the other pairs'
+    lines with c > 0 (a line with c < 0 is the mirror image of one),
+    grouped by tiles of node pairs.  Every block sums all nodes directly,
+    with outer part 0, except the left x right lines: they sum the middle
+    piece, and the outer pieces in closed form (module docstring)."""
+    every, middle = slice(0, 3 * n), slice(n, 2 * n)
     j = np.arange(3 * n // 2, 3 * n)
     lines = np.concatenate([np.stack([0.0 * j, g[j]], axis=1), [[0.5, 0.0]]])
     pairs = np.concatenate([np.stack([j, 3 * n - 1 - j], axis=1), [[2 * n, 2 * n + 1]]])
-    yield lines, pairs, np.array([lines.shape[0]])
+    yield every, lines, pairs, np.zeros(lines.shape[0]), np.array([lines.shape[0]])
+    sums = _right_sums(x, w, q, n)
     left, mid, right = (np.arange(k * n, (k + 1) * n) for k in range(3))
     rows = _TILE * max(1, _BLOCK // (_TILE * n))
     for first, second in ((left, mid), (mid, right), (left, right), (mid, mid)):
@@ -216,7 +258,14 @@ def _candidate_blocks(x, g, n):
             tile = (i - first[s]) // _TILE * n + (j - second[0]) // _TILE
             order = np.argsort(tile, kind="stable")
             i, j, c, sizes = i[order], j[order], c[order], np.bincount(tile)
-            yield np.stack([c, g[i] - c * x[i]], axis=1), np.stack([i, j], axis=1), sizes[sizes > 0]
+            lines, pairs = np.stack([c, g[i] - c * x[i]], axis=1), np.stack([i, j], axis=1)
+            if first is left and second is right:
+                # node n - 1 - i of the right piece is the mirror image of i
+                outer = (0.5 - c) ** q * sums[j - 2 * n] + (0.5 + c) ** q * sums[n - 1 - i]
+                nodes = middle
+            else:
+                outer, nodes = np.zeros(c.shape[0]), every
+            yield nodes, lines, pairs, outer, sizes[sizes > 0]
 
 
 def affine_infimum(family, q, nodes):
@@ -229,16 +278,16 @@ def affine_infimum(family, q, nodes):
     1 or 2) or "vertex-bnb" (q < 1), and `converged` says the method
     certified the minimum, as both do whenever they return.
     """
-    x, w = _piecewise_nodes(family.eps, nodes)
-    g = family.value(x) - 0.5 * x
-    g = 0.5 * (g + g[::-1])  # even in exact arithmetic; now bit for bit too
+    x, g, w = _piecewise_nodes(family, nodes)
     if q >= 1.0:
         b, value = _best_offset(g, w, q)
         return {"value": value, "a": 0.5, "b": b, "converged": True, "method": "symmetric-convex"}
-    best = [math.inf, 0.0, 0.0]
-    for block in _candidate_blocks(x, g, x.shape[0] // 3):
-        best = _branch_and_bound(x, g, w, q, *block, best)
-    value, c, b = best
+    best = [math.inf, 0.0, 0.0, 0, 0]
+    for block in _candidate_blocks(x, g, w, q, x.shape[0] // 3):
+        best = _branch_and_bound(x, g, w, q, block, best)
+    _, c, b, i, j = best
+    # the winner alone over all nodes, so L does not depend on the search path
+    value = float(_line_values(x, g, w, q, np.array([[c, b]]), np.array([[i, j]]))[0])
     return {"value": value, "a": 0.5 + c, "b": b, "converged": True, "method": "vertex-bnb"}
 
 

@@ -12,6 +12,9 @@
 * `quadrature_nodes`: the uniform nodes a scheme draws on one ball.
 * `poly_eval_by_powers` and `vandermonde_by_powers`: monomials by one array
   power per term and coordinate, the reference for the power-table kernels.
+* `three_piece_nodes` and `all_lines_brute_force`: the counterexample's
+  node set built independently, and the least sum_i w_i |f_i - a x_i - b|^q
+  over the lines through every pair of its nodes.
 """
 
 import math
@@ -182,3 +185,29 @@ def exact_best_value(group, F, u, q, ball, k, scheme, op_id):
     if q == 1.0:
         return exact_l1_value(A, y, w)
     raise DomainError(f"exact oracle needs q in {{1, 2}}, got {q}")
+
+
+def three_piece_nodes(eps, n):
+    """The n-point Gauss rule on [-1, -eps], [-eps, eps] and [eps, 1],
+    concatenated: the node set of `affine_infimum`, built independently."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    pieces = [(-1.0, -eps), (-eps, eps), (eps, 1.0)]
+    x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * t for a, b in pieces])
+    return x, np.concatenate([0.5 * (b - a) * w for a, b in pieces])
+
+
+def all_lines_brute_force(fam, q, n):
+    """The least sum_i w_i |f_i - a x_i - b|^q over the line through every
+    pair of the 3 n nodes, each line's own two residuals set to 0, as
+    (value, (i, j)) for the best line, through the nodes i < j."""
+    x, w = three_piece_nodes(fam.eps, n)
+    f = fam.value(x)
+    i, j = np.triu_indices(x.size, k=1)
+    a = (f[i] - f[j]) / (x[i] - x[j])
+    b = f[i] - a * x[i]
+    resid = f - a[:, None] * x - b[:, None]
+    resid[np.arange(i.size), i] = 0.0
+    resid[np.arange(i.size), j] = 0.0
+    values = np.abs(resid) ** q @ w
+    k = int(np.argmin(values))
+    return float(values[k]), (int(i[k]), int(j[k]))

@@ -154,12 +154,25 @@ def test_translation_rows_carry_the_second_layer_of_the_law(group):
     np.testing.assert_allclose(got, group.compose(g[0], h), rtol=0.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("shape", ["(N,n)o(N,n)", "(n,)o(N,n)", "(1,1,n)o(1,N,n)"])
+@pytest.mark.parametrize("group", _LAW_GROUPS + [euclidean_group(1)], ids=_LAW_IDS + ["euclidean:1"])
+def test_compose_of_one_point_and_a_batch_matches_the_row_aligned_product(group):
+    # the point-and-batch sum runs in another iteration order, not another arithmetic
+    rng = stream(9, f"compose-point-batch/{group.ident}")
+    g, h = rng.uniform(-3, 3, size=(2, 4096, group.n))
+    copies = np.broadcast_to(g[0], h.shape).copy()
+    for got, want in ((group.compose(g[0], h), group.compose(copies, h)),
+                      (group.compose(h, g[0]), group.compose(h, copies))):
+        assert got.shape == h.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", ["(N,n)o(N,n)", "(n,)o(N,n)", "(N,n)o(n,)", "(1,1,n)o(1,N,n)"])
 def test_heisenberg_compose_is_the_explicit_commutator_bitwise(h1, shape):
     rng = stream(9, f"compose-shapes/{shape}")
     g, h = rng.uniform(-3, 3, size=(2, 4096, 3))
     g, h = {
-        "(N,n)o(N,n)": (g, h), "(n,)o(N,n)": (g[0], h), "(1,1,n)o(1,N,n)": (g[:1, None], h[None])
+        "(N,n)o(N,n)": (g, h), "(n,)o(N,n)": (g[0], h), "(N,n)o(n,)": (g, h[0]),
+        "(1,1,n)o(1,N,n)": (g[:1, None], h[None]),
     }[shape]
     (x, y, t), (x2, y2, t2) = np.moveaxis(g, -1, 0), np.moveaxis(h, -1, 0)
     want = np.stack(np.broadcast_arrays(x + x2, y + y2, t + t2 + 0.5 * (x * y2 - y * x2)), axis=-1)

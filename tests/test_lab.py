@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from bruteforce_helpers import (
+    all_lines_brute_force,
     best_value_system,
     dilated_bump,
     exact_l1_value,
     holder_lower_bound,
     newton_dual_lower_bound,
+    three_piece_nodes,
 )
 from carnotlab import quad
 from carnotlab.carnot import (
@@ -44,7 +46,7 @@ from carnotlab.lab import (
     sobolev_sublaplacian_test,
     sobolev_test,
 )
-from carnotlab.lab import bestpoly, inequalities, spaces
+from carnotlab.lab import bestpoly, counterexample, inequalities, spaces
 from carnotlab.lab.bestpoly import _l1_descent, _newton, _weighted_lstsq
 from carnotlab.operators import derivative_tuples, jet_rows, multilinear_fractional_integral
 from carnotlab.quad import QuadratureScheme, sample_ball
@@ -939,17 +941,9 @@ def test_affine_infimum_limit_value():
     assert out["a"] == pytest.approx(0.5, abs=0.01)
 
 
-def _three_piece_nodes(eps, n):
-    # the affine_infimum node set, built here independently
-    t, w = np.polynomial.legendre.leggauss(n)
-    pieces = [(-1.0, -eps), (-eps, eps), (eps, 1.0)]
-    x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * t for a, b in pieces])
-    return x, np.concatenate([0.5 * (b - a) * w for a, b in pieces])
-
-
 def test_affine_infimum_q2_is_weighted_least_squares():
     fam = counterexample_family(0.25)
-    x, w = _three_piece_nodes(0.25, 400)
+    x, w = three_piece_nodes(0.25, 400)
     f = fam.value(x)
     design = np.stack([x, np.ones_like(x)], axis=1) * np.sqrt(w)[:, None]
     (a, b), *_ = np.linalg.lstsq(design, f * np.sqrt(w), rcond=None)
@@ -968,7 +962,7 @@ def test_affine_infimum_q1_matches_lp():
     rule = np.polynomial.legendre.leggauss(60)
     for eps in (0.25, 2.0**-5):
         fam = counterexample_family(eps)
-        x, w = _three_piece_nodes(eps, 60)
+        x, w = three_piece_nodes(eps, 60)
         f = fam.value(x)
         eye = np.eye(x.size)
         ab = np.stack([x, np.ones_like(x)], axis=1)
@@ -983,19 +977,6 @@ def test_affine_infimum_q1_matches_lp():
         assert out["value"] == pytest.approx(res.fun, rel=1e-7)
 
 
-def _all_lines_brute_force(fam, q, n):
-    # the least F over the line through every pair of nodes
-    x, w = _three_piece_nodes(fam.eps, n)
-    f = fam.value(x)
-    i, j = np.triu_indices(x.size, k=1)
-    a = (f[i] - f[j]) / (x[i] - x[j])
-    b = f[i] - a * x[i]
-    resid = f - a[:, None] * x - b[:, None]
-    resid[np.arange(i.size), i] = 0.0
-    resid[np.arange(i.size), j] = 0.0
-    return float((np.abs(resid) ** q @ w).min())
-
-
 @pytest.mark.parametrize("q", [0.5, 0.1, 0.9])
 def test_affine_infimum_below_one_is_best_line_through_two_nodes(q):
     # 25 nodes per piece: the middle one is its own mirror image
@@ -1004,10 +985,67 @@ def test_affine_infimum_below_one_is_best_line_through_two_nodes(q):
         fam = counterexample_family(eps)
         out = affine_infimum(fam, q, nodes=rule)
         assert out["method"] == "vertex-bnb" and out["converged"]
-        assert out["value"] == pytest.approx(_all_lines_brute_force(fam, q, 25), rel=1e-12)
-        x, w = _three_piece_nodes(eps, 25)
+        value, (i, j) = all_lines_brute_force(fam, q, 25)
+        assert out["value"] == pytest.approx(value, rel=1e-12)
+        x, w = three_piece_nodes(eps, 25)
         resid = fam.value(x) - out["a"] * x - out["b"]
         assert float(np.dot(w, np.abs(resid) ** q)) == pytest.approx(out["value"], rel=1e-6)
+        if (q, eps) == (0.5, 2.0**-4):
+            # the oracle covers the closed form: the best line joins the outer pieces
+            assert i < 25 and j >= 50
+            assert set(np.argsort(np.abs(resid))[:2]) in ({i, j}, {74 - i, 74 - j})
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+def test_left_right_lines_sum_the_outer_pieces_in_closed_form(q):
+    # (1/2 - c)^q S(j) + (1/2 + c)^q S(i') plus the middle sum, against the
+    # sum over all nodes, on random left x right lines of the search
+    n, rule, middle = 400, np.polynomial.legendre.leggauss(400), slice(400, 800)
+    for eps in (2.0**-2, 2.0**-6):
+        x, g, w = counterexample._piecewise_nodes(counterexample_family(eps), rule)
+        assert np.array_equal(g[2 * n :], 0.5 * x[2 * n :])
+        assert np.array_equal(g[:n], -0.5 * x[:n])
+        blocks = [b for b in counterexample._candidate_blocks(x, g, w, q, n) if b[0] == middle]
+        lines, pairs, outer = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
+        assert np.all(pairs[:, 0] < n) and np.all(pairs[:, 1] >= 2 * n)
+        pick = stream(11, f"closed-form/{q}/{eps}").choice(lines.shape[0], 1000, replace=False)
+        lines, pairs, outer = lines[pick], pairs[pick], outer[pick]
+        split = outer + counterexample._line_values(
+            x[middle], g[middle], w[middle], q, lines, pairs - n
+        )
+        direct = counterexample._line_values(x, g, w, q, lines, pairs)
+        np.testing.assert_allclose(split, direct, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("block, tile, leaf", [(1 << 10, 8, 4), (1 << 18, 64, 128)])
+def test_vertex_bnb_is_bit_identical_across_block_sizes(monkeypatch, block, tile, leaf):
+    rule = np.polynomial.legendre.leggauss(60)
+    cases = [(q, eps) for q in (0.3, 0.7) for eps in (0.25, 2.0**-5)]
+
+    def minima():
+        outs = [affine_infimum(counterexample_family(eps), q, rule) for q, eps in cases]
+        return [(out["value"], out["a"], out["b"]) for out in outs]
+
+    want = minima()
+    monkeypatch.setattr(counterexample, "_BLOCK", block)
+    monkeypatch.setattr(counterexample, "_TILE", tile)
+    monkeypatch.setattr(counterexample, "_LEAF", leaf)
+    assert minima() == want
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5])
+def test_vertex_bnb_reports_the_value_of_its_own_line(q):
+    # near c = 1/2 the computed line through a middle and a right node
+    # misses the right node by rounding; a closed form on such lines would
+    # report a value that the returned line does not have
+    rule = np.polynomial.legendre.leggauss(400)
+    for eps in (2.0**-5, 2.0**-6, 2.0**-7):
+        fam = counterexample_family(eps)
+        out = affine_infimum(fam, q, rule)
+        x, w = three_piece_nodes(eps, 400)
+        resid = fam.value(x) - out["a"] * x - out["b"]
+        resid[np.argsort(np.abs(resid))[:2]] = 0.0  # the line's own two nodes
+        assert out["value"] == pytest.approx(float(np.abs(resid) ** q @ w), rel=1e-12)
 
 
 def test_affine_infimum_below_one_is_not_above_known_line():
@@ -1026,7 +1064,7 @@ def test_affine_infimum_bisects_the_offset_to_adjacent_floats():
                              (0.0625, 0.09971285970311408)):
         out = affine_infimum(counterexample_family(eps), 1.5, rule)
         assert out["method"] == "symmetric-convex" and out["a"] == 0.5
-        x, w = _three_piece_nodes(eps, 400)
+        x, w = three_piece_nodes(eps, 400)
         g = counterexample_family(eps).value(x) - 0.5 * x
         g = 0.5 * (g + g[::-1])
 
