@@ -5,14 +5,19 @@ Every catalog function evaluates its jets through one method,
 from a single pass; `jet_order` says how many it has (0, 1 or 2).
 
 The workhorse is the gauge bump: a smooth compactly supported function
-built from the polynomial u(y) = ||c^-1 o y||^(2s!) / R^(2s!), whose
-support is exactly the gauge ball B(c, R).  Because u is a polynomial,
-gradients and Hessians are exact, which feeds the analytic path of the
-horizontal derivatives up to order 2; higher orders fall back to nested
-finite differences.  A left translate x -> f(g^-1 o x) of the bump on
-B(c, R) is the bump on B(g o c, R), and a dilate x -> f(delta_lam x) is
-the bump on B(delta_{1/lam} c, R / lam).  Any other plain callable carries
-its value only and takes the finite-difference path.
+exp(-u/(1-u)) of u(y) = ||c^-1 o y||^(2s!) / R^(2s!), whose support is
+exactly the gauge ball B(c, R).  Every bump is one unit bump composed with
+an affine map: u(y) = u0(w) / R^(2s!) at w = c^-1 o y = M y - c, where
+u0(w) = sum_i |w^(i)|^(2s!/i) and M = [[I, 0], [T, I]] holds the
+translation rows T of -c (M = I on step 1).  u0, its gradient and its Hessian
+are polynomials built once per group and shared by all its bumps, so the
+gradient M^T grad u0(w) and the Hessian M^T hess u0(w) M of u are exact;
+they feed the analytic path of the horizontal derivatives up to order 2,
+and higher orders fall back to nested finite differences.  A left translate
+x -> f(g^-1 o x) of the bump on B(c, R) is the bump on B(g o c, R), and a
+dilate x -> f(delta_lam x) is the bump on B(delta_{1/lam} c, R / lam).  Any
+other plain callable carries its value only and takes the
+finite-difference path.
 """
 
 from __future__ import annotations
@@ -51,21 +56,43 @@ class TestFunction:
         raise NotImplementedError
 
 
-def _polynomial_hessian(hess_polys, pts):
-    """The symmetric (N, n, n) matrix of polynomials hess_polys[i][j] (i <= j used)."""
-    n = len(hess_polys)
-    out = np.empty((pts.shape[0], n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[:, i, j] = out[:, j, i] = hess_polys[i][j](pts)
-    return out
+_UNIT_GAUGE = {}
+
+
+def _unit_gauge(group):
+    """u0(w) = sum_i |w^(i)|^(2s!/i), its gradient and its Hessian entries
+    d_i d_j u0 on the upper triangle (i, j) = np.triu_indices(n), as
+    polynomials in w, with (i, j) and `full`, the position in that list of
+    each entry of the n x n Hessian.  Built once per group and shared by
+    all its bumps."""
+    unit = _UNIT_GAUGE.get(group)
+    if unit is None:
+        order = group.gauge_order
+        u0 = HomogeneousPolynomial.zero(group)
+        for i in range(1, group.step + 1):
+            sl = group.layer_slice(i)
+            sq = HomogeneousPolynomial.zero(group)
+            for b in range(sl.start, sl.stop):
+                x = HomogeneousPolynomial.coordinate(group, b)
+                sq = sq + x * x
+            u0 = u0 + sq.power(order // (2 * i))
+        grad = u0.gradient_polys()
+        upper = np.triu_indices(group.n)
+        hess = [grad[i].partial(j) for i, j in zip(*upper)]
+        full = np.empty((group.n, group.n), dtype=int)
+        full[upper] = full[upper[::-1]] = np.arange(len(hess))
+        unit = _UNIT_GAUGE[group] = (u0, grad, hess, upper, full)
+    return unit
 
 
 class GaugeBump(TestFunction):
     """Smooth bump exp(-u/(1-u)) on the gauge ball B(center, radius).
 
     Takes the value `height` at the center and vanishes to infinite order
-    on the boundary.
+    on the boundary.  u(y) = u0(w) / radius^(2s!) at w = center^-1 o y, u0
+    the group's unit gauge polynomial.  w = M y - center is affine, with
+    M = [[I, 0], [T, I]] and T the translation rows of -center, so grad u
+    and hess u are M^T grad u0(w) and M^T hess u0(w) M over radius^(2s!).
     """
 
     jet_order = 2
@@ -79,52 +106,85 @@ class GaugeBump(TestFunction):
         self.group = group
         self.height = float(height)
         self.support = GaugeBall(center, float(radius))
-        self._u = _gauge_power_polynomial(group, center, radius)
-        self._grad_u = self._u.gradient_polys()
-        self._hess_u = [[g.partial(j) for j in range(group.n)] for g in self._grad_u]
+        self._unit = _unit_gauge(group)
+        self._rows = group.translation_rows(-center)
+        self._scale = float(radius) ** -group.gauge_order
+        self._pull = None
+        if group.n2:
+            # grad_y = grad_w M and upper(hess_y) = upper(hess_w) P, where
+            # hess_y[a, b] = sum_{c <= d} hess_w[c, d] (M[c, a] M[d, b] + M[d, a] M[c, b]),
+            # the second product only off the diagonal
+            M = np.eye(group.n)
+            M[group.n1 :, : group.n1] = self._rows
+            i, j = self._unit[3]
+            pair = M[:, None, i] * M[None, :, j]  # (c, d, upper y entry)
+            P = pair[i, j] + np.where((i != j)[:, None], pair[j, i], 0.0)
+            self._pull = (M, P)
+
+    def _unit_point(self, pts):
+        """w = center^-1 o y, as the transpose of an (n, N) array whose rows
+        the polynomials read without copies.  T (y - center)^(1) equals
+        T y^(1), because T center^(1) = 0 for skew forms, but it is small
+        where y is near the center: w^(2) = y^(2) - center^(2) + T y^(1)
+        would cancel two large terms there."""
+        n1 = self.group.n1
+        w = np.subtract(pts.T, self.support.center[:, None], out=np.empty(pts.shape[::-1]))
+        for j, row in enumerate(self._rows):
+            cross = row[0] * w[0]
+            for b in range(1, n1):
+                cross += row[b] * w[b]
+            w[n1 + j] += cross
+        return w.T
 
     def jets(self, pts, order):
-        # u, grad u and hess u are each evaluated once.  exp(-u/(1-u))
-        # underflows to exact 0 well before 1-u does, so the derivative
-        # quotients are computed only where 1-u > 1e-3
-        u = self._u(pts)
+        # u0, grad u0 and hess u0 are each evaluated once, at w.
+        # exp(-u/(1-u)) underflows to exact 0 well before 1-u does, so the
+        # quotients by 1-u are formed only on the live nodes, 1-u > 1e-3;
+        # om is 1-u there and 1 elsewhere, where the profile is 0
+        u0, grad_polys, hess_polys, (i, j), full = self._unit
+        w = self._unit_point(pts)
+        u = u0(w)
+        u *= self._scale
         live = u < 1.0 - 1e-3
-        g = np.zeros_like(u)
-        np.exp(np.divide(-u, 1.0 - u, out=np.zeros_like(u), where=live), out=g, where=live)
-        out = [self.height * g]
+        om = np.subtract(1.0, u, out=np.ones_like(u), where=live)
+        # the profile, in u's buffer: exp(-u/(1-u)) on live nodes and 0
+        # elsewhere, where exp sees -0
+        value = np.multiply(u, live, out=u)
+        value /= om
+        np.negative(value, out=value)
+        np.exp(value, out=value)
+        value *= live
+        value *= self.height
+        out = [value]
         if order >= 1:
-            om = np.ones_like(u)
-            om[live] = 1.0 - u[live]
-            dpro = np.where(live, -g / om**2, 0.0)
-            grad_u = np.stack([p(pts) for p in self._grad_u], axis=-1)
-            out.append(self.height * dpro[:, None] * grad_u)
+            # height times the profile's derivatives, each times radius^-(2s!);
+            # 0 off the support
+            om2 = om * om
+            np.negative(om2, out=om2)
+            dpro = np.divide(value, om2, out=np.zeros_like(u), where=live)
+            dpro *= self._scale
+            grad = np.stack([p(w) for p in grad_polys], axis=-1)
+            if self._pull:
+                grad = grad @ self._pull[0]
+            out.append(dpro[:, None] * grad)
         if order >= 2:
-            # height * (d2pro grad u grad u^T + dpro hess u), formed in place
-            d2pro = np.where(live, g / om**4 - 2.0 * g / om**3, 0.0)
-            hess = np.einsum("ni,nj->nij", grad_u, grad_u)
-            hess *= d2pro[:, None, None]
-            second = _polynomial_hessian(self._hess_u, pts)
-            second *= dpro[:, None, None]
-            hess += second
-            hess *= self.height
-            out.append(hess)
+            # d2pro = value (1 - 2 (1-u)) / (1-u)^4, its numerator formed in om
+            om *= -2.0
+            om += 1.0
+            om *= value
+            d2pro = np.divide(om, np.square(om2, out=om2), out=np.zeros_like(u), where=live)
+            d2pro *= self._scale * self._scale
+            # upper(d2pro grad grad^T + dpro hess), formed in place, then mirrored
+            hess = np.stack([p(w) for p in hess_polys], axis=-1)
+            if self._pull:
+                hess = hess @ self._pull[1]
+            outer = grad[:, i]
+            outer *= grad[:, j]
+            outer *= d2pro[:, None]
+            hess *= dpro[:, None]
+            hess += outer
+            out.append(hess[:, full])
         return out
-
-
-def _gauge_power_polynomial(group, center, radius):
-    """||center^-1 o y||^(2s!) / radius^(2s!) as a polynomial in y."""
-    from .polynomials import left_translation_polys
-
-    comps = left_translation_polys(group, -np.asarray(center, dtype=float))
-    order = group.gauge_order
-    total = HomogeneousPolynomial.zero(group)
-    for i in range(1, group.step + 1):
-        sl = group.layer_slice(i)
-        sq = HomogeneousPolynomial.zero(group)
-        for b in range(sl.start, sl.stop):
-            sq = sq + comps[b] * comps[b]
-        total = total + sq.power(order // (2 * i))
-    return total * (1.0 / radius**order)
 
 
 class ProductFunction(TestFunction):

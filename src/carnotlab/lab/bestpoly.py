@@ -48,8 +48,12 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
               iterative solvers end a ball on a certificate or a failed
               descent, never on a count;
   q < 1       Nelder-Mead descent (scipy.optimize.minimize, looked up when
-              it runs, so scipy loads with the first such solve), per ball;
-              the result is an upper bound on the infimum, labeled
+              it runs, so scipy loads with the first such solve), per ball,
+              stopped once the simplex's values differ by no more than the
+              objective's rounding floor at a vertex; then the vertex
+              through the d independent nodes of smallest |residual|
+              replaces the descent's point when it is no higher.  The
+              result is an upper bound on the infimum, labeled
               "upper-bound", or "upper-bound-unconverged" (flagged) when the
               descent reports no success.
 The L^2 start, Nelder-Mead and the estimates run per ball on its live
@@ -391,15 +395,28 @@ def _line_search(A, r, w, zero, sign, direction):
 
 
 def _nelder_mead(A, y, wvals, node_w, start, q):
+    """Nelder-Mead from the L^2 start, then the vertex through the d
+    independent nodes of smallest |residual| when its objective is no higher.
+
+    The objective's rounding floor sets fatol: d residuals at the rounding
+    level of 0, eps (max|y| + colmax . |c|), add up to d max(w u^q) times
+    its q-th power, which for q < 1 dwarfs the objective's own rounding."""
     from scipy.optimize import minimize
 
+    d = A.shape[1]
+    wq = node_w * wvals**q
+    noise = _ZERO * (np.max(np.abs(y)) + np.max(np.abs(A), axis=0) @ np.abs(start))
+    fatol = max(1e-14, d * float(np.max(wq)) * noise**q)
     res = minimize(
         lambda c: _objective(y - A @ c, wvals, node_w, q),
         start,
         method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "adaptive": True},
+        options={"xatol": 1e-10, "fatol": fatol, "maxiter": 4000, "adaptive": True},
     )
-    return res.x, "upper-bound" if res.success else "upper-bound-unconverged"
+    basis = _snap(A[None], np.abs(y - A @ res.x)[None])[0]
+    vertex = np.linalg.solve(A[basis], y[basis])
+    best = vertex if _objective(y - A @ vertex, wvals, node_w, q) <= res.fun else res.x
+    return best, "upper-bound" if res.success else "upper-bound-unconverged"
 
 
 def _estimate(resid, wvals, node_w, q, scheme, note):

@@ -8,6 +8,9 @@
   residuals of any candidate polynomial, by Hoelder's inequality;
   `newton_dual_lower_bound` builds its dual point from a Newton step.
 * `dilated_bump`: x -> f(delta_lam x) for a gauge bump f, in closed form.
+* `gauge_bump_jets_longdouble`: a gauge bump's value, gradient and Hessian
+  in np.longdouble, from the group's forms and the closed-form derivatives
+  of the layered gauge.
 * `mc_ball_volume`: an independent Monte Carlo ball volume by box rejection.
 * `quadrature_nodes`: the uniform nodes a scheme draws on one ball.
 * `poly_eval_by_powers` and `vandermonde_by_powers`: monomials by one array
@@ -42,6 +45,51 @@ def dilated_bump(bump, lam):
     same height on B(delta_{1/lam} c, R / lam)."""
     group, ball = bump.group, bump.support
     return GaugeBump(group, group.dilate(1.0 / lam, ball.center), ball.radius / lam, bump.height)
+
+
+def gauge_bump_jets_longdouble(group, bump, pts):
+    """[value, gradient, Hessian] of a gauge bump at pts in np.longdouble.
+
+    w = c^-1 o y = M y - c, M = [[I, 0], [T, I]] with T[j, b] the
+    (1/2) (-c^(1) . B_j)_b of the forms; u0(w) = sum_i S_i^m_i, S_i =
+    |w^(i)|^2 and m_i = s!/i, differentiated by hand per layer; u = u0 / r^(2s!)
+    for the radius r, and f = height exp(-u/(1-u)) inside the ball, 0 outside."""
+    ld = np.longdouble
+    n, n1 = group.n, group.n1
+    c, h = bump.support.center.astype(ld), ld(bump.height)
+    scale = ld(1) / ld(bump.support.radius) ** group.gauge_order
+    M = np.eye(n, dtype=ld)
+    if group.n2:
+        M[n1:, :n1] = np.einsum("a,jab->jb", -c[:n1], group.forms.astype(ld) / 2)
+    y = np.asarray(pts, dtype=ld)
+    w = y @ M.T - c
+    u0 = np.zeros(len(y), dtype=ld)
+    grad0 = np.zeros((len(y), n), dtype=ld)
+    hess0 = np.zeros((len(y), n, n), dtype=ld)
+    for i in range(1, group.step + 1):
+        sl = group.layer_slice(i)
+        m = group.gauge_order // (2 * i)
+        wi = w[:, sl]
+        S = np.sum(wi * wi, axis=1)
+        u0 += S**m
+        grad0[:, sl] = (2 * m) * S[:, None] ** (m - 1) * wi
+        block = (2 * m) * S[:, None, None] ** (m - 1) * np.eye(wi.shape[1], dtype=ld)
+        if m > 1:
+            outer = wi[:, :, None] * wi[:, None, :]
+            block += (4 * m * (m - 1)) * S[:, None, None] ** (m - 2) * outer
+        hess0[:, sl, sl] = block
+    u = u0 * scale
+    grad_u = grad0 @ M * scale
+    hess_u = np.swapaxes(M, 0, 1) @ hess0 @ M * scale
+    inside = u < 1
+    om = np.where(inside, 1 - u, ld(1))
+    pro = np.where(inside, np.exp(-u / om), ld(0))
+    d1, d2 = -pro / om**2, pro * (1 - 2 * om) / om**4
+    value = h * pro
+    grad = (h * d1)[:, None] * grad_u
+    hess = (h * d2)[:, None, None] * grad_u[:, :, None] * grad_u[:, None, :]
+    hess += (h * d1)[:, None, None] * hess_u
+    return [value, grad, hess]
 
 
 def mc_ball_volume(group, r, samples, seed, op_id="mc-ball-volume"):

@@ -35,7 +35,12 @@ from carnotlab.operators import jet_rows
 from carnotlab.quad import sample_ball
 from carnotlab.rng import stream
 
-from bruteforce_helpers import mc_ball_volume, poly_eval_by_powers, vandermonde_by_powers
+from bruteforce_helpers import (
+    gauge_bump_jets_longdouble,
+    mc_ball_volume,
+    poly_eval_by_powers,
+    vandermonde_by_powers,
+)
 
 
 # -- group law and dilations ---------------------------------------------------
@@ -525,30 +530,125 @@ def test_gauge_bump_jets_evaluate_each_polynomial_once(h1, count_calls):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("group_id", ["h1", "h2"])
+@pytest.mark.parametrize("group_id", ["e1", "h1", "h2"])
 def test_gauge_bump_hessian_in_place_matches_the_expression(group_id, request):
-    # the order-2 jet is formed in place; its bits are those of
-    # height * (d2pro * grad u grad u^T + dpro * hess u) with temporaries
-    from carnotlab.carnot.functions import _polynomial_hessian
-
+    # the jets are formed in place, the Hessian on its upper triangle; their
+    # bits are those of the expressions with temporaries: the value, dpro grad
+    # and (d2pro grad grad^T + dpro hess)[:, full], with grad = grad u0(w) M
+    # and upper(hess) = upper(hess u0(w)) P
     group = request.getfixturevalue(group_id)
-    bump = GaugeBump(group, np.linspace(-0.3, 0.2, group.n), 0.9, height=1.7)
-    pts = bump.support.center + 0.4 * stream(16, "jets/inplace").standard_normal((64, group.n))
-    u = bump._u(pts)
+    center = np.linspace(-0.3, 0.2, group.n)
+    bump = GaugeBump(group, center, 0.9, height=1.7)
+    pts = center + 0.4 * stream(16, "jets/inplace").standard_normal((64, group.n))
+    u0, grad_polys, hess_polys, (i, j), full = bump._unit
+    M, P = bump._pull or (np.eye(group.n), np.eye(len(hess_polys)))
+    w = bump._unit_point(pts)
+    u = u0(w) * bump._scale
     live = u < 1.0 - 1e-3
     assert live.any() and not live.all()  # points inside and outside the support
-    g = np.zeros_like(u)
-    np.exp(np.divide(-u, 1.0 - u, out=np.zeros_like(u), where=live), out=g, where=live)
-    om = np.ones_like(u)
-    om[live] = 1.0 - u[live]
-    dpro = np.where(live, -g / om**2, 0.0)
-    d2pro = np.where(live, g / om**4 - 2.0 * g / om**3, 0.0)
-    grad_u = np.stack([p(pts) for p in bump._grad_u], axis=-1)
-    expected = bump.height * (
-        d2pro[:, None, None] * np.einsum("ni,nj->nij", grad_u, grad_u)
-        + dpro[:, None, None] * _polynomial_hessian(bump._hess_u, pts)
+    om = np.where(live, 1.0 - u, 1.0)
+    value = np.exp(np.where(live, -u / om, -np.inf)) * bump.height
+    dpro = np.where(live, value / -(om * om), 0.0) * bump._scale
+    d2pro = np.where(live, value * (1.0 - 2.0 * om) / (om * om) ** 2, 0.0) * (
+        bump._scale * bump._scale
     )
-    np.testing.assert_array_equal(bump.jets(pts, 2)[2], expected)
+    grad = np.stack([p(w) for p in grad_polys], axis=-1) @ M
+    hess = np.stack([p(w) for p in hess_polys], axis=-1) @ P
+    expected = (d2pro[:, None] * (grad[:, i] * grad[:, j]) + dpro[:, None] * hess)[:, full]
+    got = bump.jets(pts, 2)
+    np.testing.assert_array_equal(got[0], value)
+    np.testing.assert_array_equal(got[1], dpro[:, None] * grad)
+    np.testing.assert_array_equal(got[2], expected)
+    np.testing.assert_array_equal(got[2], np.swapaxes(got[2], 1, 2))
+
+
+def _unit_step_two():
+    # a 3 x 2 step-2 group with random skew forms of unit largest entry
+    a = stream(17, "bump-oracle/forms").standard_normal((2, 3, 3))
+    forms = a - np.transpose(a, (0, 2, 1))
+    return step_two_group(forms / np.abs(forms).max())
+
+
+_BUMP_GROUPS = [heisenberg_group(1), heisenberg_group(2), _unit_step_two()]
+_BUMP_IDS = ["heisenberg:1", "heisenberg:2", "step2:3x2"]
+# (|center|, radius): the cross term T w^(1) of w = c^-1 o y, T the
+# translation rows of -c, rounds at eps |T| r against |w^(2)| ~ r^2, so the
+# error relative to the largest entry grows like |c| / r (1.7e-14 on H^1 at
+# |c| = 3, r = 0.1); these cases keep |c| / r <= 10
+_BUMP_CASES = [(0.0, 0.1), (1.0, 0.1), (3.0, 0.5), (3.0, 1.5)]
+
+
+@pytest.mark.parametrize("group", _BUMP_GROUPS, ids=_BUMP_IDS)
+def test_gauge_bump_jets_match_the_longdouble_oracle(group):
+    # value, gradient and Hessian within 1e-14 of the largest entry, on nodes
+    # filling the support's box (the dilated unit cube about the center)
+    rng = stream(18, f"bump-oracle/{group.ident}")
+    for norm, radius in _BUMP_CASES:
+        for _ in range(3):
+            direction = rng.standard_normal(group.n)
+            center = norm * direction / np.linalg.norm(direction)
+            bump = GaugeBump(group, center, radius, rng.uniform(0.5, 2.0))
+            z = rng.uniform(-1.0, 1.0, size=(1024, group.n))
+            pts = group.compose(center, group.dilate(radius, z))
+            for got, want in zip(bump.jets(pts, 2), gauge_bump_jets_longdouble(group, bump, pts)):
+                peak = float(np.max(np.abs(want)))
+                assert float(np.max(np.abs(got - want))) <= 1e-14 * peak, (norm, radius)
+
+
+@pytest.mark.parametrize("group", _BUMP_GROUPS, ids=_BUMP_IDS)
+def test_gauge_bump_derivatives_are_left_invariant_and_homogeneous(group):
+    # f = f0(delta_{1/r}(c^-1 o y)), f0 the bump of the same height on B(0, 1):
+    # X^alpha f(y) = r^-|alpha| (X^alpha f0)(delta_{1/r}(c^-1 o y)), |alpha| <= 2
+    rng = stream(19, f"bump-covariance/{group.ident}")
+    n1 = group.n1
+    keys = [(0,) * n1] + [tuple(int(i == a) for i in range(n1)) for a in range(n1)]
+    keys += [
+        tuple(int(i == a) + int(i == b) for i in range(n1)) for a in range(n1) for b in range(a, n1)
+    ]
+    for norm, radius in _BUMP_CASES:
+        direction = rng.standard_normal(group.n)
+        center = norm * direction / np.linalg.norm(direction)
+        bump = GaugeBump(group, center, radius, 1.4)
+        unit = GaugeBump(group, np.zeros(group.n), 1.0, 1.4)
+        pts = group.compose(center, group.dilate(radius, rng.uniform(-1, 1, (256, group.n))))
+        zeta = group.dilate(1.0 / radius, group.compose(-center, pts))
+        table, unit_table = JetTable(group, bump, pts, 2), JetTable(group, unit, zeta, 2)
+        for alpha in keys:
+            want = radius ** -sum(alpha) * unit_table[alpha]
+            np.testing.assert_allclose(
+                table[alpha], want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)), err_msg=str(alpha)
+            )
+
+
+def test_gauge_bumps_share_the_unit_polynomial_of_their_group(count_calls):
+    # after a group's first bump, another bump expands no polynomial
+    from carnotlab.carnot import polynomials
+
+    group = _unit_step_two()
+    GaugeBump(group, [0.1, 0.2, 0.3, 0.4, 0.5], 0.7)
+    calls = [
+        count_calls(polynomials, "left_translation_polys"),
+        count_calls(HomogeneousPolynomial, "power"),
+        count_calls(HomogeneousPolynomial, "__init__"),
+    ]
+    bump = GaugeBump(group, [-2.0, 1.0, 0.5, 3.0, -1.0], 1.3)
+    assert [len(made) for made in calls] == [0, 0, 0]
+    assert bump._unit is GaugeBump(group, np.zeros(5), 1.0)._unit
+
+
+@pytest.mark.parametrize(
+    "group", _BUMP_GROUPS + [euclidean_group(2)], ids=_BUMP_IDS + ["euclidean:2"]
+)
+def test_gauge_bump_jets_call_neither_compose_nor_gauge_norm(group, count_calls):
+    bump = GaugeBump(group, np.linspace(-1.0, 2.0, group.n), 0.8)
+    pts = stream(20, f"bump-no-law/{group.ident}").uniform(-2, 2, (64, group.n))
+    calls = [count_calls(type(group), name) for name in ("compose", "gauge_norm")]
+    bump.jets(pts, 2)
+    assert [len(made) for made in calls] == [0, 0]
+    # w = c^-1 o y up to the rounding of the cross term
+    np.testing.assert_allclose(
+        bump._unit_point(pts), group.compose(-bump.support.center, pts), rtol=0.0, atol=1e-14
+    )
 
 
 # -- test functions ----------------------------------------------------------------

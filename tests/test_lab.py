@@ -301,84 +301,84 @@ def test_best_poly_ball_list_matches_single_balls(request, group_name, q, scheme
 # value, its standard error and the raw coefficients in basis order
 _BEST_POLY_PINS = {
     ("e1", 0.8): [
-        ("0x1.9db00e6edaadcp-2", "0x1.7c8b1b4ba054ap-7",
-         "0x1.988bf4bb22c45p-1", "-0x1.26ea316d65762p-2"),
-        ("0x1.00c444897c70fp-5", "0x1.69aafe74567b7p-11",
-         "0x1.417da116a9774p+0", "0x1.2b13c35741bd2p+0"),
-        ("0x1.e8f8c86b144fcp-4", "0x1.ed2290bc0bea8p-9",
-         "0x1.265457f74addap+0", "0x1.e0015e8b06fe9p-1"),
-        ("0x1.35d6b964afb0ep-4", "0x1.ef8aefbfde58ap-10",
-         "0x1.2e0efc80905dap+0", "0x1.11156da1161a0p+0"),
+        ("0x1.9db00e6eda736p-2", "0x1.7c8b1b4ba0907p-7",
+         "0x1.988bf4bb22b21p-1", "-0x1.26ea316d65302p-2"),
+        ("0x1.00c444897b77ep-5", "0x1.69aafe745a34dp-11",
+         "0x1.417da116a9160p+0", "0x1.2b13c3574131ep+0"),
+        ("0x1.e8f8c86b13b71p-4", "0x1.ed2290bc0d0c3p-9",
+         "0x1.265457f74b01bp+0", "0x1.e0015e8b073f9p-1"),
+        ("0x1.35d6b964af65cp-4", "0x1.ef8aefbfdf0dep-10",
+         "0x1.2e0efc80905fap+0", "0x1.11156da116233p+0"),
     ],
     ("e1", 1.0): [
-        ("0x1.6da0843ca99eap-2", "0x1.1a574ba3ab55dp-7",
-         "0x1.7a6fb2d5fe608p-1", "-0x1.2bc976f7e7581p-2"),
-        ("0x1.0dba9bb1bcf61p-5", "0x1.213676a79faa2p-11",
-         "0x1.45bde07695d70p+0", "0x1.3763158bca147p+0"),
-        ("0x1.f1d7e2df49568p-4", "0x1.bc0aeb6cfecf7p-9",
+        ("0x1.6da0843ca99ebp-2", "0x1.1a574ba3ab55cp-7",
+         "0x1.7a6fb2d5fe608p-1", "-0x1.2bc976f7e7584p-2"),
+        ("0x1.0dba9bb1bcf63p-5", "0x1.213676a79fa9ep-11",
+         "0x1.45bde07695d70p+0", "0x1.3763158bca148p+0"),
+        ("0x1.f1d7e2df49568p-4", "0x1.bc0aeb6cfecf9p-9",
          "0x1.1f460cdc6c205p+0", "0x1.d3967230bb49ep-1"),
-        ("0x1.2c5488b9584d4p-4", "0x1.cb1611aa0a225p-10",
-         "0x1.2c7a4f4433a68p+0", "0x1.10ab7580369e8p+0"),
+        ("0x1.2c5488b9584d6p-4", "0x1.cb1611aa0a229p-10",
+         "0x1.2c7a4f4433a69p+0", "0x1.10ab7580369e9p+0"),
     ],
     ("e1", 1.5): [
-        ("0x1.3e1ed44ede64cp-2", "0x1.8a72ad56ad210p-8",
-         "0x1.5972a851d1baap-1", "-0x1.1c6c8ba4a0487p-2"),
-        ("0x1.24f2f98ce2934p-5", "0x1.01ed99f93effap-11",
-         "0x1.46082524768a6p+0", "0x1.39ae3d0ecad60p+0"),
-        ("0x1.0276320836019p-3", "0x1.487ae1304b19cp-9",
-         "0x1.05a564e654b2cp+0", "0x1.a4e41ea9d7039p-1"),
-        ("0x1.2c2ef020b78e0p-4", "0x1.9912d76ab3ae7p-10",
-         "0x1.26e675a19d076p+0", "0x1.0c113bf970090p+0"),
+        ("0x1.3e1ed44ede64cp-2", "0x1.8a72ad56ad207p-8",
+         "0x1.5972a851d1ba6p-1", "-0x1.1c6c8ba4a0487p-2"),
+        ("0x1.24f2f98ce2935p-5", "0x1.01ed99f93f03fp-11",
+         "0x1.46082524768adp+0", "0x1.39ae3d0ecad64p+0"),
+        ("0x1.027632083601ap-3", "0x1.487ae1304b19fp-9",
+         "0x1.05a564e654b2ep+0", "0x1.a4e41ea9d7036p-1"),
+        ("0x1.2c2ef020b78e1p-4", "0x1.9912d76ab3aecp-10",
+         "0x1.26e675a19d076p+0", "0x1.0c113bf97008ep+0"),
     ],
     ("e1", 2.0): [
-        ("0x1.2e028429b16ffp-2", "0x1.3e99eca92b058p-8",
-         "0x1.451e17cb2153cp-1", "-0x1.086acb4aeb80ap-2"),
-        ("0x1.356d2041c5214p-5", "0x1.ce42dc9279822p-12",
-         "0x1.45f9e4c1e3fa0p+0", "0x1.3adaa9ba40b11p+0"),
-        ("0x1.084ac4eb0e05ep-3", "0x1.09eeaa9ffb7b2p-9",
+        ("0x1.2e028429b16ffp-2", "0x1.3e99eca92b053p-8",
+         "0x1.451e17cb2153ap-1", "-0x1.086acb4aeb808p-2"),
+        ("0x1.356d2041c5215p-5", "0x1.ce42dc9279813p-12",
+         "0x1.45f9e4c1e3fa0p+0", "0x1.3adaa9ba40b13p+0"),
+        ("0x1.084ac4eb0e05ep-3", "0x1.09eeaa9ffb7b5p-9",
          "0x1.ec24b74cff970p-1", "0x1.88d01c33cbd02p-1"),
-        ("0x1.34b055f51d329p-4", "0x1.717bab22125cap-10",
-         "0x1.218600d6eeb94p+0", "0x1.0725cdc044b92p+0"),
+        ("0x1.34b055f51d32ap-4", "0x1.717bab22125c4p-10",
+         "0x1.218600d6eeb93p+0", "0x1.0725cdc044b90p+0"),
     ],
     ("h1", 0.8): [
-        ("0x1.6a00c762f6cbap-7", "0x1.0372e81ca9d76p-12",
-         "0x1.de14e1de820f0p-1", "-0x1.d7a83fe1441a7p-3", "-0x1.f23fda46cad6cp-3"),
-        ("0x1.854fc3e485365p-3", "0x1.255b8b65d941ap-8",
-         "0x1.4285d37160538p-1", "0x1.603bdcb6903fdp-4", "0x1.0f3b679065eeap-1"),
-        ("0x1.238aa4c135ec3p-2", "0x1.6481e2d3f81ddp-8",
-         "0x1.ee2229fc72c47p-2", "0x1.bc291c87add06p-4", "-0x1.b67692ef9ce9fp-3"),
-        ("0x1.8577636dc8caap-7", "0x1.13c9edf3aa52dp-12",
-         "0x1.9f9075428c938p+0", "0x1.13412e39f00bap-3", "-0x1.3d8d475fd1333p+0"),
+        ("0x1.6a00c762f4ab6p-7", "0x1.0372e81cad7e1p-12",
+         "0x1.de14e1de82b5ep-1", "-0x1.d7a83fe149722p-3", "-0x1.f23fda46c93c2p-3"),
+        ("0x1.854fc3e4850f5p-3", "0x1.255b8b65d982ep-8",
+         "0x1.4285d37160474p-1", "0x1.603bdcb690676p-4", "0x1.0f3b679065df5p-1"),
+        ("0x1.238aa44b8285bp-2", "0x1.6481e3c67654ep-8",
+         "0x1.ee22266f77f5ep-2", "0x1.bc29523b847c9p-4", "-0x1.b6767b2c15cb6p-3"),
+        ("0x1.8577636dc6fb5p-7", "0x1.13c9edf3ad8afp-12",
+         "0x1.9f9075428c6f2p+0", "0x1.13412e39eb01ap-3", "-0x1.3d8d475fd0c86p+0"),
     ],
     ("h1", 1.0): [
-        ("0x1.0aefb5c952487p-6", "0x1.667b4c9a318aap-12",
-         "0x1.db233f345e445p-1", "-0x1.d477b1d524a0ep-3", "-0x1.e38be2c021fa7p-3"),
+        ("0x1.0aefb5c952488p-6", "0x1.667b4c9a318aap-12",
+         "0x1.db233f345e445p-1", "-0x1.d477b1d524a15p-3", "-0x1.e38be2c021fa4p-3"),
         ("0x1.80b078b01752ap-3", "0x1.0106eed085ae4p-8",
          "0x1.6541689d61105p-1", "0x1.7a88799663c46p-4", "0x1.2d3124c5cdd8cp-1"),
-        ("0x1.20f7002841d34p-2", "0x1.43f25d1c3c022p-8",
-         "0x1.dfe114f77ff6cp-2", "0x1.1cd44874a29c1p-3", "-0x1.a8945ec51edc9p-3"),
-        ("0x1.2c69c8a786c5cp-6", "0x1.8f37a4940b853p-12",
-         "0x1.a2d30d087da7bp+0", "0x1.26c85e7f30d96p-3", "-0x1.424046634cb6fp+0"),
+        ("0x1.20f7002841d35p-2", "0x1.43f25d1c3c023p-8",
+         "0x1.dfe114f77ff6cp-2", "0x1.1cd44874a29b7p-3", "-0x1.a8945ec51edc9p-3"),
+        ("0x1.2c69c8a786c5bp-6", "0x1.8f37a4940b853p-12",
+         "0x1.a2d30d087da79p+0", "0x1.26c85e7f30d9fp-3", "-0x1.424046634cb6ep+0"),
     ],
     ("h1", 1.5): [
-        ("0x1.cfad293ec4b19p-6", "0x1.17664727d8041p-11",
-         "0x1.d7b79999149c5p-1", "-0x1.ca38303e6feadp-3", "-0x1.de3b784ff069bp-3"),
-        ("0x1.85edddf0c6511p-3", "0x1.c362a36858ec3p-9",
-         "0x1.7925912baf194p-1", "0x1.740c67e5eb432p-4", "0x1.3ed0b357ddebap-1"),
-        ("0x1.23f43bcbc4e38p-2", "0x1.125b7b7cf3140p-8",
-         "0x1.c8160eec121b9p-2", "0x1.fd220aef27e67p-4", "-0x1.66df02ee2cbbep-3"),
-        ("0x1.14ec0d0355e07p-5", "0x1.47ead68c795abp-11",
-         "0x1.a35ca2af84769p+0", "0x1.0f00e7d677609p-3", "-0x1.436b6d3883edbp+0"),
+        ("0x1.cfad293ec4b1ap-6", "0x1.17664727d803ap-11",
+         "0x1.d7b79999149c0p-1", "-0x1.ca38303e6fea7p-3", "-0x1.de3b784ff06a8p-3"),
+        ("0x1.85edddf0c6512p-3", "0x1.c362a36858ec4p-9",
+         "0x1.7925912baf18dp-1", "0x1.740c67e5eb435p-4", "0x1.3ed0b357ddeb0p-1"),
+        ("0x1.23f43bcbc4e39p-2", "0x1.125b7b7cf3141p-8",
+         "0x1.c8160eec121bap-2", "0x1.fd220aef27e6bp-4", "-0x1.66df02ee2cbbfp-3"),
+        ("0x1.14ec0d0355e06p-5", "0x1.47ead68c795acp-11",
+         "0x1.a35ca2af84770p+0", "0x1.0f00e7d67760bp-3", "-0x1.436b6d3883edfp+0"),
     ],
     ("h1", 2.0): [
-        ("0x1.3a0f5e3e5f3bbp-5", "0x1.6061d40d1ba08p-11",
-         "0x1.d68cb5281dba2p-1", "-0x1.c9e12568bb700p-3", "-0x1.e071985686cdep-3"),
+        ("0x1.3a0f5e3e5f3bbp-5", "0x1.6061d40d1ba0cp-11",
+         "0x1.d68cb5281dba2p-1", "-0x1.c9e12568bb702p-3", "-0x1.e071985686cdep-3"),
         ("0x1.925c7a74cbcdap-3", "0x1.a8d9e0dc2efb5p-9",
-         "0x1.80a2c13a29fbfp-1", "0x1.682f3c4b90841p-4", "0x1.453db69112367p-1"),
-        ("0x1.2a4521255b7fcp-2", "0x1.ea34029fdc189p-9",
-         "0x1.b862134faec54p-2", "0x1.dacfe9f080765p-4", "-0x1.36dcd0c04f4b6p-3"),
-        ("0x1.823c4f421c741p-5", "0x1.a69c6d7ed4ee9p-11",
-         "0x1.a2d781aa4c359p+0", "0x1.fa52016e204c8p-4", "-0x1.42c4c6a7f5ee8p+0"),
+         "0x1.80a2c13a29fc1p-1", "0x1.682f3c4b90842p-4", "0x1.453db69112369p-1"),
+        ("0x1.2a4521255b7fdp-2", "0x1.ea34029fdc188p-9",
+         "0x1.b862134faec53p-2", "0x1.dacfe9f080769p-4", "-0x1.36dcd0c04f4bcp-3"),
+        ("0x1.823c4f421c740p-5", "0x1.a69c6d7ed4ee5p-11",
+         "0x1.a2d781aa4c358p+0", "0x1.fa52016e204cbp-4", "-0x1.42c4c6a7f5ee7p+0"),
     ],
 }
 
