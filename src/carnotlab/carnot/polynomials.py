@@ -128,38 +128,11 @@ class HomogeneousPolynomial:
             out = out * self
         return out
 
-    def substitute(self, replacements):
-        """Compose: substitute replacements[i] (a polynomial) for x_i."""
-        if len(replacements) != self.group.n:
-            raise StructureError("need one replacement polynomial per coordinate")
-        out = HomogeneousPolynomial.zero(self.group)
-        for alpha, c in self.terms.items():
-            term = HomogeneousPolynomial.constant(self.group, c)
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * replacements[i].power(a)
-            out = out + term
-        return out
-
     def gradient_polys(self):
         return [self.partial(i) for i in range(self.group.n)]
 
     def to_dict(self):
         return {",".join(map(str, a)): c for a, c in sorted(self.terms.items())}
-
-
-def left_translation_polys(group, g):
-    """Components of g o y as polynomials in y (the law is affine in y)."""
-    g = np.asarray(g, dtype=float).reshape(-1)
-    comps = []
-    for i in range(group.n):
-        comps.append(HomogeneousPolynomial.coordinate(group, i) + float(g[i]))
-    units = [tuple(int(i == b) for i in range(group.n)) for b in range(group.n1)]
-    for j, row in enumerate(group.translation_rows(g)):
-        comps[group.n1 + j] = comps[group.n1 + j] + HomogeneousPolynomial(
-            group, dict(zip(units, row))
-        )
-    return comps
 
 
 def grlex_key(group, alpha):

@@ -2,7 +2,7 @@
 representation-formula checks, the p < 1 counterexample, and Morrey /
 Campanato / Leibniz tests."""
 
-from .bestpoly import best_polynomial, evaluate_candidate
+from .bestpoly import BallPolynomial, best_polynomial, evaluate_candidate
 from .counterexample import (
     CounterexampleFamily,
     affine_infimum,
@@ -27,6 +27,7 @@ from .reports import dump_json, jsonify, write_csv
 from .spaces import campanato_norm, leibniz_test, morrey_norm
 
 __all__ = [
+    "BallPolynomial",
     "best_polynomial",
     "evaluate_candidate",
     "CounterexampleFamily",

@@ -4,12 +4,13 @@ Minimizes ||(F - P) u||_{L^q(B)} over polynomials of homogeneous degree
 less than k, on the ball's quadrature nodes.  The basis is evaluated in
 centered, dilation-scaled coordinates zeta = delta_{1/r}(c^-1 o y) for
 conditioning; left translations and dilations preserve the span of
-{deg_G < k}, so the solution is mapped back to raw coordinates exactly.
+{deg_G < k}, so the fit stays in them: a `BallPolynomial` evaluates
+P(zeta(y)) by the same map and Vandermonde as the solver.
 
 `best_polynomial` takes one ball or a list of balls; ball b of a list
 draws its nodes under f"{op_id}/b{b}", and the balls are sampled together
 (in passes, see quad).  The nodes stay one (B, N, n) stack from the
-sampler to the solvers: F and u are evaluated once on the live nodes of
+sampler to the estimates: F and u are evaluated once on the live nodes of
 all balls, a non-finite value raising IntegrationError before any solve,
 and the Vandermonde stack (B, N, d) comes from one pass over all nodes.
 A grid's dead nodes keep quadrature weight 0, F = u = 0 and zero rows.
@@ -56,10 +57,10 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
               result is an upper bound on the infimum, labeled
               "upper-bound", or "upper-bound-unconverged" (flagged) when the
               descent reports no success.
-The L^2 start, Nelder-Mead and the estimates run per ball on its live
-rows.  The q >= 1 solvers run on slices of the stack of at most _STACK
-entries B * N * (d + 1); the zero rows of weight 0 at a grid's dead nodes
-change neither the solution nor the objective.
+The L^2 start and Nelder-Mead run per ball on its row of the stack, the
+estimates on the whole stack, and the q >= 1 solvers on slices of it of
+at most _STACK entries B * N * (d + 1); the zero rows of weight 0 at a
+grid's dead nodes change neither the solution nor the objective.
 """
 
 from __future__ import annotations
@@ -67,12 +68,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..carnot.group import GaugeBall
-from ..carnot.polynomials import (
-    HomogeneousPolynomial,
-    left_translation_polys,
-    monomial_basis,
-    vandermonde,
-)
+from ..carnot.polynomials import monomial_basis, vandermonde
 from ..errors import ConditioningError, DomainError
 from ..quad import Estimate, _ball_strata, _check_finite
 
@@ -98,9 +94,8 @@ _STACK = 1 << 20
 def _ball_stack(group, balls, scheme, op_ids, fns):
     """The one stratum of a uniform or grid scheme on each ball, ball b
     drawn under op_ids[b]: the nodes (B, N, n), the quadrature weights
-    (B, N), |B| / N on live nodes and 0 on a grid's dead ones, each f of
-    `fns` on the live nodes (B, N), 0 on the dead ones, and each ball's
-    live rows: a slice when every node is live, so that they select views."""
+    (B, N), |B| / N on live nodes and 0 on a grid's dead ones, and each f
+    of `fns` on the live nodes (B, N), 0 on the dead ones."""
     scheme.validate()
     if scheme.kind == "annuli":
         raise DomainError("best_polynomial needs a uniform or grid scheme")
@@ -117,9 +112,35 @@ def _ball_stack(group, balls, scheme, op_ids, fns):
     for f, out in zip(fns, vals):
         out[keep] = np.asarray(f(live_nodes), dtype=float).reshape(live_nodes.shape[0])
         _check_finite(out[keep], live_nodes)
-    rows = [slice(None) if every else np.flatnonzero(m) for m in live]
     weights = np.where(live, vols[:, None] / nodes.shape[1], 0.0)
-    return nodes, weights, vals.reshape(len(fns), *live.shape), rows
+    return nodes, weights, vals.reshape(len(fns), *live.shape)
+
+
+def _centred_vandermonde(group, basis, balls, pts):
+    """The basis at zeta = delta_{1/r}(c^-1 o y) for points y of shape
+    (B, N, n), row b on balls[b]: shape (B, N, d)."""
+    inv_centers = group.inverse(np.array([b.center for b in balls]))[:, None]
+    scales = (1.0 / np.array([b.radius for b in balls]))[:, None, None] ** group.weights
+    zeta = group.compose(inv_centers, pts) * scales
+    return vandermonde(group, basis, zeta.reshape(-1, group.n)).reshape(*pts.shape[:2], len(basis))
+
+
+class BallPolynomial:
+    """A best polynomial on its ball B(c, r): y -> P(zeta(y)), the sum of
+    coeffs[j] zeta^basis[j] at zeta = delta_{1/r}(c^-1 o y), basis the
+    monomial_basis(group, k).  A point (n,) maps to a scalar, a batch (N, n)
+    to (N,)."""
+
+    __slots__ = ("group", "ball", "basis", "coeffs")
+
+    def __init__(self, group, ball, basis, coeffs):
+        self.group, self.ball, self.basis, self.coeffs = group, ball, basis, coeffs
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        A = _centred_vandermonde(self.group, self.basis, [self.ball], y.reshape(1, -1, y.shape[-1]))
+        vals = A[0] @ self.coeffs
+        return vals[0] if y.ndim == 1 else vals
 
 
 def _objective(resid, wvals, node_w, q):
@@ -396,7 +417,8 @@ def _line_search(A, r, w, zero, sign, direction):
 
 def _nelder_mead(A, y, wvals, node_w, start, q):
     """Nelder-Mead from the L^2 start, then the vertex through the d
-    independent nodes of smallest |residual| when its objective is no higher.
+    independent live nodes of smallest |residual| when its objective is no
+    higher.
 
     The objective's rounding floor sets fatol: d residuals at the rounding
     level of 0, eps (max|y| + colmax . |c|), add up to d max(w u^q) times
@@ -413,58 +435,55 @@ def _nelder_mead(A, y, wvals, node_w, start, q):
         method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": fatol, "maxiter": 4000, "adaptive": True},
     )
-    basis = _snap(A[None], np.abs(y - A @ res.x)[None])[0]
+    basis = _snap(A[None], np.where(node_w > 0.0, np.abs(y - A @ res.x), np.inf)[None])[0]
     vertex = np.linalg.solve(A[basis], y[basis])
     best = vertex if _objective(y - A @ vertex, wvals, node_w, q) <= res.fun else res.x
     return best, "upper-bound" if res.success else "upper-bound-unconverged"
 
 
-def _estimate(resid, wvals, node_w, q, scheme, note):
+def _estimates(resid, wvals, node_w, q, scheme, notes):
+    """One Estimate per ball of the (B, N) stack; `samples` counts its live
+    nodes, and only the uniform scheme has a standard error."""
     powers = node_w * (np.abs(resid) * wvals) ** q
-    value_q = float(np.sum(powers))
-    n = powers.shape[0]
-    uniform = scheme.kind == "uniform" and n > 1
-    std_q = float(np.std(powers * n, ddof=1)) / np.sqrt(n) if uniform else 0.0
-    est = Estimate(
-        value=value_q, std_error=std_q, samples=n, seed=scheme.seed,
-        flagged=note in _FLAGGED_NOTES, note=note,
-    )
-    return est.powered(1.0 / q)
+    n = np.count_nonzero(node_w, axis=1)
+    std = np.zeros(len(n))
+    if scheme.kind == "uniform":
+        std = np.std(powers * n[:, None], axis=1, ddof=1) / np.sqrt(n)
+    return [
+        Estimate(
+            value=float(v), std_error=float(e), samples=int(m), seed=scheme.seed,
+            flagged=note in _FLAGGED_NOTES, note=note,
+        ).powered(1.0 / q)
+        for v, e, m, note in zip(np.sum(powers, axis=1), std, n, notes)
+    ]
 
 
 def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
-    """Return (minimizer polynomial in raw coordinates, value Estimate) for
-    one ball, or a list of them for a list of balls, ball b on the nodes
-    drawn under f"{op_id}/b{b}"."""
+    """Return (BallPolynomial, value Estimate) for one ball, or a list of
+    them for a list of balls, ball b on the nodes drawn under
+    f"{op_id}/b{b}"."""
     if k < 1:
         raise DomainError("polynomial degree bound k must be >= 1")
     if not q > 0:
         raise DomainError(f"norm exponent must be positive, got {q}")
     single = isinstance(ball, GaugeBall)
     balls = [ball] if single else list(ball)
+    if not balls:
+        return []
     ids = [op_id] if single else [f"{op_id}/b{b}" for b in range(len(balls))]
     basis = monomial_basis(group, k)
-    nodes, node_w, (y, w), rows = _ball_stack(group, balls, scheme, ids, (F, u))
-    # zeta = delta_{1/r}(c^-1 o x) on every ball at once
-    inv_centers = group.inverse(np.array([b.center for b in balls]))[:, None]
-    scales = (1.0 / np.array([b.radius for b in balls]))[:, None, None] ** group.weights
-    zeta = group.compose(inv_centers, nodes) * scales
-    A = vandermonde(group, basis, zeta.reshape(-1, group.n)).reshape(*y.shape, len(basis))
+    nodes, node_w, (y, w) = _ball_stack(group, balls, scheme, ids, (F, u))
+    A = _centred_vandermonde(group, basis, balls, nodes)
     A[node_w == 0.0] = 0.0
 
-    coeffs = np.array(
-        [_weighted_lstsq(A[b, r], y[b, r], node_w[b, r] * w[b, r] ** 2) for b, r in enumerate(rows)]
-    )
+    coeffs = np.array([_weighted_lstsq(a, f, v * wb**2) for a, f, v, wb in zip(A, y, node_w, w)])
     notes = ["least-squares"] * len(balls)
     if q != 2.0:
         peaks = np.max(np.abs(y), axis=1)
         peaks[peaks == 0.0] = 1.0
         ys, starts = y / peaks[:, None], coeffs / peaks[:, None]
         if q < 1.0:
-            coeffs, notes = zip(*(
-                _nelder_mead(A[b, r], ys[b, r], w[b, r], node_w[b, r], starts[b], q)
-                for b, r in enumerate(rows)
-            ))
+            coeffs, notes = zip(*(_nelder_mead(*row, q) for row in zip(A, ys, w, node_w, starts)))
         else:
             solve = _l1_descent if q == 1.0 else lambda *stack: _newton(*stack, q)
             wq = node_w * w**q
@@ -477,25 +496,13 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
                 notes.extend(n)
         coeffs = np.array(coeffs) * peaks[:, None]
 
-    out = [
-        (
-            _to_raw_coordinates(group, basis, c, ball),
-            _estimate(y[b, r] - A[b, r] @ c, w[b, r], node_w[b, r], q, scheme, note),
-        )
-        for b, (ball, r, c, note) in enumerate(zip(balls, rows, coeffs, notes))
-    ]
+    resid = np.array([f - a @ c for a, f, c in zip(A, y, coeffs)])
+    fits = [BallPolynomial(group, b, basis, c) for b, c in zip(balls, coeffs)]
+    out = list(zip(fits, _estimates(resid, w, node_w, q, scheme, notes)))
     return out[0] if single else out
-
-
-def _to_raw_coordinates(group, basis, coeffs, ball):
-    """Expand P(zeta(y)) back into a polynomial in y."""
-    trans = left_translation_polys(group, group.inverse(ball.center))
-    zeta = [trans[i] * float(ball.radius ** -group.weights[i]) for i in range(group.n)]
-    return HomogeneousPolynomial(group, dict(zip(basis, coeffs))).substitute(zeta)
 
 
 def evaluate_candidate(group, F, u, q, ball, scheme, poly, *, op_id="best-poly"):
     """||(F - poly) u||_{L^q(B)} on the same nodes best_polynomial uses."""
-    _, [node_w], vals, [rows] = _ball_stack(group, [ball], scheme, [op_id], (F, u, poly))
-    y, wvals, pvals = (v[0, rows] for v in vals)
-    return _objective(y - pvals, wvals, node_w[rows], q) ** (1.0 / q)
+    _, [node_w], [[y], [wvals], [pvals]] = _ball_stack(group, [ball], scheme, [op_id], (F, u, poly))
+    return _objective(y - pvals, wvals, node_w, q) ** (1.0 / q)

@@ -149,7 +149,8 @@ def representation_check(group, fs, ball, k, num_points, scheme, *, op_id="repfo
     """Pointwise bound |prod f_i(x) - P(x)| <= C * sum I_k(|X^a f| chi_B)(x).
 
     P is the L^2-minimizing polynomial on the ball (a stand-in that can
-    only decrease the lhs).  I_k is linear and every tuple's term has the
+    only decrease the lhs), a `BallPolynomial` evaluated at the points in
+    the ball's centred coordinates.  I_k is linear and every tuple's term has the
     same order and supports, so the sum over tuples is one MFI call over
     all `num_points` target points, under op_id f"{op_id}/rhs": slot i
     gives one row |X^(t_i) f_i| per tuple t from one jet pass, and the
