@@ -148,8 +148,13 @@ class CarnotGroup:
         order = self.gauge_order
         total = 0.0
         for i in range(1, self.step + 1):
-            sq = np.sum(x[..., self.layer_slice(i)] ** 2, axis=-1)
-            total = total + sq ** (order / (2.0 * i))
+            # the layer's squares column by column, as compose forms its cross term
+            layer = self.layer_slice(i)
+            sq = x[..., layer.start] * x[..., layer.start]
+            for a in range(layer.start + 1, layer.stop):
+                sq += x[..., a] * x[..., a]
+            power = order / (2.0 * i)
+            total = total + (sq if power == 1.0 else sq**power)
         return total ** (1.0 / order)
 
     def distance(self, x, y):

@@ -25,8 +25,27 @@ is even; the nodes are mirror-symmetric, so F(a, b) = F(1 - a, b).
   the lines a x_i + b = f_i, so its minimum is at a vertex, a line through
   two nodes (Rockafellar, Convex Analysis, section 32).  By the symmetry
   the lines with a >= 1/2 suffice; box branch-and-bound prunes them.
+  The search starts from the best line a = 1/2 through a node and its
+  mirror image, tried at every _TILE-th node, so no group is summed only
+  because nothing has been found yet.
+  A box of lines (c, b), c = a - 1/2, is bounded in two steps.  First,
+  each node's least |residual| over the box, less a sign margin, to the
+  power q: one power per node.  Then, on the boxes that bound leaves
+  below the incumbent, the corner bound: the nodes whose residual keeps
+  its sign are concave in (c, b), so their sum is least at a corner.
+  The first never exceeds the second, so the boxes kept are the same.
+  The pairs of two pieces are grouped in tiles of _TILE x _TILE nodes, and
+  a tile is bounded before any of its lines is formed.  g is convex on
+  [-1, 1] (psi'' = phi' >= 0, and the mirror average keeps it so), and the
+  nodes increase, so by the three-chord lemma the slope c(i, j) of the
+  chord through nodes i < j grows with i and with j.  A tile's slopes
+  then lie between those of its first and last corner pairs (on a
+  diagonal tile of the middle piece, c(i0, i0 + 1) and c(j1 - 1, j1)),
+  widened by the ulps by which computed slopes break that order, and its
+  intercepts between g_i - c x_i at those two ends over its rows i.
+  Only the tiles whose bound is below the incumbent get their lines.
   On the outer pieces g = |x|/2 bit for bit, so a line through a left
-  node i and a right node j, c = a - 1/2 in (-1/2, 1/2), has residuals
+  node i and a right node j, c in (-1/2, 1/2), has residuals
   (1/2 - c)(x_k - x_j) on the right and (1/2 + c)(x_i - x_k) on the left.
   With i' the mirror image of i and S(k) = sum over the right nodes m of
   w_m |x_m - x_k|^q, its value is
@@ -173,7 +192,7 @@ def _line_values(x, g, w, q, lines, own):
     return out
 
 
-def _box_bounds(x, g, w, q, lo, hi):
+def _corner_bounds(x, g, w, q, lo, hi):
     """Lower bounds on F over the boxes lo[k] <= (c, b) <= hi[k].  A term
     whose residual keeps its sign on a box is concave there, so the sum of
     those terms is least at a corner; the other terms are >= 0."""
@@ -187,27 +206,55 @@ def _box_bounds(x, g, w, q, lo, hi):
     return out
 
 
+def _interval_bounds(x, g, w, q, lo, hi):
+    """Lower bounds on F over the same boxes, one power per node: its least
+    |residual| on the box, less _SIGN_MARGIN.  Never above _corner_bounds:
+    a node that keeps its sign has its least residual at a corner, computed
+    alike there, and a node within _SIGN_MARGIN of a sign change gives 0."""
+    out = np.empty(lo.shape[0])
+    step = max(1, _BLOCK // x.shape[0])
+    for s in range(0, lo.shape[0], step):
+        low, high = lo[s : s + step, :, None], hi[s : s + step, :, None]
+        cx_low, cx_high = low[:, 0] * x, high[:, 0] * x
+        least = g - np.maximum(cx_low, cx_high) - high[:, 1]
+        most = g - np.minimum(cx_low, cx_high) - low[:, 1]
+        out[s : s + step] = np.maximum(np.maximum(least, -most) - _SIGN_MARGIN, 0.0) ** q @ w
+    return out
+
+
+def _bounds(x, g, w, q, lo, hi, outer, best):
+    """Lower bounds on F over the boxes lo[k] <= (c, b) <= hi[k], outer[k]
+    being the least part of F summed in closed form there.  The interval
+    bound goes first; the corner bound, never below it, replaces it on the
+    boxes it leaves below `best`, so the boxes below best are the corner
+    bound's alone."""
+    bound = outer + _interval_bounds(x, g, w, q, lo, hi)
+    low = bound < best
+    bound[low] = outer[low] + _corner_bounds(x, g, w, q, lo[low], hi[low])
+    return bound
+
+
 def _branch_and_bound(x, g, w, q, block, best):
-    """Lower `best` = [value, c, b, i, j] to the least F over the lines of
-    `block` = (nodes, lines, pairs, outer, sizes).  Line k, lines[k] =
-    (c, b), passes through the nodes pairs[k]; F there is outer[k], a part
-    summed in closed form, plus the sum over the slice x[nodes].  The lines
-    come in contiguous groups of the given sizes.  Each round drops the
-    groups whose bound, their least outer part plus a box bound on the
-    summed part, is >= best; evaluates those of at most _LEAF lines; and
-    halves the others across the wider side of their box."""
+    """Lower `best` = [value, c, b, i, j], in place, to the least F over the
+    lines of `block` = (nodes, lines, pairs, outer, sizes).  Line k,
+    lines[k] = (c, b), passes through the nodes pairs[k]; F there is
+    outer[k], a part summed in closed form, plus the sum over the slice
+    x[nodes].  The lines come in contiguous groups of the given sizes.
+    Each round drops the groups whose bound, their least outer part plus a
+    box bound on the summed part, is >= best; evaluates those of at most
+    _LEAF lines; and halves the others across the wider side of their box."""
     nodes, lines, pairs, outer, sizes = block
     x, g, w = x[nodes], g[nodes], w[nodes]
     while lines.shape[0]:
         starts = np.cumsum(sizes) - sizes
         lo, hi = np.minimum.reduceat(lines, starts), np.maximum.reduceat(lines, starts)
-        live = np.minimum.reduceat(outer, starts) + _box_bounds(x, g, w, q, lo, hi) < best[0]
+        live = _bounds(x, g, w, q, lo, hi, np.minimum.reduceat(outer, starts), best[0]) < best[0]
         leaf = np.repeat(live & (sizes <= _LEAF), sizes)
         if np.any(leaf):
             vals = outer[leaf] + _line_values(x, g, w, q, lines[leaf], pairs[leaf] - nodes.start)
             k = int(np.argmin(vals))
             if vals[k] < best[0]:
-                best = [float(vals[k]), *map(float, lines[leaf][k]), *map(int, pairs[leaf][k])]
+                best[:] = [float(vals[k]), *map(float, lines[leaf][k]), *map(int, pairs[leaf][k])]
         split = live & (sizes > _LEAF)
         member = np.repeat(split, sizes)
         lines, pairs, outer, sizes = lines[member], pairs[member], outer[member], sizes[split]
@@ -216,7 +263,6 @@ def _branch_and_bound(x, g, w, q, block, best):
         order = np.lexsort((lines[np.arange(lines.shape[0]), axis], group))
         lines, pairs, outer = lines[order], pairs[order], outer[order]
         sizes = np.stack([sizes // 2, sizes - sizes // 2], axis=1).ravel()
-    return best
 
 
 def _right_sums(x, w, q, n):
@@ -230,16 +276,93 @@ def _right_sums(x, w, q, n):
     return out
 
 
-def _candidate_blocks(x, g, w, q, n):
+def _slopes(x, g, i, j):
+    return (g[i] - g[j]) / (x[i] - x[j])
+
+
+def _outer_parts(c, i, j, sums, q, n):
+    """The outer part of F on the lines of slope c through the left nodes i
+    and the right nodes j; node n - 1 - i of the right piece is the mirror
+    image of i, and `sums` is _right_sums (module docstring)."""
+    return (0.5 - c) ** q * sums[j - 2 * n] + (0.5 + c) ** q * sums[n - 1 - i]
+
+
+def _tile_boxes(x, g, rows, cols, diagonal):
+    """Boxes lo <= (c, b) <= hi, shape (row tiles, column tiles, 2), each
+    holding the lines with c > 0 through the node pairs (i, j) of one tile
+    of _TILE x _TILE pairs of rows x cols (runs of node indices), and
+    whether the tile may hold such a line; with `diagonal`, rows is cols
+    and only the pairs i < j count.  The slope c(i, j) grows with i and
+    with j (module docstring), so on a tile it runs from its first corner
+    pair to its last, or on a diagonal tile from c(i0, i0 + 1) to
+    c(j1 - 1, j1), widened by the ulps that computed slopes fall out of
+    that order by.  b = g_i - c x_i and its rounding are monotone in c: on
+    a tile b runs between the values of its rows at the two ends."""
+    i0, j0 = np.meshgrid(rows[::_TILE], cols[::_TILE], indexing="ij")
+    i1, j1 = np.minimum(i0 + _TILE - 1, rows[-1]), np.minimum(j0 + _TILE - 1, cols[-1])
+    live = i0 < j1
+    if diagonal:
+        on = i0 == j0
+        j0, i1 = np.where(on, i0 + 1, j0), np.where(on, j1 - 1, i1)
+    ulps = 4.0 * np.finfo(float).eps
+    c_lo = np.maximum(_slopes(x, g, i0, j0) - ulps, 0.0)
+    c_hi = _slopes(x, g, i1, j1) + ulps
+    live &= c_hi > 0.0
+    tile = (rows - rows[0]) // _TILE
+    b_lo, b_hi = (g[rows, None] - c[tile] * x[rows, None] for c in (c_lo, c_hi))
+    starts = np.arange(0, rows.shape[0], _TILE)
+    b_lo, b_hi = (
+        np.minimum.reduceat(np.minimum(b_lo, b_hi), starts),
+        np.maximum.reduceat(np.maximum(b_lo, b_hi), starts),
+    )
+    return np.stack([c_lo, b_lo], axis=-1), np.stack([c_hi, b_hi], axis=-1), live
+
+
+def _least_outer_parts(x, g, q, n, sums):
+    """The least outer part of the left x right lines with c > 0 on each
+    tile, inf on a tile without one; in row chunks of at most _BLOCK
+    entries."""
+    left, right = np.arange(n), np.arange(2 * n, 3 * n)
+    chunk = _TILE * max(1, _BLOCK // (_TILE * n))
+    least = []
+    for s in range(0, n, chunk):
+        i = left[s : s + chunk, None]
+        c = _slopes(x, g, i, right)
+        outer = np.where(c > 0.0, _outer_parts(c, i, right, sums, q, n), np.inf)
+        least.append(np.minimum.reduceat(outer, np.arange(0, i.shape[0], _TILE), axis=0))
+    return np.minimum.reduceat(np.concatenate(least), np.arange(0, n, _TILE), axis=1)
+
+
+def _tile_lines(x, g, rows, cols, live):
+    """(i, j, c, sizes): the node pairs i < j with slopes c > 0 of the live
+    tiles of rows x cols, tile by tile in row-major order and row-major
+    within a tile, and how many each tile with some holds."""
+    r, t = np.nonzero(live)
+    span = np.arange(_TILE)
+    i = (rows[0] + _TILE * r[:, None] + span)[:, :, None]
+    j = (cols[0] + _TILE * t[:, None] + span)[:, None, :]
+    keep = (i <= rows[-1]) & (j <= cols[-1]) & (i < j)
+    i, j = np.broadcast_to(i, keep.shape)[keep], np.broadcast_to(j, keep.shape)[keep]
+    c = _slopes(x, g, i, j)
+    keep[keep] = c > 0.0
+    sizes = np.count_nonzero(keep, axis=(1, 2))
+    return i[c > 0.0], j[c > 0.0], c[c > 0.0], sizes[sizes > 0]
+
+
+def _candidate_blocks(x, g, w, q, n, best):
     """Blocks (nodes, lines (c, b), node pairs, outer parts, group sizes) of
     the lines through two nodes to try; the pieces are the nodes
     [k n, (k+1) n), k = 0, 1, 2.  First the slice c = 0 (a node and its
     mirror image, b = g_j) and the line c = 1/2, b = 0 of every pair in the
     right piece (in the left, its mirror image).  Then the other pairs'
-    lines with c > 0 (a line with c < 0 is the mirror image of one),
-    grouped by tiles of node pairs.  Every block sums all nodes directly,
-    with outer part 0, except the left x right lines: they sum the middle
-    piece, and the outer pieces in closed form (module docstring)."""
+    lines with c > 0 (a line with c < 0 is the mirror image of one), in
+    tiles of node pairs, one block per chunk of rows.  Each kind of pair
+    first bounds all its tiles, by their least outer part plus a bound on
+    their boxes (_tile_boxes); a chunk then gets the lines of its tiles
+    whose bound is below the incumbent best[0], as it stands then.  Every
+    block sums all nodes directly, with outer part 0, except the left x
+    right lines: they sum the middle piece, and the outer pieces in closed
+    form (module docstring)."""
     every, middle = slice(0, 3 * n), slice(n, 2 * n)
     j = np.arange(3 * n // 2, 3 * n)
     lines = np.concatenate([np.stack([0.0 * j, g[j]], axis=1), [[0.5, 0.0]]])
@@ -249,23 +372,21 @@ def _candidate_blocks(x, g, w, q, n):
     left, mid, right = (np.arange(k * n, (k + 1) * n) for k in range(3))
     rows = _TILE * max(1, _BLOCK // (_TILE * n))
     for first, second in ((left, mid), (mid, right), (left, right), (mid, mid)):
+        closed = first is left and second is right
+        nodes = middle if closed else every
+        lo, hi, live = _tile_boxes(x, g, first, second, first is second)
+        least = _least_outer_parts(x, g, q, n, sums) if closed else np.zeros(live.shape)
+        bound = np.full(live.shape, np.inf)
+        bound[live] = _bounds(
+            x[nodes], g[nodes], w[nodes], q, lo[live], hi[live], least[live], best[0]
+        )
         for s in range(0, n, rows):
-            i, j = (a.ravel() for a in np.meshgrid(first[s : s + rows], second, indexing="ij"))
-            if first is second:
-                i, j = i[i < j], j[i < j]
-            c = (g[i] - g[j]) / (x[i] - x[j])
-            i, j, c = i[c > 0.0], j[c > 0.0], c[c > 0.0]
-            tile = (i - first[s]) // _TILE * n + (j - second[0]) // _TILE
-            order = np.argsort(tile, kind="stable")
-            i, j, c, sizes = i[order], j[order], c[order], np.bincount(tile)
-            lines, pairs = np.stack([c, g[i] - c * x[i]], axis=1), np.stack([i, j], axis=1)
-            if first is left and second is right:
-                # node n - 1 - i of the right piece is the mirror image of i
-                outer = (0.5 - c) ** q * sums[j - 2 * n] + (0.5 + c) ** q * sums[n - 1 - i]
-                nodes = middle
-            else:
-                outer, nodes = np.zeros(c.shape[0]), every
-            yield nodes, lines, pairs, outer, sizes[sizes > 0]
+            live = bound[s // _TILE : (s + rows) // _TILE] < best[0]
+            i, j, c, sizes = _tile_lines(x, g, first[s : s + rows], second, live)
+            if sizes.shape[0]:
+                outer = _outer_parts(c, i, j, sums, q, n) if closed else np.zeros(c.shape[0])
+                lines = np.stack([c, g[i] - c * x[i]], axis=1)
+                yield nodes, lines, np.stack([i, j], axis=1), outer, sizes
 
 
 def affine_infimum(family, q, nodes):
@@ -282,9 +403,16 @@ def affine_infimum(family, q, nodes):
     if q >= 1.0:
         b, value = _best_offset(g, w, q)
         return {"value": value, "a": 0.5, "b": b, "converged": True, "method": "symmetric-convex"}
-    best = [math.inf, 0.0, 0.0, 0, 0]
-    for block in _candidate_blocks(x, g, w, q, x.shape[0] // 3):
-        best = _branch_and_bound(x, g, w, q, block, best)
+    n = x.shape[0] // 3
+    # the incumbent: the best line c = 0 through a node and its mirror
+    # image, at every _TILE-th node of the right half
+    j = np.arange(3 * n // 2, 3 * n, _TILE)
+    pairs = np.stack([j, 3 * n - 1 - j], axis=1)
+    seed = _line_values(x, g, w, q, np.stack([0.0 * j, g[j]], axis=1), pairs)
+    k = int(np.argmin(seed))
+    best = [float(seed[k]), 0.0, float(g[j[k]]), *map(int, pairs[k])]
+    for block in _candidate_blocks(x, g, w, q, n, best):
+        _branch_and_bound(x, g, w, q, block, best)
     _, c, b, i, j = best
     # the winner alone over all nodes, so L does not depend on the search path
     value = float(_line_values(x, g, w, q, np.array([[c, b]]), np.array([[i, j]]))[0])

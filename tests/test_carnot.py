@@ -228,6 +228,24 @@ def test_gauge_koranyi_form(h1):
     assert h1.gauge_norm(pt) == pytest.approx(expected, rel=1e-14)
 
 
+def test_gauge_norm_sums_each_layer_in_coordinate_order():
+    # bit for bit the former np.sum(x[..., layer] ** 2, axis=-1), which adds
+    # in coordinate order for layers of fewer than 8 coordinates
+    rng = stream(8, "gauge/column-order")
+    forms = rng.normal(size=(2, 3, 3))
+    groups = [euclidean_group(1), euclidean_group(3), heisenberg_group(1), heisenberg_group(2),
+              step_two_group(forms - np.transpose(forms, (0, 2, 1)))]
+    for group in groups:
+        order = group.gauge_order
+        for shape in ((group.n,), (4096, group.n), (3, 5, group.n)):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+            total = 0.0
+            for i in range(1, group.step + 1):
+                sq = np.sum(x[..., group.layer_slice(i)] ** 2, axis=-1)
+                total = total + sq ** (order / (2.0 * i))
+            assert np.array_equal(group.gauge_norm(x), total ** (1.0 / order))
+
+
 def test_gauge_homogeneity_exact(h1, h2, e3):
     for group in (h1, h2, e3):
         rng = stream(8, f"gauge/{group.ident}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1027,7 +1028,7 @@ def test_affine_infimum_q1_matches_lp():
         assert out["value"] == pytest.approx(res.fun, rel=1e-7)
 
 
-@pytest.mark.parametrize("q", [0.5, 0.1, 0.9])
+@pytest.mark.parametrize("q", [0.5, 0.1, 0.9, 0.05])
 def test_affine_infimum_below_one_is_best_line_through_two_nodes(q):
     # 25 nodes per piece: the middle one is its own mirror image
     rule = np.polynomial.legendre.leggauss(25)
@@ -1055,7 +1056,9 @@ def test_left_right_lines_sum_the_outer_pieces_in_closed_form(q):
         x, g, w = counterexample._piecewise_nodes(counterexample_family(eps), rule)
         assert np.array_equal(g[2 * n :], 0.5 * x[2 * n :])
         assert np.array_equal(g[:n], -0.5 * x[:n])
-        blocks = [b for b in counterexample._candidate_blocks(x, g, w, q, n) if b[0] == middle]
+        # with no incumbent every left x right tile gets its lines
+        blocks = counterexample._candidate_blocks(x, g, w, q, n, [math.inf])
+        blocks = [b for b in blocks if b[0] == middle]
         lines, pairs, outer = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
         assert np.all(pairs[:, 0] < n) and np.all(pairs[:, 1] >= 2 * n)
         pick = stream(11, f"closed-form/{q}/{eps}").choice(lines.shape[0], 1000, replace=False)
@@ -1096,6 +1099,129 @@ def test_vertex_bnb_reports_the_value_of_its_own_line(q):
         resid = fam.value(x) - out["a"] * x - out["b"]
         resid[np.argsort(np.abs(resid))[:2]] = 0.0  # the line's own two nodes
         assert out["value"] == pytest.approx(float(np.abs(resid) ** q @ w), rel=1e-12)
+
+
+# (L, a, b) of the (0.5 x 0.5)-table search at 400 nodes, eps = 2^-2 .. 2^-8,
+# as the search that formed and sorted every node pair returned them
+_VERTEX_PINS = {
+    0.1: [
+        ("0x1.0ecc6b2055564p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.f4f9ec8932c7ep-1", "0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.e206a8d7635acp-1", "0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.d92f76f38c1bap-1", "0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.d50fa59bbf3aap-1", "0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.d323172bd7bf6p-1", "0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.d23d4e094c116p-1", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ],
+    0.5: [
+        ("0x1.51c87f0c649aap-1", "0x1.0000000000000p-1", "0x1.fcaa13f9e78fbp-3"),
+        ("0x1.54706c27ad7d4p-1", "0x1.0000000000000p-1", "0x1.ff37285c5303ep-3"),
+        ("0x1.550ff4608c43cp-1", "0x1.0000000000000p-1", "0x1.00027ebf3bcd1p-2"),
+        ("0x1.5536a272f9421p-1", "0x1.0000000000000p-1", "0x1.fe7ed5a6762d0p-3"),
+        ("0x1.553ff5a387290p-1", "0x1.00fcf18fb493bp-1", "0x1.000afc93b06e4p-2"),
+        ("0x1.554227876dbeep-1", "0x1.00ff0379d4c7ep-1", "0x1.0000f51dd097ep-2"),
+        ("0x1.554250580af34p-1", "0x1.0000000000000p-1", "0x1.ffffef1278f59p-3"),
+    ],
+    0.9: [
+        ("0x1.2ece516128fa4p-2", "0x1.0000000000000p-1", "0x1.ff7fb6e899383p-3"),
+        ("0x1.33df2ecdc47dep-2", "0x1.0000000000000p-1", "0x1.ff37285c5303ep-3"),
+        ("0x1.351f9f55ca3b4p-2", "0x1.0000000000000p-1", "0x1.00027ebf3bcd1p-2"),
+        ("0x1.356fe279dbbbep-2", "0x1.0000000000000p-1", "0x1.fe7ed5a6762d0p-3"),
+        ("0x1.3584127ec60acp-2", "0x1.0000000000000p-1", "0x1.fe1df2544a346p-3"),
+        ("0x1.3589135afeecap-2", "0x1.00ff0379d4c7ep-1", "0x1.0000f51dd097ep-2"),
+        ("0x1.35895569a200ep-2", "0x1.0000000000000p-1", "0x1.ffffef1278f59p-3"),
+    ],
+}
+
+
+@pytest.mark.parametrize("q", sorted(_VERTEX_PINS))
+def test_vertex_bnb_returns_the_pinned_lines(q):
+    rule = np.polynomial.legendre.leggauss(400)
+    for e, want in zip(range(2, 9), _VERTEX_PINS[q]):
+        out = affine_infimum(counterexample_family(2.0**-e), q, rule)
+        assert tuple(float(out[key]).hex() for key in ("value", "a", "b")) == want
+
+
+@pytest.mark.parametrize("nodes", [25, 60, 400])
+def test_tile_boxes_hold_every_line_of_their_tile(nodes):
+    # the boxes come from the tiles' corner pairs alone; every line with
+    # c > 0 through a pair, formed densely, lies in the box of its tile
+    rule, n, tile = np.polynomial.legendre.leggauss(nodes), nodes, counterexample._TILE
+    left, mid, right = (np.arange(k * n, (k + 1) * n) for k in range(3))
+    for e in range(2, 9):
+        x, g, _ = counterexample._piecewise_nodes(counterexample_family(2.0**-e), rule)
+        for rows, cols in ((left, mid), (mid, right), (left, right), (mid, mid)):
+            lo, hi, live = counterexample._tile_boxes(x, g, rows, cols, rows is cols)
+            if rows is left and cols is mid:
+                assert not np.any(live)  # every such chord falls
+            i, j = (a.ravel() for a in np.meshgrid(rows, cols, indexing="ij"))
+            i, j = i[i < j], j[i < j]
+            c = (g[i] - g[j]) / (x[i] - x[j])
+            i, j, c = i[c > 0.0], j[c > 0.0], c[c > 0.0]
+            lines = np.stack([c, g[i] - c * x[i]], axis=1)
+            at = ((i - rows[0]) // tile, (j - cols[0]) // tile)
+            assert np.all(live[at])
+            assert np.all(lo[at] <= lines) and np.all(lines <= hi[at])
+
+
+def test_interval_bound_never_exceeds_the_corner_bound():
+    # random boxes about lines through two nodes, from wide to 1e-14 across,
+    # so that many residuals change sign or come within the sign margin
+    rng = stream(13, "interval-bound")
+    rule = np.polynomial.legendre.leggauss(60)
+    for eps in (2.0**-2, 2.0**-5):
+        x, g, w = counterexample._piecewise_nodes(counterexample_family(eps), rule)
+        i, j = rng.choice(x.shape[0], size=(2, 600))
+        i, j = i[i != j], j[i != j]
+        c = (g[i] - g[j]) / (x[i] - x[j])
+        lines = np.stack([c, g[i] - c * x[i]], axis=1)
+        width = rng.uniform(size=lines.shape) * 10.0 ** rng.integers(-14, 0, size=(c.shape[0], 1))
+        share = rng.uniform(size=lines.shape)
+        lo, hi = lines - share * width, lines + (1.0 - share) * width
+        for nodes in (slice(0, 180), slice(60, 120)):
+            for q in (0.05, 0.5, 0.95):
+                args = (x[nodes], g[nodes], w[nodes], q, lo, hi)
+                interval = counterexample._interval_bounds(*args)
+                assert np.all(interval <= counterexample._corner_bounds(*args))
+                assert np.any(interval > 0.0)
+
+
+def test_vertex_bnb_node_terms_on_the_half_half_table(monkeypatch):
+    # the node terms one (p, q) = (0.5, 0.5) table at 400 nodes spends on
+    # corner bounds (four per box and node) and on line values; the search
+    # that formed and sorted every node pair spent 12.7 M and 6.9 M
+    terms = {"corner": 0, "lines": 0}
+    corner_bounds, line_values = counterexample._corner_bounds, counterexample._line_values
+
+    def counted_corner_bounds(x, g, w, q, lo, hi):
+        terms["corner"] += 4 * lo.shape[0] * x.shape[0]
+        return corner_bounds(x, g, w, q, lo, hi)
+
+    def counted_line_values(x, g, w, q, lines, own):
+        terms["lines"] += lines.shape[0] * x.shape[0]
+        return line_values(x, g, w, q, lines, own)
+
+    monkeypatch.setattr(counterexample, "_corner_bounds", counted_corner_bounds)
+    monkeypatch.setattr(counterexample, "_line_values", counted_line_values)
+    counterexample_report(0.5, 0.5, [2.0**-e for e in range(2, 9)])
+    assert terms["corner"] <= 6_400_000
+    assert terms["lines"] <= 6_946_400
+
+
+def test_vertex_bnb_memory_peak():
+    # tracemalloc peak of one search per eps at 400 nodes, against the
+    # search that formed and sorted every node pair: 3.77 MB at eps = 2^-2,
+    # 3.37 MB at 2^-3 and 3.12 MB below
+    rule = np.polynomial.legendre.leggauss(400)
+    limits = (3.77e6, 3.37e6) + (3.12e6,) * 5
+    for e, limit in zip(range(2, 9), limits):
+        tracemalloc.start()
+        try:
+            affine_infimum(counterexample_family(2.0**-e), 0.5, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, (e, peak)
 
 
 def test_affine_infimum_below_one_is_not_above_known_line():
