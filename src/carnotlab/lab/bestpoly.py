@@ -10,10 +10,9 @@ P(zeta(y)) by the same map and Vandermonde as the solver.
 `best_polynomial` takes one ball or a list of balls; ball b of a list
 draws its nodes under f"{op_id}/b{b}", and the balls are sampled together
 (in passes, see quad).  The nodes stay one (B, N, n) stack from the
-sampler to the estimates: F and u are evaluated once on the live nodes of
-all balls, a non-finite value raising IntegrationError before any solve,
-and the Vandermonde stack (B, N, d) comes from one pass over all nodes.
-A grid's dead nodes keep quadrature weight 0, F = u = 0 and zero rows.
+sampler to the estimates: F and u are evaluated once on the nodes of all
+balls, a non-finite value raising IntegrationError before any solve, and
+the Vandermonde stack (B, N, d) comes from one pass over all nodes.
 
 Solvers by exponent, all from the weighted L^2 start; for q != 2 each
 ball's F values are divided by their max |F| before the solve and the
@@ -59,8 +58,7 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
               descent reports no success.
 The L^2 start and Nelder-Mead run per ball on its row of the stack, the
 estimates on the whole stack, and the q >= 1 solvers on slices of it of
-at most _STACK entries B * N * (d + 1); the zero rows of weight 0 at a
-grid's dead nodes change neither the solution nor the objective.
+at most _STACK entries B * N * (d + 1).
 """
 
 from __future__ import annotations
@@ -92,28 +90,22 @@ _STACK = 1 << 20
 
 
 def _ball_stack(group, balls, scheme, op_ids, fns):
-    """The one stratum of a uniform or grid scheme on each ball, ball b
-    drawn under op_ids[b]: the nodes (B, N, n), the quadrature weights
-    (B, N), |B| / N on live nodes and 0 on a grid's dead ones, and each f
-    of `fns` on the live nodes (B, N), 0 on the dead ones."""
+    """The one stratum of a uniform scheme on each ball, ball b drawn under
+    op_ids[b]: the nodes (B, N, n), the quadrature weights |B| / N of shape
+    (B, N), and each f of `fns` on the nodes, shape (B, N)."""
     scheme.validate()
-    if scheme.kind == "annuli":
-        raise DomainError("best_polynomial needs a uniform or grid scheme")
+    if scheme.kind != "uniform":
+        raise DomainError("best_polynomial needs a uniform scheme")
     passes = list(_ball_strata(group, balls, scheme, op_ids))
     nodes = np.concatenate([pts[:, :, 0] for pts, *_ in passes])
-    live = np.concatenate(
-        [np.ones(pts.shape[:2], bool) if mask is None else mask for pts, mask, *_ in passes]
-    )
     vols = np.concatenate([v for _, _, v, _, _ in passes])
-    every = bool(live.all())
-    keep = slice(None) if every else np.flatnonzero(live)
-    live_nodes = nodes.reshape(-1, group.n)[keep]
-    vals = np.zeros((len(fns), live.size))
+    flat = nodes.reshape(-1, group.n)
+    vals = np.empty((len(fns), flat.shape[0]))
     for f, out in zip(fns, vals):
-        out[keep] = np.asarray(f(live_nodes), dtype=float).reshape(live_nodes.shape[0])
-        _check_finite(out[keep], live_nodes)
-    weights = np.where(live, vols[:, None] / nodes.shape[1], 0.0)
-    return nodes, weights, vals.reshape(len(fns), *live.shape)
+        out[:] = np.asarray(f(flat), dtype=float).reshape(flat.shape[0])
+        _check_finite(out, flat)
+    weights = np.repeat(vols[:, None] / nodes.shape[1], nodes.shape[1], axis=1)
+    return nodes, weights, vals.reshape(len(fns), *nodes.shape[:2])
 
 
 def _centred_vandermonde(group, basis, balls, pts):
@@ -235,8 +227,10 @@ def _peak(x):
 
 
 def _snap(A, key):
-    """Per ball, the d rows of smallest key (inf marks a dead row) that are
-    linearly independent: the first d unless they are (nearly) dependent."""
+    """Per ball, the d rows of smallest key that are linearly independent:
+    the first d unless they are (nearly) dependent.  A key of inf marks a
+    row of weight 0, which the degenerate-vertex sub-problem gives every
+    node off the zero set (see _degenerate_directions)."""
     d = A.shape[2]
     basis = np.argpartition(key, d - 1, axis=1)[:, :d]
     s = np.linalg.svd(np.take_along_axis(A, basis[..., None], axis=1), compute_uv=False)
@@ -254,7 +248,8 @@ def _snap(A, key):
 
 def _l1_descent(A, y, w, start):
     """Vertex descent for min_c sum_i w_i |y_i - (A c)_i| on a stack of
-    shape (B, N, d), rows of weight 0 dead, from the vertex through the d
+    shape (B, N, d), rows of weight 0 dead (the degenerate-vertex
+    sub-problem weighs only the zero nodes), from the vertex through the d
     independent rows of smallest residual at `start` (B, d).  Returns the
     coefficients (B, d), the notes and the final bases (the rows each vertex
     goes through)."""
@@ -417,7 +412,7 @@ def _line_search(A, r, w, zero, sign, direction):
 
 def _nelder_mead(A, y, wvals, node_w, start, q):
     """Nelder-Mead from the L^2 start, then the vertex through the d
-    independent live nodes of smallest |residual| when its objective is no
+    independent nodes of smallest |residual| when its objective is no
     higher.
 
     The objective's rounding floor sets fatol: d residuals at the rounding
@@ -435,26 +430,23 @@ def _nelder_mead(A, y, wvals, node_w, start, q):
         method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": fatol, "maxiter": 4000, "adaptive": True},
     )
-    basis = _snap(A[None], np.where(node_w > 0.0, np.abs(y - A @ res.x), np.inf)[None])[0]
+    basis = _snap(A[None], np.abs(y - A @ res.x)[None])[0]
     vertex = np.linalg.solve(A[basis], y[basis])
     best = vertex if _objective(y - A @ vertex, wvals, node_w, q) <= res.fun else res.x
     return best, "upper-bound" if res.success else "upper-bound-unconverged"
 
 
 def _estimates(resid, wvals, node_w, q, scheme, notes):
-    """One Estimate per ball of the (B, N) stack; `samples` counts its live
-    nodes, and only the uniform scheme has a standard error."""
+    """One Estimate per ball of the (B, N) stack, on its N samples."""
     powers = node_w * (np.abs(resid) * wvals) ** q
-    n = np.count_nonzero(node_w, axis=1)
-    std = np.zeros(len(n))
-    if scheme.kind == "uniform":
-        std = np.std(powers * n[:, None], axis=1, ddof=1) / np.sqrt(n)
+    n = powers.shape[1]
+    std = np.std(powers * n, axis=1, ddof=1) / np.sqrt(n)
     return [
         Estimate(
-            value=float(v), std_error=float(e), samples=int(m), seed=scheme.seed,
+            value=float(v), std_error=float(e), samples=n, seed=scheme.seed,
             flagged=note in _FLAGGED_NOTES, note=note,
         ).powered(1.0 / q)
-        for v, e, m, note in zip(np.sum(powers, axis=1), std, n, notes)
+        for v, e, note in zip(np.sum(powers, axis=1), std, notes)
     ]
 
 
@@ -474,7 +466,6 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
     basis = monomial_basis(group, k)
     nodes, node_w, (y, w) = _ball_stack(group, balls, scheme, ids, (F, u))
     A = _centred_vandermonde(group, basis, balls, nodes)
-    A[node_w == 0.0] = 0.0
 
     coeffs = np.array([_weighted_lstsq(a, f, v * wb**2) for a, f, v, wb in zip(A, y, node_w, w)])
     notes = ["least-squares"] * len(balls)

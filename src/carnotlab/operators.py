@@ -65,8 +65,8 @@ def multilinear_fractional_integral(group, fs, tau, x, scheme, *, op_id="mfi"):
 
     `x` is one point of shape (n,), which returns an Estimate, or a batch
     of shape (P, n), which returns a list of P Estimates.  Under the
-    uniform and grid schemes a batch shares one product node set and one
-    evaluation of the slot functions; see `integrate_singular_product`.
+    uniform scheme a batch shares one product node set and one evaluation
+    of the slot functions; see `integrate_singular_product`.
 
     Slots may return T rows (T, N) each: the result is then I_tau of the
     sum over t of the rows' products, one Estimate per point, equal to the

@@ -15,9 +15,7 @@ private pieces:
   (S, N) or None, volumes (S,), distances d(pole, y_vec) of shape (S, N)
   or None, and each product's number of strata):
     uniform  one stratum of uniform samples per product, slot i drawn
-             under stream(seed, op_id, index=i);
-    grid     one stratum per product: the product midpoint grid on the
-             slots' centered boxes, live where every slot lies in its ball;
+             under stream(seed, op_id, index=i), every node live;
     annuli   dyadic shells d(pole, y_vec) in [2^-(j+1), 2^-j) * r0, shell j
              drawn under index j from the slot boxes cut to the shell's
              reach, then the top stratum d >= r0 of uniform samples with
@@ -37,8 +35,9 @@ of balls; ball b of a list draws under f"{op_id}/b{b}" (its own stream),
 and each ball's result equals its one-ball call bit for bit.  A list is
 taken in passes of at most _PASS nodes, which moves no value.
 
-All Monte Carlo paths are unbiased, deterministic given (seed, op_id), and
-carry a standard error.  Uniform ball samples are drawn by rejection from
+Both schemes are Monte Carlo, deterministic given (seed, op_id), and every
+value carries a standard error; uniform sampling is unbiased, annuli only
+up to its truncation.  Uniform ball samples are drawn by rejection from
 the centered coordinate box (layer i extent r^i) and left-translated to
 the center, which preserves Lebesgue measure.
 """
@@ -48,7 +47,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -59,42 +58,30 @@ from .rng import stream
 
 log = logging.getLogger(__name__)
 
-_MC_KINDS = ("uniform", "annuli")
-_KINDS = _MC_KINDS + ("grid",)
-
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """How to integrate: Monte Carlo (uniform or annuli-stratified) or grid."""
+    """How to integrate: Monte Carlo, uniform or annuli-stratified."""
 
     kind: str = "uniform"
     samples: int = 4096
     levels: int = 24
-    points_per_axis: int = 64
     seed: int = 0
 
     def validate(self):
-        if self.kind not in _KINDS:
+        if self.kind not in ("uniform", "annuli"):
             raise DomainError(f"unknown quadrature kind {self.kind!r}")
-        if self.kind in _MC_KINDS and self.samples < 1000:
+        if self.samples < 1000:
             raise DomainError("Monte Carlo schemes need samples >= 1e3")
         if self.kind == "annuli" and self.levels < 4:
             raise DomainError("annuli schemes need levels >= 4")
-        if self.kind == "grid" and self.points_per_axis < 2:
-            raise DomainError("grids need at least 2 points per axis")
         return self
 
     def with_(self, **kw):
         return replace(self, **kw)
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "samples": self.samples,
-            "levels": self.levels,
-            "points_per_axis": self.points_per_axis,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -258,28 +245,9 @@ def _strata(group, family, scheme, op_ids, poles):
     the distances d(pole, y_vec) of shape (S, N) or None, and the number of
     strata of each product.  Product b's annuli shells are centred at
     poles[b]; see the module docstring."""
-    B, m = len(family), len(family[0])
     if scheme.kind == "uniform":
         pts, volumes = _slot_samples(group, family, scheme.samples, scheme.seed, op_ids, 0)
-        return pts, None, volumes, None, [1] * B
-    if scheme.kind == "grid":
-        pp = scheme.points_per_axis
-        if pp ** (m * group.n) > 20_000_000:
-            raise DomainError("tensor grid too large; reduce points_per_axis")
-        exts = [[centered_box_extents(group, ball.radius) for ball in balls] for balls in family]
-        unit = (np.arange(pp) + 0.5) / pp * 2.0
-        mesh = np.meshgrid(*[unit] * (m * group.n), indexing="ij")
-        half = np.array([np.concatenate(ext) for ext in exts])[:, None]  # (B, 1, m n)
-        pts = np.stack([g.ravel() for g in mesh], axis=-1) * half - half
-        pts = pts.reshape(B, -1, m, group.n)
-        live = np.ones(pts.shape[:2], dtype=bool)
-        for i in range(m):
-            radii = np.array([[balls[i].radius] for balls in family])
-            centers = np.array([balls[i].center for balls in family])[:, None]
-            live &= group.gauge_norm(pts[:, :, i]) < radii
-            pts[:, :, i] = group.compose(centers, pts[:, :, i])
-        volumes = [math.prod(float(np.prod(2.0 * e)) for e in ext) for ext in exts]
-        return pts, live, np.array(volumes), None, [1] * B
+        return pts, None, volumes, None, [1] * len(family)
     tops, top_volumes = _slot_samples(
         group, family, _per_stratum(scheme), scheme.seed, op_ids, scheme.levels
     )
@@ -329,7 +297,6 @@ def _ball_strata(group, balls, scheme, op_ids, poles=None):
     one ball."""
     nodes = {
         "uniform": scheme.samples,
-        "grid": scheme.points_per_axis**group.n,
         "annuli": (scheme.levels + 1) * _per_stratum(scheme),
     }[scheme.kind]
     step = max(1, _PASS // nodes)
@@ -416,8 +383,8 @@ def _estimate(group, strata, f, scheme, kernel=None):
     exponent) the family is one product, f gives one row and there is one
     Estimate per point.  Returns one (Estimates, covariance) pair per
     product, where covariance, when f gave rows, is a function that forms
-    their covariance summed over the product's strata (0 for the grid)
-    when called, else None.  Strata that carry pole distances (annuli) come
+    their covariance summed over the product's strata when called, else
+    None.  Strata that carry pole distances (annuli) come
     with a kernel whose one point is the pole.
     """
     pts, live, vols, dist, counts = strata
@@ -443,8 +410,6 @@ def _estimate(group, strata, f, scheme, kernel=None):
     volumes = vols.tolist()
 
     def covariance(own):  # rows come without a kernel, so `full` is their one block
-        if scheme.kind == "grid":
-            return np.zeros((len(values), len(values)))
         return sum((_row_covariance(full[:, s], volumes[s]) for s in own), 0.0)
 
     out = []
@@ -463,8 +428,6 @@ def _estimate(group, strata, f, scheme, kernel=None):
             ]
         else:
             ests = [Estimate(v[first], e[first], N, scheme.seed) for v, e in zip(values, stds)]
-            if scheme.kind == "grid":
-                ests = [replace(e, std_error=0.0, note="tensor-grid") for e in ests]
         out.append((ests, (lambda own=own: covariance(own)) if batch else None))
     return out
 
@@ -476,8 +439,6 @@ def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularit
     """Estimate of int_B f dx.
 
     uniform: |B| * mean(f) over uniform ball samples (unbiased).
-    grid:    midpoint rule on the centered box with membership masking
-             (std_error 0).
     annuli:  stratified over dyadic gauge shells around `singularity`
              (default: the ball center); controls integrable point
              singularities of f.
@@ -486,7 +447,7 @@ def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularit
     Estimate.  It may instead return A rows, shape (A, N): every row is
     integrated on the same nodes, and the result is a list of A Estimates
     with a function that forms the A x A covariance of those estimates
-    when called (0 for the grid, summed over strata for annuli); callers
+    when called (summed over strata for annuli); callers
     that do not need it never form it.  Each row equals the
     single-function result bit for bit.  `f` is called once, on the live
     nodes of all strata, also when there are none.
@@ -561,8 +522,8 @@ def integrate_singular_product(
     `x` is one target point of shape (n,), which returns an Estimate, or a
     batch of shape (P, n), which returns a list of P Estimates.
 
-    The uniform and grid schemes build one product node set for the whole
-    batch and evaluate the integrand on it once; the kernel then acts as a
+    The uniform scheme builds one product node set for the whole batch
+    and evaluates the integrand on it once; the kernel then acts as a
     (points x nodes) matrix, formed in row blocks of at most 2^16 entries.
     At tau = mQ the kernel is the constant 1: no distance is formed, and
     one kernel-free estimate serves every point.  Row p equals the

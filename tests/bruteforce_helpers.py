@@ -12,6 +12,9 @@
   in np.longdouble, from the group's forms and the closed-form derivatives
   of the layered gauge.
 * `mc_ball_volume`: an independent Monte Carlo ball volume by box rejection.
+* `radial_bump_integral`: int f(y) d(c, y)^(tau - Q) dy for a gauge bump f
+  centred at c, by the polar decomposition of Haar measure and a 1-D
+  Gauss-Legendre rule.
 * `quadrature_nodes`: the uniform nodes a scheme draws on one ball.
 * `poly_eval_by_powers` and `vandermonde_by_powers`: monomials by one array
   power per term and coordinate, the reference for the power-table kernels.
@@ -113,6 +116,25 @@ def mc_ball_volume(group, r, samples, seed, op_id="mc-ball-volume"):
         samples=int(samples),
         seed=seed,
     )
+
+
+def radial_bump_integral(group, bump, tau, nodes=200):
+    """int f(y) d(c, y)^(tau - Q) dy for the gauge bump f on B(c, R), tau >= 1.
+
+    By left invariance it is int f(c o z) |z|^(tau - Q) dz, and f(c o z) is
+    the profile h exp(-u / (1 - u)), u = (|z| / R)^(2 s!), of |z| alone.
+    The polar decomposition of Haar measure (Folland and Stein, Hardy
+    Spaces on Homogeneous Groups, Prop. 1.15), d|B(0, s)| = Q |B_1| s^(Q-1)
+    ds, leaves Q |B_1| int_0^R profile(s) s^(tau - 1) ds, which the
+    Gauss-Legendre rule takes to rounding: the profile is smooth and
+    vanishes to every order at R."""
+    x, wts = np.polynomial.legendre.leggauss(nodes)
+    R = bump.support.radius
+    s = 0.5 * R * (x + 1.0)
+    u = (s / R) ** group.gauge_order
+    profile = bump.height * np.exp(-u / (1.0 - u))
+    Q = group.homogeneous_dimension
+    return Q * ball_volume(group, 1.0) * 0.5 * R * float(np.sum(wts * profile * s ** (tau - 1.0)))
 
 
 def poly_eval_by_powers(poly, pts):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bruteforce_helpers import dilated_bump
+from bruteforce_helpers import dilated_bump, gauge_bump_jets_longdouble, radial_bump_integral
 from carnotlab.carnot import (
     GaugeBall,
     GaugeBump,
@@ -20,7 +20,7 @@ from carnotlab.operators import (
     sobolev_rhs,
     sobolev_sublaplacian_rhs,
 )
-from carnotlab.quad import QuadratureScheme, integrate_singular_product, product_integrand
+from carnotlab.quad import QuadratureScheme
 from carnotlab.rng import stream
 from carnotlab.weights import Weight
 
@@ -130,18 +130,16 @@ def test_mfi_requires_support(e1):
         )
 
 
-def test_mfi_h1_bump_vs_grid_oracle(h1):
+def test_mfi_h1_bump_vs_radial_oracle(h1):
+    # at its centre the bump is radial about the kernel point, and by left
+    # invariance the integral is that of the same bump centred at 0
     bump = GaugeBump(h1, [0.1, -0.1, 0.0], 1.0)
-    x = np.array([0.0, 0.0, 0.0])
-    grid = integrate_singular_product(
-        h1, 1, product_integrand([bump]), x, 2.0, [bump.support],
-        QuadratureScheme(kind="grid", points_per_axis=120),
-    )
+    exact = radial_bump_integral(h1, bump, 2.0)
     mc = multilinear_fractional_integral(
-        h1, [bump], 2.0, x,
+        h1, [bump], 2.0, bump.support.center,
         QuadratureScheme(kind="annuli", samples=80000, levels=24, seed=17),
     )
-    assert abs(mc.value - grid.value) <= 3.0 * max(mc.std_error, 0.02 * grid.value)
+    assert abs(mc.value - exact) <= 3.0 * max(mc.std_error, 0.02 * exact)
 
 
 def test_mfi_monotone_on_dominated_pair(e1):
@@ -261,15 +259,24 @@ def test_sublaplacian_rhs_harmonic_and_zero(e2, mc_scheme):
 
 
 def test_sublaplacian_rhs_bilinear_vs_term_oracle(e1):
-    # term-by-term grid-quadrature oracle on a bump pair
+    # term-by-term oracle on a bump pair: on R^1 each L^2 norm of f and of
+    # L f = f'' is a 1-D integral over the bump's support interval, taken by
+    # a Gauss-Legendre rule on longdouble jets
     f1 = GaugeBump(e1, [0.1], 0.8)
     f2 = GaugeBump(e1, [-0.2], 1.0)
     w = Weight.one(e1)
-    mc = QuadratureScheme(samples=120000, seed=29)
-    grid = QuadratureScheme(kind="grid", points_per_axis=4000)
-    est_mc, _ = sobolev_sublaplacian_rhs(e1, [f1, f2], [w, w], [2.0, 2.0], mc)
-    est_grid, _ = sobolev_sublaplacian_rhs(e1, [f1, f2], [w, w], [2.0, 2.0], grid)
-    assert est_mc.value == pytest.approx(est_grid.value, rel=0.02)
+    x, wts = np.polynomial.legendre.leggauss(200)
+
+    def norms(f):
+        c, r = f.support.center[0], f.support.radius
+        value, _, hess = gauge_bump_jets_longdouble(e1, f, (c + r * x)[:, None])
+        return [math.sqrt(r * float(np.sum(wts * g**2))) for g in (value, hess[:, 0, 0])]
+
+    (n1, l1), (n2, l2) = norms(f1), norms(f2)
+    est, _ = sobolev_sublaplacian_rhs(
+        e1, [f1, f2], [w, w], [2.0, 2.0], QuadratureScheme(samples=120000, seed=29)
+    )
+    assert est.value == pytest.approx(l1 * n2 + n1 * l2, rel=0.02)
 
 
 def test_rhs_monotone_under_domination(e1, mc_scheme):

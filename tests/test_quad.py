@@ -25,7 +25,7 @@ from carnotlab.operators import jet_rows
 from carnotlab.rng import stream
 from carnotlab.weights import Weight
 
-from bruteforce_helpers import quadrature_nodes
+from bruteforce_helpers import quadrature_nodes, radial_bump_integral
 
 ONE = lambda p: np.ones(p.shape[0])
 
@@ -51,8 +51,9 @@ def test_scheme_validation():
         QuadratureScheme(kind="uniform", samples=100).validate()
     with pytest.raises(DomainError):
         QuadratureScheme(kind="annuli", samples=5000, levels=2).validate()
-    with pytest.raises(DomainError):
-        QuadratureScheme(kind="nonsense").validate()
+    for kind in ("nonsense", "grid"):
+        with pytest.raises(DomainError, match="unknown quadrature kind"):
+            QuadratureScheme(kind=kind).validate()
     QuadratureScheme(kind="uniform", samples=1000).validate()
 
 
@@ -76,14 +77,6 @@ def test_x_squared_on_unit_disk(e2, mc_scheme):
     ball = GaugeBall([0.0, 0.0], 1.0)
     est = integrate_ball(e2, lambda p: p[:, 0] ** 2, ball, mc_scheme)
     assert abs(est.value - math.pi / 4.0) <= 3.0 * est.std_error
-
-
-def test_grid_has_zero_std_error(e2):
-    ball = GaugeBall([0.0, 0.0], 1.0)
-    scheme = QuadratureScheme(kind="grid", points_per_axis=400)
-    est = integrate_ball(e2, lambda p: p[:, 0] ** 2, ball, scheme)
-    assert est.std_error == 0.0
-    assert est.value == pytest.approx(math.pi / 4.0, rel=1e-3)
 
 
 def test_seed_determinism_bit_identical(e2, mc_scheme):
@@ -246,16 +239,12 @@ def test_lp_norm_zero_times_infinite_weight(e1, mc_scheme, recwarn):
     assert np.isinf(w(np.array([[0.1]])))[0]
     mc = lp_norm_ball(e1, f, w, 1.0, ball, mc_scheme)
     assert math.isfinite(mc.value) and math.isfinite(mc.std_error)
-    grid = lp_norm_ball(
-        e1, f, w, 1.0, ball, QuadratureScheme(kind="grid", points_per_axis=200_000)
-    )
-    assert grid.value == pytest.approx((1.0 - 2.0**-399) / 399.0, rel=1e-3)
+    assert abs(mc.value - (1.0 - 2.0**-399) / 399.0) <= 3.0 * mc.std_error
     assert not [r for r in recwarn if issubclass(r.category, RuntimeWarning)]
 
 
 _BATCH_SCHEMES = {
     "uniform": QuadratureScheme(kind="uniform", samples=4096, seed=31),
-    "grid": QuadratureScheme(kind="grid", points_per_axis=24),
     "annuli": QuadratureScheme(kind="annuli", samples=6000, levels=12, seed=31),
 }
 
@@ -283,10 +272,7 @@ def test_lp_norm_batch_rows_match_single_calls(h1, kind):
             h1, lambda pts, f=f: (np.abs(f(pts)) * w(pts)) ** p, ball, scheme, op_id="batch"
         )
         assert cov[a, a] == pytest.approx(raw.std_error**2, rel=1e-12, abs=0.0)
-    if kind == "grid":
-        assert not np.any(cov)
-    else:
-        assert cov[0, 1] > 0.0  # the rows share nodes
+    assert cov[0, 1] > 0.0  # the rows share nodes
 
 
 def test_integrate_ball_single_row_shape_kept(e1, mc_scheme):
@@ -307,10 +293,9 @@ def test_lp_norm_invalid_exponent(e1, mc_scheme):
 
 _LIST_SCHEMES = {
     "uniform": QuadratureScheme(kind="uniform", samples=1024, seed=41),
-    "grid": QuadratureScheme(kind="grid", points_per_axis=10),
     "annuli": QuadratureScheme(kind="annuli", samples=2600, levels=8, seed=41),
 }
-_NODES_PER_BALL = {"uniform": 1024, "grid": 10, "annuli": 9 * 288}  # grid: 10^n
+_NODES_PER_BALL = {"uniform": 1024, "annuli": 9 * 288}
 
 
 def _ball_list(group):
@@ -383,8 +368,7 @@ def test_ball_list_matches_single_balls(group_id, kind, rows, balls_per_pass, re
     group = request.getfixturevalue(group_id)
     scheme = _LIST_SCHEMES[kind]
     if balls_per_pass is not None:
-        nodes = _NODES_PER_BALL[kind] ** (group.n if kind == "grid" else 1)
-        monkeypatch.setattr(quad, "_PASS", balls_per_pass * nodes)
+        monkeypatch.setattr(quad, "_PASS", balls_per_pass * _NODES_PER_BALL[kind])
     balls = _ball_list(group)
     f = _list_integrand(group, rows)
     w = Weight.power(group, 0.25)
@@ -458,20 +442,16 @@ def test_inverse_sqrt_closed_form(e1):
     assert abs(est.value - 2.0) <= 3.0 * est.std_error
 
 
-def test_bilinear_kernel_vs_grid_oracle(e1):
+def test_bilinear_kernel_vs_exact(e1):
+    # int_[0,1]^2 dy1 dy2 / (y1 + y2) = 2 ln 2
     chi = indicator_01(e1)
     integrand = product_integrand([chi, chi])
     supports = [chi.support, chi.support]
-    x = np.array([0.0])
-    grid = integrate_singular_product(
-        e1, 2, integrand, x, 1.0, supports, QuadratureScheme(kind="grid", points_per_axis=1500)
-    )
-    assert grid.value == pytest.approx(2.0 * math.log(2.0), rel=2e-3)
     mc = integrate_singular_product(
-        e1, 2, integrand, x, 1.0, supports,
+        e1, 2, integrand, np.array([0.0]), 1.0, supports,
         QuadratureScheme(kind="annuli", samples=60000, levels=24, seed=8),
     )
-    assert abs(mc.value - grid.value) <= 3.0 * mc.std_error
+    assert abs(mc.value - 2.0 * math.log(2.0)) <= 3.0 * mc.std_error
 
 
 def test_uniform_vs_annuli_product_nonsingular(e1):
@@ -502,31 +482,27 @@ def test_hypothesis_violations(e1, annuli_scheme):
         )
 
 
-def test_singular_h1_bump_vs_grid(h1):
+def test_singular_h1_bump_vs_radial_oracle(h1):
+    # the bump is radial about the kernel point: a 1-D integral in the gauge norm
     bump = GaugeBump(h1, [0.0, 0.0, 0.0], 1.0)
-    integrand = product_integrand([bump])
-    x = np.array([0.0, 0.0, 0.0])
-    grid = integrate_singular_product(
-        h1, 1, integrand, x, 2.0, [bump.support],
-        QuadratureScheme(kind="grid", points_per_axis=120),
-    )
+    exact = radial_bump_integral(h1, bump, 2.0)
     mc = integrate_singular_product(
-        h1, 1, integrand, x, 2.0, [bump.support],
+        h1, 1, product_integrand([bump]), np.array([0.0, 0.0, 0.0]), 2.0, [bump.support],
         QuadratureScheme(kind="annuli", samples=60000, levels=24, seed=12),
     )
-    assert abs(mc.value - grid.value) <= 3.0 * max(mc.std_error, 0.02 * grid.value)
+    assert abs(mc.value - exact) <= 3.0 * max(mc.std_error, 0.02 * exact)
 
 
-@pytest.mark.parametrize("kind", ["uniform", "grid"])
+@pytest.mark.parametrize("kind", ["uniform"])
 def test_singular_product_batch_rows_match_single_points(e1, h1, kind):
     cases = [
-        (e1, [GaugeBump(e1, [0.2], 0.9), GaugeBump(e1, [-0.3], 1.1)], 1.5, 40),
-        (h1, [GaugeBump(h1, [0.1, -0.1, 0.0], 1.0)], 2.0, 24),
+        (e1, [GaugeBump(e1, [0.2], 0.9), GaugeBump(e1, [-0.3], 1.1)], 1.5),
+        (h1, [GaugeBump(h1, [0.1, -0.1, 0.0], 1.0)], 2.0),
         # tau = mQ: the kernel is the constant 1
-        (e1, [GaugeBump(e1, [0.2], 0.9), GaugeBump(e1, [-0.3], 1.1)], 2.0, 40),
+        (e1, [GaugeBump(e1, [0.2], 0.9), GaugeBump(e1, [-0.3], 1.1)], 2.0),
     ]
-    for group, fs, tau, pp in cases:
-        scheme = QuadratureScheme(kind=kind, samples=3000, points_per_axis=pp, seed=21)
+    for group, fs, tau in cases:
+        scheme = QuadratureScheme(kind=kind, samples=3000, seed=21)
         supports = [f.support for f in fs]
         xs = stream(22, "batch-rows").uniform(-0.8, 0.8, size=(7, group.n))
         batch = integrate_singular_product(
@@ -541,11 +517,11 @@ def test_singular_product_batch_rows_match_single_points(e1, h1, kind):
             assert one.to_dict() == row.to_dict() and one.note == row.note
 
 
-@pytest.mark.parametrize("kind", ["uniform", "grid"])
+@pytest.mark.parametrize("kind", ["uniform"])
 def test_singular_product_row_blocks_do_not_change_values(e1, monkeypatch, kind):
     fs = [GaugeBump(e1, [0.2], 0.9), GaugeBump(e1, [-0.3], 1.1)]
     supports = [f.support for f in fs]
-    scheme = QuadratureScheme(kind=kind, samples=3000, points_per_axis=60, seed=23)
+    scheme = QuadratureScheme(kind=kind, samples=3000, seed=23)
     xs = np.linspace(-1.0, 1.0, 50)[:, None]  # several row blocks at the default size
 
     def run():

@@ -165,22 +165,21 @@ def test_ball_term_branch_continuity_at_q1(e1, small_scheme):
     assert lo.value == pytest.approx(hi.value, rel=1e-6)
 
 
-def test_ball_term_power_weights_vs_grid_oracle(h1):
-    # u = v = |x|_G^beta on H^1: annuli-MC against a tensor-grid oracle
+def test_ball_term_power_weights_vs_exact(h1):
+    # u = v = |x|_G^beta on H^1: by the polar decomposition of Haar measure
+    # the average of |x|_G^gamma over B(0, 1) is Q / (Q + gamma), so at
+    # q = t p' / 2 = 2 t the term is (Q / (Q + 2 t beta) * Q / (Q - 2 t beta))^(1/(2t))
     sys = ExponentSystem(m=1, p_list=(2.0,), q=2.0, k=1)
     ball = GaugeBall([0.0, 0.0, 0.0], 1.0)
-    values = []
+    Q, t = h1.homogeneous_dimension, 1.25
     for beta in (0.5, 0.25):
         w = Weight.power(h1, beta)
         (mc,) = ball_term(
             h1, w, [w], sys, ball,
-            QuadratureScheme(kind="annuli", samples=60000, levels=20, seed=5), (1.25,),
+            QuadratureScheme(kind="annuli", samples=60000, levels=20, seed=5), (t,),
         )
-        (grid,) = ball_term(
-            h1, w, [w], sys, ball, QuadratureScheme(kind="grid", points_per_axis=100), (1.25,)
-        )
-        assert mc.value == pytest.approx(grid.value, rel=0.05)
-        values.append(mc.value)
+        e = 2.0 * t * beta
+        assert mc.value == pytest.approx((Q / (Q + e) * Q / (Q - e)) ** (1.0 / (2.0 * t)), rel=0.05)
     # monotone-in-r trend for the larger beta
     w = Weight.power(h1, 0.5)
     r_terms = [
@@ -209,7 +208,6 @@ def test_ball_term_flags_overflowing_weight(e1):
 _T_GRID_SCHEMES = {
     "uniform": QuadratureScheme(kind="uniform", samples=2048, seed=7),
     "annuli": QuadratureScheme(kind="annuli", samples=6000, levels=12, seed=7),
-    "grid": QuadratureScheme(kind="grid", points_per_axis=24),
 }
 
 # single-t values of the per-(t, ball, weight) node sets, which the t grid keeps
