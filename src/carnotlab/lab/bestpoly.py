@@ -22,9 +22,12 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
   q = 1       exact discrete-L^1 minimum by vertex descent (a simplex in
               the manner of Barrodale and Roberts).  A vertex is a
               polynomial through d nodes (the basis); each ball starts at
-              the d independent nodes of smallest L^2 residual.  Its dual
-              point is lam_i = sign(r_i) off the zero-residual set Z, 0 on Z
-              minus the basis, and on the basis the solution of
+              the lower of two vertices, through the d independent nodes
+              of smallest L^2 residual or through those of smallest |F|
+              (the zero polynomial where F vanishes on d independent nodes,
+              as on most balls of a product of bumps).  Its dual point is
+              lam_i = sign(r_i) off the zero-residual set Z, 0 on Z minus
+              the basis, and on the basis the solution of
               sum_i lam_i w_i A_i = 0; the vertex is optimal once
               max |lam| <= 1.  Otherwise the basis node of largest |lam|
               leaves and an exact line search picks the entering node; a
@@ -158,7 +161,7 @@ def _newton(A, y, wq, c, q):
     Q = np.linalg.qr(D[..., None] * A)[0]  # an orthonormal basis of range(D A)
     r = y - (A @ c[..., None])[..., 0]
     obj = np.sum(wq * np.abs(r) ** q, axis=1)
-    ymax, colmax, mass = np.max(np.abs(y), axis=1), np.max(np.abs(A), axis=1), np.sum(wq, axis=1)
+    ymax, colmax, mass = np.max(np.abs(y), axis=1), _colmax(A), np.sum(wq, axis=1)
     coeffs, notes = c.copy(), np.full(len(c), "newton-certified", dtype=object)
     active, ended = np.arange(len(c)), np.zeros(len(c), dtype=bool)
     while True:
@@ -226,14 +229,27 @@ def _peak(x):
     return np.maximum(np.max(np.abs(x), axis=1, keepdims=True), np.finfo(float).tiny)
 
 
+def _colmax(A):
+    """max |A| over the rows (axis -2) of each column, as np.max(np.abs(A),
+    axis=-2), taken one column at a time: numpy reduces a long axis beside a
+    short last one on a slow path."""
+    return np.stack([np.max(np.abs(A[..., j]), axis=-1) for j in range(A.shape[-1])], axis=-1)
+
+
 def _snap(A, key):
     """Per ball, the d rows of smallest key that are linearly independent:
     the first d unless they are (nearly) dependent.  A key of inf marks a
     row of weight 0, which the degenerate-vertex sub-problem gives every
-    node off the zero set (see _degenerate_directions)."""
+    node off the zero set (see _degenerate_directions).  The d smallest come
+    from d argmin passes, the lowest index first among ties; argpartition is
+    far slower on keys that mostly tie at 0."""
     d = A.shape[2]
-    basis = np.argpartition(key, d - 1, axis=1)[:, :d]
-    s = np.linalg.svd(np.take_along_axis(A, basis[..., None], axis=1), compute_uv=False)
+    rest, rows = key.copy(), np.arange(len(key))
+    basis = np.empty((len(key), d), dtype=int)
+    for j in range(d):
+        basis[:, j] = np.argmin(rest, axis=1)
+        rest[rows, basis[:, j]] = np.inf
+    s = np.linalg.svd(A[rows[:, None], basis], compute_uv=False)
     for b in np.flatnonzero(s[:, -1] <= _RANK_TOL * s[:, 0]):
         chosen = []
         for i in np.argsort(key[b]):
@@ -249,34 +265,37 @@ def _snap(A, key):
 def _l1_descent(A, y, w, start):
     """Vertex descent for min_c sum_i w_i |y_i - (A c)_i| on a stack of
     shape (B, N, d), rows of weight 0 dead (the degenerate-vertex
-    sub-problem weighs only the zero nodes), from the vertex through the d
-    independent rows of smallest residual at `start` (B, d).  Returns the
+    sub-problem weighs only the zero nodes).  Each ball starts at the lower
+    of two vertices: through the d independent rows of smallest residual at
+    `start` (B, d), and through those of smallest |y|, which is the zero
+    polynomial where y vanishes on d independent rows.  Returns the
     coefficients (B, d), the notes and the final bases (the rows each vertex
     goes through)."""
     nb, _, d = A.shape
     if d == 1:
         c, node = _weighted_median(A, y, w)
         return c, np.full(nb, "l1-vertex-certified", dtype=object), node
+    live = w > 0.0
     resid = np.abs(y - (A @ start[..., None])[..., 0])
-    basis = _snap(A, np.where(w > 0.0, resid, np.inf))
+    l2, small_y = (_snap(A, np.where(live, key, np.inf)) for key in (resid, np.abs(y)))
+    l2_obj, small_y_obj = (np.sum(w * np.abs(_vertex(A, y, b)[1]), axis=1) for b in (l2, small_y))
+    basis = np.where((small_y_obj < l2_obj)[:, None], small_y, l2)
     coeffs = np.zeros((nb, d))
     final = basis.copy()
     notes = np.full(nb, "l1-vertex-certified", dtype=object)
     visited = [{tuple(sorted(row))} for row in basis.tolist()]
     # the rounding bound of any residual y_i - A_i c is eps (max|y| + colmax . |c|)
-    ymax, colmax = np.max(np.abs(y), axis=1), np.max(np.abs(A), axis=1)
+    ymax, colmax = np.max(np.abs(y), axis=1), _colmax(A)
     total_w = np.sum(w, axis=1)
     best = np.full(nb, np.inf)
     active = np.arange(nb)
     rows = np.arange(nb)[:, None]
     while True:
-        AB = A[rows, basis]
+        c, r = _vertex(A, y, basis)
         try:
-            inv = np.linalg.inv(AB)
-            c = np.linalg.solve(AB, y[rows, basis][..., None])[..., 0]
+            inv = np.linalg.inv(A[rows, basis])
         except np.linalg.LinAlgError as exc:
             raise ConditioningError(f"L^1 vertex basis: {exc}") from exc
-        r = y - (A @ c[..., None])[..., 0]
         obj = np.sum(w * np.abs(r), axis=1)
         noise = _ZERO * (ymax + np.sum(colmax * np.abs(c), axis=1))
         # a pivot whose gain rounding turned into a loss: keep the previous vertex
@@ -336,6 +355,17 @@ def _l1_descent(A, y, w, start):
             rows = rows[: go_on.size]
 
 
+def _vertex(A, y, basis):
+    """Per ball, the coefficients (B, d) of the polynomial through its basis
+    rows (B, d), and the residuals y - A c (B, N)."""
+    rows = np.arange(len(basis))[:, None]
+    try:
+        c = np.linalg.solve(A[rows, basis], y[rows, basis][..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"L^1 vertex basis: {exc}") from exc
+    return c, y - (A @ c[..., None])[..., 0]
+
+
 def _first_visit(seen, row):
     key = tuple(sorted(row))
     if key in seen:
@@ -383,12 +413,20 @@ def _weighted_median(A, y, w):
     so it is a weighted median of the y_i / A_i.  Returns (c, node) per ball."""
     a = A[..., 0]
     live = (w > 0.0) & (a != 0.0)
-    t = np.divide(y, a, out=np.full_like(y, np.inf), where=live)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(live, y / a, np.inf)
     order = np.argsort(t, axis=1)
-    mass = np.cumsum(np.take_along_axis(np.where(live, w * np.abs(a), 0.0), order, axis=1), axis=1)
+    mass = np.cumsum(_take_rows(np.where(live, w * np.abs(a), 0.0), order), axis=1)
     pos = np.argmax(mass >= 0.5 * mass[:, -1:], axis=1)
-    node = order[np.arange(order.shape[0]), pos]
-    return np.take_along_axis(t, node[:, None], axis=1), node[:, None]
+    rows = np.arange(len(t))
+    node = order[rows, pos]
+    return t[rows, node][:, None], node[:, None]
+
+
+def _take_rows(x, order):
+    """x[b, order[b]] for each row b of a (B, N) array, by one flat np.take,
+    which numpy runs far faster than np.take_along_axis."""
+    return np.take(x, order + (np.arange(len(x)) * x.shape[1])[:, None])
 
 
 def _line_search(A, r, w, zero, sign, direction):
@@ -400,10 +438,10 @@ def _line_search(A, r, w, zero, sign, direction):
     wv = w * v
     slope0 = np.sum(np.where(zero, np.abs(wv), -sign * wv), axis=1)
     crossing = sign * v > 0.0
-    t = np.divide(r, v, out=np.full_like(r, np.inf), where=crossing)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(crossing, r / v, np.inf)
     order = np.argsort(t, axis=1)
-    jumps = np.take_along_axis(np.abs(wv, out=wv), order, axis=1)
-    jumps *= np.take_along_axis(crossing, order, axis=1)
+    jumps = _take_rows(np.where(crossing, np.abs(wv), 0.0), order)
     turned = slope0[:, None] + 2.0 * np.cumsum(jumps, axis=1) >= 0.0
     pos = np.argmax(turned, axis=1)
     rows = np.arange(A.shape[0])
@@ -422,7 +460,7 @@ def _nelder_mead(A, y, wvals, node_w, start, q):
 
     d = A.shape[1]
     wq = node_w * wvals**q
-    noise = _ZERO * (np.max(np.abs(y)) + np.max(np.abs(A), axis=0) @ np.abs(start))
+    noise = _ZERO * (np.max(np.abs(y)) + _colmax(A) @ np.abs(start))
     fatol = max(1e-14, d * float(np.max(wq)) * noise**q)
     res = minimize(
         lambda c: _objective(y - A @ c, wvals, node_w, q),

@@ -18,6 +18,7 @@ from carnotlab.carnot import (
     GaugeBall,
     GaugeBump,
     HomogeneousPolynomial,
+    ProductFunction,
     horizontal_derivative,
     monomial_basis,
     random_bump,
@@ -620,6 +621,140 @@ def test_l1_vertex_stack_bound_does_not_change_values(e1, monkeypatch, scheme):
     low, high = _fits_at_stack_bounds(e1, monkeypatch, scheme, 1.0)
     assert low == high
     assert {est["note"] for est, _ in low} == {"l1-vertex-certified"}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_colmax_is_numpys_column_max_bit_for_bit(d):
+    # the one-column-at-a-time max equals np.max(np.abs(A), axis=-2) on a
+    # stack, on the slices best_polynomial hands the solvers, and on one
+    # ball's (N, d) matrix as Newton's and Nelder-Mead's callers pass it
+    rng = stream(5, f"colmax/{d}")
+    A = rng.standard_normal((7, 1000, d)) * np.exp(rng.uniform(-30.0, 30.0, (7, 1, d)))
+    A[2, :, 0] = 0.0
+    A[3, 17, 0] = -np.inf
+    for part in (A, A[slice(0, 3)], A[slice(3, 7)], A[5]):
+        assert bestpoly._colmax(part).tobytes() == np.max(np.abs(part), axis=-2).tobytes()
+
+
+def _line_search_oracle(r, w, v):
+    """Brute force along r - t v: the objective at t = 0 and at every
+    breakpoint t_i = r_i / v_i > 0, and the least breakpoint at which it is
+    minimal (None when there is none)."""
+    f0 = np.sum(w * np.abs(r))
+    crossing = np.sign(r) * v > 0.0
+    ts = np.sort(r[crossing] / v[crossing])
+    if ts.size == 0:
+        return f0, None, None
+    fs = np.array([np.sum(w * np.abs(r - t * v)) for t in ts])
+    best = fs.min()
+    return f0, best, ts[np.argmax(fs <= best + 1e-12 * f0)]
+
+
+def test_line_search_matches_a_brute_force_breakpoint_oracle():
+    # the entering node is the least minimizer of the objective along the
+    # direction, among all its breakpoints; rows with tied breakpoints, with
+    # no crossing node, with zero residuals on part or all of their nodes
+    rng = stream(7, "line-search-oracle")
+    n, d = 400, 2
+    A = rng.standard_normal((8, n, d))
+    direction = rng.standard_normal((8, d))
+    v = (A @ direction[..., None])[..., 0]
+    r = rng.standard_normal((8, n))
+    r[1, :120] = 0.5 * v[1, :120]  # 120 tied breakpoints at t = 1/2 ...
+    r[1, 120:160] = 0.25 * v[1, 120:160]  # ... and 40 at t = 1/4
+    r[2] = -np.abs(r[2]) * np.sign(v[2])  # no node crosses 0 for t > 0
+    r[3] = 0.0  # every node at a zero residual
+    r[4, rng.permutation(n)[:300]] = 0.0  # a degenerate vertex's zero set
+    r[5, :380] = 0.0
+    r[6] = 2.0 * v[6]  # every breakpoint at t = 2
+    w = rng.uniform(0.5, 1.5, (8, n)) / n
+    zero, sign = r == 0.0, np.sign(r)
+    enter, descends = bestpoly._line_search(A, r, w, zero, sign, direction)
+    for b in range(len(r)):
+        f0, best, t_min = _line_search_oracle(r[b], w[b], v[b])
+        assert descends[b] == (best is not None and best < f0 - 1e-12 * f0), b
+        if descends[b]:
+            assert r[b, enter[b]] / v[b, enter[b]] == t_min, b
+    assert not descends[2] and not descends[3]
+    assert descends[0] and descends[1] and descends[6]
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_snap_on_keys_mostly_zero_goes_through_the_zero_polynomial(d):
+    # y = 0 on 80% of each row: the d smallest |y| are d independent rows
+    # where y vanishes, even where the first zero rows repeat one row, and the
+    # vertex through them is the zero polynomial
+    rng = stream(8, f"snap-zero-keys/{d}")
+    n = 500
+    A = rng.standard_normal((4, n, d))
+    y = rng.standard_normal((4, n))
+    y[:, rng.permutation(n)[: 4 * n // 5]] = 0.0
+    first_zeros = np.flatnonzero(y[1] == 0.0)[: d + 1]
+    A[1, first_zeros] = A[1, first_zeros[0]]  # d + 1 copies of one row
+    basis = bestpoly._snap(A, np.abs(y))
+    rows = np.arange(4)[:, None]
+    assert np.all(y[rows, basis] == 0.0)
+    for b in range(4):
+        assert len(set(basis[b])) == d
+        assert np.linalg.matrix_rank(A[b, basis[b]]) == d
+    c, _ = bestpoly._vertex(A, y, basis)
+    assert np.all(c == 0.0)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.6, 0.95, 1.0])
+@pytest.mark.parametrize("gid", ["e1", "h1"])
+def test_l1_vertex_is_exact_on_zero_heavy_stacks(request, gid, fraction):
+    # 16 balls in one stack, F = 0 on the given share of each ball's nodes:
+    # every ball certified at the LP optimum on its nodes
+    group = request.getfixturevalue(gid)
+    balls = BallSampler(dim=group.n, count=16, r_min=0.25, r_max=4.0).generate(12)
+    scheme = QuadratureScheme(samples=2048, seed=47)
+    F = lambda p: 2.5 + np.cos(2.0 * p[:, 0]) + np.exp(0.3 * p[:, -1])
+    A, y, w = (
+        np.array(x)
+        for x in zip(*(
+            best_value_system(group, F, W1(group), 1.0, ball, 2, scheme, f"zero-heavy/b{b}")
+            for b, ball in enumerate(balls)
+        ))
+    )
+    rng = stream(12, f"zero-heavy/{gid}/{fraction}")
+    n = y.shape[1]
+    for row in y:
+        row[rng.permutation(n)[: round(fraction * n)]] = 0.0
+    start = np.array([_weighted_lstsq(*system) for system in zip(A, y, w)])
+    coeffs, notes, _ = _l1_descent(A, y, w, start)
+    assert list(notes) == ["l1-vertex-certified"] * len(balls)
+    for A_b, y_b, w_b, c in zip(A, y, w, coeffs):
+        value = np.sum(w_b * np.abs(y_b - A_b @ c))
+        assert value == pytest.approx(exact_l1_value(A_b, y_b, w_b), rel=1e-12, abs=0.0)
+
+
+# ball-rounds that reached _line_search on _l1_work_stacks() before each ball
+# started at the lower of its L^2 vertex and its smallest-|F| vertex
+_L1_WORK_BEFORE_TWO_VERTEX_START = 1354
+
+
+def test_l1_vertex_two_vertex_start_saves_pivots(e1, count_calls):
+    # 48 seeded 16-ball stacks shaped like the leibniz lhs (R^1, k = 2, 2048
+    # nodes, a product of two bumps, balls of radius 1/4 to 4): the two-vertex
+    # start reaches the line search on at most 70% of the ball-rounds it took
+    # from the L^2 vertex alone.  One stack's share ranges from 0 to over 90%.
+    rounds = count_calls(bestpoly, "_line_search", lambda A, *rest: A.shape[0])
+    sampler = BallSampler(dim=1, count=16, r_min=0.25, r_max=4.0)
+    rng = stream(27, "l1-work")
+
+    def bump():
+        center = [rng.uniform(-1.0, 1.0)]
+        radius = math.exp(rng.uniform(math.log(0.4), math.log(1.5)))
+        return GaugeBump(e1, center, radius, rng.uniform(0.5, 2.0))
+
+    for i in range(48):
+        _, details = campanato_norm(
+            e1, ProductFunction(e1, [bump(), bump()]), W1(e1), 1.0, 1.0, 2, sampler,
+            QuadratureScheme(samples=2048, seed=i), op_id=f"l1-work/{i}",
+        )
+        assert {d["note"] for d in details} == {"l1-vertex-certified"}
+    assert sum(rounds) <= 0.7 * _L1_WORK_BEFORE_TWO_VERTEX_START
 
 
 def test_campanato_details_keep_each_ball_solver_note(e1, small_scheme):
