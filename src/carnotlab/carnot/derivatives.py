@@ -16,7 +16,9 @@ the function carries:
     to polynomials);
   * analytic jets: for |alpha| <= f.jet_order (at most 2), the derivative
     is assembled exactly from the affine field coefficients and the value,
-    gradient and Hessian of one `f.jets` call;
+    gradient and Hessian of one `f.live_jets` call, on the nodes that call
+    returns as live only; every other node gets 0, as f and its jets
+    vanish there;
   * nested finite differences along the group curves s -> x o (s e_a),
     4th-order central stencils with one Richardson extrapolation step,
     step size eps^(1/(order+3)) scaled by the point magnitude.  A function
@@ -100,6 +102,15 @@ def _expand_sequence(alpha):
     return seq
 
 
+def matmul_rows(a, b):
+    """a @ b for an (N, k) array a, every row with the same bits whatever N
+    is: numpy hands a one-row product to gemv, which rounds differently
+    from the gemm that serves every other N."""
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 def _first_order_jet(coef, grad, a):
     """X_a f from the cached generator coefficients and gradient."""
     return np.einsum("nu,nu->n", coef[:, a, :], grad)
@@ -108,7 +119,7 @@ def _first_order_jet(coef, grad, a):
 def _second_order_jet(coef, jac, grad, hess, a, b):
     """X_a X_b f from the cached coefficients, their Jacobian, gradient and
     Hessian: c^a . (grad J_b + hess c^b), two 2-operand contractions."""
-    inner = grad @ jac[b] + np.einsum("nvu,nu->nv", hess, coef[:, b, :])
+    inner = matmul_rows(grad, jac[b]) + np.einsum("nvu,nu->nv", hess, coef[:, b, :])
     return np.einsum("nv,nv->n", inner, coef[:, a, :])
 
 
@@ -135,13 +146,13 @@ class JetTable:
     """X^alpha f and L f for one function on one (N, n) node set.
 
     `order` is the highest derivative order the table's keys need ("L"
-    needs 2).  On first use the table calls `f.jets` once, at that order
-    capped at `f.jet_order`, and serves every key from those jets and the
-    generator coefficients: a multi-index alpha, or "L" for the
-    sub-Laplacian.  Polynomials take the symbolic path.  A key of higher
-    order than the jets (|alpha| > 2, or a function with fewer jets) goes
-    by finite differences along the outermost generator, each shifted node
-    set getting its own table.
+    needs 2).  On first use the table calls `f.live_jets` once, at that
+    order capped at `f.jet_order`, and serves every key from those jets
+    and the generator coefficients, both on the live nodes only: a
+    multi-index alpha, or "L" for the sub-Laplacian.  Polynomials take the
+    symbolic path.  A key of higher order than the jets (|alpha| > 2, or a
+    function with fewer jets) goes by finite differences along the
+    outermost generator, each shifted node set getting its own table.
     """
 
     def __init__(self, group, f, pts, order):
@@ -152,51 +163,72 @@ class JetTable:
 
     @cached_property
     def _jets(self):
-        # order 0 takes the value of any callable
-        if self.order == 0:
-            return [np.asarray(self.f(self.pts), dtype=float).reshape(self.pts.shape[0])]
-        return self.f.jets(self.pts, self.order)
+        # (index, jets on pts[index]); order 0 takes the value of any callable
+        live_jets = getattr(self.f, "live_jets", None)
+        if live_jets is None:
+            return slice(None), [np.asarray(self.f(self.pts), dtype=float).reshape(len(self.pts))]
+        return live_jets(self.pts, self.order)
 
     @cached_property
     def _coef(self):
-        return generator_coefficients(self.group, self.pts)
+        return generator_coefficients(self.group, self.pts[self._jets[0]])
 
     @cached_property
     def _jac(self):
         return coefficient_jacobian(self.group)
 
     def __getitem__(self, key):
+        return self.rows([key])[0]
+
+    def rows(self, keys):
+        """K f for each key as one row of a (len(keys), N) array, written
+        into zeros on the nodes where it may be non-zero."""
+        out = np.zeros((len(keys), len(self.pts)))
+        for row, key in zip(out, keys):
+            index, values = self._live(key)
+            row[index] = values
+        return out
+
+    def _live(self, key):
+        """K f as (index, its values on pts[index]); 0 on every other node."""
         if isinstance(key, str) and key == "L":
-            return self._laplacian()
-        return self._derivative(_check_alpha(self.group, key))
-
-    def _laplacian(self):
-        n1 = self.group.n1
-        total = np.zeros(self.pts.shape[0])
-        for a in range(n1):
-            total += self[tuple(2 if i == a else 0 for i in range(n1))]
-        return total
-
-    def _derivative(self, alpha):
+            # every X_a^2 f takes the same path, so one index serves them all
+            parts = [
+                self._live(tuple(2 if i == a else 0 for i in range(self.group.n1)))
+                for a in range(self.group.n1)
+            ]
+            total = np.zeros(len(parts[0][1]))
+            for _, values in parts:
+                total += values
+            return parts[0][0], total
+        alpha = _check_alpha(self.group, key)
         if isinstance(self.f, HomogeneousPolynomial):
-            return np.atleast_1d(polynomial_horizontal_derivative(self.f, alpha)(self.pts))
+            return slice(None), polynomial_horizontal_derivative(self.f, alpha)(self.pts)
         return self._sequence(_expand_sequence(alpha), sum(alpha))
 
     def _sequence(self, seq, total_order):
+        # (index, values) as in _live: the jets' live nodes on the analytic
+        # path, every node on the finite-difference path
         if not seq:
-            return self._jets[0]
+            index, jets = self._jets
+            return index, jets[0]
         if len(seq) == 1 and self.order >= 1:
-            return _first_order_jet(self._coef, self._jets[1], seq[0])
+            index, jets = self._jets
+            return index, _first_order_jet(self._coef, jets[1], seq[0])
         if len(seq) == 2 and self.order >= 2:
-            return _second_order_jet(
-                self._coef, self._jac, self._jets[1], self._jets[2], seq[0], seq[1]
-            )
+            index, jets = self._jets
+            return index, _second_order_jet(self._coef, self._jac, jets[1], jets[2], *seq)
         a, rest = seq[0], seq[1:]
 
         def inner(xs):
-            return JetTable(self.group, self.f, xs, len(rest))._sequence(rest, total_order)
+            # the shifted nodes' values on every node, 0 off their table's live set
+            table = JetTable(self.group, self.f, xs, len(rest))
+            index, values = table._sequence(rest, total_order)
+            out = np.zeros(len(xs))
+            out[index] = values
+            return out
 
-        return _fd_along_generator(self.group, inner, a, self.pts, total_order)
+        return slice(None), _fd_along_generator(self.group, inner, a, self.pts, total_order)
 
 
 def _points(group, x):

@@ -13,7 +13,10 @@ translation rows T of -c (M = I on step 1).  u0, its gradient and its Hessian
 are polynomials built once per group and shared by all its bumps, so the
 gradient M^T grad u0(w) and the Hessian M^T hess u0(w) M of u are exact;
 they feed the analytic path of the horizontal derivatives up to order 2,
-and higher orders fall back to nested finite differences.  A left translate
+and higher orders fall back to nested finite differences.  The bump's one
+pass (`live_jets`) forms u on every node and everything else only on its
+live nodes, u < 1 - 1e-3: on the others the profile has underflowed to 0.
+`jets` scatters the live jets into zeros.  A left translate
 x -> f(g^-1 o x) of the bump on B(c, R) is the bump on B(g o c, R), and a
 dilate x -> f(delta_lam x) is the bump on B(delta_{1/lam} c, R / lam).  Any
 other plain callable carries its value only and takes the
@@ -27,6 +30,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError, StructureError
+from .derivatives import matmul_rows
 from .group import GaugeBall
 from .polynomials import HomogeneousPolynomial
 
@@ -38,10 +42,19 @@ class TestFunction:
     order <= jet_order: it returns [value, gradient, Hessian][: order + 1]
     from one pass.  Calling the function evaluates jets(pts, 0)[0] on one
     point (n,) or a batch (N, n).
+
+    A declared `support` ball means that f and every jet vanish outside
+    it.  `live_jets(pts, order)` returns (index, jets): the jets on the
+    nodes pts[index] only, every other node's jets being 0.  This base
+    class takes every node; the gauge bump leaves out the nodes where it
+    vanishes.
     """
 
     support = None
     jet_order = 0
+
+    def live_jets(self, pts, order):
+        return slice(None), self.jets(pts, order)
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -136,54 +149,64 @@ class GaugeBump(TestFunction):
             w[n1 + j] += cross
         return w.T
 
-    def jets(self, pts, order):
-        # u0, grad u0 and hess u0 are each evaluated once, at w.
-        # exp(-u/(1-u)) underflows to exact 0 well before 1-u does, so the
-        # quotients by 1-u are formed only on the live nodes, 1-u > 1e-3;
-        # om is 1-u there and 1 elsewhere, where the profile is 0
+    def live_jets(self, pts, order):
+        # u is formed on every node; the profile and its derivatives, grad u0
+        # and hess u0 (each evaluated once) only on the live nodes, 1-u > 1e-3.
+        # exp(-u/(1-u)) underflows to exact 0 well before 1-u does, so every
+        # jet is 0 on the other nodes
         u0, grad_polys, hess_polys, (i, j), full = self._unit
         w = self._unit_point(pts)
         u = u0(w)
         u *= self._scale
         live = u < 1.0 - 1e-3
-        om = np.subtract(1.0, u, out=np.ones_like(u), where=live)
-        # the profile, in u's buffer: exp(-u/(1-u)) on live nodes and 0
-        # elsewhere, where exp sees -0
-        value = np.multiply(u, live, out=u)
-        value /= om
+        index = slice(None) if live.all() else np.flatnonzero(live)
+        u, w = u[index], w.T[:, index].T
+        om = 1.0 - u
+        # the profile, in u's buffer
+        value = np.divide(u, om, out=u)
         np.negative(value, out=value)
         np.exp(value, out=value)
-        value *= live
         value *= self.height
         out = [value]
         if order >= 1:
-            # height times the profile's derivatives, each times radius^-(2s!);
-            # 0 off the support
+            # height times the profile's derivatives, each times radius^-(2s!)
             om2 = om * om
             np.negative(om2, out=om2)
-            dpro = np.divide(value, om2, out=np.zeros_like(u), where=live)
+            dpro = value / om2
             dpro *= self._scale
             grad = np.stack([p(w) for p in grad_polys], axis=-1)
             if self._pull:
-                grad = grad @ self._pull[0]
+                grad = matmul_rows(grad, self._pull[0])
             out.append(dpro[:, None] * grad)
         if order >= 2:
-            # d2pro = value (1 - 2 (1-u)) / (1-u)^4, its numerator formed in om
+            # d2pro = value (1 - 2 (1-u)) / (1-u)^4, formed in om
             om *= -2.0
             om += 1.0
             om *= value
-            d2pro = np.divide(om, np.square(om2, out=om2), out=np.zeros_like(u), where=live)
+            d2pro = np.divide(om, np.square(om2, out=om2), out=om)
             d2pro *= self._scale * self._scale
             # upper(d2pro grad grad^T + dpro hess), formed in place, then mirrored
             hess = np.stack([p(w) for p in hess_polys], axis=-1)
             if self._pull:
-                hess = hess @ self._pull[1]
+                hess = matmul_rows(hess, self._pull[1])
             outer = grad[:, i]
             outer *= grad[:, j]
             outer *= d2pro[:, None]
             hess *= dpro[:, None]
             hess += outer
             out.append(hess[:, full])
+        return index, out
+
+    def jets(self, pts, order):
+        # the live jets scattered into zeros of the same memory layout: the
+        # Hessian, a gather, is not C-ordered, and einsum's summation order
+        # follows the layout
+        index, live = self.live_jets(pts, order)
+        if isinstance(index, slice):
+            return live
+        out = [np.zeros_like(jet, shape=(len(pts),) + jet.shape[1:]) for jet in live]
+        for full, jet in zip(out, live):
+            full[index] = jet
         return out
 
 

@@ -10,10 +10,11 @@ finite-domain: each slot integrates over its declared support ball.
 
 The three right-hand sides (local Poincare, global Sobolev, sub-Laplacian)
 are thin wrappers over one builder.  Each slot draws one node set under
-op_id f"{op_id}/f{i}", evaluates its jets once, and takes every norm the
-terms need from it in one batched `lp_norm_ball` call.  The terms share
-those nodes, so the total's standard error comes from the delta method
-over each slot's covariance of the raw integrals.
+op_id f"{op_id}/f{i}", evaluates its jets once, on the nodes where the
+function is live (for a gauge bump, inside its support), and takes every
+norm the terms need from it in one batched `lp_norm_ball` call.  The
+terms share those nodes, so the total's standard error comes from the
+delta method over each slot's covariance of the raw integrals.
 """
 
 from __future__ import annotations
@@ -82,12 +83,14 @@ def multilinear_fractional_integral(group, fs, tau, x, scheme, *, op_id="mfi"):
 def jet_rows(group, f, keys):
     """Integrand giving |K f| for each key as one row (len(keys), N): one
     `JetTable` per node set, at the highest order of the keys, serves every
-    key (a multi-index alpha for X^alpha, or "L" for the sub-Laplacian)."""
+    key (a multi-index alpha for X^alpha, or "L" for the sub-Laplacian).
+    It evaluates f's jets once, on the nodes where f is live, and writes
+    every key's values there into one array of zeros."""
     order = max(2 if key == "L" else sum(key) for key in keys)
 
     def rows(pts):
-        table = JetTable(group, f, pts, order)
-        return np.stack([np.abs(table[key]) for key in keys])
+        out = JetTable(group, f, pts, order).rows(keys)
+        return np.abs(out, out=out)
 
     return rows
 

@@ -478,7 +478,8 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm"):
 
     The integrand is 0 wherever f = 0, even where w is infinite (the
     measure-theory convention 0 * inf = 0); any other non-finite value
-    still raises IntegrationError.
+    still raises IntegrationError.  So w is called, and (|f| w)^p formed,
+    only on the nodes where f (some row of f) is non-zero.
 
     If `f` returns A rows, shape (A, N), all A norms are taken on one node
     set: the result is a list of A norm Estimates and a function that
@@ -497,9 +498,13 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm"):
         vals = np.abs(np.asarray(f(pts), dtype=float))
         if vals.ndim != 2:
             vals = vals.reshape(pts.shape[0])
-        wv = np.asarray(w(pts), dtype=float).reshape(pts.shape[0])
+        on = np.flatnonzero(vals if vals.ndim == 1 else np.any(vals, axis=0))
+        live = vals[..., on]
+        wv = np.asarray(w(pts[on]), dtype=float).reshape(len(on))
+        out = np.zeros(vals.shape)
         with np.errstate(invalid="ignore", over="ignore"):
-            return np.where(vals == 0.0, 0.0, (vals * wv) ** p)
+            out[..., on] = np.where(live == 0.0, 0.0, (live * wv) ** p)
+        return out
 
     def root(out):
         if isinstance(out, Estimate):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from pathlib import Path
@@ -24,9 +25,11 @@ from carnotlab.carnot import (
     volume_constant,
 )
 from carnotlab.carnot.derivatives import (
+    _first_order_jet,
     _second_order_jet,
     coefficient_jacobian,
     generator_coefficients,
+    matmul_rows,
 )
 from carnotlab.carnot.group import ball_box
 from carnotlab.errors import DomainError, StructureError
@@ -543,6 +546,98 @@ def test_gauge_bump_jets_evaluate_each_polynomial_once(h1, count_calls):
     assert len(calls) == 4
 
 
+def _dense_bump_jets(bump, pts):
+    """The bump's live set and jets from expressions with temporaries on every
+    node: the value, dpro grad and (d2pro grad grad^T + dpro hess)[:, full],
+    with grad = grad u0(w) M and upper(hess) = upper(hess u0(w)) P."""
+    u0, grad_polys, hess_polys, (i, j), full = bump._unit
+    M, P = bump._pull or (np.eye(bump.group.n), np.eye(len(hess_polys)))
+    w = bump._unit_point(pts)
+    u = u0(w) * bump._scale
+    live = u < 1.0 - 1e-3
+    om = np.where(live, 1.0 - u, 1.0)
+    value = np.exp(np.where(live, -u / om, -np.inf)) * bump.height
+    dpro = np.where(live, value / -(om * om), 0.0) * bump._scale
+    d2pro = np.where(live, value * (1.0 - 2.0 * om) / (om * om) ** 2, 0.0) * (
+        bump._scale * bump._scale
+    )
+    grad = np.stack([p(w) for p in grad_polys], axis=-1) @ M
+    hess = np.stack([p(w) for p in hess_polys], axis=-1) @ P
+    hess = (d2pro[:, None] * (grad[:, i] * grad[:, j]) + dpro[:, None] * hess)[:, full]
+    return live, [value, dpro[:, None] * grad, hess]
+
+
+def _nodes_at_levels(group, bump, rng, levels):
+    """Nodes center o delta_lam(w0), w0 random, with u = levels[k] up to rounding."""
+    w0 = rng.standard_normal((len(levels), group.n))
+    lam = (np.asarray(levels) / (bump._unit[0](w0) * bump._scale)) ** (1.0 / group.gauge_order)
+    return group.compose(bump.support.center, w0 * lam[:, None] ** group.weights)
+
+
+_SHELL = (1.0 - 1e-3 + 1e-5, 1.0 - 1e-5)  # u here: inside the support, yet not live
+
+
+def _live_node_sets(group, bump, rng):
+    inside, shell = rng.uniform(0.0, 0.99, 40), rng.uniform(*_SHELL, 12)
+    outside = rng.uniform(1.0, 3.0, 30)
+    mixed = rng.permutation(np.concatenate([inside, shell, outside]))
+    return {
+        "mixed": mixed,
+        "inside": inside,
+        "outside": outside,
+        "shell": shell,
+        "one-live": rng.permutation(np.concatenate([inside[:1], shell, outside])),
+        "empty": np.zeros(0),
+    }
+
+
+@pytest.mark.parametrize("group", [euclidean_group(1), heisenberg_group(1), heisenberg_group(2),
+                                   _random_step_two()], ids=["e1", "h1", "h2", "step2:3x2"])
+def test_jet_table_on_live_nodes_matches_the_dense_jets(group):
+    # the table evaluates the bump's jets and the generator coefficients on the
+    # live nodes only; every row equals the dense evaluation on all nodes bit
+    # for bit, also on the shell 1 - 1e-3 <= u < 1 and on node sets that are all
+    # live, all dead, empty or live at one node (a one-row matrix product)
+    rng = stream(21, f"live-jets/{group.ident}")
+    bump = random_bump(group, rng)
+    n1 = group.n1
+    keys = [alpha for order in range(3) for alpha in itertools.product(range(3), repeat=n1)
+            if sum(alpha) == order]
+    for name, levels in _live_node_sets(group, bump, rng).items():
+        pts = _nodes_at_levels(group, bump, rng, levels).reshape(-1, group.n)
+        live, expected = _dense_bump_jets(bump, pts)
+        assert np.array_equal(live, levels < 1.0 - 1e-3), name  # the levels came out as drawn
+        coef, jac = generator_coefficients(group, pts), coefficient_jacobian(group)
+        value, grad, hess = bump.jets(pts, 2)
+        for got, want in zip((value, grad, hess), expected):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        dense = {(0,) * n1: value, "L": np.zeros(len(pts))}
+        for a in range(n1):
+            dense[tuple(int(i == a) for i in range(n1))] = _first_order_jet(coef, grad, a)
+            for b in range(n1):
+                key = tuple(int(i == a) + int(i == b) for i in range(n1))
+                if a <= b:
+                    dense[key] = _second_order_jet(coef, jac, grad, hess, a, b)
+            dense["L"] += dense[tuple(2 * int(i == a) for i in range(n1))]
+        table = JetTable(group, bump, pts, 2)
+        rows = table.rows(keys + ["L"])
+        for key, row in zip(keys + ["L"], rows):
+            np.testing.assert_array_equal(row, dense[key], err_msg=f"{name} {key}")
+            np.testing.assert_array_equal(table[key], dense[key], err_msg=f"{name} {key}")
+            assert not row[~live].any()
+        np.testing.assert_array_equal(jet_rows(group, bump, keys + ["L"])(pts), np.abs(rows))
+
+
+def test_matmul_rows_keeps_the_bits_of_a_many_row_product():
+    # numpy sends a one-row product to gemv; every row must round as in gemm
+    rng = stream(22, "matmul-rows")
+    for k in (1, 3, 5, 6, 15):
+        a, b = rng.standard_normal((64, k)), rng.standard_normal((k, k))
+        full = a @ b
+        for rows in (slice(0, 0), slice(5, 6), slice(7, 9), slice(None)):
+            np.testing.assert_array_equal(matmul_rows(a[rows], b), full[rows])
+
+
 @pytest.mark.parametrize("group_id", ["e1", "h1", "h2"])
 def test_gauge_bump_hessian_in_place_matches_the_expression(group_id, request):
     # the jets are formed in place, the Hessian on its upper triangle; their
@@ -553,24 +648,11 @@ def test_gauge_bump_hessian_in_place_matches_the_expression(group_id, request):
     center = np.linspace(-0.3, 0.2, group.n)
     bump = GaugeBump(group, center, 0.9, height=1.7)
     pts = center + 0.4 * stream(16, "jets/inplace").standard_normal((64, group.n))
-    u0, grad_polys, hess_polys, (i, j), full = bump._unit
-    M, P = bump._pull or (np.eye(group.n), np.eye(len(hess_polys)))
-    w = bump._unit_point(pts)
-    u = u0(w) * bump._scale
-    live = u < 1.0 - 1e-3
+    live, (value, grad, expected) = _dense_bump_jets(bump, pts)
     assert live.any() and not live.all()  # points inside and outside the support
-    om = np.where(live, 1.0 - u, 1.0)
-    value = np.exp(np.where(live, -u / om, -np.inf)) * bump.height
-    dpro = np.where(live, value / -(om * om), 0.0) * bump._scale
-    d2pro = np.where(live, value * (1.0 - 2.0 * om) / (om * om) ** 2, 0.0) * (
-        bump._scale * bump._scale
-    )
-    grad = np.stack([p(w) for p in grad_polys], axis=-1) @ M
-    hess = np.stack([p(w) for p in hess_polys], axis=-1) @ P
-    expected = (d2pro[:, None] * (grad[:, i] * grad[:, j]) + dpro[:, None] * hess)[:, full]
     got = bump.jets(pts, 2)
     np.testing.assert_array_equal(got[0], value)
-    np.testing.assert_array_equal(got[1], dpro[:, None] * grad)
+    np.testing.assert_array_equal(got[1], grad)
     np.testing.assert_array_equal(got[2], expected)
     np.testing.assert_array_equal(got[2], np.swapaxes(got[2], 1, 2))
 

@@ -11,7 +11,9 @@ from carnotlab.carnot import (
     HomogeneousPolynomial,
     euclidean_group,
     heisenberg_group,
+    random_bump,
 )
+from carnotlab.carnot import derivatives
 from carnotlab.errors import DomainError
 from carnotlab.operators import (
     derivative_tuples,
@@ -353,3 +355,24 @@ def test_rhs_standard_error_calibrated(call):
     delta, independent = _calibration(call)
     assert abs(delta - 1.0) <= 0.25
     assert abs(independent - 1.0) > 0.25
+
+
+def test_poincare_rhs_jets_reach_only_the_live_nodes(h1, count_calls):
+    # Work count on one poincare-h1-shaped trial: H^1, m = 2, k = 2, 4,096
+    # nodes, bumps and ball drawn from that workload's ranges.  Each slot's 5
+    # keys of order 1 and 2 reach the jet assembly on the bump's live nodes
+    # only; a dense evaluation sends every node with every key.
+    rng = stream(23, "rhs-live-work")
+    fs = [random_bump(h1, rng, center_box=1.0, radius_range=(0.4, 1.5)) for _ in range(2)]
+    radius = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+    ball = GaugeBall(rng.uniform(-0.5, 0.5, size=3), radius)
+    scheme = QuadratureScheme(kind="uniform", samples=4096, seed=23)
+    vs = [Weight.power(h1, 0.25)] * 2
+    record = lambda coef, *rest: coef.shape[0]
+    first = count_calls(derivatives, "_first_order_jet", record)
+    second = count_calls(derivatives, "_second_order_jet", record)
+    poincare_rhs(h1, fs, vs, [4.0 / 3.0] * 2, ball, 2, scheme)
+    reached = first + second
+    keys = {alpha for tup in derivative_tuples(2, 2, 2) for alpha in tup if sum(alpha) > 0}
+    assert len(keys) == 5 and len(reached) == 2 * len(keys)
+    assert 0 < sum(reached) <= 0.4 * 2 * scheme.samples * len(keys)

@@ -243,6 +243,75 @@ def test_lp_norm_zero_times_infinite_weight(e1, mc_scheme, recwarn):
     assert not [r for r in recwarn if issubclass(r.category, RuntimeWarning)]
 
 
+def _recording(fn, seen):
+    def call(pts):
+        seen.append(np.array(pts))
+        return fn(pts)
+
+    return call
+
+
+@pytest.mark.parametrize("rows", [False, True])
+def test_lp_norm_calls_the_weight_only_where_f_is_nonzero(h1, rows):
+    # w and the p-th power only on the nodes where some row of |f| is non-zero;
+    # the norms and their covariance equal a dense evaluation bit for bit
+    scheme = QuadratureScheme(kind="uniform", samples=4096, seed=41)
+    ball = GaugeBall([0.1, -0.2, 0.05], 0.9)
+    bump = GaugeBump(h1, [0.6, 0.3, -0.2], 0.5, height=1.5)
+    f = jet_rows(h1, bump, [(0, 0), (1, 0), (0, 2)]) if rows else bump
+    w, p = Weight.power(h1, 0.25), 4.0 / 3.0
+    nodes, weighed = [], []
+    out = lp_norm_ball(
+        h1, _recording(f, nodes), _recording(w, weighed), p, ball, scheme, op_id="live"
+    )
+    [pts], [seen] = nodes, weighed
+    on = np.any(np.atleast_2d(f(pts)) != 0.0, axis=0)
+    assert 0 < on.sum() < 0.5 * len(pts)
+    np.testing.assert_array_equal(seen, pts[on])
+
+    def dense(pts):
+        vals = np.abs(f(pts))
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.where(vals == 0.0, 0.0, (vals * w(pts)) ** p)
+
+    raw = integrate_ball(h1, dense, ball, scheme, op_id="live")
+    if rows:
+        (norms, cov), (raws, raw_cov) = out, raw
+        assert [n.to_dict() for n in norms] == [r.powered(1.0 / p).to_dict() for r in raws]
+        np.testing.assert_array_equal(cov(), raw_cov())
+    else:
+        assert out.to_dict() == raw.powered(1.0 / p).to_dict()
+
+
+def test_lp_norm_non_finite_values_still_raise_at_their_node(h1):
+    # a NaN in f, or a non-finite w where f != 0, raises at that node
+    scheme = QuadratureScheme(kind="uniform", samples=2048, seed=42)
+    ball = GaugeBall([0.0, 0.0, 0.0], 1.0)
+    bump = GaugeBump(h1, [0.5, 0.0, 0.0], 0.6)
+    w = Weight.power(h1, 0.25)
+    nodes = []
+
+    def nan_at_first_node(pts):
+        vals = bump(pts)
+        vals[0] = np.nan
+        return vals
+
+    with pytest.raises(IntegrationError) as err:
+        lp_norm_ball(h1, _recording(nan_at_first_node, nodes), w, 1.5, ball, scheme)
+    np.testing.assert_array_equal(err.value.point, nodes[0][0])
+
+    def inf_at_third(pts):
+        out = w(pts)
+        out[2] = np.inf
+        return out
+
+    nodes.clear()
+    with pytest.raises(IntegrationError) as err:
+        lp_norm_ball(h1, _recording(bump, nodes), inf_at_third, 1.5, ball, scheme)
+    on = np.flatnonzero(bump(nodes[0]))
+    np.testing.assert_array_equal(err.value.point, nodes[0][on[2]])
+
+
 _BATCH_SCHEMES = {
     "uniform": QuadratureScheme(kind="uniform", samples=4096, seed=31),
     "annuli": QuadratureScheme(kind="annuli", samples=6000, levels=12, seed=31),
