@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import DomainError, StructureError
 from .derivatives import matmul_rows
-from .group import GaugeBall
+from .group import GaugeBall, ball_box
 from .polynomials import HomogeneousPolynomial
 
 
@@ -44,10 +44,12 @@ class TestFunction:
     point (n,) or a batch (N, n).
 
     A declared `support` ball means that f and every jet vanish outside
-    it.  `live_jets(pts, order)` returns (index, jets): the jets on the
-    nodes pts[index] only, every other node's jets being 0.  This base
-    class takes every node; the gauge bump leaves out the nodes where it
-    vanishes.
+    it; the ball integrals in quad and `best_polynomial` read it (through
+    `support_box`) and take a uniform ball whose box misses it as an exact
+    0, drawing no nodes there.  `live_jets(pts, order)` returns (index,
+    jets): the jets on the nodes pts[index] only, every other node's jets
+    being 0.  This base class takes every node; the gauge bump leaves out
+    the nodes where it vanishes.
     """
 
     support = None
@@ -213,9 +215,10 @@ class GaugeBump(TestFunction):
 class ProductFunction(TestFunction):
     """Pointwise product of several functions (used for inequality LHS).
 
-    The declared support is the smallest factor support: the product
-    vanishes outside the intersection, so integrating over that ball is
-    exact for compactly supported factors.
+    A product vanishes outside every factor's support.  The declared
+    support is the smallest factor support, so integrating over that ball
+    is exact for compactly supported factors; `support_box` bounds the
+    product by the intersection of all its factors' boxes.
     """
 
     def __init__(self, group, factors):
@@ -231,6 +234,20 @@ class ProductFunction(TestFunction):
         for f in self.factors:
             out = out * np.asarray(f(pts), dtype=float).reshape(pts.shape[0])
         return [out]
+
+
+def support_box(group, f):
+    """(lo, hi), a coordinate box outside which f vanishes, or None when f
+    declares no support: the box of f's declared `support` ball (see
+    TestFunction), and for a `ProductFunction` the intersection of its
+    factors' boxes, since the product vanishes outside every factor's
+    support."""
+    factors = f.factors if isinstance(f, ProductFunction) else [f]
+    supports = [sup for sup in (getattr(h, "support", None) for h in factors) if sup is not None]
+    if not supports:
+        return None
+    lo, hi = ball_box(group, supports)
+    return lo.max(axis=0), hi.min(axis=0)
 
 
 def random_bump(group, rng, center_box=1.0, radius_range=(0.4, 1.5)):

@@ -9,10 +9,12 @@ P(zeta(y)) by the same map and Vandermonde as the solver.
 
 `best_polynomial` takes one ball or a list of balls; ball b of a list
 draws its nodes under f"{op_id}/b{b}", and the balls are sampled together
-(in passes, see quad).  The nodes stay one (B, N, n) stack from the
-sampler to the estimates: F and u are evaluated once on the nodes of all
-balls, a non-finite value raising IntegrationError before any solve, and
-the Vandermonde stack (B, N, d) comes from one pass over all nodes.
+(in passes, see quad).  A ball whose box misses the box of F's declared
+support is dead: it draws no nodes and fits the zero polynomial exactly.
+The live balls' nodes stay one (B, N, n) stack from the sampler to the
+estimates: F and u are evaluated once on the nodes of all of them, a
+non-finite value raising IntegrationError before any solve, and the
+Vandermonde stack (B, N, d) comes from one pass over all nodes.
 
 Solvers by exponent, all from the weighted L^2 start; for q != 2 each
 ball's F values are divided by their max |F| before the solve and the
@@ -59,9 +61,10 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
               result is an upper bound on the infimum, labeled
               "upper-bound", or "upper-bound-unconverged" (flagged) when the
               descent reports no success.
-The L^2 start and Nelder-Mead run per ball on its row of the stack, the
-estimates on the whole stack, and the q >= 1 solvers on slices of it of
-at most _STACK entries B * N * (d + 1).
+The L^2 start is prepared once for the stack and solved by one lstsq per
+ball, Nelder-Mead runs per ball on its row of the stack, the estimates on
+the whole stack, and the q >= 1 solvers on slices of it of at most _STACK
+entries B * N * (d + 1).
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ import numpy as np
 from ..carnot.group import GaugeBall
 from ..carnot.polynomials import monomial_basis, vandermonde
 from ..errors import ConditioningError, DomainError
-from ..quad import Estimate, _ball_strata, _check_finite
+from ..quad import Estimate, _ball_strata, _check_finite, _dead_balls
 
 # Relative optimality gap of a certified value: the L^1 dual point may pass 1
 # by this much (rounding in lam is far below it unless the basis is nearly
@@ -96,9 +99,7 @@ def _ball_stack(group, balls, scheme, op_ids, fns):
     """The one stratum of a uniform scheme on each ball, ball b drawn under
     op_ids[b]: the nodes (B, N, n), the quadrature weights |B| / N of shape
     (B, N), and each f of `fns` on the nodes, shape (B, N)."""
-    scheme.validate()
-    if scheme.kind != "uniform":
-        raise DomainError("best_polynomial needs a uniform scheme")
+    _require_uniform(scheme)
     passes = list(_ball_strata(group, balls, scheme, op_ids))
     nodes = np.concatenate([pts[:, :, 0] for pts, *_ in passes])
     vols = np.concatenate([v for _, _, v, _, _ in passes])
@@ -109,6 +110,12 @@ def _ball_stack(group, balls, scheme, op_ids, fns):
         _check_finite(out, flat)
     weights = np.repeat(vols[:, None] / nodes.shape[1], nodes.shape[1], axis=1)
     return nodes, weights, vals.reshape(len(fns), *nodes.shape[:2])
+
+
+def _require_uniform(scheme):
+    scheme.validate()
+    if scheme.kind != "uniform":
+        raise DomainError("best_polynomial needs a uniform scheme")
 
 
 def _centred_vandermonde(group, basis, balls, pts):
@@ -143,16 +150,38 @@ def _objective(resid, wvals, node_w, q):
 
 
 def _weighted_lstsq(A, y, lam):
+    """Per ball of the (B, N, d) stack, the c minimizing sum_i lam_i (y_i -
+    A_i c)^2: one lstsq per ball on its column-scaled system, whose SVD
+    rank check guards the basis.  The scaling is formed once for the
+    stack, node-major (N, B, d), where each product, the column norms and
+    the division run along rows of all the balls' columns."""
+    nb, n, d = A.shape
     sq = np.sqrt(lam)
-    scaled = A * sq[:, None]
-    col = np.linalg.norm(scaled, axis=0)
+    scaled = np.empty((n, nb, d))
+    for j in range(d):
+        np.multiply(A[..., j].T, sq.T, out=scaled[..., j])
+    col = _column_norms(scaled)
     col[col == 0.0] = 1.0
-    sol, _, rank, _ = np.linalg.lstsq(scaled / col, y * sq, rcond=None)
-    if rank < A.shape[1]:
-        raise ConditioningError(
-            f"rank-deficient polynomial basis: rank {rank} < {A.shape[1]} columns"
-        )
-    return sol / col
+    scaled /= col
+    out = np.empty((nb, d))
+    for b, rhs in enumerate(y * sq):
+        out[b], _, rank, _ = np.linalg.lstsq(scaled[:, b], rhs, rcond=None)
+        if rank < d:
+            raise ConditioningError(f"rank-deficient polynomial basis: rank {rank} < {d} columns")
+    return out / col
+
+
+def _column_norms(scaled):
+    """The column norms (B, d) of a node-major (N, B, d) stack, equal to
+    np.linalg.norm(axis=0) on each ball's (N, d) matrix bit for bit.  For
+    d > 1 numpy sums each column's squares down the nodes in order, which
+    the node-major sum does with one inner loop over every ball's columns
+    instead of d entries; a single column it sums pairwise, as a
+    contiguous row."""
+    if scaled.shape[2] == 1:
+        rows = np.ascontiguousarray(scaled[..., 0].T)
+        return np.sqrt(np.add.reduce(rows * rows, axis=1))[:, None]
+    return np.sqrt(np.add.reduce(scaled * scaled, axis=0))
 
 
 def _newton(A, y, wq, c, q):
@@ -327,9 +356,11 @@ def _l1_descent(A, y, w, start):
             keep[degenerate[optimal]] = False
             direction, kept = direction[keep[keep_idx]], kept[keep[keep_idx]]
             keep_idx = np.flatnonzero(keep)
-        enter, descends = _line_search(
-            A[keep_idx], r[keep_idx], w[keep_idx], zero[keep_idx], sign[keep_idx], direction
-        )
+        enter, descends = np.empty(0, dtype=int), np.empty(0, dtype=bool)
+        if keep_idx.size:
+            enter, descends = _line_search(
+                A[keep_idx], r[keep_idx], w[keep_idx], zero[keep_idx], sign[keep_idx], direction
+            )
         moved = keep_idx[descends]
         new = np.concatenate([kept[descends], enter[descends][:, None]], axis=1)
         # rounding can only fake a descent; a basis seen before ends the ball
@@ -491,21 +522,56 @@ def _estimates(resid, wvals, node_w, q, scheme, notes):
 def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
     """Return (BallPolynomial, value Estimate) for one ball, or a list of
     them for a list of balls, ball b on the nodes drawn under
-    f"{op_id}/b{b}"."""
+    f"{op_id}/b{b}".
+
+    A ball is dead when its box misses the box of F's declared support
+    (see quad.integrate_ball): F is 0 on all its nodes, where the zero
+    polynomial fits exactly.  It draws no nodes and evaluates neither F
+    nor u, so a non-finite u there raises nothing (the 0 * inf = 0 rule of
+    lp_norm_ball).  Its fit has zero coefficients, and its Estimate is
+    value and std_error 0 on N samples, with the note that its regime's
+    solver gives an all-zero F (`_dead_note`)."""
     if k < 1:
         raise DomainError("polynomial degree bound k must be >= 1")
     if not q > 0:
         raise DomainError(f"norm exponent must be positive, got {q}")
+    _require_uniform(scheme)
     single = isinstance(ball, GaugeBall)
     balls = [ball] if single else list(ball)
     if not balls:
         return []
     ids = [op_id] if single else [f"{op_id}/b{b}" for b in range(len(balls))]
     basis = monomial_basis(group, k)
+    live = np.flatnonzero(~_dead_balls(group, balls, F))
+    coeffs = np.zeros((len(balls), len(basis)))
+    note = _dead_note(q)
+    ests = [Estimate(0.0, 0.0, scheme.samples, scheme.seed, note=note) for _ in balls]
+    if live.size:
+        coeffs[live], found = _fit(
+            group, F, u, q, [balls[b] for b in live], [ids[b] for b in live], basis, scheme
+        )
+        for b, est in zip(live, found):
+            ests[b] = est
+    fits = [BallPolynomial(group, b, basis, c) for b, c in zip(balls, coeffs)]
+    out = list(zip(fits, ests))
+    return out[0] if single else out
+
+
+def _dead_note(q):
+    """The note each regime's solver gives a ball where F is 0 at every node."""
+    if q == 2.0:
+        return "least-squares"
+    if q == 1.0:
+        return "l1-vertex-certified"
+    return "newton-certified" if q > 1.0 else "upper-bound"
+
+
+def _fit(group, F, u, q, balls, ids, basis, scheme):
+    """The coefficients (B, d) and value Estimates of the balls' stack."""
     nodes, node_w, (y, w) = _ball_stack(group, balls, scheme, ids, (F, u))
     A = _centred_vandermonde(group, basis, balls, nodes)
 
-    coeffs = np.array([_weighted_lstsq(a, f, v * wb**2) for a, f, v, wb in zip(A, y, node_w, w)])
+    coeffs = _weighted_lstsq(A, y, node_w * w**2)
     notes = ["least-squares"] * len(balls)
     if q != 2.0:
         peaks = np.max(np.abs(y), axis=1)
@@ -526,9 +592,7 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
         coeffs = np.array(coeffs) * peaks[:, None]
 
     resid = np.array([f - a @ c for a, f, c in zip(A, y, coeffs)])
-    fits = [BallPolynomial(group, b, basis, c) for b, c in zip(balls, coeffs)]
-    out = list(zip(fits, _estimates(resid, w, node_w, q, scheme, notes)))
-    return out[0] if single else out
+    return coeffs, _estimates(resid, w, node_w, q, scheme, notes)
 
 
 def evaluate_candidate(group, F, u, q, ball, scheme, poly, *, op_id="best-poly"):

@@ -10,7 +10,10 @@ for Campanato), which samples them together and evaluates the integrand
 and the weight once on the nodes of all of them; each ball's value equals
 its one-ball call.  A Morrey integrand may return A rows: each ball then
 takes all A norms from one node set, and each row of the sup equals the
-single-row call with the same op_id bit for bit.
+single-row call with the same op_id bit for bit.  A ball whose box misses
+the function's declared support draws no nodes and contributes an exact
+0 (a Campanato ball fits the zero polynomial); for the Leibniz lhs the
+product's support box is the intersection of the boxes of f's and g's.
 """
 
 from __future__ import annotations

@@ -85,13 +85,15 @@ def jet_rows(group, f, keys):
     `JetTable` per node set, at the highest order of the keys, serves every
     key (a multi-index alpha for X^alpha, or "L" for the sub-Laplacian).
     It evaluates f's jets once, on the nodes where f is live, and writes
-    every key's values there into one array of zeros."""
+    every key's values there into one array of zeros.  The integrand
+    carries f's declared `support`, outside which every row is 0."""
     order = max(2 if key == "L" else sum(key) for key in keys)
 
     def rows(pts):
         out = JetTable(group, f, pts, order).rows(keys)
         return np.abs(out, out=out)
 
+    rows.support = getattr(f, "support", None)
     return rows
 
 

@@ -33,7 +33,10 @@ private pieces:
 `sample_ball`, `integrate_ball` and `lp_norm_ball` take one ball or a list
 of balls; ball b of a list draws under f"{op_id}/b{b}" (its own stream),
 and each ball's result equals its one-ball call bit for bit.  A list is
-taken in passes of at most _PASS nodes, which moves no value.
+taken in passes of at most _PASS nodes, which moves no value.  Under the
+uniform scheme a ball whose box misses the box of the integrand's
+declared support (`support_box`) is dead: it draws no nodes, and its
+result is the exact zero that the full path gives there.
 
 Both schemes are Monte Carlo, deterministic given (seed, op_id), and every
 value carries a standard error; uniform sampling is unbiased, annuli only
@@ -52,6 +55,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .carnot.constants import ball_volume
+from .carnot.functions import support_box
 from .carnot.group import GaugeBall, ball_box, centered_box_extents
 from .errors import DomainError, HypothesisError, IntegrationError, StructureError
 from .rng import stream
@@ -271,9 +275,9 @@ def _annuli(group, balls, op_id, pole, top, top_volume, scheme):
     outer = r0 * 0.5 ** np.arange(levels)
     ext = outer[:, None] ** group.weights
     ext[:, group.n1 :] += np.linalg.norm(group.translation_rows(pole), axis=-1) * outer[:, None]
-    boxes = np.array([ball_box(group, ball) for ball in balls])  # (m, 2, n)
-    lo = np.maximum(boxes[:, 0], (pole - ext)[:, None])
-    hi = np.minimum(boxes[:, 1], (pole + ext)[:, None])
+    box_lo, box_hi = ball_box(group, balls)  # (m, n) each
+    lo = np.maximum(box_lo, (pole - ext)[:, None])
+    hi = np.minimum(box_hi, (pole + ext)[:, None])
     kept = np.flatnonzero(~np.any(hi <= lo, axis=(1, 2)))  # shells that meet every slot box
     lo, hi, outer = lo[kept], hi[kept], outer[kept, None]
     u = [stream(scheme.seed, op_id, index=j).random((per, m, group.n)) for j in kept]
@@ -304,6 +308,17 @@ def _ball_strata(group, balls, scheme, op_ids, poles=None):
     for lo in range(0, len(balls), step):
         chunk = slice(lo, lo + step)
         yield _strata(group, [[b] for b in balls[chunk]], scheme, op_ids[chunk], poles[chunk])
+
+
+def _dead_balls(group, balls, f):
+    """Per ball, whether its box meets the box of f's declared support
+    (`support_box`) in no open set, so that f is 0 on every node the ball
+    can draw."""
+    box = support_box(group, f)
+    if box is None or not balls:
+        return np.zeros(len(balls), dtype=bool)
+    lo, hi = ball_box(group, balls)
+    return (np.maximum(lo, box[0]) >= np.minimum(hi, box[1])).any(axis=1)
 
 
 def product_distance(group, x, pts):
@@ -457,16 +472,42 @@ def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularit
     of the one-ball results, bit for bit.  The balls are sampled together
     and `f` is called once on the live nodes of all of them, in passes of
     at most _PASS nodes (or one ball).
+
+    A uniform ball is dead when its box misses the box of f's declared
+    `support` (`support_box`; a product's is the intersection of its
+    factors' boxes).  f is 0 on all its nodes, so it draws none and f is
+    not evaluated there: its result is the one an all-zero integrand
+    gives, value and std_error 0 with `samples` N, the scheme's seed and a
+    zero covariance.  The other balls keep their streams.  If every ball
+    is dead, f is called once on no nodes, to tell whether it gives rows.
+    Annuli balls are always drawn, since their `samples` and note depend
+    on the shell geometry.
     """
     scheme.validate()
     single = isinstance(ball, GaugeBall)
     balls = [ball] if single else list(ball)
     ids = [op_id] if single else [f"{op_id}/b{b}" for b in range(len(balls))]
     poles = [b.center if singularity is None else singularity for b in balls]
-    out = []
-    for strata in _ball_strata(group, balls, scheme, ids, poles):
-        out += _estimate(group, strata, lambda pts: f(pts[:, 0]), scheme)
-    out = [ests[0] if cov is None else (ests, cov) for ests, cov in out]
+    live = range(len(balls))
+    if scheme.kind == "uniform":
+        live = np.flatnonzero(~_dead_balls(group, balls, f)).tolist()
+    drawn = []
+    for strata in _ball_strata(
+        group, [balls[b] for b in live], scheme, [ids[b] for b in live], [poles[b] for b in live]
+    ):
+        drawn += _estimate(group, strata, lambda pts: f(pts[:, 0]), scheme)
+    if len(drawn) < len(balls):
+        if drawn:
+            rows, batch = len(drawn[0][0]), drawn[0][1] is not None
+        else:
+            vals, batch = _eval_rows(f, np.empty((0, group.n)))
+            rows = vals.shape[0]
+        zero = Estimate(0.0, 0.0, scheme.samples, scheme.seed)
+        out = [([zero] * rows, (lambda: np.zeros((rows, rows))) if batch else None) for _ in balls]
+        for b, result in zip(live, drawn):
+            out[b] = result
+        drawn = out
+    out = [ests[0] if cov is None else (ests, cov) for ests, cov in drawn]
     return out[0] if single else out
 
 
@@ -489,7 +530,10 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm"):
 
     A list of balls gives the list of the one-ball results, ball b under
     f"{op_id}/b{b}", from one `integrate_ball` call: f and w are called
-    once on the nodes of all the balls (per pass).
+    once on the nodes of all the balls (per pass).  The integrand carries
+    f's declared `support` ball (a product's is its smallest factor's), so
+    a uniform ball that misses it draws no nodes and its norm is an exact
+    0 (see `integrate_ball`).
     """
     if not p > 0:
         raise DomainError(f"norm exponent must be positive, got {p}")
@@ -505,6 +549,8 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm"):
         with np.errstate(invalid="ignore", over="ignore"):
             out[..., on] = np.where(live == 0.0, 0.0, (live * wv) ** p)
         return out
+
+    integrand.support = getattr(f, "support", None)
 
     def root(out):
         if isinstance(out, Estimate):

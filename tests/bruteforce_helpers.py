@@ -21,6 +21,9 @@
 * `three_piece_nodes` and `all_lines_brute_force`: the counterexample's
   node set built independently, and the least sum_i w_i |f_i - a x_i - b|^q
   over the lines through every pair of its nodes.
+* `support_mix`: balls that miss, touch, graze, cut and cover the boxes of
+  a bump's and a product's supports, on the groups of `DEAD_BALL_GROUPS`;
+  `Spiky` is a bump with NaN on part of its support.
 """
 
 import math
@@ -28,7 +31,16 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from carnotlab.carnot import GaugeBump, monomial_basis, vandermonde
+from carnotlab.carnot import (
+    GaugeBall,
+    GaugeBump,
+    ProductFunction,
+    euclidean_group,
+    heisenberg_group,
+    monomial_basis,
+    step_two_group,
+    vandermonde,
+)
 from carnotlab.carnot.constants import ball_volume
 from carnotlab.carnot.group import centered_box_extents
 from carnotlab.errors import DomainError
@@ -281,3 +293,44 @@ def all_lines_brute_force(fam, q, n):
     values = np.abs(resid) ** q @ w
     k = int(np.argmin(values))
     return float(values[k]), (int(i[k]), int(j[k]))
+
+
+def _step_two_3x2():
+    a = stream(7, "dead-balls/forms").standard_normal((2, 3, 3))
+    return step_two_group(a - np.transpose(a, (0, 2, 1)))
+
+
+DEAD_BALL_GROUPS = {
+    "e1": euclidean_group(1), "h1": heisenberg_group(1), "step2:3x2": _step_two_3x2(),
+}
+
+
+def support_mix(group):
+    """The unit bump at the origin (height 1.5), a product of it with the
+    bump B(1.5 e_0, 1.25), and balls along e_0 around them: far off,
+    box-tangent (its box ends where the unit bump's begins), barely
+    overlapping, half in, inside both, covering, and one that meets the
+    unit bump's box but misses the other factor's.  Returns the bump, the
+    product, the balls, and the indices of the balls dead for each."""
+    e0 = np.eye(group.n)[0]
+    bump = GaugeBump(group, np.zeros(group.n), 1.0, height=1.5)
+    product = ProductFunction(group, [bump, GaugeBump(group, 1.5 * e0, 1.25)])
+    balls = [
+        GaugeBall(x * e0, r)
+        for x, r in [(5.0, 0.5), (1.5, 0.5), (1.5 - 2.0**-10, 0.5), (1.0, 0.5), (0.4, 0.3),
+                     (0.0, 3.0), (-0.6, 0.3)]
+    ]
+    return bump, product, balls, {0, 1}, {0, 1, 6}
+
+
+class Spiky:
+    """`bump` with NaN where it is non-zero and the first coordinate
+    exceeds 0.6; it declares the bump's support."""
+
+    def __init__(self, bump):
+        self.bump, self.support = bump, bump.support
+
+    def __call__(self, pts):
+        vals = self.bump(pts)
+        vals[(pts[:, 0] > 0.6) & (vals > 0.0)] = np.nan
+        return vals

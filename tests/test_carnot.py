@@ -193,12 +193,18 @@ def test_coefficient_jacobian_is_half_the_transposed_forms(group):
 
 @pytest.mark.parametrize("group", _LAW_GROUPS, ids=_LAW_IDS)
 def test_ball_box_contains_the_ball(group):
+    # and the boxes of a ball list are the one-ball boxes bit for bit
     rng = stream(10, f"ball-box/{group.ident}")
+    balls = []
     for i in range(6):
         ball = GaugeBall(rng.uniform(-2, 2, size=group.n), rng.uniform(0.2, 1.5))
         pts = sample_ball(group, ball, 2000, stream(10, f"ball-box/{group.ident}/{i}"))
         lo, hi = ball_box(group, ball)
         assert np.all((lo <= pts) & (pts <= hi))
+        balls.append(ball)
+    boxes = ball_box(group, balls)
+    for b, ball in enumerate(balls):
+        assert all(x[b].tobytes() == y.tobytes() for x, y in zip(boxes, ball_box(group, ball)))
 
 
 def test_only_the_group_module_reads_the_forms():

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from bruteforce_helpers import (
+    DEAD_BALL_GROUPS,
+    Spiky,
     all_lines_brute_force,
     best_value_system,
     dilated_bump,
     exact_l1_value,
     holder_lower_bound,
     newton_dual_lower_bound,
+    support_mix,
     three_piece_nodes,
 )
 from carnotlab import quad
@@ -19,6 +22,7 @@ from carnotlab.carnot import (
     GaugeBump,
     HomogeneousPolynomial,
     ProductFunction,
+    ball_box,
     horizontal_derivative,
     monomial_basis,
     random_bump,
@@ -168,7 +172,104 @@ def test_best_poly_q_below_one_upper_bound(e1):
 def test_weighted_lstsq_rank_deficiency():
     A = np.column_stack([np.ones(50), np.ones(50)])  # duplicated column
     with pytest.raises(ConditioningError):
-        _weighted_lstsq(A, np.ones(50), np.ones(50))
+        _weighted_lstsq(A[None], np.ones((1, 50)), np.ones((1, 50)))
+    # one deficient ball in a stack fails the stack
+    x = np.linspace(-1.0, 1.0, 50)
+    stack = np.array([np.column_stack([np.ones(50), x]), A, np.column_stack([np.ones(50), x**2])])
+    with pytest.raises(ConditioningError, match="rank 1 < 2"):
+        _weighted_lstsq(stack, np.ones((3, 50)), np.ones((3, 50)))
+
+
+def _one_ball_lstsq(A, y, lam):
+    """The column-scaled weighted least squares of one (N, d) ball, with
+    numpy's per-matrix column norms: the reference that the stacked solver
+    matches bit for bit."""
+    sq = np.sqrt(lam)
+    scaled = A * sq[:, None]
+    col = np.linalg.norm(scaled, axis=0)
+    col[col == 0.0] = 1.0
+    return np.linalg.lstsq(scaled / col, y * sq, rcond=None)[0] / col
+
+
+@pytest.mark.parametrize("n", [50, 2048, 4096, 12000])
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_weighted_lstsq_stack_matches_one_ball_calls_bit_for_bit(d, n):
+    # the column norms, the scaling and the solution of a (B, N, d) stack
+    # equal the one-ball computation on each ball, over 30 random stacks
+    # with columns of wildly different scales and a zero column
+    rng = stream(6, f"lstsq-stack/{d}/{n}")
+    for _ in range(30):
+        B = int(rng.integers(1, 6))
+        A = rng.standard_normal((B, n, d)) * np.exp(rng.uniform(-20.0, 20.0, (B, 1, d)))
+        lam = rng.uniform(0.0, 2.0, (B, n)) * np.exp(rng.uniform(-10.0, 10.0, (B, 1)))
+        y = rng.standard_normal((B, n))
+        scaled = A * np.sqrt(lam)[..., None]
+        norms = bestpoly._column_norms(np.ascontiguousarray(scaled.transpose(1, 0, 2)))
+        assert norms.tobytes() == np.array([np.linalg.norm(s, axis=0) for s in scaled]).tobytes()
+        if d > 1:
+            A[0, :, -1] = 0.0  # a zero column scales by 1, and is then rank-deficient
+            with pytest.raises(ConditioningError):
+                _weighted_lstsq(A, y, lam)
+            A[0, :, -1] = rng.standard_normal(n)
+        want = np.array([_one_ball_lstsq(*ball) for ball in zip(A, y, lam)])
+        assert _weighted_lstsq(A, y, lam).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [2.0, 1.0, 1.5, 0.8])
+@pytest.mark.parametrize("gid", sorted(DEAD_BALL_GROUPS))
+def test_best_polynomial_dead_balls_match_the_full_path(gid, q, count_calls):
+    # a ball whose box misses the product's (the intersection of its
+    # factors' boxes) draws no nodes and makes no L^2 start; every ball's
+    # Estimate and fit values equal the full path's through a plain callable
+    # that declares no support, whose solver gives a dead ball the zero
+    # polynomial and its regime's note
+    group = DEAD_BALL_GROUPS[gid]
+    _, product, balls, _, dead = support_mix(group)
+    scheme = QuadratureScheme(samples=1024, seed=31)
+    u = Weight.power(group, 0.25)
+    solves = count_calls(np.linalg, "lstsq")
+    drawn = count_calls(quad, "stream", lambda seed, op_id, index=0: op_id)
+    got = best_polynomial(group, product, u, q, balls, 2, scheme, op_id="dead")
+    assert sorted(set(drawn)) == [f"dead/b{b}" for b in range(len(balls)) if b not in dead]
+    assert len(solves) == len(balls) - len(dead)
+    want = best_polynomial(group, lambda p: product(p), u, q, balls, 2, scheme, op_id="dead")
+    note = {2.0: "least-squares", 1.0: "l1-vertex-certified", 1.5: "newton-certified",
+            0.8: "upper-bound"}[q]
+    for b, ((fit, est), (fit_full, est_full)) in enumerate(zip(got, want, strict=True)):
+        assert est.to_dict() == est_full.to_dict()
+        pts = sample_ball(group, balls[b], 64, stream(3, f"dead-fit/{b}"))
+        assert np.array_equal(fit(pts), fit_full(pts))
+        if b in dead:
+            assert est.value == 0.0 and est.note == note and not np.any(fit.coeffs)
+    drawn.clear()
+    fit, est = best_polynomial(group, product, u, q, balls[0], 2, scheme, op_id="dead/b0")
+    assert drawn == [] and est.to_dict() == want[0][1].to_dict()
+
+
+def test_best_polynomial_dead_ball_ignores_an_infinite_weight(e1):
+    # u = inf everywhere: a dead ball evaluates neither F nor u, 0 * inf = 0;
+    # a live ball still refuses it
+    F = GaugeBump(e1, [0.0], 1.0)
+    u = lambda p: np.full(p.shape[0], np.inf)
+    scheme = QuadratureScheme(samples=1024, seed=3)
+    _, est = best_polynomial(e1, F, u, 1.0, GaugeBall([3.0], 1.0), 2, scheme)
+    assert est.value == 0.0 and est.samples == 1024
+    with pytest.raises(IntegrationError, match="non-finite integrand value inf"):
+        best_polynomial(e1, F, u, 1.0, [GaugeBall([3.0], 1.0), GaugeBall([0.5], 1.0)], 2, scheme)
+
+
+@pytest.mark.parametrize("gid", sorted(DEAD_BALL_GROUPS))
+def test_best_polynomial_nan_on_a_live_ball_raises_at_its_node(gid):
+    group = DEAD_BALL_GROUPS[gid]
+    bump, _, balls, _, _ = support_mix(group)
+    spiky = Spiky(bump)
+    scheme = QuadratureScheme(samples=1024, seed=29)
+    with pytest.raises(IntegrationError) as declared:
+        best_polynomial(group, spiky, W1(group), 1.0, balls, 2, scheme)
+    with pytest.raises(IntegrationError) as plain:
+        best_polynomial(group, lambda p: spiky(p), W1(group), 1.0, balls, 2, scheme)
+    assert np.array_equal(declared.value.point, plain.value.point)
+    assert balls[3].contains(group, declared.value.point[None])[0]
 
 
 def test_best_poly_validation(e1):
@@ -467,7 +568,7 @@ def test_newton_ignores_zero_rows_between_live_rows(q):
         A = np.column_stack([np.ones(n), x])
         y = np.cos(3.0 * x) + 0.1 * rng.normal(size=n)
         wq = np.full(n, 2.0 / n)
-        systems.append((A, y, wq, _weighted_lstsq(A, y, wq)))
+        systems.append((A, y, wq, _weighted_lstsq(A[None], y[None], wq[None])[0]))
     together, notes = _newton(*_stack_with_dead_rows(systems, rng), q)
     for (A, y, wq, start), c, note in zip(systems, together, notes):
         alone, (note_1,) = _newton(A[None], y[None], wq[None], start[None], q)
@@ -601,7 +702,7 @@ def test_l1_vertex_ignores_zero_rows_between_live_rows():
         A = np.column_stack([np.ones(n), x, x**2])
         y = np.where(x > 0.2, np.cos(3.0 * x) + 0.1 * rng.normal(size=n), 0.0)
         w = np.full(n, 2.0 / n)
-        systems.append((A, y, w, _weighted_lstsq(A, y, w)))
+        systems.append((A, y, w, _weighted_lstsq(A[None], y[None], w[None])[0]))
     together, notes, _ = _l1_descent(*_stack_with_dead_rows(systems, rng))
     for (A, y, w, start), c, note in zip(systems, together, notes):
         alone, (note_1,), _ = _l1_descent(A[None], y[None], w[None], start[None])
@@ -721,7 +822,7 @@ def test_l1_vertex_is_exact_on_zero_heavy_stacks(request, gid, fraction):
     n = y.shape[1]
     for row in y:
         row[rng.permutation(n)[: round(fraction * n)]] = 0.0
-    start = np.array([_weighted_lstsq(*system) for system in zip(A, y, w)])
+    start = _weighted_lstsq(A, y, w)
     coeffs, notes, _ = _l1_descent(A, y, w, start)
     assert list(notes) == ["l1-vertex-certified"] * len(balls)
     for A_b, y_b, w_b, c in zip(A, y, w, coeffs):
@@ -776,6 +877,42 @@ def test_campanato_one_best_polynomial_call(e1, small_scheme, count_calls):
     campanato_norm(e1, GaugeBump(e1, [0.0], 1.0), W1(e1), 1.0, 1.0, 2, sampler, small_scheme)
     assert calls == ["campanato"]
     assert len(solves) == sampler.count
+
+
+def _misses(group, ball, supports):
+    """Whether ball's box misses the intersection of the supports' boxes."""
+    lo, hi = ball_box(group, ball)
+    for sup in supports:
+        sup_lo, sup_hi = ball_box(group, sup)
+        lo, hi = np.maximum(lo, sup_lo), np.minimum(hi, sup_hi)
+    return bool(np.any(lo >= hi))
+
+
+def test_leibniz_draws_and_solves_only_the_live_balls(e1, count_calls):
+    # work-count guard on one seeded config shaped like the benchmark's
+    # Leibniz workload (R^1, k = 2, q = 1, p = (2, 2), 16 balls with r in
+    # [1/4, 4], 2048 samples): the nodes drawn are N per live ball of the
+    # lhs and both Morrey slots, and the L^2 starts one per live lhs ball
+    rng = stream(4, "leibniz-live-balls")
+    f, g = random_bump(e1, rng), random_bump(e1, rng)
+    sampler = BallSampler(dim=1, count=16, r_min=0.25, r_max=4.0)
+    scheme = QuadratureScheme(samples=2048, seed=17)
+    one = W1(e1)
+    nodes = count_calls(quad, "sample_ball", lambda group, balls, count, rngs: count * len(balls))
+    solves = count_calls(np.linalg, "lstsq")
+    leibniz_test(
+        e1, f, g, one, one, one, ExponentSystem(m=2, p_list=(2.0, 2.0), q=1.0, k=2),
+        1.0, 1.0, 1.0, sampler, scheme, op_id="live",
+    )
+    live = {
+        name: sum(not _misses(e1, ball, supports)
+                  for ball in sampler.generate(scheme.seed, label=f"live/{name}-balls"))
+        for name, supports in (("lhs", [f.support, g.support]), ("f", [f.support]),
+                               ("g", [g.support]))
+    }
+    assert 0 < live["lhs"] < sampler.count and live["g"] < sampler.count
+    assert sum(nodes) == scheme.samples * sum(live.values())
+    assert len(solves) == live["lhs"]
 
 
 # -- poincare_test ---------------------------------------------------------------

@@ -25,7 +25,13 @@ from carnotlab.operators import jet_rows
 from carnotlab.rng import stream
 from carnotlab.weights import Weight
 
-from bruteforce_helpers import quadrature_nodes, radial_bump_integral
+from bruteforce_helpers import (
+    DEAD_BALL_GROUPS,
+    Spiky,
+    quadrature_nodes,
+    radial_bump_integral,
+    support_mix,
+)
 
 ONE = lambda p: np.ones(p.shape[0])
 
@@ -487,6 +493,80 @@ def test_ball_list_non_finite_value_raises_where_the_loop_does(h1, kind, rows):
     assert np.array_equal(listed.value.point, looped.value.point)
     assert str(listed.value) == str(looped.value)
     assert balls[2].contains(h1, listed.value.point[None])[0]
+
+
+# -- dead balls -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gid", sorted(DEAD_BALL_GROUPS))
+def test_dead_balls_are_exact_zeros_bit_for_bit(gid, count_calls):
+    # a uniform ball whose box misses the box of the integrand's declared
+    # support draws no stream and evaluates nothing, the live balls keep
+    # their index-based streams, and every field of every result equals the
+    # full path's, taken through a plain callable that declares no support:
+    # a bump, a product and jet rows carrying the bump's support, for
+    # integrate_ball and lp_norm_ball, on a list, on single balls and on a
+    # list of dead balls only.  integrate_ball bounds the product by the
+    # intersection of its factors' boxes; lp_norm_ball's integrand carries
+    # the product's declared support ball, the smaller factor's
+    group = DEAD_BALL_GROUPS[gid]
+    scheme = QuadratureScheme(samples=1024, seed=29)
+    bump, product, balls, dead_bump, dead_product = support_mix(group)
+    keys = [(0,) * group.n1, (1,) + (0,) * (group.n1 - 1), (2,) + (0,) * (group.n1 - 1)]
+    rows = jet_rows(group, bump, keys)
+    w = Weight.power(group, 0.25)
+    drawn = count_calls(quad, "stream", lambda seed, op_id, index=0: op_id)
+    for f, integral_dead, norm_dead in ((bump, dead_bump, dead_bump),
+                                        (product, dead_product, dead_bump),
+                                        (rows, dead_bump, dead_bump)):
+        plain = lambda pts, f=f: f(pts)
+        for integral, dead in (
+            (lambda g, ball, op_id: integrate_ball(group, g, ball, scheme, op_id=op_id),
+             integral_dead),
+            (lambda g, ball, op_id: lp_norm_ball(group, g, w, 1.5, ball, scheme, op_id=op_id),
+             norm_dead),
+        ):
+            drawn.clear()
+            got = integral(f, balls, "dead")
+            assert sorted(set(drawn)) == [f"dead/b{b}" for b in range(len(balls)) if b not in dead]
+            want = integral(plain, balls, "dead")
+            assert all(_same_outputs(a, b) for a, b in zip(got, want, strict=True))
+            for b in sorted(dead):
+                assert _same_outputs(integral(f, balls[b], f"dead/b{b}"), want[b])
+            drawn.clear()
+            only_dead = [balls[b] for b in sorted(dead)]
+            got = integral(f, only_dead, "all-dead")
+            assert drawn == []
+            want = integral(plain, only_dead, "all-dead")
+            assert all(_same_outputs(a, b) for a, b in zip(got, want, strict=True))
+            assert {e.value for out in got for e in (out[0] if f is rows else [out])} == {0.0}
+
+
+def test_dead_balls_leave_the_annuli_scheme_alone(h1, count_calls):
+    # an annuli Estimate's samples and note depend on the shell geometry, so
+    # dead balls are still drawn there
+    bump, _, balls, dead, _ = support_mix(h1)
+    scheme = _LIST_SCHEMES["annuli"]
+    drawn = count_calls(quad, "stream", lambda seed, op_id, index=0: op_id)
+    integrate_ball(h1, bump, [balls[b] for b in sorted(dead)], scheme, op_id="annuli-dead")
+    assert sorted(set(drawn)) == ["annuli-dead/b0", "annuli-dead/b1"]
+
+
+@pytest.mark.parametrize("gid", sorted(DEAD_BALL_GROUPS))
+def test_nan_on_a_live_ball_still_raises_at_its_node(gid):
+    # dead balls ahead of it in the list change nothing: the point is the
+    # one the full path reports
+    group = DEAD_BALL_GROUPS[gid]
+    bump, _, balls, _, _ = support_mix(group)
+    spiky = Spiky(bump)
+    scheme = QuadratureScheme(samples=1024, seed=29)
+    with pytest.raises(IntegrationError) as declared:
+        integrate_ball(group, spiky, balls, scheme, op_id="spiky")
+    with pytest.raises(IntegrationError) as plain:
+        integrate_ball(group, lambda pts: spiky(pts), balls, scheme, op_id="spiky")
+    assert np.array_equal(declared.value.point, plain.value.point)
+    assert str(declared.value) == str(plain.value)
+    assert balls[3].contains(group, declared.value.point[None])[0]
 
 
 # -- singular product-domain integrals -----------------------------------------
