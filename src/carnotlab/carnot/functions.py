@@ -241,7 +241,11 @@ def support_box(group, f):
     declares no support: the box of f's declared `support` ball (see
     TestFunction), and for a `ProductFunction` the intersection of its
     factors' boxes, since the product vanishes outside every factor's
-    support."""
+    support.  An integrand built from a function h, and 0 wherever h is,
+    names h as its `vanishes_with` (lp_norm_ball's and jet_rows' do) and
+    takes h's box."""
+    if hasattr(f, "vanishes_with"):
+        return support_box(group, f.vanishes_with)
     factors = f.factors if isinstance(f, ProductFunction) else [f]
     supports = [sup for sup in (getattr(h, "support", None) for h in factors) if sup is not None]
     if not supports:

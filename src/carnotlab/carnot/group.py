@@ -191,23 +191,19 @@ def centered_box_extents(group, r):
     return r ** group.weights
 
 
-def ball_box(group, ball):
-    """Axis-aligned box (lo, hi) containing a gauge ball; for a list of B
-    balls, the (B, n) arrays lo and hi of their boxes, from one array
-    expression.
+def ball_box(group, balls):
+    """Axis-aligned boxes containing a list of B gauge balls: the (B, n)
+    arrays lo and hi, from one array expression.
 
     B(c, r) = c o B(0, r), and the left translation is affine; the
     second-layer coordinates pick up the cross term R(c) u^(1) with
     |u^(1)|_2 < r, bounded row by row by |R_j(c)|_2 r.
     """
-    single = isinstance(ball, GaugeBall)
-    balls = [ball] if single else list(ball)
     c = np.array([b.center for b in balls])
     r = np.array([b.radius for b in balls])[:, None]
     ext = centered_box_extents(group, r)
     ext[:, group.n1 :] += np.linalg.norm(group.translation_rows(c), axis=-1) * r
-    lo, hi = c - ext, c + ext
-    return (lo[0], hi[0]) if single else (lo, hi)
+    return c - ext, c + ext
 
 
 # -- standard groups ---------------------------------------------------------

@@ -99,7 +99,6 @@ def _ball_stack(group, balls, scheme, op_ids, fns):
     """The one stratum of a uniform scheme on each ball, ball b drawn under
     op_ids[b]: the nodes (B, N, n), the quadrature weights |B| / N of shape
     (B, N), and each f of `fns` on the nodes, shape (B, N)."""
-    _require_uniform(scheme)
     passes = list(_ball_strata(group, balls, scheme, op_ids))
     nodes = np.concatenate([pts[:, :, 0] for pts, *_ in passes])
     vols = np.concatenate([v for _, _, v, _, _ in passes])
@@ -152,36 +151,21 @@ def _objective(resid, wvals, node_w, q):
 def _weighted_lstsq(A, y, lam):
     """Per ball of the (B, N, d) stack, the c minimizing sum_i lam_i (y_i -
     A_i c)^2: one lstsq per ball on its column-scaled system, whose SVD
-    rank check guards the basis.  The scaling is formed once for the
-    stack, node-major (N, B, d), where each product, the column norms and
-    the division run along rows of all the balls' columns."""
-    nb, n, d = A.shape
+    rank check guards the basis.  The scaling, the column norms (equal to
+    np.linalg.norm(axis=0) on each ball's matrix bit for bit) and the
+    division are formed once for the stack."""
+    d = A.shape[2]
     sq = np.sqrt(lam)
-    scaled = np.empty((n, nb, d))
-    for j in range(d):
-        np.multiply(A[..., j].T, sq.T, out=scaled[..., j])
-    col = _column_norms(scaled)
+    scaled = A * sq[..., None]
+    col = np.sqrt(np.add.reduce(scaled * scaled, axis=-2))
     col[col == 0.0] = 1.0
-    scaled /= col
-    out = np.empty((nb, d))
-    for b, rhs in enumerate(y * sq):
-        out[b], _, rank, _ = np.linalg.lstsq(scaled[:, b], rhs, rcond=None)
+    scaled /= col[:, None]
+    out = np.empty(col.shape)
+    for b, (a, rhs) in enumerate(zip(scaled, y * sq)):
+        out[b], _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
         if rank < d:
             raise ConditioningError(f"rank-deficient polynomial basis: rank {rank} < {d} columns")
     return out / col
-
-
-def _column_norms(scaled):
-    """The column norms (B, d) of a node-major (N, B, d) stack, equal to
-    np.linalg.norm(axis=0) on each ball's (N, d) matrix bit for bit.  For
-    d > 1 numpy sums each column's squares down the nodes in order, which
-    the node-major sum does with one inner loop over every ball's columns
-    instead of d entries; a single column it sums pairwise, as a
-    contiguous row."""
-    if scaled.shape[2] == 1:
-        rows = np.ascontiguousarray(scaled[..., 0].T)
-        return np.sqrt(np.add.reduce(rows * rows, axis=1))[:, None]
-    return np.sqrt(np.add.reduce(scaled * scaled, axis=0))
 
 
 def _newton(A, y, wq, c, q):
@@ -544,8 +528,7 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
     basis = monomial_basis(group, k)
     live = np.flatnonzero(~_dead_balls(group, balls, F))
     coeffs = np.zeros((len(balls), len(basis)))
-    note = _dead_note(q)
-    ests = [Estimate(0.0, 0.0, scheme.samples, scheme.seed, note=note) for _ in balls]
+    ests = [Estimate(0.0, 0.0, scheme.samples, scheme.seed, note=_dead_note(q))] * len(balls)
     if live.size:
         coeffs[live], found = _fit(
             group, F, u, q, [balls[b] for b in live], [ids[b] for b in live], basis, scheme
@@ -597,5 +580,6 @@ def _fit(group, F, u, q, balls, ids, basis, scheme):
 
 def evaluate_candidate(group, F, u, q, ball, scheme, poly, *, op_id="best-poly"):
     """||(F - poly) u||_{L^q(B)} on the same nodes best_polynomial uses."""
+    _require_uniform(scheme)
     _, [node_w], [[y], [wvals], [pvals]] = _ball_stack(group, [ball], scheme, [op_id], (F, u, poly))
     return _objective(y - pvals, wvals, node_w, q) ** (1.0 / q)

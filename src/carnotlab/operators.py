@@ -86,14 +86,15 @@ def jet_rows(group, f, keys):
     key (a multi-index alpha for X^alpha, or "L" for the sub-Laplacian).
     It evaluates f's jets once, on the nodes where f is live, and writes
     every key's values there into one array of zeros.  The integrand
-    carries f's declared `support`, outside which every row is 0."""
+    names f as its `vanishes_with` (see `support_box`): every row is 0
+    outside f's support."""
     order = max(2 if key == "L" else sum(key) for key in keys)
 
     def rows(pts):
         out = JetTable(group, f, pts, order).rows(keys)
         return np.abs(out, out=out)
 
-    rows.support = getattr(f, "support", None)
+    rows.vanishes_with = f
     return rows
 
 

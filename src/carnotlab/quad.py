@@ -271,7 +271,7 @@ def _annuli(group, balls, op_id, pole, top, top_volume, scheme):
     per = _per_stratum(scheme)
     pole = np.asarray(pole, dtype=float).reshape(-1)
     r0 = sum(float(group.distance(pole, ball.center)) + ball.radius for ball in balls)
-    # shell j reaches ball_box(group, GaugeBall(pole, outer[j])), all j at once
+    # shell j reaches ball_box(group, [GaugeBall(pole, outer[j])]), all j at once
     outer = r0 * 0.5 ** np.arange(levels)
     ext = outer[:, None] ** group.weights
     ext[:, group.n1 :] += np.linalg.norm(group.translation_rows(pole), axis=-1) * outer[:, None]
@@ -530,10 +530,11 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm"):
 
     A list of balls gives the list of the one-ball results, ball b under
     f"{op_id}/b{b}", from one `integrate_ball` call: f and w are called
-    once on the nodes of all the balls (per pass).  The integrand carries
-    f's declared `support` ball (a product's is its smallest factor's), so
-    a uniform ball that misses it draws no nodes and its norm is an exact
-    0 (see `integrate_ball`).
+    once on the nodes of all the balls (per pass).  The integrand names f
+    as its `vanishes_with`, so a uniform ball whose box misses f's support
+    box (`support_box`; a product's is the intersection of its factors'
+    boxes) draws no nodes and its norm is an exact 0 (see
+    `integrate_ball`).
     """
     if not p > 0:
         raise DomainError(f"norm exponent must be positive, got {p}")
@@ -550,7 +551,7 @@ def lp_norm_ball(group, f, w, p, ball, scheme, *, op_id="lp-norm"):
             out[..., on] = np.where(live == 0.0, 0.0, (live * wv) ** p)
         return out
 
-    integrand.support = getattr(f, "support", None)
+    integrand.vanishes_with = f
 
     def root(out):
         if isinstance(out, Estimate):

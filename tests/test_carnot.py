@@ -199,12 +199,12 @@ def test_ball_box_contains_the_ball(group):
     for i in range(6):
         ball = GaugeBall(rng.uniform(-2, 2, size=group.n), rng.uniform(0.2, 1.5))
         pts = sample_ball(group, ball, 2000, stream(10, f"ball-box/{group.ident}/{i}"))
-        lo, hi = ball_box(group, ball)
-        assert np.all((lo <= pts) & (pts <= hi))
+        lo, hi = ball_box(group, [ball])
+        assert np.all((lo[0] <= pts) & (pts <= hi[0]))
         balls.append(ball)
     boxes = ball_box(group, balls)
     for b, ball in enumerate(balls):
-        assert all(x[b].tobytes() == y.tobytes() for x, y in zip(boxes, ball_box(group, ball)))
+        assert all(x[b].tobytes() == y[0].tobytes() for x, y in zip(boxes, ball_box(group, [ball])))
 
 
 def test_only_the_group_module_reads_the_forms():

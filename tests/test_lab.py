@@ -196,7 +196,9 @@ def _one_ball_lstsq(A, y, lam):
 def test_weighted_lstsq_stack_matches_one_ball_calls_bit_for_bit(d, n):
     # the column norms, the scaling and the solution of a (B, N, d) stack
     # equal the one-ball computation on each ball, over 30 random stacks
-    # with columns of wildly different scales and a zero column
+    # with columns of wildly different scales and a zero column; the
+    # stack's sum of squares down the nodes, the one _weighted_lstsq
+    # forms, is numpy's per-matrix norm
     rng = stream(6, f"lstsq-stack/{d}/{n}")
     for _ in range(30):
         B = int(rng.integers(1, 6))
@@ -204,7 +206,7 @@ def test_weighted_lstsq_stack_matches_one_ball_calls_bit_for_bit(d, n):
         lam = rng.uniform(0.0, 2.0, (B, n)) * np.exp(rng.uniform(-10.0, 10.0, (B, 1)))
         y = rng.standard_normal((B, n))
         scaled = A * np.sqrt(lam)[..., None]
-        norms = bestpoly._column_norms(np.ascontiguousarray(scaled.transpose(1, 0, 2)))
+        norms = np.sqrt(np.add.reduce(scaled * scaled, axis=-2))
         assert norms.tobytes() == np.array([np.linalg.norm(s, axis=0) for s in scaled]).tobytes()
         if d > 1:
             A[0, :, -1] = 0.0  # a zero column scales by 1, and is then rank-deficient
@@ -881,9 +883,9 @@ def test_campanato_one_best_polynomial_call(e1, small_scheme, count_calls):
 
 def _misses(group, ball, supports):
     """Whether ball's box misses the intersection of the supports' boxes."""
-    lo, hi = ball_box(group, ball)
+    [lo], [hi] = ball_box(group, [ball])
     for sup in supports:
-        sup_lo, sup_hi = ball_box(group, sup)
+        [sup_lo], [sup_hi] = ball_box(group, [sup])
         lo, hi = np.maximum(lo, sup_lo), np.minimum(hi, sup_hi)
     return bool(np.any(lo >= hi))
 

@@ -504,11 +504,10 @@ def test_dead_balls_are_exact_zeros_bit_for_bit(gid, count_calls):
     # support draws no stream and evaluates nothing, the live balls keep
     # their index-based streams, and every field of every result equals the
     # full path's, taken through a plain callable that declares no support:
-    # a bump, a product and jet rows carrying the bump's support, for
+    # a bump, a product and jet rows built from the bump, for
     # integrate_ball and lp_norm_ball, on a list, on single balls and on a
-    # list of dead balls only.  integrate_ball bounds the product by the
-    # intersection of its factors' boxes; lp_norm_ball's integrand carries
-    # the product's declared support ball, the smaller factor's
+    # list of dead balls only.  Both bound the product by the intersection
+    # of its factors' boxes
     group = DEAD_BALL_GROUPS[gid]
     scheme = QuadratureScheme(samples=1024, seed=29)
     bump, product, balls, dead_bump, dead_product = support_mix(group)
@@ -516,15 +515,11 @@ def test_dead_balls_are_exact_zeros_bit_for_bit(gid, count_calls):
     rows = jet_rows(group, bump, keys)
     w = Weight.power(group, 0.25)
     drawn = count_calls(quad, "stream", lambda seed, op_id, index=0: op_id)
-    for f, integral_dead, norm_dead in ((bump, dead_bump, dead_bump),
-                                        (product, dead_product, dead_bump),
-                                        (rows, dead_bump, dead_bump)):
+    for f, dead in ((bump, dead_bump), (product, dead_product), (rows, dead_bump)):
         plain = lambda pts, f=f: f(pts)
-        for integral, dead in (
-            (lambda g, ball, op_id: integrate_ball(group, g, ball, scheme, op_id=op_id),
-             integral_dead),
-            (lambda g, ball, op_id: lp_norm_ball(group, g, w, 1.5, ball, scheme, op_id=op_id),
-             norm_dead),
+        for integral in (
+            lambda g, ball, op_id: integrate_ball(group, g, ball, scheme, op_id=op_id),
+            lambda g, ball, op_id: lp_norm_ball(group, g, w, 1.5, ball, scheme, op_id=op_id),
         ):
             drawn.clear()
             got = integral(f, balls, "dead")
