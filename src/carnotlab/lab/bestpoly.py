@@ -151,21 +151,36 @@ def _objective(resid, wvals, node_w, q):
 def _weighted_lstsq(A, y, lam):
     """Per ball of the (B, N, d) stack, the c minimizing sum_i lam_i (y_i -
     A_i c)^2: one lstsq per ball on its column-scaled system, whose SVD
-    rank check guards the basis.  The scaling, the column norms (equal to
-    np.linalg.norm(axis=0) on each ball's matrix bit for bit) and the
-    division are formed once for the stack."""
-    d = A.shape[2]
+    rank check guards the basis.  The scaling is formed once for the
+    stack, node-major (N, B, d), where each product, the column norms and
+    the division run along rows of all the balls' columns."""
+    nb, n, d = A.shape
     sq = np.sqrt(lam)
-    scaled = A * sq[..., None]
-    col = np.sqrt(np.add.reduce(scaled * scaled, axis=-2))
+    scaled = np.empty((n, nb, d))
+    for j in range(d):
+        np.multiply(A[..., j].T, sq.T, out=scaled[..., j])
+    col = _column_norms(scaled)
     col[col == 0.0] = 1.0
-    scaled /= col[:, None]
-    out = np.empty(col.shape)
-    for b, (a, rhs) in enumerate(zip(scaled, y * sq)):
-        out[b], _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
+    scaled /= col
+    out = np.empty((nb, d))
+    for b, rhs in enumerate(y * sq):
+        out[b], _, rank, _ = np.linalg.lstsq(scaled[:, b], rhs, rcond=None)
         if rank < d:
             raise ConditioningError(f"rank-deficient polynomial basis: rank {rank} < {d} columns")
     return out / col
+
+
+def _column_norms(scaled):
+    """The column norms (B, d) of a node-major (N, B, d) stack, equal to
+    np.linalg.norm(axis=0) on each ball's (N, d) matrix bit for bit.  For
+    d > 1 numpy sums each column's squares down the nodes in order, which
+    the node-major sum does with one inner loop over every ball's columns
+    instead of d entries; a single column it sums pairwise, as a
+    contiguous row."""
+    if scaled.shape[2] == 1:
+        rows = np.ascontiguousarray(scaled[..., 0].T)
+        return np.sqrt(np.add.reduce(rows * rows, axis=1))[:, None]
+    return np.sqrt(np.add.reduce(scaled * scaled, axis=0))
 
 
 def _newton(A, y, wq, c, q):

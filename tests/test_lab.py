@@ -196,9 +196,7 @@ def _one_ball_lstsq(A, y, lam):
 def test_weighted_lstsq_stack_matches_one_ball_calls_bit_for_bit(d, n):
     # the column norms, the scaling and the solution of a (B, N, d) stack
     # equal the one-ball computation on each ball, over 30 random stacks
-    # with columns of wildly different scales and a zero column; the
-    # stack's sum of squares down the nodes, the one _weighted_lstsq
-    # forms, is numpy's per-matrix norm
+    # with columns of wildly different scales and a zero column
     rng = stream(6, f"lstsq-stack/{d}/{n}")
     for _ in range(30):
         B = int(rng.integers(1, 6))
@@ -206,7 +204,7 @@ def test_weighted_lstsq_stack_matches_one_ball_calls_bit_for_bit(d, n):
         lam = rng.uniform(0.0, 2.0, (B, n)) * np.exp(rng.uniform(-10.0, 10.0, (B, 1)))
         y = rng.standard_normal((B, n))
         scaled = A * np.sqrt(lam)[..., None]
-        norms = np.sqrt(np.add.reduce(scaled * scaled, axis=-2))
+        norms = bestpoly._column_norms(np.ascontiguousarray(scaled.transpose(1, 0, 2)))
         assert norms.tobytes() == np.array([np.linalg.norm(s, axis=0) for s in scaled]).tobytes()
         if d > 1:
             A[0, :, -1] = 0.0  # a zero column scales by 1, and is then rank-deficient
