@@ -12,9 +12,11 @@ draws its nodes under f"{op_id}/b{b}", and the balls are sampled together
 (in passes, see quad).  A ball whose box misses the box of F's declared
 support is dead: it draws no nodes and fits the zero polynomial exactly.
 The live balls' nodes stay one (B, N, n) stack from the sampler to the
-estimates: F and u are evaluated once on the nodes of all of them, a
-non-finite value raising IntegrationError before any solve, and the
-Vandermonde stack (B, N, d) comes from one pass over all nodes.
+estimates: F, and u only when it has factors, are evaluated once on the
+nodes of all of them, a non-finite value raising IntegrationError before
+any solve, and the Vandermonde stack (B, N, d) comes from one pass over
+all nodes.  A constant u = c (`weight_number`) enters every weighted sum
+as the number c, broadcast over the stack.
 
 Solvers by exponent, all from the weighted L^2 start; for q != 2 each
 ball's F values are divided by their max |F| before the solve and the
@@ -74,7 +76,7 @@ import numpy as np
 from ..carnot.group import GaugeBall
 from ..carnot.polynomials import monomial_basis, vandermonde
 from ..errors import ConditioningError, DomainError
-from ..quad import Estimate, _ball_strata, _check_finite, _dead_balls
+from ..quad import Estimate, _ball_strata, _check_finite, _dead_balls, weight_number
 
 # Relative optimality gap of a certified value: the L^1 dual point may pass 1
 # by this much (rounding in lam is far below it unless the basis is nearly
@@ -95,10 +97,15 @@ _FLAGGED_NOTES = ("l1-vertex-stalled", "newton-stalled", "upper-bound-unconverge
 _STACK = 1 << 20
 
 
-def _ball_stack(group, balls, scheme, op_ids, fns):
+def _ball_stack(group, balls, scheme, op_ids, F, u, *more):
     """The one stratum of a uniform scheme on each ball, ball b drawn under
     op_ids[b]: the nodes (B, N, n), the quadrature weights |B| / N of shape
-    (B, N), and each f of `fns` on the nodes, shape (B, N)."""
+    (B, N), and F, u and the functions `more` on the nodes, evaluated in
+    that order, each of shape (B, N) (`more` as one (len(more), B, N)
+    array).  A constant u = c (`weight_number`) is not evaluated: it comes
+    as the (1, 1) array [[c]], which broadcasts over the stack."""
+    c = weight_number(u)
+    fns = (F, *more) if c is not None else (F, u, *more)
     passes = list(_ball_strata(group, balls, scheme, op_ids))
     nodes = np.concatenate([pts[:, :, 0] for pts, *_ in passes])
     vols = np.concatenate([v for _, _, v, _, _ in passes])
@@ -108,7 +115,10 @@ def _ball_stack(group, balls, scheme, op_ids, fns):
         out[:] = np.asarray(f(flat), dtype=float).reshape(flat.shape[0])
         _check_finite(out, flat)
     weights = np.repeat(vols[:, None] / nodes.shape[1], nodes.shape[1], axis=1)
-    return nodes, weights, vals.reshape(len(fns), *nodes.shape[:2])
+    vals = vals.reshape(len(fns), *nodes.shape[:2])
+    if c is not None:
+        return nodes, weights, vals[0], np.array([[c]]), vals[1:]
+    return nodes, weights, vals[0], vals[1], vals[2:]
 
 
 def _require_uniform(scheme):
@@ -566,7 +576,7 @@ def _dead_note(q):
 
 def _fit(group, F, u, q, balls, ids, basis, scheme):
     """The coefficients (B, d) and value Estimates of the balls' stack."""
-    nodes, node_w, (y, w) = _ball_stack(group, balls, scheme, ids, (F, u))
+    nodes, node_w, y, w, _ = _ball_stack(group, balls, scheme, ids, F, u)
     A = _centred_vandermonde(group, basis, balls, nodes)
 
     coeffs = _weighted_lstsq(A, y, node_w * w**2)
@@ -576,7 +586,8 @@ def _fit(group, F, u, q, balls, ids, basis, scheme):
         peaks[peaks == 0.0] = 1.0
         ys, starts = y / peaks[:, None], coeffs / peaks[:, None]
         if q < 1.0:
-            coeffs, notes = zip(*(_nelder_mead(*row, q) for row in zip(A, ys, w, node_w, starts)))
+            rows = zip(A, ys, np.broadcast_to(w, (len(balls), w.shape[1])), node_w, starts)
+            coeffs, notes = zip(*(_nelder_mead(*row, q) for row in rows))
         else:
             solve = _l1_descent if q == 1.0 else lambda *stack: _newton(*stack, q)
             wq = node_w * w**q
@@ -596,5 +607,5 @@ def _fit(group, F, u, q, balls, ids, basis, scheme):
 def evaluate_candidate(group, F, u, q, ball, scheme, poly, *, op_id="best-poly"):
     """||(F - poly) u||_{L^q(B)} on the same nodes best_polynomial uses."""
     _require_uniform(scheme)
-    _, [node_w], [[y], [wvals], [pvals]] = _ball_stack(group, [ball], scheme, [op_id], (F, u, poly))
+    _, [node_w], [y], [wvals], [[pvals]] = _ball_stack(group, [ball], scheme, [op_id], F, u, poly)
     return _objective(y - pvals, wvals, node_w, q) ** (1.0 / q)

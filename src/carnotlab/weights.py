@@ -11,11 +11,12 @@ and is always a lower estimate of the true sup; divergence in the ball
 radius is detected by a power-law fit of term vs r.
 
 The condition is existential in t, so every ball is scored on a grid of
-t.  A constant weight's average is the exact c^e.  Each other weight
-draws one node set per ball, under f"{op_id}/b{b}/u" or
-f"{op_id}/b{b}/v{i}", and its distances are computed once there for every
-t: the rows of the t grid share nodes (common random numbers), so they are
-correlated across t, and a t whose samples overflow is flagged on its own.
+t.  A constant weight (one without factors, `Weight.as_number`) has the
+exact average c^e.  Each other weight draws one node set per ball, under
+f"{op_id}/b{b}/u" or f"{op_id}/b{b}/v{i}", and its distances are computed
+once there for every t: the rows of the t grid share nodes (common random
+numbers), so they are correlated across t, and a t whose samples overflow
+is flagged on its own.
 """
 
 from __future__ import annotations
@@ -45,17 +46,26 @@ class Weight:
     """Weight of the form c * prod_j d(pole_j, x)^(beta_j).
 
     Closed under powers, which is what the admissibility term needs:
-    (c prod d^beta)^g = c^g prod d^(beta g).
+    (c prod d^beta)^g = c^g prod d^(beta g).  The constant is positive and
+    finite, and every exponent and pole coordinate finite.  A weight
+    without factors is the number c (`as_number`): its ball averages, the
+    Morrey norms and the best polynomials use c without evaluating it
+    node by node.
     """
 
     def __init__(self, group, constant=1.0, factors=()):
-        if constant <= 0:
-            raise DomainError("weight constant must be positive")
+        if not 0.0 < constant < math.inf:
+            raise DomainError(f"weight constant must be positive and finite, got {constant}")
         self.group = group
         self.constant = float(constant)
         self.factors = tuple(
             (np.asarray(pole, dtype=float).reshape(-1), float(beta)) for pole, beta in factors
         )
+        for pole, beta in self.factors:
+            if not (math.isfinite(beta) and np.all(np.isfinite(pole))):
+                raise DomainError(
+                    f"weight factor needs a finite pole and exponent, got {pole.tolist()}, {beta}"
+                )
 
     @classmethod
     def one(cls, group):
@@ -69,6 +79,11 @@ class Weight:
     def power(cls, group, beta, pole=None):
         pole = pole if pole is not None else group.identity()
         return cls(group, factors=[(pole, beta)])
+
+    def as_number(self):
+        """The constant c when the weight has no factors, so that it is c
+        everywhere; else None."""
+        return None if self.factors else self.constant
 
     def __call__(self, pts):
         return self.power_rows(pts, (1.0,))[0]
@@ -203,8 +218,9 @@ def _average_powers(group, w, gammas, ball, scheme, op_id):
     non-finite value comes back flagged with value NaN, and is zeroed from
     then on so that it disturbs no other row.
     """
-    if not w.factors:
-        return [Estimate.exact(w.constant**gamma) for gamma in gammas]
+    c = w.as_number()
+    if c is not None:
+        return [Estimate.exact(c**gamma) for gamma in gammas]
     singularity = w.powered(gammas[0]).singular_pole()
     use = scheme
     if singularity is not None and use.kind == "uniform":

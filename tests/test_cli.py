@@ -246,6 +246,28 @@ def test_malformed_trial_input_is_validation_error(tmp_path, capsys, command, co
 
 
 @pytest.mark.parametrize(
+    "key, spec",
+    [
+        ("u", {"kind": "constant", "value": math.inf}),
+        ("v1", {"kind": "constant", "value": math.nan}),
+        ("v2", {"kind": "power", "beta": math.nan}),
+        ("u", {"kind": "product", "factors": [{"beta": 0.5, "pole": [math.inf]}]}),
+    ],
+    ids=["inf-constant", "nan-constant", "nan-beta", "inf-pole"],
+)
+def test_non_finite_weight_spec_is_validation_error(tmp_path, capsys, key, spec):
+    # json reads Infinity and NaN as numbers; the weight rejects them when
+    # it is built (exit 1), before any integral could fail on them (exit 2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: spec, "configs": 1, "samples": 1024}))
+    assert "Infinity" in cfg.read_text() or "NaN" in cfg.read_text()
+    assert run(["leibniz", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: weight ")
+    assert not (tmp_path / "leibniz.json").exists()
+
+
+@pytest.mark.parametrize(
     "group, k, token",
     [("euclidean:2", 1, "k = 2 statement, got k = 1"), ("euclidean:1", 2, "m*Q = 2")],
     ids=["k-one", "mQ-two"],

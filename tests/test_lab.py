@@ -441,6 +441,32 @@ def test_best_poly_ball_list_matches_single_balls(request, group_name, q, scheme
         _assert_same_fit(fits[b], single)
 
 
+@pytest.mark.parametrize("c", [1.0, 1.7])
+@pytest.mark.parametrize("q", [2.0, 1.0, 1.5, 0.8])
+def test_best_polynomial_constant_weight_matches_the_general_path(e1, count_calls, q, c):
+    # a constant Weight is the number c and is never called; the fits,
+    # their Estimates and evaluate_candidate equal those of the same
+    # constant as a plain callable, evaluated node by node, bit for bit
+    scheme = QuadratureScheme(samples=2048, seed=45)
+    bump = GaugeBump(e1, [0.2], 0.8, height=1.3)
+    # two live balls and one that misses the bump's support
+    balls = [GaugeBall([0.0], 1.0), GaugeBall([3.0], 0.5), GaugeBall([0.5], 0.6)]
+    weighed = count_calls(Weight, "power_rows")
+    u, plain = Weight.const(e1, c), lambda pts: np.full(len(pts), c)
+    fast = best_polynomial(e1, bump, u, q, balls, 2, scheme, op_id="const")
+    general = best_polynomial(e1, bump, plain, q, balls, 2, scheme, op_id="const")
+    for (poly, est), (poly_1, est_1) in zip(fast, general):
+        np.testing.assert_array_equal(poly.coeffs, poly_1.coeffs)
+        assert est.to_dict() == est_1.to_dict()
+    shifted = BallPolynomial(e1, balls[2], fast[2][0].basis, fast[2][0].coeffs + 0.1)
+    probes = [
+        evaluate_candidate(e1, bump, w, q, balls[2], scheme, shifted, op_id="const/b2")
+        for w in (u, plain)
+    ]
+    assert probes[0] == probes[1] >= fast[2][1].value
+    assert weighed == []
+
+
 # best_polynomial on one 4-ball uniform list, bit for bit: per ball the
 # value, its standard error and the centred coefficients in basis order
 _BEST_POLY_PINS = {
@@ -892,7 +918,8 @@ def test_leibniz_draws_and_solves_only_the_live_balls(e1, count_calls):
     # work-count guard on one seeded config shaped like the benchmark's
     # Leibniz workload (R^1, k = 2, q = 1, p = (2, 2), 16 balls with r in
     # [1/4, 4], 2048 samples): the nodes drawn are N per live ball of the
-    # lhs and both Morrey slots, and the L^2 starts one per live lhs ball
+    # lhs and both Morrey slots, the L^2 starts one per live lhs ball, and
+    # the unit weights are never evaluated
     rng = stream(4, "leibniz-live-balls")
     f, g = random_bump(e1, rng), random_bump(e1, rng)
     sampler = BallSampler(dim=1, count=16, r_min=0.25, r_max=4.0)
@@ -900,6 +927,7 @@ def test_leibniz_draws_and_solves_only_the_live_balls(e1, count_calls):
     one = W1(e1)
     nodes = count_calls(quad, "sample_ball", lambda group, balls, count, rngs: count * len(balls))
     solves = count_calls(np.linalg, "lstsq")
+    weighed = count_calls(Weight, "power_rows")
     leibniz_test(
         e1, f, g, one, one, one, ExponentSystem(m=2, p_list=(2.0, 2.0), q=1.0, k=2),
         1.0, 1.0, 1.0, sampler, scheme, op_id="live",
@@ -913,6 +941,7 @@ def test_leibniz_draws_and_solves_only_the_live_balls(e1, count_calls):
     assert 0 < live["lhs"] < sampler.count and live["g"] < sampler.count
     assert sum(nodes) == scheme.samples * sum(live.values())
     assert len(solves) == live["lhs"]
+    assert weighed == []
 
 
 # -- poincare_test ---------------------------------------------------------------

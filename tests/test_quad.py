@@ -289,6 +289,43 @@ def test_lp_norm_calls_the_weight_only_where_f_is_nonzero(h1, rows):
         assert out.to_dict() == raw.powered(1.0 / p).to_dict()
 
 
+@pytest.mark.parametrize("c", [1.0, 1.7])
+@pytest.mark.parametrize("shape", ["one-ball", "ball-list", "jet-rows"])
+def test_lp_norm_constant_weight_matches_the_general_path(h1, count_calls, shape, c):
+    # a constant Weight is the number c and is never called; the norms and
+    # covariances equal those of the same constant as a plain callable,
+    # which takes the gather-and-scatter path, bit for bit
+    scheme = QuadratureScheme(kind="uniform", samples=4096, seed=43)
+    bump = GaugeBump(h1, [0.6, 0.3, -0.2], 0.5, height=1.5)
+    f = jet_rows(h1, bump, [(0, 0), (1, 0), (0, 2)]) if shape == "jet-rows" else bump
+    ball = GaugeBall([0.1, -0.2, 0.05], 0.9)
+    if shape == "ball-list":  # the second ball misses the bump's support box
+        ball = [ball, GaugeBall([3.0, 0.0, 0.0], 0.5), GaugeBall([0.5, 0.2, 0.0], 0.4)]
+    weighed = count_calls(Weight, "power_rows")
+    for p in (4.0 / 3.0, 2.0, 0.5):
+        fast = lp_norm_ball(h1, f, Weight.const(h1, c), p, ball, scheme, op_id="const")
+        general = lp_norm_ball(
+            h1, f, lambda pts: np.full(len(pts), c), p, ball, scheme, op_id="const"
+        )
+        pairs = zip(fast, general) if shape == "ball-list" else [(fast, general)]
+        assert all(_same_outputs(a, b) for a, b in pairs)
+    assert weighed == []
+
+
+@pytest.mark.parametrize("c", [1.0, 1.7])
+def test_lp_norm_constant_weight_overflow_still_raises(e1, c):
+    # (|f| c)^p overflows to inf on the nodes near the peak: IntegrationError
+    # at the node the general path reports
+    scheme = QuadratureScheme(kind="uniform", samples=2048, seed=44)
+    huge = GaugeBump(e1, [0.0], 1.0, height=1e200)
+    points = []
+    for w in (Weight.const(e1, c), lambda pts: np.full(len(pts), c)):
+        with pytest.raises(IntegrationError) as err:
+            lp_norm_ball(e1, huge, w, 2.0, GaugeBall([0.0], 1.0), scheme)
+        points.append(err.value.point)
+    np.testing.assert_array_equal(*points)
+
+
 def test_lp_norm_non_finite_values_still_raise_at_their_node(h1):
     # a NaN in f, or a non-finite w where f != 0, raises at that node
     scheme = QuadratureScheme(kind="uniform", samples=2048, seed=42)

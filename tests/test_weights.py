@@ -116,6 +116,33 @@ def test_weight_positive_constant_required(e1):
         Weight.const(e1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: Weight.const(g, math.inf),
+        lambda g: Weight.const(g, math.nan),
+        lambda g: Weight.power(g, math.nan),
+        lambda g: Weight.power(g, -math.inf),
+        lambda g: Weight.power(g, 0.5, pole=[math.nan]),
+        lambda g: Weight(g, 2.0, factors=[([0.0], 1.0), ([math.inf], -1.0)]),
+    ],
+    ids=["inf-constant", "nan-constant", "nan-beta", "inf-beta", "nan-pole", "inf-pole"],
+)
+def test_weight_rejects_non_finite_parameters(e1, build):
+    # a constant weight is used as the number c, which needs 0 * c = 0
+    with pytest.raises(DomainError):
+        build(e1)
+
+
+def test_weight_as_number_only_without_factors(e1):
+    assert Weight.one(e1).as_number() == 1.0
+    assert Weight.const(e1, 1.7).as_number() == 1.7
+    assert Weight.power(e1, 0.25).as_number() is None
+    assert Weight(e1, 2.0, factors=[([0.0], 0.0)]).as_number() is None
+    assert quad.weight_number(Weight.const(e1, 1.7)) == 1.7
+    assert quad.weight_number(lambda pts: np.full(len(pts), 1.7)) is None
+
+
 def test_weight_product_of_powers(e1):
     w = Weight(e1, constant=2.0, factors=[([0.0], 1.0), ([3.0], -1.0)])
     val = w(np.array([[1.0]]))[0]
