@@ -1,8 +1,8 @@
 """Catalog of smooth test functions with analytic jets where available.
 
-Every catalog function evaluates its jets through one method,
-`jets(pts, order)`, which returns [value, gradient, Hessian][: order + 1]
-from a single pass; `jet_order` says how many it has (0, 1 or 2).
+A catalog function gives [value, gradient, Hessian][: order + 1] from one
+pass, by `jets(pts, order)` on every node or `live_jets(pts, order)` on
+the nodes where it may be non-zero; `jet_order` says how many (0, 1, 2).
 
 The workhorse is the gauge bump: a smooth compactly supported function
 exp(-u/(1-u)) of u(y) = ||c^-1 o y||^(2s!) / R^(2s!), whose support is

@@ -243,10 +243,19 @@ def step_two_group(forms, ident=None):
 
 
 def step_two_from_file(path):
-    """Load a step-2 group from a JSON file with a "forms" array."""
-    with open(path) as fh:
-        data = json.load(fh)
-    return step_two_group(np.asarray(data["forms"], dtype=float), ident=f"step2:{path}")
+    """Load a step-2 group from a JSON file with a "forms" array; a file
+    that cannot be read, or holds no numeric "forms" array, raises
+    StructureError naming the path."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise StructureError(f"cannot read step-2 group file {path!r}: {exc}") from None
+    try:
+        forms = np.asarray(data["forms"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise StructureError(f'step-2 group file {path!r} needs a numeric "forms" array') from None
+    return step_two_group(forms, ident=f"step2:{path}")
 
 
 def group_from_id(ident):

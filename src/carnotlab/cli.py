@@ -85,6 +85,8 @@ def _load_config(path, defaults, overrides):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}")
+        if not isinstance(data, dict):
+            raise UsageError(f"config {path} must be a JSON object, got {data!r}")
         unknown = sorted(set(data) - set(defaults))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -497,63 +499,45 @@ def cmd_repformula(args):
     return EXIT_OK
 
 
-def _norm_command(args, command, defaults, compute):
+# command -> (norm function, its own integer config keys with their defaults,
+# passed positionally after p and lam)
+_NORMS = {
+    "morrey": (morrey_norm, {}),
+    "campanato": (campanato_norm, {"k": 2}),
+}
+
+
+def cmd_norm(args):
+    """morrey and campanato: a sup over sampled balls of one function's norm."""
+    command = args.command
+    norm, own = _NORMS[command]
+    defaults = {
+        "group": "euclidean:1",
+        "f": {"kind": "bump"},
+        "w": None,
+        "p": 2.0,
+        "lam": 1.0,
+        **own,
+        "normalization": "ambient",
+        "sampler": {},
+        "samples": 4096,
+    }
     cfg, group, scheme = _setup(args, defaults)
     f = function_from_spec(group, cfg["f"])
     w = weight_from_spec(group, cfg.get("w"))
     sampler = _sampler_from_cfg(group, cfg.get("sampler") or {})
     with _partial_report(cfg, args, command, "balls"):
-        est, details = compute(group, f, w, sampler, scheme, cfg)
+        est, details = norm(
+            group, f, w, _number(cfg["p"], "p"), _number(cfg["lam"], "lam"),
+            *(_number(cfg[key], key, int) for key in own), sampler, scheme,
+            normalization=cfg["normalization"],
+        )
     results = {"norm": est.to_dict(), "note": est.note, "per_ball": details}
     header = ["radius", "value"]
     csv_rows = [[d["radius"], d["value"]] for d in details]
     _write_report(cfg, args, command, results, (header, csv_rows))
     print(f"{command}: {est.value:.6g} ({est.note})")
     return EXIT_OK
-
-
-def cmd_morrey(args):
-    defaults = {
-        "group": "euclidean:1",
-        "f": {"kind": "bump"},
-        "w": None,
-        "p": 2.0,
-        "lam": 1.0,
-        "normalization": "ambient",
-        "sampler": {},
-        "samples": 4096,
-    }
-
-    def compute(group, f, w, sampler, scheme, cfg):
-        return morrey_norm(
-            group, f, w, _number(cfg["p"], "p"), _number(cfg["lam"], "lam"), sampler, scheme,
-            normalization=cfg["normalization"],
-        )
-
-    return _norm_command(args, "morrey", defaults, compute)
-
-
-def cmd_campanato(args):
-    defaults = {
-        "group": "euclidean:1",
-        "f": {"kind": "bump"},
-        "w": None,
-        "p": 2.0,
-        "lam": 1.0,
-        "k": 2,
-        "normalization": "ambient",
-        "sampler": {},
-        "samples": 4096,
-    }
-
-    def compute(group, f, w, sampler, scheme, cfg):
-        return campanato_norm(
-            group, f, w, _number(cfg["p"], "p"), _number(cfg["lam"], "lam"),
-            _number(cfg["k"], "k", int), sampler, scheme,
-            normalization=cfg["normalization"],
-        )
-
-    return _norm_command(args, "campanato", defaults, compute)
 
 
 def cmd_leibniz(args):
@@ -620,8 +604,7 @@ def build_parser():
         *((name, cmd_sweep) for name in _SWEEPS),
         ("weights-check", cmd_weights_check),
         ("repformula", cmd_repformula),
-        ("morrey", cmd_morrey),
-        ("campanato", cmd_campanato),
+        *((name, cmd_norm) for name in _NORMS),
         ("leibniz", cmd_leibniz),
     ):
         p = sub.add_parser(name)

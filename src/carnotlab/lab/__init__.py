@@ -17,13 +17,12 @@ from .counterexample import (
     second_derivative_lp,
 )
 from .inequalities import (
-    InequalityReport,
     poincare_test,
     representation_check,
     sobolev_sublaplacian_test,
     sobolev_test,
 )
-from .reports import dump_json, jsonify, write_csv
+from .reports import InequalityReport, dump_json, jsonify, write_csv
 from .spaces import campanato_norm, leibniz_test, morrey_norm
 
 __all__ = [

@@ -26,40 +26,7 @@ from ..quad import lp_norm_ball, sample_ball
 from ..rng import stream
 from ..weights import Weight, validate_exponents
 from .bestpoly import best_polynomial
-from .reports import InequalityReport
-
-VIOLATION_FLAG = "inequality-violation-candidate"
-
-# below this absolute level an lhs is solver roundoff, not a violation
-_ZERO_TOL = 1e-9
-
-
-def _base_config(group, system, u, vs, scheme, **extra):
-    cfg = {
-        "group": group.ident,
-        "gauge": "layered",
-        "system": system.to_dict(),
-        "u": u.to_dict(),
-        "v": [v.to_dict() for v in vs],
-        "scheme": scheme.to_dict(),
-    }
-    cfg.update(extra)
-    return cfg
-
-
-def _finish(lhs, rhs, config, terms):
-    flags = []
-    if lhs.flagged or rhs.flagged:
-        flags.append("flagged-estimate")
-    lhs_is_zero = lhs.value <= max(3.0 * lhs.std_error, _ZERO_TOL)
-    if rhs.value > 0.0:
-        ratio = lhs.value / rhs.value
-    elif lhs_is_zero:
-        ratio = 0.0
-    else:
-        ratio = float("inf")
-        flags.append(VIOLATION_FLAG)
-    return InequalityReport(lhs=lhs, rhs=rhs, ratio=ratio, config=config, terms=terms, flags=flags)
+from .reports import trial_config, trial_report
 
 
 def poincare_test(group, fs, u, vs, system, ball, scheme, *, weight_verdict=None, op_id="poincare"):
@@ -76,7 +43,7 @@ def poincare_test(group, fs, u, vs, system, ball, scheme, *, weight_verdict=None
     rhs, terms = poincare_rhs(
         group, fs, vs, system.p_list, ball, system.k, scheme, op_id=f"{op_id}/rhs"
     )
-    config = _base_config(
+    config = trial_config(
         group,
         system,
         u,
@@ -86,23 +53,28 @@ def poincare_test(group, fs, u, vs, system, ball, scheme, *, weight_verdict=None
         weight_verdict=weight_verdict,
         kind="poincare",
     )
-    return _finish(lhs, rhs, config, terms)
+    return trial_report(lhs, rhs, config, terms)
 
 
-def sobolev_test(group, fs, u, vs, system, scheme, *, weight_verdict=None, op_id="sobolev"):
-    """Global inequality trial; no polynomial subtraction on the lhs."""
+def _global_trial(group, fs, u, vs, system, scheme, weight_verdict, kind, op_id, rhs, *extra):
+    """A global trial: lhs the L^q norm of prod f_i under u over its support
+    (no polynomial subtraction), against rhs(group, fs, vs, p_list, *extra,
+    scheme), which returns the rhs total and its terms."""
     system = validate_exponents(system, group)
     product = ProductFunction(group, fs)
     lhs = lp_norm_ball(
         group, product, u, system.q, product.support, scheme, op_id=f"{op_id}/lhs"
     )
-    rhs, terms = sobolev_rhs(
-        group, fs, vs, system.p_list, system.k, scheme, op_id=f"{op_id}/rhs"
+    total, terms = rhs(group, fs, vs, system.p_list, *extra, scheme, op_id=f"{op_id}/rhs")
+    config = trial_config(group, system, u, vs, scheme, weight_verdict=weight_verdict, kind=kind)
+    return trial_report(lhs, total, config, terms)
+
+
+def sobolev_test(group, fs, u, vs, system, scheme, *, weight_verdict=None, op_id="sobolev"):
+    """Global inequality trial; no polynomial subtraction on the lhs."""
+    return _global_trial(
+        group, fs, u, vs, system, scheme, weight_verdict, "sobolev", op_id, sobolev_rhs, system.k
     )
-    config = _base_config(
-        group, system, u, vs, scheme, weight_verdict=weight_verdict, kind="sobolev"
-    )
-    return _finish(lhs, rhs, config, terms)
 
 
 def check_sublaplacian_hypotheses(group, system):
@@ -121,18 +93,10 @@ def sobolev_sublaplacian_test(
 ):
     """Second-order global trial with the sub-Laplacian right-hand side (k = 2)."""
     check_sublaplacian_hypotheses(group, system)
-    system = validate_exponents(system, group)
-    product = ProductFunction(group, fs)
-    lhs = lp_norm_ball(
-        group, product, u, system.q, product.support, scheme, op_id=f"{op_id}/lhs"
+    return _global_trial(
+        group, fs, u, vs, system, scheme, weight_verdict, "sobolev-sublaplacian", op_id,
+        sobolev_sublaplacian_rhs,
     )
-    rhs, terms = sobolev_sublaplacian_rhs(
-        group, fs, vs, system.p_list, scheme, op_id=f"{op_id}/rhs"
-    )
-    config = _base_config(
-        group, system, u, vs, scheme, weight_verdict=weight_verdict, kind="sobolev-sublaplacian"
-    )
-    return _finish(lhs, rhs, config, terms)
 
 
 class _Slot:

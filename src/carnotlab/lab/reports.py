@@ -9,6 +9,11 @@ from dataclasses import dataclass, field, is_dataclass, asdict
 
 import numpy as np
 
+VIOLATION_FLAG = "inequality-violation-candidate"
+
+# below this absolute level an lhs is solver roundoff, not a violation
+_ZERO_TOL = 1e-9
+
 
 @dataclass
 class InequalityReport:
@@ -34,6 +39,38 @@ class InequalityReport:
         if self.lhs_per_ball is not None:
             out["lhs_per_ball"] = self.lhs_per_ball
         return out
+
+
+def trial_config(group, system, u, vs, scheme, **extra):
+    """The config of a trial report: group, gauge, exponents, weights and
+    scheme, then the trial's own keys."""
+    cfg = {
+        "group": group.ident,
+        "gauge": "layered",
+        "system": system.to_dict(),
+        "u": u.to_dict(),
+        "v": [v.to_dict() for v in vs],
+        "scheme": scheme.to_dict(),
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def trial_report(lhs, rhs, config, terms):
+    """The InequalityReport of lhs against rhs; an lhs above its noise over
+    a zero rhs is an infinite ratio, flagged as a violation candidate."""
+    flags = []
+    if lhs.flagged or rhs.flagged:
+        flags.append("flagged-estimate")
+    lhs_is_zero = lhs.value <= max(3.0 * lhs.std_error, _ZERO_TOL)
+    if rhs.value > 0.0:
+        ratio = lhs.value / rhs.value
+    elif lhs_is_zero:
+        ratio = 0.0
+    else:
+        ratio = float("inf")
+        flags.append(VIOLATION_FLAG)
+    return InequalityReport(lhs=lhs, rhs=rhs, ratio=ratio, config=config, terms=terms, flags=flags)
 
 
 def jsonify(obj):

@@ -23,16 +23,12 @@ from dataclasses import replace
 from ..carnot.constants import ball_volume
 from ..carnot.functions import ProductFunction
 from ..errors import DomainError, HypothesisError, ValidationError
-from ..operators import _with_breakdown, derivative_tuples, jet_rows
-from ..quad import Estimate, estimate_product, estimate_sum, lp_norm_ball
+from ..operators import tuple_rhs
+from ..quad import Estimate, lp_norm_ball
 from .bestpoly import best_polynomial
-from .inequalities import _base_config, _finish
+from .reports import trial_config, trial_report
 
 _SUP_NOTE = "sup over sampled balls: lower estimate at sampled scales"
-_RHS_NOTE = (
-    "terms share each slot's nodes: std_error is the sum of the terms' errors, "
-    "an upper bound under any correlation"
-)
 
 
 def _norm_dimension(group, normalization):
@@ -112,12 +108,15 @@ def leibniz_test(
 
     The lhs is one Campanato norm under f"{op_id}/lhs"; its per-ball
     details, with each ball's solver note, are the report's `lhs_per_ball`.
-    Each slot makes one Morrey call, under f"{op_id}/f" or f"{op_id}/g",
-    whose rows are the slot's distinct derivative keys, so the slot's jets
-    are evaluated once, on the nodes of all its balls; each term is a
-    product of those memoised sups.  The terms share each slot's nodes, so the rhs standard
-    error is the sum of the terms' errors, an upper bound under any
-    correlation.  Balls are normalized by the ambient dimension n.
+    The rhs comes from `tuple_rhs`, the builder of every inequality's rhs,
+    with Morrey sups as the slot norms: each slot makes one Morrey call,
+    under f"{op_id}/f" or f"{op_id}/g", whose rows are the slot's distinct
+    derivative keys, so the slot's jets are evaluated once, on the nodes of
+    all its balls; each term is a product of those memoised sups.  The sups
+    carry no covariance, so the rhs standard error is the sum of the terms'
+    errors, an upper bound under any correlation, and its `samples` is the
+    sum of the two slots' per-ball nodes.  Balls are normalized by the
+    ambient dimension n.
 
     Requires the scaling relation lambda/q = lambda_1/p_1 + lambda_2/p_2
     and k <= 2Q.
@@ -139,20 +138,15 @@ def leibniz_test(
     lhs, lhs_balls = campanato_norm(
         group, product, u, system.q, lam, k, sampler, scheme, op_id=f"{op_id}/lhs"
     )
-    tuples = derivative_tuples(2, k, group.n1)
-    sups = []  # per slot: key -> sup Estimate
-    for i, (h, v, p, lam_i, name) in enumerate(((f, v1, p1, lam1, "f"), (g, v2, p2, lam2, "g"))):
-        keys = list(dict.fromkeys(tup[i] for tup in tuples))
-        ests, _ = morrey_norm(
-            group, jet_rows(group, h, keys), v, p, lam_i, sampler, scheme, op_id=f"{op_id}/{name}"
-        )
-        sups.append(dict(zip(keys, ests)))
-    terms = [estimate_product(sups[i][a] for i, a in enumerate(tup)) for tup in tuples]
-    rhs, breakdown = _with_breakdown(
-        replace(estimate_sum(terms), std_error=sum(t.std_error for t in terms), note=_RHS_NOTE),
-        terms, tuples,
-    )
-    config = _base_config(
+    slots = ((v1, p1, lam1, "f"), (v2, p2, lam2, "g"))
+
+    def sups(i, rows):
+        v, p, lam_i, name = slots[i]
+        ests, _ = morrey_norm(group, rows, v, p, lam_i, sampler, scheme, op_id=f"{op_id}/{name}")
+        return ests, None
+
+    rhs, breakdown = tuple_rhs(group, [f, g], [p1, p2], k, sups, scheme.seed)
+    config = trial_config(
         group,
         system,
         u,
@@ -164,4 +158,4 @@ def leibniz_test(
         sampler=sampler.to_dict(),
         normalization="ambient",
     )
-    return replace(_finish(lhs, rhs, config, breakdown), lhs_per_ball=lhs_balls)
+    return replace(trial_report(lhs, rhs, config, breakdown), lhs_per_ball=lhs_balls)

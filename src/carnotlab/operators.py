@@ -8,13 +8,13 @@ The operator of order tau acts on an m-tuple of functions by
 with d(x, y_vec) = sum_i d(x, y_i).  Compact supports make every integral
 finite-domain: each slot integrates over its declared support ball.
 
-The three right-hand sides (local Poincare, global Sobolev, sub-Laplacian)
-are thin wrappers over one builder.  Each slot draws one node set under
-op_id f"{op_id}/f{i}", evaluates its jets once, on the nodes where the
-function is live (for a gauge bump, inside its support), and takes every
-norm the terms need from it in one batched `lp_norm_ball` call.  The
-terms share those nodes, so the total's standard error comes from the
-delta method over each slot's covariance of the raw integrals.
+Every right-hand side (local Poincare, global Sobolev, sub-Laplacian and
+Leibniz) is one builder, `_rhs`, given a per-slot norm.  Each slot
+evaluates its jets once, on the nodes where the function is live, and
+takes every norm the terms need in one call: one batched `lp_norm_ball`
+under op_id f"{op_id}/f{i}" for the inequalities, whose total error is
+the delta method over each slot's covariance of the raw integrals, or
+Morrey sups for Leibniz, whose error is the sum of the terms' errors.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ from .quad import (
     integrate_singular_product,
     lp_norm_ball,
     product_integrand,
+)
+
+_SUM_NOTE = (
+    "terms share each slot's nodes: std_error is the sum of the terms' errors, "
+    "an upper bound under any correlation"
 )
 
 
@@ -98,96 +103,112 @@ def jet_rows(group, f, keys):
     return rows
 
 
-def _rhs(group, fs, vs, ps, domains, terms, scheme, op_id):
-    """sum_t prod_i ||K_{t,i} f_i * v_i||_{L^p_i(domains[i])} and its terms.
+def _rhs(group, fs, ps, terms, labels, norms, seed):
+    """sum_t prod_i N_i(K_{t,i} f_i) and its breakdown, entry t being
+    labels[t] with term t's value and std_error.
 
     `terms` lists one key per slot for each term: a multi-index alpha for
-    |X^alpha f_i|, or "L" for |L f_i|.  Slot i draws one node set on
-    domains[i] under op_id f"{op_id}/f{i}", evaluates its jets once
-    (`JetTable`) and takes the norms of every key it needs in one batched
-    `lp_norm_ball` call; each term is a product of those memoised norms.
-    Slots draw independent node sets, so each term's product error is
-    valid.  The terms share each slot's nodes, so the total's standard
-    error is the delta method over each slot's covariance of the raw
-    integrals, not a sum of independent term variances.
+    |X^alpha f_i|, or "L" for |L f_i|.  `norms(i, rows)` takes slot i's
+    norms of `rows`, one row per distinct key of the slot from one jet
+    evaluation (`jet_rows`), and returns their Estimates and a function
+    forming the covariance of their raw integrals int (|K f_i| w_i)^(p_i),
+    or None.  Each term is a product of those memoised norms, its error
+    valid as slots are independent.  The terms share each slot's norms,
+    so the total's standard error is the delta method over the slots'
+    covariances or, if a slot has none, the sum of the terms' errors, an
+    upper bound under any correlation.  `samples` sums one norm's samples
+    per slot.
     """
-    m = len(fs)
-    if not (len(vs) == len(ps) == len(domains) == m):
-        raise DomainError("need one weight and one exponent per function slot")
-    norms = []  # per slot: key -> norm Estimate
+    slots = []  # per slot: key -> norm Estimate
     covs = []
     samples = 0
-    for i in range(m):
+    for i, f in enumerate(fs):
         keys = list(dict.fromkeys(term[i] for term in terms))
-        ests, cov = lp_norm_ball(
-            group, jet_rows(group, fs[i], keys), vs[i], ps[i], domains[i], scheme,
-            op_id=f"{op_id}/f{i}",
-        )
-        norms.append(dict(zip(keys, ests)))
-        covs.append(cov())
+        ests, cov = norms(i, jet_rows(group, f, keys))
+        slots.append(dict(zip(keys, ests)))
+        covs.append(None if cov is None else cov())
         samples += ests[0].samples
-    products = [estimate_product(norms[i][key] for i, key in enumerate(term)) for term in terms]
-    var = 0.0
-    for i, (slot, cov) in enumerate(zip(norms, covs)):
-        grad = dict.fromkeys(slot, 0.0)  # d total / d norm
-        for term in terms:
-            grad[term[i]] += math.prod(norms[j][key].value for j, key in enumerate(term) if j != i)
-        # chain through norm = raw^(1/p): d norm / d raw = norm^(1-p) / p, 0 at norm 0
-        h = np.array(
-            [g * slot[key].value ** (1.0 - ps[i]) / ps[i] if slot[key].value > 0.0 else 0.0
-             for key, g in grad.items()]
-        )
-        live = h != 0.0
-        var += float(h[live] @ cov[np.ix_(live, live)] @ h[live])
+    products = [estimate_product(slots[i][key] for i, key in enumerate(term)) for term in terms]
+    if any(cov is None for cov in covs):
+        std_error, note = sum(t.std_error for t in products), _SUM_NOTE
+    else:
+        var = 0.0
+        for i, (slot, cov) in enumerate(zip(slots, covs)):
+            grad = dict.fromkeys(slot, 0.0)  # d total / d norm
+            for term in terms:
+                grad[term[i]] += math.prod(
+                    slots[j][key].value for j, key in enumerate(term) if j != i
+                )
+            # chain through norm = raw^(1/p): d norm / d raw = norm^(1-p) / p, 0 at norm 0
+            h = np.array(
+                [g * slot[key].value ** (1.0 - ps[i]) / ps[i] if slot[key].value > 0.0 else 0.0
+                 for key, g in grad.items()]
+            )
+            live = h != 0.0
+            var += float(h[live] @ cov[np.ix_(live, live)] @ h[live])
+        std_error, note = math.sqrt(max(var, 0.0)), ""
     total = Estimate(
         value=sum(t.value for t in products),
-        std_error=math.sqrt(max(var, 0.0)),
+        std_error=std_error,
         samples=samples,
-        seed=scheme.seed,
+        seed=seed,
         flagged=any(t.flagged for t in products),
+        note=note,
     )
-    return total, products
+    breakdown = [
+        {**label, "value": t.value, "std_error": t.std_error} for label, t in zip(labels, products)
+    ]
+    return total, breakdown
+
+
+def _lp_norms(group, fs, vs, ps, ball, scheme, op_id):
+    """`_rhs`'s slot norms as weighted L^p norms: slot i takes ||K f_i *
+    v_i||_{L^p_i} over `ball`, or if it is None over f_i's support ball,
+    for all its keys in one batched `lp_norm_ball` call under op_id
+    f"{op_id}/f{i}", with their covariance."""
+    domains = [_require_support(f, i) if ball is None else ball for i, f in enumerate(fs)]
+    if not (len(vs) == len(ps) == len(fs)):
+        raise DomainError("need one weight and one exponent per function slot")
+
+    def norms(i, rows):
+        return lp_norm_ball(group, rows, vs[i], ps[i], domains[i], scheme, op_id=f"{op_id}/f{i}")
+
+    return norms
+
+
+def tuple_rhs(group, fs, ps, k, norms, seed):
+    """sum over the derivative tuples of order k of products of per-slot
+    norms of |X^(alpha_i) f_i|, from `_rhs` with `norms(i, rows)` (see
+    there).  Returns the total and its per-tuple breakdown."""
+    tuples = derivative_tuples(len(fs), k, group.n1)
+    labels = [{"alphas": [list(a) for a in tup]} for tup in tuples]
+    return _rhs(group, fs, ps, tuples, labels, norms, seed)
 
 
 def poincare_rhs(group, fs, vs, ps, ball, k, scheme, *, op_id="poincare-rhs"):
     """RHS of the local inequality: sum over tuples of products of
     weighted L^p norms of horizontal derivatives over the ball.  Returns
     the total and its per-tuple breakdown."""
-    tuples = derivative_tuples(len(fs), k, group.n1)
-    total, products = _rhs(group, fs, vs, ps, [ball] * len(fs), tuples, scheme, op_id)
-    return _with_breakdown(total, products, tuples)
+    norms = _lp_norms(group, fs, vs, ps, ball, scheme, op_id)
+    return tuple_rhs(group, fs, ps, k, norms, scheme.seed)
 
 
 def sobolev_rhs(group, fs, vs, ps, k, scheme, *, op_id="sobolev-rhs"):
     """Global analog: each factor integrates over its own support ball.
     Returns the total and its per-tuple breakdown."""
-    supports = [_require_support(f, i) for i, f in enumerate(fs)]
-    tuples = derivative_tuples(len(fs), k, group.n1)
-    total, products = _rhs(group, fs, vs, ps, supports, tuples, scheme, op_id)
-    return _with_breakdown(total, products, tuples)
+    norms = _lp_norms(group, fs, vs, ps, None, scheme, op_id)
+    return tuple_rhs(group, fs, ps, k, norms, scheme.seed)
 
 
 def sobolev_sublaplacian_rhs(group, fs, vs, ps, scheme, *, op_id="sublap-rhs"):
     """sum_i ||L f_i v_i||_{p_i} prod_{j != i} ||f_j v_j||_{p_j} over supports.
     Returns the total and its per-slot breakdown."""
     m = len(fs)
-    supports = [_require_support(f, i) for i, f in enumerate(fs)]
     value = (0,) * group.n1
     terms = [tuple("L" if j == i else value for j in range(m)) for i in range(m)]
-    total, products = _rhs(group, fs, vs, ps, supports, terms, scheme, op_id)
-    breakdown = [
-        {"laplacian_slot": i, "value": t.value, "std_error": t.std_error}
-        for i, t in enumerate(products)
-    ]
-    return total, breakdown
-
-
-def _with_breakdown(total, products, tuples):
-    breakdown = [
-        {"alphas": [list(a) for a in tup], "value": t.value, "std_error": t.std_error}
-        for tup, t in zip(tuples, products)
-    ]
-    return total, breakdown
+    labels = [{"laplacian_slot": i} for i in range(m)]
+    norms = _lp_norms(group, fs, vs, ps, None, scheme, op_id)
+    return _rhs(group, fs, ps, terms, labels, norms, scheme.seed)
 
 
 def _require_support(f, i):

@@ -148,17 +148,6 @@ def estimate_product(estimates):
     )
 
 
-def estimate_sum(estimates):
-    ests = list(estimates)
-    return Estimate(
-        value=sum(e.value for e in ests),
-        std_error=math.sqrt(sum(e.std_error**2 for e in ests)),
-        samples=sum(e.samples for e in ests),
-        seed=next((e.seed for e in ests if e.seed is not None), None),
-        flagged=any(e.flagged for e in ests),
-    )
-
-
 # -- sampling ----------------------------------------------------------------
 
 
@@ -436,7 +425,7 @@ def _estimate(group, strata, f, scheme, kernel=None):
     for first, count in zip(itertools.accumulate([0] + counts), counts):
         own = range(first, first + count)
         if scheme.kind == "annuli":
-            # strata summed left to right, as estimate_sum does
+            # strata summed left to right
             note = f"annuli truncated below 2^-{scheme.levels} * r0"
             ests = [
                 Estimate(

@@ -35,6 +35,7 @@ from .rng import stream
 VERDICT_FINITE = "finite-at-sampled-scales"
 VERDICT_LARGE_R = "diverges-large-r"
 VERDICT_SMALL_R = "diverges-small-r"
+VERDICT_UNDETERMINED = "undetermined"
 
 DEFAULT_T_GRID = (1.1, 1.25, 1.5, 2.0, 4.0)
 
@@ -317,22 +318,22 @@ class BallSampler:
 
 
 def _fit_slope(radii, values):
-    """Least-squares slope of log(value) against log(r)."""
+    """Least-squares slope of log(value) against log(r) over the positive
+    finite values; NaN when they come from fewer than two distinct radii."""
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
     keep = (v > 0) & np.isfinite(v)
-    if np.count_nonzero(keep) < 2:
-        return 0.0
     x = np.log(r[keep])
+    if np.unique(x).size < 2:
+        return math.nan
     y = np.log(v[keep])
     x = x - x.mean()
-    denom = float(np.dot(x, x))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(x, y - y.mean()) / denom)
+    return float(np.dot(x, y - y.mean()) / float(np.dot(x, x)))
 
 
 def _verdict(slope):
+    if math.isnan(slope):
+        return VERDICT_UNDETERMINED
     if slope > SLOPE_TREND_THRESHOLD:
         return VERDICT_LARGE_R
     if slope < -SLOPE_TREND_THRESHOLD:
@@ -368,8 +369,10 @@ def weight_condition_sup(
 
     The condition is existential in t, so per-t results are reported
     without interpolation.  The verdict per t comes from the sign of the
-    fitted slope of term vs radius.  Ball b is scored at every t by one
-    ball_term call under f"{op_id}/b{b}", so the t's share its nodes.
+    fitted slope of term vs radius; with usable terms at fewer than two
+    distinct radii, the slope is NaN and the verdict `undetermined`.  Ball
+    b is scored at every t by one ball_term call under f"{op_id}/b{b}", so
+    the t's share its nodes.
     """
     system = validate_exponents(system, group)
     t_grid = tuple(t_grid)

@@ -207,6 +207,33 @@ def test_malformed_group_id_or_bump_center_is_structure_error(tmp_path, capsys, 
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text", ["[1, 2]", "null", "5", '"abc"'], ids=["list", "null", "number", "string"]
+)
+def test_non_object_config_is_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(["counterexample", "--config", str(cfg), "--out", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and str(cfg) in err and "JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [(None, "No such file"), ('{"x": 1}', '"forms"'), ('{"forms": "x"}', '"forms"'),
+     ('{"forms": [', "cannot read")],
+    ids=["missing", "no-forms", "non-numeric-forms", "malformed-json"],
+)
+def test_bad_step2_group_file_is_structure_error(tmp_path, capsys, text, fault):
+    spec = tmp_path / "forms.json"
+    if text is not None:
+        spec.write_text(text)
+    assert run(["group-info", f"step2:{spec}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(spec) in err and fault in err
+
+
 _POWER = {"kind": "power", "beta": 0.5}
 
 
@@ -471,6 +498,22 @@ def test_weights_check_command(tmp_path, capsys):
     assert "finite-at-sampled-scales" in out
     data = json.loads((tmp_path / "weights-check.json").read_text())
     assert data["results"]["exponent"] == pytest.approx(0.0)
+
+
+def test_weight_rows_without_two_radii_are_undetermined(tmp_path):
+    # d^400 overflows on most balls: a t row with fewer than two usable
+    # balls has no slope, reads undetermined and is never the witness
+    heavy = {"kind": "power", "beta": 400}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"v": [heavy, heavy], "trials": 2, "samples": 1024}))
+    assert run(["poincare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    check = json.loads((tmp_path / "poincare.json").read_text())["results"]["weight_check"]
+    assert check["verdict"] == "undetermined" and check["witness_t"] is None
+    cfg.write_text(json.dumps({"v": [heavy], "samples": 1000, "sampler": {"count": 4}}))
+    run(["weights-check", "--config", str(cfg), "--out", str(tmp_path)])
+    rows = json.loads((tmp_path / "weights-check.json").read_text())["results"]["per_t"]
+    sparse = [row for row in rows if row["balls_used"] < 2]
+    assert sparse and all(r["verdict"] == "undetermined" and r["slope"] == "NaN" for r in sparse)
 
 
 def test_morrey_command(tmp_path, capsys):

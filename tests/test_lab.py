@@ -1770,3 +1770,17 @@ def test_leibniz_rhs_error_is_sum_of_term_errors(e1, small_scheme):
     assert report.rhs.std_error >= math.sqrt(sum(e**2 for e in errors))
     assert report.rhs.value == sum(t["value"] for t in report.terms)
     assert "upper bound" in report.rhs.note
+
+
+def test_leibniz_rhs_samples_count_each_slot_once(e1, small_scheme):
+    # the rhs samples are the two slots' per-ball nodes, 2 N, however many
+    # tuples (3 for k = 2 on R^1) share them
+    rng = stream(9, "leibniz")
+    f, g = random_bump(e1, rng), random_bump(e1, rng)
+    sampler = BallSampler(dim=1, count=4, r_min=0.25, r_max=4.0)
+    report = leibniz_test(
+        e1, f, g, W1(e1), W1(e1), W1(e1), _leibniz_system(), 1.0, 1.0, 1.0,
+        sampler, small_scheme,
+    )
+    assert len(report.terms) == 3
+    assert report.rhs.samples == 2 * small_scheme.samples

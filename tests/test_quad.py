@@ -14,7 +14,6 @@ from carnotlab.quad import (
     Estimate,
     QuadratureScheme,
     estimate_product,
-    estimate_sum,
     integrate_ball,
     integrate_singular_product,
     lp_norm_ball,
@@ -880,8 +879,6 @@ def test_singular_product_rejects_wrong_point_shape(h1, mc_scheme):
 def test_estimate_algebra():
     a = Estimate(2.0, 0.1, 100)
     b = Estimate(3.0, 0.2, 100)
-    s = estimate_sum([a, b])
-    assert s.value == 5.0 and s.std_error == pytest.approx(math.hypot(0.1, 0.2))
     p = estimate_product([a, b])
     assert p.value == 6.0
     assert p.std_error == pytest.approx(math.hypot(0.1 * 3.0, 0.2 * 2.0))

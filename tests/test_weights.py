@@ -410,3 +410,14 @@ def test_weight_sup_report_serializes(e1, small_scheme):
         "diverges-large-r",
         "diverges-small-r",
     )
+
+
+@pytest.mark.parametrize(
+    "radii, values",
+    [([], []), ([1.0], [2.0]), ([0.5, 2.0], [3.0, 0.0]), ([0.5, 0.5, 0.5], [1.0, 2.0, 4.0])],
+    ids=["none", "one-ball", "one-usable", "one-radius"],
+)
+def test_slope_without_two_radii_is_undetermined(radii, values):
+    slope = weights._fit_slope(radii, values)
+    assert math.isnan(slope)
+    assert weights._verdict(slope) == "undetermined"
