@@ -433,7 +433,11 @@ def cmd_sweep(args):
             group, system, u, vs, scheme, trials=trials, seed=args.seed,
             weight_verdict=check["verdict"], **extra,
         )
-    return _trial_report(cfg, args, command, reports, "trials", weight_check=check)
+    code = _trial_report(cfg, args, command, reports, "trials", weight_check=check)
+    if check["flagged_count"]:
+        print(f"{command}: weight check flagged {check['flagged_count']} terms")
+        return EXIT_NUMERICAL
+    return code
 
 
 def cmd_weights_check(args):
@@ -638,7 +642,33 @@ def main(argv=None):
         return EXIT_VALIDATION
 
 
+# mallopt(3) parameters of glibc's malloc
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap():
+    """Under glibc, keep freed heap memory in the process: a trim threshold
+    of 256 MiB, and an mmap threshold of 32 MiB (its 64-bit maximum).  At
+    glibc's defaults every solver temporary above 128 KiB is mapped and
+    unmapped, and each freed heap top returned to the kernel, so the same
+    pages fault in again on every ball stack.  Only the console entry point
+    calls this; the library and main() leave the allocator alone."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if not glibc:
+        return
+    import ctypes
+
+    libc = ctypes.CDLL(None)
+    libc.mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def entry():
+    _keep_freed_heap()
     sys.exit(main())
 
 

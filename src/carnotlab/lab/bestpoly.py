@@ -62,7 +62,11 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
               replaces the descent's point when it is no higher.  The
               result is an upper bound on the infimum, labeled
               "upper-bound", or "upper-bound-unconverged" (flagged) when the
-              descent reports no success.
+              descent reports no success.  With k = 1 and a constant u,
+              the zeros of F share one term, so each evaluation takes the
+              q-th power on F's non-zero nodes and one zero node only
+              (_support_objective), bit for bit the full sum, and the
+              descent takes the same path.
 The L^2 start is prepared once for the stack and solved by one lstsq per
 ball, Nelder-Mead runs per ball on its row of the stack, the estimates on
 the whole stack, and the q >= 1 solvers on slices of it of at most _STACK
@@ -502,16 +506,41 @@ def _nelder_mead(A, y, wvals, node_w, start, q):
     wq = node_w * wvals**q
     noise = _ZERO * (np.max(np.abs(y)) + _colmax(A) @ np.abs(start))
     fatol = max(1e-14, d * float(np.max(wq)) * noise**q)
+    objective = _support_objective(A, y, wvals, node_w, q)
     res = minimize(
-        lambda c: _objective(y - A @ c, wvals, node_w, q),
+        objective,
         start,
         method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": fatol, "maxiter": 4000, "adaptive": True},
     )
     basis = _snap(A[None], np.abs(y - A @ res.x)[None])[0]
     vertex = np.linalg.solve(A[basis], y[basis])
-    best = vertex if _objective(y - A @ vertex, wvals, node_w, q) <= res.fun else res.x
+    best = vertex if objective(vertex) <= res.fun else res.x
     return best, "upper-bound" if res.success else "upper-bound-unconverged"
+
+
+def _support_objective(A, y, wvals, node_w, q):
+    """c -> _objective(y - A c, wvals, node_w, q), bit for bit.  With one
+    coefficient (k = 1, the constant monomial, a column of equal entries)
+    and a constant u, every zero of y has the same term, so the q-th power
+    is taken on y's non-zero nodes and one zero node, in one call; the
+    (N,) terms are then written out and summed in node order as in
+    _objective."""
+    zeros = np.flatnonzero(y == 0.0)
+    if A.shape[1] != 1 or wvals.size != 1 or zeros.size < 2:
+        return lambda c: _objective(y - A @ c, wvals, node_w, q)
+    nonzero = np.flatnonzero(y)
+    at = np.append(nonzero, zeros[0])
+    A_at, y_at = A[at], y[at]
+    powers = np.empty(y.size)
+
+    def objective(c):
+        p = (np.abs(y_at - A_at @ c) * wvals) ** q
+        powers.fill(p[-1])
+        powers[nonzero] = p[:-1]
+        return float(np.sum(node_w * powers))
+
+    return objective
 
 
 def _estimates(resid, wvals, node_w, q, scheme, notes):

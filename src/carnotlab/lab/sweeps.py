@@ -35,7 +35,8 @@ def _random_trial_ball(rng, group):
 
 def check_weight_condition(group, u, vs, system, scheme):
     """One verdict for the sweep's weight configuration (existential in t),
-    from 24 balls with radii in [1/4, 4] on the default t grid."""
+    from 24 balls with radii in [1/4, 4] on the default t grid, with the
+    number of (ball, t) terms that overflowed or were otherwise flagged."""
     sampler = BallSampler(dim=group.n, center_box=1.0, r_min=0.25, r_max=4.0, count=24)
     report = weight_condition_sup(group, u, vs, system, sampler, scheme)
     verdicts = report.verdicts()
@@ -44,6 +45,7 @@ def check_weight_condition(group, u, vs, system, scheme):
         "verdict": "finite-at-sampled-scales" if finite else verdicts[0],
         "witness_t": finite[0] if finite else None,
         "exponent": report.exponent,
+        "flagged_count": report.flagged_count,
     }
 
 

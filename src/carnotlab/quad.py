@@ -194,11 +194,14 @@ def sample_ball(group, ball, count, rng):
         norms = group.gauge_norm(u)
         drawn += ends[-1]
         for b, lo, hi in spans:
-            keep = u[lo:hi][norms[lo:hi] < balls[b].radius]
-            accepted += keep.shape[0]
-            take = min(count - filled[b], keep.shape[0])
-            out[b, filled[b] : filled[b] + take] = keep[:take]
-            filled[b] += take
+            # the first accepted rows that the ball still needs, copied by one
+            # take straight into out (mode "clip": "raise" buffers the copy)
+            keep = np.flatnonzero(norms[lo:hi] < balls[b].radius)
+            accepted += keep.size
+            take = keep[: count - filled[b]]
+            dest = out[b, filled[b] : filled[b] + take.size]
+            np.take(u[lo:hi], take, axis=0, out=dest, mode="clip")
+            filled[b] += take.size
         todo = [b for b in todo if filled[b] < count]
     log.debug(
         "sample_ball: %d/%d drawn points accepted (%.1f%%), %d kept",

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -502,13 +503,16 @@ def test_weights_check_command(tmp_path, capsys):
 
 def test_weight_rows_without_two_radii_are_undetermined(tmp_path):
     # d^400 overflows on most balls: a t row with fewer than two usable
-    # balls has no slope, reads undetermined and is never the witness
+    # balls has no slope, reads undetermined and is never the witness; the
+    # sweep's check counts the overflowed terms as flagged, and exits 2 as
+    # weights-check does
     heavy = {"kind": "power", "beta": 400}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"v": [heavy, heavy], "trials": 2, "samples": 1024}))
-    assert run(["poincare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert run(["poincare", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     check = json.loads((tmp_path / "poincare.json").read_text())["results"]["weight_check"]
     assert check["verdict"] == "undetermined" and check["witness_t"] is None
+    assert check["flagged_count"] >= 1
     cfg.write_text(json.dumps({"v": [heavy], "samples": 1000, "sampler": {"count": 4}}))
     run(["weights-check", "--config", str(cfg), "--out", str(tmp_path)])
     rows = json.loads((tmp_path / "weights-check.json").read_text())["results"]["per_t"]
@@ -635,3 +639,45 @@ def test_scipy_loads_only_with_a_q_below_one_solve(tmp_path):
         "seen": {"import": False, "cli": False, "q < 1": True},
         "note": "upper-bound",
     }
+
+
+_FAULTS = """
+import atexit, resource, sys
+from carnotlab import cli
+atexit.register(lambda: print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt, file=sys.stderr))
+mode, argv = sys.argv[1], sys.argv[2:]
+if mode == "entry":
+    sys.argv = ["carnotlab", *argv]
+    cli.entry()
+sys.exit(cli.main(argv))
+"""
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap thresholds are set under glibc only")
+def test_cli_entry_keeps_freed_heap(tmp_path):
+    # the console entry point raises glibc's trim and mmap thresholds, so
+    # `carnotlab leibniz` at its defaults stops faulting its freed heap back
+    # in (about 70k minor faults at glibc's defaults); main() leaves them
+    # alone, and both write the same report bytes apart from meta.timestamp
+    src = str(Path(carnotlab.__file__).resolve().parents[1])
+    reports, faults = {}, {}
+    for mode in ("entry", "main"):
+        out = tmp_path / mode
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTS, mode, "leibniz", "--out", str(out)],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults[mode] = int(proc.stderr.strip().splitlines()[-1])
+        text = (out / "leibniz.json").read_text()
+        text = re.sub(r'"timestamp": "[^"]*"', "", text)
+        reports[mode] = text, (out / "leibniz.csv").read_bytes()
+    assert faults["entry"] <= 10_000, faults
+    assert reports["entry"] == reports["main"]

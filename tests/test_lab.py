@@ -54,7 +54,13 @@ from carnotlab.lab import (
     sobolev_test,
 )
 from carnotlab.lab import bestpoly, counterexample, inequalities, spaces
-from carnotlab.lab.bestpoly import _l1_descent, _newton, _weighted_lstsq
+from carnotlab.lab.bestpoly import (
+    _l1_descent,
+    _newton,
+    _objective,
+    _support_objective,
+    _weighted_lstsq,
+)
 from carnotlab.operators import derivative_tuples, jet_rows, multilinear_fractional_integral
 from carnotlab.quad import QuadratureScheme, sample_ball
 from carnotlab.rng import stream
@@ -714,6 +720,75 @@ def test_nelder_mead_failure_is_labelled_and_flagged(e1, monkeypatch):
     )
     assert est.note == "upper-bound-unconverged"
     assert est.flagged
+
+
+def _zero_heavy_systems(d):
+    """Seeded (A, y, node_w, q) with y = 0 on 50-95% of the nodes, as F = fg
+    is on most nodes of a Poincare ball; A is the constant column for d = 1,
+    else the constant and linear columns of x."""
+    rng = stream(9, f"zero-heavy/{d}")
+    for n in (50, 517, 4096):
+        for frac in (0.5, 0.8, 0.95):
+            x = rng.uniform(-1.0, 1.0, n)
+            y = np.where(rng.random(n) < frac, 0.0, rng.normal(size=n) * np.exp(rng.normal(size=n)))
+            A = np.column_stack([x**j for j in range(d)])
+            yield A, y, np.full(n, rng.uniform(0.1, 5.0) / n), rng.uniform(0.2, 0.95)
+
+
+@pytest.mark.parametrize("d, weight", [(1, "const"), (1, "rows"), (2, "const")])
+def test_support_objective_is_the_reference_bit_for_bit(d, weight):
+    # with k = 1 and a constant u the q-th power is taken on y's non-zero
+    # nodes and one zero node only; at c = 0, at c = several y_j and at 200
+    # random c, every case equals _objective bit for bit
+    rng = stream(10, f"support-objective/{d}/{weight}")
+    for A, y, node_w, q in _zero_heavy_systems(d):
+        u = np.array([1.7]) if weight == "const" else rng.uniform(0.5, 2.0, len(y))
+        objective = _support_objective(A, y, u, node_w, q)
+        picks = y[rng.integers(0, len(y), 6)]
+        cs = [np.zeros(d), *(np.full(d, v) for v in picks), *rng.normal(size=(200, d))]
+        for c in cs:
+            assert objective(c) == _objective(y - A @ c, u, node_w, q)
+
+
+def test_q_below_one_k1_fit_on_an_h1_product_is_pinned(h1, count_calls, monkeypatch):
+    # q = 0.8, k = 1 on a product of two H^1 bumps, which vanishes on 3-95%
+    # of each ball's nodes: the coefficients, the Estimates and the number
+    # of objective calls Nelder-Mead makes are those of the full objective,
+    # and _objective itself is never called
+    import scipy.optimize
+
+    real, evaluations = scipy.optimize.minimize, []
+
+    def counted(fun, x0, **kwargs):
+        return real(lambda c: evaluations.append(1) or fun(c), x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+    reference = count_calls(bestpoly, "_objective")
+    product = ProductFunction(
+        h1, [GaugeBump(h1, [0.3, 0.0, 0.1], 0.9), GaugeBump(h1, [-0.2, 0.2, 0.0], 0.8)]
+    )
+    balls = [
+        GaugeBall([0.0, 0.0, 0.0], 1.2),
+        GaugeBall([0.4, -0.2, 0.1], 0.7),
+        GaugeBall([-0.5, 0.5, 0.3], 1.5),
+        GaugeBall([0.05, 0.1, 0.05], 0.6),
+    ]
+    fits = best_polynomial(
+        h1, product, Weight.one(h1), 0.8, balls, 1, QuadratureScheme(samples=4096, seed=17),
+        op_id="sparse",
+    )
+    got = [
+        (poly.coeffs[0].hex(), est.value.hex(), est.std_error.hex(), est.note)
+        for poly, est in fits
+    ]
+    assert got == [
+        ("0x0.0p+0", "0x1.46222630bebc1p-2", "0x1.8071a2c6e1357p-6", "upper-bound"),
+        ("0x0.0p+0", "0x1.53b0f12ee8845p-3", "0x1.473027173d564p-8", "upper-bound"),
+        ("0x0.0p+0", "0x1.46796274d1b38p-2", "0x1.30193d25b1c3cp-5", "upper-bound"),
+        ("0x1.036818e3c30eap-1", "0x1.ed1e316b4f02fp-4", "0x1.5ecc75cf92a42p-10", "upper-bound"),
+    ]
+    assert len(evaluations) == 300
+    assert reference == []
 
 
 def test_l1_vertex_ignores_zero_rows_between_live_rows():

@@ -184,6 +184,27 @@ def test_sample_ball_is_prefix_of_one_long_draw(group_id, request, caplog):
             assert drawn <= 1.25 * count
 
 
+def test_sample_ball_second_pass_is_prefix_of_one_long_draw(h1, caplog):
+    # seed 12013 is one of the rare seeds whose first chunk accepts fewer
+    # than the 2 nodes asked for, so a second pass draws more; the nodes
+    # are still the first accepted rows of one long draw, alone or in a list
+    ball, other = GaugeBall([0.2, 0.2, 0.2], 0.8), GaugeBall([-0.4, 0.1, 0.3], 1.3)
+    ext = 0.8**h1.weights
+    first = math.ceil((2 + 4.0 * math.sqrt(2)) / (ball_volume(h1, 0.8) / np.prod(2.0 * ext)))
+    with caplog.at_level(logging.DEBUG, logger="carnotlab.quad"):
+        pts = sample_ball(h1, ball, 2, stream(12013, "second-pass/2"))
+    drawn, accepted = _drawn_and_accepted(caplog)
+    assert drawn > first
+    u = (stream(12013, "second-pass/2").random((drawn, 3)) * 2.0 - 1.0) * ext
+    keep = u[h1.gauge_norm(u) < 0.8]
+    assert keep.shape[0] == accepted >= 2
+    assert np.array_equal(pts, h1.compose(ball.center, keep[:2]))
+    rngs = [stream(12013, "second-pass/2"), stream(5, "second-pass/other")]
+    both = sample_ball(h1, [ball, other], 2, rngs)
+    assert np.array_equal(both[:2], pts)
+    assert np.array_equal(both[2:], sample_ball(h1, other, 2, stream(5, "second-pass/other")))
+
+
 def test_sample_ball_zero_count_is_empty(e1, h1):
     # the debug log's acceptance percentage once divided by zero draws
     assert sample_ball(e1, GaugeBall([0.0], 1.0), 0, stream(0, "z")).shape == (0, 1)
