@@ -4,7 +4,6 @@ horizontal derivatives, test-function catalog, and volume constants."""
 from .constants import ball_volume, volume_constant
 from .derivatives import (
     JetTable,
-    generator_coefficients,
     horizontal_derivative,
     polynomial_horizontal_derivative,
     sub_laplacian,
@@ -43,7 +42,6 @@ __all__ = [
     "vandermonde",
     "weighted_degree",
     "JetTable",
-    "generator_coefficients",
     "horizontal_derivative",
     "polynomial_horizontal_derivative",
     "sub_laplacian",

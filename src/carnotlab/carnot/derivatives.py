@@ -15,10 +15,9 @@ the function carries:
   * polynomials: exact symbolic application (generators map polynomials
     to polynomials);
   * analytic jets: for |alpha| <= f.jet_order (at most 2), the derivative
-    is assembled exactly from the affine field coefficients and the value,
-    gradient and Hessian of one `f.live_jets` call, on the nodes that call
-    returns as live only; every other node gets 0, as f and its jets
-    vanish there;
+    is read from the horizontal jets [f, Xf, XXf] of one `f.live_jets`
+    call, on the nodes that call returns as live only; every other node
+    gets 0, as f and its jets vanish there;
   * nested finite differences along the group curves s -> x o (s e_a),
     4th-order central stencils with one Richardson extrapolation step,
     step size eps^(1/(order+3)) scaled by the point magnitude.  A function
@@ -36,16 +35,6 @@ from ..errors import StructureError
 from .polynomials import HomogeneousPolynomial
 
 _EPS = float(np.finfo(float).eps)
-
-
-def generator_coefficients(group, pts):
-    """Coefficients c^a_u(x) of the generators at each point: (N, n1, n)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n, n1 = group.n, group.n1
-    coef = np.zeros((pts.shape[0], n1, n))
-    coef[:, np.arange(n1), np.arange(n1)] = 1.0
-    coef[:, :, n1:] = np.swapaxes(group.translation_rows(pts), -1, -2)
-    return coef
 
 
 def coefficient_jacobian(group):
@@ -102,25 +91,15 @@ def _expand_sequence(alpha):
     return seq
 
 
-def matmul_rows(a, b):
-    """a @ b for an (N, k) array a, every row with the same bits whatever N
-    is: numpy hands a one-row product to gemv, which rounds differently
-    from the gemm that serves every other N."""
-    if a.shape[0] == 1:
-        return (np.concatenate([a, a]) @ b)[:1]
-    return a @ b
+# two functions, not inline reads: the benchmark tracer wraps them to count jet points
+def _first_order_jet(jets, a):
+    """X_a f from the horizontal jets."""
+    return jets[1][:, a]
 
 
-def _first_order_jet(coef, grad, a):
-    """X_a f from the cached generator coefficients and gradient."""
-    return np.einsum("nu,nu->n", coef[:, a, :], grad)
-
-
-def _second_order_jet(coef, jac, grad, hess, a, b):
-    """X_a X_b f from the cached coefficients, their Jacobian, gradient and
-    Hessian: c^a . (grad J_b + hess c^b), two 2-operand contractions."""
-    inner = matmul_rows(grad, jac[b]) + np.einsum("nvu,nu->nv", hess, coef[:, b, :])
-    return np.einsum("nv,nv->n", inner, coef[:, a, :])
+def _second_order_jet(jets, a, b):
+    """X_a X_b f from the horizontal jets."""
+    return jets[2][:, a, b]
 
 
 def _fd_along_generator(group, evaluate, a, pts, total_order):
@@ -147,12 +126,12 @@ class JetTable:
 
     `order` is the highest derivative order the table's keys need ("L"
     needs 2).  On first use the table calls `f.live_jets` once, at that
-    order capped at `f.jet_order`, and serves every key from those jets
-    and the generator coefficients, both on the live nodes only: a
-    multi-index alpha, or "L" for the sub-Laplacian.  Polynomials take the
-    symbolic path.  A key of higher order than the jets (|alpha| > 2, or a
-    function with fewer jets) goes by finite differences along the
-    outermost generator, each shifted node set getting its own table.
+    order capped at `f.jet_order`, and serves every key from those jets,
+    on the live nodes only: a multi-index alpha, or "L" for the
+    sub-Laplacian.  Polynomials take the symbolic path.  A key of higher
+    order than the jets (|alpha| > 2, or a function with fewer jets) goes
+    by finite differences along the outermost generator, each shifted node
+    set getting its own table.
     """
 
     def __init__(self, group, f, pts, order):
@@ -168,14 +147,6 @@ class JetTable:
         if live_jets is None:
             return slice(None), [np.asarray(self.f(self.pts), dtype=float).reshape(len(self.pts))]
         return live_jets(self.pts, self.order)
-
-    @cached_property
-    def _coef(self):
-        return generator_coefficients(self.group, self.pts[self._jets[0]])
-
-    @cached_property
-    def _jac(self):
-        return coefficient_jacobian(self.group)
 
     def __getitem__(self, key):
         return self.rows([key])[0]
@@ -214,10 +185,10 @@ class JetTable:
             return index, jets[0]
         if len(seq) == 1 and self.order >= 1:
             index, jets = self._jets
-            return index, _first_order_jet(self._coef, jets[1], seq[0])
+            return index, _first_order_jet(jets, seq[0])
         if len(seq) == 2 and self.order >= 2:
             index, jets = self._jets
-            return index, _second_order_jet(self._coef, self._jac, jets[1], jets[2], *seq)
+            return index, _second_order_jet(jets, *seq)
         a, rest = seq[0], seq[1:]
 
         def inner(xs):

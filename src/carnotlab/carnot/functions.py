@@ -1,19 +1,18 @@
 """Catalog of smooth test functions with analytic jets where available.
 
-A catalog function gives [value, gradient, Hessian][: order + 1] from one
-pass, by `jets(pts, order)` on every node or `live_jets(pts, order)` on
-the nodes where it may be non-zero; `jet_order` says how many (0, 1, 2).
+A catalog function gives its jets [f, Xf, XXf][: order + 1] from one pass:
+the value, the horizontal gradient Xf[:, a] = X_a f and the horizontal
+Hessian XXf[:, a, b] = X_a X_b f (X_a applied last), by `jets(pts, order)`
+on every node or `live_jets(pts, order)` on the nodes where it may be
+non-zero; `jet_order` says how many (0, 1, 2).
 
 The workhorse is the gauge bump: a smooth compactly supported function
-exp(-u/(1-u)) of u(y) = ||c^-1 o y||^(2s!) / R^(2s!), whose support is
-exactly the gauge ball B(c, R).  Every bump is one unit bump composed with
-an affine map: u(y) = u0(w) / R^(2s!) at w = c^-1 o y = M y - c, where
-u0(w) = sum_i |w^(i)|^(2s!/i) and M = [[I, 0], [T, I]] holds the
-translation rows T of -c (M = I on step 1).  u0, its gradient and its Hessian
-are polynomials built once per group and shared by all its bumps, so the
-gradient M^T grad u0(w) and the Hessian M^T hess u0(w) M of u are exact;
-they feed the analytic path of the horizontal derivatives up to order 2,
-and higher orders fall back to nested finite differences.  The bump's one
+exp(-u/(1-u)) of u(y) = u0(w) / R^(2s!) at w = c^-1 o y, where u0(w) =
+sum_i |w^(i)|^(2s!/i); its support is exactly the gauge ball B(c, R).  The
+generators are left-invariant, so X_B u(y) = (X_B u0)(w) / R^(2s!): u0,
+X_a u0 and X_a X_b u0 are polynomials built once per group and shared by
+all its bumps, and the bump's horizontal jets up to order 2 are exact;
+higher orders fall back to nested finite differences.  The bump's one
 pass (`live_jets`) forms u on every node and everything else only on its
 live nodes, u < 1 - 1e-3: on the others the profile has underflowed to 0.
 `jets` scatters the live jets into zeros.  A left translate
@@ -30,7 +29,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError, StructureError
-from .derivatives import matmul_rows
+from .derivatives import apply_generator_to_polynomial
 from .group import GaugeBall, ball_box
 from .polynomials import HomogeneousPolynomial
 
@@ -39,8 +38,9 @@ class TestFunction:
     """Base class: a function with analytic jets up to order `jet_order`.
 
     A subclass implements `jets(pts, order)` on an (N, n) batch for
-    order <= jet_order: it returns [value, gradient, Hessian][: order + 1]
-    from one pass.  Calling the function evaluates jets(pts, 0)[0] on one
+    order <= jet_order: it returns [f, Xf, XXf][: order + 1] from one pass,
+    the value (N,), X_a f as Xf[:, a] (N, n1) and X_a X_b f as XXf[:, a, b]
+    (N, n1, n1).  Calling the function evaluates jets(pts, 0)[0] on one
     point (n,) or a batch (N, n).
 
     A declared `support` ball means that f and every jet vanish outside
@@ -75,11 +75,9 @@ _UNIT_GAUGE = {}
 
 
 def _unit_gauge(group):
-    """u0(w) = sum_i |w^(i)|^(2s!/i), its gradient and its Hessian entries
-    d_i d_j u0 on the upper triangle (i, j) = np.triu_indices(n), as
-    polynomials in w, with (i, j) and `full`, the position in that list of
-    each entry of the n x n Hessian.  Built once per group and shared by
-    all its bumps."""
+    """u0(w) = sum_i |w^(i)|^(2s!/i), X_a u0 for each a and X_a X_b u0 at
+    position a n1 + b, as polynomials in w.  Built once per group and
+    shared by all its bumps."""
     unit = _UNIT_GAUGE.get(group)
     if unit is None:
         order = group.gauge_order
@@ -91,12 +89,9 @@ def _unit_gauge(group):
                 x = HomogeneousPolynomial.coordinate(group, b)
                 sq = sq + x * x
             u0 = u0 + sq.power(order // (2 * i))
-        grad = u0.gradient_polys()
-        upper = np.triu_indices(group.n)
-        hess = [grad[i].partial(j) for i, j in zip(*upper)]
-        full = np.empty((group.n, group.n), dtype=int)
-        full[upper] = full[upper[::-1]] = np.arange(len(hess))
-        unit = _UNIT_GAUGE[group] = (u0, grad, hess, upper, full)
+        first = [apply_generator_to_polynomial(u0, a) for a in range(group.n1)]
+        second = [apply_generator_to_polynomial(p, a) for a in range(group.n1) for p in first]
+        unit = _UNIT_GAUGE[group] = (u0, first, second)
     return unit
 
 
@@ -105,9 +100,8 @@ class GaugeBump(TestFunction):
 
     Takes the value `height` at the center and vanishes to infinite order
     on the boundary.  u(y) = u0(w) / radius^(2s!) at w = center^-1 o y, u0
-    the group's unit gauge polynomial.  w = M y - center is affine, with
-    M = [[I, 0], [T, I]] and T the translation rows of -center, so grad u
-    and hess u are M^T grad u0(w) and M^T hess u0(w) M over radius^(2s!).
+    the group's unit gauge polynomial, so by left invariance X_a u and
+    X_a X_b u are X_a u0 and X_a X_b u0 at w over radius^(2s!).
     """
 
     jet_order = 2
@@ -124,17 +118,6 @@ class GaugeBump(TestFunction):
         self._unit = _unit_gauge(group)
         self._rows = group.translation_rows(-center)
         self._scale = float(radius) ** -group.gauge_order
-        self._pull = None
-        if group.n2:
-            # grad_y = grad_w M and upper(hess_y) = upper(hess_w) P, where
-            # hess_y[a, b] = sum_{c <= d} hess_w[c, d] (M[c, a] M[d, b] + M[d, a] M[c, b]),
-            # the second product only off the diagonal
-            M = np.eye(group.n)
-            M[group.n1 :, : group.n1] = self._rows
-            i, j = self._unit[3]
-            pair = M[:, None, i] * M[None, :, j]  # (c, d, upper y entry)
-            P = pair[i, j] + np.where((i != j)[:, None], pair[j, i], 0.0)
-            self._pull = (M, P)
 
     def _unit_point(self, pts):
         """w = center^-1 o y, as the transpose of an (n, N) array whose rows
@@ -152,11 +135,11 @@ class GaugeBump(TestFunction):
         return w.T
 
     def live_jets(self, pts, order):
-        # u is formed on every node; the profile and its derivatives, grad u0
-        # and hess u0 (each evaluated once) only on the live nodes, 1-u > 1e-3.
-        # exp(-u/(1-u)) underflows to exact 0 well before 1-u does, so every
-        # jet is 0 on the other nodes
-        u0, grad_polys, hess_polys, (i, j), full = self._unit
+        # u is formed on every node; the profile and its derivatives, X u0
+        # and X X u0 (each polynomial evaluated once) only on the live nodes,
+        # 1-u > 1e-3.  exp(-u/(1-u)) underflows to exact 0 well before 1-u
+        # does, so every jet is 0 on the other nodes
+        u0, first, second = self._unit
         w = self._unit_point(pts)
         u = u0(w)
         u *= self._scale
@@ -176,10 +159,8 @@ class GaugeBump(TestFunction):
             np.negative(om2, out=om2)
             dpro = value / om2
             dpro *= self._scale
-            grad = np.stack([p(w) for p in grad_polys], axis=-1)
-            if self._pull:
-                grad = matmul_rows(grad, self._pull[0])
-            out.append(dpro[:, None] * grad)
+            xu = np.stack([p(w) for p in first], axis=-1)
+            out.append(dpro[:, None] * xu)
         if order >= 2:
             # d2pro = value (1 - 2 (1-u)) / (1-u)^4, formed in om
             om *= -2.0
@@ -187,26 +168,22 @@ class GaugeBump(TestFunction):
             om *= value
             d2pro = np.divide(om, np.square(om2, out=om2), out=om)
             d2pro *= self._scale * self._scale
-            # upper(d2pro grad grad^T + dpro hess), formed in place, then mirrored
-            hess = np.stack([p(w) for p in hess_polys], axis=-1)
-            if self._pull:
-                hess = matmul_rows(hess, self._pull[1])
-            outer = grad[:, i]
-            outer *= grad[:, j]
-            outer *= d2pro[:, None]
-            hess *= dpro[:, None]
-            hess += outer
-            out.append(hess[:, full])
+            # d2pro Xu0 Xu0^T + dpro XXu0, formed in place
+            n1 = self.group.n1
+            xxu = np.stack([p(w) for p in second], axis=-1).reshape(-1, n1, n1)
+            outer = xu[:, :, None] * xu[:, None, :]
+            outer *= d2pro[:, None, None]
+            xxu *= dpro[:, None, None]
+            xxu += outer
+            out.append(xxu)
         return index, out
 
     def jets(self, pts, order):
-        # the live jets scattered into zeros of the same memory layout: the
-        # Hessian, a gather, is not C-ordered, and einsum's summation order
-        # follows the layout
+        # the live jets scattered into zeros
         index, live = self.live_jets(pts, order)
         if isinstance(index, slice):
             return live
-        out = [np.zeros_like(jet, shape=(len(pts),) + jet.shape[1:]) for jet in live]
+        out = [np.zeros((len(pts),) + jet.shape[1:]) for jet in live]
         for full, jet in zip(out, live):
             full[index] = jet
         return out

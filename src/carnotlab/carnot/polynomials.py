@@ -128,9 +128,6 @@ class HomogeneousPolynomial:
             out = out * self
         return out
 
-    def gradient_polys(self):
-        return [self.partial(i) for i in range(self.group.n)]
-
     def to_dict(self):
         return {",".join(map(str, a)): c for a, c in sorted(self.terms.items())}
 

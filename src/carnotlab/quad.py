@@ -589,7 +589,8 @@ def integrate_singular_product(
     """Estimate of int f(y_vec) / d(x, y_vec)^(mQ - tau) over product supports.
 
     `x` is one target point of shape (n,), which returns an Estimate, or a
-    batch of shape (P, n), which returns a list of P Estimates.
+    batch of shape (P, n), which returns a list of P Estimates (none for
+    P = 0).
 
     The uniform scheme builds one product node set for the whole batch
     and evaluates the integrand on it once; the kernel then acts as a
@@ -622,6 +623,8 @@ def integrate_singular_product(
         raise StructureError(
             f"target points need shape (n,) or (P, n) with n = {group.n}, got {np.shape(x)}"
         )
+    if not len(xs):
+        return []
     exponent = m * Q - tau
 
     def f(pts):

@@ -10,7 +10,8 @@
 * `dilated_bump`: x -> f(delta_lam x) for a gauge bump f, in closed form.
 * `gauge_bump_jets_longdouble`: a gauge bump's value, gradient and Hessian
   in np.longdouble, from the group's forms and the closed-form derivatives
-  of the layered gauge.
+  of the layered gauge; `horizontal_jets_longdouble` contracts them with
+  the generator coefficients to [f, X_a f, X_a X_b f].
 * `mc_ball_volume`: an independent Monte Carlo ball volume by box rejection.
 * `radial_bump_integral`: int f(y) d(c, y)^(tau - Q) dy for a gauge bump f
   centred at c, by the polar decomposition of Haar measure and a 1-D
@@ -105,6 +106,29 @@ def gauge_bump_jets_longdouble(group, bump, pts):
     hess = (h * d2)[:, None, None] * grad_u[:, :, None] * grad_u[:, None, :]
     hess += (h * d1)[:, None, None] * hess_u
     return [value, grad, hess]
+
+
+def horizontal_jets_longdouble(group, bump, pts):
+    """[f, Xf, XXf] of a gauge bump at pts in np.longdouble: Xf[:, a] = X_a f
+    and XXf[:, a, b] = X_a X_b f, from `gauge_bump_jets_longdouble` and the
+    generator coefficients X_a = d_a + sum_j C[a, j](y) d_{z_j}, C[a, j](y) =
+    (1/2) (y^(1) . B_j)_a, whose Jacobian is dC[a, j] / dy_v = (1/2) B_j[v, a]:
+    X_a X_b f = c^a . (hess c^b) + sum_j c^a_v (d_v C[b, j]) d_{z_j} f."""
+    ld = np.longdouble
+    n, n1 = group.n, group.n1
+    value, grad, hess = gauge_bump_jets_longdouble(group, bump, pts)
+    y = np.asarray(pts, dtype=ld)
+    coef = np.zeros((len(y), n1, n), dtype=ld)
+    coef[:, np.arange(n1), np.arange(n1)] = 1
+    jac = np.zeros((n1, n, n), dtype=ld)  # jac[b, u, v] = d c^b_u / d y_v
+    if group.n2:
+        half = group.forms.astype(ld) / 2  # (n2, n1, n1)
+        coef[:, :, n1:] = np.einsum("Nv,jva->Naj", y[:, :n1], half)
+        jac[:, n1:, :n1] = np.einsum("jva->ajv", half)
+    first = np.einsum("Nau,Nu->Na", coef, grad)
+    second = np.einsum("Nav,Nbu,Nuv->Nab", coef, coef, hess)
+    second += np.einsum("Nav,buv,Nu->Nab", coef, jac, grad)
+    return [value, first, second]
 
 
 def mc_ball_volume(group, r, samples, seed, op_id="mc-ball-volume"):

@@ -24,13 +24,7 @@ from carnotlab.carnot import (
     vandermonde,
     volume_constant,
 )
-from carnotlab.carnot.derivatives import (
-    _first_order_jet,
-    _second_order_jet,
-    coefficient_jacobian,
-    generator_coefficients,
-    matmul_rows,
-)
+from carnotlab.carnot.derivatives import coefficient_jacobian
 from carnotlab.carnot.group import ball_box
 from carnotlab.errors import DomainError, StructureError
 from carnotlab.operators import jet_rows
@@ -38,7 +32,7 @@ from carnotlab.quad import sample_ball
 from carnotlab.rng import stream
 
 from bruteforce_helpers import (
-    gauge_bump_jets_longdouble,
+    horizontal_jets_longdouble,
     mc_ball_volume,
     poly_eval_by_powers,
     vandermonde_by_powers,
@@ -416,24 +410,6 @@ def test_vandermonde_is_bitwise_the_oracle(group, k, request):
     np.testing.assert_array_equal(vandermonde(group, basis, pts), vandermonde_by_powers(basis, pts))
 
 
-@pytest.mark.parametrize("group", ["h1", "h2"])
-def test_second_order_jet_matches_three_operand_einsum(group, request):
-    group = request.getfixturevalue(group)
-    rng = stream(24, f"second-jet/{group.ident}")
-    pts = rng.standard_normal((256, group.n))
-    coef, jac = generator_coefficients(group, pts), coefficient_jacobian(group)
-    grad = rng.standard_normal((256, group.n))
-    hess = rng.standard_normal((256, group.n, group.n))
-    hess = hess + np.transpose(hess, (0, 2, 1))
-    for a in range(group.n1):
-        for b in range(group.n1):
-            want = np.einsum("nv,uv,nu->n", coef[:, a, :], jac[b], grad) + np.einsum(
-                "nv,nu,nvu->n", coef[:, a, :], coef[:, b, :], hess
-            )
-            got = _second_order_jet(coef, jac, grad, hess, a, b)
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
-
-
 # -- horizontal derivatives --------------------------------------------------------
 
 
@@ -541,23 +517,22 @@ _ORDER_TWO_KEYS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 def test_gauge_bump_jets_evaluate_each_polynomial_once(h1, count_calls):
-    # H^1: u, its 3 partials and its 6 distinct second partials, each once
+    # H^1: u0, its 2 first X_a u0 and its 4 second X_a X_b u0, each once
     bump = GaugeBump(h1, [0.1, -0.2, 0.3], 1.0)
     pts = bump.support.center + 0.2 * stream(14, "jets/h1").standard_normal((32, 3))
     calls = count_calls(HomogeneousPolynomial, "__call__")
     jet_rows(h1, bump, _ORDER_TWO_KEYS)(pts)
-    assert len(calls) == 10
+    assert len(calls) == 1 + 2 + 4
     calls.clear()
     jet_rows(h1, bump, _ORDER_TWO_KEYS[:3])(pts)
-    assert len(calls) == 4
+    assert len(calls) == 1 + 2
 
 
 def _dense_bump_jets(bump, pts):
-    """The bump's live set and jets from expressions with temporaries on every
-    node: the value, dpro grad and (d2pro grad grad^T + dpro hess)[:, full],
-    with grad = grad u0(w) M and upper(hess) = upper(hess u0(w)) P."""
-    u0, grad_polys, hess_polys, (i, j), full = bump._unit
-    M, P = bump._pull or (np.eye(bump.group.n), np.eye(len(hess_polys)))
+    """The bump's live set and horizontal jets from expressions with
+    temporaries on every node: the value, dpro Xu0 and d2pro Xu0 Xu0^T +
+    dpro XXu0, with Xu0 and XXu0 the unit polynomials at w."""
+    u0, first, second = bump._unit
     w = bump._unit_point(pts)
     u = u0(w) * bump._scale
     live = u < 1.0 - 1e-3
@@ -567,10 +542,11 @@ def _dense_bump_jets(bump, pts):
     d2pro = np.where(live, value * (1.0 - 2.0 * om) / (om * om) ** 2, 0.0) * (
         bump._scale * bump._scale
     )
-    grad = np.stack([p(w) for p in grad_polys], axis=-1) @ M
-    hess = np.stack([p(w) for p in hess_polys], axis=-1) @ P
-    hess = (d2pro[:, None] * (grad[:, i] * grad[:, j]) + dpro[:, None] * hess)[:, full]
-    return live, [value, dpro[:, None] * grad, hess]
+    n1 = bump.group.n1
+    xu = np.stack([p(w) for p in first], axis=-1)
+    xxu = np.stack([p(w) for p in second], axis=-1).reshape(-1, n1, n1)
+    xxf = d2pro[:, None, None] * (xu[:, :, None] * xu[:, None, :]) + dpro[:, None, None] * xxu
+    return live, [value, dpro[:, None] * xu, xxf]
 
 
 def _nodes_at_levels(group, bump, rng, levels):
@@ -600,10 +576,10 @@ def _live_node_sets(group, bump, rng):
 @pytest.mark.parametrize("group", [euclidean_group(1), heisenberg_group(1), heisenberg_group(2),
                                    _random_step_two()], ids=["e1", "h1", "h2", "step2:3x2"])
 def test_jet_table_on_live_nodes_matches_the_dense_jets(group):
-    # the table evaluates the bump's jets and the generator coefficients on the
-    # live nodes only; every row equals the dense evaluation on all nodes bit
-    # for bit, also on the shell 1 - 1e-3 <= u < 1 and on node sets that are all
-    # live, all dead, empty or live at one node (a one-row matrix product)
+    # the table evaluates the bump's horizontal jets on the live nodes only;
+    # every row equals the dense evaluation on all nodes bit for bit, also on
+    # the shell 1 - 1e-3 <= u < 1 and on node sets that are all live, all
+    # dead, empty or live at one node
     rng = stream(21, f"live-jets/{group.ident}")
     bump = random_bump(group, rng)
     n1 = group.n1
@@ -613,18 +589,16 @@ def test_jet_table_on_live_nodes_matches_the_dense_jets(group):
         pts = _nodes_at_levels(group, bump, rng, levels).reshape(-1, group.n)
         live, expected = _dense_bump_jets(bump, pts)
         assert np.array_equal(live, levels < 1.0 - 1e-3), name  # the levels came out as drawn
-        coef, jac = generator_coefficients(group, pts), coefficient_jacobian(group)
-        value, grad, hess = bump.jets(pts, 2)
-        for got, want in zip((value, grad, hess), expected):
+        value, xf, xxf = bump.jets(pts, 2)
+        for got, want in zip((value, xf, xxf), expected):
             np.testing.assert_array_equal(got, want, err_msg=name)
+        # X^alpha applies X_a before X_b for a > b: (1, 1) is X_1 X_2 f, XXf[:, 0, 1]
         dense = {(0,) * n1: value, "L": np.zeros(len(pts))}
         for a in range(n1):
-            dense[tuple(int(i == a) for i in range(n1))] = _first_order_jet(coef, grad, a)
-            for b in range(n1):
-                key = tuple(int(i == a) + int(i == b) for i in range(n1))
-                if a <= b:
-                    dense[key] = _second_order_jet(coef, jac, grad, hess, a, b)
-            dense["L"] += dense[tuple(2 * int(i == a) for i in range(n1))]
+            dense[tuple(int(i == a) for i in range(n1))] = xf[:, a]
+            for b in range(a, n1):
+                dense[tuple(int(i == a) + int(i == b) for i in range(n1))] = xxf[:, a, b]
+            dense["L"] += xxf[:, a, a]
         table = JetTable(group, bump, pts, 2)
         rows = table.rows(keys + ["L"])
         for key, row in zip(keys + ["L"], rows):
@@ -634,33 +608,20 @@ def test_jet_table_on_live_nodes_matches_the_dense_jets(group):
         np.testing.assert_array_equal(jet_rows(group, bump, keys + ["L"])(pts), np.abs(rows))
 
 
-def test_matmul_rows_keeps_the_bits_of_a_many_row_product():
-    # numpy sends a one-row product to gemv; every row must round as in gemm
-    rng = stream(22, "matmul-rows")
-    for k in (1, 3, 5, 6, 15):
-        a, b = rng.standard_normal((64, k)), rng.standard_normal((k, k))
-        full = a @ b
-        for rows in (slice(0, 0), slice(5, 6), slice(7, 9), slice(None)):
-            np.testing.assert_array_equal(matmul_rows(a[rows], b), full[rows])
-
-
 @pytest.mark.parametrize("group_id", ["e1", "h1", "h2"])
 def test_gauge_bump_hessian_in_place_matches_the_expression(group_id, request):
-    # the jets are formed in place, the Hessian on its upper triangle; their
-    # bits are those of the expressions with temporaries: the value, dpro grad
-    # and (d2pro grad grad^T + dpro hess)[:, full], with grad = grad u0(w) M
-    # and upper(hess) = upper(hess u0(w)) P
+    # the jets are formed in place; their bits are those of the expressions
+    # with temporaries: the value, dpro Xu0 and d2pro Xu0 Xu0^T + dpro XXu0
     group = request.getfixturevalue(group_id)
     center = np.linspace(-0.3, 0.2, group.n)
     bump = GaugeBump(group, center, 0.9, height=1.7)
     pts = center + 0.4 * stream(16, "jets/inplace").standard_normal((64, group.n))
-    live, (value, grad, expected) = _dense_bump_jets(bump, pts)
+    live, (value, xf, expected) = _dense_bump_jets(bump, pts)
     assert live.any() and not live.all()  # points inside and outside the support
     got = bump.jets(pts, 2)
     np.testing.assert_array_equal(got[0], value)
-    np.testing.assert_array_equal(got[1], grad)
+    np.testing.assert_array_equal(got[1], xf)
     np.testing.assert_array_equal(got[2], expected)
-    np.testing.assert_array_equal(got[2], np.swapaxes(got[2], 1, 2))
 
 
 def _unit_step_two():
@@ -681,7 +642,7 @@ _BUMP_CASES = [(0.0, 0.1), (1.0, 0.1), (3.0, 0.5), (3.0, 1.5)]
 
 @pytest.mark.parametrize("group", _BUMP_GROUPS, ids=_BUMP_IDS)
 def test_gauge_bump_jets_match_the_longdouble_oracle(group):
-    # value, gradient and Hessian within 1e-14 of the largest entry, on nodes
+    # f, X_a f and X_a X_b f within 1e-14 of the largest entry, on nodes
     # filling the support's box (the dilated unit cube about the center)
     rng = stream(18, f"bump-oracle/{group.ident}")
     for norm, radius in _BUMP_CASES:
@@ -691,9 +652,29 @@ def test_gauge_bump_jets_match_the_longdouble_oracle(group):
             bump = GaugeBump(group, center, radius, rng.uniform(0.5, 2.0))
             z = rng.uniform(-1.0, 1.0, size=(1024, group.n))
             pts = group.compose(center, group.dilate(radius, z))
-            for got, want in zip(bump.jets(pts, 2), gauge_bump_jets_longdouble(group, bump, pts)):
+            for got, want in zip(bump.jets(pts, 2), horizontal_jets_longdouble(group, bump, pts)):
                 peak = float(np.max(np.abs(want)))
                 assert float(np.max(np.abs(got - want))) <= 1e-14 * peak, (norm, radius)
+
+
+@pytest.mark.parametrize("group", _BUMP_GROUPS, ids=_BUMP_IDS)
+def test_single_point_derivatives_equal_the_batch_rows(group):
+    # X^alpha f (|alpha| <= 2) and L f at one point carry the bits of that
+    # point's row in a batch, on and off the bump's live set
+    rng = stream(25, f"single-point/{group.ident}")
+    bump = random_bump(group, rng)
+    z = rng.uniform(-1.0, 1.0, (16, group.n))
+    pts = group.compose(bump.support.center, group.dilate(bump.support.radius, z))
+    live = bump.live_jets(pts, 0)[0]
+    assert 0 < len(live) < len(pts)
+    keys = [alpha for order in range(3) for alpha in itertools.product(range(3), repeat=group.n1)
+            if sum(alpha) == order]
+    for alpha in keys:
+        batch = horizontal_derivative(group, bump, alpha, pts)
+        singles = [horizontal_derivative(group, bump, alpha, x) for x in pts]
+        np.testing.assert_array_equal(singles, batch, err_msg=str(alpha))
+    np.testing.assert_array_equal([sub_laplacian(group, bump, x) for x in pts],
+                                  sub_laplacian(group, bump, pts))
 
 
 @pytest.mark.parametrize("group", _BUMP_GROUPS, ids=_BUMP_IDS)

@@ -578,6 +578,16 @@ def test_repformula_zero_pairs_writes_report(tmp_path, capsys):
     assert data["results"]["summaries"] == [] and data["results"]["max_ratio"] == "NaN"
 
 
+
+def test_repformula_zero_points_on_h1_writes_report(tmp_path, capsys):
+    # an empty target batch under a kernel (tau < mQ) gives each pair no records
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "heisenberg:1", "points": 0, "pairs": 1, "samples": 1024}))
+    code = run(["repformula", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads((tmp_path / "repformula.json").read_text())
+    assert data["results"]["records"] == [[]] and data["results"]["max_ratio"] == "NaN"
+
 def test_json_format_only(tmp_path):
     assert run(
         ["counterexample", "--eps", "2^-2", "--out", str(tmp_path), "--format", "json"]

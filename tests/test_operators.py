@@ -360,7 +360,7 @@ def test_rhs_standard_error_calibrated(call):
 def test_poincare_rhs_jets_reach_only_the_live_nodes(h1, count_calls):
     # Work count on one poincare-h1-shaped trial: H^1, m = 2, k = 2, 4,096
     # nodes, bumps and ball drawn from that workload's ranges.  Each slot's 5
-    # keys of order 1 and 2 reach the jet assembly on the bump's live nodes
+    # keys of order 1 and 2 are read from the jets on the bump's live nodes
     # only; a dense evaluation sends every node with every key.
     rng = stream(23, "rhs-live-work")
     fs = [random_bump(h1, rng, center_box=1.0, radius_range=(0.4, 1.5)) for _ in range(2)]
@@ -368,7 +368,7 @@ def test_poincare_rhs_jets_reach_only_the_live_nodes(h1, count_calls):
     ball = GaugeBall(rng.uniform(-0.5, 0.5, size=3), radius)
     scheme = QuadratureScheme(kind="uniform", samples=4096, seed=23)
     vs = [Weight.power(h1, 0.25)] * 2
-    record = lambda coef, *rest: coef.shape[0]
+    record = lambda jets, *rest: len(jets[0])
     first = count_calls(derivatives, "_first_order_jet", record)
     second = count_calls(derivatives, "_second_order_jet", record)
     poincare_rhs(h1, fs, vs, [4.0 / 3.0] * 2, ball, 2, scheme)

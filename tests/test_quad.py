@@ -894,6 +894,19 @@ def test_singular_product_rejects_wrong_point_shape(h1, mc_scheme):
         )
 
 
+
+@pytest.mark.parametrize("kind", ["uniform", "annuli"])
+def test_singular_product_of_an_empty_batch_is_empty(h1, e1, kind):
+    # (0, n) target points give no estimates, with a kernel (tau < mQ) or without
+    scheme = QuadratureScheme(kind=kind, samples=2048, levels=8, seed=26)
+    for group, tau in ((h1, 2.0), (h1, h1.homogeneous_dimension), (e1, 1.0)):
+        bump = GaugeBump(group, np.zeros(group.n), 1.0)
+        est = integrate_singular_product(
+            group, 1, product_integrand([bump]), np.zeros((0, group.n)), tau, [bump.support],
+            scheme,
+        )
+        assert est == []
+
 # -- estimate algebra -----------------------------------------------------------
 
 
