@@ -24,7 +24,7 @@ from ..carnot.constants import ball_volume
 from ..carnot.functions import ProductFunction
 from ..errors import DomainError, HypothesisError, ValidationError
 from ..operators import tuple_rhs
-from ..quad import Estimate, lp_norm_ball
+from ..quad import Estimate, lp_norm_ball, shared_draws
 from .bestpoly import best_polynomial
 from .reports import trial_config, trial_report
 
@@ -106,17 +106,21 @@ def leibniz_test(
 ):
     """Campanato norm of fg against sums of Morrey-norm products.
 
-    The lhs is one Campanato norm under f"{op_id}/lhs"; its per-ball
-    details, with each ball's solver note, are the report's `lhs_per_ball`.
-    The rhs comes from `tuple_rhs`, the builder of every inequality's rhs,
-    with Morrey sups as the slot norms: each slot makes one Morrey call,
-    under f"{op_id}/f" or f"{op_id}/g", whose rows are the slot's distinct
-    derivative keys, so the slot's jets are evaluated once, on the nodes of
-    all its balls; each term is a product of those memoised sups.  The sups
-    carry no covariance, so the rhs standard error is the sum of the terms'
-    errors, an upper bound under any correlation, and its `samples` is the
-    sum of the two slots' per-ball nodes.  Balls are normalized by the
-    ambient dimension n.
+    The lhs Campanato norm and both slots' Morrey norms are sups over one
+    ball list, drawn under f"{op_id}-balls", on one node set per ball,
+    drawn under f"{op_id}/b{b}" (common random numbers): a ball live for f
+    or for g is sampled once (`shared_draws`) and a ball dead for both is
+    never sampled.  The lhs's per-ball details, with each ball's solver
+    note, are the report's `lhs_per_ball`.  The rhs comes from `tuple_rhs`,
+    the builder of every inequality's rhs, with Morrey sups as the slot
+    norms: each slot makes one Morrey call whose rows are the slot's
+    distinct derivative keys, so the slot's jets are evaluated once, on the
+    nodes of all its balls; each term is a product of those memoised sups.
+    The slots share their nodes, so a term's standard error is the
+    first-order bound M_g sigma_f + M_f sigma_g, and the rhs's the sum of
+    the terms' errors, upper bounds under any correlation; the rhs
+    `samples` counts each shared node once, so it is N.  Balls are
+    normalized by the ambient dimension n.
 
     Requires the scaling relation lambda/q = lambda_1/p_1 + lambda_2/p_2
     and k <= 2Q.
@@ -135,17 +139,18 @@ def leibniz_test(
     if k > 2 * group.homogeneous_dimension:
         raise HypothesisError(f"needs k <= 2Q = {2 * group.homogeneous_dimension}, got k = {k}")
     product = ProductFunction(group, [f, g])
-    lhs, lhs_balls = campanato_norm(
-        group, product, u, system.q, lam, k, sampler, scheme, op_id=f"{op_id}/lhs"
-    )
-    slots = ((v1, p1, lam1, "f"), (v2, p2, lam2, "g"))
+    slots = ((v1, p1, lam1), (v2, p2, lam2))
 
     def sups(i, rows):
-        v, p, lam_i, name = slots[i]
-        ests, _ = morrey_norm(group, rows, v, p, lam_i, sampler, scheme, op_id=f"{op_id}/{name}")
+        v, p, lam_i = slots[i]
+        ests, _ = morrey_norm(group, rows, v, p, lam_i, sampler, scheme, op_id=op_id)
         return ests, None
 
-    rhs, breakdown = tuple_rhs(group, [f, g], [p1, p2], k, sups, scheme.seed)
+    with shared_draws():
+        lhs, lhs_balls = campanato_norm(
+            group, product, u, system.q, lam, k, sampler, scheme, op_id=op_id
+        )
+        rhs, breakdown = tuple_rhs(group, [f, g], [p1, p2], k, sups, scheme.seed)
     config = trial_config(
         group,
         system,

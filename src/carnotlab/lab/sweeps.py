@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 
-from ..carnot.functions import random_bump
+from ..carnot.functions import GaugeBump, random_bump
 from ..carnot.group import GaugeBall
 from ..errors import ConditioningError, DomainError, IntegrationError
+from ..quad import sample_ball
 from ..rng import stream
 from ..weights import BallSampler, weight_condition_sup
 from .inequalities import (
@@ -110,10 +111,17 @@ def repformula_sweep(group, k, m, scheme, *, pairs=10, points=50, seed=0, ball=N
 def leibniz_sweep(
     group, system, u, v1, v2, lam, lam1, lam2, sampler, scheme, *, configs=50, seed=0
 ):
-    """Randomized bilinear Campanato-Morrey Leibniz trials."""
+    """Randomized bilinear Campanato-Morrey Leibniz trials.
+
+    f and g are random bumps whose product is not identically 0: g keeps
+    the radius and height `random_bump` draws, and its centre is drawn
+    uniformly in f's support ball, where f > 0, all from the trial's
+    stream."""
 
     def config(rng, op_id):
         f, g = random_bump(group, rng), random_bump(group, rng)
+        centre = sample_ball(group, f.support, 1, rng)[0]
+        g = GaugeBump(group, centre, g.support.radius, g.height)
         return leibniz_test(
             group, f, g, u, v1, v2, system, lam, lam1, lam2, sampler, scheme, op_id=op_id
         )

@@ -14,13 +14,16 @@ evaluates its jets once, on the nodes where the function is live, and
 takes every norm the terms need in one call: one batched `lp_norm_ball`
 under op_id f"{op_id}/f{i}" for the inequalities, whose total error is
 the delta method over each slot's covariance of the raw integrals, or
-Morrey sups for Leibniz, whose error is the sum of the terms' errors.
+Morrey sups for Leibniz, whose slots share one node set: each term's
+error is then the first-order bound that holds under any correlation,
+and the total's the sum of the terms' errors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +38,8 @@ from .quad import (
 )
 
 _SUM_NOTE = (
-    "terms share each slot's nodes: std_error is the sum of the terms' errors, "
+    "slots share one node set: each term's std_error is its first-order bound "
+    "sum_i sigma_i prod_(j != i) N_j and the total's the sum of the terms' errors, "
     "an upper bound under any correlation"
 )
 
@@ -110,27 +114,33 @@ def _rhs(group, fs, ps, terms, labels, norms, seed):
     `terms` lists one key per slot for each term: a multi-index alpha for
     |X^alpha f_i|, or "L" for |L f_i|.  `norms(i, rows)` takes slot i's
     norms of `rows`, one row per distinct key of the slot from one jet
-    evaluation (`jet_rows`), and returns their Estimates and a function
-    forming the covariance of their raw integrals int (|K f_i| w_i)^(p_i),
-    or None.  Each term is a product of those memoised norms, its error
-    valid as slots are independent.  The terms share each slot's norms,
-    so the total's standard error is the delta method over the slots'
-    covariances or, if a slot has none, the sum of the terms' errors, an
-    upper bound under any correlation.  `samples` sums one norm's samples
-    per slot.
+    evaluation (`jet_rows`), and returns their Estimates and either a
+    function forming the covariance of their raw integrals
+    int (|K f_i| w_i)^(p_i), the slots drawing independent nodes, or None,
+    the slots sharing one node set.  Each term is a product of those
+    memoised norms.  Independent slots give each term the product's
+    error, and the total the delta method over the slots' covariances;
+    `samples` sums one norm's samples per slot.  Shared slots give each
+    term the first-order bound sum_i sigma_i prod_(j != i) N_j and the
+    total the sum of the terms' errors, both upper bounds under any
+    correlation; `samples` counts the shared nodes once.
     """
     slots = []  # per slot: key -> norm Estimate
     covs = []
-    samples = 0
+    samples = []
     for i, f in enumerate(fs):
         keys = list(dict.fromkeys(term[i] for term in terms))
         ests, cov = norms(i, jet_rows(group, f, keys))
         slots.append(dict(zip(keys, ests)))
         covs.append(None if cov is None else cov())
-        samples += ests[0].samples
-    products = [estimate_product(slots[i][key] for i, key in enumerate(term)) for term in terms]
+        samples.append(ests[0].samples)
+    factors = [[slots[i][key] for i, key in enumerate(term)] for term in terms]
+    products = [estimate_product(ests) for ests in factors]
     if any(cov is None for cov in covs):
-        std_error, note = sum(t.std_error for t in products), _SUM_NOTE
+        products = [
+            replace(t, std_error=_first_order_bound(ests)) for t, ests in zip(products, factors)
+        ]
+        std_error, note, samples = sum(t.std_error for t in products), _SUM_NOTE, max(samples)
     else:
         var = 0.0
         for i, (slot, cov) in enumerate(zip(slots, covs)):
@@ -146,7 +156,7 @@ def _rhs(group, fs, ps, terms, labels, norms, seed):
             )
             live = h != 0.0
             var += float(h[live] @ cov[np.ix_(live, live)] @ h[live])
-        std_error, note = math.sqrt(max(var, 0.0)), ""
+        std_error, note, samples = math.sqrt(max(var, 0.0)), "", sum(samples)
     total = Estimate(
         value=sum(t.value for t in products),
         std_error=std_error,
@@ -159,6 +169,15 @@ def _rhs(group, fs, ps, terms, labels, norms, seed):
         {**label, "value": t.value, "std_error": t.std_error} for label, t in zip(labels, products)
     ]
     return total, breakdown
+
+
+def _first_order_bound(factors):
+    """sum_i sigma_i prod_(j != i) |v_j|: the first-order error of a product
+    of estimates, a bound under any correlation between them."""
+    return sum(
+        e.std_error * math.prod(abs(x.value) for j, x in enumerate(factors) if j != i)
+        for i, e in enumerate(factors)
+    )
 
 
 def _lp_norms(group, fs, vs, ps, ball, scheme, op_id):

@@ -23,7 +23,8 @@ private pieces:
              2^-levels * r0 is dropped.  All strata of a product get their
              pole distances from one pass, which chooses the live nodes.
   The uniform nodes of every slot of every product come from one
-  `sample_ball` call on the list of their balls.
+  `sample_ball` call on the list of their balls; inside `shared_draws`
+  a ball drawn before under the same stream and node count is reused.
 * `_estimate` evaluates the integrand once, on the live nodes of all
   strata, zero-fills the rest, applies the (points x nodes) kernel in row
   blocks when there is one (from the pole distances when the pole is the
@@ -49,6 +50,8 @@ the center, which preserves Lebesgue measure.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import logging
 import math
@@ -157,9 +160,10 @@ def sample_ball(group, ball, count, rng):
     The result is the first `count` accepted rows of one long draw from
     `rng`: Philox draws concatenate, so splitting the draw into chunks does
     not move the nodes.  Each chunk is sized from the closed-form acceptance
-    ratio |B(0, r)| / box = c_d / 2^n, plus a margin of 4 sqrt(need) for
-    the binomial spread, so one chunk nearly always suffices and few draws
-    are thrown away.
+    ratio a = |B(0, r)| / box = c_d / 2^n: n rows accept a binomial count of
+    mean n a and sd sqrt(n a (1 - a)), so (need + 4 sqrt(need (1 - a))) / a
+    rows nearly always suffice in one chunk, and few draws are thrown away
+    (at a = 1, as on R^n, the chunk is the need itself).
 
     `ball` may be a list of B balls with `rng` a list of B generators: ball
     b draws from rng[b], and the nodes come stacked ball-major as
@@ -172,6 +176,7 @@ def sample_ball(group, ball, count, rng):
         return np.empty((0, group.n))
     exts = [centered_box_extents(group, b.radius) for b in balls]
     accepts = [ball_volume(group, b.radius) / float(np.prod(2.0 * e)) for b, e in zip(balls, exts)]
+    rejects = [max(1.0 - a, 0.0) for a in accepts]  # a may round above 1 on R^1
     out = np.empty((len(balls), count, group.n))
     filled = [0] * len(balls)
     drawn = 0
@@ -180,7 +185,10 @@ def sample_ball(group, ball, count, rng):
     while todo:
         # one buffer holds this round's draws of every ball still short
         chunks = [
-            math.ceil((count - filled[b] + 4.0 * math.sqrt(count - filled[b])) / accepts[b])
+            math.ceil(
+                (count - filled[b] + 4.0 * math.sqrt((count - filled[b]) * rejects[b]))
+                / accepts[b]
+            )
             for b in todo
         ]
         ends = list(itertools.accumulate(chunks))
@@ -221,14 +229,53 @@ _KERNEL_BLOCK = 1 << 16
 _PASS = 1 << 16
 
 
+# The draws of the innermost `shared_draws` block, or None outside one.
+_SHARED = contextvars.ContextVar("shared_draws", default=None)
+
+
+@contextlib.contextmanager
+def shared_draws():
+    """Within the block, a ball's uniform nodes are drawn once per (group,
+    seed, stream id, stream index, ball, node count) and reused by every
+    later estimator that asks for them.  The nodes are the ones a fresh
+    draw gives, bit for bit, so no value moves; the memo is dropped when
+    the block ends."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _draw(group, balls, count, seed, streams):
+    """`count` uniform nodes on each ball, ball j under stream(seed,
+    *streams[j]), from one `sample_ball` call: shape (len(balls), count, n).
+    Inside `shared_draws` only the balls not drawn before are sampled."""
+    memo = _SHARED.get()
+    if memo is None:
+        rngs = [stream(seed, *ident) for ident in streams]
+        return sample_ball(group, balls, count, rngs).reshape(len(balls), count, group.n)
+    keys = [
+        (group, seed, *ident, ball.center.tobytes(), ball.radius, count)
+        for ball, ident in zip(balls, streams)
+    ]
+    new = [j for j, key in enumerate(keys) if key not in memo]
+    if new:
+        rngs = [stream(seed, *streams[j]) for j in new]
+        pts = sample_ball(group, [balls[j] for j in new], count, rngs)
+        for j, nodes in zip(new, pts.reshape(len(new), count, group.n)):
+            memo[keys[j]] = nodes
+    return np.stack([memo[key] for key in keys])
+
+
 def _slot_samples(group, family, count, seed, op_ids, first):
     """Uniform samples on every slot ball of every product in `family` (B
     lists of m balls), slot i of product b under stream(seed, op_ids[b],
-    index=first + i), from one `sample_ball` call: nodes of shape
-    (B, count, m, n) and the product volumes (B,)."""
+    index=first + i), from one `sample_ball` call (see `_draw`): nodes of
+    shape (B, count, m, n) and the product volumes (B,)."""
     m = len(family[0])
-    rngs = [stream(seed, op_id, index=first + i) for op_id in op_ids for i in range(m)]
-    pts = sample_ball(group, [ball for balls in family for ball in balls], count, rngs)
+    streams = [(op_id, first + i) for op_id in op_ids for i in range(m)]
+    pts = _draw(group, [ball for balls in family for ball in balls], count, seed, streams)
     pts = pts.reshape(len(family), m, count, group.n).swapaxes(1, 2)
     volumes = [math.prod(ball_volume(group, ball.radius) for ball in balls) for balls in family]
     return np.ascontiguousarray(pts), np.array(volumes)

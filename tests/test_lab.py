@@ -53,7 +53,7 @@ from carnotlab.lab import (
     sobolev_sublaplacian_test,
     sobolev_test,
 )
-from carnotlab.lab import bestpoly, counterexample, inequalities, spaces
+from carnotlab.lab import bestpoly, counterexample, inequalities, spaces, sweeps
 from carnotlab.lab.bestpoly import (
     _l1_descent,
     _newton,
@@ -61,6 +61,7 @@ from carnotlab.lab.bestpoly import (
     _support_objective,
     _weighted_lstsq,
 )
+from carnotlab.lab.sweeps import leibniz_sweep
 from carnotlab.operators import derivative_tuples, jet_rows, multilinear_fractional_integral
 from carnotlab.quad import QuadratureScheme, sample_ball
 from carnotlab.rng import stream
@@ -992,9 +993,10 @@ def _misses(group, ball, supports):
 def test_leibniz_draws_and_solves_only_the_live_balls(e1, count_calls):
     # work-count guard on one seeded config shaped like the benchmark's
     # Leibniz workload (R^1, k = 2, q = 1, p = (2, 2), 16 balls with r in
-    # [1/4, 4], 2048 samples): the nodes drawn are N per live ball of the
-    # lhs and both Morrey slots, the L^2 starts one per live lhs ball, and
-    # the unit weights are never evaluated
+    # [1/4, 4], 2048 samples): the lhs and both Morrey slots share one ball
+    # list and one node set per ball, so the nodes drawn are N per ball live
+    # for f or for g (none for a ball dead for both), the L^2 starts one per
+    # ball live for fg, and the unit weights are never evaluated
     rng = stream(4, "leibniz-live-balls")
     f, g = random_bump(e1, rng), random_bump(e1, rng)
     sampler = BallSampler(dim=1, count=16, r_min=0.25, r_max=4.0)
@@ -1007,15 +1009,13 @@ def test_leibniz_draws_and_solves_only_the_live_balls(e1, count_calls):
         e1, f, g, one, one, one, ExponentSystem(m=2, p_list=(2.0, 2.0), q=1.0, k=2),
         1.0, 1.0, 1.0, sampler, scheme, op_id="live",
     )
-    live = {
-        name: sum(not _misses(e1, ball, supports)
-                  for ball in sampler.generate(scheme.seed, label=f"live/{name}-balls"))
-        for name, supports in (("lhs", [f.support, g.support]), ("f", [f.support]),
-                               ("g", [g.support]))
-    }
-    assert 0 < live["lhs"] < sampler.count and live["g"] < sampler.count
-    assert sum(nodes) == scheme.samples * sum(live.values())
-    assert len(solves) == live["lhs"]
+    balls = sampler.generate(scheme.seed, label="live-balls")
+    live_f, live_g = ([not _misses(e1, ball, [h.support]) for ball in balls] for h in (f, g))
+    live_fg = sum(not _misses(e1, ball, [f.support, g.support]) for ball in balls)
+    either = sum(a or b for a, b in zip(live_f, live_g))
+    assert 0 < live_fg < either < sampler.count
+    assert sum(nodes) == scheme.samples * either
+    assert len(solves) == live_fg
     assert weighed == []
 
 
@@ -1810,7 +1810,8 @@ def test_leibniz_bump_pair_finite(e1, small_scheme):
 
 def test_leibniz_one_morrey_call_per_slot(e1, small_scheme, count_calls):
     # k = 2 on R^1: 3 tuples, but one Campanato call and one Morrey call per
-    # slot, and one lp_norm_ball call per slot, on all its balls at once
+    # slot, and one lp_norm_ball call per slot, on all its balls at once;
+    # all three norms take the test's op_id, so they share balls and nodes
     op_id = lambda *args, **kw: kw["op_id"]
     calls = {
         "campanato": count_calls(spaces, "campanato_norm", op_id),
@@ -1824,8 +1825,8 @@ def test_leibniz_one_morrey_call_per_slot(e1, small_scheme, count_calls):
         e1, f, g, W1(e1), W1(e1), W1(e1), _leibniz_system(), 1.0, 1.0, 1.0,
         sampler, small_scheme, op_id="lz",
     )
-    assert calls["campanato"] == ["lz/lhs"]
-    assert calls["morrey"] == ["lz/f", "lz/g"]
+    assert calls["campanato"] == ["lz"]
+    assert calls["morrey"] == ["lz", "lz"]
     assert len(calls["lp"]) == 2
     assert len(report.terms) == 3
 
@@ -1847,9 +1848,35 @@ def test_leibniz_rhs_error_is_sum_of_term_errors(e1, small_scheme):
     assert "upper bound" in report.rhs.note
 
 
-def test_leibniz_rhs_samples_count_each_slot_once(e1, small_scheme):
-    # the rhs samples are the two slots' per-ball nodes, 2 N, however many
-    # tuples (3 for k = 2 on R^1) share them
+def test_leibniz_term_error_is_the_first_order_bound(e1, small_scheme):
+    # both slots' sups come from the same nodes, so each term's error is
+    # M_g sigma_f + M_f sigma_g, valid under any correlation of the slots;
+    # the sups equal separate Morrey calls on the same op_id bit for bit,
+    # so the shared draws move no node
+    rng = stream(9, "leibniz")
+    f, g = random_bump(e1, rng), random_bump(e1, rng)
+    sampler = BallSampler(dim=1, count=6, r_min=0.25, r_max=4.0)
+    report = leibniz_test(
+        e1, f, g, W1(e1), W1(e1), W1(e1), _leibniz_system(), 1.0, 1.0, 1.0,
+        sampler, small_scheme, op_id="bound",
+    )
+    tuples = derivative_tuples(2, 2, 1)
+    sups = [
+        dict(zip(keys, morrey_norm(e1, jet_rows(e1, h, keys), W1(e1), 2.0, 1.0, sampler,
+                                   small_scheme, op_id="bound")[0]))
+        for h, keys in ((f, [t[0] for t in tuples]), (g, [t[1] for t in tuples]))
+    ]
+    assert len(report.terms) == len(tuples) == 3
+    for term, (a, b) in zip(report.terms, tuples):
+        mf, mg = sups[0][a], sups[1][b]
+        assert mf.value > 0.0 and mg.value > 0.0
+        assert term["value"] == mf.value * mg.value
+        assert term["std_error"] == mg.value * mf.std_error + mf.value * mg.std_error
+
+
+def test_leibniz_rhs_samples_count_each_shared_node_once(e1, small_scheme):
+    # the rhs samples are the N nodes per ball that both slots share,
+    # however many tuples (3 for k = 2 on R^1) use them
     rng = stream(9, "leibniz")
     f, g = random_bump(e1, rng), random_bump(e1, rng)
     sampler = BallSampler(dim=1, count=4, r_min=0.25, r_max=4.0)
@@ -1858,4 +1885,26 @@ def test_leibniz_rhs_samples_count_each_slot_once(e1, small_scheme):
         sampler, small_scheme,
     )
     assert len(report.terms) == 3
-    assert report.rhs.samples == 2 * small_scheme.samples
+    assert report.rhs.samples == small_scheme.samples
+
+
+@pytest.mark.parametrize("name", ["e1", "h1", "h2"])
+def test_leibniz_sweep_pairs_overlap(name, request, monkeypatch):
+    # g's centre is drawn in f's open support ball, where f > 0, so fg is
+    # not identically 0 by construction; the trials are recorded, not run.
+    # At other seeds f(c_g) can underflow to 0.0 near the support's edge
+    # (exp(-u/(1-u)) for 1 - u below about 1/745), so the containment is
+    # what the construction guarantees
+    group = request.getfixturevalue(name)
+    pairs = []
+    monkeypatch.setattr(sweeps, "leibniz_test", lambda group, f, g, *a, **kw: pairs.append((f, g)))
+    one = W1(group)
+    leibniz_sweep(
+        group, _leibniz_system(), one, one, one, 1.0, 1.0, 1.0, BallSampler(dim=group.n),
+        QuadratureScheme(), configs=200, seed=7,
+    )
+    assert len(pairs) == 200
+    for f, g in pairs:
+        centre = g.support.center
+        assert f.support.contains(group, centre[None])[0]
+        assert f(centre[None])[0] * g(centre[None])[0] > 0.0

@@ -19,6 +19,7 @@ from carnotlab.quad import (
     lp_norm_ball,
     product_integrand,
     sample_ball,
+    shared_draws,
 )
 from carnotlab.operators import jet_rows
 from carnotlab.rng import stream
@@ -190,7 +191,8 @@ def test_sample_ball_second_pass_is_prefix_of_one_long_draw(h1, caplog):
     # are still the first accepted rows of one long draw, alone or in a list
     ball, other = GaugeBall([0.2, 0.2, 0.2], 0.8), GaugeBall([-0.4, 0.1, 0.3], 1.3)
     ext = 0.8**h1.weights
-    first = math.ceil((2 + 4.0 * math.sqrt(2)) / (ball_volume(h1, 0.8) / np.prod(2.0 * ext)))
+    accept = ball_volume(h1, 0.8) / np.prod(2.0 * ext)
+    first = math.ceil((2 + 4.0 * math.sqrt(2 * (1.0 - accept))) / accept)
     with caplog.at_level(logging.DEBUG, logger="carnotlab.quad"):
         pts = sample_ball(h1, ball, 2, stream(12013, "second-pass/2"))
     drawn, accepted = _drawn_and_accepted(caplog)
@@ -203,6 +205,31 @@ def test_sample_ball_second_pass_is_prefix_of_one_long_draw(h1, caplog):
     both = sample_ball(h1, [ball, other], 2, rngs)
     assert np.array_equal(both[:2], pts)
     assert np.array_equal(both[2:], sample_ball(h1, other, 2, stream(5, "second-pass/other")))
+
+
+def test_shared_draws_sample_each_ball_once_and_keep_its_bits(h1, count_calls):
+    # inside the block a second estimator on the same op_id reuses the first
+    # one's nodes, so only the new ball is sampled; every value equals its
+    # call outside the block bit for bit, and the memo ends with the block
+    balls = [GaugeBall([0.1, 0.0, 0.2], 0.7), GaugeBall([-0.3, 0.2, 0.0], 1.1)]
+    scheme = QuadratureScheme(samples=1024, seed=3)
+    f = GaugeBump(h1, [0.0, 0.1, 0.0], 1.2)
+    one = Weight.one(h1)
+
+    def estimates():
+        return (
+            lp_norm_ball(h1, f, one, 2.0, balls[:1], scheme, op_id="memo"),
+            integrate_ball(h1, f, balls, scheme, op_id="memo"),
+        )
+
+    plain = estimates()
+    drawn = count_calls(quad, "sample_ball", lambda group, bs, count, rngs: len(bs))
+    with shared_draws():
+        shared = estimates()
+    assert drawn == [1, 1]
+    assert shared == plain
+    estimates()
+    assert drawn == [1, 1, 1, 2]
 
 
 def test_sample_ball_zero_count_is_empty(e1, h1):
