@@ -48,15 +48,13 @@ class TestFunction:
     `support_box`) and take a uniform ball whose box misses it as an exact
     0, drawing no nodes there.  `live_jets(pts, order)` returns (index,
     jets): the jets on the nodes pts[index] only, every other node's jets
-    being 0.  This base class takes every node; the gauge bump leaves out
-    the nodes where it vanishes.
+    being 0.  A subclass with jet_order >= 1 implements it (the gauge bump
+    leaves out the nodes where it vanishes); `JetTable` reads a function
+    without it by its value only.
     """
 
     support = None
     jet_order = 0
-
-    def live_jets(self, pts, order):
-        return slice(None), self.jets(pts, order)
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)

@@ -8,15 +8,15 @@ conditioning; left translations and dilations preserve the span of
 P(zeta(y)) by the same map and Vandermonde as the solver.
 
 `best_polynomial` takes one ball or a list of balls; ball b of a list
-draws its nodes under f"{op_id}/b{b}", and the balls are sampled together
-(in passes, see quad).  A ball whose box misses the box of F's declared
-support is dead: it draws no nodes and fits the zero polynomial exactly.
-The live balls' nodes stay one (B, N, n) stack from the sampler to the
-estimates: F, and u only when it has factors, are evaluated once on the
-nodes of all of them, a non-finite value raising IntegrationError before
-any solve, and the Vandermonde stack (B, N, d) comes from one pass over
-all nodes.  A constant u = c (`weight_number`) enters every weighted sum
-as the number c, broadcast over the stack.
+draws its nodes under f"{op_id}/b{b}".  A ball whose box misses the box of
+F's declared support is dead: it draws no nodes and fits the zero
+polynomial exactly.  The live balls go in quad's passes of at most _PASS
+nodes (or one ball), the memory bound of every ball estimator, and a pass
+stays one (B, N, n) stack from the sampler to the estimates: F, and u
+only when it has factors, are evaluated once on its nodes, a non-finite
+value raising IntegrationError before its solves, and the Vandermonde
+stack (B, N, d) comes from one pass over them.  A constant u = c
+(`weight_number`) enters every weighted sum as the number c.
 
 Solvers by exponent, all from the weighted L^2 start; for q != 2 each
 ball's F values are divided by their max |F| before the solve and the
@@ -67,10 +67,9 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
               q-th power on F's non-zero nodes and one zero node only
               (_support_objective), bit for bit the full sum, and the
               descent takes the same path.
-The L^2 start is prepared once for the stack and solved by one lstsq per
-ball, Nelder-Mead runs per ball on its row of the stack, the estimates on
-the whole stack, and the q >= 1 solvers on slices of it of at most _STACK
-entries B * N * (d + 1).
+The L^2 start is prepared once for a pass's stack and solved by one lstsq
+per ball, Nelder-Mead runs per ball on its row of the stack, and the
+q >= 1 solvers and the estimates on the whole stack.
 """
 
 from __future__ import annotations
@@ -96,23 +95,18 @@ _RANK_TOL = 1e-10
 
 _FLAGGED_NOTES = ("l1-vertex-stalled", "newton-stalled", "upper-bound-unconverged")
 
-# Entries B * N * (d + 1) of one stacked system; balls beyond it go in
-# further stacks, which bounds the peak memory whatever the number of balls.
-_STACK = 1 << 20
 
-
-def _ball_stack(group, balls, scheme, op_ids, F, u, *more):
-    """The one stratum of a uniform scheme on each ball, ball b drawn under
-    op_ids[b]: the nodes (B, N, n), the quadrature weights |B| / N of shape
-    (B, N), and F, u and the functions `more` on the nodes, evaluated in
-    that order, each of shape (B, N) (`more` as one (len(more), B, N)
-    array).  A constant u = c (`weight_number`) is not evaluated: it comes
-    as the (1, 1) array [[c]], which broadcasts over the stack."""
+def _ball_stack(group, strata, F, u, *more):
+    """One uniform pass of `_ball_strata` as a stack: the nodes (B, N, n),
+    the quadrature weights |B| / N of shape (B, N), and F, u and the
+    functions `more` on the nodes, evaluated in that order, each of shape
+    (B, N) (`more` as one (len(more), B, N) array).  A constant u = c
+    (`weight_number`) is not evaluated: it comes as the (1, 1) array
+    [[c]], which broadcasts over the stack."""
     c = weight_number(u)
     fns = (F, *more) if c is not None else (F, u, *more)
-    passes = list(_ball_strata(group, balls, scheme, op_ids))
-    nodes = np.concatenate([pts[:, :, 0] for pts, *_ in passes])
-    vols = np.concatenate([v for _, _, v, _, _ in passes])
+    pts, _, vols, _, _ = strata
+    nodes = pts[:, :, 0]
     flat = nodes.reshape(-1, group.n)
     vals = np.empty((len(fns), flat.shape[0]))
     for f, out in zip(fns, vals):
@@ -583,11 +577,12 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
     live = np.flatnonzero(~_dead_balls(group, balls, F))
     coeffs = np.zeros((len(balls), len(basis)))
     ests = [Estimate(0.0, 0.0, scheme.samples, scheme.seed, note=_dead_note(q))] * len(balls)
-    if live.size:
-        coeffs[live], found = _fit(
-            group, F, u, q, [balls[b] for b in live], [ids[b] for b in live], basis, scheme
-        )
-        for b, est in zip(live, found):
+    lo = 0
+    for strata in _ball_strata(group, [balls[b] for b in live], scheme, [ids[b] for b in live]):
+        part = live[lo : lo + len(strata[0])]
+        lo += len(part)
+        coeffs[part], found = _fit(group, F, u, q, [balls[b] for b in part], basis, scheme, strata)
+        for b, est in zip(part, found):
             ests[b] = est
     fits = [BallPolynomial(group, b, basis, c) for b, c in zip(balls, coeffs)]
     out = list(zip(fits, ests))
@@ -603,9 +598,9 @@ def _dead_note(q):
     return "newton-certified" if q > 1.0 else "upper-bound"
 
 
-def _fit(group, F, u, q, balls, ids, basis, scheme):
-    """The coefficients (B, d) and value Estimates of the balls' stack."""
-    nodes, node_w, y, w, _ = _ball_stack(group, balls, scheme, ids, F, u)
+def _fit(group, F, u, q, balls, basis, scheme, strata):
+    """The coefficients (B, d) and value Estimates of one pass's balls."""
+    nodes, node_w, y, w, _ = _ball_stack(group, strata, F, u)
     A = _centred_vandermonde(group, basis, balls, nodes)
 
     coeffs = _weighted_lstsq(A, y, node_w * w**2)
@@ -619,14 +614,7 @@ def _fit(group, F, u, q, balls, ids, basis, scheme):
             coeffs, notes = zip(*(_nelder_mead(*row, q) for row in rows))
         else:
             solve = _l1_descent if q == 1.0 else lambda *stack: _newton(*stack, q)
-            wq = node_w * w**q
-            step = max(1, _STACK // (A.shape[1] * (A.shape[2] + 1)))
-            coeffs, notes = [], []
-            for lo in range(0, len(balls), step):
-                part = slice(lo, lo + step)
-                c, n, *_ = solve(A[part], ys[part], wq[part], starts[part])
-                coeffs.extend(c)
-                notes.extend(n)
+            coeffs, notes, *_ = solve(A, ys, node_w * w**q, starts)
         coeffs = np.array(coeffs) * peaks[:, None]
 
     resid = np.array([f - a @ c for a, f, c in zip(A, y, coeffs)])
@@ -636,5 +624,6 @@ def _fit(group, F, u, q, balls, ids, basis, scheme):
 def evaluate_candidate(group, F, u, q, ball, scheme, poly, *, op_id="best-poly"):
     """||(F - poly) u||_{L^q(B)} on the same nodes best_polynomial uses."""
     _require_uniform(scheme)
-    _, [node_w], [y], [wvals], [[pvals]] = _ball_stack(group, [ball], scheme, [op_id], F, u, poly)
+    [strata] = _ball_strata(group, [ball], scheme, [op_id])
+    _, [node_w], [y], [wvals], [[pvals]] = _ball_stack(group, strata, F, u, poly)
     return _objective(y - pvals, wvals, node_w, q) ** (1.0 / q)

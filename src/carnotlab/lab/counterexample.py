@@ -67,6 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError
+from ..weights import fit_slope
 
 _GL_NODES = 400
 _BLOCK = 1 << 15  # array entries per block of residuals; bounds the memory
@@ -462,10 +463,6 @@ def counterexample_report(p, q, eps_list):
 
 
 def fit_scaling_slope(rows):
-    """Slope of log R vs log eps across the table; should be 1 - p."""
-    if len(rows) < 2:
-        return math.nan
-    eps = np.log([row["eps"] for row in rows])
-    rv = np.log([row["R"] for row in rows])
-    eps = eps - eps.mean()
-    return float(np.dot(eps, rv - rv.mean()) / np.dot(eps, eps))
+    """Slope of log R vs log eps across the table (see weights.fit_slope);
+    should be 1 - p."""
+    return fit_slope([row["eps"] for row in rows], [row["R"] for row in rows])

@@ -99,16 +99,6 @@ def sobolev_sublaplacian_test(
     )
 
 
-class _Slot:
-    """A slot integrand with the support ball the MFI integrates it over."""
-
-    def __init__(self, rows, support):
-        self.rows, self.support = rows, support
-
-    def __call__(self, pts):
-        return self.rows(pts)
-
-
 def representation_check(group, fs, ball, k, num_points, scheme, *, op_id="repformula"):
     """Pointwise bound |prod f_i(x) - P(x)| <= C * sum I_k(|X^a f| chi_B)(x).
 
@@ -137,7 +127,9 @@ def representation_check(group, fs, ball, k, num_points, scheme, *, op_id="repfo
     pts = sample_ball(group, ball, num_points, stream(scheme.seed, f"{op_id}/points"))
     lhs = np.abs(product(pts) - poly(pts))
     tuples = derivative_tuples(m, k, group.n1)
-    slots = [_Slot(jet_rows(group, f, [t[i] for t in tuples]), ball) for i, f in enumerate(fs)]
+    slots = [jet_rows(group, f, [t[i] for t in tuples]) for i, f in enumerate(fs)]
+    for slot in slots:
+        slot.support = ball  # the MFI integrates each slot over the ball
     rhs = multilinear_fractional_integral(group, slots, k, pts, scheme, op_id=f"{op_id}/rhs")
     records = []
     for idx, est in enumerate(rhs):

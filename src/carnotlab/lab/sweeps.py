@@ -17,7 +17,7 @@ from ..carnot.group import GaugeBall
 from ..errors import ConditioningError, DomainError, IntegrationError
 from ..quad import sample_ball
 from ..rng import stream
-from ..weights import BallSampler, weight_condition_sup
+from ..weights import VERDICT_FINITE, BallSampler, weight_condition_sup
 from .inequalities import (
     poincare_test,
     representation_check,
@@ -41,9 +41,9 @@ def check_weight_condition(group, u, vs, system, scheme):
     sampler = BallSampler(dim=group.n, center_box=1.0, r_min=0.25, r_max=4.0, count=24)
     report = weight_condition_sup(group, u, vs, system, sampler, scheme)
     verdicts = report.verdicts()
-    finite = [row["t"] for row, v in zip(report.per_t, verdicts) if v == "finite-at-sampled-scales"]
+    finite = [row["t"] for row, v in zip(report.per_t, verdicts) if v == VERDICT_FINITE]
     return {
-        "verdict": "finite-at-sampled-scales" if finite else verdicts[0],
+        "verdict": VERDICT_FINITE if finite else verdicts[0],
         "witness_t": finite[0] if finite else None,
         "exponent": report.exponent,
         "flagged_count": report.flagged_count,
@@ -115,12 +115,14 @@ def leibniz_sweep(
 
     f and g are random bumps whose product is not identically 0: g keeps
     the radius and height `random_bump` draws, and its centre is drawn
-    uniformly in f's support ball, where f > 0, all from the trial's
-    stream."""
+    uniformly in the ball about f's centre of half f's radius, all from
+    the trial's stream.  There u < (1/2)^(2s!) <= 1/4, so f is at least
+    its height times e^(-1/3) at g's centre."""
 
     def config(rng, op_id):
         f, g = random_bump(group, rng), random_bump(group, rng)
-        centre = sample_ball(group, f.support, 1, rng)[0]
+        core = GaugeBall(f.support.center, 0.5 * f.support.radius)
+        centre = sample_ball(group, core, 1, rng)[0]
         g = GaugeBump(group, centre, g.support.radius, g.height)
         return leibniz_test(
             group, f, g, u, v1, v2, system, lam, lam1, lam2, sampler, scheme, op_id=op_id

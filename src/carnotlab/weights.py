@@ -317,14 +317,15 @@ class BallSampler:
         }
 
 
-def _fit_slope(radii, values):
+def fit_slope(radii, values):
     """Least-squares slope of log(value) against log(r) over the positive
     finite values; NaN when they come from fewer than two distinct radii."""
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
     keep = (v > 0) & np.isfinite(v)
     x = np.log(r[keep])
-    if np.unique(x).size < 2:
+    # min == max rather than np.unique, which imports numpy.ma on first use
+    if x.size < 2 or x.min() == x.max():
         return math.nan
     y = np.log(v[keep])
     x = x - x.mean()
@@ -387,7 +388,7 @@ def weight_condition_sup(
                 found.append((ball, term))
     per_t = []
     for t, found in zip(t_grid, scored):
-        slope = _fit_slope([ball.radius for ball, _ in found], [term.value for _, term in found])
+        slope = fit_slope([ball.radius for ball, _ in found], [term.value for _, term in found])
         best_ball, best = max(found, key=lambda pair: pair[1].value, default=(None, None))
         per_t.append(
             {

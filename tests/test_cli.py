@@ -348,6 +348,15 @@ def test_counterexample_empty_eps_writes_report(tmp_path, capsys):
     assert "ratio growth" not in capsys.readouterr().out
 
 
+def test_counterexample_repeated_eps_has_no_slope(tmp_path, capsys):
+    # one distinct eps fits no slope: NaN, and no warning (warnings raise in the suite)
+    code = run(["counterexample", "--eps", "2^-3,2^-3", "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads((tmp_path / "counterexample.json").read_text())
+    assert data["results"]["slope"] == "NaN"
+    assert "slope of log R vs log eps: nan" in capsys.readouterr().out
+
+
 def test_counterexample_invalid_p_is_validation_error(tmp_path, capsys):
     code = run(["counterexample", "--p", "1.5", "--out", str(tmp_path)])
     assert code == 1

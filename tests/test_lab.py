@@ -61,9 +61,10 @@ from carnotlab.lab.bestpoly import (
     _support_objective,
     _weighted_lstsq,
 )
+from carnotlab.lab.reports import VIOLATION_FLAG, trial_report
 from carnotlab.lab.sweeps import leibniz_sweep
 from carnotlab.operators import derivative_tuples, jet_rows, multilinear_fractional_integral
-from carnotlab.quad import QuadratureScheme, sample_ball
+from carnotlab.quad import Estimate, QuadratureScheme, sample_ball
 from carnotlab.rng import stream
 from carnotlab.weights import BallSampler, ExponentSystem, Weight
 
@@ -609,44 +610,45 @@ def test_newton_ignores_zero_rows_between_live_rows(q):
         assert note == note_1 == "newton-certified"
 
 
-def _fits_at_stack_bounds(e1, monkeypatch, scheme, q):
-    bump = GaugeBump(e1, [0.0], 1.0)
-    balls = BallSampler(dim=1, count=5, r_min=0.25, r_max=4.0).generate(3)
-    out = []
-    for bound in (1, 1 << 40):
-        monkeypatch.setattr(bestpoly, "_STACK", bound)
-        fits = best_polynomial(e1, bump, W1(e1), q, balls, 2, scheme, op_id="stack")
-        out.append([(est.to_dict(), poly.coeffs.tolist()) for poly, est in fits])
-    return out
-
-
+@pytest.mark.parametrize("q", [1.0, 1.5])
 @pytest.mark.parametrize(
     "scheme",
     [QuadratureScheme(samples=1024, seed=5)],
     ids=["uniform"],
 )
-def test_newton_stack_bound_does_not_change_values(e1, monkeypatch, scheme):
-    # one ball per stack or all balls in one stack: the same numbers
-    low, high = _fits_at_stack_bounds(e1, monkeypatch, scheme, 1.5)
-    assert low == high
-
-
-@pytest.mark.parametrize(
-    "scheme",
-    [QuadratureScheme(samples=1024, seed=5)],
-    ids=["uniform"],
-)
-def test_best_poly_node_pass_bound_does_not_change_values(e1, monkeypatch, scheme):
-    # the balls' nodes drawn one ball per pass or all in one pass: the same
-    # numbers, bit for bit
+def test_best_poly_node_pass_bound_does_not_change_values(e1, monkeypatch, scheme, q):
+    # the balls' nodes drawn, fitted and estimated one ball per pass or all
+    # in one pass: the same numbers, bit for bit
     bump = GaugeBump(e1, [0.0], 1.0)
     balls = BallSampler(dim=1, count=5, r_min=0.25, r_max=4.0).generate(3)
     out = []
     for bound in (1, 1 << 40):
         monkeypatch.setattr(quad, "_PASS", bound)
-        fits = best_polynomial(e1, bump, W1(e1), 1.0, balls, 2, scheme, op_id="pass")
+        fits = best_polynomial(e1, bump, W1(e1), q, balls, 2, scheme, op_id="pass")
         out.append([(est.to_dict(), poly.coeffs.tolist()) for poly, est in fits])
     assert out[0] == out[1]
+    note = {1.0: "l1-vertex-certified", 1.5: "newton-certified"}[q]
+    assert {est["note"] for est, _ in out[0]} == {note}
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+def test_best_poly_peak_memory_is_one_pass(h1, monkeypatch, q):
+    # with passes of 4 balls' nodes, 64 balls peak (tracemalloc) at no more
+    # than twice what 4 balls do: one pass is live at a time
+    scheme = QuadratureScheme(samples=1024, seed=3)
+    monkeypatch.setattr(quad, "_PASS", 4 * scheme.samples)
+    bump = GaugeBump(h1, np.zeros(3), 4.0)
+    balls = BallSampler(dim=3, count=64, r_min=0.25, r_max=1.0).generate(5)
+    best_polynomial(h1, bump, W1(h1), q, balls[:4], 2, scheme, op_id="warm")
+    peaks = []
+    for count in (4, 64):
+        tracemalloc.start()
+        try:
+            best_polynomial(h1, bump, W1(h1), q, balls[:count], 2, scheme, op_id="peak")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.0 * peaks[0], peaks
 
 
 # q = 1 cases: (group, k, F on the unit ball about the origin)
@@ -814,23 +816,11 @@ def test_l1_vertex_ignores_zero_rows_between_live_rows():
         assert value == pytest.approx(exact_l1_value(A, y, w), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize(
-    "scheme",
-    [QuadratureScheme(samples=1024, seed=5)],
-    ids=["uniform"],
-)
-def test_l1_vertex_stack_bound_does_not_change_values(e1, monkeypatch, scheme):
-    # one ball per stack or all balls in one stack: the same numbers
-    low, high = _fits_at_stack_bounds(e1, monkeypatch, scheme, 1.0)
-    assert low == high
-    assert {est["note"] for est, _ in low} == {"l1-vertex-certified"}
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
 def test_colmax_is_numpys_column_max_bit_for_bit(d):
     # the one-column-at-a-time max equals np.max(np.abs(A), axis=-2) on a
-    # stack, on the slices best_polynomial hands the solvers, and on one
-    # ball's (N, d) matrix as Newton's and Nelder-Mead's callers pass it
+    # stack, on slices of it, and on one ball's (N, d) matrix as Newton's
+    # and Nelder-Mead's callers pass it
     rng = stream(5, f"colmax/{d}")
     A = rng.standard_normal((7, 1000, d)) * np.exp(rng.uniform(-30.0, 30.0, (7, 1, d)))
     A[2, :, 0] = 0.0
@@ -1253,16 +1243,20 @@ def test_mfi_of_row_slots_is_the_sum_of_one_row_calls(gid, tau, scheme, request)
     tuples = derivative_tuples(2, 2, group.n1)
     assert tau < 2 * group.homogeneous_dimension
     xs = sample_ball(group, ball, 5, stream(32, f"mfi-rows/{gid}/points"))
-    slots = [
-        inequalities._Slot(jet_rows(group, f, [t[i] for t in tuples]), ball)
-        for i, f in enumerate(fs)
-    ]
-    summed = multilinear_fractional_integral(group, slots, tau, xs, scheme, op_id="rows")
+
+    def slots(keys_of):
+        # slot i's rows over the ball, as representation_check builds them
+        out = [jet_rows(group, f, keys_of(i)) for i, f in enumerate(fs)]
+        for slot in out:
+            slot.support = ball
+        return out
+
+    summed = multilinear_fractional_integral(
+        group, slots(lambda i: [t[i] for t in tuples]), tau, xs, scheme, op_id="rows"
+    )
     parts = [
         multilinear_fractional_integral(
-            group, [inequalities._Slot(jet_rows(group, f, [t[i]]), ball)
-                    for i, f in enumerate(fs)],
-            tau, xs, scheme, op_id="rows",
+            group, slots(lambda i, t=t: [t[i]]), tau, xs, scheme, op_id="rows"
         )
         for t in tuples
     ]
@@ -1685,6 +1679,29 @@ def test_morrey_homogeneous_normalization(h1, small_scheme):
     assert est.value == pytest.approx(1.0, rel=1e-9)
 
 
+def test_morrey_and_campanato_reject_bad_exponents(e1, small_scheme):
+    bump, sampler = GaugeBump(e1, [0.0], 1.0), BallSampler(dim=1, count=2)
+    for p, lam in [(0.0, 1.0), (2.0, 0.0)]:
+        with pytest.raises(DomainError, match="Morrey"):
+            morrey_norm(e1, bump, W1(e1), p, lam, sampler, small_scheme)
+        with pytest.raises(DomainError, match="Campanato norms"):
+            campanato_norm(e1, bump, W1(e1), p, lam, 1, sampler, small_scheme)
+    with pytest.raises(DomainError, match="Campanato order"):
+        campanato_norm(e1, bump, W1(e1), 2.0, 1.0, 0, sampler, small_scheme)
+
+
+def test_trial_report_flags():
+    # a flagged estimate is named; an lhs above its noise over a zero rhs is
+    # an infinite ratio, flagged as a violation candidate
+    lhs, zero = Estimate(1.0, 0.01, 100, 0), Estimate(0.0, 0.0, 100, 0)
+    report = trial_report(lhs, zero, {}, [])
+    assert report.ratio == math.inf and report.flags == [VIOLATION_FLAG]
+    flagged = Estimate(2.0, 0.01, 100, 0, flagged=True)
+    report = trial_report(lhs, flagged, {}, [])
+    assert report.ratio == 0.5 and report.flags == ["flagged-estimate"]
+    assert trial_report(zero, zero, {}, []).ratio == 0.0
+
+
 @pytest.mark.parametrize("gid", ["e1", "h1"])
 def test_morrey_rows_match_single_key_calls(gid, request, small_scheme):
     # a row integrand takes every key's norm per ball from one node set; each
@@ -1791,6 +1808,12 @@ def test_leibniz_scaling_relation_validated(e1, small_scheme):
             e1, f, f, W1(e1), W1(e1), W1(e1), _leibniz_system(), 2.0, 1.0, 1.0,
             sampler, small_scheme,
         )
+    # the relation holds, but k = 3 exceeds 2Q = 2 on R^1
+    with pytest.raises(HypothesisError, match="2Q"):
+        leibniz_test(
+            e1, f, f, W1(e1), W1(e1), W1(e1), ExponentSystem(m=2, p_list=(2.0, 2.0), q=1.0, k=3),
+            1.0, 1.0, 1.0, sampler, small_scheme,
+        )
 
 
 def test_leibniz_bump_pair_finite(e1, small_scheme):
@@ -1890,21 +1913,21 @@ def test_leibniz_rhs_samples_count_each_shared_node_once(e1, small_scheme):
 
 @pytest.mark.parametrize("name", ["e1", "h1", "h2"])
 def test_leibniz_sweep_pairs_overlap(name, request, monkeypatch):
-    # g's centre is drawn in f's open support ball, where f > 0, so fg is
-    # not identically 0 by construction; the trials are recorded, not run.
-    # At other seeds f(c_g) can underflow to 0.0 near the support's edge
-    # (exp(-u/(1-u)) for 1 - u below about 1/745), so the containment is
-    # what the construction guarantees
+    # g's centre is drawn in the ball about f's centre of half f's radius,
+    # where u < 1/4 and f >= its height times e^(-1/3), so fg is well away
+    # from 0 near g's centre; the trials are recorded, not run
     group = request.getfixturevalue(name)
     pairs = []
     monkeypatch.setattr(sweeps, "leibniz_test", lambda group, f, g, *a, **kw: pairs.append((f, g)))
     one = W1(group)
-    leibniz_sweep(
-        group, _leibniz_system(), one, one, one, 1.0, 1.0, 1.0, BallSampler(dim=group.n),
-        QuadratureScheme(), configs=200, seed=7,
-    )
-    assert len(pairs) == 200
+    for seed in range(8):
+        leibniz_sweep(
+            group, _leibniz_system(), one, one, one, 1.0, 1.0, 1.0, BallSampler(dim=group.n),
+            QuadratureScheme(), configs=200, seed=seed,
+        )
+    assert len(pairs) == 8 * 200
     for f, g in pairs:
         centre = g.support.center
-        assert f.support.contains(group, centre[None])[0]
+        assert group.distance(centre, f.support.center) < 0.5 * f.support.radius
+        assert f(centre[None])[0] >= f.height * math.exp(-1.0 / 3.0)
         assert f(centre[None])[0] * g(centre[None])[0] > 0.0

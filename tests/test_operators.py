@@ -190,6 +190,8 @@ def test_poincare_rhs_linear(e1, mc_scheme):
     for p in (1.5, 2.0):
         est, _ = poincare_rhs(e1, [f], [w], [p], ball, 1, mc_scheme)
         assert est.value == pytest.approx(3.0 * 2.0 ** (1.0 / p), rel=1e-10)
+    with pytest.raises(DomainError, match="one weight and one exponent per function slot"):
+        poincare_rhs(e1, [f], [w, w], [2.0], ball, 1, mc_scheme)
 
 
 def test_poincare_rhs_zero_slot(e1, mc_scheme):

@@ -708,6 +708,10 @@ def test_hypothesis_violations(e1, annuli_scheme):
         integrate_singular_product(
             e1, 1, lambda Y: ONE(Y), np.array([0.0]), 0.0, [chi.support], annuli_scheme
         )
+    with pytest.raises(DomainError, match="one support ball per slot"):
+        integrate_singular_product(
+            e1, 2, lambda Y: ONE(Y), np.array([0.0]), 1.0, [chi.support], annuli_scheme
+        )
 
 
 def test_singular_h1_bump_vs_radial_oracle(h1):

@@ -76,6 +76,15 @@ def test_validate_reports_each_violation(e1):
     bad = ExponentSystem(m=2, p_list=(0.5, 2.0), q=2.0, k=0)
     violations = exponent_violations(bad, e1)
     assert len(violations) >= 2
+    # m below 1; p_list of the wrong length, whose p = 3/4 is at most 1/m = 1
+    cases = [
+        ((0, ()), ["m = 0 must be a positive integer"]),
+        ((1, (1.5, 1.5)), ["expected 1 integrability exponents, got 2", "must exceed 1/m"]),
+    ]
+    for (m, p_list), messages in cases:
+        violations = exponent_violations(ExponentSystem(m=m, p_list=p_list, q=2.0, k=1), e1)
+        for message in messages:
+            assert any(message in v for v in violations), violations
 
 
 def test_ball_term_rejects_bad_t_grid(e1, small_scheme):
@@ -418,6 +427,6 @@ def test_weight_sup_report_serializes(e1, small_scheme):
     ids=["none", "one-ball", "one-usable", "one-radius"],
 )
 def test_slope_without_two_radii_is_undetermined(radii, values):
-    slope = weights._fit_slope(radii, values)
+    slope = weights.fit_slope(radii, values)
     assert math.isnan(slope)
     assert weights._verdict(slope) == "undetermined"
