@@ -383,7 +383,7 @@ def cmd_counterexample(args):
     slope = fit_scaling_slope(rows)
     target = 1.0 - p
     results = {"rows": rows, "slope": slope, "slope_target": target}
-    header = ["eps", "R", "R_predicted", "L", "a", "b", "ratio", "converged"]
+    header = ["eps", "R", "L", "a", "b", "ratio", "ratio_lower", "converged"]
     csv_rows = [[r[h] for h in header] for r in rows]
     cfg_echo = dict(cfg, eps=eps_list)
     _write_report(cfg_echo, args, "counterexample", results, (header, csv_rows))

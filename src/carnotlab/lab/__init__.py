@@ -12,9 +12,7 @@ from .counterexample import (
     affine_distance_floor,
     phi,
     phi_prime,
-    phi_prime_lp,
     psi,
-    second_derivative_lp,
 )
 from .inequalities import (
     poincare_test,
@@ -37,9 +35,7 @@ __all__ = [
     "affine_distance_floor",
     "phi",
     "phi_prime",
-    "phi_prime_lp",
     "psi",
-    "second_derivative_lp",
     "InequalityReport",
     "poincare_test",
     "representation_check",

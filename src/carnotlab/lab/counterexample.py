@@ -10,14 +10,25 @@ int_{-1}^1 phi = 1, and 0 <= phi <= 1.  Its antiderivative
     Psi(t) = (t + 1)^3 / 4 - (t + 1)^4 / 16
 
 defines psi (0 for t <= -1, Psi on [-1, 1], t for t >= 1) and the family
-f_eps(x) = eps * psi(x / eps).  Then int |f_eps''|^p = eps^(1-p) int |phi'|^p
-shrinks to 0 for p < 1 while the best-affine L^q distance of f_eps on
-[-1, 1] stays bounded below.
+f_eps(x) = eps * psi(x / eps).  Then R(eps) = int |f_eps''|^p =
+eps^(1-p) int |phi'|^p shrinks to 0 for p < 1 while the best-affine L^q
+distance L(eps) of f_eps on [-1, 1] stays above affine_distance_floor(q).
 
-That distance, L(eps) = min over (a, b) of F(a, b) = sum_i w_i
+R is a Beta integral, as phi'(t) = 3 (1 - t^2) / 4:
+R(eps) = eps^(1-p) (3/4)^p sqrt(pi) Gamma(p+1) / Gamma(p+3/2).  As
+phi(t) + phi(-t) = 1, g = f_eps(x) - x/2 is even, so the best slope is
+a = 1/2; g is |x|/2 off [-eps, eps] and increases on [0, 1].  So for
+q = 1 the offset b is the median g(1/2) = 1/4 and L = 1/4 - eps^2/10
+(int_{-1}^1 Psi = 3/5); for q = 2 it is the mean 1/4 + eps^2/20 and L the
+variance 1/24 - eps^2/20 + 2 eps^3/63 - eps^4/200.  The report takes
+these closed forms (method "closed-form"), and ratio_lower =
+affine_distance_floor(q)^(1/q) / R^(1/p), a certified lower bound on the
+ratio L^(1/q) / R^(1/p).
+
+For other q, L(eps) = min over (a, b) of F(a, b) = sum_i w_i
 |f_i - a x_i - b|^q on a Gauss rule over [-1, -eps], [-eps, eps] and
-[eps, 1], is found exactly.  As phi(t) + phi(-t) = 1, g = f_eps(x) - x/2
-is even; the nodes are mirror-symmetric, so F(a, b) = F(1 - a, b).
+[eps, 1] is found exactly (affine_infimum, for any q > 0).  The nodes are
+mirror-symmetric, so F(a, b) = F(1 - a, b).
 * q >= 1, "symmetric-convex": F is convex, so a = 1/2, and b is the
   weighted mean of g (q = 2), its weighted median (q = 1), or found by
   bisection on the derivative down to adjacent floats.
@@ -135,17 +146,22 @@ def counterexample_family(eps):
     return CounterexampleFamily(float(eps))
 
 
-def phi_prime_lp(p, nodes):
-    """int_{-1}^1 |phi'|^p dt on the Gauss rule `nodes` on [-1, 1]."""
-    x, w = _gauss_nodes(-1.0, 1.0, nodes)
-    return float(np.dot(w, np.abs(phi_prime(x)) ** p))
+def _r_closed_form(p, eps):
+    """R(eps) = int_{-1}^1 |f_eps''|^p dx = eps^(1-p) int_{-1}^1 |phi'|^p,
+    a Beta integral (module docstring)."""
+    beta = math.sqrt(math.pi) * math.gamma(p + 1.0) / math.gamma(p + 1.5)
+    return eps ** (1.0 - p) * 0.75**p * beta
 
 
-def second_derivative_lp(family, p, nodes):
-    """R(eps) = int_{-1}^1 |f_eps''|^p dx (the integrand lives on [-eps, eps]),
-    on the Gauss rule `nodes` on [-1, 1] moved to [-eps, eps]."""
-    x, w = _gauss_nodes(-family.eps, family.eps, nodes)
-    return float(np.dot(w, np.abs(family.second(x)) ** p))
+def _closed_form_infimum(eps, q):
+    """L(eps) for q in {1, 2} in the form affine_infimum returns (module
+    docstring)."""
+    if q == 1.0:
+        value, b = 0.25 - eps**2 / 10.0, 0.25
+    else:
+        value = 1.0 / 24.0 - eps**2 / 20.0 + 2.0 * eps**3 / 63.0 - eps**4 / 200.0
+        b = 0.25 + eps**2 / 20.0
+    return {"value": value, "a": 0.5, "b": b, "converged": True, "method": "closed-form"}
 
 
 def _piecewise_nodes(family, rule):
@@ -432,29 +448,34 @@ def affine_distance_floor(q):
 
 
 def counterexample_report(p, q, eps_list):
-    """Per-eps table: R(eps), its predicted scaling, L(eps), and the ratio
-    L^(1/q) / R^(1/p).  One Gauss rule serves every integral of the table."""
+    """Per-eps table: R(eps), L(eps) with its best (a, b), the ratio
+    L^(1/q) / R^(1/p) and its certified lower bound ratio_lower.  R, and L
+    for q in {1, 2}, are closed forms; for other q the table builds one
+    Gauss rule for affine_infimum (module docstring)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"the failure regime needs 0 < p < 1, got p = {p}")
     if not q > 0.0:
         raise DomainError(f"q must be positive, got {q}")
-    rule = np.polynomial.legendre.leggauss(_GL_NODES)
-    profile_mass = phi_prime_lp(p, rule)
+    rule = None if q in (1.0, 2.0) else np.polynomial.legendre.leggauss(_GL_NODES)
+    floor = affine_distance_floor(q) ** (1.0 / q)
     rows = []
     for eps in eps_list:
         family = counterexample_family(eps)
-        r_val = second_derivative_lp(family, p, rule)
-        opt = affine_infimum(family, q, rule)
-        ratio = opt["value"] ** (1.0 / q) / r_val ** (1.0 / p) if r_val > 0 else math.inf
+        r_val = _r_closed_form(p, family.eps)
+        if rule is None:
+            opt = _closed_form_infimum(family.eps, q)
+        else:
+            opt = affine_infimum(family, q, rule)
+        scale = r_val ** (1.0 / p)
         rows.append(
             {
-                "eps": float(eps),
+                "eps": family.eps,
                 "R": r_val,
-                "R_predicted": float(eps) ** (1.0 - p) * profile_mass,
                 "L": opt["value"],
                 "a": opt["a"],
                 "b": opt["b"],
-                "ratio": ratio,
+                "ratio": opt["value"] ** (1.0 / q) / scale if scale > 0 else math.inf,
+                "ratio_lower": floor / scale if scale > 0 else math.inf,
                 "converged": opt["converged"],
                 "method": opt["method"],
             }

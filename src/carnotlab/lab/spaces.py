@@ -39,8 +39,19 @@ def _norm_dimension(group, normalization):
     raise DomainError(f"unknown normalization {normalization!r}")
 
 
-def _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, estimate):
-    """Per-row sup over sampled balls of |B|^(-lam/(dim p)) * estimate.
+class _DrawnBalls:
+    """A ball sampler that hands out one ball list already drawn, so the
+    norms of `leibniz_test` share it without drawing it again."""
+
+    def __init__(self, balls):
+        self.balls = balls
+
+    def generate(self, seed, label):
+        return self.balls
+
+
+def _sup_over_balls(group, p, lam, balls, normalization, op_id, estimate):
+    """Per-row sup over the sampled `balls` of |B|^(-lam/(dim p)) * estimate.
 
     `estimate(balls, op_id)` returns one output per ball, ball b estimated
     under f"{op_id}/b{b}": an Estimate, or a list of A Estimates (rows).
@@ -51,7 +62,6 @@ def _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, estima
     dim = _norm_dimension(group, normalization)
     best = None
     details = []
-    balls = sampler.generate(scheme.seed, label=f"{op_id}-balls")
     for ball, out in zip(balls, estimate(balls, op_id)):
         rows = isinstance(out, list)
         scale = ball_volume(group, ball.radius) ** (-lam / (dim * p))
@@ -80,7 +90,8 @@ def morrey_norm(group, f, w, p, lam, sampler, scheme, *, normalization="ambient"
         outs = lp_norm_ball(group, f, w, p, balls, scheme, op_id=norm_id)
         return [out if isinstance(out, Estimate) else out[0] for out in outs]
 
-    return _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, norms)
+    balls = sampler.generate(scheme.seed, label=f"{op_id}-balls")
+    return _sup_over_balls(group, p, lam, balls, normalization, op_id, norms)
 
 
 def campanato_norm(
@@ -98,7 +109,8 @@ def campanato_norm(
     def distances(balls, norm_id):
         return [est for _, est in best_polynomial(group, f, w, p, balls, k, scheme, op_id=norm_id)]
 
-    return _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, distances)
+    balls = sampler.generate(scheme.seed, label=f"{op_id}-balls")
+    return _sup_over_balls(group, p, lam, balls, normalization, op_id, distances)
 
 
 def leibniz_test(
@@ -107,7 +119,7 @@ def leibniz_test(
     """Campanato norm of fg against sums of Morrey-norm products.
 
     The lhs Campanato norm and both slots' Morrey norms are sups over one
-    ball list, drawn under f"{op_id}-balls", on one node set per ball,
+    ball list, drawn once under f"{op_id}-balls", on one node set per ball,
     drawn under f"{op_id}/b{b}" (common random numbers): a ball live for f
     or for g is sampled once (`shared_draws`) and a ball dead for both is
     never sampled.  The lhs's per-ball details, with each ball's solver
@@ -140,15 +152,16 @@ def leibniz_test(
         raise HypothesisError(f"needs k <= 2Q = {2 * group.homogeneous_dimension}, got k = {k}")
     product = ProductFunction(group, [f, g])
     slots = ((v1, p1, lam1), (v2, p2, lam2))
+    drawn = _DrawnBalls(sampler.generate(scheme.seed, label=f"{op_id}-balls"))
 
     def sups(i, rows):
         v, p, lam_i = slots[i]
-        ests, _ = morrey_norm(group, rows, v, p, lam_i, sampler, scheme, op_id=op_id)
+        ests, _ = morrey_norm(group, rows, v, p, lam_i, drawn, scheme, op_id=op_id)
         return ests, None
 
     with shared_draws():
         lhs, lhs_balls = campanato_norm(
-            group, product, u, system.q, lam, k, sampler, scheme, op_id=op_id
+            group, product, u, system.q, lam, k, drawn, scheme, op_id=op_id
         )
         rhs, breakdown = tuple_rhs(group, [f, g], [p1, p2], k, sups, scheme.seed)
     config = trial_config(

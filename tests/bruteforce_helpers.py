@@ -22,6 +22,9 @@
 * `three_piece_nodes` and `all_lines_brute_force`: the counterexample's
   node set built independently, and the least sum_i w_i |f_i - a x_i - b|^q
   over the lines through every pair of its nodes.
+* `gauss_second_derivative_lp`: the counterexample's R(eps) on a Gauss
+  rule over [-eps, eps], and `mpmath_ramp_integrals`: R(eps) and, for
+  q in {1, 2}, L(eps) with its offset b, by 30-digit mpmath quadrature.
 * `support_mix`: balls that miss, touch, graze, cut and cover the boxes of
   a bump's and a product's supports, on the groups of `DEAD_BALL_GROUPS`;
   `Spiky` is a bump with NaN on part of its support.
@@ -300,6 +303,46 @@ def three_piece_nodes(eps, n):
     pieces = [(-1.0, -eps), (-eps, eps), (eps, 1.0)]
     x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * t for a, b in pieces])
     return x, np.concatenate([0.5 * (b - a) * w for a, b in pieces])
+
+
+def gauss_second_derivative_lp(fam, p, n):
+    """R(eps) = int |f_eps''|^p dx on the n-point Gauss rule moved to
+    [-eps, eps], where the integrand lives."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    return float(np.dot(fam.eps * w, np.abs(fam.second(fam.eps * t)) ** p))
+
+
+def mpmath_ramp_integrals(eps, p):
+    """(R, {q: (L, b)}) for q in {1, 2}, by 30-digit tanh-sinh quadrature
+    of f_eps rebuilt from Psi, rounded to floats at the end.  The integrals
+    are split where the integrands have kinks: at +-1 and +-eps, and at
+    +-1/2, where g = f_eps - x/2 crosses the q = 1 offset.  a = 1/2 for
+    both q, as g is even; b is the median of g (q = 1), which is g(1/2) as
+    g increases on [0, 1], and its mean (q = 2)."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        eps, p = mp.mpf(eps), mp.mpf(p)
+        half = mp.mpf(1) / 2
+
+        def f(x):
+            if x <= -eps:
+                return mp.mpf(0)
+            if x >= eps:
+                return x
+            t = x / eps + 1
+            return eps * (t**3 / 4 - t**4 / 16)
+
+        def g(x):
+            return f(x) - x / 2
+
+        cuts = [-1, -half, -eps, eps, half, 1]
+        r = mp.quad(lambda x: (mp.mpf(3) / 4 * (1 - (x / eps) ** 2) / eps) ** p, [-eps, eps])
+        mean = mp.quad(g, cuts) / 2
+        median = g(half)
+        l1 = mp.quad(lambda x: abs(g(x) - median), cuts)
+        l2 = mp.quad(lambda x: (g(x) - mean) ** 2, cuts)
+        return float(r), {1.0: (float(l1), float(median)), 2.0: (float(l2), float(mean))}
 
 
 def all_lines_brute_force(fam, q, n):

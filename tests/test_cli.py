@@ -75,7 +75,7 @@ def test_counterexample_outputs(tmp_path, capsys):
     assert data["results"]["slope"] == pytest.approx(0.5, rel=0.02)
     with open(tmp_path / "counterexample.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["eps", "R", "R_predicted", "L", "a", "b", "ratio", "converged"]
+    assert rows[0] == ["eps", "R", "L", "a", "b", "ratio", "ratio_lower", "converged"]
     assert len(rows) == 5
     # R decreases toward 0, L stays bounded below
     r_vals = [float(r[1]) for r in rows[1:]]

@@ -11,7 +11,9 @@ from bruteforce_helpers import (
     best_value_system,
     dilated_bump,
     exact_l1_value,
+    gauss_second_derivative_lp,
     holder_lower_bound,
+    mpmath_ramp_integrals,
     newton_dual_lower_bound,
     support_mix,
     three_piece_nodes,
@@ -1617,9 +1619,63 @@ def test_affine_infimum_bisects_the_offset_to_adjacent_floats():
 
 def test_counterexample_rows_are_certified():
     eps = [2.0**-e for e in range(2, 9)]
-    for q, method in ((0.5, "vertex-bnb"), (1.0, "symmetric-convex")):
+    for q, method in ((0.5, "vertex-bnb"), (1.0, "closed-form"), (1.5, "symmetric-convex")):
         rows = counterexample_report(0.5, q, eps)
         assert all(row["converged"] and row["method"] == method for row in rows)
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 1.0), (0.75, 2.0), (0.5, 0.5), (0.25, 1.5)])
+def test_ratio_lower_is_below_the_ratio_and_scales_exactly(p, q):
+    # ratio_lower = floor^(1/q) / R^(1/p), R = eps^(1-p) C: consecutive rows
+    # eps, eps/2 differ by the factor 2^((1-p)/p)
+    rows = counterexample_report(p, q, [2.0**-e for e in range(2, 9)])
+    assert all(0.0 < row["ratio_lower"] <= row["ratio"] for row in rows)
+    for row, nxt in zip(rows, rows[1:]):
+        growth = nxt["ratio_lower"] / row["ratio_lower"]
+        assert growth == pytest.approx(2.0 ** ((1.0 - p) / p), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 0.9])
+def test_closed_form_r_matches_the_gauss_rule(p):
+    # the 400-node Gauss R the report took before: off by 9.6e-8 (p = 0.25)
+    # down to 3.3e-11 (p = 0.9) relative, the same at every eps
+    eps = [2.0**-e for e in range(2, 9)]
+    for row in counterexample_report(p, 1.0, eps):
+        gauss = gauss_second_derivative_lp(counterexample_family(row["eps"]), p, 400)
+        assert row["R"] == pytest.approx(gauss, rel=1e-6)
+
+
+@pytest.mark.parametrize("eps", [2.0**-2, 2.0**-6, 2.0**-8])
+def test_closed_forms_match_mpmath(eps):
+    pytest.importorskip("mpmath")
+    for p in (0.25, 0.5, 0.9):
+        r, by_q = mpmath_ramp_integrals(eps, p)
+        for q, (value, b) in by_q.items():
+            (row,) = counterexample_report(p, q, [eps])
+            assert row["method"] == "closed-form" and row["a"] == 0.5
+            assert row["R"] == pytest.approx(r, rel=1e-14)
+            assert row["L"] == pytest.approx(value, rel=1e-14)
+            assert row["b"] == pytest.approx(b, rel=1e-14)
+
+
+def test_only_tables_without_a_closed_form_build_the_gauss_rule(monkeypatch):
+    eps = [2.0**-e for e in range(2, 9)]
+    leggauss, calls = np.polynomial.legendre.leggauss, []
+
+    def refuse(n):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    for q in (1.0, 2.0):
+        counterexample_report(0.5, q, eps)
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    counterexample_report(0.5, 0.5, eps)
+    assert calls == [counterexample._GL_NODES]
 
 
 def test_affine_distance_floor_closed_form():
