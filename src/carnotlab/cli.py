@@ -537,8 +537,8 @@ def cmd_norm(args):
             normalization=cfg["normalization"],
         )
     results = {"norm": est.to_dict(), "note": est.note, "per_ball": details}
-    header = ["radius", "value"]
-    csv_rows = [[d["radius"], d["value"]] for d in details]
+    header = ["radius", "value", "note"]
+    csv_rows = [[d["radius"], d["value"], d["note"]] for d in details]
     _write_report(cfg, args, command, results, (header, csv_rows))
     print(f"{command}: {est.value:.6g} ({est.note})")
     return EXIT_OK

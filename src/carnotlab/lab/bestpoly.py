@@ -70,6 +70,19 @@ coefficients multiplied back, so every regime is covariant under F -> cF:
 The L^2 start is prepared once for a pass's stack and solved by one lstsq
 per ball, Nelder-Mead runs per ball on its row of the stack, and the
 q >= 1 solvers and the estimates on the whole stack.
+
+With `sup_scales` (`campanato_norm` passes |B|^(-lambda/(dim p)) per ball)
+only the sup over the balls of scale * value needs an exact minimum, and
+the q >= 1 solvers prune, as in branch and bound (Land and Doig 1960).
+Each pass scales every ball's start value: its lower start vertex at
+q = 1 (which the descent then starts from), its L^2 start otherwise.  The
+ball of largest scaled start value is solved alone; then, in one stack,
+every other ball whose scaled start value, times 1 + _GAP_TOL, still
+reaches the incumbent, the largest scaled value solved so far in any
+pass.  No solver ends above its start, so the rest cannot attain the
+sup: each keeps its start, an upper bound noted "upper-bound-pruned" (not
+flagged).  The sup, its Estimate and its ball are those of solving every
+ball, bit for bit.
 """
 
 from __future__ import annotations
@@ -301,21 +314,37 @@ def _snap(A, key):
 def _l1_descent(A, y, w, start):
     """Vertex descent for min_c sum_i w_i |y_i - (A c)_i| on a stack of
     shape (B, N, d), rows of weight 0 dead (the degenerate-vertex
-    sub-problem weighs only the zero nodes).  Each ball starts at the lower
-    of two vertices: through the d independent rows of smallest residual at
-    `start` (B, d), and through those of smallest |y|, which is the zero
-    polynomial where y vanishes on d independent rows.  Returns the
-    coefficients (B, d), the notes and the final bases (the rows each vertex
-    goes through)."""
-    nb, _, d = A.shape
-    if d == 1:
+    sub-problem weighs only the zero nodes), from the start vertices of
+    `_l1_start`.  Returns the coefficients (B, d), the notes and the final
+    bases (the rows each vertex goes through)."""
+    if A.shape[2] == 1:
         c, node = _weighted_median(A, y, w)
-        return c, np.full(nb, "l1-vertex-certified", dtype=object), node
+        return c, np.full(len(c), "l1-vertex-certified", dtype=object), node
+    return _l1_pivots(A, y, w, *_l1_start(A, y, w, start))
+
+
+def _l1_start(A, y, w, start):
+    """Per ball (d > 1), the lower of two vertices: through the d
+    independent rows of smallest residual at `start` (B, d), and through
+    those of smallest |y|, which is the zero polynomial where y vanishes on
+    d independent rows.  Returns its coefficients (B, d), residuals (B, N)
+    and basis (B, d)."""
     live = w > 0.0
     resid = np.abs(y - (A @ start[..., None])[..., 0])
     l2, small_y = (_snap(A, np.where(live, key, np.inf)) for key in (resid, np.abs(y)))
-    l2_obj, small_y_obj = (np.sum(w * np.abs(_vertex(A, y, b)[1]), axis=1) for b in (l2, small_y))
-    basis = np.where((small_y_obj < l2_obj)[:, None], small_y, l2)
+    (l2_c, l2_r), (small_c, small_r) = (_vertex(A, y, b) for b in (l2, small_y))
+    lower = np.sum(w * np.abs(small_r), axis=1) < np.sum(w * np.abs(l2_r), axis=1)
+    return (
+        np.where(lower[:, None], small_c, l2_c),
+        np.where(lower[:, None], small_r, l2_r),
+        np.where(lower[:, None], small_y, l2),
+    )
+
+
+def _l1_pivots(A, y, w, c, r, basis):
+    """The pivots of `_l1_descent` from the vertex (c, r, basis) of each
+    ball, d > 1."""
+    nb, _, d = A.shape
     coeffs = np.zeros((nb, d))
     final = basis.copy()
     notes = np.full(nb, "l1-vertex-certified", dtype=object)
@@ -327,7 +356,6 @@ def _l1_descent(A, y, w, start):
     active = np.arange(nb)
     rows = np.arange(nb)[:, None]
     while True:
-        c, r = _vertex(A, y, basis)
         try:
             inv = np.linalg.inv(A[rows, basis])
         except np.linalg.LinAlgError as exc:
@@ -391,6 +419,7 @@ def _l1_descent(A, y, w, start):
                 x[go_on] for x in (active, A, y, w, basis, best, ymax, colmax, total_w)
             )
             rows = rows[: go_on.size]
+        c, r = _vertex(A, y, basis)
 
 
 def _vertex(A, y, basis):
@@ -551,10 +580,16 @@ def _estimates(resid, wvals, node_w, q, scheme, notes):
     ]
 
 
-def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
+def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly", sup_scales=None):
     """Return (BallPolynomial, value Estimate) for one ball, or a list of
     them for a list of balls, ball b on the nodes drawn under
     f"{op_id}/b{b}".
+
+    With `sup_scales`, one positive number per ball, only the sup over the
+    balls of sup_scales[b] * value is needed exactly: a q >= 1 iterative
+    solve skips each ball that cannot attain it and reports its start,
+    noted "upper-bound-pruned" (see `_prune`).  The sup, its ball and its
+    Estimate are those of the call without it.
 
     A ball is dead when its box misses the box of F's declared support
     (see quad.integrate_ball): F is 0 on all its nodes, where the zero
@@ -577,11 +612,15 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly"):
     live = np.flatnonzero(~_dead_balls(group, balls, F))
     coeffs = np.zeros((len(balls), len(basis)))
     ests = [Estimate(0.0, 0.0, scheme.samples, scheme.seed, note=_dead_note(q))] * len(balls)
-    lo = 0
+    scales = None if sup_scales is None else np.asarray(sup_scales, dtype=float).reshape(-1)
+    lo, incumbent = 0, 0.0
     for strata in _ball_strata(group, [balls[b] for b in live], scheme, [ids[b] for b in live]):
         part = live[lo : lo + len(strata[0])]
         lo += len(part)
-        coeffs[part], found = _fit(group, F, u, q, [balls[b] for b in part], basis, scheme, strata)
+        coeffs[part], found, incumbent = _fit(
+            group, F, u, q, [balls[b] for b in part], basis, scheme, strata,
+            None if scales is None else scales[part], incumbent,
+        )
         for b, est in zip(part, found):
             ests[b] = est
     fits = [BallPolynomial(group, b, basis, c) for b, c in zip(balls, coeffs)]
@@ -598,11 +637,12 @@ def _dead_note(q):
     return "newton-certified" if q > 1.0 else "upper-bound"
 
 
-def _fit(group, F, u, q, balls, basis, scheme, strata):
-    """The coefficients (B, d) and value Estimates of one pass's balls."""
+def _fit(group, F, u, q, balls, basis, scheme, strata, scales, incumbent):
+    """The coefficients (B, d) and value Estimates of one pass's balls, and
+    the sup's incumbent after them (see `_prune`)."""
     nodes, node_w, y, w, _ = _ball_stack(group, strata, F, u)
     A = _centred_vandermonde(group, basis, balls, nodes)
-
+    wb = np.broadcast_to(w, (len(balls), w.shape[1]))
     coeffs = _weighted_lstsq(A, y, node_w * w**2)
     notes = ["least-squares"] * len(balls)
     if q != 2.0:
@@ -610,15 +650,56 @@ def _fit(group, F, u, q, balls, basis, scheme, strata):
         peaks[peaks == 0.0] = 1.0
         ys, starts = y / peaks[:, None], coeffs / peaks[:, None]
         if q < 1.0:
-            rows = zip(A, ys, np.broadcast_to(w, (len(balls), w.shape[1])), node_w, starts)
+            rows = zip(A, ys, wb, node_w, starts)
             coeffs, notes = zip(*(_nelder_mead(*row, q) for row in rows))
         else:
-            solve = _l1_descent if q == 1.0 else lambda *stack: _newton(*stack, q)
-            coeffs, notes, *_ = solve(A, ys, node_w * w**q, starts)
+            wq = node_w * w**q
+            if q != 1.0:
+                solve = lambda b: _newton(A[b], ys[b], wq[b], starts[b], q)
+            elif A.shape[2] > 1:
+                starts, r0, bases = _l1_start(A, ys, wq, starts)
+                solve = lambda b: _l1_pivots(A[b], ys[b], wq[b], starts[b], r0[b], bases[b])[:2]
+            else:
+                solve = lambda b: _l1_descent(A[b], ys[b], wq[b], starts[b])[:2]
+
+            def sup_values(b, c):  # the scaled values, to rounding those of the estimates
+                resid = y[b] - (A[b] @ (c * peaks[b, None])[..., None])[..., 0]
+                powers = node_w[b] * (np.abs(resid) * wb[b]) ** q
+                return scales[b] * np.sum(powers, axis=1) ** (1.0 / q)
+
+            coeffs, notes, incumbent = _prune(
+                solve, starts, None if scales is None else sup_values, incumbent
+            )
         coeffs = np.array(coeffs) * peaks[:, None]
 
     resid = np.array([f - a @ c for a, f, c in zip(A, y, coeffs)])
-    return coeffs, _estimates(resid, w, node_w, q, scheme, notes)
+    return coeffs, _estimates(resid, w, node_w, q, scheme, notes), incumbent
+
+
+def _prune(solve, starts, sup_values, incumbent):
+    """Solve the balls of one pass that can attain the sup, from their
+    starts (B, d): `solve(rows)` returns the coefficients and notes of
+    those balls, and `sup_values(rows, coeffs)` their scaled values.  No
+    solver ends above its start (beyond rounding, far inside the margin
+    _GAP_TOL), so a ball whose scaled start value, times 1 + _GAP_TOL, is
+    below the incumbent (the largest scaled value solved so far, over every
+    pass) cannot attain the sup: it keeps its start, noted
+    "upper-bound-pruned".  The ball of largest start value is solved
+    first and alone, then every other ball that still reaches the
+    incumbent in one stack.  Without `sup_values` every ball is solved.
+    Returns the coefficients, the notes and the incumbent."""
+    if sup_values is None:
+        return *solve(slice(None)), incumbent
+    every = np.arange(len(starts))
+    coeffs, notes = starts.copy(), np.full(len(starts), "upper-bound-pruned", dtype=object)
+    bound = sup_values(every, starts)
+    top = np.argmax(bound)
+    for rows in (every[top : top + 1], np.delete(every, top)):
+        rows = rows[bound[rows] * (1.0 + _GAP_TOL) >= incumbent]
+        if rows.size:
+            coeffs[rows], notes[rows] = solve(rows)
+            incumbent = max(incumbent, float(np.max(sup_values(rows, coeffs[rows]))))
+    return coeffs, notes, incumbent
 
 
 def evaluate_candidate(group, F, u, q, ball, scheme, poly, *, op_id="best-poly"):

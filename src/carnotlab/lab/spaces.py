@@ -14,6 +14,13 @@ single-row call with the same op_id bit for bit.  A ball whose box misses
 the function's declared support draws no nodes and contributes an exact
 0 (a Campanato ball fits the zero polynomial); for the Leibniz lhs the
 product's support box is the intersection of the boxes of f's and g's.
+Campanato passes each ball's scale to `best_polynomial` (`sup_scales`),
+so at q >= 1 only the balls that can attain the sup are solved: the ball
+of largest scaled start value first, then every ball whose scaled start
+value, times 1 + 1e-9, still reaches the largest scaled value solved so
+far.  Every other ball reports its start, an upper bound below the sup,
+noted "upper-bound-pruned"; the sup and its ball are those of solving
+every ball, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,18 +60,18 @@ class _DrawnBalls:
 def _sup_over_balls(group, p, lam, balls, normalization, op_id, estimate):
     """Per-row sup over the sampled `balls` of |B|^(-lam/(dim p)) * estimate.
 
-    `estimate(balls, op_id)` returns one output per ball, ball b estimated
-    under f"{op_id}/b{b}": an Estimate, or a list of A Estimates (rows).
-    Returns the sup (same shape) and per-ball details, whose "value" and
-    "note" (the ball's own, e.g. its solver's) are a float and a string or
-    lists of A of them.
+    `estimate(balls, op_id, scales)` returns one output per ball, ball b
+    estimated under f"{op_id}/b{b}" and scaled into the sup by scales[b]:
+    an Estimate, or a list of A Estimates (rows).  Returns the sup (same
+    shape) and per-ball details, whose "value" and "note" (the ball's own,
+    e.g. its solver's) are a float and a string or lists of A of them.
     """
     dim = _norm_dimension(group, normalization)
+    scales = [ball_volume(group, ball.radius) ** (-lam / (dim * p)) for ball in balls]
     best = None
     details = []
-    for ball, out in zip(balls, estimate(balls, op_id)):
+    for ball, scale, out in zip(balls, scales, estimate(balls, op_id, scales)):
         rows = isinstance(out, list)
-        scale = ball_volume(group, ball.radius) ** (-lam / (dim * p))
         ests = [e.scaled(scale) for e in (out if rows else [out])]
         values, notes = [e.value for e in ests], [e.note for e in ests]
         details.append(
@@ -86,7 +93,7 @@ def morrey_norm(group, f, w, p, lam, sampler, scheme, *, normalization="ambient"
     if not (p > 0 and lam > 0):
         raise DomainError("Morrey norms need p > 0 and lambda > 0")
 
-    def norms(balls, norm_id):
+    def norms(balls, norm_id, scales):
         outs = lp_norm_ball(group, f, w, p, balls, scheme, op_id=norm_id)
         return [out if isinstance(out, Estimate) else out[0] for out in outs]
 
@@ -106,8 +113,9 @@ def campanato_norm(
     if k < 1:
         raise DomainError("Campanato order k must be >= 1")
 
-    def distances(balls, norm_id):
-        return [est for _, est in best_polynomial(group, f, w, p, balls, k, scheme, op_id=norm_id)]
+    def distances(balls, norm_id, scales):
+        fits = best_polynomial(group, f, w, p, balls, k, scheme, op_id=norm_id, sup_scales=scales)
+        return [est for _, est in fits]
 
     balls = sampler.generate(scheme.seed, label=f"{op_id}-balls")
     return _sup_over_balls(group, p, lam, balls, normalization, op_id, distances)
@@ -122,8 +130,9 @@ def leibniz_test(
     ball list, drawn once under f"{op_id}-balls", on one node set per ball,
     drawn under f"{op_id}/b{b}" (common random numbers): a ball live for f
     or for g is sampled once (`shared_draws`) and a ball dead for both is
-    never sampled.  The lhs's per-ball details, with each ball's solver
-    note, are the report's `lhs_per_ball`.  The rhs comes from `tuple_rhs`,
+    never sampled.  The lhs's per-ball details, with each ball's note
+    (its solver's, or "upper-bound-pruned"), are the report's
+    `lhs_per_ball`.  The rhs comes from `tuple_rhs`,
     the builder of every inequality's rhs, with Morrey sups as the slot
     norms: each slot makes one Morrey call whose rows are the slot's
     distinct derivative keys, so the slot's jets are evaluated once, on the

@@ -556,6 +556,21 @@ def test_campanato_command_polynomial_zero(tmp_path):
     assert data["results"]["norm"]["value"] < 1e-8
 
 
+def test_campanato_csv_notes_tell_pruned_from_certified(tmp_path):
+    # at q = p = 1 the CSV's note column tells each ball's certified minimum
+    # from an upper bound pruned below the sup
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 1.0, "samples": 1024, "sampler": {"count": 8}}))
+    assert run(["campanato", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    sup = json.loads((tmp_path / "campanato.json").read_text())["results"]["norm"]["value"]
+    with open(tmp_path / "campanato.csv") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["radius", "value", "note"]
+    notes = {note for _, _, note in rows}
+    assert notes == {"l1-vertex-certified", "upper-bound-pruned"}
+    assert all(float(v) < sup for _, v, note in rows if note == "upper-bound-pruned")
+
+
 def test_leibniz_scaling_violation_exit_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lam": 2.0, "configs": 1, "samples": 1024}))

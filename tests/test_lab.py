@@ -25,6 +25,7 @@ from carnotlab.carnot import (
     HomogeneousPolynomial,
     ProductFunction,
     ball_box,
+    ball_volume,
     horizontal_derivative,
     monomial_basis,
     random_bump,
@@ -931,9 +932,10 @@ _L1_WORK_BEFORE_TWO_VERTEX_START = 1354
 
 def test_l1_vertex_two_vertex_start_saves_pivots(e1, count_calls):
     # 48 seeded 16-ball stacks shaped like the leibniz lhs (R^1, k = 2, 2048
-    # nodes, a product of two bumps, balls of radius 1/4 to 4): the two-vertex
-    # start reaches the line search on at most 70% of the ball-rounds it took
-    # from the L^2 vertex alone.  One stack's share ranges from 0 to over 90%.
+    # nodes, a product of two bumps, balls of radius 1/4 to 4), every ball
+    # solved (no sup scales, so nothing is pruned): the two-vertex start
+    # reaches the line search on at most 70% of the ball-rounds it took from
+    # the L^2 vertex alone.  One stack's share ranges from 0 to over 90%.
     rounds = count_calls(bestpoly, "_line_search", lambda A, *rest: A.shape[0])
     sampler = BallSampler(dim=1, count=16, r_min=0.25, r_max=4.0)
     rng = stream(27, "l1-work")
@@ -944,22 +946,37 @@ def test_l1_vertex_two_vertex_start_saves_pivots(e1, count_calls):
         return GaugeBump(e1, center, radius, rng.uniform(0.5, 2.0))
 
     for i in range(48):
-        _, details = campanato_norm(
-            e1, ProductFunction(e1, [bump(), bump()]), W1(e1), 1.0, 1.0, 2, sampler,
+        F = ProductFunction(e1, [bump(), bump()])
+        fits = best_polynomial(
+            e1, F, W1(e1), 1.0, sampler.generate(i, label=f"l1-work/{i}-balls"), 2,
             QuadratureScheme(samples=2048, seed=i), op_id=f"l1-work/{i}",
         )
-        assert {d["note"] for d in details} == {"l1-vertex-certified"}
+        assert {est.note for _, est in fits} == {"l1-vertex-certified"}
     assert sum(rounds) <= 0.7 * _L1_WORK_BEFORE_TWO_VERTEX_START
 
 
+def _assert_certified_or_pruned(sup, details):
+    """The ball that attains the sup is certified; every other ball is
+    certified, or pruned with a value below the sup."""
+    values = [d["value"] for d in details]
+    top = values.index(max(values))
+    assert values[top] == sup.value and details[top]["note"] == "l1-vertex-certified"
+    for d in details:
+        assert d["note"] == "l1-vertex-certified" or (
+            d["note"] == "upper-bound-pruned" and d["value"] < sup.value
+        )
+
+
 def test_campanato_details_keep_each_ball_solver_note(e1, small_scheme):
-    # the sup is labelled as a sup; each ball keeps its own solver note
+    # the sup is labelled as a sup; each ball keeps its own note: its
+    # solver's, or that it was pruned at an upper bound below the sup
     sampler = BallSampler(dim=1, count=5, r_min=0.25, r_max=4.0)
     est, details = campanato_norm(
         e1, GaugeBump(e1, [0.0], 1.0), W1(e1), 1.0, 1.0, 2, sampler, small_scheme
     )
     assert est.note == spaces._SUP_NOTE
-    assert [d["note"] for d in details] == ["l1-vertex-certified"] * sampler.count
+    assert len(details) == sampler.count
+    _assert_certified_or_pruned(est, details)
 
 
 def test_campanato_one_best_polynomial_call(e1, small_scheme, count_calls):
@@ -971,6 +988,88 @@ def test_campanato_one_best_polynomial_call(e1, small_scheme, count_calls):
     campanato_norm(e1, GaugeBump(e1, [0.0], 1.0), W1(e1), 1.0, 1.0, 2, sampler, small_scheme)
     assert calls == ["campanato"]
     assert len(solves) == sampler.count
+
+
+def _unpruned_sup(group, F, q, lam, k, balls, scheme, op_id):
+    """The Campanato sup built from every ball's full solve: best_polynomial
+    without sup scales, each value scaled by |B|^(-lam/(n q)).  Returns the
+    scaled per-ball Estimates and the index of the first largest."""
+    fits = best_polynomial(group, F, W1(group), q, balls, k, scheme, op_id=op_id)
+    scaled = [
+        est.scaled(ball_volume(group, ball.radius) ** (-lam / (group.n * q)))
+        for ball, (_, est) in zip(balls, fits)
+    ]
+    values = [e.value for e in scaled]
+    return scaled, values.index(max(values))
+
+
+class _ListedBalls:
+    """A ball sampler that hands out one given ball list."""
+
+    def __init__(self, balls):
+        self.balls = balls
+
+    def generate(self, seed, label):
+        return self.balls
+
+
+@pytest.mark.parametrize(("q", "k"), [(1.0, 2), (1.5, 2), (1.0, 1)])
+@pytest.mark.parametrize("gid", ["e1", "h1"])
+def test_campanato_pruning_keeps_the_sup_bit_for_bit(request, gid, q, k):
+    # per seed, a product of two bumps on 12 balls: the pruned sup's value,
+    # standard error, ball and flag equal those of the sup over every ball's
+    # full solve, each solved ball's value equals its full solve's, and each
+    # pruned ball reports a value between its minimum and the sup
+    group = request.getfixturevalue(gid)
+    sampler = BallSampler(dim=group.n, count=12, r_min=0.25, r_max=4.0)
+    pruned = 0
+    for seed in range(8):
+        rng = stream(seed, f"prune/{gid}/{q}")
+        F = ProductFunction(group, [random_bump(group, rng, center_box=0.5) for _ in range(2)])
+        scheme = QuadratureScheme(samples=1024, seed=seed)
+        sup, details = campanato_norm(
+            group, F, W1(group), q, 1.0, k, sampler, scheme, op_id=f"prune/{seed}"
+        )
+        balls = sampler.generate(seed, label=f"prune/{seed}-balls")
+        ref, top = _unpruned_sup(group, F, q, 1.0, k, balls, scheme, f"prune/{seed}")
+        values = [d["value"] for d in details]
+        assert values.index(max(values)) == top
+        assert (sup.value, sup.std_error, sup.flagged) == (
+            ref[top].value, ref[top].std_error, ref[top].flagged,
+        )
+        for d, est in zip(details, ref):
+            if d["note"] == "upper-bound-pruned":
+                pruned += 1
+                assert est.value <= d["value"] < sup.value
+            else:
+                assert (d["value"], d["note"]) == (est.value, est.note)
+    assert pruned > 0
+
+
+def test_campanato_pruned_sup_left_translation_covariance(h1):
+    # left-translating f, g and the balls by g0 moves every node exactly, so
+    # the pruned q = 1 sup, an exact vertex minimum, moves only by rounding:
+    # at most 1e-12 relative.  (A Newton sup, q = 1.5, stops anywhere within
+    # its certified gap, and moved by 2.9e-12 on one of these ball lists.)
+    g0 = np.array([0.6, -0.4, 0.3])
+    fs = [GaugeBump(h1, [0.1, 0.0, 0.1], 0.8, 1.3), GaugeBump(h1, [-0.1, -0.3, 0.0], 0.9, 0.7)]
+    moved_fs = [
+        GaugeBump(h1, h1.compose(g0, f.support.center), f.support.radius, f.height) for f in fs
+    ]
+    sampler = BallSampler(dim=3, count=12, r_min=0.25, r_max=4.0)
+    for seed in range(6):
+        balls = sampler.generate(seed, label="prune-translation-balls")
+        moved_balls = [GaugeBall(h1.compose(g0, b.center), b.radius) for b in balls]
+        scheme = QuadratureScheme(samples=1024, seed=seed)
+        base, details = campanato_norm(
+            h1, ProductFunction(h1, fs), W1(h1), 1.0, 1.0, 2, _ListedBalls(balls), scheme
+        )
+        moved, _ = campanato_norm(
+            h1, ProductFunction(h1, moved_fs), W1(h1), 1.0, 1.0, 2, _ListedBalls(moved_balls),
+            scheme,
+        )
+        assert "upper-bound-pruned" in {d["note"] for d in details}
+        assert abs(moved.value - base.value) <= 1e-12 * base.value
 
 
 def _misses(group, ball, supports):
@@ -1882,9 +1981,10 @@ def test_leibniz_bump_pair_finite(e1, small_scheme):
     )
     assert math.isfinite(report.ratio)
     assert len(report.terms) == 3
-    # the lhs is a sup over balls; the report keeps each ball's solver note
+    # the lhs is a sup over balls; the report keeps each ball's note
     per_ball = report.to_dict()["lhs_per_ball"]
-    assert [d["note"] for d in per_ball] == ["l1-vertex-certified"] * sampler.count
+    assert len(per_ball) == sampler.count
+    _assert_certified_or_pruned(report.lhs, per_ball)
 
 
 def test_leibniz_one_morrey_call_per_slot(e1, small_scheme, count_calls):

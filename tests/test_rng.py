@@ -1,10 +1,13 @@
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carnotlab
 from carnotlab.rng import stream
 
 
@@ -45,5 +48,9 @@ def test_importing_the_package_leaves_numpy_random_unloaded():
     # draws nothing (the counterexample tables) does not pay numpy.random's
     # import and memory
     code = "import sys, carnotlab; print('numpy.random' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    src = str(Path(carnotlab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
     assert out.stdout.strip() == "False"
