@@ -100,21 +100,26 @@ def _load_config(path, defaults, overrides):
     return cfg
 
 
-def _number(value, key, kind=float):
+def _number(value, key, kind=float, finite=True):
     """A config value as `kind` (float or int), else a UsageError naming
-    `key`; an int key refuses a non-integral value such as 1.5."""
+    `key`; an int key refuses a non-integral value such as 1.5.  json reads
+    NaN and Infinity as numbers, and a `finite` key refuses them; a weight
+    spec's numbers are left to `Weight`, which rejects them when it is
+    built."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"config key {key!r} must be a number, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise UsageError(f"config key {key!r} must be finite, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
     return kind(value)
 
 
-def _numbers(value, key):
+def _numbers(value, key, finite=True):
     """A config list of numbers as floats, else a UsageError naming `key`."""
     if not isinstance(value, list):
         raise UsageError(f"config key {key!r} must be a list of numbers, got {value!r}")
-    return [_number(v, key) for v in value]
+    return [_number(v, key, finite=finite) for v in value]
 
 
 def _p_list(cfg):
@@ -205,13 +210,13 @@ def weight_from_spec(group, spec):
         return Weight.one(group)
     kind, spec = _kind_spec(spec, "weight", "constant")
     if kind == "constant":
-        return Weight.const(group, _number(spec.get("value", 1.0), "value"))
+        return Weight.const(group, _number(spec.get("value", 1.0), "value", finite=False))
     if kind == "power":
         return Weight(group, factors=[_factor(group, spec)])
     factors = [_spec(f, "product weight factor", ("beta",), ("pole",)) for f in spec["factors"]]
     return Weight(
         group,
-        constant=_number(spec.get("constant", 1.0), "constant"),
+        constant=_number(spec.get("constant", 1.0), "constant", finite=False),
         factors=[_factor(group, f) for f in factors],
     )
 
@@ -219,8 +224,8 @@ def weight_from_spec(group, spec):
 def _factor(group, spec):
     """(pole, beta) of a power weight spec; the pole defaults to the identity."""
     pole = spec.get("pole")
-    pole = group.identity() if pole is None else _numbers(pole, "pole")
-    return pole, _number(spec["beta"], "beta")
+    pole = group.identity() if pole is None else _numbers(pole, "pole", finite=False)
+    return pole, _number(spec["beta"], "beta", finite=False)
 
 
 def function_from_spec(group, spec):

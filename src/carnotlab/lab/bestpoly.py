@@ -7,11 +7,11 @@ conditioning; left translations and dilations preserve the span of
 {deg_G < k}, so the fit stays in them: a `BallPolynomial` evaluates
 P(zeta(y)) by the same map and Vandermonde as the solver.
 
-`best_polynomial` takes one ball or a list of balls; ball b of a list
-draws its nodes under f"{op_id}/b{b}".  A ball whose box misses the box of
-F's declared support is dead: it draws no nodes and fits the zero
-polynomial exactly.  The live balls go in quad's passes of at most _PASS
-nodes (or one ball), the memory bound of every ball estimator, and a pass
+`best_polynomial` takes one ball or a list of balls, and its nodes, as
+every ball estimator's, come from quad (`quad.ball_stacks`): their
+streams, the dead balls (a box that misses the box of F's declared
+support; such a ball draws no nodes and fits the zero polynomial
+exactly) and the passes of at most _PASS nodes (or one ball).  A pass
 stays one (B, N, n) stack from the sampler to the estimates: F, and u
 only when it has factors, are evaluated once on its nodes, a non-finite
 value raising IntegrationError before its solves, and the Vandermonde
@@ -92,7 +92,7 @@ import numpy as np
 from ..carnot.group import GaugeBall
 from ..carnot.polynomials import monomial_basis, vandermonde
 from ..errors import ConditioningError, DomainError
-from ..quad import Estimate, _ball_strata, _check_finite, _dead_balls, weight_number
+from ..quad import Estimate, ball_stacks, weight_number
 
 # Relative optimality gap of a certified value: the L^1 dual point may pass 1
 # by this much (rounding in lam is far below it unless the basis is nearly
@@ -107,35 +107,6 @@ _ZERO = 16.0 * np.finfo(float).eps
 _RANK_TOL = 1e-10
 
 _FLAGGED_NOTES = ("l1-vertex-stalled", "newton-stalled", "upper-bound-unconverged")
-
-
-def _ball_stack(group, strata, F, u, *more):
-    """One uniform pass of `_ball_strata` as a stack: the nodes (B, N, n),
-    the quadrature weights |B| / N of shape (B, N), and F, u and the
-    functions `more` on the nodes, evaluated in that order, each of shape
-    (B, N) (`more` as one (len(more), B, N) array).  A constant u = c
-    (`weight_number`) is not evaluated: it comes as the (1, 1) array
-    [[c]], which broadcasts over the stack."""
-    c = weight_number(u)
-    fns = (F, *more) if c is not None else (F, u, *more)
-    pts, _, vols, _, _ = strata
-    nodes = pts[:, :, 0]
-    flat = nodes.reshape(-1, group.n)
-    vals = np.empty((len(fns), flat.shape[0]))
-    for f, out in zip(fns, vals):
-        out[:] = np.asarray(f(flat), dtype=float).reshape(flat.shape[0])
-        _check_finite(out, flat)
-    weights = np.repeat(vols[:, None] / nodes.shape[1], nodes.shape[1], axis=1)
-    vals = vals.reshape(len(fns), *nodes.shape[:2])
-    if c is not None:
-        return nodes, weights, vals[0], np.array([[c]]), vals[1:]
-    return nodes, weights, vals[0], vals[1], vals[2:]
-
-
-def _require_uniform(scheme):
-    scheme.validate()
-    if scheme.kind != "uniform":
-        raise DomainError("best_polynomial needs a uniform scheme")
 
 
 def _centred_vandermonde(group, basis, balls, pts):
@@ -602,28 +573,27 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly", sup_s
         raise DomainError("polynomial degree bound k must be >= 1")
     if not q > 0:
         raise DomainError(f"norm exponent must be positive, got {q}")
-    _require_uniform(scheme)
     single = isinstance(ball, GaugeBall)
     balls = [ball] if single else list(ball)
+    c = weight_number(u)
+    fns = (F,) if c is not None else (F, u)
+    passes = ball_stacks(group, ball if single else balls, scheme, fns, op_id=op_id, support_of=F)
     if not balls:
         return []
-    ids = [op_id] if single else [f"{op_id}/b{b}" for b in range(len(balls))]
     basis = monomial_basis(group, k)
-    live = np.flatnonzero(~_dead_balls(group, balls, F))
     coeffs = np.zeros((len(balls), len(basis)))
     ests = [Estimate(0.0, 0.0, scheme.samples, scheme.seed, note=_dead_note(q))] * len(balls)
     scales = None if sup_scales is None else np.asarray(sup_scales, dtype=float).reshape(-1)
-    lo, incumbent = 0, 0.0
-    for strata in _ball_strata(group, [balls[b] for b in live], scheme, [ids[b] for b in live]):
-        part = live[lo : lo + len(strata[0])]
-        lo += len(part)
-        coeffs[part], found, incumbent = _fit(
-            group, F, u, q, [balls[b] for b in part], basis, scheme, strata,
-            None if scales is None else scales[part], incumbent,
+    incumbent = 0.0
+    for live, nodes, node_w, vals in passes:
+        w = np.array([[c]]) if c is not None else vals[1]  # a constant broadcasts
+        coeffs[live], found, incumbent = _fit(
+            group, q, [balls[b] for b in live], basis, scheme, nodes, node_w, vals[0], w,
+            None if scales is None else scales[live], incumbent,
         )
-        for b, est in zip(part, found):
+        for b, est in zip(live, found):
             ests[b] = est
-    fits = [BallPolynomial(group, b, basis, c) for b, c in zip(balls, coeffs)]
+    fits = [BallPolynomial(group, b, basis, cb) for b, cb in zip(balls, coeffs)]
     out = list(zip(fits, ests))
     return out[0] if single else out
 
@@ -637,10 +607,10 @@ def _dead_note(q):
     return "newton-certified" if q > 1.0 else "upper-bound"
 
 
-def _fit(group, F, u, q, balls, basis, scheme, strata, scales, incumbent):
-    """The coefficients (B, d) and value Estimates of one pass's balls, and
+def _fit(group, q, balls, basis, scheme, nodes, node_w, y, w, scales, incumbent):
+    """The coefficients (B, d) and value Estimates of one pass's balls, from
+    its `quad.ball_stacks` nodes and weights, F values y and u values w, and
     the sup's incumbent after them (see `_prune`)."""
-    nodes, node_w, y, w, _ = _ball_stack(group, strata, F, u)
     A = _centred_vandermonde(group, basis, balls, nodes)
     wb = np.broadcast_to(w, (len(balls), w.shape[1]))
     coeffs = _weighted_lstsq(A, y, node_w * w**2)
@@ -703,8 +673,10 @@ def _prune(solve, starts, sup_values, incumbent):
 
 
 def evaluate_candidate(group, F, u, q, ball, scheme, poly, *, op_id="best-poly"):
-    """||(F - poly) u||_{L^q(B)} on the same nodes best_polynomial uses."""
-    _require_uniform(scheme)
-    [strata] = _ball_strata(group, [ball], scheme, [op_id])
-    _, [node_w], [y], [wvals], [[pvals]] = _ball_stack(group, strata, F, u, poly)
-    return _objective(y - pvals, wvals, node_w, q) ** (1.0 / q)
+    """||(F - poly) u||_{L^q(B)} on the same nodes best_polynomial uses.  No
+    ball is dead here: the nodes are drawn wherever F's support lies."""
+    c = weight_number(u)
+    fns = (F, poly) if c is not None else (F, u, poly)
+    [(_, _, [node_w], vals)] = ball_stacks(group, ball, scheme, fns, op_id=op_id)
+    wvals = np.array([c]) if c is not None else vals[1, 0]
+    return _objective(vals[0, 0] - vals[-1, 0], wvals, node_w, q) ** (1.0 / q)

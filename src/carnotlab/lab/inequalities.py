@@ -10,6 +10,8 @@ bounded ratio here is implied by the inequalities themselves.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..carnot.functions import ProductFunction
@@ -122,7 +124,7 @@ def representation_check(group, fs, ball, k, num_points, scheme, *, op_id="repfo
     one = Weight.one(group)
     # the kernel integrals may need annuli stratification; the polynomial
     # stage always fits on uniform ball nodes
-    poly_scheme = scheme.with_(kind="uniform")
+    poly_scheme = replace(scheme, kind="uniform")
     poly, _ = best_polynomial(group, product, one, 2.0, ball, k, poly_scheme, op_id=f"{op_id}/poly")
     pts = sample_ball(group, ball, num_points, stream(scheme.seed, f"{op_id}/points"))
     lhs = np.abs(product(pts) - poly(pts))

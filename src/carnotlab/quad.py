@@ -31,21 +31,26 @@ private pieces:
   one kernel point), and per product sums volume * mean over its strata
   in order.
 
-`sample_ball`, `integrate_ball` and `lp_norm_ball` take one ball or a list
-of balls; ball b of a list draws under f"{op_id}/b{b}" (its own stream),
-and each ball's result equals its one-ball call bit for bit.  A list is
-taken in passes of at most _PASS nodes, which moves no value.  Under the
+This module alone decides the nodes of a ball.  `sample_ball` draws the
+unit-ball nodes V of a stream, by rejection from (-1, 1)^n with the one
+acceptance ratio c_d / 2^n, and gives B(c, r) the nodes c o delta_r(V);
+left translation and dilation preserve uniformity, and V does not depend
+on the ball.  `_live_passes` owns the rest: ball b of a list draws under
+f"{op_id}/b{b}" (its own stream) and one ball under op_id; under the
 uniform scheme a ball whose box misses the box of the integrand's
-declared support (`support_box`) is dead: it draws no nodes, and its
-result is the exact zero that the full path gives there.  In
-`lp_norm_ball` a constant weight (`weight_number`) is the number c: it is
-never called, and its norm's integrand is (|f| c)^p.
+declared support (`support_box`) is dead and draws no nodes; and the
+live balls go in passes of at most _PASS nodes (or one ball), which
+moves no value.  `integrate_ball` and `lp_norm_ball` take each pass from
+it, each ball's result equal to its one-ball call bit for bit and a dead
+ball's the exact zero that the full path gives there; `ball_stacks` hands
+the passes out as (B, N, n) node stacks with the functions evaluated on
+them, for the best-polynomial fits.  In `lp_norm_ball` a constant weight
+(`weight_number`) is the number c: it is never called, and its norm's
+integrand is (|f| c)^p.
 
 Both schemes are Monte Carlo, deterministic given (seed, op_id), and every
 value carries a standard error; uniform sampling is unbiased, annuli only
-up to its truncation.  Uniform ball samples are drawn by rejection from
-the centered coordinate box (layer i extent r^i) and left-translated to
-the center, which preserves Lebesgue measure.
+up to its truncation.
 """
 
 from __future__ import annotations
@@ -55,13 +60,13 @@ import contextvars
 import itertools
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .carnot.constants import ball_volume
 from .carnot.functions import support_box
-from .carnot.group import GaugeBall, ball_box, centered_box_extents
+from .carnot.group import GaugeBall, ball_box
 from .errors import DomainError, HypothesisError, IntegrationError, StructureError
 from .rng import stream
 
@@ -85,9 +90,6 @@ class QuadratureScheme:
         if self.kind == "annuli" and self.levels < 4:
             raise DomainError("annuli schemes need levels >= 4")
         return self
-
-    def with_(self, **kw):
-        return replace(self, **kw)
 
     def to_dict(self):
         return asdict(self)
@@ -155,15 +157,16 @@ def estimate_product(estimates):
 
 
 def sample_ball(group, ball, count, rng):
-    """`count` uniform points in a gauge ball, by centered-box rejection.
+    """`count` uniform points in a gauge ball B(c, r): c o delta_r(V), where
+    V is the first `count` rows of one long draw from `rng` on the box
+    (-1, 1)^n that fall in B(0, 1), so V does not depend on (c, r).
 
-    The result is the first `count` accepted rows of one long draw from
-    `rng`: Philox draws concatenate, so splitting the draw into chunks does
-    not move the nodes.  Each chunk is sized from the closed-form acceptance
-    ratio a = |B(0, r)| / box = c_d / 2^n: n rows accept a binomial count of
-    mean n a and sd sqrt(n a (1 - a)), so (need + 4 sqrt(need (1 - a))) / a
-    rows nearly always suffice in one chunk, and few draws are thrown away
-    (at a = 1, as on R^n, the chunk is the need itself).
+    Philox draws concatenate, so splitting the draw into chunks does not
+    move the nodes.  Each chunk is sized from the one acceptance ratio
+    a = |B(0, 1)| / 2^n = c_d / 2^n: n rows accept a binomial count of mean
+    n a and sd sqrt(n a (1 - a)), so (need + 4 sqrt(need (1 - a))) / a rows
+    nearly always suffice in one chunk, and few draws are thrown away (at
+    a = 1, as on R^n, the chunk is the need itself).
 
     `ball` may be a list of B balls with `rng` a list of B generators: ball
     b draws from rng[b], and the nodes come stacked ball-major as
@@ -174,9 +177,8 @@ def sample_ball(group, ball, count, rng):
     balls, rngs = ([ball], [rng]) if single else (list(ball), list(rng))
     if count == 0 or not balls:
         return np.empty((0, group.n))
-    exts = [centered_box_extents(group, b.radius) for b in balls]
-    accepts = [ball_volume(group, b.radius) / float(np.prod(2.0 * e)) for b, e in zip(balls, exts)]
-    rejects = [max(1.0 - a, 0.0) for a in accepts]  # a may round above 1 on R^1
+    accept = ball_volume(group, 1.0) / 2.0**group.n
+    reject = max(1.0 - accept, 0.0)  # a may round above 1 on R^1
     out = np.empty((len(balls), count, group.n))
     filled = [0] * len(balls)
     drawn = 0
@@ -184,27 +186,22 @@ def sample_ball(group, ball, count, rng):
     todo = range(len(balls))
     while todo:
         # one buffer holds this round's draws of every ball still short
-        chunks = [
-            math.ceil(
-                (count - filled[b] + 4.0 * math.sqrt((count - filled[b]) * rejects[b]))
-                / accepts[b]
-            )
-            for b in todo
-        ]
-        ends = list(itertools.accumulate(chunks))
+        needs = [count - filled[b] for b in todo]
+        ends = list(itertools.accumulate(
+            math.ceil((need + 4.0 * math.sqrt(need * reject)) / accept) for need in needs
+        ))
         spans = list(zip(todo, [0] + ends, ends))
         u = np.empty((ends[-1], group.n))
         for b, lo, hi in spans:
             rngs[b].random(out=u[lo:hi])
-            u[lo:hi] *= 2.0
-            u[lo:hi] -= 1.0
-            u[lo:hi] *= exts[b]
-        norms = group.gauge_norm(u)
+        u *= 2.0
+        u -= 1.0
+        inside = group.gauge_norm(u) < 1.0
         drawn += ends[-1]
         for b, lo, hi in spans:
             # the first accepted rows that the ball still needs, copied by one
             # take straight into out (mode "clip": "raise" buffers the copy)
-            keep = np.flatnonzero(norms[lo:hi] < balls[b].radius)
+            keep = np.flatnonzero(inside[lo:hi])
             accepted += keep.size
             take = keep[: count - filled[b]]
             dest = out[b, filled[b] : filled[b] + take.size]
@@ -215,6 +212,8 @@ def sample_ball(group, ball, count, rng):
         "sample_ball: %d/%d drawn points accepted (%.1f%%), %d kept",
         accepted, drawn, 100.0 * accepted / drawn, out.shape[0] * count,
     )
+    for b, nodes in zip(balls, out):
+        nodes[:] = group.dilate(b.radius, nodes)
     return group.compose(np.array([b.center for b in balls])[:, None], out).reshape(-1, group.n)
 
 
@@ -339,30 +338,56 @@ def _annuli(group, balls, op_id, pole, top, top_volume, scheme):
     return pts, live, np.array(vols), dist
 
 
-def _ball_strata(group, balls, scheme, op_ids, poles=None):
-    """Yield the strata (see `_strata`) of each pass over a ball list, ball b
-    under op_ids[b] around poles[b]; a pass draws at most _PASS nodes, or
-    one ball."""
-    nodes = {
-        "uniform": scheme.samples,
-        "annuli": (scheme.levels + 1) * _per_stratum(scheme),
-    }[scheme.kind]
-    step = max(1, _PASS // nodes)
-    poles = [None] * len(balls) if poles is None else poles
-    for lo in range(0, len(balls), step):
-        chunk = slice(lo, lo + step)
-        yield _strata(group, [[b] for b in balls[chunk]], scheme, op_ids[chunk], poles[chunk])
+def _live_passes(group, ball, scheme, op_id, support_of=None, singularity=None):
+    """Yield (indices, strata) per pass over the live balls of `ball`, one
+    ball (drawn under op_id) or a list (ball b under f"{op_id}/b{b}"), with
+    annuli shells around `singularity` or else each ball's center.  Under
+    the uniform scheme a ball whose box misses the box of `support_of`'s
+    declared support (`support_box`) is dead and left out.  A pass draws
+    at most _PASS nodes, or one ball."""
+    single = isinstance(ball, GaugeBall)
+    balls = [ball] if single else list(ball)
+    ids = [op_id] if single else [f"{op_id}/b{b}" for b in range(len(balls))]
+    live = np.arange(len(balls))
+    box = None if support_of is None or scheme.kind != "uniform" else support_box(group, support_of)
+    if box is not None and balls:
+        lo, hi = ball_box(group, balls)
+        live = np.flatnonzero(~(np.maximum(lo, box[0]) >= np.minimum(hi, box[1])).any(axis=1))
+    per = scheme.samples if scheme.kind == "uniform" else (scheme.levels + 1) * _per_stratum(scheme)
+    step = max(1, _PASS // per)
+    for start in range(0, len(live), step):
+        part = live[start : start + step]
+        family = [[balls[b]] for b in part]
+        poles = [balls[b].center if singularity is None else singularity for b in part]
+        yield part, _strata(group, family, scheme, [ids[b] for b in part], poles)
 
 
-def _dead_balls(group, balls, f):
-    """Per ball, whether its box meets the box of f's declared support
-    (`support_box`) in no open set, so that f is 0 on every node the ball
-    can draw."""
-    box = support_box(group, f)
-    if box is None or not balls:
-        return np.zeros(len(balls), dtype=bool)
-    lo, hi = ball_box(group, balls)
-    return (np.maximum(lo, box[0]) >= np.minimum(hi, box[1])).any(axis=1)
+def ball_stacks(group, ball, scheme, fns, *, op_id, support_of=None):
+    """Per pass of `_live_passes` (every ball is live without `support_of`),
+    its balls' indices, nodes (B, N, n), quadrature weights |B| / N (B, N)
+    and the functions `fns` on the nodes, each evaluated once, in order:
+    shape (len(fns), B, N).  The first non-finite value raises
+    IntegrationError.  The scheme must be uniform, which is checked at the
+    call; the passes are drawn as they are read."""
+    scheme.validate()
+    if scheme.kind != "uniform":
+        raise DomainError("ball stacks need a uniform scheme")
+    return (
+        _stack(group, live, strata, fns)
+        for live, strata in _live_passes(group, ball, scheme, op_id, support_of)
+    )
+
+
+def _stack(group, live, strata, fns):
+    pts, _, vols, _, _ = strata
+    nodes = pts[:, :, 0]
+    flat = nodes.reshape(-1, group.n)
+    vals = np.empty((len(fns), flat.shape[0]))
+    for f, out in zip(fns, vals):
+        out[:] = np.asarray(f(flat), dtype=float).reshape(flat.shape[0])
+        _check_finite(out, flat)
+    weights = np.repeat(vols[:, None] / nodes.shape[1], nodes.shape[1], axis=1)
+    return live, nodes, weights, vals.reshape(len(fns), *nodes.shape[:2])
 
 
 def product_distance(group, x, pts):
@@ -519,39 +544,31 @@ def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularit
 
     A uniform ball is dead when its box misses the box of f's declared
     `support` (`support_box`; a product's is the intersection of its
-    factors' boxes).  f is 0 on all its nodes, so it draws none and f is
-    not evaluated there: its result is the one an all-zero integrand
-    gives, value and std_error 0 with `samples` N, the scheme's seed and a
-    zero covariance.  The other balls keep their streams.  If every ball
-    is dead, f is called once on no nodes, to tell whether it gives rows.
-    Annuli balls are always drawn, since their `samples` and note depend
-    on the shell geometry.
+    factors' boxes).  It draws no nodes and f is not evaluated there: its
+    result is the one an all-zero integrand gives, value and std_error 0
+    with `samples` N, the scheme's seed and a zero covariance.  If every
+    ball is dead, f is called once on no nodes, to tell whether it gives
+    rows.  Annuli balls are always drawn, since their `samples` and note
+    depend on the shell geometry.
     """
     scheme.validate()
     single = isinstance(ball, GaugeBall)
-    balls = [ball] if single else list(ball)
-    ids = [op_id] if single else [f"{op_id}/b{b}" for b in range(len(balls))]
-    poles = [b.center if singularity is None else singularity for b in balls]
-    live = range(len(balls))
-    if scheme.kind == "uniform":
-        live = np.flatnonzero(~_dead_balls(group, balls, f)).tolist()
-    drawn = []
-    for strata in _ball_strata(
-        group, [balls[b] for b in live], scheme, [ids[b] for b in live], [poles[b] for b in live]
-    ):
-        drawn += _estimate(group, strata, lambda pts: f(pts[:, 0]), scheme)
-    if len(drawn) < len(balls):
-        if drawn:
-            rows, batch = len(drawn[0][0]), drawn[0][1] is not None
+    ball = ball if single else list(ball)
+    out = [None] * (1 if single else len(ball))
+    for live, strata in _live_passes(group, ball, scheme, op_id, f, singularity):
+        for b, result in zip(live, _estimate(group, strata, lambda pts: f(pts[:, 0]), scheme)):
+            out[b] = result
+    if None in out:
+        drawn = next((result for result in out if result is not None), None)
+        if drawn is not None:
+            rows, batch = len(drawn[0]), drawn[1] is not None
         else:
             vals, batch = _eval_rows(f, np.empty((0, group.n)))
             rows = vals.shape[0]
         zero = Estimate(0.0, 0.0, scheme.samples, scheme.seed)
-        out = [([zero] * rows, (lambda: np.zeros((rows, rows))) if batch else None) for _ in balls]
-        for b, result in zip(live, drawn):
-            out[b] = result
-        drawn = out
-    out = [ests[0] if cov is None else (ests, cov) for ests, cov in drawn]
+        dead = ([zero] * rows, (lambda: np.zeros((rows, rows))) if batch else None)
+        out = [dead if result is None else result for result in out]
+    out = [ests[0] if cov is None else (ests, cov) for ests, cov in out]
     return out[0] if single else out
 
 

@@ -22,7 +22,7 @@ is flagged on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -226,7 +226,7 @@ def _average_powers(group, w, gammas, ball, scheme, op_id):
     use = scheme
     if singularity is not None and use.kind == "uniform":
         # integrable point singularity: stratify around the pole
-        use = scheme.with_(kind="annuli")
+        use = replace(scheme, kind="annuli")
     finite = np.ones(len(gammas), dtype=bool)
 
     def rows(pts):

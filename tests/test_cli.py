@@ -177,11 +177,15 @@ _FAST = {"samples": 1024, "trials": 1}
         ("repformula", {"ball": {"radius": "x"}, "pairs": 1, "points": 2, "samples": 1024}, "radius"),
         ("poincare", dict(_FAST, v=5), "v"),
         ("weights-check", {"v": {"kind": "power", "beta": 0.5}, "samples": 1024}, "v"),
+        ("morrey", {"f": {"kind": "bump", "center": [math.nan]}, "samples": 1024}, "center"),
+        ("morrey", {"sampler": {"r_max": math.inf}, "samples": 1024}, "r_max"),
+        ("repformula", {"ball": {"center": [math.nan]}, "pairs": 1, "points": 2}, "center"),
     ],
 )
 def test_wrong_typed_config_value_is_usage_error(tmp_path, capsys, command, config, key):
-    # a string, a list, a bool, None or a non-integral value for an int key
-    # exits 64 naming the key, not with a traceback or a truncated value
+    # a string, a list, a bool, None, a non-integral value for an int key or
+    # a NaN or Infinity (json reads them as numbers) exits 64 naming the key,
+    # not with a traceback, a truncated value or a norm of 0
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 64

@@ -6,14 +6,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "carnotlab"
 
-# Known debt: bestpoly draws, checks and prunes its ball stacks with quad's
-# sampling helpers.
-KNOWN_DEBT = {
-    ("lab/bestpoly.py", "carnotlab.quad", name)
-    for name in ("_ball_strata", "_check_finite", "_dead_balls")
-}
-
-
 def _private_imports():
     """(file, module imported from, name) of every private name one
     carnotlab module imports from another by `from ... import`."""
@@ -36,6 +28,4 @@ def _private_imports():
 
 
 def test_no_private_names_imported_across_modules():
-    found = set(_private_imports())
-    assert found - KNOWN_DEBT == set()
-    assert KNOWN_DEBT <= found, "debt paid: drop it from KNOWN_DEBT"
+    assert set(_private_imports()) == set()

@@ -377,6 +377,16 @@ def test_evaluate_candidate_refuses_nan_on_part_of_the_ball(e1):
     assert info.value.point[0] > 0.5
 
 
+def test_evaluate_candidate_draws_a_ball_off_the_support(e1):
+    # no dead-ball rule applies to a candidate: F is 0 on B((5), 1), so the
+    # value is ||2||_{L^2(B)} = 2 sqrt(|B|) = 2 sqrt(2)
+    value = evaluate_candidate(
+        e1, GaugeBump(e1, [0.0], 0.5), W1(e1), 2.0, GaugeBall([5.0], 1.0),
+        QuadratureScheme(samples=2048, seed=0), HomogeneousPolynomial.constant(e1, 2.0),
+    )
+    assert abs(value - 2.0 * math.sqrt(2.0)) <= 1e-14
+
+
 @pytest.mark.parametrize(
     "group_name, q, k",
     [("e1", 1.2, 2), ("h1", 1.5, 2), ("e1", 3.0, 1), ("h1", 20.0, 2), ("e1", 25.0, 2)],

@@ -91,7 +91,7 @@ def test_seed_determinism_bit_identical(e2, mc_scheme):
     a = integrate_ball(e2, f, ball, mc_scheme)
     b = integrate_ball(e2, f, ball, mc_scheme)
     assert a.value == b.value and a.std_error == b.std_error
-    c = integrate_ball(e2, f, ball, mc_scheme.with_(seed=999))
+    c = integrate_ball(e2, f, ball, dataclasses.replace(mc_scheme, seed=999))
     assert c.value != a.value
 
 
@@ -205,6 +205,21 @@ def test_sample_ball_second_pass_is_prefix_of_one_long_draw(h1, caplog):
     both = sample_ball(h1, [ball, other], 2, rngs)
     assert np.array_equal(both[:2], pts)
     assert np.array_equal(both[2:], sample_ball(h1, other, 2, stream(5, "second-pass/other")))
+
+
+@pytest.mark.parametrize("gid", ["e1", "e2", "h1", "h2", "step2:3x2"])
+def test_ball_nodes_are_unit_ball_nodes_mapped_by_c_delta_r(gid, request):
+    # a stream gives one unit node set V, and B(c, r) gets c o delta_r(V) bit
+    # for bit: the rejection test never sees the ball
+    group = DEAD_BALL_GROUPS[gid] if gid in DEAD_BALL_GROUPS else request.getfixturevalue(gid)
+    rng = np.random.default_rng(18)
+    unit_ball = GaugeBall(np.zeros(group.n), 1.0)
+    for j in range(16):
+        center = rng.uniform(-2.0, 2.0, group.n)
+        radius = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+        pts = sample_ball(group, GaugeBall(center, radius), 4096, stream(18, f"unit/{j}"))
+        unit = sample_ball(group, unit_ball, 4096, stream(18, f"unit/{j}"))
+        assert np.array_equal(pts, group.compose(center, group.dilate(radius, unit)))
 
 
 def test_shared_draws_sample_each_ball_once_and_keep_its_bits(h1, count_calls):
