@@ -541,7 +541,9 @@ def _estimates(resid, wvals, node_w, q, scheme, notes):
     """One Estimate per ball of the (B, N) stack, on its N samples."""
     powers = node_w * (np.abs(resid) * wvals) ** q
     n = powers.shape[1]
-    std = np.std(powers * n, axis=1, ddof=1) / np.sqrt(n)
+    dev = powers * n  # minus its mean, for the ddof-1 standard deviation
+    dev -= (np.add.reduce(dev, axis=1) / n)[:, None]
+    std = np.sqrt(np.add.reduce(dev * dev, axis=1) / (n - 1)) / np.sqrt(n)
     return [
         Estimate(
             value=float(v), std_error=float(e), samples=n, seed=scheme.seed,
@@ -577,7 +579,7 @@ def best_polynomial(group, F, u, q, ball, k, scheme, *, op_id="best-poly", sup_s
     balls = [ball] if single else list(ball)
     c = weight_number(u)
     fns = (F,) if c is not None else (F, u)
-    passes = ball_stacks(group, ball if single else balls, scheme, fns, op_id=op_id, support_of=F)
+    passes = ball_stacks(group, ball, scheme, fns, op_id=op_id, support_of=F)
     if not balls:
         return []
     basis = monomial_basis(group, k)

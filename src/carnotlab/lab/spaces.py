@@ -20,7 +20,8 @@ of largest scaled start value first, then every ball whose scaled start
 value, times 1 + 1e-9, still reaches the largest scaled value solved so
 far.  Every other ball reports its start, an upper bound below the sup,
 noted "upper-bound-pruned"; the sup and its ball are those of solving
-every ball, bit for bit.
+every ball, bit for bit.  `leibniz_test`'s three norms share each ball's
+nodes through the unit node sets of one `quad.UnitNodeBalls` list.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..carnot.constants import ball_volume
 from ..carnot.functions import ProductFunction
 from ..errors import DomainError, HypothesisError, ValidationError
 from ..operators import tuple_rhs
-from ..quad import Estimate, lp_norm_ball, shared_draws
+from ..quad import Estimate, UnitNodeBalls, lp_norm_ball
 from .bestpoly import best_polynomial
 from .reports import trial_config, trial_report
 
@@ -46,19 +47,9 @@ def _norm_dimension(group, normalization):
     raise DomainError(f"unknown normalization {normalization!r}")
 
 
-class _DrawnBalls:
-    """A ball sampler that hands out one ball list already drawn, so the
-    norms of `leibniz_test` share it without drawing it again."""
-
-    def __init__(self, balls):
-        self.balls = balls
-
-    def generate(self, seed, label):
-        return self.balls
-
-
-def _sup_over_balls(group, p, lam, balls, normalization, op_id, estimate):
-    """Per-row sup over the sampled `balls` of |B|^(-lam/(dim p)) * estimate.
+def _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, estimate):
+    """Per-row sup of |B|^(-lam/(dim p)) * estimate over the balls that
+    `sampler` draws under f"{op_id}-balls".
 
     `estimate(balls, op_id, scales)` returns one output per ball, ball b
     estimated under f"{op_id}/b{b}" and scaled into the sup by scales[b]:
@@ -67,6 +58,7 @@ def _sup_over_balls(group, p, lam, balls, normalization, op_id, estimate):
     e.g. its solver's) are a float and a string or lists of A of them.
     """
     dim = _norm_dimension(group, normalization)
+    balls = sampler.generate(scheme.seed, label=f"{op_id}-balls")
     scales = [ball_volume(group, ball.radius) ** (-lam / (dim * p)) for ball in balls]
     best = None
     details = []
@@ -97,8 +89,7 @@ def morrey_norm(group, f, w, p, lam, sampler, scheme, *, normalization="ambient"
         outs = lp_norm_ball(group, f, w, p, balls, scheme, op_id=norm_id)
         return [out if isinstance(out, Estimate) else out[0] for out in outs]
 
-    balls = sampler.generate(scheme.seed, label=f"{op_id}-balls")
-    return _sup_over_balls(group, p, lam, balls, normalization, op_id, norms)
+    return _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, norms)
 
 
 def campanato_norm(
@@ -117,8 +108,7 @@ def campanato_norm(
         fits = best_polynomial(group, f, w, p, balls, k, scheme, op_id=norm_id, sup_scales=scales)
         return [est for _, est in fits]
 
-    balls = sampler.generate(scheme.seed, label=f"{op_id}-balls")
-    return _sup_over_balls(group, p, lam, balls, normalization, op_id, distances)
+    return _sup_over_balls(group, p, lam, sampler, scheme, normalization, op_id, distances)
 
 
 def leibniz_test(
@@ -127,19 +117,21 @@ def leibniz_test(
     """Campanato norm of fg against sums of Morrey-norm products.
 
     The lhs Campanato norm and both slots' Morrey norms are sups over one
-    ball list, drawn once under f"{op_id}-balls", on one node set per ball,
-    drawn under f"{op_id}/b{b}" (common random numbers): a ball live for f
-    or for g is sampled once (`shared_draws`) and a ball dead for both is
-    never sampled.  The lhs's per-ball details, with each ball's note
-    (its solver's, or "upper-bound-pruned"), are the report's
-    `lhs_per_ball`.  The rhs comes from `tuple_rhs`,
-    the builder of every inequality's rhs, with Morrey sups as the slot
-    norms: each slot makes one Morrey call whose rows are the slot's
-    distinct derivative keys, so the slot's jets are evaluated once, on the
-    nodes of all its balls; each term is a product of those memoised sups.
-    The slots share their nodes, so a term's standard error is the
-    first-order bound M_g sigma_f + M_f sigma_g, and the rhs's the sum of
-    the terms' errors, upper bounds under any correlation; the rhs
+    ball list, drawn once under f"{op_id}-balls", on one node set per ball
+    (common random numbers): the list (`quad.UnitNodeBalls`) carries ball
+    b's unit node set, drawn under f"{op_id}/b{b}" when a norm first needs
+    the ball live, and each norm maps it onto the ball.  So a ball live for
+    f or for g is sampled once and a ball dead for both never, and each
+    norm equals its own call with this op_id and ball list bit for bit.
+    The lhs's per-ball details, with each ball's note (its solver's, or
+    "upper-bound-pruned"), are the report's `lhs_per_ball`.  The rhs comes
+    from `tuple_rhs`, the builder of every inequality's rhs, with Morrey
+    sups as the slot norms: each slot makes one Morrey call whose rows are
+    the slot's distinct derivative keys, so the slot's jets are evaluated
+    once, on the nodes of all its balls; each term is a product of those
+    memoised sups.  The slots share their nodes, so a term's standard error
+    is the first-order bound M_g sigma_f + M_f sigma_g, and the rhs's the
+    sum of the terms' errors, upper bounds under any correlation; the rhs
     `samples` counts each shared node once, so it is N.  Balls are
     normalized by the ambient dimension n.
 
@@ -161,18 +153,16 @@ def leibniz_test(
         raise HypothesisError(f"needs k <= 2Q = {2 * group.homogeneous_dimension}, got k = {k}")
     product = ProductFunction(group, [f, g])
     slots = ((v1, p1, lam1), (v2, p2, lam2))
-    drawn = _DrawnBalls(sampler.generate(scheme.seed, label=f"{op_id}-balls"))
+    drawn = sampler.generate(scheme.seed, label=f"{op_id}-balls")
+    balls = UnitNodeBalls(group, drawn, scheme, op_id)
 
     def sups(i, rows):
         v, p, lam_i = slots[i]
-        ests, _ = morrey_norm(group, rows, v, p, lam_i, drawn, scheme, op_id=op_id)
+        ests, _ = morrey_norm(group, rows, v, p, lam_i, balls, scheme, op_id=op_id)
         return ests, None
 
-    with shared_draws():
-        lhs, lhs_balls = campanato_norm(
-            group, product, u, system.q, lam, k, drawn, scheme, op_id=op_id
-        )
-        rhs, breakdown = tuple_rhs(group, [f, g], [p1, p2], k, sups, scheme.seed)
+    lhs, lhs_balls = campanato_norm(group, product, u, system.q, lam, k, balls, scheme, op_id=op_id)
+    rhs, breakdown = tuple_rhs(group, [f, g], [p1, p2], k, sups, scheme.seed)
     config = trial_config(
         group,
         system,

@@ -23,8 +23,8 @@ private pieces:
              2^-levels * r0 is dropped.  All strata of a product get their
              pole distances from one pass, which chooses the live nodes.
   The uniform nodes of every slot of every product come from one
-  `sample_ball` call on the list of their balls; inside `shared_draws`
-  a ball drawn before under the same stream and node count is reused.
+  `sample_ball` call on the list of their balls, or from the unit node
+  sets that a `UnitNodeBalls` list carries.
 * `_estimate` evaluates the integrand once, on the live nodes of all
   strata, zero-fills the rest, applies the (points x nodes) kernel in row
   blocks when there is one (from the pole distances when the pole is the
@@ -35,7 +35,9 @@ This module alone decides the nodes of a ball.  `sample_ball` draws the
 unit-ball nodes V of a stream, by rejection from (-1, 1)^n with the one
 acceptance ratio c_d / 2^n, and gives B(c, r) the nodes c o delta_r(V);
 left translation and dilation preserve uniformity, and V does not depend
-on the ball.  `_live_passes` owns the rest: ball b of a list draws under
+on the ball.  A `UnitNodeBalls` list keeps each ball's V, so estimators
+that take it share each ball's nodes, every one mapping the same V by
+c o delta_r.  `_live_passes` owns the rest: ball b of a list draws under
 f"{op_id}/b{b}" (its own stream) and one ball under op_id; under the
 uniform scheme a ball whose box misses the box of the integrand's
 declared support (`support_box`) is dead and draws no nodes; and the
@@ -55,8 +57,6 @@ up to its truncation.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 import logging
 import math
@@ -212,9 +212,42 @@ def sample_ball(group, ball, count, rng):
         "sample_ball: %d/%d drawn points accepted (%.1f%%), %d kept",
         accepted, drawn, 100.0 * accepted / drawn, out.shape[0] * count,
     )
-    for b, nodes in zip(balls, out):
-        nodes[:] = group.dilate(b.radius, nodes)
-    return group.compose(np.array([b.center for b in balls])[:, None], out).reshape(-1, group.n)
+    return _place(group, balls, out)
+
+
+def _place(group, balls, units):
+    """c o delta_r(V) on each ball B(c, r) of `balls`, V its unit nodes, a
+    (count, n) array in `units`: the nodes stacked ball-major, (B * count, n)."""
+    nodes = np.array([group.dilate(b.radius, v) for b, v in zip(balls, units)])
+    return group.compose(np.array([b.center for b in balls])[:, None], nodes).reshape(-1, group.n)
+
+
+class UnitNodeBalls(list):
+    """A ball list whose ball b carries its unit node set V_b: the N =
+    scheme.samples nodes that `sample_ball` draws on B(0, 1) from
+    stream(scheme.seed, f"{op_id}/b{b}"), drawn the first time an estimator
+    needs ball b live.  Every estimator that takes the list on `group`
+    under a uniform scheme with this seed and N and under this op_id (its
+    `key`) maps V_b onto the ball by c o delta_r as `sample_ball` does, so
+    its nodes are a plain list's bit for bit; any other request draws as
+    for a plain list.  It stands in for its sampler: `generate` returns it."""
+
+    def __init__(self, group, balls, scheme, op_id):
+        super().__init__(balls)
+        self.key, self._units = (group, op_id, scheme.seed, scheme.samples), {}
+
+    def generate(self, seed, label=None):
+        return self
+
+    def unit_nodes(self, indices):
+        """V_b for each b in `indices`, the new ones from one `sample_ball` call."""
+        group, op_id, seed, count = self.key
+        new = [b for b in indices if b not in self._units]
+        if new:
+            rngs = [stream(seed, f"{op_id}/b{b}") for b in new]
+            drawn = sample_ball(group, [GaugeBall(np.zeros(group.n), 1.0)] * len(new), count, rngs)
+            self._units.update(zip(new, drawn.reshape(len(new), count, group.n)))
+        return [self._units[b] for b in indices]
 
 
 # -- the engine: strata and one estimator --------------------------------------
@@ -228,53 +261,18 @@ _KERNEL_BLOCK = 1 << 16
 _PASS = 1 << 16
 
 
-# The draws of the innermost `shared_draws` block, or None outside one.
-_SHARED = contextvars.ContextVar("shared_draws", default=None)
-
-
-@contextlib.contextmanager
-def shared_draws():
-    """Within the block, a ball's uniform nodes are drawn once per (group,
-    seed, stream id, stream index, ball, node count) and reused by every
-    later estimator that asks for them.  The nodes are the ones a fresh
-    draw gives, bit for bit, so no value moves; the memo is dropped when
-    the block ends."""
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def _draw(group, balls, count, seed, streams):
-    """`count` uniform nodes on each ball, ball j under stream(seed,
-    *streams[j]), from one `sample_ball` call: shape (len(balls), count, n).
-    Inside `shared_draws` only the balls not drawn before are sampled."""
-    memo = _SHARED.get()
-    if memo is None:
-        rngs = [stream(seed, *ident) for ident in streams]
-        return sample_ball(group, balls, count, rngs).reshape(len(balls), count, group.n)
-    keys = [
-        (group, seed, *ident, ball.center.tobytes(), ball.radius, count)
-        for ball, ident in zip(balls, streams)
-    ]
-    new = [j for j, key in enumerate(keys) if key not in memo]
-    if new:
-        rngs = [stream(seed, *streams[j]) for j in new]
-        pts = sample_ball(group, [balls[j] for j in new], count, rngs)
-        for j, nodes in zip(new, pts.reshape(len(new), count, group.n)):
-            memo[keys[j]] = nodes
-    return np.stack([memo[key] for key in keys])
-
-
-def _slot_samples(group, family, count, seed, op_ids, first):
+def _slot_samples(group, family, count, seed, op_ids, first, units=None):
     """Uniform samples on every slot ball of every product in `family` (B
     lists of m balls), slot i of product b under stream(seed, op_ids[b],
-    index=first + i), from one `sample_ball` call (see `_draw`): nodes of
-    shape (B, count, m, n) and the product volumes (B,)."""
+    index=first + i), from one `sample_ball` call or from their unit nodes
+    `units`: nodes of shape (B, count, m, n) and the product volumes (B,)."""
     m = len(family[0])
-    streams = [(op_id, first + i) for op_id in op_ids for i in range(m)]
-    pts = _draw(group, [ball for balls in family for ball in balls], count, seed, streams)
+    flat = [ball for balls in family for ball in balls]
+    if units is None:
+        rngs = [stream(seed, op_id, first + i) for op_id in op_ids for i in range(m)]
+        pts = sample_ball(group, flat, count, rngs)
+    else:
+        pts = _place(group, flat, units)
     pts = pts.reshape(len(family), m, count, group.n).swapaxes(1, 2)
     volumes = [math.prod(ball_volume(group, ball.radius) for ball in balls) for balls in family]
     return np.ascontiguousarray(pts), np.array(volumes)
@@ -285,15 +283,16 @@ def _per_stratum(scheme):
     return max(scheme.samples // (scheme.levels + 1), 256)
 
 
-def _strata(group, family, scheme, op_ids, poles):
+def _strata(group, family, scheme, op_ids, poles, units=None):
     """The scheme's strata on each product of balls in `family` (B lists of
     m slot balls, product b drawn under op_ids[b]), stacked product by
     product: nodes (S, N, m, n), live mask (S, N) or None, volumes (S,),
     the distances d(pole, y_vec) of shape (S, N) or None, and the number of
     strata of each product.  Product b's annuli shells are centred at
-    poles[b]; see the module docstring."""
+    poles[b]; see the module docstring.  Uniform nodes may come from the
+    slot balls' unit nodes `units` (see `_slot_samples`)."""
     if scheme.kind == "uniform":
-        pts, volumes = _slot_samples(group, family, scheme.samples, scheme.seed, op_ids, 0)
+        pts, volumes = _slot_samples(group, family, scheme.samples, scheme.seed, op_ids, 0, units)
         return pts, None, volumes, None, [1] * len(family)
     tops, top_volumes = _slot_samples(
         group, family, _per_stratum(scheme), scheme.seed, op_ids, scheme.levels
@@ -344,9 +343,12 @@ def _live_passes(group, ball, scheme, op_id, support_of=None, singularity=None):
     annuli shells around `singularity` or else each ball's center.  Under
     the uniform scheme a ball whose box misses the box of `support_of`'s
     declared support (`support_box`) is dead and left out.  A pass draws
-    at most _PASS nodes, or one ball."""
+    at most _PASS nodes, or one ball; a `UnitNodeBalls` list whose key is
+    the request's maps each live ball's unit node set."""
     single = isinstance(ball, GaugeBall)
-    balls = [ball] if single else list(ball)
+    balls = [ball] if single else ball
+    shared = isinstance(ball, UnitNodeBalls) and scheme.kind == "uniform"
+    shared = shared and ball.key == (group, op_id, scheme.seed, scheme.samples)
     ids = [op_id] if single else [f"{op_id}/b{b}" for b in range(len(balls))]
     live = np.arange(len(balls))
     box = None if support_of is None or scheme.kind != "uniform" else support_box(group, support_of)
@@ -359,7 +361,8 @@ def _live_passes(group, ball, scheme, op_id, support_of=None, singularity=None):
         part = live[start : start + step]
         family = [[balls[b]] for b in part]
         poles = [balls[b].center if singularity is None else singularity for b in part]
-        yield part, _strata(group, family, scheme, [ids[b] for b in part], poles)
+        units = ball.unit_nodes(part) if shared else None
+        yield part, _strata(group, family, scheme, [ids[b] for b in part], poles, units)
 
 
 def ball_stacks(group, ball, scheme, fns, *, op_id, support_of=None):
@@ -454,7 +457,8 @@ def _row_covariance(rows, volume):
     if n < 2:
         return np.zeros((rows.shape[0], rows.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        return volume**2 * np.atleast_2d(np.cov(rows)) / n
+        centred = rows - (np.add.reduce(rows, axis=1) / n)[:, None]
+        return volume**2 * (np.dot(centred, centred.T) * np.true_divide(1, n - 1)) / n
 
 
 def _estimate(group, strata, f, scheme, kernel=None):
@@ -485,11 +489,15 @@ def _estimate(group, strata, f, scheme, kernel=None):
         else:
             full = np.zeros((block.shape[0], S, N))
             full[:, live] = block
-        values.append(vols * np.mean(full, axis=-1))
-        # near-overflow integrand values may push the variance to inf; report
-        # it (every valid scheme has N >= 2)
+        mean = np.add.reduce(full, axis=-1) / N
+        values.append(vols * mean)
+        # the ddof-1 standard deviation from that mean; near-overflow integrand
+        # values may push the variance to inf: report it (every valid scheme
+        # has N >= 2)
         with np.errstate(over="ignore"):
-            stds.append(vols * np.std(full, axis=-1, ddof=1) / math.sqrt(N))
+            dev = full - mean[..., None]
+            dev *= dev
+            stds.append(vols * np.sqrt(np.add.reduce(dev, axis=-1) / (N - 1)) / math.sqrt(N))
     values, stds = np.concatenate(values).tolist(), np.concatenate(stds).tolist()
     volumes = vols.tolist()
 
@@ -553,7 +561,6 @@ def integrate_ball(group, f, ball, scheme, *, op_id="integrate-ball", singularit
     """
     scheme.validate()
     single = isinstance(ball, GaugeBall)
-    ball = ball if single else list(ball)
     out = [None] * (1 if single else len(ball))
     for live, strata in _live_passes(group, ball, scheme, op_id, f, singularity):
         for b, result in zip(live, _estimate(group, strata, lambda pts: f(pts[:, 0]), scheme)):

@@ -28,6 +28,7 @@
 * `support_mix`: balls that miss, touch, graze, cut and cover the boxes of
   a bump's and a product's supports, on the groups of `DEAD_BALL_GROUPS`;
   `Spiky` is a bump with NaN on part of its support.
+* `ListedBalls`: a ball sampler that hands out one given ball list.
 """
 
 import math
@@ -401,3 +402,17 @@ class Spiky:
         vals = self.bump(pts)
         vals[(pts[:, 0] > 0.6) & (vals > 0.0)] = np.nan
         return vals
+
+
+class ListedBalls:
+    """A ball sampler that hands out one given ball list, whatever the seed
+    and label, and describes itself by that list."""
+
+    def __init__(self, balls):
+        self.balls = list(balls)
+
+    def generate(self, seed, label=None):
+        return self.balls
+
+    def to_dict(self):
+        return {"balls": [ball.to_dict() for ball in self.balls]}

@@ -6,6 +6,7 @@ import pytest
 
 from bruteforce_helpers import (
     DEAD_BALL_GROUPS,
+    ListedBalls,
     Spiky,
     all_lines_brute_force,
     best_value_system,
@@ -1013,16 +1014,6 @@ def _unpruned_sup(group, F, q, lam, k, balls, scheme, op_id):
     return scaled, values.index(max(values))
 
 
-class _ListedBalls:
-    """A ball sampler that hands out one given ball list."""
-
-    def __init__(self, balls):
-        self.balls = balls
-
-    def generate(self, seed, label):
-        return self.balls
-
-
 @pytest.mark.parametrize(("q", "k"), [(1.0, 2), (1.5, 2), (1.0, 1)])
 @pytest.mark.parametrize("gid", ["e1", "h1"])
 def test_campanato_pruning_keeps_the_sup_bit_for_bit(request, gid, q, k):
@@ -1072,10 +1063,10 @@ def test_campanato_pruned_sup_left_translation_covariance(h1):
         moved_balls = [GaugeBall(h1.compose(g0, b.center), b.radius) for b in balls]
         scheme = QuadratureScheme(samples=1024, seed=seed)
         base, details = campanato_norm(
-            h1, ProductFunction(h1, fs), W1(h1), 1.0, 1.0, 2, _ListedBalls(balls), scheme
+            h1, ProductFunction(h1, fs), W1(h1), 1.0, 1.0, 2, ListedBalls(balls), scheme
         )
         moved, _ = campanato_norm(
-            h1, ProductFunction(h1, moved_fs), W1(h1), 1.0, 1.0, 2, _ListedBalls(moved_balls),
+            h1, ProductFunction(h1, moved_fs), W1(h1), 1.0, 1.0, 2, ListedBalls(moved_balls),
             scheme,
         )
         assert "upper-bound-pruned" in {d["note"] for d in details}
@@ -1118,6 +1109,48 @@ def test_leibniz_draws_and_solves_only_the_live_balls(e1, count_calls):
     assert sum(nodes) == scheme.samples * either
     assert len(solves) == live_fg
     assert weighed == []
+
+
+def test_leibniz_draws_each_live_ball_once_and_keeps_each_norms_bits(h1, count_calls, monkeypatch):
+    # the lhs and both Morrey slots take one ball list that carries each
+    # ball's unit node set: on H^1 one leibniz_test draws N nodes once for
+    # each ball live for f or for g and none for a ball dead for both, and
+    # each of its three norms equals the standalone call with the same op_id
+    # and ball list, which draws its own nodes, bit for bit
+    _, product, balls, _, _ = support_mix(h1)
+    f, g = product.factors
+    live = [not (_misses(h1, ball, [f.support]) and _misses(h1, ball, [g.support])) for ball in balls]
+    f_only = [not _misses(h1, ball, [f.support]) and _misses(h1, ball, [g.support]) for ball in balls]
+    assert 0 < sum(f_only) < sum(live) < len(balls)
+    scheme = QuadratureScheme(samples=1024, seed=5)
+    norms = []
+    for name in ("campanato_norm", "morrey_norm"):
+
+        def recorded(*args, norm=getattr(spaces, name), **kwargs):
+            out = norm(*args, **kwargs)
+            norms.append((norm, args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(spaces, name, recorded)
+    nodes = count_calls(quad, "sample_ball", lambda group, balls, count, rngs: count * len(balls))
+    streams = count_calls(quad, "stream", lambda seed, op_id, index=0: op_id)
+    one = W1(h1)
+    report = leibniz_test(
+        h1, f, g, one, one, one, ExponentSystem(m=2, p_list=(2.0, 2.0), q=1.0, k=2),
+        1.0, 1.0, 1.0, ListedBalls(balls), scheme, op_id="once",
+    )
+    assert sum(nodes) == scheme.samples * sum(live)
+    assert sorted(streams) == sorted(f"once/b{b}" for b, on in enumerate(live) if on)
+    assert [norm.__name__ for norm, *_ in norms] == ["campanato_norm", "morrey_norm", "morrey_norm"]
+    assert report.lhs == norms[0][3][0] and report.lhs.value > 0.0
+    for norm, args, kwargs, out in norms:
+        plain = [ListedBalls(balls) if isinstance(a, quad.UnitNodeBalls) else a for a in args]
+        assert plain != list(args)
+        assert norm(*plain, **kwargs) == out
+    # under another op_id the list draws as a plain list does
+    [shared] = [a for a in norms[0][1] if isinstance(a, quad.UnitNodeBalls)]
+    other = [quad.lp_norm_ball(h1, f, one, 2.0, bs, scheme, op_id="other") for bs in (shared, balls)]
+    assert other[0] == other[1]
 
 
 # -- poincare_test ---------------------------------------------------------------

@@ -19,7 +19,6 @@ from carnotlab.quad import (
     lp_norm_ball,
     product_integrand,
     sample_ball,
-    shared_draws,
 )
 from carnotlab.operators import jet_rows
 from carnotlab.rng import stream
@@ -220,31 +219,6 @@ def test_ball_nodes_are_unit_ball_nodes_mapped_by_c_delta_r(gid, request):
         pts = sample_ball(group, GaugeBall(center, radius), 4096, stream(18, f"unit/{j}"))
         unit = sample_ball(group, unit_ball, 4096, stream(18, f"unit/{j}"))
         assert np.array_equal(pts, group.compose(center, group.dilate(radius, unit)))
-
-
-def test_shared_draws_sample_each_ball_once_and_keep_its_bits(h1, count_calls):
-    # inside the block a second estimator on the same op_id reuses the first
-    # one's nodes, so only the new ball is sampled; every value equals its
-    # call outside the block bit for bit, and the memo ends with the block
-    balls = [GaugeBall([0.1, 0.0, 0.2], 0.7), GaugeBall([-0.3, 0.2, 0.0], 1.1)]
-    scheme = QuadratureScheme(samples=1024, seed=3)
-    f = GaugeBump(h1, [0.0, 0.1, 0.0], 1.2)
-    one = Weight.one(h1)
-
-    def estimates():
-        return (
-            lp_norm_ball(h1, f, one, 2.0, balls[:1], scheme, op_id="memo"),
-            integrate_ball(h1, f, balls, scheme, op_id="memo"),
-        )
-
-    plain = estimates()
-    drawn = count_calls(quad, "sample_ball", lambda group, bs, count, rngs: len(bs))
-    with shared_draws():
-        shared = estimates()
-    assert drawn == [1, 1]
-    assert shared == plain
-    estimates()
-    assert drawn == [1, 1, 1, 2]
 
 
 def test_sample_ball_zero_count_is_empty(e1, h1):
