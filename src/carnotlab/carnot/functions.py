@@ -24,6 +24,7 @@ finite-difference path.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -69,28 +70,23 @@ class TestFunction:
         raise NotImplementedError
 
 
-_UNIT_GAUGE = {}
-
-
+@functools.cache
 def _unit_gauge(group):
     """u0(w) = sum_i |w^(i)|^(2s!/i), X_a u0 for each a and X_a X_b u0 at
     position a n1 + b, as polynomials in w.  Built once per group and
     shared by all its bumps."""
-    unit = _UNIT_GAUGE.get(group)
-    if unit is None:
-        order = group.gauge_order
-        u0 = HomogeneousPolynomial.zero(group)
-        for i in range(1, group.step + 1):
-            sl = group.layer_slice(i)
-            sq = HomogeneousPolynomial.zero(group)
-            for b in range(sl.start, sl.stop):
-                x = HomogeneousPolynomial.coordinate(group, b)
-                sq = sq + x * x
-            u0 = u0 + sq.power(order // (2 * i))
-        first = [apply_generator_to_polynomial(u0, a) for a in range(group.n1)]
-        second = [apply_generator_to_polynomial(p, a) for a in range(group.n1) for p in first]
-        unit = _UNIT_GAUGE[group] = (u0, first, second)
-    return unit
+    order = group.gauge_order
+    u0 = HomogeneousPolynomial.zero(group)
+    for i in range(1, group.step + 1):
+        sl = group.layer_slice(i)
+        sq = HomogeneousPolynomial.zero(group)
+        for b in range(sl.start, sl.stop):
+            x = HomogeneousPolynomial.coordinate(group, b)
+            sq = sq + x * x
+        u0 = u0 + sq.power(order // (2 * i))
+    first = [apply_generator_to_polynomial(u0, a) for a in range(group.n1)]
+    second = [apply_generator_to_polynomial(p, a) for a in range(group.n1) for p in first]
+    return u0, first, second
 
 
 class GaugeBump(TestFunction):

@@ -81,14 +81,7 @@ class HomogeneousPolynomial:
             terms[a] = terms.get(a, 0.0) + c
         return HomogeneousPolynomial(self.group, terms)
 
-    def __sub__(self, other):
-        return self + (self._coerce(other) * -1.0)
-
     def __mul__(self, other):
-        if np.isscalar(other):
-            return HomogeneousPolynomial(
-                self.group, {a: c * float(other) for a, c in self.terms.items()}
-            )
         other = self._coerce(other)
         terms = {}
         for a1, c1 in self.terms.items():
@@ -97,15 +90,11 @@ class HomogeneousPolynomial:
                 terms[key] = terms.get(key, 0.0) + c1 * c2
         return HomogeneousPolynomial(self.group, terms)
 
-    __rmul__ = __mul__
-
     def _coerce(self, other):
         if isinstance(other, HomogeneousPolynomial):
             if other.group != self.group:
                 raise StructureError("polynomials live on different groups")
             return other
-        if np.isscalar(other):
-            return HomogeneousPolynomial.constant(self.group, float(other))
         raise TypeError(f"cannot combine polynomial with {type(other)!r}")
 
     def partial(self, i):
@@ -127,9 +116,6 @@ class HomogeneousPolynomial:
         for _ in range(int(m)):
             out = out * self
         return out
-
-    def to_dict(self):
-        return {",".join(map(str, a)): c for a, c in sorted(self.terms.items())}
 
 
 def grlex_key(group, alpha):

@@ -29,9 +29,10 @@ For other q, L(eps) = min over (a, b) of F(a, b) = sum_i w_i
 |f_i - a x_i - b|^q on a Gauss rule over [-1, -eps], [-eps, eps] and
 [eps, 1] is found exactly (affine_infimum, for any q > 0).  The nodes are
 mirror-symmetric, so F(a, b) = F(1 - a, b).
-* q >= 1, "symmetric-convex": F is convex, so a = 1/2, and b is the
-  weighted mean of g (q = 2), its weighted median (q = 1), or found by
-  bisection on the derivative down to adjacent floats.
+* q >= 1, "symmetric-convex": F is convex, so a = 1/2, and b is found
+  by bisection on the derivative down to adjacent floats, for every
+  q >= 1 (at q = 2 it finds the weighted mean of g, at q = 1 a weighted
+  median).
 * q < 1, "vertex-bnb": F is concave on each cell of the arrangement of
   the lines a x_i + b = f_i, so its minimum is at a vertex, a line through
   two nodes (Rockafellar, Convex Analysis, section 32).  By the symmetry
@@ -177,20 +178,14 @@ def _piecewise_nodes(family, rule):
 
 
 def _best_offset(g, w, q):
-    """The least sum_i w_i |g_i - b|^q over b, for q >= 1, as (b, value)."""
-    if q == 2.0:
-        b = np.dot(w, g) / w.sum()
-    elif q == 1.0:
-        order = np.argsort(g)
-        cum = np.cumsum(w[order])
-        b = g[order[np.searchsorted(cum, 0.5 * cum[-1])]]
-    else:  # bisection on the derivative in b, which increases, to adjacent floats
-        lo, hi = g.min(), g.max()
+    """The least sum_i w_i |g_i - b|^q over b, for q >= 1, as (b, value):
+    bisection on the derivative in b, which increases, to adjacent floats."""
+    lo, hi = g.min(), g.max()
+    b = 0.5 * (lo + hi)
+    while lo < b < hi:
+        slope = np.dot(w, np.sign(b - g) * np.abs(b - g) ** (q - 1.0))
+        lo, hi = (b, hi) if slope < 0.0 else (lo, b)
         b = 0.5 * (lo + hi)
-        while lo < b < hi:
-            slope = np.dot(w, np.sign(b - g) * np.abs(b - g) ** (q - 1.0))
-            lo, hi = (b, hi) if slope < 0.0 else (lo, b)
-            b = 0.5 * (lo + hi)
     return float(b), float(np.abs(g - b) ** q @ w)
 
 
@@ -412,9 +407,9 @@ def affine_infimum(family, q, nodes):
     [-1, 1]; see the module docstring.
 
     Returns {"value", "a", "b", "converged", "method"}: method is
-    "symmetric-convex" (q >= 1; b bisected to adjacent floats unless q is
-    1 or 2) or "vertex-bnb" (q < 1), and `converged` says the method
-    certified the minimum, as both do whenever they return.
+    "symmetric-convex" (q >= 1; b bisected to adjacent floats) or
+    "vertex-bnb" (q < 1), and `converged` says the method certified the
+    minimum, as both do whenever they return.
     """
     x, g, w = _piecewise_nodes(family, nodes)
     if q >= 1.0:

@@ -112,7 +112,9 @@ def representation_check(group, fs, ball, k, num_points, scheme, *, op_id="repfo
     gives one row |X^(t_i) f_i| per tuple t from one jet pass, and the
     integrand is the sum over tuples of the rows' products.  Each point's
     rhs is one estimate; the points share the node set, so their standard
-    errors are correlated.  Returns per-point records and the max ratio.
+    errors are correlated.  A point with lhs and rhs both 0 has ratio 0;
+    an lhs > 0 over an rhs of 0 has ratio inf.  Returns per-point records
+    and the max finite ratio.
     """
     if num_points < 0:
         raise DomainError(f"the number of points must be >= 0, got {num_points}")
@@ -135,7 +137,10 @@ def representation_check(group, fs, ball, k, num_points, scheme, *, op_id="repfo
     rhs = multilinear_fractional_integral(group, slots, k, pts, scheme, op_id=f"{op_id}/rhs")
     records = []
     for idx, est in enumerate(rhs):
-        ratio = lhs[idx] / est.value if est.value > 0 else float("inf")
+        if est.value > 0:
+            ratio = lhs[idx] / est.value
+        else:  # zero over zero reads 0, as in trial_report
+            ratio = 0.0 if lhs[idx] == 0.0 else float("inf")
         records.append(
             {
                 "point": pts[idx].tolist(),

@@ -135,13 +135,18 @@ def leibniz_test(
     `samples` counts each shared node once, so it is N.  Balls are
     normalized by the ambient dimension n.
 
-    Requires the scaling relation lambda/q = lambda_1/p_1 + lambda_2/p_2
-    and k <= 2Q.
+    Requires q > 0 and each p_i > 0 (every violation listed in one
+    ValidationError), the scaling relation lambda/q = lambda_1/p_1 +
+    lambda_2/p_2 and k <= 2Q.
     """
     if system.m != 2 or len(system.p_list) != 2:
         raise ValidationError(["the Leibniz experiment is bilinear: m = 2, two p_list entries"])
-    if not system.q > 0.0:
-        raise ValidationError([f"q = {system.q} must be positive"])
+    violations = [f"q = {system.q} must be positive"] if not system.q > 0.0 else []
+    violations += [
+        f"p_{i + 1} = {p} must be positive" for i, p in enumerate(system.p_list) if not p > 0.0
+    ]
+    if violations:
+        raise ValidationError(violations)
     k = system.k
     p1, p2 = system.p_list
     relation = lam / system.q - (lam1 / p1 + lam2 / p2)

@@ -126,14 +126,7 @@ class Estimate:
         return Estimate(value, std_error, self.samples, self.seed, self.flagged, self.note)
 
     def to_dict(self):
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "seed": self.seed,
-            "flagged": self.flagged,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def estimate_product(estimates):
@@ -454,8 +447,6 @@ def _eval_rows(f, pts):
 def _row_covariance(rows, volume):
     """Covariance of the `volume * mean` estimates of a (rows, nodes) array."""
     n = rows.shape[1]
-    if n < 2:
-        return np.zeros((rows.shape[0], rows.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         centred = rows - (np.add.reduce(rows, axis=1) / n)[:, None]
         return volume**2 * (np.dot(centred, centred.T) * np.true_divide(1, n - 1)) / n

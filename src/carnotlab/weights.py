@@ -22,7 +22,7 @@ is flagged on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -308,13 +308,7 @@ class BallSampler:
         return [GaugeBall(centers[i], radii[i]) for i in range(self.count)]
 
     def to_dict(self):
-        return {
-            "dim": self.dim,
-            "center_box": self.center_box,
-            "r_min": self.r_min,
-            "r_max": self.r_max,
-            "count": self.count,
-        }
+        return asdict(self)
 
 
 def fit_slope(radii, values):
@@ -354,13 +348,7 @@ class WeightConditionReport:
         return [row["verdict"] for row in self.per_t]
 
     def to_dict(self):
-        return {
-            "exponent": self.exponent,
-            "per_t": self.per_t,
-            "flagged_count": self.flagged_count,
-            "sampler": self.sampler,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def weight_condition_sup(

@@ -25,7 +25,7 @@ from carnotlab.carnot import (
     volume_constant,
 )
 from carnotlab.carnot.derivatives import coefficient_jacobian
-from carnotlab.carnot.group import ball_box
+from carnotlab.carnot.group import CarnotGroup, ball_box
 from carnotlab.errors import DomainError, StructureError
 from carnotlab.operators import jet_rows
 from carnotlab.quad import sample_ball
@@ -795,3 +795,81 @@ def test_group_identity_is_structure(h1):
         HomogeneousPolynomial.constant(g, 1.0) + HomogeneousPolynomial.constant(g3, 1.0)
     assert h1 == g and hash(h1) == hash(g)
     assert euclidean_group(3) != h1
+
+
+def test_equal_groups_share_one_unit_gauge():
+    from carnotlab.carnot.functions import _unit_gauge
+
+    assert _unit_gauge(heisenberg_group(1)) is _unit_gauge(heisenberg_group(1))
+    assert _unit_gauge(heisenberg_group(1)) is not _unit_gauge(heisenberg_group(2))
+
+
+# -- input checks ----------------------------------------------------------------
+
+_H1 = heisenberg_group(1)
+_BUMP = GaugeBump(_H1, [0.0, 0.0, 0.0], 1.0)
+_POLY = HomogeneousPolynomial(_H1, {(1, 0, 0): 1.0})
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: CarnotGroup("g", ()), StructureError),
+        (lambda: CarnotGroup("g", (2, 0)), StructureError),
+        (lambda: CarnotGroup("g", (2, 1, 1)), StructureError),
+        (lambda: CarnotGroup("g", (2, 1), np.zeros((1, 3, 3))), StructureError),
+        (lambda: CarnotGroup("g", (2,), np.zeros((1, 2, 2))), StructureError),
+        (lambda: euclidean_group(0), StructureError),
+        (lambda: heisenberg_group(0), StructureError),
+        (lambda: step_two_group(np.zeros((2, 2))), StructureError),
+        (lambda: GaugeBall([0.0], 0.0), DomainError),
+        (lambda: GaugeBall([0.0], -1.0), DomainError),
+    ],
+)
+def test_group_input_checks(build, error):
+    with pytest.raises(error):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: HomogeneousPolynomial(_H1, {(1, 0): 1.0}), StructureError),
+        (lambda: HomogeneousPolynomial(_H1, {(1, -1, 0): 1.0}), StructureError),
+        (lambda: _POLY.power(-1), DomainError),
+        (lambda: monomial_basis(_H1, 0), DomainError),
+        (lambda: _POLY * 2.0, TypeError),
+        (lambda: _POLY + 1.0, TypeError),
+    ],
+)
+def test_polynomial_input_checks(build, error):
+    with pytest.raises(error):
+        build()
+
+
+@pytest.mark.parametrize(
+    "alpha, x, message",
+    [
+        ((1,), [0.1, 0.2, 0.3], "multi-index length 1"),
+        ((1, 0, 0), [0.1, 0.2, 0.3], "multi-index length 3"),
+        ((1, -1), [0.1, 0.2, 0.3], "nonnegative"),
+        ((1, 0), [0.1, 0.2], "point dimension"),
+    ],
+)
+def test_derivative_input_checks(alpha, x, message):
+    with pytest.raises(StructureError, match=message):
+        horizontal_derivative(_H1, _BUMP, alpha, x)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: _BUMP([0.1, 0.2]), StructureError),
+        (lambda: _BUMP(np.ones((4, 2))), StructureError),
+        (lambda: GaugeBump(_H1, [0.0, 0.0, 0.0], 0.0), DomainError),
+        (lambda: GaugeBump(_H1, [0.0, 0.0, 0.0], -0.5), DomainError),
+    ],
+)
+def test_function_input_checks(build, error):
+    with pytest.raises(error):
+        build()

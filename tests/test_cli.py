@@ -131,6 +131,8 @@ def test_t_key_is_gone(tmp_path, capsys, command):
         ("morrey", {"f": {"kind": "bump", "raduis": 2.0}}, "raduis"),
         ("weights-check", {"sampler": {"cout": 2}}, "cout"),
         ("repformula", {"ball": {"centre": [0.0]}}, "centre"),
+        ("morrey", {"w": 3}, "constant weight spec must be a JSON object"),
+        ("morrey", {"f": {"kind": "gaussian"}}, "unknown function kind 'gaussian'"),
     ],
 )
 def test_malformed_spec_is_usage_error(tmp_path, capsys, command, config, key):
@@ -210,6 +212,15 @@ def test_malformed_group_id_or_bump_center_is_structure_error(tmp_path, capsys, 
         argv = argv + ["--config", str(cfg), "--out", str(tmp_path)]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [None, "{", "[1, 2"], ids=["missing", "truncated", "unclosed"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert run(["counterexample", "--config", str(cfg), "--out", str(tmp_path)]) == 64
+    assert capsys.readouterr().err.startswith(f"usage error: cannot read config {cfg}")
 
 
 @pytest.mark.parametrize(
@@ -581,6 +592,16 @@ def test_leibniz_scaling_violation_exit_1(tmp_path, capsys):
     code = run(["leibniz", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 1
     assert "scaling relation" in capsys.readouterr().err
+
+
+def test_leibniz_non_positive_p_exit_1_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for p_list in ([0, 2], [-1, 2]):
+        cfg.write_text(json.dumps({"p_list": p_list, "configs": 1, "samples": 1024}))
+        assert run(["leibniz", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and f"p_1 = {p_list[0]:.1f}" in err
+        assert "scaling relation" not in err
 
 
 def test_repformula_command(tmp_path, capsys):

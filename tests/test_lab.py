@@ -1330,6 +1330,23 @@ def test_representation_polynomial_zero(e1, small_scheme):
     assert all(rec["lhs"] < 1e-7 for rec in records)
 
 
+def test_representation_zero_over_zero_is_0_and_positive_over_zero_inf(e1, small_scheme, monkeypatch):
+    fs = [GaugeBump(e1, [0.0], 0.5), GaugeBump(e1, [0.1], 0.5)]
+    # the bumps vanish on B(5, 1): every point reads 0 over 0
+    records, summary = representation_check(e1, fs, GaugeBall([5.0], 1.0), 2, 8, small_scheme)
+    assert [(r["lhs"], r["rhs"], r["ratio"]) for r in records] == [(0.0, 0.0, 0.0)] * 8
+    assert summary["max_ratio"] == 0.0
+
+    # on B(0, 1) with an rhs forced to 0, an lhs > 0 is an infinite ratio
+    def zero_rhs(group, slots, k, pts, scheme, op_id):
+        return [Estimate(0.0, 0.0, 0)] * len(pts)
+
+    monkeypatch.setattr(inequalities, "multilinear_fractional_integral", zero_rhs)
+    records, _ = representation_check(e1, fs, GaugeBall([0.0], 1.0), 2, 8, small_scheme)
+    assert all(r["lhs"] > 0.0 for r in records)
+    assert all(r["ratio"] == math.inf for r in records)
+
+
 def test_representation_classical_1d(e1):
     # m=1, k=1, f=x^2 on B=(0,1): lhs and rhs computed directly
     f = HomogeneousPolynomial(e1, {(2,): 1.0})
@@ -2012,6 +2029,47 @@ def test_leibniz_scaling_relation_validated(e1, small_scheme):
             e1, f, f, W1(e1), W1(e1), W1(e1), ExponentSystem(m=2, p_list=(2.0, 2.0), q=1.0, k=3),
             1.0, 1.0, 1.0, sampler, small_scheme,
         )
+
+
+@pytest.mark.parametrize(
+    "p_list, q, named",
+    [
+        ((0.0, 2.0), 1.0, ["p_1 = 0.0"]),
+        ((-1.0, 2.0), 1.0, ["p_1 = -1.0"]),
+        ((2.0, -1.0), -1.0, ["q = -1.0", "p_2 = -1.0"]),
+        ((-1.0, 0.0), 1.0, ["p_1 = -1.0", "p_2 = 0.0"]),
+    ],
+)
+def test_leibniz_refuses_each_non_positive_exponent(e1, small_scheme, p_list, q, named):
+    f = GaugeBump(e1, [0.0], 1.0)
+    system = ExponentSystem(m=2, p_list=p_list, q=q, k=2)
+    with pytest.raises(ValidationError) as exc:
+        leibniz_test(
+            e1, f, f, W1(e1), W1(e1), W1(e1), system, 1.0, 1.0, 1.0,
+            BallSampler(dim=1, count=4), small_scheme,
+        )
+    assert [v.split(" must")[0] for v in exc.value.violations] == named
+
+
+@pytest.mark.parametrize(
+    "q, scheme, message",
+    [
+        (0.0, QuadratureScheme(samples=1024), "norm exponent must be positive"),
+        (-1.0, QuadratureScheme(samples=1024), "norm exponent must be positive"),
+        (2.0, QuadratureScheme(kind="annuli", samples=1024), "ball stacks need a uniform scheme"),
+    ],
+)
+def test_best_polynomial_input_checks(e1, q, scheme, message):
+    with pytest.raises(DomainError, match=message):
+        best_polynomial(e1, GaugeBump(e1, [0.0], 1.0), W1(e1), q, GaugeBall([0.0], 1.0), 2, scheme)
+
+
+@pytest.mark.parametrize("norm, extra", [(morrey_norm, ()), (campanato_norm, (2,))])
+def test_sup_norm_refuses_an_unknown_normalization(e1, small_scheme, norm, extra):
+    f = GaugeBump(e1, [0.0], 1.0)
+    with pytest.raises(DomainError, match="unknown normalization 'bogus'"):
+        norm(e1, f, W1(e1), 2.0, 1.0, *extra, BallSampler(dim=1, count=2), small_scheme,
+             normalization="bogus")
 
 
 def test_leibniz_bump_pair_finite(e1, small_scheme):

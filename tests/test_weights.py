@@ -33,6 +33,12 @@ def test_holder_conjugate_values():
     assert holder_conjugate(1.5) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_ball_sampler_refuses_no_balls(count):
+    with pytest.raises(DomainError, match="sampler count must be >= 1"):
+        BallSampler(dim=1, count=count)
+
+
 def test_holder_conjugate_domain():
     with pytest.raises(DomainError):
         holder_conjugate(1.0)
